@@ -1,0 +1,688 @@
+"""Kind-specific code: one backend per kind of Euclidean Jordan algebra.
+
+Every Euclidean Jordan algebra is a direct sum of simple factors: real,
+complex or quaternionic Hermitian matrices, or spin factors.  A descriptor
+resolves its backend here once, at construction, and the rest of the
+package reaches element storage only through the backend primitives:
+
+* ``_MatrixBackend`` (real, complex and quaternionic) stores a Hermitian
+  matrix; the quaternionic n x n case is its complex 2n x 2n embedding X
+  with J conj(X) J^-1 = X, J = [[0, I], [-I, 0]];
+* ``_SpinBackend`` stores a pair (v, t) with v in R^d and t in R;
+* ``_SumBackend`` stores a tuple of summand elements and does its per-block
+  work through :func:`_blockwise`.
+
+Primitives whose result is an element return an Element.  Element and the
+generic operations are read from the ``algebra`` module at call time,
+because that module imports this one.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+import numpy as np
+
+from . import algebra as _alg
+from .errors import (
+    CapabilityError,
+    ConfigError,
+    DescriptorMismatchError,
+    NumericalFailureError,
+)
+
+KIND_REAL = "real_symmetric"
+KIND_COMPLEX = "complex_hermitian"
+KIND_QUAT = "quaternionic_hermitian"
+KIND_SPIN = "spin_factor"
+KIND_SUM = "direct_sum"
+
+#: order isomorphism kind -> (LinearMap label, message when unavailable)
+_ORDER_ISOS = {
+    "unitary_conjugation": ("Ad_u", "unitary_conjugation is not available on {}"),
+    "transpose": ("transpose", "transpose is only available on complex algebras, not {}"),
+    "spin_rotation": ("spin_rotation", "spin_rotation is only available on spin factors, not {}"),
+}
+
+
+def _blockwise(primitive, operands, *args):
+    """Backend ``primitive`` on each summand block of direct-sum ``operands``.
+
+    Block k of every operand, followed by ``args``, goes to the primitive of
+    summand k; the results come back as a tuple in summand order.
+    """
+    return tuple(getattr(blocks[0].algebra._backend, primitive)(*blocks, *args)
+                 for blocks in zip(*(x.data for x in operands)))
+
+
+def _cluster(values: np.ndarray, gap: float) -> list[np.ndarray]:
+    """Indices of eigenvalues grouped by chaining gaps <= gap (ascending input)."""
+    groups, start = [], 0
+    for k in range(1, len(values) + 1):
+        if k == len(values) or values[k] - values[k - 1] > gap:
+            groups.append(np.arange(start, k))
+            start = k
+    return groups
+
+
+def _polar_unitary(g: np.ndarray) -> np.ndarray:
+    """Unitary polar factor of g; preserves real/symplectic structure.
+
+    The eigh-based polar start loses accuracy when g is ill-conditioned
+    (forming g*g squares the condition number), so the factor is polished
+    with Newton-Schulz steps, which converge quadratically and stay inside
+    the structured matrix algebra.
+    """
+    m = g.shape[0]
+    w, v = np.linalg.eigh(g.conj().T @ g)
+    if w[0] <= 1e-10 * max(1.0, w[-1]):
+        raise NumericalFailureError("degenerate sample while orthonormalizing")
+    u = g @ (v * (w ** -0.5)) @ v.conj().T
+    for _ in range(4):
+        err = u.conj().T @ u - np.eye(m)
+        if np.abs(err).max() <= 1e-15:
+            break
+        u = u @ (np.eye(m) - 0.5 * err)
+    return u
+
+
+def _random_structured_unitary(alg, rng) -> np.ndarray:
+    """Orthogonal, unitary or symplectic matrix of a matrix-kind algebra."""
+    for _ in range(8):  # resample the rare near-singular draw
+        try:
+            return _polar_unitary(alg._backend.gaussian(alg, rng))
+        except NumericalFailureError:
+            continue
+    raise NumericalFailureError(f"could not orthonormalize a random sample on {alg}")
+
+
+class _Backend:
+    """Defaults shared by the backends; the simple kinds take a size and no summands."""
+
+    name = ""
+    #: commutant_rows is available
+    has_commutant = True
+
+    def validate(self, alg):
+        if alg.size < 1:
+            raise ConfigError(f"{alg.kind} needs size >= 1, got {alg.size}")
+        if alg.summands:
+            raise ConfigError(f"{alg.kind} takes no summands")
+
+    def shorthand(self, alg) -> str:
+        return f"{self.name}:{alg.size}"
+
+    def matrix_order(self, alg) -> int:
+        raise CapabilityError(f"{alg.kind} has no matrix representation")
+
+    def is_complex(self, alg) -> bool:
+        return False
+
+    def to_json(self, alg) -> dict:
+        return {"kind": alg.kind, self.json_key: alg.size}
+
+    def from_json(self, obj: dict, decode):
+        return _alg.AlgebraDescriptor(self.kind, int(obj[self.json_key]))
+
+    def quadratic(self, a, b):
+        """Q_a(b) = 2a*(a*b) - a^2*b."""
+        jordan = _alg.jordan_product
+        asq = jordan(a, a)
+        return jordan(a, jordan(a, b)) * 2.0 - jordan(asq, b)
+
+    def order_iso(self, alg, kind: str, rng):
+        """(action, label) of a unital order isomorphism of the requested kind."""
+        if kind not in _ORDER_ISOS:
+            raise CapabilityError(f"unknown order isomorphism kind {kind!r}")
+        label, unavailable = _ORDER_ISOS[kind]
+        if kind not in self.order_isos(alg):
+            raise CapabilityError(unavailable.format(alg))
+        return self.iso_action(alg, kind, rng), label
+
+
+# ---------------------------------------------------------------------------
+# Real, complex and quaternionic Hermitian matrices
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _symplectic_form(n: int) -> np.ndarray:
+    eye = np.eye(n)
+    return np.block([[np.zeros((n, n)), eye], [-eye, np.zeros((n, n))]]).astype(complex)
+
+
+def _quat_project(mat: np.ndarray, n: int) -> np.ndarray:
+    """Project onto the subspace satisfying J conj(X) J^-1 = X."""
+    j = _symplectic_form(n)
+    return 0.5 * (mat + j @ mat.conj() @ j.conj().T)
+
+
+def _quat_embed(a_part: np.ndarray, b_part: np.ndarray) -> np.ndarray:
+    """Embed the quaternion matrix A + Bj as [[A, B], [-conj(B), conj(A)]]."""
+    top = np.hstack([a_part, b_part])
+    bot = np.hstack([-b_part.conj(), a_part.conj()])
+    return np.vstack([top, bot])
+
+
+@lru_cache(maxsize=None)
+def _matrix_basis(alg) -> np.ndarray:
+    """Stacked orthonormal basis (dim, m, m) for a matrix-kind algebra."""
+    n = alg.size
+    mats = []
+    if alg.kind == KIND_REAL:
+        for i in range(n):
+            e = np.zeros((n, n))
+            e[i, i] = 1.0
+            mats.append(e)
+        for i in range(n):
+            for j in range(i + 1, n):
+                e = np.zeros((n, n))
+                e[i, j] = e[j, i] = 1.0 / np.sqrt(2.0)
+                mats.append(e)
+    elif alg.kind == KIND_COMPLEX:
+        for i in range(n):
+            e = np.zeros((n, n), complex)
+            e[i, i] = 1.0
+            mats.append(e)
+        for i in range(n):
+            for j in range(i + 1, n):
+                e = np.zeros((n, n), complex)
+                e[i, j] = e[j, i] = 1.0 / np.sqrt(2.0)
+                mats.append(e)
+                e = np.zeros((n, n), complex)
+                e[i, j] = 1j / np.sqrt(2.0)
+                e[j, i] = -1j / np.sqrt(2.0)
+                mats.append(e)
+    else:
+        units = [(1, 0), (1j, 0), (0, 1), (0, 1j)]  # 1, i, j, k
+        for i in range(n):
+            a_part = np.zeros((n, n), complex)
+            a_part[i, i] = 1.0
+            mats.append(_quat_embed(a_part, np.zeros((n, n), complex)))
+        for i in range(n):
+            for j in range(i + 1, n):
+                for alpha, beta in units:
+                    a_part = np.zeros((n, n), complex)
+                    b_part = np.zeros((n, n), complex)
+                    a_part[i, j] = alpha
+                    a_part[j, i] = np.conj(alpha)
+                    b_part[i, j] = beta
+                    b_part[j, i] = -beta  # quaternion conjugate transposes to -beta
+                    mats.append(_quat_embed(a_part, b_part) / np.sqrt(2.0))
+    basis = np.stack(mats)
+    basis.setflags(write=False)
+    return basis
+
+
+class _MatrixBackend(_Backend):
+    """n x n Hermitian matrices over R, C or H (of real dimension ``field_dim`` 1, 2, 4).
+
+    ``unit`` is the order of the stored block per matrix entry: 2 for the
+    quaternionic embedding, whose eigenvalues come in Kramers pairs, else 1.
+    """
+
+    json_key = "n"
+
+    def __init__(self, kind, name, dtype, field_dim, unit):
+        self.kind, self.name, self.dtype = kind, name, dtype
+        self.field_dim, self.unit = field_dim, unit
+
+    def real_dimension(self, alg) -> int:
+        n = alg.size
+        return n + self.field_dim * (n * (n - 1) // 2)
+
+    def matrix_order(self, alg) -> int:
+        return self.unit * alg.size
+
+    def is_complex(self, alg) -> bool:
+        return self.kind == KIND_COMPLEX
+
+    def normalise(self, alg, data):
+        mat = np.asarray(data, dtype=self.dtype)
+        m = self.unit * alg.size
+        if mat.shape != (m, m):
+            raise ConfigError(f"expected {m}x{m} matrix for {alg}, got {mat.shape}")
+        mat = 0.5 * (mat + mat.conj().T)
+        if self.kind == KIND_QUAT:
+            mat = _quat_project(mat, alg.size)
+        mat.setflags(write=False)
+        return mat
+
+    def combine(self, a, b, sa, sb):
+        return _alg.Element(a.algebra, sa * a.data + sb * b.data)
+
+    def scale(self, a, s):
+        return _alg.Element(a.algebra, s * a.data)
+
+    def scalar(self, alg, c: float):
+        return _alg.Element(alg, c * np.eye(self.matrix_order(alg)))
+
+    def jordan(self, a, b):
+        return _alg.Element(a.algebra, 0.5 * (a.data @ b.data + b.data @ a.data))
+
+    def quadratic(self, a, b):
+        # associative shortcut; equals the Jordan formula exactly
+        return _alg.Element(a.algebra, a.data @ b.data @ a.data)
+
+    def inner(self, a, b) -> float:
+        # vdot conjugates its first argument; tr(ab) = Re <a, b>_HS for Hermitian a, b
+        val = float(np.real(np.vdot(a.data, b.data)))
+        return 0.5 * val if self.kind == KIND_QUAT else val
+
+    def eigen_range(self, a) -> tuple[float, float]:
+        try:
+            w = np.linalg.eigvalsh(a.data)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
+        return float(w[0]), float(w[-1])
+
+    def spectral_pairs(self, a, gap: float) -> list:
+        alg = a.algebra
+        try:
+            w, vecs = np.linalg.eigh(a.data)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailureError(f"eigensolver failed on {alg}: {exc}") from exc
+        pairs = []
+        for idx in _cluster(w, gap):
+            cols = vecs[:, idx]
+            proj = _alg.Element(alg, cols @ cols.conj().T)
+            pairs.append((float(np.mean(w[idx])), proj))
+        pairs.reverse()
+        return pairs
+
+    def gaussian(self, alg, rng) -> np.ndarray:
+        """Gaussian matrix of the algebra's structure (not yet Hermitian)."""
+        n = alg.size
+        if self.kind == KIND_REAL:
+            return rng.standard_normal((n, n))
+        if self.kind == KIND_COMPLEX:
+            return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a_part = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        b_part = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return _quat_embed(a_part, b_part)
+
+    def random_element(self, alg, rng):
+        return _alg.Element(alg, self.gaussian(alg, rng))
+
+    def random_projection(self, alg, rng, proper: bool):
+        # eigenvector column groups; Kramers pairs stay together, so any
+        # subset sum of groups is again a structured projection
+        _, vecs = np.linalg.eigh(self.random_element(alg, rng).data)
+        u = self.unit
+        units = [vecs[:, u * k:u * k + u] for k in range(alg.size)]
+        k = len(units)
+        if k == 1:
+            return self.scalar(alg, 1.0)
+        lo, hi = (1, k - 1) if proper else (0, k)
+        r = int(rng.integers(lo, hi + 1))
+        chosen = rng.permutation(k)[:r]
+        if r == 0:
+            return self.scalar(alg, 0.0)
+        cols = np.hstack([units[i] for i in chosen])
+        return _alg.Element(alg, cols @ cols.conj().T)
+
+    def to_coords(self, x) -> np.ndarray:
+        basis = _matrix_basis(x.algebra)
+        weight = 0.5 if self.kind == KIND_QUAT else 1.0
+        return weight * np.real(np.einsum("kij,ij->k", basis.conj(), x.data))
+
+    def from_coords(self, alg, coords: np.ndarray):
+        return _alg.Element(alg, np.einsum("k,kij->ij", coords, _matrix_basis(alg)))
+
+    def to_payload(self, x):
+        if self.kind == KIND_REAL:
+            return np.asarray(x.data).tolist()
+        return {"re": x.data.real.tolist(), "im": x.data.imag.tolist()}
+
+    def from_payload(self, alg, payload, decode):
+        if self.kind == KIND_REAL:
+            return _alg.Element(alg, np.array(payload, dtype=float))
+        mat = np.array(payload["re"], dtype=float) + 1j * np.array(payload["im"], dtype=float)
+        return _alg.Element(alg, mat)
+
+    def commutator_norm(self, a, b) -> float:
+        return float(np.linalg.norm(a.data @ b.data - b.data @ a.data))
+
+    def conjugate(self, a, x, factor):
+        """m x m^H with m = factor(matrix of a)."""
+        m = factor(a.data)
+        return _alg.Element(x.algebra, m @ x.data @ m.conj().T)
+
+    def order_isos(self, alg) -> tuple[str, ...]:
+        if self.kind == KIND_COMPLEX:
+            return ("unitary_conjugation", "transpose")
+        return ("unitary_conjugation",)
+
+    def iso_action(self, alg, kind: str, rng):
+        if kind == "transpose":
+            return lambda x: _alg.Element(alg, x.data.T)
+        u = _random_structured_unitary(alg, rng)
+        return lambda x: _alg.Element(alg, u @ x.data @ u.conj().T)
+
+    def commutant_rows(self, alg, elems) -> list[np.ndarray]:
+        """Null space of the stacked commutator maps X -> Xs - sX, in coordinates."""
+        dim = self.real_dimension(alg)
+        coord_units = [_alg.from_coords(alg, row) for row in np.eye(dim)]
+        blocks = []
+        for s in elems:
+            cols = []
+            for unit in coord_units:
+                comm = unit.data @ s.data - s.data @ unit.data
+                cols.append(np.concatenate([comm.real.ravel(), comm.imag.ravel()]))
+            blocks.append(np.array(cols).T)  # (2 m^2, dim): one column per coordinate
+        stacked = np.vstack(blocks)
+        _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
+        tol = 1e-8 * max(1.0, float(svals[0]) if len(svals) else 0.0)
+        return [vh[i] for i in range(dim) if svals[i] <= tol]
+
+    def joint_frame(self, alg, elems, gap: float) -> list:
+        """Refine eigenspaces one generator at a time."""
+        subspaces = [np.eye(self.matrix_order(alg), dtype=self.dtype)]
+        for s in elems:
+            refined = []
+            for v in subspaces:
+                h = v.conj().T @ s.data @ v
+                w, vecs = np.linalg.eigh(h)
+                for idx in _cluster(w, gap):
+                    refined.append(v @ vecs[:, idx])
+            subspaces = refined
+        return [_alg.Element(alg, v @ v.conj().T) for v in subspaces]
+
+
+# ---------------------------------------------------------------------------
+# Spin factors
+# ---------------------------------------------------------------------------
+
+def _spin_directions(elems) -> list[np.ndarray]:
+    dirs = []
+    for e in elems:
+        v, _ = e.data
+        r = np.linalg.norm(v)
+        if r > 1e-12:
+            dirs.append(v / r)
+    return dirs
+
+
+class _SpinBackend(_Backend):
+    """Spin factor R^d (+) R: (v,t)*(w,s) = (sv + tw, <v,w> + ts), tr = 2(<v,w> + ts)."""
+
+    kind = KIND_SPIN
+    name = "spin"
+    json_key = "d"
+
+    def real_dimension(self, alg) -> int:
+        return alg.size + 1
+
+    def normalise(self, alg, data):
+        v, t = data
+        v = np.asarray(v, dtype=float)
+        if v.shape != (alg.size,):
+            raise ConfigError(f"expected length-{alg.size} vector for {alg}")
+        v.setflags(write=False)
+        return (v, float(t))
+
+    def combine(self, a, b, sa, sb):
+        (v, t), (w, s) = a.data, b.data
+        return _alg.Element(a.algebra, (sa * v + sb * w, sa * t + sb * s))
+
+    def scale(self, a, s):
+        v, t = a.data
+        return _alg.Element(a.algebra, (s * v, s * t))
+
+    def scalar(self, alg, c: float):
+        return _alg.Element(alg, (np.zeros(alg.size), c))
+
+    def jordan(self, a, b):
+        (v, t), (w, s) = a.data, b.data
+        return _alg.Element(a.algebra, (s * v + t * w, float(v @ w) + t * s))
+
+    def inner(self, a, b) -> float:
+        (v, t), (w, s) = a.data, b.data
+        return 2.0 * (float(v @ w) + t * s)
+
+    def eigen_range(self, a) -> tuple[float, float]:
+        v, t = a.data
+        r = float(np.linalg.norm(v))
+        return t - r, t + r
+
+    def spectral_pairs(self, a, gap: float) -> list:
+        alg = a.algebra
+        v, t = a.data
+        r = float(np.linalg.norm(v))
+        if 2.0 * r <= gap:
+            return [(t, self.scalar(alg, 1.0))]
+        vhat = v / r
+        plus = _alg.Element(alg, (0.5 * vhat, 0.5))
+        minus = _alg.Element(alg, (-0.5 * vhat, 0.5))
+        return [(t + r, plus), (t - r, minus)]
+
+    def random_element(self, alg, rng):
+        return _alg.Element(alg, (rng.standard_normal(alg.size), float(rng.standard_normal())))
+
+    def random_projection(self, alg, rng, proper: bool):
+        v = rng.standard_normal(alg.size)
+        v = v / np.linalg.norm(v)
+        if rng.integers(0, 2):
+            v = -v
+        return _alg.Element(alg, (0.5 * v, 0.5))
+
+    def to_coords(self, x) -> np.ndarray:
+        v, t = x.data
+        return np.sqrt(2.0) * np.concatenate([v, [t]])
+
+    def from_coords(self, alg, coords: np.ndarray):
+        scaled = coords / np.sqrt(2.0)
+        return _alg.Element(alg, (scaled[:-1], float(scaled[-1])))
+
+    def to_payload(self, x):
+        v, t = x.data
+        return {"v": v.tolist(), "t": t}
+
+    def from_payload(self, alg, payload, decode):
+        return _alg.Element(alg, (np.array(payload["v"], dtype=float), float(payload["t"])))
+
+    def commutator_norm(self, a, b) -> float:
+        v, _ = a.data
+        w, _ = b.data
+        return float(np.linalg.norm(np.outer(v, w) - np.outer(w, v)))
+
+    def order_isos(self, alg) -> tuple[str, ...]:
+        return ("spin_rotation",)
+
+    def iso_action(self, alg, kind: str, rng):
+        rot = _random_structured_unitary(real_symmetric(alg.size), rng)
+        return lambda x: _alg.Element(alg, (rot @ x.data[0], x.data[1]))
+
+    def commutant_rows(self, alg, elems) -> np.ndarray:
+        dirs = _spin_directions(elems)
+        if not dirs:
+            return np.eye(self.real_dimension(alg))
+        ref = dirs[0]
+        unit = self.to_coords(self.scalar(alg, 1.0)) / np.sqrt(2.0)
+        if all(abs(abs(float(d @ ref)) - 1.0) <= 1e-9 for d in dirs):
+            return np.stack([self.to_coords(_alg.Element(alg, (ref, 0.0))) / np.sqrt(2.0), unit])
+        return unit[None, :]
+
+    def joint_frame(self, alg, elems, gap: float) -> list:
+        dirs = _spin_directions(elems)
+        if not dirs:
+            return [self.scalar(alg, 1.0)]
+        ref = dirs[0]
+        return [_alg.Element(alg, (0.5 * ref, 0.5)), _alg.Element(alg, (-0.5 * ref, 0.5))]
+
+
+# ---------------------------------------------------------------------------
+# Direct sums
+# ---------------------------------------------------------------------------
+
+class _SumBackend(_Backend):
+    """Finite direct sums; elements are tuples of summand elements."""
+
+    kind = KIND_SUM
+    has_commutant = False
+
+    def validate(self, alg):
+        if not alg.summands:
+            raise ConfigError("direct_sum needs at least one summand")
+        object.__setattr__(alg, "summands", tuple(alg.summands))
+
+    def real_dimension(self, alg) -> int:
+        return sum(s.real_dimension for s in alg.summands)
+
+    def is_complex(self, alg) -> bool:
+        return all(s.is_complex_kind() for s in alg.summands)
+
+    def shorthand(self, alg) -> str:
+        return "sum(" + ",".join(s.shorthand() for s in alg.summands) + ")"
+
+    def to_json(self, alg) -> dict:
+        return {"kind": alg.kind, "summands": [s._backend.to_json(s) for s in alg.summands]}
+
+    def from_json(self, obj: dict, decode):
+        return direct_sum(*(decode(s) for s in obj["summands"]))
+
+    def normalise(self, alg, data):
+        blocks = tuple(data)
+        if len(blocks) != len(alg.summands):
+            raise ConfigError("direct_sum element needs one block per summand")
+        for blk, sub in zip(blocks, alg.summands):
+            if blk.algebra != sub:
+                raise DescriptorMismatchError(
+                    f"block algebra {blk.algebra} does not match summand {sub}")
+        return blocks
+
+    def combine(self, a, b, sa, sb):
+        return _alg.Element(a.algebra, _blockwise("combine", (a, b), sa, sb))
+
+    def scale(self, a, s):
+        return _alg.Element(a.algebra, _blockwise("scale", (a,), s))
+
+    def scalar(self, alg, c: float):
+        return _alg.Element(alg, tuple(s._backend.scalar(s, c) for s in alg.summands))
+
+    def jordan(self, a, b):
+        return _alg.Element(a.algebra, _blockwise("jordan", (a, b)))
+
+    def inner(self, a, b) -> float:
+        return sum(_blockwise("inner", (a, b)))
+
+    def eigen_range(self, a) -> tuple[float, float]:
+        ranges = _blockwise("eigen_range", (a,))
+        return min(r[0] for r in ranges), max(r[1] for r in ranges)
+
+    def spectral_pairs(self, a, gap: float) -> list:
+        """Blockwise pairs, with eigenvalues merged across blocks."""
+        alg = a.algebra
+        entries = []  # (eigenvalue, block index, projection, trace weight)
+        for bi, pairs in enumerate(_blockwise("spectral_pairs", (a,), gap)):
+            for lam, p in pairs:
+                entries.append((lam, bi, p, _alg.trace(p)))
+        entries.sort(key=lambda e: e[0])
+        values = np.array([e[0] for e in entries])
+        pairs = []
+        for idx in _cluster(values, gap):
+            chosen = [entries[i] for i in idx]
+            blocks = [_alg.zero(s) for s in alg.summands]
+            for _, bi, p, _ in chosen:
+                blocks[bi] = blocks[bi] + p
+            weight = sum(e[3] for e in chosen)
+            lam = sum(e[0] * e[3] for e in chosen) / weight
+            pairs.append((float(lam), _alg.Element(alg, tuple(blocks))))
+        pairs.reverse()
+        return pairs
+
+    def random_element(self, alg, rng):
+        return _alg.Element(alg, tuple(s._backend.random_element(s, rng)
+                                       for s in alg.summands))
+
+    def random_projection(self, alg, rng, proper: bool):
+        subs = alg.summands
+        blocks = [s._backend.random_projection(s, rng, False) for s in subs]
+        if proper:
+            ranks = [round(_alg.trace(b)) for b in blocks]
+            full = [round(_alg.trace(_alg.identity(s))) for s in subs]
+            if sum(ranks) == 0:
+                blocks[0] = subs[0]._backend.random_projection(subs[0], rng, True)
+            elif ranks == full:
+                blocks[0] = _alg.zero(subs[0])
+        return _alg.Element(alg, tuple(blocks))
+
+    def to_coords(self, x) -> np.ndarray:
+        return np.concatenate(_blockwise("to_coords", (x,)))
+
+    def from_coords(self, alg, coords: np.ndarray):
+        blocks, offset = [], 0
+        for sub in alg.summands:
+            d = sub.real_dimension
+            blocks.append(sub._backend.from_coords(sub, coords[offset:offset + d]))
+            offset += d
+        return _alg.Element(alg, tuple(blocks))
+
+    def to_payload(self, x):
+        return list(_blockwise("to_payload", (x,)))
+
+    def from_payload(self, alg, payload, decode):
+        return _alg.Element(alg, tuple(decode(s, p) for s, p in zip(alg.summands, payload)))
+
+    def commutator_norm(self, a, b) -> float:
+        return max(_blockwise("commutator_norm", (a, b)))
+
+    def conjugate(self, a, x, factor):
+        return _alg.Element(x.algebra, _blockwise("conjugate", (a, x), factor))
+
+    def order_isos(self, alg) -> tuple[str, ...]:
+        return tuple(k for k in ("unitary_conjugation", "transpose")
+                     if all(k in s._backend.order_isos(s) for s in alg.summands))
+
+    def iso_action(self, alg, kind: str, rng):
+        acts = [s._backend.iso_action(s, kind, rng) for s in alg.summands]
+        return lambda x: _alg.Element(alg, tuple(f(b) for f, b in zip(acts, x.data)))
+
+    def joint_frame(self, alg, elems, gap: float) -> list:
+        frame = []
+        for bi, sub in enumerate(alg.summands):
+            for p in sub._backend.joint_frame(sub, [e.data[bi] for e in elems], gap):
+                blocks = [_alg.zero(s) for s in alg.summands]
+                blocks[bi] = p
+                frame.append(_alg.Element(alg, tuple(blocks)))
+        return frame
+
+
+_BACKENDS = {
+    KIND_REAL: _MatrixBackend(KIND_REAL, "real", float, field_dim=1, unit=1),
+    KIND_COMPLEX: _MatrixBackend(KIND_COMPLEX, "complex", complex, field_dim=2, unit=1),
+    KIND_QUAT: _MatrixBackend(KIND_QUAT, "quat", complex, field_dim=4, unit=2),
+    KIND_SPIN: _SpinBackend(),
+    KIND_SUM: _SumBackend(),
+}
+
+#: shorthand name -> kind of the simple algebras
+_SHORTHAND_KINDS = {b.name: kind for kind, b in _BACKENDS.items() if b.name}
+
+
+def _resolve(alg):
+    """The validated backend of a descriptor; ConfigError for an unknown kind."""
+    backend = _BACKENDS.get(alg.kind)
+    if backend is None:
+        raise ConfigError(f"unknown algebra kind {alg.kind!r}")
+    backend.validate(alg)
+    return backend
+
+
+def real_symmetric(n: int):
+    return _alg.AlgebraDescriptor(KIND_REAL, n)
+
+
+def complex_hermitian(n: int):
+    return _alg.AlgebraDescriptor(KIND_COMPLEX, n)
+
+
+def quaternionic_hermitian(n: int):
+    return _alg.AlgebraDescriptor(KIND_QUAT, n)
+
+
+def spin_factor(d: int):
+    return _alg.AlgebraDescriptor(KIND_SPIN, d)
+
+
+def direct_sum(*parts):
+    return _alg.AlgebraDescriptor(KIND_SUM, 0, tuple(parts))

@@ -1,14 +1,10 @@
 """Euclidean Jordan algebra kernel: descriptors, elements and linear maps.
 
-Supported algebras and their element storage:
-
-* ``real_symmetric``         n x n real symmetric matrices
-* ``complex_hermitian``      n x n complex Hermitian matrices
-* ``quaternionic_hermitian`` n x n quaternionic Hermitian matrices, stored
-  as the complex 2n x 2n embedding X with J conj(X) J^-1 = X where
-  J = [[0, I], [-I, 0]]
-* ``spin_factor``            pairs (v, t) with v in R^d, t in R
-* ``direct_sum``             finite direct sums of the above
+Supported algebras: ``real_symmetric``, ``complex_hermitian`` and
+``quaternionic_hermitian`` n x n matrices, ``spin_factor`` R^d (+) R, and
+``direct_sum`` of these.  How each kind stores its elements, and everything
+else that depends on the kind, lives in ``_backends``; the operations here
+are written once on top of the backend primitives.
 
 The Jordan product is a*b = (ab + ba)/2 on matrices and
 (v,t)*(w,s) = (sv + tw, <v,w> + ts) on spin factors.  The trace inner
@@ -21,24 +17,28 @@ so elements and maps can be shared freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
+from ._backends import (  # kind names and descriptor constructors are re-exported
+    KIND_COMPLEX,
+    KIND_QUAT,
+    KIND_REAL,
+    KIND_SPIN,
+    KIND_SUM,
+    _SHORTHAND_KINDS,
+    _resolve,
+    complex_hermitian,
+    direct_sum,
+    quaternionic_hermitian,
+    real_symmetric,
+    spin_factor,
+)
 from .errors import (
-    CapabilityError,
     ConfigError,
     DescriptorMismatchError,
     NumericalFailureError,
 )
-
-KIND_REAL = "real_symmetric"
-KIND_COMPLEX = "complex_hermitian"
-KIND_QUAT = "quaternionic_hermitian"
-KIND_SPIN = "spin_factor"
-KIND_SUM = "direct_sum"
-
-MATRIX_KINDS = frozenset({KIND_REAL, KIND_COMPLEX, KIND_QUAT})
 
 #: spectrum below this is treated as kernel (support threshold)
 SUPPORT_TOL = 1e-9
@@ -64,77 +64,26 @@ class AlgebraDescriptor:
     summands: tuple["AlgebraDescriptor", ...] = ()
 
     def __post_init__(self):
-        if self.kind in MATRIX_KINDS or self.kind == KIND_SPIN:
-            if self.size < 1:
-                raise ConfigError(f"{self.kind} needs size >= 1, got {self.size}")
-            if self.summands:
-                raise ConfigError(f"{self.kind} takes no summands")
-        elif self.kind == KIND_SUM:
-            if not self.summands:
-                raise ConfigError("direct_sum needs at least one summand")
-            object.__setattr__(self, "summands", tuple(self.summands))
-        else:
-            raise ConfigError(f"unknown algebra kind {self.kind!r}")
+        object.__setattr__(self, "_backend", _resolve(self))
 
     @property
     def real_dimension(self) -> int:
-        n = self.size
-        if self.kind == KIND_REAL:
-            return n * (n + 1) // 2
-        if self.kind == KIND_COMPLEX:
-            return n * n
-        if self.kind == KIND_QUAT:
-            return n * (2 * n - 1)
-        if self.kind == KIND_SPIN:
-            return n + 1
-        return sum(s.real_dimension for s in self.summands)
+        return self._backend.real_dimension(self)
 
     @property
     def matrix_order(self) -> int:
         """Order of the stored (embedded) matrix for matrix kinds."""
-        if self.kind == KIND_QUAT:
-            return 2 * self.size
-        if self.kind in (KIND_REAL, KIND_COMPLEX):
-            return self.size
-        raise CapabilityError(f"{self.kind} has no matrix representation")
+        return self._backend.matrix_order(self)
 
     def is_complex_kind(self) -> bool:
         """True for complex Hermitian algebras and their direct sums."""
-        if self.kind == KIND_COMPLEX:
-            return True
-        if self.kind == KIND_SUM:
-            return all(s.is_complex_kind() for s in self.summands)
-        return False
+        return self._backend.is_complex(self)
 
     def shorthand(self) -> str:
-        names = {KIND_REAL: "real", KIND_COMPLEX: "complex",
-                 KIND_QUAT: "quat", KIND_SPIN: "spin"}
-        if self.kind == KIND_SUM:
-            return "sum(" + ",".join(s.shorthand() for s in self.summands) + ")"
-        return f"{names[self.kind]}:{self.size}"
+        return self._backend.shorthand(self)
 
     def __str__(self) -> str:
         return self.shorthand()
-
-
-def real_symmetric(n: int) -> AlgebraDescriptor:
-    return AlgebraDescriptor(KIND_REAL, n)
-
-
-def complex_hermitian(n: int) -> AlgebraDescriptor:
-    return AlgebraDescriptor(KIND_COMPLEX, n)
-
-
-def quaternionic_hermitian(n: int) -> AlgebraDescriptor:
-    return AlgebraDescriptor(KIND_QUAT, n)
-
-
-def spin_factor(d: int) -> AlgebraDescriptor:
-    return AlgebraDescriptor(KIND_SPIN, d)
-
-
-def direct_sum(*parts: AlgebraDescriptor) -> AlgebraDescriptor:
-    return AlgebraDescriptor(KIND_SUM, 0, tuple(parts))
 
 
 def parse_algebra(text: str) -> AlgebraDescriptor:
@@ -156,32 +105,18 @@ def parse_algebra(text: str) -> AlgebraDescriptor:
             raise ConfigError(f"bad algebra shorthand {text!r}")
         return direct_sum(*(parse_algebra(p) for p in parts))
     name, sep, num = t.partition(":")
-    table = {"real": real_symmetric, "complex": complex_hermitian,
-             "quat": quaternionic_hermitian, "spin": spin_factor}
-    if not sep or name not in table:
+    if not sep or name not in _SHORTHAND_KINDS:
         raise ConfigError(f"bad algebra shorthand {text!r}")
     try:
         k = int(num)
     except ValueError:
         raise ConfigError(f"bad algebra shorthand {text!r}") from None
-    return table[name](k)
+    return AlgebraDescriptor(_SHORTHAND_KINDS[name], k)
 
 
 # ---------------------------------------------------------------------------
 # Elements
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _symplectic_form(n: int) -> np.ndarray:
-    eye = np.eye(n)
-    return np.block([[np.zeros((n, n)), eye], [-eye, np.zeros((n, n))]]).astype(complex)
-
-
-def _quat_project(mat: np.ndarray, n: int) -> np.ndarray:
-    """Project onto the subspace satisfying J conj(X) J^-1 = X."""
-    j = _symplectic_form(n)
-    return 0.5 * (mat + j @ mat.conj() @ j.conj().T)
-
 
 @dataclass(frozen=True, eq=False)
 class Element:
@@ -198,45 +133,11 @@ class Element:
 
     def __post_init__(self):
         alg = self.algebra
-        if alg.kind in MATRIX_KINDS:
-            dtype = float if alg.kind == KIND_REAL else complex
-            mat = np.asarray(self.data, dtype=dtype)
-            m = alg.matrix_order
-            if mat.shape != (m, m):
-                raise ConfigError(f"expected {m}x{m} matrix for {alg}, got {mat.shape}")
-            mat = 0.5 * (mat + mat.conj().T)
-            if alg.kind == KIND_QUAT:
-                mat = _quat_project(mat, alg.size)
-            mat.setflags(write=False)
-            object.__setattr__(self, "data", mat)
-        elif alg.kind == KIND_SPIN:
-            v, t = self.data
-            v = np.asarray(v, dtype=float)
-            if v.shape != (alg.size,):
-                raise ConfigError(f"expected length-{alg.size} vector for {alg}")
-            v.setflags(write=False)
-            object.__setattr__(self, "data", (v, float(t)))
-        else:
-            blocks = tuple(self.data)
-            if len(blocks) != len(alg.summands):
-                raise ConfigError("direct_sum element needs one block per summand")
-            for blk, sub in zip(blocks, alg.summands):
-                if blk.algebra != sub:
-                    raise DescriptorMismatchError(
-                        f"block algebra {blk.algebra} does not match summand {sub}")
-            object.__setattr__(self, "data", blocks)
+        object.__setattr__(self, "data", alg._backend.normalise(alg, self.data))
 
     # -- vector-space arithmetic -------------------------------------------
     def _combine(self, other: "Element", sa: float, sb: float) -> "Element":
-        check_same_algebra(self, other)
-        alg = self.algebra
-        if alg.kind in MATRIX_KINDS:
-            return Element(alg, sa * self.data + sb * other.data)
-        if alg.kind == KIND_SPIN:
-            (v, t), (w, s) = self.data, other.data
-            return Element(alg, (sa * v + sb * w, sa * t + sb * s))
-        return Element(alg, tuple(x._combine(y, sa, sb)
-                                  for x, y in zip(self.data, other.data)))
+        return check_same_algebra(self, other)._backend.combine(self, other, sa, sb)
 
     def __add__(self, other: "Element") -> "Element":
         return self._combine(other, 1.0, 1.0)
@@ -245,14 +146,7 @@ class Element:
         return self._combine(other, 1.0, -1.0)
 
     def __mul__(self, scalar: float) -> "Element":
-        s = float(scalar)
-        alg = self.algebra
-        if alg.kind in MATRIX_KINDS:
-            return Element(alg, s * self.data)
-        if alg.kind == KIND_SPIN:
-            v, t = self.data
-            return Element(alg, (s * v, s * t))
-        return Element(alg, tuple(b * s for b in self.data))
+        return self.algebra._backend.scale(self, float(scalar))
 
     __rmul__ = __mul__
 
@@ -272,20 +166,11 @@ def check_same_algebra(*items) -> AlgebraDescriptor:
 
 
 def identity(alg: AlgebraDescriptor) -> Element:
-    if alg.kind in MATRIX_KINDS:
-        return Element(alg, np.eye(alg.matrix_order))
-    if alg.kind == KIND_SPIN:
-        return Element(alg, (np.zeros(alg.size), 1.0))
-    return Element(alg, tuple(identity(s) for s in alg.summands))
+    return alg._backend.scalar(alg, 1.0)
 
 
 def zero(alg: AlgebraDescriptor) -> Element:
-    if alg.kind in MATRIX_KINDS:
-        m = alg.matrix_order
-        return Element(alg, np.zeros((m, m)))
-    if alg.kind == KIND_SPIN:
-        return Element(alg, (np.zeros(alg.size), 0.0))
-    return Element(alg, tuple(zero(s) for s in alg.summands))
+    return alg._backend.scalar(alg, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -294,36 +179,17 @@ def zero(alg: AlgebraDescriptor) -> Element:
 
 def jordan_product(a: Element, b: Element) -> Element:
     """Jordan product a*b; (ab + ba)/2 on matrices."""
-    alg = check_same_algebra(a, b)
-    if alg.kind in MATRIX_KINDS:
-        return Element(alg, 0.5 * (a.data @ b.data + b.data @ a.data))
-    if alg.kind == KIND_SPIN:
-        (v, t), (w, s) = a.data, b.data
-        return Element(alg, (s * v + t * w, float(v @ w) + t * s))
-    return Element(alg, tuple(jordan_product(x, y) for x, y in zip(a.data, b.data)))
+    return check_same_algebra(a, b)._backend.jordan(a, b)
 
 
 def quadratic_rep(a: Element, b: Element) -> Element:
     """Quadratic representation Q_a(b) = 2a*(a*b) - a^2*b (= aba on matrices)."""
-    alg = check_same_algebra(a, b)
-    if alg.kind in MATRIX_KINDS:
-        # associative shortcut; equals the Jordan formula exactly
-        return Element(alg, a.data @ b.data @ a.data)
-    asq = jordan_product(a, a)
-    return jordan_product(a, jordan_product(a, b)) * 2.0 - jordan_product(asq, b)
+    return check_same_algebra(a, b)._backend.quadratic(a, b)
 
 
 def trace_inner_product(a: Element, b: Element) -> float:
     """tr(ab); half-trace of the embedding for quaternionic matrices."""
-    alg = check_same_algebra(a, b)
-    if alg.kind in MATRIX_KINDS:
-        # vdot conjugates its first argument; tr(ab) = Re <a, b>_HS for Hermitian a, b
-        val = float(np.real(np.vdot(a.data, b.data)))
-        return 0.5 * val if alg.kind == KIND_QUAT else val
-    if alg.kind == KIND_SPIN:
-        (v, t), (w, s) = a.data, b.data
-        return 2.0 * (float(v @ w) + t * s)
-    return sum(trace_inner_product(x, y) for x, y in zip(a.data, b.data))
+    return check_same_algebra(a, b)._backend.inner(a, b)
 
 
 def trace(a: Element) -> float:
@@ -332,19 +198,7 @@ def trace(a: Element) -> float:
 
 def eigenvalue_range(a: Element) -> tuple[float, float]:
     """(smallest, largest) eigenvalue."""
-    alg = a.algebra
-    if alg.kind in MATRIX_KINDS:
-        try:
-            w = np.linalg.eigvalsh(a.data)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
-        return float(w[0]), float(w[-1])
-    if alg.kind == KIND_SPIN:
-        v, t = a.data
-        r = float(np.linalg.norm(v))
-        return t - r, t + r
-    ranges = [eigenvalue_range(b) for b in a.data]
-    return min(r[0] for r in ranges), max(r[1] for r in ranges)
+    return a.algebra._backend.eigen_range(a)
 
 
 def min_eigenvalue(a: Element) -> float:
@@ -384,92 +238,16 @@ def leq(a: Element, b: Element, tol: float = SUPPORT_TOL) -> bool:
 # Coordinates (orthonormal basis under the trace inner product)
 # ---------------------------------------------------------------------------
 
-def _quat_embed(a_part: np.ndarray, b_part: np.ndarray) -> np.ndarray:
-    """Embed the quaternion matrix A + Bj as [[A, B], [-conj(B), conj(A)]]."""
-    top = np.hstack([a_part, b_part])
-    bot = np.hstack([-b_part.conj(), a_part.conj()])
-    return np.vstack([top, bot])
-
-
-@lru_cache(maxsize=None)
-def _matrix_basis(alg: AlgebraDescriptor) -> np.ndarray:
-    """Stacked orthonormal basis (dim, m, m) for a matrix-kind algebra."""
-    n = alg.size
-    mats = []
-    if alg.kind == KIND_REAL:
-        for i in range(n):
-            e = np.zeros((n, n))
-            e[i, i] = 1.0
-            mats.append(e)
-        for i in range(n):
-            for j in range(i + 1, n):
-                e = np.zeros((n, n))
-                e[i, j] = e[j, i] = 1.0 / np.sqrt(2.0)
-                mats.append(e)
-    elif alg.kind == KIND_COMPLEX:
-        for i in range(n):
-            e = np.zeros((n, n), complex)
-            e[i, i] = 1.0
-            mats.append(e)
-        for i in range(n):
-            for j in range(i + 1, n):
-                e = np.zeros((n, n), complex)
-                e[i, j] = e[j, i] = 1.0 / np.sqrt(2.0)
-                mats.append(e)
-                e = np.zeros((n, n), complex)
-                e[i, j] = 1j / np.sqrt(2.0)
-                e[j, i] = -1j / np.sqrt(2.0)
-                mats.append(e)
-    else:
-        units = [(1, 0), (1j, 0), (0, 1), (0, 1j)]  # 1, i, j, k
-        for i in range(n):
-            a_part = np.zeros((n, n), complex)
-            a_part[i, i] = 1.0
-            mats.append(_quat_embed(a_part, np.zeros((n, n), complex)))
-        for i in range(n):
-            for j in range(i + 1, n):
-                for alpha, beta in units:
-                    a_part = np.zeros((n, n), complex)
-                    b_part = np.zeros((n, n), complex)
-                    a_part[i, j] = alpha
-                    a_part[j, i] = np.conj(alpha)
-                    b_part[i, j] = beta
-                    b_part[j, i] = -beta  # quaternion conjugate transposes to -beta
-                    mats.append(_quat_embed(a_part, b_part) / np.sqrt(2.0))
-    basis = np.stack(mats)
-    basis.setflags(write=False)
-    return basis
-
-
 def to_coords(x: Element) -> np.ndarray:
     """Coordinates of x in the cached orthonormal basis."""
-    alg = x.algebra
-    if alg.kind in MATRIX_KINDS:
-        basis = _matrix_basis(alg)
-        weight = 0.5 if alg.kind == KIND_QUAT else 1.0
-        return weight * np.real(np.einsum("kij,ij->k", basis.conj(), x.data))
-    if alg.kind == KIND_SPIN:
-        v, t = x.data
-        return np.sqrt(2.0) * np.concatenate([v, [t]])
-    return np.concatenate([to_coords(b) for b in x.data])
+    return x.algebra._backend.to_coords(x)
 
 
 def from_coords(alg: AlgebraDescriptor, coords: np.ndarray) -> Element:
     coords = np.asarray(coords, dtype=float)
     if coords.shape != (alg.real_dimension,):
         raise ConfigError(f"expected {alg.real_dimension} coordinates for {alg}")
-    if alg.kind in MATRIX_KINDS:
-        basis = _matrix_basis(alg)
-        return Element(alg, np.einsum("k,kij->ij", coords, basis))
-    if alg.kind == KIND_SPIN:
-        scaled = coords / np.sqrt(2.0)
-        return Element(alg, (scaled[:-1], float(scaled[-1])))
-    blocks, offset = [], 0
-    for sub in alg.summands:
-        d = sub.real_dimension
-        blocks.append(from_coords(sub, coords[offset:offset + d]))
-        offset += d
-    return Element(alg, tuple(blocks))
+    return alg._backend.from_coords(alg, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -562,65 +340,12 @@ def _as_rng(seed) -> np.random.Generator:
 
 def random_element(alg: AlgebraDescriptor, rng) -> Element:
     """Gaussian self-adjoint sample (GOE/GUE-style, unnormalized)."""
-    rng = _as_rng(rng)
-    if alg.kind == KIND_REAL:
-        return Element(alg, rng.standard_normal((alg.size, alg.size)))
-    if alg.kind == KIND_COMPLEX:
-        n = alg.size
-        return Element(alg, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    if alg.kind == KIND_QUAT:
-        n = alg.size
-        a_part = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        b_part = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        return Element(alg, _quat_embed(a_part, b_part))
-    if alg.kind == KIND_SPIN:
-        return Element(alg, (rng.standard_normal(alg.size), float(rng.standard_normal())))
-    return Element(alg, tuple(random_element(s, rng) for s in alg.summands))
-
-
-def _eigh_units(a: Element) -> list[np.ndarray]:
-    """Eigenvector column groups of a matrix-kind element.
-
-    Quaternionic eigenvalues come in Kramers pairs; the paired columns are
-    grouped so any subset sum of groups is again a structured projection.
-    """
-    alg = a.algebra
-    _, vecs = np.linalg.eigh(a.data)
-    if alg.kind == KIND_QUAT:
-        return [vecs[:, 2 * k:2 * k + 2] for k in range(alg.size)]
-    return [vecs[:, k:k + 1] for k in range(alg.matrix_order)]
+    return alg._backend.random_element(alg, _as_rng(rng))
 
 
 def random_projection(alg: AlgebraDescriptor, rng, proper: bool = True) -> Element:
     """Random sharp effect.  With ``proper`` (and rank >= 2), neither 0 nor 1."""
-    rng = _as_rng(rng)
-    if alg.kind in MATRIX_KINDS:
-        units = _eigh_units(random_element(alg, rng))
-        k = len(units)
-        if k == 1:
-            return identity(alg)
-        lo, hi = (1, k - 1) if proper else (0, k)
-        r = int(rng.integers(lo, hi + 1))
-        chosen = rng.permutation(k)[:r]
-        if r == 0:
-            return zero(alg)
-        cols = np.hstack([units[i] for i in chosen])
-        return Element(alg, cols @ cols.conj().T)
-    if alg.kind == KIND_SPIN:
-        v = rng.standard_normal(alg.size)
-        v = v / np.linalg.norm(v)
-        if rng.integers(0, 2):
-            v = -v
-        return Element(alg, (0.5 * v, 0.5))
-    blocks = [random_projection(s, rng, proper=False) for s in alg.summands]
-    if proper:
-        ranks = [round(trace(b)) for b in blocks]
-        full = [round(trace(identity(s))) for s in alg.summands]
-        if sum(ranks) == 0:
-            blocks[0] = random_projection(alg.summands[0], rng, proper=True)
-        elif ranks == full:
-            blocks[0] = zero(alg.summands[0])
-    return Element(alg, tuple(blocks))
+    return alg._backend.random_projection(alg, _as_rng(rng), proper)
 
 
 def random_effect(alg: AlgebraDescriptor, seed, profile: str = "generic") -> Element:
@@ -652,98 +377,13 @@ def random_effect(alg: AlgebraDescriptor, seed, profile: str = "generic") -> Ele
 # Unital order isomorphisms
 # ---------------------------------------------------------------------------
 
-def _polar_unitary(g: np.ndarray) -> np.ndarray:
-    """Unitary polar factor of g; preserves real/symplectic structure.
-
-    The eigh-based polar start loses accuracy when g is ill-conditioned
-    (forming g*g squares the condition number), so the factor is polished
-    with Newton-Schulz steps, which converge quadratically and stay inside
-    the structured matrix algebra.
-    """
-    m = g.shape[0]
-    w, v = np.linalg.eigh(g.conj().T @ g)
-    if w[0] <= 1e-10 * max(1.0, w[-1]):
-        raise NumericalFailureError("degenerate sample while orthonormalizing")
-    u = g @ (v * (w ** -0.5)) @ v.conj().T
-    for _ in range(4):
-        err = u.conj().T @ u - np.eye(m)
-        if np.abs(err).max() <= 1e-15:
-            break
-        u = u @ (np.eye(m) - 0.5 * err)
-    return u
-
-
-def _structured_gaussian_matrix(alg: AlgebraDescriptor, rng) -> np.ndarray:
-    n = alg.size
-    if alg.kind == KIND_REAL:
-        return rng.standard_normal((n, n))
-    if alg.kind == KIND_COMPLEX:
-        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    a_part = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    b_part = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return _quat_embed(a_part, b_part)
-
-
-def _random_structured_unitary(alg: AlgebraDescriptor, rng) -> np.ndarray:
-    for _ in range(8):  # resample the rare near-singular draw
-        try:
-            return _polar_unitary(_structured_gaussian_matrix(alg, rng))
-        except NumericalFailureError:
-            continue
-    raise NumericalFailureError(f"could not orthonormalize a random sample on {alg}")
-
-
-def _transpose_element(x: Element) -> Element:
-    alg = x.algebra
-    if alg.kind == KIND_COMPLEX:
-        return Element(alg, x.data.T)
-    return Element(alg, tuple(_transpose_element(b) for b in x.data))
-
-
 def make_order_iso(alg: AlgebraDescriptor, kind: str, seed=0) -> LinearMap:
     """Unital order isomorphism of the requested kind.
 
     ``unitary_conjugation`` works on matrix kinds (orthogonal, unitary or
     symplectic conjugation drawn from a Gaussian sample) and on direct sums
-    of matrix kinds, blockwise.  ``transpose`` needs complex Hermitian
-    algebras (or sums of them); ``spin_rotation`` needs a spin factor.
+    of them, blockwise.  ``transpose`` needs complex Hermitian algebras (or
+    sums of them); ``spin_rotation`` needs a spin factor.
     """
-    rng = _as_rng(seed)
-    if kind == "unitary_conjugation":
-        if alg.kind in MATRIX_KINDS:
-            u = _random_structured_unitary(alg, rng)
-            return assemble_map(alg, lambda x: Element(alg, u @ x.data @ u.conj().T),
-                                "Ad_u")
-        if alg.kind == KIND_SUM and all(s.kind in MATRIX_KINDS for s in alg.summands):
-            us = [_random_structured_unitary(s, rng) for s in alg.summands]
-
-            def conj_blocks(x: Element) -> Element:
-                return Element(alg, tuple(
-                    Element(s, u @ b.data @ u.conj().T)
-                    for u, b, s in zip(us, x.data, alg.summands)))
-
-            return assemble_map(alg, conj_blocks, "Ad_u")
-        raise CapabilityError(f"unitary_conjugation is not available on {alg}")
-    if kind == "transpose":
-        if not alg.is_complex_kind():
-            raise CapabilityError(f"transpose is only available on complex algebras, not {alg}")
-        return assemble_map(alg, _transpose_element, "transpose")
-    if kind == "spin_rotation":
-        if alg.kind != KIND_SPIN:
-            raise CapabilityError(f"spin_rotation is only available on spin factors, not {alg}")
-        rot = None
-        for _ in range(8):
-            try:
-                rot = _polar_unitary(rng.standard_normal((alg.size, alg.size)))
-                break
-            except NumericalFailureError:
-                continue
-        if rot is None:
-            raise NumericalFailureError(f"could not orthonormalize a rotation on {alg}")
-
-        def rotate(x: Element) -> Element:
-            v, t = x.data
-            return Element(alg, (rot @ v, t))
-
-        return assemble_map(alg, rotate, "spin_rotation")
-    raise CapabilityError(f"unknown order isomorphism kind {kind!r}")
+    action, label = alg._backend.order_iso(alg, kind, _as_rng(seed))
+    return assemble_map(alg, action, label)

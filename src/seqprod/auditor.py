@@ -15,6 +15,7 @@ preservation, and a demo that silently starts passing fails the run.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -23,9 +24,6 @@ import numpy as np
 
 from . import serialize
 from .algebra import (
-    KIND_SPIN,
-    KIND_SUM,
-    MATRIX_KINDS,
     SUPPORT_TOL,
     AlgebraDescriptor,
     Element,
@@ -148,25 +146,11 @@ def _pinch(frame, x: Element) -> Element:
 
 
 def _ambient_commutator(a: Element, b: Element) -> float:
-    alg = a.algebra
-    if alg.kind in MATRIX_KINDS:
-        return float(np.linalg.norm(a.data @ b.data - b.data @ a.data))
-    if alg.kind == KIND_SPIN:
-        v, _ = a.data
-        w, _ = b.data
-        return float(np.linalg.norm(np.outer(v, w) - np.outer(w, v)))
-    return max(_ambient_commutator(x, y) for x, y in zip(a.data, b.data))
+    return a.algebra._backend.commutator_norm(a, b)
 
 
 def _iso_kinds(alg: AlgebraDescriptor) -> list[str]:
-    if alg.kind == KIND_SPIN:
-        return ["spin_rotation"]
-    kinds = []
-    if alg.kind in MATRIX_KINDS or (
-            alg.kind == KIND_SUM and all(s.kind in MATRIX_KINDS for s in alg.summands)):
-        kinds.append("unitary_conjugation")
-    if alg.is_complex_kind():
-        kinds.append("transpose")
+    kinds = list(alg._backend.order_isos(alg))
     if not kinds:
         raise CapabilityError(f"no order isomorphism family is available on {alg}")
     return kinds
@@ -631,6 +615,8 @@ class SuiteConfig:
     def from_json(cls, obj: dict) -> "SuiteConfig":
         if not isinstance(obj, dict) or "rows" not in obj:
             raise ConfigError("suite config must be an object with a 'rows' array")
+        if obj.get("schema", 1) != 1:
+            raise ConfigError(f"unsupported suite config schema {obj['schema']!r}; expected 1")
         rows = []
         for i, raw in enumerate(obj["rows"]):
             try:
@@ -651,8 +637,7 @@ class SuiteConfig:
             if row.expect not in ("pass", "fail", "error"):
                 raise ConfigError(f"row {i}: expect must be pass, fail or error")
             rows.append(row)
-        return cls(rows=rows, seed=int(obj.get("seed", 42)),
-                   schema=int(obj.get("schema", 1)))
+        return cls(rows=rows, seed=int(obj.get("seed", 42)))
 
 
 @dataclass
@@ -720,8 +705,17 @@ class AuditReport:
 def audit_law(law: LawId | str, product: SequentialProduct, alg: AlgebraDescriptor,
               trials: int, seed: int, tol: float, params: dict | None = None,
               expected: str = "pass") -> AuditEntry:
-    """Run one law for ``trials`` seeded trials; stop at the first violation."""
+    """Run one law for ``trials`` seeded trials; stop at the first violation.
+
+    A residual that is not at most ``tol``, NaN included, is a violation.
+    ``trials`` below 1 or a ``tol`` that is not finite and positive raise
+    ConfigError, so no row can pass vacuously.
+    """
     law = LawId(law)
+    if trials < 1:
+        raise ConfigError(f"{law.value} on {alg}: trials must be at least 1, got {trials}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"{law.value} on {alg}: tol must be finite and positive, got {tol}")
     generate, evaluate = _REGISTRY[law]
     ordinal = _LAW_ORDINAL[law]
     start = time.perf_counter()
@@ -733,7 +727,7 @@ def audit_law(law: LawId | str, product: SequentialProduct, alg: AlgebraDescript
         inputs = generate(rng, product, alg, i, params or {})
         residual = float(evaluate(product, alg, inputs))
         max_residual = max(max_residual, residual)
-        if residual > tol:
+        if not residual <= tol:  # a NaN residual fails too
             witness = {"trial": i, "residual": residual,
                        "inputs": serialize.inputs_to_json(inputs)}
             verdict = "fail"

@@ -32,6 +32,7 @@ from .errors import (
     PreconditionError,
     SeqprodError,
 )
+from .products import parse_product
 from .spectral import spectral_decompose
 
 _EXIT_MISMATCH = 1
@@ -113,10 +114,8 @@ def _cmd_audit(args) -> int:
         # twisted products are expected to break these three laws
         expected_fail = {LawId.INVARIANCE.value, LawId.SYMMETRY.value,
                          LawId.INVERTIBILITY_PRES.value}
-        twisted = args.product.startswith("twisted:") and not args.product.endswith(":0.0")
-        if twisted and not alg.is_complex_kind():
-            raise CapabilityError(
-                f"twisted products need a complex Hermitian algebra, not {alg}")
+        # raises CapabilityError for a twisted product on a non-complex algebra
+        twisted = bool(parse_product(args.product, alg).twist)
         rows = []
         for name in laws:
             expect = "fail" if twisted and name in expected_fail else "pass"

@@ -16,14 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    KIND_SPIN,
-    KIND_SUM,
-    MATRIX_KINDS,
     AlgebraDescriptor,
     Element,
     check_same_algebra,
     from_coords,
-    identity,
     to_coords,
     trace,
     trace_inner_product,
@@ -31,7 +27,7 @@ from .algebra import (
 )
 from .errors import CapabilityError, PreconditionError
 from .products import SequentialProduct, commutes
-from .spectral import DEFAULT_GAP, _cluster
+from .spectral import DEFAULT_GAP
 
 #: commutation tolerance for preconditions
 COMMUTE_TOL = 1e-8
@@ -72,19 +68,9 @@ class FunctionModel:
         return np.column_stack([to_coords(p) for p in self.frame])
 
 
-def _check_kinds(alg: AlgebraDescriptor, what: str):
-    if alg.kind not in MATRIX_KINDS and alg.kind != KIND_SPIN:
+def _require_commutant(alg: AlgebraDescriptor, what: str):
+    if not alg._backend.has_commutant:
         raise CapabilityError(f"{what} supports matrix kinds and spin factors, not {alg}")
-
-
-def _spin_directions(elems) -> list[np.ndarray]:
-    dirs = []
-    for e in elems:
-        v, _ = e.data
-        r = np.linalg.norm(v)
-        if r > 1e-12:
-            dirs.append(v / r)
-    return dirs
 
 
 def commutant_basis(elems: list[Element]) -> list[Element]:
@@ -92,37 +78,8 @@ def commutant_basis(elems: list[Element]) -> list[Element]:
     if not elems:
         raise PreconditionError("commutant of an empty set is the whole algebra; pass [identity]")
     alg = check_same_algebra(*elems)
-    _check_kinds(alg, "commutant_basis")
-    dim = alg.real_dimension
-    if alg.kind == KIND_SPIN:
-        dirs = _spin_directions(elems)
-        if not dirs:
-            basis = np.eye(dim)
-        else:
-            ref = dirs[0]
-            aligned = all(abs(abs(float(d @ ref)) - 1.0) <= 1e-9 for d in dirs)
-            if aligned:
-                basis = np.stack([
-                    to_coords(Element(alg, (ref, 0.0))) / np.sqrt(2.0),
-                    to_coords(identity(alg)) / np.sqrt(2.0),
-                ])
-            else:
-                basis = to_coords(identity(alg))[None, :] / np.sqrt(2.0)
-        return [from_coords(alg, row) for row in basis]
-    # matrix kinds: null space of stacked commutator maps in coordinates
-    coord_units = [from_coords(alg, row) for row in np.eye(dim)]
-    blocks = []
-    for s in elems:
-        cols = []
-        for unit in coord_units:
-            comm = unit.data @ s.data - s.data @ unit.data
-            cols.append(np.concatenate([comm.real.ravel(), comm.imag.ravel()]))
-        blocks.append(np.array(cols).T)  # (2 m^2, dim): one column per coordinate
-    stacked = np.vstack(blocks)
-    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
-    tol = 1e-8 * max(1.0, float(svals[0]) if len(svals) else 0.0)
-    null_rows = [vh[i] for i in range(dim) if svals[i] <= tol]
-    return [from_coords(alg, row) for row in null_rows]
+    _require_commutant(alg, "commutant_basis")
+    return [from_coords(alg, row) for row in alg._backend.commutant_rows(alg, elems)]
 
 
 def _require_mutually_commuting(elems, alg, tol=COMMUTE_TOL):
@@ -138,7 +95,7 @@ def bicommutant_basis(elems: list[Element]) -> list[Element]:
     if not elems:
         raise PreconditionError("bicommutant of an empty set is trivial; pass [identity]")
     alg = check_same_algebra(*elems)
-    _check_kinds(alg, "bicommutant_basis")
+    _require_commutant(alg, "bicommutant_basis")
     _require_mutually_commuting(elems, alg)
     return commutant_basis(commutant_basis(elems))
 
@@ -149,34 +106,4 @@ def simultaneous_diagonalize(elems: list[Element], gap: float = DEFAULT_GAP) -> 
         raise PreconditionError("cannot diagonalize an empty family; pass [identity]")
     alg = check_same_algebra(*elems)
     _require_mutually_commuting(elems, alg)
-    return FunctionModel(alg, tuple(_joint_frame(alg, elems, gap)))
-
-
-def _joint_frame(alg, elems, gap) -> list[Element]:
-    if alg.kind == KIND_SUM:
-        frame = []
-        for bi, sub in enumerate(alg.summands):
-            for p in _joint_frame(sub, [e.data[bi] for e in elems], gap):
-                blocks = [zero(s) for s in alg.summands]
-                blocks[bi] = p
-                frame.append(Element(alg, tuple(blocks)))
-        return frame
-    if alg.kind == KIND_SPIN:
-        dirs = _spin_directions(elems)
-        if not dirs:
-            return [identity(alg)]
-        ref = dirs[0]
-        return [Element(alg, (0.5 * ref, 0.5)), Element(alg, (-0.5 * ref, 0.5))]
-    # matrix kinds: refine eigenspaces one generator at a time
-    m = alg.matrix_order
-    dtype = complex if np.iscomplexobj(identity(alg).data) else float
-    subspaces = [np.eye(m, dtype=dtype)]
-    for s in elems:
-        refined = []
-        for v in subspaces:
-            h = v.conj().T @ s.data @ v
-            w, vecs = np.linalg.eigh(h)
-            for idx in _cluster(w, gap):
-                refined.append(v @ vecs[:, idx])
-        subspaces = refined
-    return [Element(alg, v @ v.conj().T) for v in subspaces]
+    return FunctionModel(alg, tuple(alg._backend.joint_frame(alg, elems, gap)))

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    KIND_COMPLEX,
     SUPPORT_TOL,
     AlgebraDescriptor,
     Element,
@@ -84,27 +83,24 @@ def parse_product(text: str, alg: AlgebraDescriptor) -> SequentialProduct:
     raise ConfigError(f"bad product descriptor {text!r}")
 
 
-def _twist_factor(a: Element, t: float) -> np.ndarray:
-    """sqrt(a) a^{it} as one complex matrix.
+def _support_power(mat: np.ndarray, t: float, root: bool) -> np.ndarray:
+    """sqrt(a) a^{it} if ``root``, else a^{it}, as one complex matrix, given a's matrix.
 
-    The phase is taken on the support of a and the square root annihilates
-    the kernel (spectrum <= support threshold), mirroring sqrt_pos.
+    The phase is taken on the support of a.  Off it the factor is 0 with
+    ``root``, so the square root annihilates the kernel (spectrum <= support
+    threshold) as in sqrt_pos, and 1 without it.
     """
-    w, vecs = np.linalg.eigh(a.data)
+    w, vecs = np.linalg.eigh(mat)
     on_support = w > SUPPORT_TOL
-    coef = np.zeros_like(w, dtype=complex)
-    coef[on_support] = np.sqrt(w[on_support]) * np.exp(1j * t * np.log(w[on_support]))
+    coef = np.full(w.shape, 0.0 if root else 1.0, dtype=complex)
+    phase = np.exp(1j * t * np.log(w[on_support]))
+    coef[on_support] = np.sqrt(w[on_support]) * phase if root else phase
     return (vecs * coef) @ vecs.conj().T
 
 
-def _seq_blocks(p: SequentialProduct, a: Element, b: Element) -> Element:
-    alg = p.algebra
-    if alg.kind == KIND_COMPLEX:
-        m = _twist_factor(a, p.twist)
-        return Element(alg, m @ b.data @ m.conj().T)
-    sub = [_seq_blocks(SequentialProduct.twisted(s, p.twist), x, y)
-           for s, x, y in zip(alg.summands, a.data, b.data)]
-    return Element(alg, tuple(sub))
+def _conjugated(a: Element, b: Element, t: float, root: bool) -> Element:
+    """b conjugated, block by block, by the support power of the matching block of a."""
+    return a.algebra._backend.conjugate(a, b, lambda mat: _support_power(mat, t, root))
 
 
 def seq_product(p: SequentialProduct, a: Element, b: Element) -> Element:
@@ -115,7 +111,7 @@ def seq_product(p: SequentialProduct, a: Element, b: Element) -> Element:
             f"product on {p.algebra} applied to elements of {a.algebra}")
     if p.is_standard:
         return quadratic_rep(sqrt_pos(a), b)
-    return _seq_blocks(p, a, b)
+    return _conjugated(a, b, p.twist, root=True)
 
 
 def multiplication_operator(p: SequentialProduct, a: Element) -> LinearMap:
@@ -124,7 +120,7 @@ def multiplication_operator(p: SequentialProduct, a: Element) -> LinearMap:
     if p.is_standard:
         root = sqrt_pos(a)
         return assemble_map(alg, lambda b: quadratic_rep(root, b), "L_a")
-    return assemble_map(alg, lambda b: _seq_blocks(p, a, b), "L_a")
+    return assemble_map(alg, lambda b: _conjugated(a, b, p.twist, root=True), "L_a")
 
 
 def commutes(p: SequentialProduct, a: Element, b: Element, tol: float = 1e-8) -> bool:
@@ -165,33 +161,12 @@ def homogeneity_iso(a: Element, b: Element) -> LinearMap:
     return LinearMap(out.algebra, out.matrix, "Phi")
 
 
-def _unitary_phase(q: Element, t: float) -> np.ndarray:
-    """q^{it} as a complex matrix (identity on the kernel of q)."""
-    w, vecs = np.linalg.eigh(q.data)
-    phase = np.ones_like(w, dtype=complex)
-    on_support = w > SUPPORT_TOL
-    phase[on_support] = np.exp(1j * t * np.log(w[on_support]))
-    return (vecs * phase) @ vecs.conj().T
-
-
 def imaginary_power_conjugation(q: Element, t: float) -> LinearMap:
     """The conjugation b -> q^{it} b q^{-it} on a complex algebra."""
     alg = q.algebra
     if not alg.is_complex_kind():
         raise CapabilityError(f"imaginary powers need a complex algebra, not {alg}")
-
-    def act(x: Element) -> Element:
-        return _conjugate(q, x, t)
-
-    def _conjugate(base: Element, x: Element, tt: float) -> Element:
-        sub = base.algebra
-        if sub.kind == KIND_COMPLEX:
-            u = _unitary_phase(base, tt)
-            return Element(sub, u @ x.data @ u.conj().T)
-        return Element(sub, tuple(_conjugate(bb, xb, tt)
-                                  for bb, xb in zip(base.data, x.data)))
-
-    return assemble_map(alg, act, f"Ad(q^{{i{t}}})")
+    return assemble_map(alg, lambda x: _conjugated(q, x, t, root=False), f"Ad(q^{{i{t}}})")
 
 
 def theta_between(p: SequentialProduct, p2: SequentialProduct, q: Element) -> LinearMap:

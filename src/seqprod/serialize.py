@@ -4,67 +4,34 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import (
-    KIND_COMPLEX,
-    KIND_QUAT,
-    KIND_REAL,
-    KIND_SPIN,
-    KIND_SUM,
-    AlgebraDescriptor,
-    Element,
-    LinearMap,
-    direct_sum,
-    spin_factor,
-)
+from ._backends import _BACKENDS
+from .algebra import AlgebraDescriptor, Element, LinearMap
 from .commutant import FunctionModel
 from .errors import ConfigError
 from .spectral import SpectralDecomposition
 
 
 def algebra_to_json(alg: AlgebraDescriptor) -> dict:
-    if alg.kind == KIND_SPIN:
-        return {"kind": alg.kind, "d": alg.size}
-    if alg.kind == KIND_SUM:
-        return {"kind": alg.kind, "summands": [algebra_to_json(s) for s in alg.summands]}
-    return {"kind": alg.kind, "n": alg.size}
+    return alg._backend.to_json(alg)
 
 
 def algebra_from_json(obj: dict) -> AlgebraDescriptor:
     try:
-        kind = obj["kind"]
-        if kind == KIND_SPIN:
-            return spin_factor(int(obj["d"]))
-        if kind == KIND_SUM:
-            return direct_sum(*(algebra_from_json(s) for s in obj["summands"]))
-        if kind in (KIND_REAL, KIND_COMPLEX, KIND_QUAT):
-            return AlgebraDescriptor(kind, int(obj["n"]))
+        backend = _BACKENDS.get(obj["kind"])
+        if backend is not None:
+            return backend.from_json(obj, algebra_from_json)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed algebra JSON: {exc}") from exc
     raise ConfigError(f"malformed algebra JSON: unknown kind {obj.get('kind')!r}")
 
 
 def _data_to_json(x: Element):
-    alg = x.algebra
-    if alg.kind == KIND_REAL:
-        return np.asarray(x.data).tolist()
-    if alg.kind in (KIND_COMPLEX, KIND_QUAT):
-        return {"re": x.data.real.tolist(), "im": x.data.imag.tolist()}
-    if alg.kind == KIND_SPIN:
-        v, t = x.data
-        return {"v": v.tolist(), "t": t}
-    return [_data_to_json(b) for b in x.data]
+    return x.algebra._backend.to_payload(x)
 
 
 def _data_from_json(alg: AlgebraDescriptor, payload) -> Element:
     try:
-        if alg.kind == KIND_REAL:
-            return Element(alg, np.array(payload, dtype=float))
-        if alg.kind in (KIND_COMPLEX, KIND_QUAT):
-            mat = np.array(payload["re"], dtype=float) + 1j * np.array(payload["im"], dtype=float)
-            return Element(alg, mat)
-        if alg.kind == KIND_SPIN:
-            return Element(alg, (np.array(payload["v"], dtype=float), float(payload["t"])))
-        return Element(alg, tuple(_data_from_json(s, p) for s, p in zip(alg.summands, payload)))
+        return alg._backend.from_payload(alg, payload, _data_from_json)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed element JSON for {alg}: {exc}") from exc
 

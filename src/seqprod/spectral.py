@@ -13,24 +13,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .algebra import (
-    KIND_SPIN,
-    MATRIX_KINDS,
     SUPPORT_TOL,
     AlgebraDescriptor,
     Element,
-    identity,
     is_effect,
     is_positive,
     jordan_product,
     min_eigenvalue,
     order_unit_norm,
-    trace,
     zero,
 )
-from .errors import DomainError, NumericalFailureError, PreconditionError
+from .errors import DomainError, PreconditionError
 
 #: default eigenvalue clustering gap
 DEFAULT_GAP = 1e-8
@@ -68,61 +62,12 @@ class SpectralDecomposition:
         return acc
 
 
-def _cluster(values: np.ndarray, gap: float) -> list[np.ndarray]:
-    """Indices of eigenvalues grouped by chaining gaps <= gap (ascending input)."""
-    groups, start = [], 0
-    for k in range(1, len(values) + 1):
-        if k == len(values) or values[k] - values[k - 1] > gap:
-            groups.append(np.arange(start, k))
-            start = k
-    return groups
-
-
 def spectral_decompose(a: Element, gap: float = DEFAULT_GAP) -> SpectralDecomposition:
     """Full spectral frame of a, eigenvalues in strictly decreasing order."""
     if gap <= 0:
         raise PreconditionError("clustering gap must be positive")
     alg = a.algebra
-    if alg.kind in MATRIX_KINDS:
-        try:
-            w, vecs = np.linalg.eigh(a.data)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailureError(f"eigensolver failed on {alg}: {exc}") from exc
-        pairs = []
-        for idx in _cluster(w, gap):
-            cols = vecs[:, idx]
-            proj = Element(alg, cols @ cols.conj().T)
-            pairs.append((float(np.mean(w[idx])), proj))
-        pairs.reverse()
-        return SpectralDecomposition(alg, tuple(pairs))
-    if alg.kind == KIND_SPIN:
-        v, t = a.data
-        r = float(np.linalg.norm(v))
-        if 2.0 * r <= gap:
-            return SpectralDecomposition(alg, ((t, identity(alg)),))
-        vhat = v / r
-        plus = Element(alg, (0.5 * vhat, 0.5))
-        minus = Element(alg, (-0.5 * vhat, 0.5))
-        return SpectralDecomposition(alg, ((t + r, plus), (t - r, minus)))
-    # direct sum: decompose blockwise, then merge eigenvalues across blocks
-    per_block = [spectral_decompose(b, gap) for b in a.data]
-    entries = []  # (eigenvalue, block index, projection, trace weight)
-    for bi, dec in enumerate(per_block):
-        for lam, p in dec.pairs:
-            entries.append((lam, bi, p, trace(p)))
-    entries.sort(key=lambda e: e[0])
-    values = np.array([e[0] for e in entries])
-    pairs = []
-    for idx in _cluster(values, gap):
-        chosen = [entries[i] for i in idx]
-        blocks = [zero(s) for s in alg.summands]
-        for _, bi, p, _ in chosen:
-            blocks[bi] = blocks[bi] + p
-        weight = sum(e[3] for e in chosen)
-        lam = sum(e[0] * e[3] for e in chosen) / weight
-        pairs.append((float(lam), Element(alg, tuple(blocks))))
-    pairs.reverse()
-    return SpectralDecomposition(alg, tuple(pairs))
+    return SpectralDecomposition(alg, tuple(alg._backend.spectral_pairs(a, gap)))
 
 
 def functional_calculus(a: Element, f, gap: float = DEFAULT_GAP) -> Element:

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seqprod as sp
+from seqprod._backends import _symplectic_form
 from seqprod.algebra import (
-    _symplectic_form,
     eigenvalue_range,
     from_coords,
     map_distance,

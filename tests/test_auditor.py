@@ -1,9 +1,11 @@
 import copy
 import json
+import math
 
 import pytest
 
 import seqprod as sp
+from seqprod import auditor
 from seqprod.auditor import (
     ALL_LAWS,
     LAW_DEFAULTS,
@@ -19,6 +21,8 @@ from seqprod.auditor import (
     replay_witness,
     run_full_suite,
 )
+
+from conftest import ALGEBRA_SHORTHANDS
 
 
 def _product(desc, short):
@@ -114,11 +118,13 @@ def test_unavailable_isomorphism_param_is_error_entry():
 
 
 def test_run_full_suite_deterministic():
-    rows = [SuiteRow("SEA2", "standard", "real:3", 10),
-            SuiteRow("SPECTRAL_RECON", "standard", "spin:4", 10),
-            SuiteRow("SYMMETRY", "twisted:1.0", "complex:3", 5, 1e-3, expect="fail")]
+    # one row on each test algebra, plus a twisted falsification row
+    laws = ("SEA2", "COMMUTE_EQUIV", "FUNDAMENTAL_EQ", "SPECTRAL_RECON", "INVARIANCE")
+    rows = [SuiteRow(law, "standard", short, 4) for law, short in zip(laws, ALGEBRA_SHORTHANDS)]
+    rows.append(SuiteRow("SYMMETRY", "twisted:1.0", "complex:3", 5, 1e-3, expect="fail"))
     r1 = run_full_suite(SuiteConfig(rows=copy.deepcopy(rows), seed=9))
     r2 = run_full_suite(SuiteConfig(rows=copy.deepcopy(rows), seed=9))
+    assert r1.status == "pass"
     j1, j2 = r1.to_json(), r2.to_json()
     for j in (j1, j2):
         for e in j["entries"]:
@@ -202,3 +208,38 @@ def test_verdict_fail_iff_witness_present():
     for e in report.entries:
         assert (e.verdict == "fail") == (e.witness is not None)
         assert e.max_residual >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# fail-loud rows
+# ---------------------------------------------------------------------------
+
+def test_nan_residual_fails_and_is_reported(monkeypatch):
+    generate, _ = auditor._REGISTRY[LawId.SEA2]
+    monkeypatch.setitem(auditor._REGISTRY, LawId.SEA2,
+                        (generate, lambda p, alg, inp: float("nan")))
+    entry = audit_law("SEA2", _product("standard", "real:3"), sp.parse_algebra("real:3"),
+                      trials=5, seed=1, tol=1e-8)
+    assert entry.verdict == "fail"
+    assert entry.witness["trial"] == 0
+    assert math.isnan(entry.max_residual)
+
+
+@pytest.mark.parametrize("row", [
+    {"law": "SEA1", "trials": 0},
+    {"law": "SEA1", "trials": -3},
+    {"law": "SEA1", "tol": "NaN"},
+    {"law": "SEA1", "tol": "inf"},
+    {"law": "SEA1", "tol": 0.0},
+    {"law": "SEA1", "tol": -1e-8},
+])
+def test_vacuous_or_unbounded_rows_raise(row):
+    config = SuiteConfig.from_json({"rows": [row], "seed": 1})
+    with pytest.raises(sp.ConfigError):
+        run_full_suite(config)
+
+
+@pytest.mark.parametrize("schema", [0, 2, "1"])
+def test_config_schema_other_than_1_is_rejected(schema):
+    with pytest.raises(sp.ConfigError, match="schema"):
+        SuiteConfig.from_json({"schema": schema, "rows": [{"law": "SEA1"}]})

@@ -67,6 +67,19 @@ def test_adhoc_twisted_on_real_exits_2(capsys):
     assert "complex" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("product", ["twisted:0", "twisted:0.00"])
+def test_adhoc_zero_twist_expects_no_failures(product, capsys):
+    # a zero twist is the standard product, so SYMMETRY is expected to pass
+    rc = run_cli(["audit", "--algebra", "complex:3", "--product", product,
+                  "--laws", "SEA2,SYMMETRY", "--trials", "5", "--seed", "42"])
+    assert rc == 0
+    assert "overall: pass" in capsys.readouterr().out
+
+
+def test_adhoc_zero_trials_exits_2(capsys):
+    assert run_cli(["audit", "--algebra", "real:3", "--laws", "SEA2", "--trials", "0"]) == 2
+
+
 def test_adhoc_unknown_law_exits_2(capsys):
     assert run_cli(["audit", "--algebra", "real:3", "--laws", "SEA9"]) == 2
 

@@ -12,6 +12,10 @@ package reaches element storage only through the backend primitives:
 * ``_SumBackend`` stores a tuple of summand elements and does its per-block
   work through :func:`_blockwise`.
 
+Every eigensolve of the package runs here, through :func:`_eigh`.  f(a) is
+the ``functional`` primitive: one eigensolve and one product per matrix
+block, a closed form on spin factors.
+
 Primitives whose result is an element return an Element.  Element and the
 generic operations are read from the ``algebra`` module at call time,
 because that module imports this one.
@@ -55,6 +59,28 @@ def _blockwise(primitive, operands, *args):
                  for blocks in zip(*(x.data for x in operands)))
 
 
+def _sum_map(alg, maps):
+    """The map on direct sum ``alg`` that applies ``maps[k]`` to block k."""
+    return lambda x: _alg.Element(alg, tuple(g(b) for g, b in zip(maps, x.data)))
+
+
+def _eigh(mat: np.ndarray, vectors: bool = True):
+    """eigh (eigvalsh without ``vectors``); a LinAlgError becomes NumericalFailureError.
+
+    The solver is looked up on ``np.linalg`` at call time, so a wrapper
+    installed there sees every eigensolve.
+    """
+    try:
+        return np.linalg.eigh(mat) if vectors else np.linalg.eigvalsh(mat)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
+
+
+def _check_finite(values):
+    if not np.all(np.isfinite(values)):
+        raise NumericalFailureError("f(a) needs an element with finite entries")
+
+
 def _cluster(values: np.ndarray, gap: float) -> list[np.ndarray]:
     """Indices of eigenvalues grouped by chaining gaps <= gap (ascending input)."""
     groups, start = [], 0
@@ -63,6 +89,26 @@ def _cluster(values: np.ndarray, gap: float) -> list[np.ndarray]:
             groups.append(np.arange(start, k))
             start = k
     return groups
+
+
+def _matrix_function(mat: np.ndarray, f, gap: float) -> np.ndarray:
+    """V f(w) V^H for the Hermitian matrix V diag(w) V^H.
+
+    f (real or complex valued) is evaluated once per cluster of eigenvalues
+    chained by gaps <= ``gap``, at the cluster mean.
+    """
+    _check_finite(mat)
+    w, vecs = _eigh(mat)
+    groups = _cluster(w, gap)
+    values = [f(float(np.mean(w[idx]))) for idx in groups]
+    coef = np.repeat(values, [len(idx) for idx in groups])
+    return (vecs * coef) @ vecs.conj().T
+
+
+def _conjugation(alg, m: np.ndarray):
+    """The map x -> m x m^H on a matrix-kind algebra."""
+    mh = m.conj().T
+    return lambda x: _alg.Element(alg, m @ x.data @ mh)
 
 
 def _polar_unitary(g: np.ndarray) -> np.ndarray:
@@ -74,7 +120,7 @@ def _polar_unitary(g: np.ndarray) -> np.ndarray:
     the structured matrix algebra.
     """
     m = g.shape[0]
-    w, v = np.linalg.eigh(g.conj().T @ g)
+    w, v = _eigh(g.conj().T @ g)
     if w[0] <= 1e-10 * max(1.0, w[-1]):
         raise NumericalFailureError("degenerate sample while orthonormalizing")
     u = g @ (v * (w ** -0.5)) @ v.conj().T
@@ -269,18 +315,12 @@ class _MatrixBackend(_Backend):
         return 0.5 * val if self.kind == KIND_QUAT else val
 
     def eigen_range(self, a) -> tuple[float, float]:
-        try:
-            w = np.linalg.eigvalsh(a.data)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
+        w = _eigh(a.data, vectors=False)
         return float(w[0]), float(w[-1])
 
     def spectral_pairs(self, a, gap: float) -> list:
         alg = a.algebra
-        try:
-            w, vecs = np.linalg.eigh(a.data)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailureError(f"eigensolver failed on {alg}: {exc}") from exc
+        w, vecs = _eigh(a.data)
         pairs = []
         for idx in _cluster(w, gap):
             cols = vecs[:, idx]
@@ -288,6 +328,13 @@ class _MatrixBackend(_Backend):
             pairs.append((float(np.mean(w[idx])), proj))
         pairs.reverse()
         return pairs
+
+    def functional(self, a, f, gap: float):
+        return _alg.Element(a.algebra, _matrix_function(a.data, f, gap))
+
+    def conjugation(self, a, f, gap: float):
+        """x -> m x m^H with m = f(a); f may be complex valued."""
+        return _conjugation(a.algebra, _matrix_function(a.data, f, gap))
 
     def gaussian(self, alg, rng) -> np.ndarray:
         """Gaussian matrix of the algebra's structure (not yet Hermitian)."""
@@ -306,7 +353,7 @@ class _MatrixBackend(_Backend):
     def random_projection(self, alg, rng, proper: bool):
         # eigenvector column groups; Kramers pairs stay together, so any
         # subset sum of groups is again a structured projection
-        _, vecs = np.linalg.eigh(self.random_element(alg, rng).data)
+        _, vecs = _eigh(self.random_element(alg, rng).data)
         u = self.unit
         units = [vecs[:, u * k:u * k + u] for k in range(alg.size)]
         k = len(units)
@@ -342,11 +389,6 @@ class _MatrixBackend(_Backend):
     def commutator_norm(self, a, b) -> float:
         return float(np.linalg.norm(a.data @ b.data - b.data @ a.data))
 
-    def conjugate(self, a, x, factor):
-        """m x m^H with m = factor(matrix of a)."""
-        m = factor(a.data)
-        return _alg.Element(x.algebra, m @ x.data @ m.conj().T)
-
     def order_isos(self, alg) -> tuple[str, ...]:
         if self.kind == KIND_COMPLEX:
             return ("unitary_conjugation", "transpose")
@@ -355,8 +397,7 @@ class _MatrixBackend(_Backend):
     def iso_action(self, alg, kind: str, rng):
         if kind == "transpose":
             return lambda x: _alg.Element(alg, x.data.T)
-        u = _random_structured_unitary(alg, rng)
-        return lambda x: _alg.Element(alg, u @ x.data @ u.conj().T)
+        return _conjugation(alg, _random_structured_unitary(alg, rng))
 
     def commutant_rows(self, alg, elems) -> list[np.ndarray]:
         """Null space of the stacked commutator maps X -> Xs - sX, in coordinates."""
@@ -381,7 +422,7 @@ class _MatrixBackend(_Backend):
             refined = []
             for v in subspaces:
                 h = v.conj().T @ s.data @ v
-                w, vecs = np.linalg.eigh(h)
+                w, vecs = _eigh(h)
                 for idx in _cluster(w, gap):
                     refined.append(v @ vecs[:, idx])
             subspaces = refined
@@ -454,6 +495,17 @@ class _SpinBackend(_Backend):
         plus = _alg.Element(alg, (0.5 * vhat, 0.5))
         minus = _alg.Element(alg, (-0.5 * vhat, 0.5))
         return [(t + r, plus), (t - r, minus)]
+
+    def functional(self, a, f, gap: float):
+        """f(t + r) and f(t - r) on the two idempotents (+-v/2r, 1/2), r = |v|."""
+        alg = a.algebra
+        v, t = a.data
+        _check_finite(np.append(v, t))
+        r = float(np.linalg.norm(v))
+        if 2.0 * r <= gap:
+            return self.scalar(alg, f(t))
+        hi, lo = f(t + r), f(t - r)
+        return _alg.Element(alg, (0.5 * (hi - lo) * (v / r), 0.5 * (hi + lo)))
 
     def random_element(self, alg, rng):
         return _alg.Element(alg, (rng.standard_normal(alg.size), float(rng.standard_normal())))
@@ -569,6 +621,12 @@ class _SumBackend(_Backend):
         ranges = _blockwise("eigen_range", (a,))
         return min(r[0] for r in ranges), max(r[1] for r in ranges)
 
+    def functional(self, a, f, gap: float):
+        return _alg.Element(a.algebra, _blockwise("functional", (a,), f, gap))
+
+    def conjugation(self, a, f, gap: float):
+        return _sum_map(a.algebra, _blockwise("conjugation", (a,), f, gap))
+
     def spectral_pairs(self, a, gap: float) -> list:
         """Blockwise pairs, with eigenvalues merged across blocks."""
         alg = a.algebra
@@ -626,16 +684,12 @@ class _SumBackend(_Backend):
     def commutator_norm(self, a, b) -> float:
         return max(_blockwise("commutator_norm", (a, b)))
 
-    def conjugate(self, a, x, factor):
-        return _alg.Element(x.algebra, _blockwise("conjugate", (a, x), factor))
-
     def order_isos(self, alg) -> tuple[str, ...]:
         return tuple(k for k in ("unitary_conjugation", "transpose")
                      if all(k in s._backend.order_isos(s) for s in alg.summands))
 
     def iso_action(self, alg, kind: str, rng):
-        acts = [s._backend.iso_action(s, kind, rng) for s in alg.summands]
-        return lambda x: _alg.Element(alg, tuple(f(b) for f, b in zip(acts, x.data)))
+        return _sum_map(alg, [s._backend.iso_action(s, kind, rng) for s in alg.summands])
 
     def joint_frame(self, alg, elems, gap: float) -> list:
         frame = []

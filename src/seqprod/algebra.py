@@ -42,8 +42,6 @@ from .errors import (
 
 #: spectrum below this is treated as kernel (support threshold)
 SUPPORT_TOL = 1e-9
-#: default relative tolerance for approximate equality
-DEFAULT_TOL_REL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +212,6 @@ def order_unit_norm(a: Element) -> float:
 def rel_residual(x: Element, y: Element) -> float:
     """||x - y|| divided by max(1, ||x||, ||y||)."""
     return order_unit_norm(x - y) / max(1.0, order_unit_norm(x), order_unit_norm(y))
-
-
-def approx_eq(x: Element, y: Element, tol_rel: float = DEFAULT_TOL_REL) -> bool:
-    return rel_residual(x, y) <= tol_rel
 
 
 def is_positive(a: Element, tol: float = SUPPORT_TOL) -> bool:

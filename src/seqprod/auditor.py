@@ -613,10 +613,14 @@ class SuiteConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SuiteConfig":
-        if not isinstance(obj, dict) or "rows" not in obj:
+        if not isinstance(obj, dict) or not isinstance(obj.get("rows"), list):
             raise ConfigError("suite config must be an object with a 'rows' array")
         if obj.get("schema", 1) != 1:
             raise ConfigError(f"unsupported suite config schema {obj['schema']!r}; expected 1")
+        try:
+            seed = int(obj.get("seed", 42))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"suite config seed must be an integer ({exc})") from exc
         rows = []
         for i, raw in enumerate(obj["rows"]):
             try:
@@ -637,7 +641,7 @@ class SuiteConfig:
             if row.expect not in ("pass", "fail", "error"):
                 raise ConfigError(f"row {i}: expect must be pass, fail or error")
             rows.append(row)
-        return cls(rows=rows, seed=int(obj.get("seed", 42)))
+        return cls(rows=rows, seed=seed)
 
 
 @dataclass

@@ -33,7 +33,7 @@ from .errors import (
     SeqprodError,
 )
 from .products import parse_product
-from .spectral import spectral_decompose
+from .spectral import DEFAULT_GAP, spectral_decompose
 
 _EXIT_MISMATCH = 1
 _EXIT_USAGE = 2
@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dec = sub.add_parser("decompose", help="spectrally decompose an element")
     p_dec.add_argument("--in", dest="infile", required=True, help="element JSON file")
-    p_dec.add_argument("--gap", type=float, default=1e-8, help="eigenvalue clustering gap")
+    p_dec.add_argument("--gap", type=float, default=DEFAULT_GAP, help="eigenvalue clustering gap")
     p_dec.add_argument("--out", help="write the decomposition JSON here")
 
     sub.add_parser("version", help="print the package version")

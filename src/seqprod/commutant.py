@@ -23,7 +23,6 @@ from .algebra import (
     to_coords,
     trace,
     trace_inner_product,
-    zero,
 )
 from .errors import CapabilityError, PreconditionError
 from .products import SequentialProduct, commutes
@@ -57,10 +56,7 @@ class FunctionModel:
         values = np.asarray(values, dtype=float)
         if values.shape != (self.points,):
             raise PreconditionError(f"expected {self.points} values")
-        acc = zero(self.algebra)
-        for val, p in zip(values, self.frame):
-            acc = acc + p * float(val)
-        return acc
+        return from_coords(self.algebra, self.embedding_matrix @ values)
 
     @property
     def embedding_matrix(self) -> np.ndarray:

@@ -14,9 +14,9 @@ non-standard foil for the uniqueness demonstrations.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .algebra import (
     SUPPORT_TOL,
@@ -35,7 +35,7 @@ from .errors import (
     DescriptorMismatchError,
     PreconditionError,
 )
-from .spectral import pseudo_inverse, sqrt_pos
+from .spectral import DEFAULT_GAP, pseudo_inverse, sqrt_pos
 
 #: effects with min eigenvalue below this are rejected where an inverse is needed
 INVERTIBILITY_TOL = 1e-6
@@ -79,28 +79,26 @@ def parse_product(text: str, alg: AlgebraDescriptor) -> SequentialProduct:
             val = float(t.split(":", 1)[1])
         except ValueError:
             raise ConfigError(f"bad product descriptor {text!r}") from None
+        if not math.isfinite(val):
+            raise ConfigError(f"twist must be finite in {text!r}")
         return SequentialProduct.twisted(alg, val)
     raise ConfigError(f"bad product descriptor {text!r}")
 
 
-def _support_power(mat: np.ndarray, t: float, root: bool) -> np.ndarray:
-    """sqrt(a) a^{it} if ``root``, else a^{it}, as one complex matrix, given a's matrix.
+def _twisted_conjugation(a: Element, t: float, root: bool):
+    """The map x -> m x m^H, m = sqrt(a) a^{it} if ``root`` else a^{it}, block by block.
 
-    The phase is taken on the support of a.  Off it the factor is 0 with
-    ``root``, so the square root annihilates the kernel (spectrum <= support
-    threshold) as in sqrt_pos, and 1 without it.
+    The phase is taken on the support of a.  Off it m is 0 with ``root``, so
+    the square root annihilates the kernel (spectrum <= support threshold)
+    as in sqrt_pos, and 1 without it.  m is computed once, here.
     """
-    w, vecs = np.linalg.eigh(mat)
-    on_support = w > SUPPORT_TOL
-    coef = np.full(w.shape, 0.0 if root else 1.0, dtype=complex)
-    phase = np.exp(1j * t * np.log(w[on_support]))
-    coef[on_support] = np.sqrt(w[on_support]) * phase if root else phase
-    return (vecs * coef) @ vecs.conj().T
+    def power(lam: float) -> complex:
+        if lam <= SUPPORT_TOL:
+            return 0.0 if root else 1.0
+        phase = cmath.exp(1j * t * math.log(lam))
+        return math.sqrt(lam) * phase if root else phase
 
-
-def _conjugated(a: Element, b: Element, t: float, root: bool) -> Element:
-    """b conjugated, block by block, by the support power of the matching block of a."""
-    return a.algebra._backend.conjugate(a, b, lambda mat: _support_power(mat, t, root))
+    return a.algebra._backend.conjugation(a, power, DEFAULT_GAP)
 
 
 def seq_product(p: SequentialProduct, a: Element, b: Element) -> Element:
@@ -111,7 +109,7 @@ def seq_product(p: SequentialProduct, a: Element, b: Element) -> Element:
             f"product on {p.algebra} applied to elements of {a.algebra}")
     if p.is_standard:
         return quadratic_rep(sqrt_pos(a), b)
-    return _conjugated(a, b, p.twist, root=True)
+    return _twisted_conjugation(a, p.twist, root=True)(b)
 
 
 def multiplication_operator(p: SequentialProduct, a: Element) -> LinearMap:
@@ -120,7 +118,7 @@ def multiplication_operator(p: SequentialProduct, a: Element) -> LinearMap:
     if p.is_standard:
         root = sqrt_pos(a)
         return assemble_map(alg, lambda b: quadratic_rep(root, b), "L_a")
-    return assemble_map(alg, lambda b: _conjugated(a, b, p.twist, root=True), "L_a")
+    return assemble_map(alg, _twisted_conjugation(a, p.twist, root=True), "L_a")
 
 
 def commutes(p: SequentialProduct, a: Element, b: Element, tol: float = 1e-8) -> bool:
@@ -166,7 +164,7 @@ def imaginary_power_conjugation(q: Element, t: float) -> LinearMap:
     alg = q.algebra
     if not alg.is_complex_kind():
         raise CapabilityError(f"imaginary powers need a complex algebra, not {alg}")
-    return assemble_map(alg, lambda x: _conjugated(q, x, t, root=False), f"Ad(q^{{i{t}}})")
+    return assemble_map(alg, _twisted_conjugation(q, t, root=False), f"Ad(q^{{i{t}}})")
 
 
 def theta_between(p: SequentialProduct, p2: SequentialProduct, q: Element) -> LinearMap:

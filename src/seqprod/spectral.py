@@ -6,6 +6,9 @@ effects summing to the identity (the kernel projection is kept, so the
 functional calculus can evaluate f(0)).  Eigenvalues closer than the
 clustering gap are merged into one idempotent, which keeps the projections
 numerically exact when a degenerate eigenvalue is split by solver noise.
+
+The square root, floor, ceiling, pseudo-inverse and dyadic approximants are
+each one functional_calculus call with a threshold function.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .algebra import (
     jordan_product,
     min_eigenvalue,
     order_unit_norm,
-    zero,
 )
 from .errors import DomainError, PreconditionError
 
@@ -47,20 +49,6 @@ class SpectralDecomposition:
     def idempotents(self) -> tuple[Element, ...]:
         return tuple(p for _, p in self.pairs)
 
-    def rebuild(self, f) -> Element:
-        """sum f(lambda_i) p_i, raising DomainError where f is undefined."""
-        acc = zero(self.algebra)
-        for lam, p in self.pairs:
-            try:
-                val = float(f(lam))
-            except Exception as exc:
-                raise DomainError(f"function undefined at eigenvalue {lam!r}: {exc}") from exc
-            if not math.isfinite(val):
-                raise DomainError(f"function not finite at eigenvalue {lam!r}")
-            if val != 0.0:
-                acc = acc + p * val
-        return acc
-
 
 def spectral_decompose(a: Element, gap: float = DEFAULT_GAP) -> SpectralDecomposition:
     """Full spectral frame of a, eigenvalues in strictly decreasing order."""
@@ -71,8 +59,24 @@ def spectral_decompose(a: Element, gap: float = DEFAULT_GAP) -> SpectralDecompos
 
 
 def functional_calculus(a: Element, f, gap: float = DEFAULT_GAP) -> Element:
-    """f(a) = sum f(lambda_i) p_i for a scalar function f on the spectrum."""
-    return spectral_decompose(a, gap).rebuild(f)
+    """f(a) = sum f(lambda_i) p_i for a scalar function f on the spectrum.
+
+    Eigenvalues of one block within ``gap`` of each other share the value of
+    f at their mean.  Raises DomainError where f is undefined or not finite.
+    """
+    if gap <= 0:
+        raise PreconditionError("clustering gap must be positive")
+
+    def checked(lam: float) -> float:
+        try:
+            val = float(f(lam))
+        except Exception as exc:
+            raise DomainError(f"function undefined at eigenvalue {lam!r}: {exc}") from exc
+        if not math.isfinite(val):
+            raise DomainError(f"function not finite at eigenvalue {lam!r}")
+        return val
+
+    return a.algebra._backend.functional(a, checked, gap)
 
 
 def sqrt_pos(a: Element) -> Element:
@@ -91,22 +95,12 @@ def sqrt_pos(a: Element) -> Element:
 
 def floor_effect(a: Element) -> Element:
     """Largest sharp effect below a: the eigenvalue-1 spectral projection."""
-    dec = spectral_decompose(a)
-    acc = zero(a.algebra)
-    for lam, p in dec.pairs:
-        if lam >= 1.0 - FLOOR_TOL:
-            acc = acc + p
-    return acc
+    return functional_calculus(a, lambda x: 1.0 if x >= 1.0 - FLOOR_TOL else 0.0)
 
 
 def ceiling_effect(a: Element) -> Element:
     """Smallest sharp effect above a: the support projection."""
-    dec = spectral_decompose(a)
-    acc = zero(a.algebra)
-    for lam, p in dec.pairs:
-        if lam > SUPPORT_TOL:
-            acc = acc + p
-    return acc
+    return functional_calculus(a, lambda x: 1.0 if x > SUPPORT_TOL else 0.0)
 
 
 def is_sharp(a: Element, tol: float = SUPPORT_TOL) -> bool:
@@ -116,12 +110,7 @@ def is_sharp(a: Element, tol: float = SUPPORT_TOL) -> bool:
 
 def pseudo_inverse(b: Element) -> Element:
     """Positive c with b o c = c o b = ceiling(b); inverts the support spectrum."""
-    dec = spectral_decompose(b)
-    acc = zero(b.algebra)
-    for lam, p in dec.pairs:
-        if lam > SUPPORT_TOL:
-            acc = acc + p * (1.0 / lam)
-    return acc
+    return functional_calculus(b, lambda x: 1.0 / x if x > SUPPORT_TOL else 0.0)
 
 
 def dyadic_approximation(a: Element, n_max: int) -> list[Element]:
@@ -135,14 +124,6 @@ def dyadic_approximation(a: Element, n_max: int) -> list[Element]:
         raise PreconditionError("dyadic approximation expects an effect")
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
-    dec = spectral_decompose(a)
-    out = []
-    for m in range(1, n_max + 1):
-        n = 2 ** m
-        acc = zero(a.algebra)
-        for lam, p in dec.pairs:
-            count = sum(1 for k in range(1, n + 1) if lam > k / n + 1e-12)
-            if count:
-                acc = acc + p * (count / n)
-        out.append(acc)
-    return out
+    return [functional_calculus(a, lambda x, n=2 ** m:
+                                sum(1 for k in range(1, n + 1) if x > k / n + 1e-12) / n)
+            for m in range(1, n_max + 1)]

@@ -243,3 +243,24 @@ def test_vacuous_or_unbounded_rows_raise(row):
 def test_config_schema_other_than_1_is_rejected(schema):
     with pytest.raises(sp.ConfigError, match="schema"):
         SuiteConfig.from_json({"schema": schema, "rows": [{"law": "SEA1"}]})
+
+
+@pytest.mark.parametrize("config", [
+    {"seed": "x", "rows": [{"law": "SEA1"}]},
+    {"seed": None, "rows": [{"law": "SEA1"}]},
+    {"seed": 1, "rows": 5},
+    {"seed": 1, "rows": None},
+    {"seed": 1, "rows": {"law": "SEA1"}},
+])
+def test_config_with_malformed_seed_or_rows_is_rejected(config):
+    with pytest.raises(sp.ConfigError):
+        SuiteConfig.from_json(config)
+
+
+def test_quadratic_law_on_sum_with_close_block_eigenvalues():
+    # suite row of seed 102: at trial 3 the blocks of (a o b)^2 have eigenvalues
+    # 7e-9 apart, and merging them across blocks would move the root by about 1e-7
+    alg = sp.parse_algebra("sum(complex:2,real:3)")
+    entry = audit_law("QUADRATIC_LAW", sp.SequentialProduct.standard(alg), alg,
+                      trials=4, seed=102000415, tol=1e-8)
+    assert entry.verdict == "pass", entry.max_residual

@@ -90,6 +90,13 @@ def test_spin_spectra_match_clifford_embedding(d):
 KIND_CHECK = re.compile(r"MATRIX_KINDS|KIND_(REAL|COMPLEX|QUAT|SPIN|SUM)|\.kind\b")
 
 
+def test_eigensolves_live_in_the_backend_module():
+    package = Path(sp.__file__).parent
+    callers = sorted(path.name for path in package.glob("*.py")
+                     if re.search(r"linalg\.eig", path.read_text()))
+    assert callers == ["_backends.py"]
+
+
 def test_kind_checks_live_in_the_backend_module():
     package = Path(sp.__file__).parent
     outside = []

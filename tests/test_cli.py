@@ -76,6 +76,14 @@ def test_adhoc_zero_twist_expects_no_failures(product, capsys):
     assert "overall: pass" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("product", ["twisted:nan", "twisted:inf"])
+def test_adhoc_non_finite_twist_exits_2(product, capsys):
+    rc = run_cli(["audit", "--algebra", "complex:3", "--product", product,
+                  "--laws", "SEA1", "--trials", "5", "--seed", "42"])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_adhoc_zero_trials_exits_2(capsys):
     assert run_cli(["audit", "--algebra", "real:3", "--laws", "SEA2", "--trials", "0"]) == 2
 

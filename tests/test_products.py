@@ -32,6 +32,12 @@ def test_product_descriptor_roundtrip():
         sp.parse_product("other", alg)
 
 
+@pytest.mark.parametrize("text", ["twisted:nan", "twisted:inf", "twisted:-inf"])
+def test_non_finite_twist_is_rejected(text):
+    with pytest.raises(sp.ConfigError):
+        sp.parse_product(text, sp.complex_hermitian(2))
+
+
 def test_twisted_zero_acts_like_standard():
     alg = sp.complex_hermitian(3)
     std, tw0 = _std(alg), sp.SequentialProduct.twisted(alg, 0.0)
@@ -122,6 +128,19 @@ def test_multiplication_operator_twisted():
     for _ in range(10):
         b = sp.random_effect(alg, rng)
         assert sp.order_unit_norm(l_a.apply(b) - sp.seq_product(tw, a, b)) <= 1e-11
+
+
+@pytest.mark.parametrize("short, solves", [("complex:3", 1), ("sum(complex:2,complex:2)", 2)])
+def test_twisted_operators_solve_once_per_block(short, solves, monkeypatch):
+    alg = sp.parse_algebra(short)
+    a = sp.random_effect(alg, 45)
+    eigh = np.linalg.eigh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda mat: calls.append(1) or eigh(mat))
+    sp.multiplication_operator(sp.SequentialProduct.twisted(alg, 0.7), a)
+    assert len(calls) == solves
+    sp.imaginary_power_conjugation(a, 0.7)
+    assert len(calls) == 2 * solves
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seqprod as sp
+from seqprod.algebra import from_coords, to_coords
 
 from conftest import ALGEBRA_SHORTHANDS
 
@@ -142,6 +143,34 @@ def test_sqrt_rejects_non_positive():
     alg = sp.real_symmetric(2)
     with pytest.raises(sp.PreconditionError):
         sp.sqrt_pos(sp.Element(alg, np.diag([0.5, -0.1])))
+
+
+def test_sqrt_on_direct_sum_keeps_close_blocks_apart():
+    # the blocks' eigenvalues lie within the clustering gap; f(a) must not merge them
+    alg = sp.parse_algebra("sum(real:1,real:1)")
+    lo, hi = 1e-4, 1e-4 + 7e-9
+    a = sp.Element(alg, (sp.Element(alg.summands[0], [[lo]]),
+                         sp.Element(alg.summands[1], [[hi]])))
+    root = sp.sqrt_pos(a)
+    assert abs(root.data[0].data[0, 0] - math.sqrt(lo)) <= 1e-15
+    assert abs(root.data[1].data[0, 0] - math.sqrt(hi)) <= 1e-15
+
+
+@pytest.mark.parametrize("short", ALGEBRA_SHORTHANDS + ["complex:2"])
+@pytest.mark.parametrize("fn", [sp.sqrt_pos, sp.pseudo_inverse, sp.floor_effect])
+def test_non_finite_input_raises(short, fn):
+    alg = sp.parse_algebra(short)
+    coords = to_coords(sp.identity(alg) * 0.5)
+    coords[0] = np.nan
+    with pytest.raises(sp.SeqprodError):
+        fn(from_coords(alg, coords))
+
+
+def test_nan_on_the_diagonal_is_not_dropped():
+    # eigvalsh returns finite values for this matrix, so only an explicit check sees the NaN
+    a = sp.Element(sp.complex_hermitian(2), [[np.nan, 0.0], [0.0, 0.5]])
+    with pytest.raises(sp.SeqprodError):
+        sp.sqrt_pos(a)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,17 @@ package reaches element storage only through the backend primitives:
 * ``_SumBackend`` stores a tuple of summand elements and does its per-block
   work through :func:`_blockwise`.
 
-Every eigensolve of the package runs here, through :func:`_eigh`.  f(a) is
-the ``functional`` primitive: one eigensolve and one product per matrix
-block, a closed form on spin factors.
+Every eigensolve of the package runs here, through :func:`_eigh`, which
+rejects an element with a NaN or infinite entry.  f(a) is the
+``functional`` primitive: one eigensolve and one product per matrix block,
+a closed form on spin factors.
+
+The operator primitives (``jordan_operator``, ``quadratic_operator``,
+``conjugation_operator`` and ``iso_operator``) return the coordinate matrix
+of a linear map in one shot: matrix kinds apply the action to the whole
+stacked basis and project the images with one product against the cached
+conjugated basis, spin factors write the matrix down, and direct sums put
+the summand matrices on the diagonal.
 
 Primitives whose result is an element return an Element.  Element and the
 generic operations are read from the ``algebra`` module at call time,
@@ -23,6 +31,7 @@ because that module imports this one.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -59,26 +68,34 @@ def _blockwise(primitive, operands, *args):
                  for blocks in zip(*(x.data for x in operands)))
 
 
-def _sum_map(alg, maps):
-    """The map on direct sum ``alg`` that applies ``maps[k]`` to block k."""
-    return lambda x: _alg.Element(alg, tuple(g(b) for g, b in zip(maps, x.data)))
+def _block_diag(mats) -> np.ndarray:
+    """The block-diagonal matrix with the square ``mats`` on its diagonal, in order."""
+    n = sum(len(m) for m in mats)
+    out = np.zeros((n, n))
+    k = 0
+    for m in mats:
+        out[k:k + len(m), k:k + len(m)] = m
+        k += len(m)
+    return out
+
+
+_NON_FINITE = "eigen-data needs an element with finite entries"
 
 
 def _eigh(mat: np.ndarray, vectors: bool = True):
     """eigh (eigvalsh without ``vectors``); a LinAlgError becomes NumericalFailureError.
 
-    The solver is looked up on ``np.linalg`` at call time, so a wrapper
+    A NaN or infinite entry raises NumericalFailureError before the solver
+    runs: LAPACK can return finite eigenvalues for such a matrix.  The
+    solver is looked up on ``np.linalg`` at call time, so a wrapper
     installed there sees every eigensolve.
     """
+    if not np.isfinite(mat).all():
+        raise NumericalFailureError(_NON_FINITE)
     try:
         return np.linalg.eigh(mat) if vectors else np.linalg.eigvalsh(mat)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
-
-
-def _check_finite(values):
-    if not np.all(np.isfinite(values)):
-        raise NumericalFailureError("f(a) needs an element with finite entries")
 
 
 def _cluster(values: np.ndarray, gap: float) -> list[np.ndarray]:
@@ -97,18 +114,11 @@ def _matrix_function(mat: np.ndarray, f, gap: float) -> np.ndarray:
     f (real or complex valued) is evaluated once per cluster of eigenvalues
     chained by gaps <= ``gap``, at the cluster mean.
     """
-    _check_finite(mat)
     w, vecs = _eigh(mat)
     groups = _cluster(w, gap)
     values = [f(float(np.mean(w[idx]))) for idx in groups]
     coef = np.repeat(values, [len(idx) for idx in groups])
     return (vecs * coef) @ vecs.conj().T
-
-
-def _conjugation(alg, m: np.ndarray):
-    """The map x -> m x m^H on a matrix-kind algebra."""
-    mh = m.conj().T
-    return lambda x: _alg.Element(alg, m @ x.data @ mh)
 
 
 def _polar_unitary(g: np.ndarray) -> np.ndarray:
@@ -176,14 +186,19 @@ class _Backend:
         asq = jordan(a, a)
         return jordan(a, jordan(a, b)) * 2.0 - jordan(asq, b)
 
+    def quadratic_operator(self, a) -> np.ndarray:
+        """Q_a = 2 T_a^2 - T_{a^2} on coordinates."""
+        t_a = self.jordan_operator(a)
+        return 2.0 * (t_a @ t_a) - self.jordan_operator(self.jordan(a, a))
+
     def order_iso(self, alg, kind: str, rng):
-        """(action, label) of a unital order isomorphism of the requested kind."""
+        """(coordinate matrix, label) of a unital order isomorphism of the requested kind."""
         if kind not in _ORDER_ISOS:
             raise CapabilityError(f"unknown order isomorphism kind {kind!r}")
         label, unavailable = _ORDER_ISOS[kind]
         if kind not in self.order_isos(alg):
             raise CapabilityError(unavailable.format(alg))
-        return self.iso_action(alg, kind, rng), label
+        return self.iso_operator(alg, kind, rng), label
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +274,33 @@ def _matrix_basis(alg) -> np.ndarray:
     return basis
 
 
+@lru_cache(maxsize=None)
+def _dual_basis(alg) -> np.ndarray:
+    """(dim, m^2) matrix D with coordinates Re(D vec(x)) for a matrix-kind algebra.
+
+    Row k is basis element k conjugated and flattened, halved on quaternions,
+    whose trace inner product is half the embedded one.
+    """
+    basis = _matrix_basis(alg)
+    weight = 0.5 if alg.kind == KIND_QUAT else 1.0
+    dual = weight * basis.reshape(len(basis), -1).conj()
+    dual.setflags(write=False)
+    return dual
+
+
+def _operator(alg, images: np.ndarray) -> np.ndarray:
+    """Coordinate matrix whose column k holds the coordinates of ``images[k]``.
+
+    ``images`` is the stack (dim, m, m) of the map's values on the basis.
+    """
+    return np.real(_dual_basis(alg) @ images.reshape(len(images), -1).T)
+
+
+def _conjugation_operator(alg, m: np.ndarray) -> np.ndarray:
+    """Coordinate matrix of x -> m x m^H."""
+    return _operator(alg, m @ _matrix_basis(alg) @ m.conj().T)
+
+
 class _MatrixBackend(_Backend):
     """n x n Hermitian matrices over R, C or H (of real dimension ``field_dim`` 1, 2, 4).
 
@@ -332,9 +374,22 @@ class _MatrixBackend(_Backend):
     def functional(self, a, f, gap: float):
         return _alg.Element(a.algebra, _matrix_function(a.data, f, gap))
 
-    def conjugation(self, a, f, gap: float):
-        """x -> m x m^H with m = f(a); f may be complex valued."""
-        return _conjugation(a.algebra, _matrix_function(a.data, f, gap))
+    def jordan_operator(self, a) -> np.ndarray:
+        basis = _matrix_basis(a.algebra)
+        return _operator(a.algebra, 0.5 * (a.data @ basis + basis @ a.data))
+
+    def quadratic_operator(self, a) -> np.ndarray:
+        # associative shortcut x -> a x a, as in ``quadratic``
+        return _conjugation_operator(a.algebra, a.data)
+
+    def conjugate(self, a, x, f, gap: float):
+        """m x m^H with m = f(a); f may be complex valued."""
+        m = _matrix_function(a.data, f, gap)
+        return _alg.Element(a.algebra, m @ x.data @ m.conj().T)
+
+    def conjugation_operator(self, a, f, gap: float) -> np.ndarray:
+        """Coordinate matrix of x -> m x m^H with m = f(a)."""
+        return _conjugation_operator(a.algebra, _matrix_function(a.data, f, gap))
 
     def gaussian(self, alg, rng) -> np.ndarray:
         """Gaussian matrix of the algebra's structure (not yet Hermitian)."""
@@ -368,12 +423,10 @@ class _MatrixBackend(_Backend):
         return _alg.Element(alg, cols @ cols.conj().T)
 
     def to_coords(self, x) -> np.ndarray:
-        basis = _matrix_basis(x.algebra)
-        weight = 0.5 if self.kind == KIND_QUAT else 1.0
-        return weight * np.real(np.einsum("kij,ij->k", basis.conj(), x.data))
+        return np.real(_dual_basis(x.algebra) @ x.data.ravel())
 
     def from_coords(self, alg, coords: np.ndarray):
-        return _alg.Element(alg, np.einsum("k,kij->ij", coords, _matrix_basis(alg)))
+        return _alg.Element(alg, np.tensordot(coords, _matrix_basis(alg), 1))
 
     def to_payload(self, x):
         if self.kind == KIND_REAL:
@@ -394,22 +447,20 @@ class _MatrixBackend(_Backend):
             return ("unitary_conjugation", "transpose")
         return ("unitary_conjugation",)
 
-    def iso_action(self, alg, kind: str, rng):
+    def iso_operator(self, alg, kind: str, rng) -> np.ndarray:
         if kind == "transpose":
-            return lambda x: _alg.Element(alg, x.data.T)
-        return _conjugation(alg, _random_structured_unitary(alg, rng))
+            return _operator(alg, _matrix_basis(alg).swapaxes(1, 2))
+        return _conjugation_operator(alg, _random_structured_unitary(alg, rng))
 
     def commutant_rows(self, alg, elems) -> list[np.ndarray]:
         """Null space of the stacked commutator maps X -> Xs - sX, in coordinates."""
         dim = self.real_dimension(alg)
-        coord_units = [_alg.from_coords(alg, row) for row in np.eye(dim)]
+        basis = _matrix_basis(alg)
         blocks = []
         for s in elems:
-            cols = []
-            for unit in coord_units:
-                comm = unit.data @ s.data - s.data @ unit.data
-                cols.append(np.concatenate([comm.real.ravel(), comm.imag.ravel()]))
-            blocks.append(np.array(cols).T)  # (2 m^2, dim): one column per coordinate
+            comm = (basis @ s.data - s.data @ basis).reshape(dim, -1)
+            # (2 m^2, dim): one column per coordinate
+            blocks.append(np.concatenate([comm.real, comm.imag], axis=1).T)
         stacked = np.vstack(blocks)
         _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
         tol = 1e-8 * max(1.0, float(svals[0]) if len(svals) else 0.0)
@@ -432,6 +483,18 @@ class _MatrixBackend(_Backend):
 # ---------------------------------------------------------------------------
 # Spin factors
 # ---------------------------------------------------------------------------
+
+def _spin_radius(a) -> tuple[np.ndarray, float, float]:
+    """(v, t, |v|) of a spin element; its eigenvalues are t +- |v|.
+
+    A NaN or infinite entry raises NumericalFailureError, as in ``_eigh``.
+    """
+    v, t = a.data
+    r = float(np.linalg.norm(v))
+    if not (math.isfinite(r) and math.isfinite(t)):
+        raise NumericalFailureError(_NON_FINITE)
+    return v, t, r
+
 
 def _spin_directions(elems) -> list[np.ndarray]:
     dirs = []
@@ -480,15 +543,18 @@ class _SpinBackend(_Backend):
         (v, t), (w, s) = a.data, b.data
         return 2.0 * (float(v @ w) + t * s)
 
-    def eigen_range(self, a) -> tuple[float, float]:
+    def jordan_operator(self, a) -> np.ndarray:
+        """T_(v,t) = [[t I, v], [v^T, t]]; coordinates are a uniform multiple of (w, s)."""
         v, t = a.data
-        r = float(np.linalg.norm(v))
+        return np.block([[t * np.eye(len(v)), v[:, None]], [v, t]])
+
+    def eigen_range(self, a) -> tuple[float, float]:
+        _, t, r = _spin_radius(a)
         return t - r, t + r
 
     def spectral_pairs(self, a, gap: float) -> list:
         alg = a.algebra
-        v, t = a.data
-        r = float(np.linalg.norm(v))
+        v, t, r = _spin_radius(a)
         if 2.0 * r <= gap:
             return [(t, self.scalar(alg, 1.0))]
         vhat = v / r
@@ -499,9 +565,7 @@ class _SpinBackend(_Backend):
     def functional(self, a, f, gap: float):
         """f(t + r) and f(t - r) on the two idempotents (+-v/2r, 1/2), r = |v|."""
         alg = a.algebra
-        v, t = a.data
-        _check_finite(np.append(v, t))
-        r = float(np.linalg.norm(v))
+        v, t, r = _spin_radius(a)
         if 2.0 * r <= gap:
             return self.scalar(alg, f(t))
         hi, lo = f(t + r), f(t - r)
@@ -540,9 +604,9 @@ class _SpinBackend(_Backend):
     def order_isos(self, alg) -> tuple[str, ...]:
         return ("spin_rotation",)
 
-    def iso_action(self, alg, kind: str, rng):
+    def iso_operator(self, alg, kind: str, rng) -> np.ndarray:
         rot = _random_structured_unitary(real_symmetric(alg.size), rng)
-        return lambda x: _alg.Element(alg, (rot @ x.data[0], x.data[1]))
+        return _block_diag([rot, np.eye(1)])
 
     def commutant_rows(self, alg, elems) -> np.ndarray:
         dirs = _spin_directions(elems)
@@ -614,6 +678,12 @@ class _SumBackend(_Backend):
     def jordan(self, a, b):
         return _alg.Element(a.algebra, _blockwise("jordan", (a, b)))
 
+    def jordan_operator(self, a) -> np.ndarray:
+        return _block_diag(_blockwise("jordan_operator", (a,)))
+
+    def quadratic_operator(self, a) -> np.ndarray:
+        return _block_diag(_blockwise("quadratic_operator", (a,)))
+
     def inner(self, a, b) -> float:
         return sum(_blockwise("inner", (a, b)))
 
@@ -624,8 +694,11 @@ class _SumBackend(_Backend):
     def functional(self, a, f, gap: float):
         return _alg.Element(a.algebra, _blockwise("functional", (a,), f, gap))
 
-    def conjugation(self, a, f, gap: float):
-        return _sum_map(a.algebra, _blockwise("conjugation", (a,), f, gap))
+    def conjugate(self, a, x, f, gap: float):
+        return _alg.Element(a.algebra, _blockwise("conjugate", (a, x), f, gap))
+
+    def conjugation_operator(self, a, f, gap: float) -> np.ndarray:
+        return _block_diag(_blockwise("conjugation_operator", (a,), f, gap))
 
     def spectral_pairs(self, a, gap: float) -> list:
         """Blockwise pairs, with eigenvalues merged across blocks."""
@@ -688,8 +761,9 @@ class _SumBackend(_Backend):
         return tuple(k for k in ("unitary_conjugation", "transpose")
                      if all(k in s._backend.order_isos(s) for s in alg.summands))
 
-    def iso_action(self, alg, kind: str, rng):
-        return _sum_map(alg, [s._backend.iso_action(s, kind, rng) for s in alg.summands])
+    def iso_operator(self, alg, kind: str, rng) -> np.ndarray:
+        # summand order fixes the order of the random draws
+        return _block_diag([s._backend.iso_operator(s, kind, rng) for s in alg.summands])
 
     def joint_frame(self, alg, elems, gap: float) -> list:
         frame = []

@@ -299,24 +299,18 @@ def map_distance(f: LinearMap, g: LinearMap) -> float:
     return operator_norm(f.matrix - g.matrix)
 
 
-def assemble_map(alg: AlgebraDescriptor, fn, label: str = "") -> LinearMap:
-    """Materialize a linear action Element -> Element as a coordinate matrix."""
-    dim = alg.real_dimension
-    cols = np.empty((dim, dim))
-    for k in range(dim):
-        unit = np.zeros(dim)
-        unit[k] = 1.0
-        cols[:, k] = to_coords(fn(from_coords(alg, unit)))
-    return LinearMap(alg, cols, label)
-
-
 def jordan_mult_operator(a: Element) -> LinearMap:
-    """T_a: b -> a*b."""
-    return assemble_map(a.algebra, lambda b: jordan_product(a, b), "T_a")
+    """T_a: b -> a*b, in closed form (see the backends' ``jordan_operator``)."""
+    return LinearMap(a.algebra, a.algebra._backend.jordan_operator(a), "T_a")
 
 
 def quadratic_operator(a: Element) -> LinearMap:
-    """Q_a as a linear map; built from Q_a = 2 T_a^2 - T_{a^2}."""
+    """Q_a as a linear map; built from Q_a = 2 T_a^2 - T_{a^2}.
+
+    The Jordan form is kept on every kind (not the matrix shortcut x -> axa
+    that L_a uses), so the fundamental equality checks T_a and not only
+    associativity.
+    """
     t_a = jordan_mult_operator(a).matrix
     t_sq = jordan_mult_operator(jordan_product(a, a)).matrix
     return LinearMap(a.algebra, 2.0 * (t_a @ t_a) - t_sq, "Q_a")
@@ -379,5 +373,5 @@ def make_order_iso(alg: AlgebraDescriptor, kind: str, seed=0) -> LinearMap:
     of them, blockwise.  ``transpose`` needs complex Hermitian algebras (or
     sums of them); ``spin_rotation`` needs a spin factor.
     """
-    action, label = alg._backend.order_iso(alg, kind, _as_rng(seed))
-    return assemble_map(alg, action, label)
+    matrix, label = alg._backend.order_iso(alg, kind, _as_rng(seed))
+    return LinearMap(alg, matrix, label)

@@ -589,6 +589,13 @@ class SuiteRow:
     params: dict = field(default_factory=dict)
 
 
+def _config_int(value) -> int:
+    """int(value), refusing booleans and numbers with a fractional part (ValueError)."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class SuiteConfig:
     rows: list[SuiteRow]
@@ -618,7 +625,7 @@ class SuiteConfig:
         if obj.get("schema", 1) != 1:
             raise ConfigError(f"unsupported suite config schema {obj['schema']!r}; expected 1")
         try:
-            seed = int(obj.get("seed", 42))
+            seed = _config_int(obj.get("seed", 42))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"suite config seed must be an integer ({exc})") from exc
         rows = []
@@ -628,10 +635,10 @@ class SuiteConfig:
                     law=str(raw["law"]),
                     product=str(raw.get("product", "standard")),
                     algebra=str(raw.get("algebra", "complex:3")),
-                    trials=None if raw.get("trials") is None else int(raw["trials"]),
+                    trials=None if raw.get("trials") is None else _config_int(raw["trials"]),
                     tol=None if raw.get("tol") is None else float(raw["tol"]),
                     expect=str(raw.get("expect", "pass")),
-                    seed=None if raw.get("seed") is None else int(raw["seed"]),
+                    seed=None if raw.get("seed") is None else _config_int(raw["seed"]),
                     params=dict(raw.get("params", {})),
                 )
             except (KeyError, TypeError, ValueError) as exc:

@@ -100,6 +100,8 @@ def simultaneous_diagonalize(elems: list[Element], gap: float = DEFAULT_GAP) -> 
     """Joint eigenprojection frame of a mutually commuting family."""
     if not elems:
         raise PreconditionError("cannot diagonalize an empty family; pass [identity]")
+    if gap <= 0:
+        raise PreconditionError("clustering gap must be positive")
     alg = check_same_algebra(*elems)
     _require_mutually_commuting(elems, alg)
     return FunctionModel(alg, tuple(alg._backend.joint_frame(alg, elems, gap)))

@@ -23,7 +23,6 @@ from .algebra import (
     AlgebraDescriptor,
     Element,
     LinearMap,
-    assemble_map,
     check_same_algebra,
     min_eigenvalue,
     order_unit_norm,
@@ -85,12 +84,12 @@ def parse_product(text: str, alg: AlgebraDescriptor) -> SequentialProduct:
     raise ConfigError(f"bad product descriptor {text!r}")
 
 
-def _twisted_conjugation(a: Element, t: float, root: bool):
-    """The map x -> m x m^H, m = sqrt(a) a^{it} if ``root`` else a^{it}, block by block.
+def _twisted_power(t: float, root: bool):
+    """The scalar function of m in x -> m x m^H: m = sqrt(a) a^{it} if ``root`` else a^{it}.
 
     The phase is taken on the support of a.  Off it m is 0 with ``root``, so
     the square root annihilates the kernel (spectrum <= support threshold)
-    as in sqrt_pos, and 1 without it.  m is computed once, here.
+    as in sqrt_pos, and 1 without it.
     """
     def power(lam: float) -> complex:
         if lam <= SUPPORT_TOL:
@@ -98,27 +97,34 @@ def _twisted_conjugation(a: Element, t: float, root: bool):
         phase = cmath.exp(1j * t * math.log(lam))
         return math.sqrt(lam) * phase if root else phase
 
-    return a.algebra._backend.conjugation(a, power, DEFAULT_GAP)
+    return power
+
+
+def _check_product_algebra(p: SequentialProduct, a: Element):
+    if a.algebra != p.algebra:
+        raise DescriptorMismatchError(
+            f"product on {p.algebra} applied to elements of {a.algebra}")
 
 
 def seq_product(p: SequentialProduct, a: Element, b: Element) -> Element:
     """a o b.  The first argument must be positive; b may be any element."""
     check_same_algebra(a, b)
-    if a.algebra != p.algebra:
-        raise DescriptorMismatchError(
-            f"product on {p.algebra} applied to elements of {a.algebra}")
+    _check_product_algebra(p, a)
     if p.is_standard:
         return quadratic_rep(sqrt_pos(a), b)
-    return _twisted_conjugation(a, p.twist, root=True)(b)
+    return a.algebra._backend.conjugate(a, b, _twisted_power(p.twist, root=True), DEFAULT_GAP)
 
 
 def multiplication_operator(p: SequentialProduct, a: Element) -> LinearMap:
-    """L_a: b -> a o b as a linear map (the square root is computed once)."""
-    alg = p.algebra
+    """L_a: b -> a o b as a linear map, in closed form from one eigensolve per block."""
+    _check_product_algebra(p, a)
+    backend = p.algebra._backend
     if p.is_standard:
-        root = sqrt_pos(a)
-        return assemble_map(alg, lambda b: quadratic_rep(root, b), "L_a")
-    return assemble_map(alg, _twisted_conjugation(a, p.twist, root=True), "L_a")
+        matrix = backend.quadratic_operator(sqrt_pos(a))
+    else:
+        matrix = backend.conjugation_operator(a, _twisted_power(p.twist, root=True),
+                                              DEFAULT_GAP)
+    return LinearMap(p.algebra, matrix, "L_a")
 
 
 def commutes(p: SequentialProduct, a: Element, b: Element, tol: float = 1e-8) -> bool:
@@ -164,7 +170,8 @@ def imaginary_power_conjugation(q: Element, t: float) -> LinearMap:
     alg = q.algebra
     if not alg.is_complex_kind():
         raise CapabilityError(f"imaginary powers need a complex algebra, not {alg}")
-    return assemble_map(alg, _twisted_conjugation(q, t, root=False), f"Ad(q^{{i{t}}})")
+    matrix = alg._backend.conjugation_operator(q, _twisted_power(t, root=False), DEFAULT_GAP)
+    return LinearMap(alg, matrix, f"Ad(q^{{i{t}}})")
 
 
 def theta_between(p: SequentialProduct, p2: SequentialProduct, q: Element) -> LinearMap:

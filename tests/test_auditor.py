@@ -251,10 +251,24 @@ def test_config_schema_other_than_1_is_rejected(schema):
     {"seed": 1, "rows": 5},
     {"seed": 1, "rows": None},
     {"seed": 1, "rows": {"law": "SEA1"}},
+    {"seed": 1.5, "rows": [{"law": "SEA1"}]},
+    {"seed": True, "rows": [{"law": "SEA1"}]},
+    {"seed": float("inf"), "rows": [{"law": "SEA1"}]},
+    {"seed": 1, "rows": [{"law": "SEA1", "trials": 2.7}]},
+    {"seed": 1, "rows": [{"law": "SEA1", "trials": True}]},
+    {"seed": 1, "rows": [{"law": "SEA1", "seed": 0.5}]},
+    {"seed": 1, "rows": [{"law": "SEA1", "seed": False}]},
 ])
 def test_config_with_malformed_seed_or_rows_is_rejected(config):
     with pytest.raises(sp.ConfigError):
         SuiteConfig.from_json(config)
+
+
+def test_config_integral_numbers_load_as_integers():
+    config = SuiteConfig.from_json(
+        {"seed": 7.0, "rows": [{"law": "SEA1", "trials": 3.0, "seed": 11}]})
+    assert (config.seed, config.rows[0].trials, config.rows[0].seed) == (7, 3, 11)
+    assert all(type(x) is int for x in (config.seed, config.rows[0].trials, config.rows[0].seed))
 
 
 def test_quadratic_law_on_sum_with_close_block_eigenvalues():

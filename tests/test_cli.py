@@ -149,6 +149,11 @@ def test_config_malformed_exits_2(tmp_path, capsys):
     assert run_cli(["audit", "--config", cfg]) == 2
 
 
+def test_config_fractional_trials_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path / "config.json", {"seed": 1, "rows": [{"law": "SEA1", "trials": 2.7}]})
+    assert run_cli(["audit", "--config", cfg]) == 2
+
+
 def test_env_seed_is_default(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SEQPROD_SEED", "17")
     out = tmp_path / "r.json"

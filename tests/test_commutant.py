@@ -210,3 +210,10 @@ def test_bicommutant_dim_equals_distinct_eigenvalues(matrix_algebra):
         a = sp.random_effect(matrix_algebra, seed)
         distinct = len(sp.spectral_decompose(a).pairs)
         assert len(sp.bicommutant_basis([a])) == distinct
+
+
+@pytest.mark.parametrize("gap", [0.0, -1.0])
+def test_diagonalize_rejects_non_positive_gap(gap):
+    a = sp.random_effect(sp.complex_hermitian(3), 64)
+    with pytest.raises(sp.PreconditionError, match="gap"):
+        sp.simultaneous_diagonalize([a], gap=gap)

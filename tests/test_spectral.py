@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seqprod as sp
-from seqprod.algebra import from_coords, to_coords
+from seqprod.algebra import eigenvalue_range, from_coords, to_coords
 
 from conftest import ALGEBRA_SHORTHANDS
 
@@ -157,13 +157,25 @@ def test_sqrt_on_direct_sum_keeps_close_blocks_apart():
 
 
 @pytest.mark.parametrize("short", ALGEBRA_SHORTHANDS + ["complex:2"])
-@pytest.mark.parametrize("fn", [sp.sqrt_pos, sp.pseudo_inverse, sp.floor_effect])
+@pytest.mark.parametrize("fn", [sp.sqrt_pos, sp.pseudo_inverse, sp.floor_effect,
+                                eigenvalue_range, sp.is_effect, sp.spectral_decompose])
 def test_non_finite_input_raises(short, fn):
     alg = sp.parse_algebra(short)
     coords = to_coords(sp.identity(alg) * 0.5)
     coords[0] = np.nan
     with pytest.raises(sp.SeqprodError):
         fn(from_coords(alg, coords))
+
+
+@pytest.mark.parametrize("fn", [eigenvalue_range, sp.is_effect, sp.is_positive,
+                                sp.order_unit_norm, sp.spectral_decompose])
+@pytest.mark.parametrize("short,diagonal", [("complex:2", [np.nan, 0.5]),
+                                            ("real:3", [np.nan, 0.2, 0.5])])
+def test_nan_fails_loudly_in_eigen_data(short, diagonal, fn):
+    # LAPACK returns finite eigenvalues for these matrices
+    a = sp.Element(sp.parse_algebra(short), np.diag(diagonal))
+    with pytest.raises(sp.NumericalFailureError):
+        fn(a)
 
 
 def test_nan_on_the_diagonal_is_not_dropped():

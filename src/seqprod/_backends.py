@@ -13,9 +13,17 @@ package reaches element storage only through the backend primitives:
   work through :func:`_blockwise`.
 
 Every eigensolve of the package runs here, through :func:`_eigh`, which
-rejects an element with a NaN or infinite entry.  f(a) is the
-``functional`` primitive: one eigensolve and one product per matrix block,
-a closed form on spin factors.
+rejects an element with a NaN or infinite entry.  A matrix element is
+solved at most once: :func:`_eigen` keeps its (w, V) on the instance, and
+its eigenvalue range, spectral pairs and every f(a) read that one solve.
+f(a) is the ``functional`` primitive: one product per matrix block on the
+cached eigen-data, a closed form on spin factors.
+
+Results that meet the representation invariants by construction (real
+linear combinations of elements, scalars, spin arithmetic, direct sums
+assembled from summand results) are wrapped by :func:`_trusted` without
+``normalise``; products of matrices are not exactly Hermitian in floating
+point and go through the public constructor, which symmetrises them.
 
 The operator primitives (``jordan_operator``, ``quadratic_operator``,
 ``conjugation_operator`` and ``iso_operator``) return the coordinate matrix
@@ -32,6 +40,7 @@ because that module imports this one.
 from __future__ import annotations
 
 import math
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -58,6 +67,17 @@ _ORDER_ISOS = {
 }
 
 
+def _config_int(value) -> int:
+    """An integer, or a float with no fractional part, as int (ValueError for anything else).
+
+    Booleans and strings are refused, although ``int`` would take them.
+    """
+    integral = isinstance(value, float) and value.is_integer()
+    if not integral and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _blockwise(primitive, operands, *args):
     """Backend ``primitive`` on each summand block of direct-sum ``operands``.
 
@@ -79,11 +99,27 @@ def _block_diag(mats) -> np.ndarray:
     return out
 
 
+def _trusted(alg, data):
+    """Element of ``alg`` holding ``data`` as it is, without ``normalise``.
+
+    Only for data that already meets the representation invariants and is
+    read-only: the public ``Element(alg, data)`` normalises every input.
+    """
+    x = _alg.Element.__new__(_alg.Element)
+    x.__dict__.update(algebra=alg, data=data)
+    return x
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 _NON_FINITE = "eigen-data needs an element with finite entries"
 
 
-def _eigh(mat: np.ndarray, vectors: bool = True):
-    """eigh (eigvalsh without ``vectors``); a LinAlgError becomes NumericalFailureError.
+def _eigh(mat: np.ndarray):
+    """eigh; a LinAlgError becomes NumericalFailureError.
 
     A NaN or infinite entry raises NumericalFailureError before the solver
     runs: LAPACK can return finite eigenvalues for such a matrix.  The
@@ -93,30 +129,51 @@ def _eigh(mat: np.ndarray, vectors: bool = True):
     if not np.isfinite(mat).all():
         raise NumericalFailureError(_NON_FINITE)
     try:
-        return np.linalg.eigh(mat) if vectors else np.linalg.eigvalsh(mat)
+        return np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
 
 
-def _cluster(values: np.ndarray, gap: float) -> list[np.ndarray]:
-    """Indices of eigenvalues grouped by chaining gaps <= gap (ascending input)."""
+def _eigen(a) -> tuple[np.ndarray, np.ndarray]:
+    """(w, V) of the matrix element ``a``, solved once and kept on the instance.
+
+    The data is immutable, so the entry never goes stale; two threads racing
+    on a fresh element both write the same result.  A failed solve keeps
+    nothing and raises again on the next call.
+    """
+    eig = a.__dict__.get("_eigen")
+    if eig is None:
+        w, vecs = _eigh(a.data)
+        eig = a.__dict__["_eigen"] = (_read_only(w), _read_only(vecs))
+    return eig
+
+
+def _cluster(values: list[float], gap: float) -> list[range]:
+    """Index ranges of eigenvalues grouped by chaining gaps <= gap (ascending input)."""
     groups, start = [], 0
     for k in range(1, len(values) + 1):
         if k == len(values) or values[k] - values[k - 1] > gap:
-            groups.append(np.arange(start, k))
+            groups.append(range(start, k))
             start = k
     return groups
 
 
-def _matrix_function(mat: np.ndarray, f, gap: float) -> np.ndarray:
-    """V f(w) V^H for the Hermitian matrix V diag(w) V^H.
+def _cluster_value(w: np.ndarray, idx: range) -> float:
+    """The point that stands for cluster ``idx`` of ``w``: its only value, or its mean."""
+    if len(idx) == 1:
+        return float(w[idx.start])
+    return float(np.mean(w[idx.start:idx.stop]))
+
+
+def _matrix_function(a, f, gap: float) -> np.ndarray:
+    """V f(w) V^H for the matrix element a = V diag(w) V^H.
 
     f (real or complex valued) is evaluated once per cluster of eigenvalues
     chained by gaps <= ``gap``, at the cluster mean.
     """
-    w, vecs = _eigh(mat)
-    groups = _cluster(w, gap)
-    values = [f(float(np.mean(w[idx]))) for idx in groups]
+    w, vecs = _eigen(a)
+    groups = _cluster(w.tolist(), gap)
+    values = [f(_cluster_value(w, idx)) for idx in groups]
     coef = np.repeat(values, [len(idx) for idx in groups])
     return (vecs * coef) @ vecs.conj().T
 
@@ -178,7 +235,7 @@ class _Backend:
         return {"kind": alg.kind, self.json_key: alg.size}
 
     def from_json(self, obj: dict, decode):
-        return _alg.AlgebraDescriptor(self.kind, int(obj[self.json_key]))
+        return _alg.AlgebraDescriptor(self.kind, _config_int(obj[self.json_key]))
 
     def quadratic(self, a, b):
         """Q_a(b) = 2a*(a*b) - a^2*b."""
@@ -205,16 +262,18 @@ class _Backend:
 # Real, complex and quaternionic Hermitian matrices
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _symplectic_form(n: int) -> np.ndarray:
-    eye = np.eye(n)
-    return np.block([[np.zeros((n, n)), eye], [-eye, np.zeros((n, n))]]).astype(complex)
-
-
 def _quat_project(mat: np.ndarray, n: int) -> np.ndarray:
-    """Project onto the subspace satisfying J conj(X) J^-1 = X."""
-    j = _symplectic_form(n)
-    return 0.5 * (mat + j @ mat.conj() @ j.conj().T)
+    """Project onto the subspace satisfying J conj(X) J^-1 = X.
+
+    For X = [[A, B], [C, D]], J conj(X) J^H = [[conj D, -conj C], [-conj B, conj A]].
+    """
+    c = mat.conj()
+    twin = np.empty_like(mat)
+    twin[:n, :n] = c[n:, n:]
+    twin[:n, n:] = -c[n:, :n]
+    twin[n:, :n] = -c[:n, n:]
+    twin[n:, n:] = c[:n, :n]
+    return 0.5 * (mat + twin)
 
 
 def _quat_embed(a_part: np.ndarray, b_part: np.ndarray) -> np.ndarray:
@@ -335,14 +394,16 @@ class _MatrixBackend(_Backend):
         mat.setflags(write=False)
         return mat
 
+    # a real linear combination of exactly Hermitian (and J-symmetric) data
+    # is exactly so again
     def combine(self, a, b, sa, sb):
-        return _alg.Element(a.algebra, sa * a.data + sb * b.data)
+        return _trusted(a.algebra, _read_only(sa * a.data + sb * b.data))
 
     def scale(self, a, s):
-        return _alg.Element(a.algebra, s * a.data)
+        return _trusted(a.algebra, _read_only(s * a.data))
 
     def scalar(self, alg, c: float):
-        return _alg.Element(alg, c * np.eye(self.matrix_order(alg)))
+        return _trusted(alg, _read_only(c * np.eye(self.matrix_order(alg), dtype=self.dtype)))
 
     def jordan(self, a, b):
         return _alg.Element(a.algebra, 0.5 * (a.data @ b.data + b.data @ a.data))
@@ -357,22 +418,22 @@ class _MatrixBackend(_Backend):
         return 0.5 * val if self.kind == KIND_QUAT else val
 
     def eigen_range(self, a) -> tuple[float, float]:
-        w = _eigh(a.data, vectors=False)
+        w, _ = _eigen(a)
         return float(w[0]), float(w[-1])
 
     def spectral_pairs(self, a, gap: float) -> list:
         alg = a.algebra
-        w, vecs = _eigh(a.data)
+        w, vecs = _eigen(a)
         pairs = []
-        for idx in _cluster(w, gap):
-            cols = vecs[:, idx]
+        for idx in _cluster(w.tolist(), gap):
+            cols = vecs[:, idx.start:idx.stop]
             proj = _alg.Element(alg, cols @ cols.conj().T)
-            pairs.append((float(np.mean(w[idx])), proj))
+            pairs.append((_cluster_value(w, idx), proj))
         pairs.reverse()
         return pairs
 
     def functional(self, a, f, gap: float):
-        return _alg.Element(a.algebra, _matrix_function(a.data, f, gap))
+        return _alg.Element(a.algebra, _matrix_function(a, f, gap))
 
     def jordan_operator(self, a) -> np.ndarray:
         basis = _matrix_basis(a.algebra)
@@ -384,12 +445,12 @@ class _MatrixBackend(_Backend):
 
     def conjugate(self, a, x, f, gap: float):
         """m x m^H with m = f(a); f may be complex valued."""
-        m = _matrix_function(a.data, f, gap)
+        m = _matrix_function(a, f, gap)
         return _alg.Element(a.algebra, m @ x.data @ m.conj().T)
 
     def conjugation_operator(self, a, f, gap: float) -> np.ndarray:
         """Coordinate matrix of x -> m x m^H with m = f(a)."""
-        return _conjugation_operator(a.algebra, _matrix_function(a.data, f, gap))
+        return _conjugation_operator(a.algebra, _matrix_function(a, f, gap))
 
     def gaussian(self, alg, rng) -> np.ndarray:
         """Gaussian matrix of the algebra's structure (not yet Hermitian)."""
@@ -474,8 +535,8 @@ class _MatrixBackend(_Backend):
             for v in subspaces:
                 h = v.conj().T @ s.data @ v
                 w, vecs = _eigh(h)
-                for idx in _cluster(w, gap):
-                    refined.append(v @ vecs[:, idx])
+                for idx in _cluster(w.tolist(), gap):
+                    refined.append(v @ vecs[:, idx.start:idx.stop])
             subspaces = refined
         return [_alg.Element(alg, v @ v.conj().T) for v in subspaces]
 
@@ -517,27 +578,29 @@ class _SpinBackend(_Backend):
         return alg.size + 1
 
     def normalise(self, alg, data):
-        v, t = data
-        v = np.asarray(v, dtype=float)
+        try:
+            v, t = data
+            v, t = np.asarray(v, dtype=float), float(t)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"expected a (vector, scalar) pair for {alg}: {exc}") from None
         if v.shape != (alg.size,):
             raise ConfigError(f"expected length-{alg.size} vector for {alg}")
-        v.setflags(write=False)
-        return (v, float(t))
+        return (_read_only(v), t)
 
     def combine(self, a, b, sa, sb):
         (v, t), (w, s) = a.data, b.data
-        return _alg.Element(a.algebra, (sa * v + sb * w, sa * t + sb * s))
+        return _trusted(a.algebra, (_read_only(sa * v + sb * w), sa * t + sb * s))
 
     def scale(self, a, s):
         v, t = a.data
-        return _alg.Element(a.algebra, (s * v, s * t))
+        return _trusted(a.algebra, (_read_only(s * v), s * t))
 
     def scalar(self, alg, c: float):
-        return _alg.Element(alg, (np.zeros(alg.size), c))
+        return _trusted(alg, (_read_only(np.zeros(alg.size)), c))
 
     def jordan(self, a, b):
         (v, t), (w, s) = a.data, b.data
-        return _alg.Element(a.algebra, (s * v + t * w, float(v @ w) + t * s))
+        return _trusted(a.algebra, (_read_only(s * v + t * w), float(v @ w) + t * s))
 
     def inner(self, a, b) -> float:
         (v, t), (w, s) = a.data, b.data
@@ -666,17 +729,22 @@ class _SumBackend(_Backend):
                     f"block algebra {blk.algebra} does not match summand {sub}")
         return blocks
 
+    # results assembled from summand results need no check of their blocks
     def combine(self, a, b, sa, sb):
-        return _alg.Element(a.algebra, _blockwise("combine", (a, b), sa, sb))
+        return _trusted(a.algebra, _blockwise("combine", (a, b), sa, sb))
 
     def scale(self, a, s):
-        return _alg.Element(a.algebra, _blockwise("scale", (a,), s))
+        return _trusted(a.algebra, _blockwise("scale", (a,), s))
 
     def scalar(self, alg, c: float):
-        return _alg.Element(alg, tuple(s._backend.scalar(s, c) for s in alg.summands))
+        return _trusted(alg, tuple(s._backend.scalar(s, c) for s in alg.summands))
 
     def jordan(self, a, b):
-        return _alg.Element(a.algebra, _blockwise("jordan", (a, b)))
+        return _trusted(a.algebra, _blockwise("jordan", (a, b)))
+
+    def quadratic(self, a, b):
+        # a b a on matrix blocks, the Jordan formula on spin blocks
+        return _trusted(a.algebra, _blockwise("quadratic", (a, b)))
 
     def jordan_operator(self, a) -> np.ndarray:
         return _block_diag(_blockwise("jordan_operator", (a,)))
@@ -692,10 +760,10 @@ class _SumBackend(_Backend):
         return min(r[0] for r in ranges), max(r[1] for r in ranges)
 
     def functional(self, a, f, gap: float):
-        return _alg.Element(a.algebra, _blockwise("functional", (a,), f, gap))
+        return _trusted(a.algebra, _blockwise("functional", (a,), f, gap))
 
     def conjugate(self, a, x, f, gap: float):
-        return _alg.Element(a.algebra, _blockwise("conjugate", (a, x), f, gap))
+        return _trusted(a.algebra, _blockwise("conjugate", (a, x), f, gap))
 
     def conjugation_operator(self, a, f, gap: float) -> np.ndarray:
         return _block_diag(_blockwise("conjugation_operator", (a,), f, gap))
@@ -708,9 +776,8 @@ class _SumBackend(_Backend):
             for lam, p in pairs:
                 entries.append((lam, bi, p, _alg.trace(p)))
         entries.sort(key=lambda e: e[0])
-        values = np.array([e[0] for e in entries])
         pairs = []
-        for idx in _cluster(values, gap):
+        for idx in _cluster([e[0] for e in entries], gap):
             chosen = [entries[i] for i in idx]
             blocks = [_alg.zero(s) for s in alg.summands]
             for _, bi, p, _ in chosen:

@@ -11,7 +11,11 @@ The Jordan product is a*b = (ab + ba)/2 on matrices and
 product is tr(ab) (half the embedded trace for quaternionic matrices,
 2(<v,w> + ts) for spin factors) and the order-unit norm is the spectral
 radius.  All values are immutable and every operation is a pure function,
-so elements and maps can be shared freely between threads.
+so elements and maps can be shared freely between threads.  The one piece
+of state an element gains after construction is its eigen-data, which the
+backends compute on first use and keep on the instance: it is written
+once, derived only from the immutable data, and a race between threads
+only computes the same value twice, so the operations stay pure.
 """
 
 from __future__ import annotations
@@ -158,7 +162,7 @@ class Element:
 def check_same_algebra(*items) -> AlgebraDescriptor:
     alg = items[0].algebra
     for it in items[1:]:
-        if it.algebra != alg:
+        if it.algebra is not alg and it.algebra != alg:
             raise DescriptorMismatchError(f"algebras differ: {alg} vs {it.algebra}")
     return alg
 

@@ -23,6 +23,7 @@ from enum import Enum
 import numpy as np
 
 from . import serialize
+from ._backends import _config_int
 from .algebra import (
     SUPPORT_TOL,
     AlgebraDescriptor,
@@ -587,13 +588,6 @@ class SuiteRow:
     expect: str = "pass"
     seed: int | None = None
     params: dict = field(default_factory=dict)
-
-
-def _config_int(value) -> int:
-    """int(value), refusing booleans and numbers with a fractional part (ValueError)."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seqprod as sp
-from seqprod._backends import _symplectic_form
 from seqprod.algebra import (
     eigenvalue_range,
     from_coords,
@@ -91,6 +90,19 @@ def test_mismatched_algebras():
 # ---------------------------------------------------------------------------
 # T_a and Q_a
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("data", [
+    [1.0, 2.0, 3.0], ([1.0, 2.0],), 5.0, ([1.0, 2.0], [3.0]), (["x", 2.0], 1.0), ([1.0], 1.0),
+])
+def test_spin_data_of_the_wrong_form(data):
+    with pytest.raises(sp.ConfigError):
+        sp.Element(sp.spin_factor(2), data)
+
+
+def test_matrix_data_of_the_wrong_shape():
+    with pytest.raises(sp.ConfigError):
+        sp.Element(sp.real_symmetric(2), [1.0, 2.0])
+
 
 def test_mult_operator_of_unit_is_identity(algebra):
     t_one = sp.jordan_mult_operator(sp.identity(algebra))
@@ -271,6 +283,12 @@ def test_random_effect_sharp(algebra):
 # ---------------------------------------------------------------------------
 # quaternionic structure
 # ---------------------------------------------------------------------------
+
+def _symplectic_form(n):
+    """J = [[0, I], [-I, 0]] of the quaternionic embedding, as a complex matrix."""
+    eye, zero = np.eye(n), np.zeros((n, n))
+    return np.block([[zero, eye], [-eye, zero]]).astype(complex)
+
 
 def test_quaternionic_symmetry_preserved():
     alg = sp.quaternionic_hermitian(3)

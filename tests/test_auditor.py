@@ -258,6 +258,8 @@ def test_config_schema_other_than_1_is_rejected(schema):
     {"seed": 1, "rows": [{"law": "SEA1", "trials": True}]},
     {"seed": 1, "rows": [{"law": "SEA1", "seed": 0.5}]},
     {"seed": 1, "rows": [{"law": "SEA1", "seed": False}]},
+    {"seed": "7", "rows": [{"law": "SEA1"}]},
+    {"seed": 1, "rows": [{"law": "SEA1", "trials": "3"}]},
 ])
 def test_config_with_malformed_seed_or_rows_is_rejected(config):
     with pytest.raises(sp.ConfigError):

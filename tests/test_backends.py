@@ -95,6 +95,7 @@ def test_eigensolves_live_in_the_backend_module():
     callers = sorted(path.name for path in package.glob("*.py")
                      if re.search(r"linalg\.eig", path.read_text()))
     assert callers == ["_backends.py"]
+    assert [path.name for path in package.glob("*.py") if "eigvalsh" in path.read_text()] == []
 
 
 def test_kind_checks_live_in_the_backend_module():

@@ -1,0 +1,163 @@
+"""The per-call fast path: results valid by construction skip ``normalise``,
+and each matrix element is solved at most once."""
+
+import numpy as np
+import pytest
+
+import seqprod as sp
+from seqprod._backends import _quat_project
+from seqprod.algebra import Element, eigenvalue_range
+
+from conftest import ALGEBRA_SHORTHANDS
+
+FAST_PATH_SHORTHANDS = ALGEBRA_SHORTHANDS + ["quat:3", "sum(spin:3,quat:2)"]
+
+
+def _leaves(x):
+    """The simple blocks of x, direct sums flattened in summand order."""
+    if x.algebra.summands:
+        return [leaf for blk in x.data for leaf in _leaves(blk)]
+    return [x]
+
+
+def _arrays(x):
+    """The arrays a simple block stores: the matrix, or v of a spin pair (v, t)."""
+    return [x.data[0]] if isinstance(x.data, tuple) else [x.data]
+
+
+def _assert_trusted(x):
+    for leaf in _leaves(x):
+        assert not any(arr.flags.writeable for arr in _arrays(leaf))
+        again = Element(leaf.algebra, leaf.data)
+        for new, old in zip(_arrays(again), _arrays(leaf)):
+            assert new.dtype == old.dtype and np.array_equal(new, old)
+        if isinstance(leaf.data, tuple):
+            assert again.data[1] == leaf.data[1]
+
+
+@pytest.mark.parametrize("short", FAST_PATH_SHORTHANDS)
+def test_arithmetic_results_are_read_only_and_already_normal(short):
+    alg = sp.parse_algebra(short)
+    a, b = sp.random_effect(alg, 31), sp.random_effect(alg, 32, "singular")
+    results = [a + b, a - b, a * 0.3, -b, 2.5 * a, sp.identity(alg), sp.zero(alg)]
+    if all(isinstance(leaf.data, tuple) for leaf in _leaves(a)):
+        results.append(sp.jordan_product(a, b))  # exact only on spin factors
+    for x in results:
+        _assert_trusted(x)
+
+
+def test_spin_jordan_products_are_already_normal():
+    alg = sp.parse_algebra("sum(spin:3,spin:1)")
+    a, b = sp.random_effect(alg, 33), sp.random_effect(alg, 34)
+    _assert_trusted(sp.jordan_product(a, b))
+    _assert_trusted(sp.quadratic_rep(a, b))
+
+
+def _symplectic_form(n):
+    eye, zero = np.eye(n), np.zeros((n, n))
+    return np.block([[zero, eye], [-eye, zero]]).astype(complex)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_quat_project_by_blocks_equals_the_formula(n):
+    rng = np.random.default_rng(n)
+    j = _symplectic_form(n)
+    for _ in range(5):
+        m = rng.standard_normal((2 * n, 2 * n)) + 1j * rng.standard_normal((2 * n, 2 * n))
+        assert np.array_equal(_quat_project(m, n), 0.5 * (m + j @ m.conj() @ j.conj().T))
+
+
+def test_additions_do_not_go_through_the_constructor(monkeypatch):
+    alg = sp.complex_hermitian(16)
+    a, b = sp.random_effect(alg, 35), sp.random_effect(alg, 36)
+    built = []
+    init = Element.__post_init__
+
+    def counting(self):
+        built.append(1)
+        init(self)
+
+    monkeypatch.setattr(Element, "__post_init__", counting)
+    x = a
+    for _ in range(1000):
+        x = x + b
+    assert built == []
+
+
+def test_the_public_constructor_still_normalises():
+    alg = sp.complex_hermitian(2)
+    x = Element(alg, np.array([[1.0, 2.0 + 1j], [0.0, 3.0 + 5j]]))
+    assert np.array_equal(x.data, [[1.0, 1.0 + 0.5j], [1.0 - 0.5j, 3.0]])
+    assert not x.data.flags.writeable
+    rng = np.random.default_rng(37)
+    q = Element(sp.quaternionic_hermitian(2),
+                rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))).data
+    j = _symplectic_form(2)
+    assert np.array_equal(q, q.conj().T)
+    assert np.array_equal(j @ q.conj() @ j.conj().T, q)
+
+
+# ---------------------------------------------------------------------------
+# one eigensolve per element
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Counts of np.linalg.eigh and np.linalg.eigvalsh calls."""
+    counts = {"eigh": 0, "eigvalsh": 0}
+    for name in counts:
+        def counted(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("short, blocks", [
+    ("real:3", 1), ("complex:3", 1), ("quat:2", 1), ("spin:4", 0),
+    ("sum(complex:2,real:3)", 2), ("sum(spin:3,quat:2)", 1),
+])
+def test_one_eigensolve_per_element(short, blocks, solves):
+    alg = sp.parse_algebra(short)
+    p = sp.SequentialProduct.standard(alg)
+    a, b, c = (sp.random_effect(alg, seed) for seed in (41, 42, 43))
+    solves.update(eigh=0, eigvalsh=0)
+    sp.seq_product(p, a, b)
+    assert solves == {"eigh": blocks, "eigvalsh": 0}
+    sp.is_positive(a)
+    eigenvalue_range(a)
+    sp.sqrt_pos(a)
+    sp.spectral_decompose(a)
+    sp.seq_product(p, a, c)
+    assert solves == {"eigh": blocks, "eigvalsh": 0}
+
+
+@pytest.mark.parametrize("short", FAST_PATH_SHORTHANDS)
+def test_non_finite_element_raises_on_every_call(short):
+    bad = sp.random_effect(sp.parse_algebra(short), 44) * float("nan")
+    for _ in range(2):
+        with pytest.raises(sp.NumericalFailureError):
+            sp.sqrt_pos(bad)
+        with pytest.raises(sp.NumericalFailureError):
+            eigenvalue_range(bad)
+
+
+def test_failed_solve_is_not_kept(monkeypatch):
+    a = sp.random_effect(sp.complex_hermitian(3), 45)
+    eigh = np.linalg.eigh
+    calls = []
+
+    def fail_once(mat):
+        calls.append(1)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("no convergence")
+        return eigh(mat)
+
+    monkeypatch.setattr(np.linalg, "eigh", fail_once)
+    with pytest.raises(sp.NumericalFailureError):
+        eigenvalue_range(a)
+    lo, hi = eigenvalue_range(a)
+    assert 0.0 < lo <= hi < 1.0
+    eigenvalue_range(a)
+    assert len(calls) == 2

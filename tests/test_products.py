@@ -140,7 +140,7 @@ def test_twisted_operators_solve_once_per_block(short, solves, monkeypatch):
     sp.multiplication_operator(sp.SequentialProduct.twisted(alg, 0.7), a)
     assert len(calls) == solves
     sp.imaginary_power_conjugation(a, 0.7)
-    assert len(calls) == 2 * solves
+    assert len(calls) == solves  # the eigen-data of a is reused
 
 
 # ---------------------------------------------------------------------------

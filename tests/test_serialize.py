@@ -78,6 +78,29 @@ def test_malformed_json_raises_config_error():
                                      "data": {"re": [[1.0]]}})
 
 
+@pytest.mark.parametrize("obj", [
+    {"kind": "real_symmetric", "n": 2.5},
+    {"kind": "real_symmetric", "n": True},
+    {"kind": "complex_hermitian", "n": "2"},
+    {"kind": "quaternionic_hermitian", "n": float("nan")},
+    {"kind": "spin_factor", "d": "3"},
+    {"kind": "spin_factor", "d": False},
+    {"kind": "spin_factor", "d": None},
+    {"kind": "direct_sum", "summands": [{"kind": "real_symmetric", "n": 1.5}]},
+])
+def test_descriptor_size_must_be_an_integer(obj):
+    with pytest.raises(sp.ConfigError):
+        serialize.algebra_from_json(obj)
+    with pytest.raises(sp.ConfigError):
+        serialize.element_from_json({"algebra": obj, "data": [[1.0]]})
+
+
+def test_descriptor_integral_size_loads_as_int():
+    alg = serialize.algebra_from_json({"kind": "real_symmetric", "n": 2.0})
+    assert alg == sp.real_symmetric(2) and type(alg.size) is int
+    assert serialize.algebra_from_json({"kind": "spin_factor", "d": 3}) == sp.spin_factor(3)
+
+
 def test_witness_payload_roundtrip():
     alg = sp.complex_hermitian(2)
     inputs = {"a": sp.random_effect(alg, 1),

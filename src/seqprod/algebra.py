@@ -11,11 +11,10 @@ The Jordan product is a*b = (ab + ba)/2 on matrices and
 product is tr(ab) (half the embedded trace for quaternionic matrices,
 2(<v,w> + ts) for spin factors) and the order-unit norm is the spectral
 radius.  All values are immutable and every operation is a pure function,
-so elements and maps can be shared freely between threads.  The one piece
-of state an element gains after construction is its eigen-data, which the
-backends compute on first use and keep on the instance: it is written
-once, derived only from the immutable data, and a race between threads
-only computes the same value twice, so the operations stay pure.
+so elements and maps can be shared freely between threads.  An element's
+eigen-data is computed on first use and kept on the instance; it is
+written once and derived only from the immutable data (a race between
+threads computes the same value twice), so the operations stay pure.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ Results that meet the representation invariants by construction (real
 linear combinations of elements, scalars, spin arithmetic, direct sums
 assembled from summand results) are wrapped by :func:`_trusted` without
 ``normalise``; products of matrices are not exactly Hermitian in floating
-point and go through the public constructor, which symmetrises them.
+point and are symmetrised as the public constructor does (``_element``).
 
 The operator primitives (``jordan_operator``, ``quadratic_operator``,
 ``conjugation_operator`` and ``iso_operator``) return the coordinate matrix
@@ -32,6 +32,11 @@ stacked basis and project the images with one product against the cached
 conjugated basis, spin factors write the matrix down, and direct sums put
 the summand matrices on the diagonal.
 
+A *stacked* element, built only by ``stack``, holds k trials on a leading
+axis: (k, m, m) matrices, spin pairs (v (k, d), t (k,)), or a tuple of
+stacked summands.  The primitives the stacked laws reach take it, with
+unstacked operands broadcasting, and give per-trial results.
+
 Primitives whose result is an element return an Element.  Element and the
 generic operations are read from the ``algebra`` module at call time,
 because that module imports this one.
@@ -39,9 +44,8 @@ because that module imports this one.
 
 from __future__ import annotations
 
-import math
 import numbers
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -118,18 +122,19 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 _NON_FINITE = "eigen-data needs an element with finite entries"
 
 
-def _eigh(mat: np.ndarray):
-    """eigh; a LinAlgError becomes NumericalFailureError.
+def _eigh(mat: np.ndarray, vectors: bool = True):
+    """eigh, or eigvalsh without ``vectors``; a LinAlgError becomes NumericalFailureError.
 
-    A NaN or infinite entry raises NumericalFailureError before the solver
-    runs: LAPACK can return finite eigenvalues for such a matrix.  The
-    solver is looked up on ``np.linalg`` at call time, so a wrapper
-    installed there sees every eigensolve.
+    ``mat`` may be a stack (k, m, m), solved in one call.  A NaN or infinite
+    entry raises NumericalFailureError before the solver runs: LAPACK can
+    return finite eigenvalues for such a matrix.  The solver is looked up on
+    ``np.linalg`` at call time, so a wrapper installed there sees every
+    eigensolve.
     """
     if not np.isfinite(mat).all():
         raise NumericalFailureError(_NON_FINITE)
     try:
-        return np.linalg.eigh(mat)
+        return np.linalg.eigh(mat) if vectors else np.linalg.eigvalsh(mat)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
 
@@ -148,34 +153,42 @@ def _eigen(a) -> tuple[np.ndarray, np.ndarray]:
     return eig
 
 
-def _cluster(values: list[float], gap: float) -> list[range]:
-    """Index ranges of eigenvalues grouped by chaining gaps <= gap (ascending input)."""
-    groups, start = [], 0
-    for k in range(1, len(values) + 1):
-        if k == len(values) or values[k] - values[k - 1] > gap:
-            groups.append(range(start, k))
-            start = k
-    return groups
+def _clusters(w: np.ndarray, gap: float):
+    """(sizes, values) of the clusters of ascending eigenvalues in each row of ``w``.
 
-
-def _cluster_value(w: np.ndarray, idx: range) -> float:
-    """The point that stands for cluster ``idx`` of ``w``: its only value, or its mean."""
-    if len(idx) == 1:
-        return float(w[idx.start])
-    return float(np.mean(w[idx.start:idx.stop]))
+    A cluster chains neighbours at most ``gap`` apart; the clusters of all
+    rows come in order, their sizes as a list.  A cluster's value is its
+    only eigenvalue, or its mean, summed in order as ``np.mean`` sums fewer
+    than 8 values.
+    """
+    flat = w.ravel()
+    joined = w[..., 1:] - w[..., :-1] <= gap
+    if not np.count_nonzero(joined):  # every eigenvalue is a cluster of its own
+        return [1] * flat.size, flat
+    new = np.ones(w.shape, dtype=bool)
+    new[..., 1:] = ~joined
+    new = new.ravel()
+    labels = new.cumsum() - 1
+    sizes = np.bincount(labels)
+    values = np.bincount(labels, weights=flat) / sizes
+    np.copyto(values, flat[new], where=sizes == 1)  # keeps a lone -0.0
+    return sizes.tolist(), values
 
 
 def _matrix_function(a, f, gap: float) -> np.ndarray:
-    """V f(w) V^H for the matrix element a = V diag(w) V^H.
+    """V f(w) V^H for the matrix element a = V diag(w) V^H, stacked or not.
 
-    f (real or complex valued) is evaluated once per cluster of eigenvalues
-    chained by gaps <= ``gap``, at the cluster mean.
+    f maps an array of points to an array of real or complex values; it is
+    called once, on the values of all clusters of eigenvalues chained by gaps
+    <= ``gap``.
     """
     w, vecs = _eigen(a)
-    groups = _cluster(w.tolist(), gap)
-    values = [f(_cluster_value(w, idx)) for idx in groups]
-    coef = np.repeat(values, [len(idx) for idx in groups])
-    return (vecs * coef) @ vecs.conj().T
+    sizes, values = _clusters(w, gap)
+    coef = f(values)
+    if len(coef) < w.size:
+        coef = np.repeat(coef, sizes)
+    coef = coef.reshape(w.shape)
+    return (vecs * coef[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def _polar_unitary(g: np.ndarray) -> np.ndarray:
@@ -248,6 +261,10 @@ class _Backend:
         t_a = self.jordan_operator(a)
         return 2.0 * (t_a @ t_a) - self.jordan_operator(self.jordan(a, a))
 
+    def radii(self, *elems) -> list:
+        """The order-unit norm of each of ``elems``."""
+        return [_alg.order_unit_norm(x) for x in elems]
+
     def order_iso(self, alg, kind: str, rng):
         """(coordinate matrix, label) of a unital order isomorphism of the requested kind."""
         if kind not in _ORDER_ISOS:
@@ -269,10 +286,10 @@ def _quat_project(mat: np.ndarray, n: int) -> np.ndarray:
     """
     c = mat.conj()
     twin = np.empty_like(mat)
-    twin[:n, :n] = c[n:, n:]
-    twin[:n, n:] = -c[n:, :n]
-    twin[n:, :n] = -c[:n, n:]
-    twin[n:, n:] = c[:n, :n]
+    twin[..., :n, :n] = c[..., n:, n:]
+    twin[..., :n, n:] = -c[..., n:, :n]
+    twin[..., n:, :n] = -c[..., :n, n:]
+    twin[..., n:, n:] = c[..., :n, :n]
     return 0.5 * (mat + twin)
 
 
@@ -388,11 +405,21 @@ class _MatrixBackend(_Backend):
         m = self.unit * alg.size
         if mat.shape != (m, m):
             raise ConfigError(f"expected {m}x{m} matrix for {alg}, got {mat.shape}")
-        mat = 0.5 * (mat + mat.conj().T)
+        return self._hermitian(alg, mat)
+
+    def _hermitian(self, alg, mat: np.ndarray) -> np.ndarray:
+        """``mat`` (stacked or not) symmetrised, J-projected on quaternions, read-only."""
+        mat = 0.5 * (mat + mat.conj().swapaxes(-1, -2))
         if self.kind == KIND_QUAT:
             mat = _quat_project(mat, alg.size)
-        mat.setflags(write=False)
-        return mat
+        return _read_only(mat)
+
+    def _element(self, alg, mat: np.ndarray):
+        """Element of a matrix product, which is Hermitian only up to round-off."""
+        return _trusted(alg, self._hermitian(alg, mat))
+
+    def stack(self, alg, elems):
+        return _trusted(alg, _read_only(np.stack([x.data for x in elems])))
 
     # a real linear combination of exactly Hermitian (and J-symmetric) data
     # is exactly so again
@@ -406,34 +433,44 @@ class _MatrixBackend(_Backend):
         return _trusted(alg, _read_only(c * np.eye(self.matrix_order(alg), dtype=self.dtype)))
 
     def jordan(self, a, b):
-        return _alg.Element(a.algebra, 0.5 * (a.data @ b.data + b.data @ a.data))
+        return self._element(a.algebra, 0.5 * (a.data @ b.data + b.data @ a.data))
 
     def quadratic(self, a, b):
         # associative shortcut; equals the Jordan formula exactly
-        return _alg.Element(a.algebra, a.data @ b.data @ a.data)
+        return self._element(a.algebra, a.data @ b.data @ a.data)
 
     def inner(self, a, b) -> float:
         # vdot conjugates its first argument; tr(ab) = Re <a, b>_HS for Hermitian a, b
         val = float(np.real(np.vdot(a.data, b.data)))
         return 0.5 * val if self.kind == KIND_QUAT else val
 
-    def eigen_range(self, a) -> tuple[float, float]:
+    def eigen_range(self, a):
         w, _ = _eigen(a)
-        return float(w[0]), float(w[-1])
+        return w[..., 0], w[..., -1]
+
+    def radii(self, *elems) -> np.ndarray:
+        # one eigenvalue-only solve, the data broadcast to the first one's shape
+        first = elems[0].data
+        mats = np.empty((len(elems),) + first.shape, first.dtype)
+        for k, x in enumerate(elems):
+            mats[k] = x.data
+        w = _eigh(mats, vectors=False)
+        return np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
 
     def spectral_pairs(self, a, gap: float) -> list:
         alg = a.algebra
         w, vecs = _eigen(a)
-        pairs = []
-        for idx in _cluster(w.tolist(), gap):
-            cols = vecs[:, idx.start:idx.stop]
-            proj = _alg.Element(alg, cols @ cols.conj().T)
-            pairs.append((_cluster_value(w, idx), proj))
+        pairs, start = [], 0
+        sizes, values = _clusters(w, gap)
+        for size, lam in zip(sizes, values.tolist()):
+            cols = vecs[:, start:start + size]
+            pairs.append((lam, _alg.Element(alg, cols @ cols.conj().T)))
+            start += size
         pairs.reverse()
         return pairs
 
     def functional(self, a, f, gap: float):
-        return _alg.Element(a.algebra, _matrix_function(a, f, gap))
+        return self._element(a.algebra, _matrix_function(a, f, gap))
 
     def jordan_operator(self, a) -> np.ndarray:
         basis = _matrix_basis(a.algebra)
@@ -446,7 +483,7 @@ class _MatrixBackend(_Backend):
     def conjugate(self, a, x, f, gap: float):
         """m x m^H with m = f(a); f may be complex valued."""
         m = _matrix_function(a, f, gap)
-        return _alg.Element(a.algebra, m @ x.data @ m.conj().T)
+        return self._element(a.algebra, m @ x.data @ m.conj().swapaxes(-1, -2))
 
     def conjugation_operator(self, a, f, gap: float) -> np.ndarray:
         """Coordinate matrix of x -> m x m^H with m = f(a)."""
@@ -535,8 +572,10 @@ class _MatrixBackend(_Backend):
             for v in subspaces:
                 h = v.conj().T @ s.data @ v
                 w, vecs = _eigh(h)
-                for idx in _cluster(w.tolist(), gap):
-                    refined.append(v @ vecs[:, idx.start:idx.stop])
+                start = 0
+                for size in _clusters(w, gap)[0]:
+                    refined.append(v @ vecs[:, start:start + size])
+                    start += size
             subspaces = refined
         return [_alg.Element(alg, v @ v.conj().T) for v in subspaces]
 
@@ -545,16 +584,25 @@ class _MatrixBackend(_Backend):
 # Spin factors
 # ---------------------------------------------------------------------------
 
-def _spin_radius(a) -> tuple[np.ndarray, float, float]:
-    """(v, t, |v|) of a spin element; its eigenvalues are t +- |v|.
+def _spin_radius(a):
+    """(v, t, |v|) of a spin element, stacked or not; its eigenvalues are t +- |v|.
 
-    A NaN or infinite entry raises NumericalFailureError, as in ``_eigh``.
+    |v| is kept on the instance, as ``_eigen`` keeps (w, V).  A NaN or
+    infinite entry raises NumericalFailureError, as in ``_eigh``.
     """
     v, t = a.data
-    r = float(np.linalg.norm(v))
-    if not (math.isfinite(r) and math.isfinite(t)):
-        raise NumericalFailureError(_NON_FINITE)
+    r = a.__dict__.get("_radius")
+    if r is None:
+        r = np.sqrt(np.vecdot(v, v))
+        if np.count_nonzero(r * 0.0 + t * 0.0):  # 0 x is NaN for x NaN or infinite
+            raise NumericalFailureError(_NON_FINITE)
+        a.__dict__["_radius"] = r
     return v, t, r
+
+
+def _col(s) -> np.ndarray:
+    """Per-trial scalars ``s`` as a column that scales the rows of a stack of vectors."""
+    return np.asarray(s)[..., None]
 
 
 def _spin_directions(elems) -> list[np.ndarray]:
@@ -580,7 +628,7 @@ class _SpinBackend(_Backend):
     def normalise(self, alg, data):
         try:
             v, t = data
-            v, t = np.asarray(v, dtype=float), float(t)
+            v, t = np.array(v, dtype=float), float(t)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"expected a (vector, scalar) pair for {alg}: {exc}") from None
         if v.shape != (alg.size,):
@@ -598,9 +646,14 @@ class _SpinBackend(_Backend):
     def scalar(self, alg, c: float):
         return _trusted(alg, (_read_only(np.zeros(alg.size)), c))
 
+    def stack(self, alg, elems):
+        return _trusted(alg, (_read_only(np.stack([x.data[0] for x in elems])),
+                              _read_only(np.array([x.data[1] for x in elems]))))
+
     def jordan(self, a, b):
         (v, t), (w, s) = a.data, b.data
-        return _trusted(a.algebra, (_read_only(s * v + t * w), float(v @ w) + t * s))
+        vec = _col(s) * v + _col(t) * w
+        return _trusted(a.algebra, (_read_only(vec), np.vecdot(v, w) + t * s))
 
     def inner(self, a, b) -> float:
         (v, t), (w, s) = a.data, b.data
@@ -611,7 +664,7 @@ class _SpinBackend(_Backend):
         v, t = a.data
         return np.block([[t * np.eye(len(v)), v[:, None]], [v, t]])
 
-    def eigen_range(self, a) -> tuple[float, float]:
+    def eigen_range(self, a):
         _, t, r = _spin_radius(a)
         return t - r, t + r
 
@@ -623,16 +676,21 @@ class _SpinBackend(_Backend):
         vhat = v / r
         plus = _alg.Element(alg, (0.5 * vhat, 0.5))
         minus = _alg.Element(alg, (-0.5 * vhat, 0.5))
-        return [(t + r, plus), (t - r, minus)]
+        return [(float(t + r), plus), (float(t - r), minus)]
 
     def functional(self, a, f, gap: float):
-        """f(t + r) and f(t - r) on the two idempotents (+-v/2r, 1/2), r = |v|."""
-        alg = a.algebra
+        """f(t + r) and f(t - r) on the two idempotents (+-v/2r, 1/2), r = |v|.
+
+        Where 2r <= gap the element is t times the identity and f(t) is taken.
+        """
         v, t, r = _spin_radius(a)
-        if 2.0 * r <= gap:
-            return self.scalar(alg, f(t))
-        hi, lo = f(t + r), f(t - r)
-        return _alg.Element(alg, (0.5 * (hi - lo) * (v / r), 0.5 * (hi + lo)))
+        split = 2.0 * r > gap
+        dist = r * split
+        vals = f(np.array([t + dist, t - dist]))
+        hi, lo = vals[0], vals[1]
+        # v.T puts the trials of a stack last, where the per-trial scalars broadcast
+        vec = np.where(split, 0.5 * (hi - lo) * (v.T / (dist + ~split)), 0.0).T
+        return _trusted(a.algebra, (_read_only(np.ascontiguousarray(vec)), 0.5 * (hi + lo)))
 
     def random_element(self, alg, rng):
         return _alg.Element(alg, (rng.standard_normal(alg.size), float(rng.standard_normal())))
@@ -739,6 +797,10 @@ class _SumBackend(_Backend):
     def scalar(self, alg, c: float):
         return _trusted(alg, tuple(s._backend.scalar(s, c) for s in alg.summands))
 
+    def stack(self, alg, elems):
+        return _trusted(alg, tuple(s._backend.stack(s, [x.data[k] for x in elems])
+                                   for k, s in enumerate(alg.summands)))
+
     def jordan(self, a, b):
         return _trusted(a.algebra, _blockwise("jordan", (a, b)))
 
@@ -755,9 +817,12 @@ class _SumBackend(_Backend):
     def inner(self, a, b) -> float:
         return sum(_blockwise("inner", (a, b)))
 
-    def eigen_range(self, a) -> tuple[float, float]:
-        ranges = _blockwise("eigen_range", (a,))
-        return min(r[0] for r in ranges), max(r[1] for r in ranges)
+    def eigen_range(self, a):
+        los, his = zip(*_blockwise("eigen_range", (a,)))
+        return reduce(np.minimum, los), reduce(np.maximum, his)
+
+    def radii(self, *elems) -> list:
+        return [reduce(np.maximum, norms) for norms in zip(*_blockwise("radii", elems))]
 
     def functional(self, a, f, gap: float):
         return _trusted(a.algebra, _blockwise("functional", (a,), f, gap))
@@ -776,9 +841,10 @@ class _SumBackend(_Backend):
             for lam, p in pairs:
                 entries.append((lam, bi, p, _alg.trace(p)))
         entries.sort(key=lambda e: e[0])
-        pairs = []
-        for idx in _cluster([e[0] for e in entries], gap):
-            chosen = [entries[i] for i in idx]
+        pairs, start = [], 0
+        for size in _clusters(np.array([e[0] for e in entries]), gap)[0]:
+            chosen = entries[start:start + size]
+            start += size
             blocks = [_alg.zero(s) for s in alg.summands]
             for _, bi, p, _ in chosen:
                 blocks[bi] = blocks[bi] + p

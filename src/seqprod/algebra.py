@@ -14,7 +14,10 @@ radius.  All values are immutable and every operation is a pure function,
 so elements and maps can be shared freely between threads.  An element's
 eigen-data is computed on first use and kept on the instance; it is
 written once and derived only from the immutable data (a race between
-threads computes the same value twice), so the operations stay pure.
+threads computes the same value twice), so the operations stay pure.  A
+descriptor keeps its identity and zero the same way.  Elements *stacked* by
+the backends hold k trials on a leading axis; arithmetic, ``seq_product``,
+the eigenvalue range and ``rel_residual`` return one value per trial.
 """
 
 from __future__ import annotations
@@ -166,12 +169,20 @@ def check_same_algebra(*items) -> AlgebraDescriptor:
     return alg
 
 
+def _scalar(alg: AlgebraDescriptor, name: str, c: float) -> Element:
+    """The read-only scalar ``c`` of ``alg``, built once and kept on the descriptor."""
+    x = alg.__dict__.get(name)
+    if x is None:
+        x = alg.__dict__[name] = alg._backend.scalar(alg, c)
+    return x
+
+
 def identity(alg: AlgebraDescriptor) -> Element:
-    return alg._backend.scalar(alg, 1.0)
+    return _scalar(alg, "_identity", 1.0)
 
 
 def zero(alg: AlgebraDescriptor) -> Element:
-    return alg._backend.scalar(alg, 0.0)
+    return _scalar(alg, "_zero", 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +209,7 @@ def trace(a: Element) -> float:
 
 
 def eigenvalue_range(a: Element) -> tuple[float, float]:
-    """(smallest, largest) eigenvalue."""
+    """(smallest, largest) eigenvalue; per trial for a stacked element."""
     return a.algebra._backend.eigen_range(a)
 
 
@@ -209,26 +220,31 @@ def min_eigenvalue(a: Element) -> float:
 def order_unit_norm(a: Element) -> float:
     """Spectral radius: max |eigenvalue|."""
     lo, hi = eigenvalue_range(a)
-    return max(abs(lo), abs(hi))
+    return np.maximum(abs(lo), abs(hi))
 
 
 def rel_residual(x: Element, y: Element) -> float:
-    """||x - y|| divided by max(1, ||x||, ||y||)."""
-    return order_unit_norm(x - y) / max(1.0, order_unit_norm(x), order_unit_norm(y))
+    """||x - y|| divided by max(1, ||x||, ||y||).
+
+    One eigenvalue-only solve per matrix block of the stacked (x - y, x, y);
+    the eigen-data of x and y is neither read nor kept.
+    """
+    diff, nx, ny = x.algebra._backend.radii(x - y, x, y)
+    return diff / np.maximum(1.0, np.maximum(nx, ny))
 
 
 def is_positive(a: Element, tol: float = SUPPORT_TOL) -> bool:
-    return min_eigenvalue(a) >= -tol
+    return bool(min_eigenvalue(a) >= -tol)
 
 
 def is_effect(a: Element, tol: float = SUPPORT_TOL) -> bool:
     lo, hi = eigenvalue_range(a)
-    return lo >= -tol and hi <= 1.0 + tol
+    return bool(lo >= -tol and hi <= 1.0 + tol)
 
 
 def leq(a: Element, b: Element, tol: float = SUPPORT_TOL) -> bool:
     """a <= b in the positive order (ties at the tolerance count as <=)."""
-    return min_eigenvalue(b - a) >= -tol
+    return bool(min_eigenvalue(b - a) >= -tol)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +280,9 @@ class LinearMap:
 
     def __post_init__(self):
         d = self.algebra.real_dimension
-        mat = np.asarray(self.matrix, dtype=float)
+        # an own C-ordered copy: a caller's array stays writable, and a map
+        # read back from JSON multiplies exactly as the original does
+        mat = np.array(self.matrix, dtype=float, order="C")
         if mat.shape != (d, d):
             raise ConfigError(f"expected {d}x{d} map matrix for {self.algebra}")
         mat.setflags(write=False)

@@ -7,6 +7,14 @@ residual exceeds the row tolerance; the first failing trial's inputs are
 serialized as a witness, so any reported violation can be replayed
 standalone through the module operations.
 
+SEA1-SEA5 and SCALAR_LINEARITY run in chunks of 64 trials: each trial is
+generated as for every law, then the chunk is stacked on a leading axis and
+one evaluator call returns a residual per trial.  The first trial of the
+chunk over the tolerance gives the verdict, so verdicts, maximal residuals
+and witnesses are those of trial-by-trial evaluation, bit for bit.  A chunk
+that raises is redone trial by trial, so an error surfaces at its own trial
+and only if no earlier trial fails; a witness replays as a stack of one.
+
 Expected-fail rows turn the suite into a two-sided oracle: the twisted
 products are expected to break invariance under the transpose
 isomorphism, symmetry of the trace inner product, and invertibility
@@ -19,6 +27,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
 
 import numpy as np
 
@@ -124,6 +133,11 @@ LAW_DEFAULTS: dict[LawId, tuple[int, float]] = {
     LawId.QUADRATIC_LAW: (50, 1e-8),
     LawId.THETA_STRUCTURE: (25, 1e-7),
 }
+
+#: laws evaluated on stacks of up to _CHUNK trials at once
+_STACKED = frozenset({LawId.SEA1, LawId.SEA2, LawId.SEA3, LawId.SEA4, LawId.SEA5,
+                      LawId.SCALAR_LINEARITY})
+_CHUNK = 64
 
 #: reference algebras covered by the default suite
 REFERENCE_ALGEBRAS = ("real:4", "complex:4", "quat:3", "spin:5", "sum(complex:2,real:3)")
@@ -309,6 +323,11 @@ def _gen_theta(rng, p, alg, trial, params):
 # Law evaluations (residual from inputs alone)
 # ---------------------------------------------------------------------------
 
+def _worst(*residuals):
+    """The largest residual, per trial; NaN if any is (the builtin max drops a later NaN)."""
+    return reduce(np.maximum, residuals)
+
+
 def _ev_sea1(p, alg, inp):
     a, b, c = inp["a"], inp["b"], inp["c"]
     return rel_residual(seq_product(p, a, b + c), seq_product(p, a, b) + seq_product(p, a, c))
@@ -320,13 +339,13 @@ def _ev_sea2(p, alg, inp):
 
 def _ev_sea3(p, alg, inp):
     a, b = inp["a"], inp["b"]
-    return max(order_unit_norm(seq_product(p, a, b)), order_unit_norm(seq_product(p, b, a)))
+    return _worst(order_unit_norm(seq_product(p, a, b)), order_unit_norm(seq_product(p, b, a)))
 
 
 def _ev_sea4(p, alg, inp):
     a, b, c = inp["a"], inp["b"], inp["c"]
     b_perp = identity(alg) - b
-    return max(
+    return _worst(
         rel_residual(seq_product(p, a, b), seq_product(p, b, a)),
         rel_residual(seq_product(p, a, b_perp), seq_product(p, b_perp, a)),
         rel_residual(seq_product(p, a, seq_product(p, b, c)),
@@ -336,7 +355,7 @@ def _ev_sea4(p, alg, inp):
 def _ev_sea5(p, alg, inp):
     c, a, b = inp["c"], inp["a"], inp["b"]
     ab = seq_product(p, a, b)
-    return max(
+    return _worst(
         rel_residual(seq_product(p, c, a), seq_product(p, a, c)),
         rel_residual(seq_product(p, c, b), seq_product(p, b, c)),
         rel_residual(seq_product(p, c, ab), seq_product(p, ab, c)),
@@ -348,35 +367,35 @@ def _ev_scalar(p, alg, inp):
     ab = seq_product(p, a, b)
     worst = 0.0
     for lam in (0.0, 0.25, 0.5, 1.0):
-        worst = max(worst,
-                    rel_residual(seq_product(p, a * lam, b), ab * lam),
-                    rel_residual(seq_product(p, a, b * lam), ab * lam))
+        worst = _worst(worst,
+                       rel_residual(seq_product(p, a * lam, b), ab * lam),
+                       rel_residual(seq_product(p, a, b * lam), ab * lam))
     return worst
 
 
 def _ev_product_le(p, alg, inp):
     a, b = inp["a"], inp["b"]
-    return max(0.0, -min_eigenvalue(a - seq_product(p, a, b)))
+    return _worst(0.0, -min_eigenvalue(a - seq_product(p, a, b)))
 
 
 def _ev_monotone(p, alg, inp):
     a, b, c = inp["a"], inp["b"], inp["c"]
-    hyp = max(0.0, -min_eigenvalue(b - a))
-    return max(hyp, -min_eigenvalue(seq_product(p, c, b) - seq_product(p, c, a)), 0.0)
+    hyp = _worst(0.0, -min_eigenvalue(b - a))
+    return _worst(hyp, -min_eigenvalue(seq_product(p, c, b) - seq_product(p, c, a)), 0.0)
 
 
 def _ev_sharp(p, alg, inp):
     proj, a_up, a_dn, a_neg = inp["p"], inp["a_up"], inp["a_dn"], inp["a_neg"]
-    res = max(
+    res = _worst(
         rel_residual(seq_product(p, proj, a_up), proj),
         rel_residual(seq_product(p, a_up, proj), proj),
         rel_residual(seq_product(p, proj, a_dn), a_dn),
         rel_residual(seq_product(p, a_dn, proj), a_dn),
-        max(0.0, -min_eigenvalue(a_up - proj)),
-        max(0.0, -min_eigenvalue(proj - a_dn)))
+        _worst(0.0, -min_eigenvalue(a_up - proj)),
+        _worst(0.0, -min_eigenvalue(proj - a_dn)))
     # two-sided: p <= a_neg fails, so p o a_neg must stay away from p
     if order_unit_norm(seq_product(p, proj, a_neg) - proj) < 0.05:
-        res = max(res, 1.0)
+        res = _worst(res, 1.0)
     return res
 
 
@@ -387,10 +406,10 @@ def _ev_floor(p, alg, inp):
     monotone = 0.0
     for _ in range(6):
         nxt = seq_product(p, power, power)
-        monotone = max(monotone, -min_eigenvalue(power - nxt), 0.0)
+        monotone = _worst(monotone, -min_eigenvalue(power - nxt), 0.0)
         power = nxt
     sharpness = order_unit_norm(jordan_product(fl, fl) - fl)
-    return max(rel_residual(power, fl), monotone, sharpness)
+    return _worst(rel_residual(power, fl), monotone, sharpness)
 
 
 def _ev_dyadic(p, alg, inp):
@@ -399,16 +418,16 @@ def _ev_dyadic(p, alg, inp):
     worst = 0.0
     prev = None
     for m, q in enumerate(approx, start=1):
-        worst = max(worst, order_unit_norm(a - q) - 2.0 ** (1 - m))
-        worst = max(worst, -min_eigenvalue(a - q))
+        worst = _worst(worst, order_unit_norm(a - q) - 2.0 ** (1 - m))
+        worst = _worst(worst, -min_eigenvalue(a - q))
         if prev is not None:
-            worst = max(worst, -min_eigenvalue(q - prev))
+            worst = _worst(worst, -min_eigenvalue(q - prev))
         prev = q
         # eigenvalues sit on the grid l/2^m
         n = 2 ** m
         for lam in spectral_decompose(q).eigenvalues:
-            worst = max(worst, abs(lam * n - round(lam * n)) / n)
-    return max(worst, 0.0)
+            worst = _worst(worst, abs(lam * n - round(lam * n)) / n)
+    return _worst(worst, 0.0)
 
 
 def _ev_spectral_recon(p, alg, inp):
@@ -422,15 +441,15 @@ def _ev_spectral_recon(p, alg, inp):
     frame_sum = None
     for proj in dec.idempotents:
         frame_sum = proj if frame_sum is None else frame_sum + proj
-        worst = max(worst, order_unit_norm(jordan_product(proj, proj) - proj))
-    worst = max(worst, order_unit_norm(frame_sum - identity(alg)))
+        worst = _worst(worst, order_unit_norm(jordan_product(proj, proj) - proj))
+    worst = _worst(worst, order_unit_norm(frame_sum - identity(alg)))
     idem = dec.idempotents
     for i in range(len(idem)):
         for j in range(i + 1, len(idem)):
-            worst = max(worst, order_unit_norm(jordan_product(idem[i], idem[j])))
+            worst = _worst(worst, order_unit_norm(jordan_product(idem[i], idem[j])))
     eigs = dec.eigenvalues
     if any(eigs[i] <= eigs[i + 1] for i in range(len(eigs) - 1)):
-        worst = max(worst, 1.0)
+        worst = _worst(worst, 1.0)
     return worst
 
 
@@ -442,7 +461,7 @@ def _ev_fundamental(p, alg, inp):
     rhs = q_a.compose(q_b).compose(q_a)
     square_law = map_distance(q_a.compose(q_a),
                               quadratic_operator(jordan_product(a, a)))
-    return max(map_distance(lhs, rhs), square_law)
+    return _worst(map_distance(lhs, rhs), square_law)
 
 
 def _ev_commute_equiv(p, alg, inp):
@@ -461,11 +480,11 @@ def _ev_commute_equiv(p, alg, inp):
 
 def _ev_self_duality(p, alg, inp):
     x, y, a = inp["x"], inp["y"], inp["a"]
-    worst = max(0.0, -trace_inner_product(x, y))
+    worst = _worst(0.0, -trace_inner_product(x, y))
     dec = spectral_decompose(a)
     lam, witness = min(dec.pairs, key=lambda pair: pair[0])
     if lam >= -SUPPORT_TOL or trace_inner_product(a, witness) >= -1e-10:
-        worst = max(worst, 1.0)
+        worst = _worst(worst, 1.0)
     return worst
 
 
@@ -475,13 +494,13 @@ def _ev_homogeneity(p, alg, inp):
     std = SequentialProduct.standard(alg)
     phi_inv = multiplication_operator(std, a).compose(
         multiplication_operator(std, pseudo_inverse(b)))
-    worst = max(rel_residual(phi.apply(a), b),
-                map_distance(phi.compose(phi_inv), LinearMap.identity(alg)))
+    worst = _worst(rel_residual(phi.apply(a), b),
+                   map_distance(phi.compose(phi_inv), LinearMap.identity(alg)))
     for key in ("s0", "s1", "s2", "s3", "s4"):
         sample = inp[key]
-        worst = max(worst,
-                    -min_eigenvalue(phi.apply(sample)),
-                    -min_eigenvalue(phi_inv.apply(sample)), 0.0)
+        worst = _worst(worst,
+                       -min_eigenvalue(phi.apply(sample)),
+                       -min_eigenvalue(phi_inv.apply(sample)), 0.0)
     return worst
 
 
@@ -489,16 +508,16 @@ def _ev_pseudo_inverse(p, alg, inp):
     b = inp["b"]
     b_inv = pseudo_inverse(b)
     ceil = ceiling_effect(b)
-    return max(rel_residual(seq_product(p, b, b_inv), ceil),
-               rel_residual(ceiling_effect(b_inv), ceil),
-               max(0.0, -min_eigenvalue(b_inv)))
+    return _worst(rel_residual(seq_product(p, b, b_inv), ceil),
+                  rel_residual(ceiling_effect(b_inv), ceil),
+                  _worst(0.0, -min_eigenvalue(b_inv)))
 
 
 def _ev_divide(p, alg, inp):
     q, a = inp["q"], inp["a"]
     c = divide(p, q, a)
-    return max(rel_residual(seq_product(p, q, c), a),
-               max(0.0, -min_eigenvalue(ceiling_effect(q) - c)))
+    return _worst(rel_residual(seq_product(p, q, c), a),
+                  _worst(0.0, -min_eigenvalue(ceiling_effect(q) - c)))
 
 
 def _ev_invariance(p, alg, inp):
@@ -536,14 +555,14 @@ def _ev_theta(p, alg, inp):
     th_q = theta_between(std, p, q)
     worst = rel_residual(th_q.apply(identity(alg)), identity(alg))
     if not p.is_standard:
-        worst = max(worst, map_distance(th_q, imaginary_power_conjugation(q, p.twist)))
+        worst = _worst(worst, map_distance(th_q, imaginary_power_conjugation(q, p.twist)))
     th_a = theta_between(std, p, a)
     th_b = theta_between(std, p, b)
     th_ab = theta_between(std, p, seq_product(std, a, b))
-    worst = max(worst,
-                map_distance(th_ab, th_a.compose(th_b)),
-                map_distance(th_a.compose(th_b), th_b.compose(th_a)),
-                map_distance(theta_between(std, p, pseudo_inverse(a)), th_a.invert()))
+    worst = _worst(worst,
+                   map_distance(th_ab, th_a.compose(th_b)),
+                   map_distance(th_a.compose(th_b), th_b.compose(th_a)),
+                   map_distance(theta_between(std, p, pseudo_inverse(a)), th_a.invert()))
     return worst
 
 
@@ -707,6 +726,37 @@ class AuditReport:
 # Execution
 # ---------------------------------------------------------------------------
 
+def _residuals(law: LawId, product, alg, inputs: list[dict]) -> list[float]:
+    """The residual of each listed trial: one stack for a stacked law, else one by one."""
+    evaluate = _REGISTRY[law][1]
+    if law not in _STACKED:
+        return [float(evaluate(product, alg, inp)) for inp in inputs]
+    stacked = {key: alg._backend.stack(alg, [inp[key] for inp in inputs]) for key in inputs[0]}
+    return np.broadcast_to(evaluate(product, alg, stacked), len(inputs)).tolist()
+
+
+def _trial_residuals(law: LawId, product, alg, trials: int, draw):
+    """(trial, inputs, residual) in trial order, with ``draw(i)`` making the inputs.
+
+    A stacked law takes _CHUNK trials at a time, and redoes a chunk that
+    raises trial by trial, so the error surfaces at its own trial.
+    """
+    size = _CHUNK if law in _STACKED else 1
+    for first in range(0, trials, size):
+        chunk = range(first, min(first + size, trials))
+        try:
+            inputs = [draw(i) for i in chunk]
+            residuals = _residuals(law, product, alg, inputs)
+        except Exception:  # whatever it is, the redo below raises it again in order
+            if len(chunk) == 1:
+                raise
+            for i in chunk:
+                inputs = draw(i)
+                yield i, inputs, _residuals(law, product, alg, [inputs])[0]
+            continue
+        yield from zip(chunk, inputs, residuals)
+
+
 def audit_law(law: LawId | str, product: SequentialProduct, alg: AlgebraDescriptor,
               trials: int, seed: int, tol: float, params: dict | None = None,
               expected: str = "pass") -> AuditEntry:
@@ -721,16 +771,17 @@ def audit_law(law: LawId | str, product: SequentialProduct, alg: AlgebraDescript
         raise ConfigError(f"{law.value} on {alg}: trials must be at least 1, got {trials}")
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"{law.value} on {alg}: tol must be finite and positive, got {tol}")
-    generate, evaluate = _REGISTRY[law]
+    generate = _REGISTRY[law][0]
     ordinal = _LAW_ORDINAL[law]
+
+    def draw(i: int) -> dict:
+        return generate(np.random.default_rng((seed, ordinal, i)), product, alg, i, params or {})
+
     start = time.perf_counter()
     max_residual = 0.0
     witness = None
     verdict = "pass"
-    for i in range(trials):
-        rng = np.random.default_rng((seed, ordinal, i))
-        inputs = generate(rng, product, alg, i, params or {})
-        residual = float(evaluate(product, alg, inputs))
+    for i, inputs, residual in _trial_residuals(law, product, alg, trials, draw):
         max_residual = max(max_residual, residual)
         if not residual <= tol:  # a NaN residual fails too
             witness = {"trial": i, "residual": residual,
@@ -753,8 +804,7 @@ def replay_witness(law: LawId | str, product_desc: str, algebra_desc: str,
     alg = parse_algebra(algebra_desc)
     product = parse_product(product_desc, alg)
     inputs = serialize.inputs_from_json(witness["inputs"])
-    _, evaluate = _REGISTRY[law]
-    return float(evaluate(product, alg, inputs))
+    return _residuals(law, product, alg, [inputs])[0]
 
 
 def _row_seed(config_seed: int, index: int, row: SuiteRow) -> int:

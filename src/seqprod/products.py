@@ -18,6 +18,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algebra import (
     SUPPORT_TOL,
     AlgebraDescriptor,
@@ -85,8 +87,10 @@ def parse_product(text: str, alg: AlgebraDescriptor) -> SequentialProduct:
 
 
 def _twisted_power(t: float, root: bool):
-    """The scalar function of m in x -> m x m^H: m = sqrt(a) a^{it} if ``root`` else a^{it}.
+    """The function of m in x -> m x m^H: m = sqrt(a) a^{it} if ``root`` else a^{it}.
 
+    It maps an array of eigenvalues to complex values, each computed with
+    ``math`` and ``cmath`` (numpy's log and exp can differ in the last bit).
     The phase is taken on the support of a.  Off it m is 0 with ``root``, so
     the square root annihilates the kernel (spectrum <= support threshold)
     as in sqrt_pos, and 1 without it.
@@ -97,7 +101,7 @@ def _twisted_power(t: float, root: bool):
         phase = cmath.exp(1j * t * math.log(lam))
         return math.sqrt(lam) * phase if root else phase
 
-    return power
+    return lambda lams: np.array([power(lam) for lam in lams.tolist()], dtype=complex)
 
 
 def _check_product_algebra(p: SequentialProduct, a: Element):
@@ -129,7 +133,7 @@ def multiplication_operator(p: SequentialProduct, a: Element) -> LinearMap:
 
 def commutes(p: SequentialProduct, a: Element, b: Element, tol: float = 1e-8) -> bool:
     """True iff ||a o b - b o a|| <= tol."""
-    return order_unit_norm(seq_product(p, a, b) - seq_product(p, b, a)) <= tol
+    return bool(order_unit_norm(seq_product(p, a, b) - seq_product(p, b, a)) <= tol)
 
 
 def divide(p: SequentialProduct, q: Element, a: Element) -> Element:

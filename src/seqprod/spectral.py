@@ -7,8 +7,9 @@ functional calculus can evaluate f(0)).  Eigenvalues closer than the
 clustering gap are merged into one idempotent, which keeps the projections
 numerically exact when a degenerate eigenvalue is split by solver noise.
 
-The square root, floor, ceiling, pseudo-inverse and dyadic approximants are
-each one functional_calculus call with a threshold function.
+The square root, floor, ceiling and pseudo-inverse each apply a threshold
+function on arrays, so they also take stacked elements; the dyadic
+approximants are functional_calculus calls with a scalar function.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algebra import (
     SUPPORT_TOL,
     AlgebraDescriptor,
     Element,
     is_effect,
-    is_positive,
     jordan_product,
     min_eigenvalue,
     order_unit_norm,
@@ -76,7 +78,15 @@ def functional_calculus(a: Element, f, gap: float = DEFAULT_GAP) -> Element:
             raise DomainError(f"function not finite at eigenvalue {lam!r}")
         return val
 
-    return a.algebra._backend.functional(a, checked, gap)
+    def on_points(lams: np.ndarray) -> np.ndarray:
+        return np.array([checked(lam) for lam in lams.ravel().tolist()]).reshape(lams.shape)
+
+    return a.algebra._backend.functional(a, on_points, gap)
+
+
+def _threshold(a: Element, f) -> Element:
+    """f(a) at the default gap for an array function f that is finite on finite input."""
+    return a.algebra._backend.functional(a, f, DEFAULT_GAP)
 
 
 def sqrt_pos(a: Element) -> Element:
@@ -87,30 +97,32 @@ def sqrt_pos(a: Element) -> Element:
     negative round-off is clamped.  The root therefore lives exactly on
     the support projection, and ||sqrt(a)*sqrt(a) - a|| <= 1e-9.
     """
-    if not is_positive(a, SUPPORT_TOL):
+    lo = min_eigenvalue(a)
+    if np.count_nonzero(~(lo >= -SUPPORT_TOL)):
         raise PreconditionError(
-            f"square root needs a positive element; min eigenvalue {min_eigenvalue(a):.3e}")
-    return functional_calculus(a, lambda x: math.sqrt(x) if x > SUPPORT_TOL else 0.0)
+            f"square root needs a positive element; min eigenvalue {np.min(lo):.3e}")
+    return _threshold(a, lambda x: np.sqrt(np.where(x > SUPPORT_TOL, x, 0.0)))
 
 
 def floor_effect(a: Element) -> Element:
     """Largest sharp effect below a: the eigenvalue-1 spectral projection."""
-    return functional_calculus(a, lambda x: 1.0 if x >= 1.0 - FLOOR_TOL else 0.0)
+    return _threshold(a, lambda x: (x >= 1.0 - FLOOR_TOL).astype(float))
 
 
 def ceiling_effect(a: Element) -> Element:
     """Smallest sharp effect above a: the support projection."""
-    return functional_calculus(a, lambda x: 1.0 if x > SUPPORT_TOL else 0.0)
+    return _threshold(a, lambda x: (x > SUPPORT_TOL).astype(float))
 
 
 def is_sharp(a: Element, tol: float = SUPPORT_TOL) -> bool:
     """True iff a*a = a within tol (order-unit norm)."""
-    return order_unit_norm(jordan_product(a, a) - a) <= tol
+    return bool(order_unit_norm(jordan_product(a, a) - a) <= tol)
 
 
 def pseudo_inverse(b: Element) -> Element:
     """Positive c with b o c = c o b = ceiling(b); inverts the support spectrum."""
-    return functional_calculus(b, lambda x: 1.0 / x if x > SUPPORT_TOL else 0.0)
+    # True / x is 1.0 / x, False / 1.0 is 0.0
+    return _threshold(b, lambda x: (x > SUPPORT_TOL) / np.where(x > SUPPORT_TOL, x, 1.0))
 
 
 def dyadic_approximation(a: Element, n_max: int) -> list[Element]:

@@ -104,6 +104,25 @@ def test_matrix_data_of_the_wrong_shape():
         sp.Element(sp.real_symmetric(2), [1.0, 2.0])
 
 
+def test_spin_element_keeps_its_own_copy_of_the_vector():
+    v = np.zeros(3)
+    x = sp.Element(sp.spin_factor(3), (v, 1.0))
+    v[0] = 1.0  # the caller's vector stays writable
+    assert x.data[0].tolist() == [0.0, 0.0, 0.0]
+    assert not x.data[0].flags.writeable
+
+
+def test_linear_map_keeps_its_own_copy_of_the_matrix():
+    alg = sp.real_symmetric(2)
+    m = np.eye(3)
+    f = sp.LinearMap(alg, m)
+    m[0, 0] = 2.0  # the caller's matrix stays writable
+    assert f.matrix[0, 0] == 1.0
+    assert not f.matrix.flags.writeable
+    strided = np.eye(6)[::2, ::2]
+    assert sp.LinearMap(alg, strided).matrix.flags.c_contiguous
+
+
 def test_mult_operator_of_unit_is_identity(algebra):
     t_one = sp.jordan_mult_operator(sp.identity(algebra))
     assert map_distance(t_one, sp.LinearMap.identity(algebra)) <= 1e-12
@@ -243,6 +262,14 @@ def test_is_positive_is_effect_examples():
     assert not sp.is_positive(sp.Element(alg, np.diag([0.5, -0.1])), 1e-9)
     assert sp.is_effect(sp.Element(alg, np.diag([0.3, 1.0])), 1e-9)
     assert not sp.is_effect(sp.Element(alg, np.diag([0.3, 1.1])), 1e-9)
+
+
+def test_predicates_return_python_bools(algebra):
+    a, b = sp.random_effect(algebra, 21), sp.random_effect(algebra, 22)
+    p = sp.SequentialProduct.standard(algebra)
+    for value in (sp.is_positive(a), sp.is_effect(a), sp.leq(a, b), sp.is_sharp(a),
+                  sp.commutes(p, a, b)):
+        assert type(value) is bool
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import seqprod as sp
 from seqprod import auditor
@@ -67,7 +69,25 @@ def test_witness_replay_matches_reported_residual():
                           sp.parse_algebra("complex:3"), 10, 11, 1e-3, params=params)
         assert entry.witness is not None
         replayed = replay_witness(law, entry.product, entry.algebra, entry.witness)
-        assert abs(replayed - entry.witness["residual"]) <= 0.01 * entry.witness["residual"]
+        assert replayed == entry.witness["residual"]
+
+
+REPLAY_ROWS = ([("standard", short) for short in REFERENCE_ALGEBRAS]
+               + [("twisted:0.5", "complex:3"), ("twisted:1.0", "complex:3")])
+
+
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2 ** 31 - 1), trials=st.integers(2, 3))
+def test_every_witness_replays_exactly(seed, trials):
+    # a tolerance this small turns every non-zero residual into a witness
+    for desc, short in REPLAY_ROWS:
+        alg = sp.parse_algebra(short)
+        product = sp.parse_product(desc, alg)
+        for law in ALL_LAWS:
+            entry = audit_law(law, product, alg, trials, seed, 1e-300)
+            if entry.witness is not None:
+                replayed = replay_witness(law, entry.product, entry.algebra, entry.witness)
+                assert replayed == entry.witness["residual"], (law, desc, short)
 
 
 def test_audit_law_deterministic():

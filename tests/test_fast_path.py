@@ -6,7 +6,7 @@ import pytest
 
 import seqprod as sp
 from seqprod._backends import _quat_project
-from seqprod.algebra import Element, eigenvalue_range
+from seqprod.algebra import Element, eigenvalue_range, trace
 
 from conftest import ALGEBRA_SHORTHANDS
 
@@ -44,6 +44,22 @@ def test_arithmetic_results_are_read_only_and_already_normal(short):
         results.append(sp.jordan_product(a, b))  # exact only on spin factors
     for x in results:
         _assert_trusted(x)
+
+
+@pytest.mark.parametrize("short", ALGEBRA_SHORTHANDS)
+def test_identity_and_zero_are_built_once_per_descriptor(short):
+    alg = sp.parse_algebra(short)
+    one, nil = sp.identity(alg), sp.zero(alg)
+    assert sp.identity(alg) is one and sp.zero(alg) is nil
+    _assert_trusted(one)
+    _assert_trusted(nil)
+    # trace reads the kept identity and gives what a fresh one gives
+    fresh = alg._backend.scalar(alg, 1.0)
+    for x in (sp.random_effect(alg, 38), one, nil):
+        assert trace(x) == sp.trace_inner_product(x, fresh)
+    assert trace(one) == {"real:3": 3, "complex:3": 3, "quat:2": 2, "spin:4": 2,
+                             "sum(complex:2,real:3)": 5}[short]
+    assert trace(nil) == 0.0
 
 
 def test_spin_jordan_products_are_already_normal():

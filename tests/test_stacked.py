@@ -1,0 +1,286 @@
+"""Trial-stacked evaluation of SEA1-SEA5 and SCALAR_LINEARITY.
+
+A stack of trials must give exactly the residuals, verdicts, maximal
+residuals, witnesses and errors of evaluating the trials one by one.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import seqprod as sp
+from seqprod import auditor
+from seqprod._backends import _clusters
+from seqprod.algebra import eigenvalue_range, rel_residual
+from seqprod.auditor import REFERENCE_ALGEBRAS, LawId, audit_law, replay_witness
+
+from conftest import ALGEBRA_SHORTHANDS
+
+STACKED_LAWS = [LawId.SEA1, LawId.SEA2, LawId.SEA3, LawId.SEA4, LawId.SEA5,
+                LawId.SCALAR_LINEARITY]
+ROWS = ([("standard", short) for short in REFERENCE_ALGEBRAS]
+        + [("twisted:0.5", "complex:3"), ("twisted:1.0", "complex:3")])
+
+
+def _row(desc, short):
+    alg = sp.parse_algebra(short)
+    return sp.parse_product(desc, alg), alg
+
+
+def _inputs(law, product, alg, trials, seed):
+    """The inputs audit_law draws for trials 0 .. trials - 1 of a row with ``seed``."""
+    generate = auditor._REGISTRY[law][0]
+    ordinal = auditor._LAW_ORDINAL[law]
+    return [generate(np.random.default_rng((seed, ordinal, i)), product, alg, i, {})
+            for i in range(trials)]
+
+
+def _entry(law, product, alg, trials, seed, tol):
+    entry = audit_law(law, product, alg, trials, seed, tol).to_json()
+    entry.pop("elapsed_ms")
+    return entry
+
+
+def _arrays(x):
+    """Every array an element stores, direct sums flattened in summand order."""
+    if x.algebra.summands:
+        return [arr for blk in x.data for arr in _arrays(blk)]
+    if isinstance(x.data, tuple):
+        v, t = x.data
+        return [v, np.asarray(t, dtype=float)]
+    return [x.data]
+
+
+def _trial_bits(x, k):
+    return [arr[k].tobytes() for arr in _arrays(x)]
+
+
+def _single_bits(x):
+    return [arr.tobytes() for arr in _arrays(x)]
+
+
+# ---------------------------------------------------------------------------
+# residuals and audit entries
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("law", STACKED_LAWS)
+@pytest.mark.parametrize("desc, short", ROWS)
+def test_a_stack_of_64_trials_gives_the_per_trial_residuals(law, desc, short):
+    product, alg = _row(desc, short)
+    inputs = _inputs(law, product, alg, 64, seed=5)
+    evaluate = auditor._REGISTRY[law][1]
+    stacked = auditor._residuals(law, product, alg, inputs)
+    assert stacked == [float(evaluate(product, alg, inp)) for inp in inputs]
+    # a stack of one, as replay_witness evaluates it
+    assert stacked[::9] == [auditor._residuals(law, product, alg, [inp])[0]
+                            for inp in inputs[::9]]
+
+
+@pytest.mark.parametrize("law", STACKED_LAWS)
+@pytest.mark.parametrize("desc, short", ROWS)
+def test_audit_entries_do_not_depend_on_the_chunk_size(law, desc, short, monkeypatch):
+    product, alg = _row(desc, short)
+    chunked = _entry(law, product, alg, 66, 3, 1e-8)
+    monkeypatch.setattr(auditor, "_CHUNK", 1)
+    assert _entry(law, product, alg, 66, 3, 1e-8) == chunked
+
+
+# SEA2's residual is exactly 0 on these rows, so no positive tolerance breaks it
+@pytest.mark.parametrize("law", [law for law in STACKED_LAWS if law is not LawId.SEA2])
+@pytest.mark.parametrize("short", ["real:4", "sum(complex:2,real:3)"])
+def test_a_tolerance_first_broken_mid_chunk_gives_the_per_trial_verdict(law, short,
+                                                                          monkeypatch):
+    product, alg = _row("standard", short)
+    residuals = auditor._residuals(law, product, alg, _inputs(law, product, alg, 64, seed=8))
+    worst = int(np.argmax(residuals))
+    assert 0 < worst < 63
+    tol = max(residuals[:worst])  # every trial before the worst one passes
+    chunked = _entry(law, product, alg, 100, 8, tol)
+    assert chunked["verdict"] == "fail"
+    assert chunked["witness"]["trial"] == worst
+    assert chunked["max_residual"] == chunked["witness"]["residual"] == residuals[worst]
+    monkeypatch.setattr(auditor, "_CHUNK", 1)
+    assert _entry(law, product, alg, 100, 8, tol) == chunked
+
+
+def _failing_generator(law, bad_trial, drawn):
+    generate = auditor._REGISTRY[law][0]
+
+    def draw(rng, p, alg, trial, params):
+        drawn.append(trial)
+        if trial == bad_trial:
+            raise sp.NumericalFailureError(f"no sample at trial {trial}")
+        return generate(rng, p, alg, trial, params)
+
+    return draw
+
+
+@pytest.mark.parametrize("chunk", [64, 1])
+def test_an_error_inside_a_chunk_surfaces_at_its_own_trial(chunk, monkeypatch):
+    product, alg = _row("standard", "complex:3")
+    drawn = []
+    monkeypatch.setitem(auditor._REGISTRY, LawId.SEA4,
+                        (_failing_generator(LawId.SEA4, 70, drawn), auditor._REGISTRY[LawId.SEA4][1]))
+    monkeypatch.setattr(auditor, "_CHUNK", chunk)
+    with pytest.raises(sp.NumericalFailureError, match="no sample at trial 70"):
+        audit_law(LawId.SEA4, product, alg, 100, 1, 1e-8)
+    # the failed chunk is redone trial by trial up to the error, and no further
+    assert drawn[-1] == 70
+    assert sorted(set(drawn)) == list(range(71))
+
+
+def test_a_failing_trial_before_the_error_wins(monkeypatch):
+    product, alg = _row("standard", "real:4")
+    law = LawId.SCALAR_LINEARITY
+    residuals = auditor._residuals(law, product, alg, _inputs(law, product, alg, 75, seed=3))
+    worst = int(np.argmax(residuals))
+    assert 64 <= worst < 75  # in the second chunk, before the error
+    tol = max(residuals[:worst])
+    monkeypatch.setitem(auditor._REGISTRY, law,
+                        (_failing_generator(law, 75, []), auditor._REGISTRY[law][1]))
+    entries = []
+    for chunk in (64, 1):
+        monkeypatch.setattr(auditor, "_CHUNK", chunk)
+        entries.append(_entry(law, product, alg, 100, 3, tol))
+    assert entries[0] == entries[1]
+    assert entries[0]["witness"]["trial"] == worst
+
+
+def test_a_chunk_that_raises_only_when_stacked_is_redone_trial_by_trial(monkeypatch):
+    product, alg = _row("standard", "quat:3")
+    generate, evaluate = auditor._REGISTRY[LawId.SEA2]
+
+    def fragile(p, alg, inp):
+        if inp["a"].data.ndim == 3 and len(inp["a"].data) > 1:
+            raise RuntimeError("stacks of more than one trial are not supported")
+        return evaluate(p, alg, inp)
+
+    expected = _entry(LawId.SEA2, product, alg, 70, 4, 1e-8)
+    monkeypatch.setitem(auditor._REGISTRY, LawId.SEA2, (generate, fragile))
+    assert _entry(LawId.SEA2, product, alg, 70, 4, 1e-8) == expected
+
+
+def test_a_witness_replays_as_a_stack_of_one():
+    product, alg = _row("twisted:1.0", "complex:3")
+    law = LawId.SEA4
+    residuals = auditor._residuals(law, product, alg, _inputs(law, product, alg, 64, seed=6))
+    worst = int(np.argmax(residuals))
+    assert worst > 0
+    entry = audit_law(law, product, alg, 64, 6, max(residuals[:worst]))
+    assert entry.witness["trial"] == worst
+    assert replay_witness("SEA4", entry.product, entry.algebra, entry.witness) \
+        == entry.witness["residual"]
+
+
+# ---------------------------------------------------------------------------
+# primitives on stacks
+# ---------------------------------------------------------------------------
+
+def test_worst_keeps_a_nan_wherever_it_comes():
+    worst = auditor._worst
+    assert math.isnan(worst(0.0, float("nan")))
+    assert math.isnan(worst(float("nan"), 0.0))
+    assert max(0.0, float("nan")) == 0.0  # the builtin would hide it
+    assert worst(0.1, 0.3, 0.2) == 0.3
+    per_trial = worst(np.array([0.0, 2.0, 1.0]), np.array([1.0, np.nan, 0.5]))
+    assert per_trial[0] == 1.0 and math.isnan(per_trial[1]) and per_trial[2] == 1.0
+
+
+def test_the_public_constructor_rejects_stacked_data():
+    with pytest.raises(sp.ConfigError):
+        sp.Element(sp.real_symmetric(2), np.zeros((3, 2, 2)))
+    with pytest.raises(sp.ConfigError):
+        sp.Element(sp.spin_factor(3), (np.zeros((4, 3)), np.zeros(4)))
+
+
+@pytest.mark.parametrize("short", ALGEBRA_SHORTHANDS + ["quat:3", "sum(spin:3,quat:2)"])
+def test_stacked_operations_equal_the_single_ones_bit_for_bit(short):
+    alg = sp.parse_algebra(short)
+    profiles = ("generic", "singular", "sharp")
+    elems = [sp.random_effect(alg, 60 + k, profiles[k % 3]) for k in range(9)]
+    others = [sp.random_effect(alg, 80 + k) for k in range(9)]
+    a, b = (alg._backend.stack(alg, xs) for xs in (elems, others))
+    p = sp.SequentialProduct.standard(alg)
+    square = sp.functional_calculus(a, lambda x: x * x - 0.5 * x)
+    cases = [(sp.sqrt_pos(a), sp.sqrt_pos), (square, lambda x: sp.functional_calculus(
+        x, lambda y: y * y - 0.5 * y)), (sp.pseudo_inverse(a), sp.pseudo_inverse),
+        (sp.floor_effect(a), sp.floor_effect), (sp.ceiling_effect(a), sp.ceiling_effect)]
+    for stacked, single in cases:
+        for k, x in enumerate(elems):
+            assert _trial_bits(stacked, k) == _single_bits(single(x))
+    ab = sp.seq_product(p, a, b)
+    res = rel_residual(sp.seq_product(p, b, a), ab)
+    lo, hi = eigenvalue_range(a)
+    for k, (x, y) in enumerate(zip(elems, others)):
+        assert _trial_bits(ab, k) == _single_bits(sp.seq_product(p, x, y))
+        assert res[k] == rel_residual(sp.seq_product(p, y, x), sp.seq_product(p, x, y))
+        assert (lo[k], hi[k]) == eigenvalue_range(x)
+    # an unstacked operand broadcasts against the stack
+    one = sp.identity(alg)
+    for k, y in enumerate(others):
+        assert _trial_bits(sp.seq_product(p, one, b), k) == _single_bits(sp.seq_product(p, one, y))
+        assert _trial_bits(one - b, k) == _single_bits(one - y)
+
+
+def test_stacked_twisted_products_equal_the_single_ones_bit_for_bit():
+    alg = sp.parse_algebra("sum(complex:2,complex:3)")
+    p = sp.parse_product("twisted:0.7", alg)
+    elems = [sp.random_effect(alg, 90 + k, ("generic", "singular")[k % 2]) for k in range(6)]
+    others = [sp.random_effect(alg, 100 + k) for k in range(6)]
+    ab = sp.seq_product(p, *(alg._backend.stack(alg, xs) for xs in (elems, others)))
+    for k, (x, y) in enumerate(zip(elems, others)):
+        assert _trial_bits(ab, k) == _single_bits(sp.seq_product(p, x, y))
+
+
+def test_cluster_values_are_lone_eigenvalues_or_their_numpy_mean():
+    rng = np.random.default_rng(11)
+    rows, expected_sizes, expected_values = [], [], []
+    for _ in range(2):  # two rows of 12 eigenvalues, clusters of 1 to 7
+        sizes = [1, 2, 3, 6] if not rows else [7, 1, 1, 2, 1]
+        centres = np.cumsum(rng.uniform(0.01, 1.0, len(sizes)))
+        parts = [c + np.sort(rng.uniform(0.0, 3e-9, n)) for c, n in zip(centres, sizes)]
+        rows.append(np.concatenate(parts))
+        expected_sizes += sizes
+        expected_values += [part[0] if len(part) == 1 else float(np.mean(part)) for part in parts]
+    sizes, values = _clusters(np.stack(rows), 1e-8)
+    assert sizes == expected_sizes
+    assert values.tolist() == expected_values
+    sizes, values = _clusters(rows[0], 1e-8)
+    assert values.tolist() == expected_values[:4]
+    # a lone -0.0 keeps its sign; a Kramers pair averages as np.mean does
+    pair = np.array([-0.0, 0.3, 0.3 + 2e-16])
+    sizes, values = _clusters(pair, 1e-8)
+    assert sizes == [1, 2]
+    assert math.copysign(1.0, values[0]) == -1.0
+    assert values[1] == np.mean(pair[1:])
+
+
+# ---------------------------------------------------------------------------
+# one solve per block per chunk
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("short, blocks", [("real:4", 1), ("sum(complex:2,real:3)", 2)])
+def test_sea1_evaluation_solves_each_block_twice_per_chunk(short, blocks, monkeypatch):
+    product, alg = _row("standard", short)
+    calls, counting = [], [False]
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _solver=getattr(np.linalg, name), **kwargs):
+            if counting[0]:
+                calls.append(1)
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    generate, evaluate = auditor._REGISTRY[LawId.SEA1]
+
+    def counted_evaluate(*args):
+        counting[0] = True
+        try:
+            return evaluate(*args)
+        finally:
+            counting[0] = False
+
+    monkeypatch.setitem(auditor._REGISTRY, LawId.SEA1, (generate, counted_evaluate))
+    assert audit_law(LawId.SEA1, product, alg, 200, 42, 1e-8).verdict == "pass"
+    chunks = 4  # 64 + 64 + 64 + 8 trials
+    assert 0 < len(calls) <= 2 * chunks * blocks

@@ -32,10 +32,11 @@ stacked basis and project the images with one product against the cached
 conjugated basis, spin factors write the matrix down, and direct sums put
 the summand matrices on the diagonal.
 
-A *stacked* element, built only by ``stack``, holds k trials on a leading
-axis: (k, m, m) matrices, spin pairs (v (k, d), t (k,)), or a tuple of
-stacked summands.  The primitives the stacked laws reach take it, with
-unstacked operands broadcasting, and give per-trial results.
+A *stacked* element, built only by ``stack``, ``random_elements`` (one
+sample per Generator) and ``scale_trials``, holds k trials on a leading axis:
+(k, m, m) matrices, spin pairs (v (k, d), t (k,)), or a tuple of stacked
+summands.  The primitives the stacked laws reach take it, with unstacked
+operands broadcasting, and give per-trial results; ``take`` pulls a trial out.
 
 Primitives whose result is an element return an Element.  Element and the
 generic operations are read from the ``algebra`` module at call time,
@@ -175,17 +176,18 @@ def _clusters(w: np.ndarray, gap: float):
     return sizes.tolist(), values
 
 
-def _matrix_function(a, f, gap: float) -> np.ndarray:
+def _matrix_function(a, f, gap: float, by_trial: bool = False) -> np.ndarray:
     """V f(w) V^H for the matrix element a = V diag(w) V^H, stacked or not.
 
     f maps an array of points to an array of real or complex values; it is
     called once, on the values of all clusters of eigenvalues chained by gaps
-    <= ``gap``.
+    <= ``gap``; with ``by_trial``, on each eigenvalue's cluster value with the
+    trials last (as on spin factors), where per-trial coefficients broadcast.
     """
     w, vecs = _eigen(a)
     sizes, values = _clusters(w, gap)
-    coef = f(values)
-    if len(coef) < w.size:
+    coef = f(np.repeat(values, sizes).reshape(w.shape).T).T if by_trial else f(values)
+    if coef.size < w.size:
         coef = np.repeat(coef, sizes)
     coef = coef.reshape(w.shape)
     return (vecs * coef[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
@@ -216,7 +218,7 @@ def _random_structured_unitary(alg, rng) -> np.ndarray:
     """Orthogonal, unitary or symplectic matrix of a matrix-kind algebra."""
     for _ in range(8):  # resample the rare near-singular draw
         try:
-            return _polar_unitary(alg._backend.gaussian(alg, rng))
+            return _polar_unitary(alg._backend.gaussian(alg._backend.normals(alg, rng)))
         except NumericalFailureError:
             continue
     raise NumericalFailureError(f"could not orthonormalize a random sample on {alg}")
@@ -294,10 +296,10 @@ def _quat_project(mat: np.ndarray, n: int) -> np.ndarray:
 
 
 def _quat_embed(a_part: np.ndarray, b_part: np.ndarray) -> np.ndarray:
-    """Embed the quaternion matrix A + Bj as [[A, B], [-conj(B), conj(A)]]."""
-    top = np.hstack([a_part, b_part])
-    bot = np.hstack([-b_part.conj(), a_part.conj()])
-    return np.vstack([top, bot])
+    """Embed the quaternion matrix A + Bj as [[A, B], [-conj(B), conj(A)]], stacked or not."""
+    top = np.concatenate([a_part, b_part], axis=-1)
+    bot = np.concatenate([-b_part.conj(), a_part.conj()], axis=-1)
+    return np.concatenate([top, bot], axis=-2)
 
 
 @lru_cache(maxsize=None)
@@ -421,6 +423,12 @@ class _MatrixBackend(_Backend):
     def stack(self, alg, elems):
         return _trusted(alg, _read_only(np.stack([x.data for x in elems])))
 
+    def take(self, x, i):
+        out = _trusted(x.algebra, x.data[i])
+        if "_eigen" in x.__dict__:  # the trial's slice of the stacked solve
+            out.__dict__["_eigen"] = tuple(arr[i] for arr in x.__dict__["_eigen"])
+        return out
+
     # a real linear combination of exactly Hermitian (and J-symmetric) data
     # is exactly so again
     def combine(self, a, b, sa, sb):
@@ -428,6 +436,9 @@ class _MatrixBackend(_Backend):
 
     def scale(self, a, s):
         return _trusted(a.algebra, _read_only(s * a.data))
+
+    def scale_trials(self, a, s):
+        return _trusted(a.algebra, _read_only(np.asarray(s)[..., None, None] * a.data))
 
     def scalar(self, alg, c: float):
         return _trusted(alg, _read_only(c * np.eye(self.matrix_order(alg), dtype=self.dtype)))
@@ -469,8 +480,8 @@ class _MatrixBackend(_Backend):
         pairs.reverse()
         return pairs
 
-    def functional(self, a, f, gap: float):
-        return self._element(a.algebra, _matrix_function(a, f, gap))
+    def functional(self, a, f, gap: float, by_trial: bool = False):
+        return self._element(a.algebra, _matrix_function(a, f, gap, by_trial))
 
     def jordan_operator(self, a) -> np.ndarray:
         basis = _matrix_basis(a.algebra)
@@ -489,19 +500,26 @@ class _MatrixBackend(_Backend):
         """Coordinate matrix of x -> m x m^H with m = f(a)."""
         return _conjugation_operator(a.algebra, _matrix_function(a, f, gap))
 
-    def gaussian(self, alg, rng) -> np.ndarray:
-        """Gaussian matrix of the algebra's structure (not yet Hermitian)."""
-        n = alg.size
+    def normals(self, alg, rng) -> np.ndarray:
+        """The standard normals (field_dim, n, n) of one Gaussian matrix, in draw order."""
+        return rng.standard_normal((self.field_dim, alg.size, alg.size))
+
+    def gaussian(self, normals: np.ndarray) -> np.ndarray:
+        """Gaussian matrices of the algebra's structure (not yet Hermitian) from ``normals``
+        (..., field_dim, n, n): real parts, then imaginary ones, A before B of A + Bj."""
         if self.kind == KIND_REAL:
-            return rng.standard_normal((n, n))
+            return normals[..., 0, :, :]
+        parts = normals[..., 0::2, :, :] + 1j * normals[..., 1::2, :, :]
         if self.kind == KIND_COMPLEX:
-            return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        a_part = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        b_part = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        return _quat_embed(a_part, b_part)
+            return parts[..., 0, :, :]
+        return _quat_embed(parts[..., 0, :, :], parts[..., 1, :, :])
 
     def random_element(self, alg, rng):
-        return _alg.Element(alg, self.gaussian(alg, rng))
+        return self._element(alg, self.gaussian(self.normals(alg, rng)))
+
+    def random_elements(self, alg, rngs):
+        return self._element(alg, self.gaussian(np.array([self.normals(alg, rng)
+                                                          for rng in rngs])))
 
     def random_projection(self, alg, rng, proper: bool):
         # eigenvector column groups; Kramers pairs stay together, so any
@@ -643,12 +661,20 @@ class _SpinBackend(_Backend):
         v, t = a.data
         return _trusted(a.algebra, (_read_only(s * v), s * t))
 
+    def scale_trials(self, a, s):
+        v, t = a.data
+        return _trusted(a.algebra, (_read_only(_col(s) * v), s * t))
+
     def scalar(self, alg, c: float):
         return _trusted(alg, (_read_only(np.zeros(alg.size)), c))
 
     def stack(self, alg, elems):
         return _trusted(alg, (_read_only(np.stack([x.data[0] for x in elems])),
                               _read_only(np.array([x.data[1] for x in elems]))))
+
+    def take(self, x, i):
+        v, t = x.data
+        return _trusted(x.algebra, (v[i], float(t[i])))
 
     def jordan(self, a, b):
         (v, t), (w, s) = a.data, b.data
@@ -678,7 +704,7 @@ class _SpinBackend(_Backend):
         minus = _alg.Element(alg, (-0.5 * vhat, 0.5))
         return [(float(t + r), plus), (float(t - r), minus)]
 
-    def functional(self, a, f, gap: float):
+    def functional(self, a, f, gap: float, by_trial: bool = False):
         """f(t + r) and f(t - r) on the two idempotents (+-v/2r, 1/2), r = |v|.
 
         Where 2r <= gap the element is t times the identity and f(t) is taken.
@@ -693,7 +719,11 @@ class _SpinBackend(_Backend):
         return _trusted(a.algebra, (_read_only(np.ascontiguousarray(vec)), 0.5 * (hi + lo)))
 
     def random_element(self, alg, rng):
-        return _alg.Element(alg, (rng.standard_normal(alg.size), float(rng.standard_normal())))
+        return _trusted(alg, (_read_only(rng.standard_normal(alg.size)), rng.standard_normal()))
+
+    def random_elements(self, alg, rngs):
+        vs, ts = zip(*[(rng.standard_normal(alg.size), rng.standard_normal()) for rng in rngs])
+        return _trusted(alg, (_read_only(np.array(vs)), _read_only(np.array(ts))))
 
     def random_projection(self, alg, rng, proper: bool):
         v = rng.standard_normal(alg.size)
@@ -794,12 +824,18 @@ class _SumBackend(_Backend):
     def scale(self, a, s):
         return _trusted(a.algebra, _blockwise("scale", (a,), s))
 
+    def scale_trials(self, a, s):
+        return _trusted(a.algebra, _blockwise("scale_trials", (a,), s))
+
     def scalar(self, alg, c: float):
         return _trusted(alg, tuple(s._backend.scalar(s, c) for s in alg.summands))
 
     def stack(self, alg, elems):
         return _trusted(alg, tuple(s._backend.stack(s, [x.data[k] for x in elems])
                                    for k, s in enumerate(alg.summands)))
+
+    def take(self, x, i):
+        return _trusted(x.algebra, _blockwise("take", (x,), i))
 
     def jordan(self, a, b):
         return _trusted(a.algebra, _blockwise("jordan", (a, b)))
@@ -824,8 +860,8 @@ class _SumBackend(_Backend):
     def radii(self, *elems) -> list:
         return [reduce(np.maximum, norms) for norms in zip(*_blockwise("radii", elems))]
 
-    def functional(self, a, f, gap: float):
-        return _trusted(a.algebra, _blockwise("functional", (a,), f, gap))
+    def functional(self, a, f, gap: float, by_trial: bool = False):
+        return _trusted(a.algebra, _blockwise("functional", (a,), f, gap, by_trial))
 
     def conjugate(self, a, x, f, gap: float):
         return _trusted(a.algebra, _blockwise("conjugate", (a, x), f, gap))
@@ -855,8 +891,11 @@ class _SumBackend(_Backend):
         return pairs
 
     def random_element(self, alg, rng):
-        return _alg.Element(alg, tuple(s._backend.random_element(s, rng)
-                                       for s in alg.summands))
+        return _trusted(alg, tuple(s._backend.random_element(s, rng) for s in alg.summands))
+
+    def random_elements(self, alg, rngs):
+        # summand by summand: each Generator draws its blocks in summand order
+        return _trusted(alg, tuple(s._backend.random_elements(s, rngs) for s in alg.summands))
 
     def random_projection(self, alg, rng, proper: bool):
         subs = alg.summands

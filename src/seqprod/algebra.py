@@ -17,7 +17,8 @@ written once and derived only from the immutable data (a race between
 threads computes the same value twice), so the operations stay pure.  A
 descriptor keeps its identity and zero the same way.  Elements *stacked* by
 the backends hold k trials on a leading axis; arithmetic, ``seq_product``,
-the eigenvalue range and ``rel_residual`` return one value per trial.
+the eigenvalue range and ``rel_residual`` return one value per trial, and
+``_random_effects`` draws a stack of random effects, one per Generator.
 """
 
 from __future__ import annotations
@@ -361,24 +362,41 @@ def random_effect(alg: AlgebraDescriptor, seed, profile: str = "generic") -> Ele
     """Deterministic random effect.
 
     Profiles: ``generic`` and ``invertible`` rescale a Gaussian sample
-    affinely so the spectrum lies in [0.05, 0.95]; ``singular`` compresses
-    such a sample by a random proper projection; ``sharp`` returns a random
-    projection.
+    affinely so the spectrum lies in [0.05, 0.95] (a sample with a single
+    eigenvalue gives 1/2); ``singular`` compresses such a sample by a random
+    proper projection; ``sharp`` returns a random projection.
     """
     rng = _as_rng(seed)
+    return _effects(alg, profile, lambda: random_element(alg, rng),
+                    lambda: random_projection(alg, rng, proper=True))
+
+
+def _random_effects(alg: AlgebraDescriptor, rngs, profile: str = "generic") -> Element:
+    """``random_effect`` of each Generator of ``rngs`` (the same draws, in order), stacked."""
+    backend = alg._backend
+    return _effects(alg, profile, lambda: backend.random_elements(alg, rngs),
+                    lambda: backend.stack(alg, [random_projection(alg, rng) for rng in rngs]))
+
+
+def _effects(alg, profile: str, sample, projection) -> Element:
+    """Effects of ``profile`` from the draws ``sample()`` and ``projection()``, one or a stack."""
     if profile in ("generic", "invertible"):
-        g = random_element(alg, rng)
+        g, one, backend = sample(), identity(alg), alg._backend
         lo, hi = eigenvalue_range(g)
-        if hi - lo < 1e-12:
-            return identity(alg) * 0.5
-        scale = 0.9 / (hi - lo)
-        return (g - identity(alg) * lo) * scale + identity(alg) * 0.05
-    if profile == "singular":
-        p = random_projection(alg, rng, proper=True)
-        x = random_effect(alg, rng, "invertible")
-        return quadratic_rep(p, x)
+        width = hi - lo
+        flat = width < 1e-12  # every sample of a rank-one matrix algebra
+        shifted = g - backend.scale_trials(one, lo)
+        eff = backend.scale_trials(shifted, 0.9 / np.maximum(width, 1e-12)) + one * 0.05
+        if not np.count_nonzero(flat):
+            return eff
+        if flat.ndim == 0:
+            return one * 0.5
+        return backend.stack(alg, [one * 0.5 if f else backend.take(eff, k)
+                                   for k, f in enumerate(flat.tolist())])
+    if profile == "singular":  # the projection is drawn first
+        return quadratic_rep(projection(), _effects(alg, "invertible", sample, projection))
     if profile == "sharp":
-        return random_projection(alg, rng, proper=True)
+        return projection()
     raise ConfigError(f"unknown effect profile {profile!r}")
 
 

@@ -7,13 +7,15 @@ residual exceeds the row tolerance; the first failing trial's inputs are
 serialized as a witness, so any reported violation can be replayed
 standalone through the module operations.
 
-SEA1-SEA5 and SCALAR_LINEARITY run in chunks of 64 trials: each trial is
-generated as for every law, then the chunk is stacked on a leading axis and
-one evaluator call returns a residual per trial.  The first trial of the
-chunk over the tolerance gives the verdict, so verdicts, maximal residuals
-and witnesses are those of trial-by-trial evaluation, bit for bit.  A chunk
-that raises is redone trial by trial, so an error surfaces at its own trial
-and only if no earlier trial fails; a witness replays as a stack of one.
+SEA1-SEA5 and SCALAR_LINEARITY run in chunks of 64 trials.  Their
+generators draw a chunk field by field, each trial from its own Generator,
+so every trial makes exactly the draws it makes alone; the linear algebra of
+generation and one evaluator call then run on stacks with a leading trial
+axis.  The first trial of the chunk over the tolerance gives the verdict, so
+verdicts, maximal residuals and witnesses are those of trial-by-trial runs,
+bit for bit.  A chunk that raises is redone as chunks of one, so an error
+surfaces at its own trial and only if no earlier trial fails; a witness is
+its trial taken out of the stack, and replays as a stack of one.
 
 Expected-fail rows turn the suite into a two-sided oracle: the twisted
 products are expected to break invariance under the transpose
@@ -27,7 +29,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -48,13 +50,14 @@ from .algebra import (
     parse_algebra,
     quadratic_operator,
     quadratic_rep,
+    _random_effects,
     random_effect,
     random_element,
     random_projection,
     rel_residual,
     trace_inner_product,
 )
-from .errors import CapabilityError, ConfigError
+from .errors import CapabilityError, ConfigError, DomainError
 from .products import (
     SequentialProduct,
     divide,
@@ -66,10 +69,10 @@ from .products import (
     theta_between,
 )
 from .spectral import (
+    DEFAULT_GAP,
     ceiling_effect,
     dyadic_approximation,
     floor_effect,
-    functional_calculus,
     pseudo_inverse,
     spectral_decompose,
 )
@@ -134,9 +137,8 @@ LAW_DEFAULTS: dict[LawId, tuple[int, float]] = {
     LawId.THETA_STRUCTURE: (25, 1e-7),
 }
 
-#: laws evaluated on stacks of up to _CHUNK trials at once
-_STACKED = frozenset({LawId.SEA1, LawId.SEA2, LawId.SEA3, LawId.SEA4, LawId.SEA5,
-                      LawId.SCALAR_LINEARITY})
+#: the SEA axioms and scalar linearity: drawn and evaluated on stacks of up to _CHUNK trials
+_STACKED = (LawId.SEA1, LawId.SEA2, LawId.SEA3, LawId.SEA4, LawId.SEA5, LawId.SCALAR_LINEARITY)
 _CHUNK = 64
 
 #: reference algebras covered by the default suite
@@ -147,17 +149,29 @@ REFERENCE_ALGEBRAS = ("real:4", "complex:4", "quat:3", "spin:5", "sum(complex:2,
 # Input manufacturing
 # ---------------------------------------------------------------------------
 
-def _poly_effect(rng: np.random.Generator, a: Element) -> Element:
-    """Random clipped quadratic of a; commutes with a, spectrum in [0.05, 0.95]."""
-    c0, c1, c2 = rng.uniform(-1.0, 1.0, 3)
-    return functional_calculus(a, lambda x: min(0.95, max(0.05, c0 + c1 * x + c2 * x * x)))
+def _poly_effect(rngs, a: Element) -> Element:
+    """Clipped quadratic of each trial of a, its coefficients drawn by the trial's Generator.
+
+    It commutes with a, has spectrum in [0.05, 0.95], and raises DomainError if not finite.
+    """
+    c0, c1, c2 = np.array([rng.uniform(-1.0, 1.0, 3) for rng in rngs]).T
+
+    def clipped(x: np.ndarray) -> np.ndarray:
+        val = np.minimum(0.95, np.maximum(0.05, c0 + c1 * x + c2 * x * x))
+        if not np.isfinite(val).all():
+            raise DomainError("clipped quadratic not finite on the spectrum")
+        return val
+
+    return a.algebra._backend.functional(a, clipped, DEFAULT_GAP, by_trial=True)
+
+
+def _take(inputs: dict, k: int) -> dict:
+    """Trial k of stacked inputs."""
+    return {key: x.algebra._backend.take(x, k) for key, x in inputs.items()}
 
 
 def _pinch(frame, x: Element) -> Element:
-    acc = quadratic_rep(frame[0], x)
-    for p in frame[1:]:
-        acc = acc + quadratic_rep(p, x)
-    return acc
+    return reduce(Element.__add__, (quadratic_rep(p, x) for p in frame))
 
 
 def _ambient_commutator(a: Element, b: Element) -> float:
@@ -171,39 +185,61 @@ def _iso_kinds(alg: AlgebraDescriptor) -> list[str]:
     return kinds
 
 
-def _gen_sea1(rng, p, alg, trial, params):
-    return {"a": random_effect(alg, rng),
-            "b": random_effect(alg, rng) * 0.5,
-            "c": random_effect(alg, rng) * 0.5}
+# SEA1-SEA5 and SCALAR_LINEARITY: a chunk at once, one Generator per trial in ``rngs``
+
+def _sum_triple(rngs, p, alg, trials, params):
+    return {"a": _random_effects(alg, rngs),
+            "b": _random_effects(alg, rngs) * 0.5,
+            "c": _random_effects(alg, rngs) * 0.5}
 
 
-def _gen_single(rng, p, alg, trial, params):
-    return {"a": random_effect(alg, rng)}
+def _single(rngs, p, alg, trials, params):
+    return {"a": _random_effects(alg, rngs)}
 
 
-def _gen_orthogonal_supports(rng, p, alg, trial, params):
-    proj = random_projection(alg, rng, proper=True)
-    x = random_effect(alg, rng, "invertible")
-    y = random_effect(alg, rng, "invertible")
+def _orthogonal_supports(rngs, p, alg, trials, params):
+    proj = _random_effects(alg, rngs, "sharp")
+    x = _random_effects(alg, rngs, "invertible")
+    y = _random_effects(alg, rngs, "invertible")
     return {"a": quadratic_rep(proj, x),
             "b": quadratic_rep(identity(alg) - proj, y)}
 
 
-def _gen_commuting_triple(rng, p, alg, trial, params):
-    a = random_effect(alg, rng, "invertible")
-    return {"a": a, "b": _poly_effect(rng, a), "c": random_effect(alg, rng)}
+def _commuting_triple(rngs, p, alg, trials, params):
+    a = _random_effects(alg, rngs, "invertible")
+    return {"a": a, "b": _poly_effect(rngs, a), "c": _random_effects(alg, rngs)}
 
 
-def _gen_pinched(rng, p, alg, trial, params):
-    base = random_effect(alg, rng, "invertible")
-    frame = spectral_decompose(base).idempotents
-    alphas = rng.uniform(0.05, 0.95, len(frame))
-    c = frame[0] * float(alphas[0])
-    for coeff, proj in zip(alphas[1:], frame[1:]):
-        c = c + proj * float(coeff)
-    x = random_effect(alg, rng, "invertible")
-    y = random_effect(alg, rng, "invertible")
-    return {"c": c, "a": _pinch(frame, x) * 0.5, "b": _pinch(frame, y) * 0.5}
+def _pinched(rngs, p, alg, trials, params):
+    """c from the spectral frame of an invertible base, a and b pinched by that frame.
+
+    Frames of different lengths in one chunk (direct sums) are pinched trial by trial.
+    """
+    backend = alg._backend
+    base = _random_effects(alg, rngs, "invertible")
+    min_eigenvalue(base)  # one solve of the stack; each trial's frame reads its slice
+    frames = [spectral_decompose(backend.take(base, k)).idempotents for k in range(len(rngs))]
+    alphas = [rng.uniform(0.05, 0.95, len(frame)) for rng, frame in zip(rngs, frames)]
+    x = _random_effects(alg, rngs, "invertible")
+    y = _random_effects(alg, rngs, "invertible")
+    if len({len(frame) for frame in frames}) == 1:
+        return _pinched_by(frames, alphas, x, y)
+    parts = [_take(_pinched_by(frames[k:k + 1], alphas[k:k + 1], backend.take(x, k),
+                               backend.take(y, k)), 0) for k in range(len(rngs))]
+    return {key: backend.stack(alg, [part[key] for part in parts]) for key in parts[0]}
+
+
+def _pinched_by(frames, alphas, x: Element, y: Element) -> dict:
+    """c = sum_j alpha_j p_j, and x and y pinched by the frames and halved; frames of one length."""
+    alg = x.algebra
+    projs = [alg._backend.stack(alg, ps) for ps in zip(*frames)]
+    terms = [alg._backend.scale_trials(proj, col) for proj, col in zip(projs, np.array(alphas).T)]
+    return {"c": reduce(Element.__add__, terms),
+            "a": _pinch(projs, x) * 0.5, "b": _pinch(projs, y) * 0.5}
+
+
+def _pair(rngs, p, alg, trials, params):
+    return {"a": _random_effects(alg, rngs), "b": _random_effects(alg, rngs)}
 
 
 def _gen_pair(rng, p, alg, trial, params):
@@ -248,7 +284,7 @@ def _gen_commute_pair(rng, p, alg, trial, params):
     expected = "commuting" if trial % 2 == 0 else "generic"
     if expected == "commuting":
         a = random_effect(alg, rng, "invertible")
-        return {"a": a, "b": _poly_effect(rng, a), "expected": expected}
+        return {"a": a, "b": _poly_effect([rng], a), "expected": expected}
     for _ in range(50):
         a = random_effect(alg, rng)
         b = random_effect(alg, rng)
@@ -316,7 +352,7 @@ def _gen_invertible_pair(rng, p, alg, trial, params):
 
 def _gen_theta(rng, p, alg, trial, params):
     a = random_effect(alg, rng, "invertible")
-    return {"q": random_effect(alg, rng, "invertible"), "a": a, "b": _poly_effect(rng, a)}
+    return {"q": random_effect(alg, rng, "invertible"), "a": a, "b": _poly_effect([rng], a)}
 
 
 # ---------------------------------------------------------------------------
@@ -567,12 +603,12 @@ def _ev_theta(p, alg, inp):
 
 
 _REGISTRY = {
-    LawId.SEA1: (_gen_sea1, _ev_sea1),
-    LawId.SEA2: (_gen_single, _ev_sea2),
-    LawId.SEA3: (_gen_orthogonal_supports, _ev_sea3),
-    LawId.SEA4: (_gen_commuting_triple, _ev_sea4),
-    LawId.SEA5: (_gen_pinched, _ev_sea5),
-    LawId.SCALAR_LINEARITY: (_gen_pair, _ev_scalar),
+    LawId.SEA1: (_sum_triple, _ev_sea1),
+    LawId.SEA2: (_single, _ev_sea2),
+    LawId.SEA3: (_orthogonal_supports, _ev_sea3),
+    LawId.SEA4: (_commuting_triple, _ev_sea4),
+    LawId.SEA5: (_pinched, _ev_sea5),
+    LawId.SCALAR_LINEARITY: (_pair, _ev_scalar),
     LawId.PRODUCT_LE_LEFT: (_gen_pair, _ev_product_le),
     LawId.MONOTONE_RIGHT: (_gen_monotone, _ev_monotone),
     LawId.SHARP_PROPS: (_gen_sharp, _ev_sharp),
@@ -726,35 +762,34 @@ class AuditReport:
 # Execution
 # ---------------------------------------------------------------------------
 
+def _stacked_residuals(law: LawId, product, alg, inputs: dict, k: int) -> list[float]:
+    """The residual of each of the k trials of the stacked ``inputs``."""
+    return np.broadcast_to(_REGISTRY[law][1](product, alg, inputs), k).tolist()
+
+
 def _residuals(law: LawId, product, alg, inputs: list[dict]) -> list[float]:
     """The residual of each listed trial: one stack for a stacked law, else one by one."""
     evaluate = _REGISTRY[law][1]
     if law not in _STACKED:
         return [float(evaluate(product, alg, inp)) for inp in inputs]
     stacked = {key: alg._backend.stack(alg, [inp[key] for inp in inputs]) for key in inputs[0]}
-    return np.broadcast_to(evaluate(product, alg, stacked), len(inputs)).tolist()
+    return _stacked_residuals(law, product, alg, stacked, len(inputs))
 
 
-def _trial_residuals(law: LawId, product, alg, trials: int, draw):
-    """(trial, inputs, residual) in trial order, with ``draw(i)`` making the inputs.
+def _trial_residuals(trials: int, size: int, run):
+    """(trial, residual, the trial's inputs on demand) in order, from ``run(chunk)`` of ``size``.
 
-    A stacked law takes _CHUNK trials at a time, and redoes a chunk that
-    raises trial by trial, so the error surfaces at its own trial.
+    A chunk that raises is redone as chunks of one: the error surfaces at its own trial.
     """
-    size = _CHUNK if law in _STACKED else 1
     for first in range(0, trials, size):
         chunk = range(first, min(first + size, trials))
         try:
-            inputs = [draw(i) for i in chunk]
-            residuals = _residuals(law, product, alg, inputs)
+            results = run(chunk)
         except Exception:  # whatever it is, the redo below raises it again in order
             if len(chunk) == 1:
                 raise
-            for i in chunk:
-                inputs = draw(i)
-                yield i, inputs, _residuals(law, product, alg, [inputs])[0]
-            continue
-        yield from zip(chunk, inputs, residuals)
+            results = (result for i in chunk for result in run(range(i, i + 1)))
+        yield from results
 
 
 def audit_law(law: LawId | str, product: SequentialProduct, alg: AlgebraDescriptor,
@@ -764,7 +799,8 @@ def audit_law(law: LawId | str, product: SequentialProduct, alg: AlgebraDescript
 
     A residual that is not at most ``tol``, NaN included, is a violation.
     ``trials`` below 1 or a ``tol`` that is not finite and positive raise
-    ConfigError, so no row can pass vacuously.
+    ConfigError, so no row can pass vacuously.  The entry reports the trials
+    that ran: up to and including a violation.
     """
     law = LawId(law)
     if trials < 1:
@@ -774,20 +810,29 @@ def audit_law(law: LawId | str, product: SequentialProduct, alg: AlgebraDescript
     generate = _REGISTRY[law][0]
     ordinal = _LAW_ORDINAL[law]
 
-    def draw(i: int) -> dict:
-        return generate(np.random.default_rng((seed, ordinal, i)), product, alg, i, params or {})
+    def run(chunk: range) -> list:
+        rngs = [np.random.default_rng((seed, ordinal, i)) for i in chunk]
+        if law not in _STACKED:
+            inputs = generate(rngs[0], product, alg, chunk[0], params or {})
+            return [(chunk[0], _residuals(law, product, alg, [inputs])[0], lambda: inputs)]
+        inputs = generate(rngs, product, alg, chunk, params or {})
+        residuals = _stacked_residuals(law, product, alg, inputs, len(chunk))
+        return [(i, residual, partial(_take, inputs, k))
+                for k, (i, residual) in enumerate(zip(chunk, residuals))]
 
     start = time.perf_counter()
     max_residual = 0.0
     witness = None
     verdict = "pass"
-    for i, inputs, residual in _trial_residuals(law, product, alg, trials, draw):
+    size = _CHUNK if law in _STACKED else 1
+    for i, residual, inputs in _trial_residuals(trials, size, run):
         max_residual = max(max_residual, residual)
         if not residual <= tol:  # a NaN residual fails too
             witness = {"trial": i, "residual": residual,
-                       "inputs": serialize.inputs_to_json(inputs)}
+                       "inputs": serialize.inputs_to_json(inputs())}
             verdict = "fail"
             max_residual = residual
+            trials = i + 1
             break
     elapsed = (time.perf_counter() - start) * 1000.0
     return AuditEntry(law=law.value, product=product.descriptor(),
@@ -855,11 +900,8 @@ def default_config(seed: int = 42) -> SuiteConfig:
     twisted products' axiom rows, and the three falsification demos."""
     rows = [SuiteRow(law.value, "standard", alg)
             for law in ALL_LAWS for alg in REFERENCE_ALGEBRAS]
-    sea_and_scalar = [LawId.SEA1, LawId.SEA2, LawId.SEA3, LawId.SEA4, LawId.SEA5,
-                      LawId.SCALAR_LINEARITY]
     for t in ("0.5", "1.0"):
-        rows.extend(SuiteRow(law.value, f"twisted:{t}", "complex:3")
-                    for law in sea_and_scalar)
+        rows.extend(SuiteRow(law.value, f"twisted:{t}", "complex:3") for law in _STACKED)
     rows.append(SuiteRow(LawId.THETA_STRUCTURE.value, "twisted:1.0", "complex:3"))
     rows.extend(characterization_rows())
     return SuiteConfig(rows=rows, seed=seed)

@@ -212,6 +212,18 @@ def test_demo_characterizations_shape():
     assert all(e.verdict == "pass" and e.max_residual <= 1e-7 for e in standard)
 
 
+def test_entries_report_the_trials_that_ran():
+    report = demo_characterizations(seed=42)
+    for entry in report.entries:
+        if entry.verdict == "fail":  # the demos ask for 10 trials and stop at the witness
+            assert entry.trials == entry.witness["trial"] + 1 < 10
+        else:
+            assert entry.trials == 25
+    error = run_full_suite(SuiteConfig(
+        rows=[SuiteRow("SEA1", "twisted:1.0", "spin:4", 5, expect="error")])).entries[0]
+    assert (error.verdict, error.trials) == ("error", 0)
+
+
 def test_characterization_rows_are_the_three_demos():
     rows = characterization_rows()
     assert [r.law for r in rows] == ["INVARIANCE", "SYMMETRY", "INVERTIBILITY_PRES"]

@@ -1,7 +1,8 @@
-"""Trial-stacked evaluation of SEA1-SEA5 and SCALAR_LINEARITY.
+"""Trial-stacked generation and evaluation of SEA1-SEA5 and SCALAR_LINEARITY.
 
-A stack of trials must give exactly the residuals, verdicts, maximal
-residuals, witnesses and errors of evaluating the trials one by one.
+A chunk of trials must give exactly the inputs, residuals, verdicts, maximal
+residuals, witnesses and errors of drawing and evaluating the trials one by
+one.
 """
 
 import math
@@ -28,11 +29,14 @@ def _row(desc, short):
     return sp.parse_product(desc, alg), alg
 
 
+def _rngs(law, seed, trials):
+    return [np.random.default_rng((seed, auditor._LAW_ORDINAL[law], i)) for i in trials]
+
+
 def _inputs(law, product, alg, trials, seed):
-    """The inputs audit_law draws for trials 0 .. trials - 1 of a row with ``seed``."""
+    """The inputs of trials 0 .. trials - 1 of a row with ``seed``, each drawn as a chunk of one."""
     generate = auditor._REGISTRY[law][0]
-    ordinal = auditor._LAW_ORDINAL[law]
-    return [generate(np.random.default_rng((seed, ordinal, i)), product, alg, i, {})
+    return [auditor._take(generate(_rngs(law, seed, [i]), product, alg, [i], {}), 0)
             for i in range(trials)]
 
 
@@ -72,13 +76,18 @@ def test_a_stack_of_64_trials_gives_the_per_trial_residuals(law, desc, short):
     evaluate = auditor._REGISTRY[law][1]
     stacked = auditor._residuals(law, product, alg, inputs)
     assert stacked == [float(evaluate(product, alg, inp)) for inp in inputs]
+    # the same 64 trials drawn as one chunk
+    chunk = auditor._REGISTRY[law][0](_rngs(law, 5, range(64)), product, alg, range(64), {})
+    assert auditor._stacked_residuals(law, product, alg, chunk, 64) == stacked
     # a stack of one, as replay_witness evaluates it
     assert stacked[::9] == [auditor._residuals(law, product, alg, [inp])[0]
                             for inp in inputs[::9]]
 
 
+# rank-one algebras: on the matrix kinds every sample has one eigenvalue, and becomes 1/2
 @pytest.mark.parametrize("law", STACKED_LAWS)
-@pytest.mark.parametrize("desc, short", ROWS)
+@pytest.mark.parametrize("desc, short", ROWS + [("standard", short) for short in (
+    "real:1", "complex:1", "quat:1", "spin:1", "sum(real:1,spin:1)")])
 def test_audit_entries_do_not_depend_on_the_chunk_size(law, desc, short, monkeypatch):
     product, alg = _row(desc, short)
     chunked = _entry(law, product, alg, 66, 3, 1e-8)
@@ -107,11 +116,11 @@ def test_a_tolerance_first_broken_mid_chunk_gives_the_per_trial_verdict(law, sho
 def _failing_generator(law, bad_trial, drawn):
     generate = auditor._REGISTRY[law][0]
 
-    def draw(rng, p, alg, trial, params):
-        drawn.append(trial)
-        if trial == bad_trial:
-            raise sp.NumericalFailureError(f"no sample at trial {trial}")
-        return generate(rng, p, alg, trial, params)
+    def draw(rngs, p, alg, trials, params):
+        drawn.append(list(trials))
+        if bad_trial in trials:
+            raise sp.NumericalFailureError(f"no sample at trial {bad_trial}")
+        return generate(rngs, p, alg, trials, params)
 
     return draw
 
@@ -126,8 +135,9 @@ def test_an_error_inside_a_chunk_surfaces_at_its_own_trial(chunk, monkeypatch):
     with pytest.raises(sp.NumericalFailureError, match="no sample at trial 70"):
         audit_law(LawId.SEA4, product, alg, 100, 1, 1e-8)
     # the failed chunk is redone trial by trial up to the error, and no further
-    assert drawn[-1] == 70
-    assert sorted(set(drawn)) == list(range(71))
+    chunks = [list(range(first, min(first + chunk, 100))) for first in range(0, 71, chunk)]
+    redone = [[i] for i in range(64, 71)] if chunk > 1 else []
+    assert drawn == chunks + redone
 
 
 def test_a_failing_trial_before_the_error_wins(monkeypatch):
@@ -171,6 +181,42 @@ def test_a_witness_replays_as_a_stack_of_one():
     assert entry.witness["trial"] == worst
     assert replay_witness("SEA4", entry.product, entry.algebra, entry.witness) \
         == entry.witness["residual"]
+
+
+def test_sea5_frames_of_unequal_length_in_one_chunk(monkeypatch):
+    alg = sp.parse_algebra("sum(real:2,real:1)")
+    product = sp.SequentialProduct.standard(alg)
+    real2, real1 = alg.summands
+    turn = np.array([[np.cos(0.4), -np.sin(0.4)], [np.sin(0.4), np.cos(0.4)]])
+
+    def base(third):  # spectrum {0.3, 0.7} + {third}; 0.3 merges across the blocks
+        return sp.Element(alg, (sp.Element(real2, turn @ np.diag([0.3, 0.7]) @ turn.T),
+                                sp.Element(real1, [[third]])))
+
+    bases = [base(0.3), base(0.5)]  # frames of 2 and of 3 idempotents
+    draw, calls = auditor._random_effects, []
+
+    def planted(alg, rngs, profile="generic"):
+        effects = draw(alg, rngs, profile)
+        calls.append(profile)
+        if len(calls) % 3 != 1:  # SEA5 draws the base, then x and y, which stay random
+            return effects
+        return alg._backend.stack(alg, [bases[int(rng.integers(2))] for rng in rngs])
+
+    monkeypatch.setattr(auditor, "_random_effects", planted)
+    generate = auditor._REGISTRY[LawId.SEA5][0]
+    rngs = _rngs(LawId.SEA5, 9, range(8))
+    chunk = generate(rngs, product, alg, range(8), {})
+    frames = [len(sp.spectral_decompose(auditor._take(chunk, k)["c"]).pairs) for k in range(8)]
+    assert set(frames) == {2, 3}
+    residuals = auditor._stacked_residuals(LawId.SEA5, product, alg, chunk, 8)
+    for k, rng in enumerate(rngs):
+        alone = _rngs(LawId.SEA5, 9, [k])
+        one = generate(alone, product, alg, [k], {})
+        assert rng.bit_generator.state == alone[0].bit_generator.state
+        assert auditor._stacked_residuals(LawId.SEA5, product, alg, one, 1) == [residuals[k]]
+        for key in chunk:
+            assert _trial_bits(chunk[key], k) == _trial_bits(one[key], 0)
 
 
 # ---------------------------------------------------------------------------

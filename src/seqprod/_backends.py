@@ -451,8 +451,13 @@ class _MatrixBackend(_Backend):
         return self._element(a.algebra, a.data @ b.data @ a.data)
 
     def inner(self, a, b) -> float:
-        # vdot conjugates its first argument; tr(ab) = Re <a, b>_HS for Hermitian a, b
-        val = float(np.real(np.vdot(a.data, b.data)))
+        # vdot conjugates its first argument; tr(ab) = Re <a, b>_HS for Hermitian a, b;
+        # a stack makes one vdot per trial, so each trial sums as a single call does
+        if a.data.ndim == b.data.ndim == 2:
+            val = float(np.real(np.vdot(a.data, b.data)))
+        else:
+            trials = zip(*np.broadcast_arrays(a.data, b.data))
+            val = np.array([np.vdot(x, y) for x, y in trials]).real
         return 0.5 * val if self.kind == KIND_QUAT else val
 
     def eigen_range(self, a):
@@ -683,7 +688,11 @@ class _SpinBackend(_Backend):
 
     def inner(self, a, b) -> float:
         (v, t), (w, s) = a.data, b.data
-        return 2.0 * (float(v @ w) + t * s)
+        if v.ndim == w.ndim == 1:
+            dots = float(v @ w)
+        else:  # one product per trial, as for matrices
+            dots = np.array([x @ y for x, y in zip(*np.broadcast_arrays(v, w))])
+        return 2.0 * (dots + t * s)
 
     def jordan_operator(self, a) -> np.ndarray:
         """T_(v,t) = [[t I, v], [v^T, t]]; coordinates are a uniform multiple of (w, s)."""

@@ -17,8 +17,9 @@ written once and derived only from the immutable data (a race between
 threads computes the same value twice), so the operations stay pure.  A
 descriptor keeps its identity and zero the same way.  Elements *stacked* by
 the backends hold k trials on a leading axis; arithmetic, ``seq_product``,
-the eigenvalue range and ``rel_residual`` return one value per trial, and
-``_random_effects`` draws a stack of random effects, one per Generator.
+the eigenvalue range, ``trace_inner_product`` and ``rel_residual`` return one
+value per trial, and ``_random_effects`` draws a stack of random effects, one
+per Generator.
 """
 
 from __future__ import annotations
@@ -201,7 +202,7 @@ def quadratic_rep(a: Element, b: Element) -> Element:
 
 
 def trace_inner_product(a: Element, b: Element) -> float:
-    """tr(ab); half-trace of the embedding for quaternionic matrices."""
+    """tr(ab); half-trace of the embedding for quaternionic matrices; per trial for a stack."""
     return check_same_algebra(a, b)._backend.inner(a, b)
 
 

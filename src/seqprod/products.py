@@ -144,9 +144,9 @@ def divide(p: SequentialProduct, q: Element, a: Element) -> Element:
     """
     check_same_algebra(q, a)
     gap = min_eigenvalue(q - a)
-    if gap < -SUPPORT_TOL:
+    if np.count_nonzero(~(gap >= -SUPPORT_TOL)):
         raise PreconditionError(
-            f"divide needs a <= q; offending eigenvalue of q - a is {gap:.3e}")
+            f"divide needs a <= q; offending eigenvalue of q - a is {np.min(gap):.3e}")
     return seq_product(p, pseudo_inverse(q), a)
 
 

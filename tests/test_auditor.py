@@ -183,12 +183,14 @@ def test_default_config_composition():
     for law in ALL_LAWS:
         for alg in REFERENCE_ALGEBRAS:
             assert (law.value, alg) in grid
-    # twisted products get the axiom rows
-    twisted_laws = {(r.product, r.law) for r in config.rows if r.product.startswith("twisted")
-                    and r.expect == "pass"}
-    for t in ("0.5", "1.0"):
-        assert (f"twisted:{t}", "SEA1") in twisted_laws
-        assert (f"twisted:{t}", "SCALAR_LINEARITY") in twisted_laws
+    # twisted products get the six axiom rows each, then THETA_STRUCTURE, however many laws stack
+    assert len(config.rows) == 131
+    axioms = ["SEA1", "SEA2", "SEA3", "SEA4", "SEA5", "SCALAR_LINEARITY"]
+    twisted = [(r.product, r.law, r.algebra) for r in config.rows[115:128]]
+    assert twisted == ([("twisted:0.5", law, "complex:3") for law in axioms]
+                       + [("twisted:1.0", law, "complex:3") for law in axioms]
+                       + [("twisted:1.0", "THETA_STRUCTURE", "complex:3")])
+    assert all(r.expect == "pass" for r in config.rows[:128])
 
 
 def test_report_json_roundtrip():

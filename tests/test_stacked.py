@@ -1,4 +1,4 @@
-"""Trial-stacked generation and evaluation of SEA1-SEA5 and SCALAR_LINEARITY.
+"""Trial-stacked generation and evaluation of the 14 stacked laws.
 
 A chunk of trials must give exactly the inputs, residuals, verdicts, maximal
 residuals, witnesses and errors of drawing and evaluating the trials one by
@@ -13,13 +13,17 @@ import pytest
 import seqprod as sp
 from seqprod import auditor
 from seqprod._backends import _clusters
-from seqprod.algebra import eigenvalue_range, rel_residual
+from seqprod.algebra import eigenvalue_range, random_element, rel_residual, trace
 from seqprod.auditor import REFERENCE_ALGEBRAS, LawId, audit_law, replay_witness
 
 from conftest import ALGEBRA_SHORTHANDS
 
 STACKED_LAWS = [LawId.SEA1, LawId.SEA2, LawId.SEA3, LawId.SEA4, LawId.SEA5,
-                LawId.SCALAR_LINEARITY]
+                LawId.SCALAR_LINEARITY, LawId.PRODUCT_LE_LEFT, LawId.MONOTONE_RIGHT,
+                LawId.SHARP_PROPS, LawId.FLOOR_LIMIT, LawId.PSEUDO_INVERSE, LawId.DIVIDE,
+                LawId.SYMMETRY, LawId.INVERTIBILITY_PRES]
+#: laws whose residual is exactly 0 on effects drawn for them, so no positive tolerance breaks them
+EXACT_LAWS = [LawId.SEA2, LawId.PRODUCT_LE_LEFT, LawId.MONOTONE_RIGHT]
 ROWS = ([("standard", short) for short in REFERENCE_ALGEBRAS]
         + [("twisted:0.5", "complex:3"), ("twisted:1.0", "complex:3")])
 
@@ -68,6 +72,10 @@ def _single_bits(x):
 # residuals and audit entries
 # ---------------------------------------------------------------------------
 
+def test_every_stacked_law_is_checked_here():
+    assert STACKED_LAWS == list(auditor._STACKED)
+
+
 @pytest.mark.parametrize("law", STACKED_LAWS)
 @pytest.mark.parametrize("desc, short", ROWS)
 def test_a_stack_of_64_trials_gives_the_per_trial_residuals(law, desc, short):
@@ -95,8 +103,7 @@ def test_audit_entries_do_not_depend_on_the_chunk_size(law, desc, short, monkeyp
     assert _entry(law, product, alg, 66, 3, 1e-8) == chunked
 
 
-# SEA2's residual is exactly 0 on these rows, so no positive tolerance breaks it
-@pytest.mark.parametrize("law", [law for law in STACKED_LAWS if law is not LawId.SEA2])
+@pytest.mark.parametrize("law", [law for law in STACKED_LAWS if law not in EXACT_LAWS])
 @pytest.mark.parametrize("short", ["real:4", "sum(complex:2,real:3)"])
 def test_a_tolerance_first_broken_mid_chunk_gives_the_per_trial_verdict(law, short,
                                                                           monkeypatch):
@@ -219,6 +226,41 @@ def test_sea5_frames_of_unequal_length_in_one_chunk(monkeypatch):
             assert _trial_bits(chunk[key], k) == _trial_bits(one[key], 0)
 
 
+def test_sharp_props_flags_only_the_trial_whose_a_neg_is_p(monkeypatch):
+    product, alg = _row("standard", "complex:3")
+    law = LawId.SHARP_PROPS
+    generate, evaluate = auditor._REGISTRY[law]
+
+    def planted(rngs, p, alg, trials, params):
+        inputs, backend = generate(rngs, p, alg, trials, params), alg._backend
+        a_neg = [backend.take(inputs["p" if i == 1 else "a_neg"], k) for k, i in enumerate(trials)]
+        return {**inputs, "a_neg": backend.stack(alg, a_neg)}
+
+    chunk = planted(_rngs(law, 2, range(3)), product, alg, range(3), {})
+    residuals = auditor._stacked_residuals(law, product, alg, chunk, 3)
+    assert residuals[1] >= 1.0
+    assert residuals[0] <= 1e-8 and residuals[2] <= 1e-8
+    monkeypatch.setitem(auditor._REGISTRY, law, (planted, evaluate))
+    entry = audit_law(law, product, alg, 3, 2, 1e-8)
+    assert entry.verdict == "fail" and entry.trials == 2
+    assert entry.witness["trial"] == 1
+    assert entry.max_residual == entry.witness["residual"] == residuals[1]
+    assert replay_witness(law, entry.product, entry.algebra, entry.witness) == residuals[1]
+
+
+def test_divide_draws_each_trials_profile_in_a_chunk_that_starts_at_an_odd_trial():
+    product, alg = _row("twisted:0.5", "complex:3")
+    generate = auditor._REGISTRY[LawId.DIVIDE][0]
+    trials = range(5, 12)
+    chunk = generate(_rngs(LawId.DIVIDE, 4, trials), product, alg, trials, {})
+    for k, i in enumerate(trials):
+        one = generate(_rngs(LawId.DIVIDE, 4, [i]), product, alg, [i], {})
+        for key in chunk:
+            assert _trial_bits(chunk[key], k) == _trial_bits(one[key], 0)
+        # q is generic on even trials and singular on odd ones
+        assert (eigenvalue_range(auditor._take(chunk, k)["q"])[0] < 1e-9) == (i % 2 == 1)
+
+
 # ---------------------------------------------------------------------------
 # primitives on stacks
 # ---------------------------------------------------------------------------
@@ -267,6 +309,41 @@ def test_stacked_operations_equal_the_single_ones_bit_for_bit(short):
     for k, y in enumerate(others):
         assert _trial_bits(sp.seq_product(p, one, b), k) == _single_bits(sp.seq_product(p, one, y))
         assert _trial_bits(one - b, k) == _single_bits(one - y)
+
+
+# vdot and @ per trial sum as the single calls do; a vecdot over the stack need not
+@pytest.mark.parametrize("short", list(REFERENCE_ALGEBRAS) + ["quat:1", "spin:1",
+                                                             "sum(real:1,spin:1)"])
+def test_stacked_trace_inner_products_equal_the_single_ones_bit_for_bit(short):
+    alg = sp.parse_algebra(short)
+    elems = [sp.random_effect(alg, 120 + k) for k in range(7)]
+    others = [random_element(alg, 140 + k) for k in range(7)]
+    a, b = (alg._backend.stack(alg, xs) for xs in (elems, others))
+    assert sp.trace_inner_product(a, b).tolist() == [sp.trace_inner_product(x, y)
+                                                     for x, y in zip(elems, others)]
+    # an unstacked operand broadcasts against the stack
+    assert trace(b).tolist() == [trace(y) for y in others]
+    one = sp.identity(alg)
+    assert sp.trace_inner_product(one, a).tolist() == [sp.trace_inner_product(one, x)
+                                                       for x in elems]
+
+
+def test_divide_on_a_stack_fails_loudly_and_names_the_worst_eigenvalue():
+    alg = sp.parse_algebra("complex:3")
+    p = sp.SequentialProduct.standard(alg)
+    qs = [sp.random_effect(alg, 160 + k) for k in range(3)]
+    below = [sp.seq_product(p, q, sp.random_effect(alg, 170 + k)) for k, q in enumerate(qs)]
+    q = alg._backend.stack(alg, qs)
+    c = sp.divide(p, q, alg._backend.stack(alg, below))
+    for k, (x, y) in enumerate(zip(qs, below)):
+        assert _trial_bits(c, k) == _single_bits(sp.divide(p, x, y))
+    one = sp.identity(alg)
+    above = [below[0], qs[1] + one * 0.25, below[2]]  # a <= q fails on trial 1 alone
+    with pytest.raises(sp.PreconditionError, match=r"q - a is -2\.500e-01"):
+        sp.divide(p, q, alg._backend.stack(alg, above))
+    above[0] = qs[0] + one * 0.125  # the first offending trial is not the worst
+    with pytest.raises(sp.PreconditionError, match=r"q - a is -2\.500e-01"):
+        sp.divide(p, q, alg._backend.stack(alg, above))
 
 
 def test_stacked_twisted_products_equal_the_single_ones_bit_for_bit():

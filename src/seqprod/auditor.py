@@ -1,9 +1,10 @@
 """Seeded property-based auditing of the kernel's structural laws.
 
-Each law is a (generate, evaluate) pair: ``generate`` manufactures inputs
-satisfying the law's hypotheses from a per-trial RNG, ``evaluate``
-computes a residual from the inputs alone.  A trial fails when its
-residual exceeds the row tolerance; the first failing trial's inputs are
+Each law is one row of ``LAWS``: a generator, an evaluator, the default
+trials and tolerance, and whether it runs stacked.  ``generate``
+manufactures inputs satisfying the law's hypotheses from per-trial RNGs,
+``evaluate`` computes a residual from the inputs alone.  A trial fails when
+its residual exceeds the row tolerance; the first failing trial's inputs are
 serialized as a witness, so any reported violation can be replayed
 standalone through the module operations.
 
@@ -16,12 +17,13 @@ then run on stacks with a leading trial axis.  The first trial of the chunk
 over the tolerance gives the verdict, so verdicts, maximal residuals and
 witnesses are those of trial-by-trial runs, bit for bit.  A chunk that raises
 is redone as chunks of one, so an error surfaces at its own trial and only if
-no earlier trial fails; a witness is its trial taken out of the stack, and
-replays as a stack of one.  The other nine laws run trial by trial:
-DYADIC_BOUND, SPECTRAL_RECON and SELF_DUALITY read each trial's spectral frame
-inside the evaluator, COMMUTE_EQUIV has a redraw loop, and INVARIANCE,
-HOMOGENEITY, FUNDAMENTAL_EQ, QUADRATIC_LAW and THETA_STRUCTURE are
-operator-valued.
+no earlier trial fails; a witness is its trial taken out of the stack.
+Replay evaluates the witness's plain elements with the same evaluator, which
+gives the stacked residual bit for bit.  The other nine laws run trial by
+trial: DYADIC_BOUND, SPECTRAL_RECON and SELF_DUALITY read each trial's
+spectral frame inside the evaluator, COMMUTE_EQUIV has a redraw loop, and
+INVARIANCE, HOMOGENEITY, FUNDAMENTAL_EQ, QUADRATIC_LAW and THETA_STRUCTURE
+are operator-valued.
 
 Expected-fail rows turn the suite into a two-sided oracle: the twisted
 products are expected to break invariance under the transpose
@@ -37,6 +39,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial, reduce
 from itertools import count
+from typing import Callable
 
 import numpy as np
 
@@ -47,6 +50,7 @@ from .algebra import (
     AlgebraDescriptor,
     Element,
     LinearMap,
+    eigenvalue_range,
     identity,
     jordan_mult_operator,
     jordan_product,
@@ -114,41 +118,12 @@ class LawId(str, Enum):
 
 
 ALL_LAWS = list(LawId)
-_LAW_ORDINAL = {law: k for k, law in enumerate(ALL_LAWS)}
-
-#: per-law default (trials, tolerance)
-LAW_DEFAULTS: dict[LawId, tuple[int, float]] = {
-    LawId.SEA1: (200, 1e-8),
-    LawId.SEA2: (200, 1e-8),
-    LawId.SEA3: (200, 1e-8),
-    LawId.SEA4: (200, 1e-8),
-    LawId.SEA5: (200, 1e-8),
-    LawId.SCALAR_LINEARITY: (200, 1e-8),
-    LawId.PRODUCT_LE_LEFT: (100, 1e-9),
-    LawId.MONOTONE_RIGHT: (100, 1e-9),
-    LawId.SHARP_PROPS: (50, 1e-8),
-    LawId.FLOOR_LIMIT: (50, 1e-9),
-    LawId.DYADIC_BOUND: (50, 1e-9),
-    LawId.SPECTRAL_RECON: (100, 1e-9),
-    LawId.FUNDAMENTAL_EQ: (100, 1e-9),
-    LawId.COMMUTE_EQUIV: (100, 1e-8),
-    LawId.SELF_DUALITY: (50, 1e-10),
-    LawId.HOMOGENEITY: (50, 1e-8),
-    LawId.PSEUDO_INVERSE: (50, 1e-8),
-    LawId.DIVIDE: (50, 1e-8),
-    LawId.INVARIANCE: (50, 1e-8),
-    LawId.SYMMETRY: (100, 1e-8),
-    LawId.INVERTIBILITY_PRES: (50, 1e-7),
-    LawId.QUADRATIC_LAW: (50, 1e-8),
-    LawId.THETA_STRUCTURE: (25, 1e-7),
-}
 
 #: the SEA axioms and scalar linearity, which the twisted products are audited on too
 _AXIOMS = (LawId.SEA1, LawId.SEA2, LawId.SEA3, LawId.SEA4, LawId.SEA5, LawId.SCALAR_LINEARITY)
-#: the laws drawn and evaluated on stacks of up to _CHUNK trials
-_STACKED = _AXIOMS + (LawId.PRODUCT_LE_LEFT, LawId.MONOTONE_RIGHT, LawId.SHARP_PROPS,
-                      LawId.FLOOR_LIMIT, LawId.PSEUDO_INVERSE, LawId.DIVIDE, LawId.SYMMETRY,
-                      LawId.INVERTIBILITY_PRES)
+#: the laws the twisted products break, and the trials and tol of their expected-fail rows
+FALSIFIED = (LawId.INVARIANCE, LawId.SYMMETRY, LawId.INVERTIBILITY_PRES)
+FALSIFY_TRIALS, FALSIFY_TOL = 10, 1e-3
 _CHUNK = 64
 
 #: reference algebras covered by the default suite
@@ -223,15 +198,20 @@ def _commuting_triple(rngs, p, alg, trials, params):
     return {"a": a, "b": _poly_effect(rngs, a), "c": _random_effects(alg, rngs)}
 
 
+def _frames(alg: AlgebraDescriptor, rngs) -> list:
+    """Each trial's spectral frame of an invertible base; the bases are solved as one stack."""
+    base = _random_effects(alg, rngs, "invertible")
+    min_eigenvalue(base)  # one solve of the stack; each trial's frame reads its slice
+    return [spectral_decompose(alg._backend.take(base, k)).idempotents for k in range(len(rngs))]
+
+
 def _pinched(rngs, p, alg, trials, params):
     """c from the spectral frame of an invertible base, a and b pinched by that frame.
 
     Frames of different lengths in one chunk (direct sums) are pinched trial by trial.
     """
     backend = alg._backend
-    base = _random_effects(alg, rngs, "invertible")
-    min_eigenvalue(base)  # one solve of the stack; each trial's frame reads its slice
-    frames = [spectral_decompose(backend.take(base, k)).idempotents for k in range(len(rngs))]
+    frames = _frames(alg, rngs)
     alphas = [rng.uniform(0.05, 0.95, len(frame)) for rng, frame in zip(rngs, frames)]
     x = _random_effects(alg, rngs, "invertible")
     y = _random_effects(alg, rngs, "invertible")
@@ -271,17 +251,13 @@ def _sharp(rngs, p, alg, trials, params):
 def _floor(rngs, p, alg, trials, params):
     """Each trial's frame of an invertible base, weighted by eigenvalues its Generator draws.
 
-    The bases are solved as one stack; the draws depend on the frame, so they run per trial.
+    The draws depend on the frame, so they run per trial.
     """
-    backend = alg._backend
-    base = _random_effects(alg, rngs, "invertible")
-    min_eigenvalue(base)  # one solve of the stack; each trial's frame reads its slice
-    frames = [spectral_decompose(backend.take(base, k)).idempotents for k in range(len(rngs))]
     effects = []
-    for rng, frame in zip(rngs, frames):
+    for rng, frame in zip(rngs, _frames(alg, rngs)):
         lams = [1.0 if rng.uniform() < 0.4 else float(rng.uniform(0.05, 0.7)) for _ in frame]
         effects.append(reduce(Element.__add__, (proj * lam for proj, lam in zip(frame, lams))))
-    return {"a": backend.stack(alg, effects)}
+    return {"a": alg._backend.stack(alg, effects)}
 
 
 def _quotient(rngs, p, alg, trials, params):
@@ -321,25 +297,25 @@ def _gen_commute_pair(rng, p, alg, trial, params):
     raise CapabilityError(f"could not draw a non-commuting pair on {alg}")
 
 
-def _gen_self_duality(rng, p, alg, trial, params):
-    def scaled_square():
-        e = random_element(alg, rng)
-        sq = jordan_product(e, e)
-        return sq * (1.0 / max(1.0, order_unit_norm(sq)))
+def _scaled_square(alg: AlgebraDescriptor, rng) -> Element:
+    """The Jordan square of a random element, scaled down to order-unit norm at most 1."""
+    e = random_element(alg, rng)
+    sq = jordan_product(e, e)
+    return sq * (1.0 / max(1.0, order_unit_norm(sq)))
 
+
+def _gen_self_duality(rng, p, alg, trial, params):
     g = random_element(alg, rng)
     g = g * (1.0 / max(1.0, order_unit_norm(g)))
     a = g - identity(alg) * (min_eigenvalue(g) + 0.2)
-    return {"x": scaled_square(), "y": scaled_square(), "a": a}
+    return {"x": _scaled_square(alg, rng), "y": _scaled_square(alg, rng), "a": a}
 
 
 def _gen_homogeneity(rng, p, alg, trial, params):
     inputs = {"a": random_effect(alg, rng, "invertible"),
               "b": random_effect(alg, rng, "invertible")}
     for k in range(3):
-        e = random_element(alg, rng)
-        sq = jordan_product(e, e)
-        inputs[f"s{k}"] = sq * (1.0 / max(1.0, order_unit_norm(sq)))
+        inputs[f"s{k}"] = _scaled_square(alg, rng)
     inputs["s3"] = random_effect(alg, rng)
     inputs["s4"] = identity(alg)
     return inputs
@@ -461,8 +437,9 @@ def _ev_dyadic(p, alg, inp):
     worst = 0.0
     prev = None
     for m, q in enumerate(approx, start=1):
-        worst = _worst(worst, order_unit_norm(a - q) - 2.0 ** (1 - m))
-        worst = _worst(worst, -min_eigenvalue(a - q))
+        lo, hi = eigenvalue_range(a - q)  # one solve gives the norm and the min eigenvalue
+        worst = _worst(worst, np.maximum(abs(lo), abs(hi)) - 2.0 ** (1 - m))
+        worst = _worst(worst, -lo)
         if prev is not None:
             worst = _worst(worst, -min_eigenvalue(q - prev))
         prev = q
@@ -609,30 +586,48 @@ def _ev_theta(p, alg, inp):
     return worst
 
 
-_REGISTRY = {
-    LawId.SEA1: (_sum_triple, _ev_sea1),
-    LawId.SEA2: (_fields(a="generic"), _ev_sea2),
-    LawId.SEA3: (_orthogonal_supports, _ev_sea3),
-    LawId.SEA4: (_commuting_triple, _ev_sea4),
-    LawId.SEA5: (_pinched, _ev_sea5),
-    LawId.SCALAR_LINEARITY: (_fields(a="generic", b="generic"), _ev_scalar),
-    LawId.PRODUCT_LE_LEFT: (_fields(a="generic", b="generic"), _ev_product_le),
-    LawId.MONOTONE_RIGHT: (_monotone, _ev_monotone),
-    LawId.SHARP_PROPS: (_sharp, _ev_sharp),
-    LawId.FLOOR_LIMIT: (_floor, _ev_floor),
-    LawId.DYADIC_BOUND: (_gen_profiled, _ev_dyadic),
-    LawId.SPECTRAL_RECON: (_gen_profiled, _ev_spectral_recon),
-    LawId.FUNDAMENTAL_EQ: (_gen_pair, _ev_fundamental),
-    LawId.COMMUTE_EQUIV: (_gen_commute_pair, _ev_commute_equiv),
-    LawId.SELF_DUALITY: (_gen_self_duality, _ev_self_duality),
-    LawId.HOMOGENEITY: (_gen_homogeneity, _ev_homogeneity),
-    LawId.PSEUDO_INVERSE: (_fields(b="singular"), _ev_pseudo_inverse),
-    LawId.DIVIDE: (_quotient, _ev_divide),
-    LawId.INVARIANCE: (_gen_invariance, _ev_invariance),
-    LawId.SYMMETRY: (_fields(a="generic", b="generic", c="generic"), _ev_symmetry),
-    LawId.INVERTIBILITY_PRES: (_fields(a="invertible", b="invertible"), _ev_invertibility),
-    LawId.QUADRATIC_LAW: (_gen_pair, _ev_quadratic),
-    LawId.THETA_STRUCTURE: (_gen_theta, _ev_theta),
+@dataclass(frozen=True)
+class Law:
+    """One law: how its inputs are drawn, how its residual is evaluated, and its defaults.
+
+    A stacked law's generator takes the Generators and indices of a chunk of trials and its
+    evaluator returns one residual per trial; otherwise both take one trial.
+    """
+    generate: Callable
+    evaluate: Callable
+    trials: int
+    tol: float
+    stacked: bool
+
+
+#: every law's row, in LawId order
+LAWS: dict[LawId, Law] = {
+    LawId.SEA1: Law(_sum_triple, _ev_sea1, 200, 1e-8, True),
+    LawId.SEA2: Law(_fields(a="generic"), _ev_sea2, 200, 1e-8, True),
+    LawId.SEA3: Law(_orthogonal_supports, _ev_sea3, 200, 1e-8, True),
+    LawId.SEA4: Law(_commuting_triple, _ev_sea4, 200, 1e-8, True),
+    LawId.SEA5: Law(_pinched, _ev_sea5, 200, 1e-8, True),
+    LawId.SCALAR_LINEARITY: Law(_fields(a="generic", b="generic"), _ev_scalar, 200, 1e-8, True),
+    LawId.PRODUCT_LE_LEFT: Law(_fields(a="generic", b="generic"), _ev_product_le, 100, 1e-9,
+                               True),
+    LawId.MONOTONE_RIGHT: Law(_monotone, _ev_monotone, 100, 1e-9, True),
+    LawId.SHARP_PROPS: Law(_sharp, _ev_sharp, 50, 1e-8, True),
+    LawId.FLOOR_LIMIT: Law(_floor, _ev_floor, 50, 1e-9, True),
+    LawId.DYADIC_BOUND: Law(_gen_profiled, _ev_dyadic, 50, 1e-9, False),
+    LawId.SPECTRAL_RECON: Law(_gen_profiled, _ev_spectral_recon, 100, 1e-9, False),
+    LawId.FUNDAMENTAL_EQ: Law(_gen_pair, _ev_fundamental, 100, 1e-9, False),
+    LawId.COMMUTE_EQUIV: Law(_gen_commute_pair, _ev_commute_equiv, 100, 1e-8, False),
+    LawId.SELF_DUALITY: Law(_gen_self_duality, _ev_self_duality, 50, 1e-10, False),
+    LawId.HOMOGENEITY: Law(_gen_homogeneity, _ev_homogeneity, 50, 1e-8, False),
+    LawId.PSEUDO_INVERSE: Law(_fields(b="singular"), _ev_pseudo_inverse, 50, 1e-8, True),
+    LawId.DIVIDE: Law(_quotient, _ev_divide, 50, 1e-8, True),
+    LawId.INVARIANCE: Law(_gen_invariance, _ev_invariance, 50, 1e-8, False),
+    LawId.SYMMETRY: Law(_fields(a="generic", b="generic", c="generic"), _ev_symmetry, 100, 1e-8,
+                        True),
+    LawId.INVERTIBILITY_PRES: Law(_fields(a="invertible", b="invertible"), _ev_invertibility,
+                                  50, 1e-7, True),
+    LawId.QUADRATIC_LAW: Law(_gen_pair, _ev_quadratic, 50, 1e-8, False),
+    LawId.THETA_STRUCTURE: Law(_gen_theta, _ev_theta, 25, 1e-7, False),
 }
 
 
@@ -656,23 +651,6 @@ class SuiteRow:
 class SuiteConfig:
     rows: list[SuiteRow]
     seed: int = 42
-    schema: int = 1
-
-    def to_json(self) -> dict:
-        rows = []
-        for r in self.rows:
-            row = {"law": r.law, "product": r.product, "algebra": r.algebra,
-                   "expect": r.expect}
-            if r.trials is not None:
-                row["trials"] = r.trials
-            if r.tol is not None:
-                row["tol"] = r.tol
-            if r.seed is not None:
-                row["seed"] = r.seed
-            if r.params:
-                row["params"] = r.params
-            rows.append(row)
-        return {"schema": self.schema, "seed": self.seed, "rows": rows}
 
     @classmethod
     def from_json(cls, obj: dict) -> "SuiteConfig":
@@ -769,20 +747,6 @@ class AuditReport:
 # Execution
 # ---------------------------------------------------------------------------
 
-def _stacked_residuals(law: LawId, product, alg, inputs: dict, k: int) -> list[float]:
-    """The residual of each of the k trials of the stacked ``inputs``."""
-    return np.broadcast_to(_REGISTRY[law][1](product, alg, inputs), k).tolist()
-
-
-def _residuals(law: LawId, product, alg, inputs: list[dict]) -> list[float]:
-    """The residual of each listed trial: one stack for a stacked law, else one by one."""
-    evaluate = _REGISTRY[law][1]
-    if law not in _STACKED:
-        return [float(evaluate(product, alg, inp)) for inp in inputs]
-    stacked = {key: alg._backend.stack(alg, [inp[key] for inp in inputs]) for key in inputs[0]}
-    return _stacked_residuals(law, product, alg, stacked, len(inputs))
-
-
 def _trial_residuals(trials: int, size: int, run):
     """(trial, residual, the trial's inputs on demand) in order, from ``run(chunk)`` of ``size``.
 
@@ -814,16 +778,16 @@ def audit_law(law: LawId | str, product: SequentialProduct, alg: AlgebraDescript
         raise ConfigError(f"{law.value} on {alg}: trials must be at least 1, got {trials}")
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"{law.value} on {alg}: tol must be finite and positive, got {tol}")
-    generate = _REGISTRY[law][0]
-    ordinal = _LAW_ORDINAL[law]
+    row = LAWS[law]
+    ordinal = ALL_LAWS.index(law)
 
     def run(chunk: range) -> list:
         rngs = [np.random.default_rng((seed, ordinal, i)) for i in chunk]
-        if law not in _STACKED:
-            inputs = generate(rngs[0], product, alg, chunk[0], params or {})
-            return [(chunk[0], _residuals(law, product, alg, [inputs])[0], lambda: inputs)]
-        inputs = generate(rngs, product, alg, chunk, params or {})
-        residuals = _stacked_residuals(law, product, alg, inputs, len(chunk))
+        if not row.stacked:
+            inputs = row.generate(rngs[0], product, alg, chunk[0], params or {})
+            return [(chunk[0], float(row.evaluate(product, alg, inputs)), lambda: inputs)]
+        inputs = row.generate(rngs, product, alg, chunk, params or {})
+        residuals = np.broadcast_to(row.evaluate(product, alg, inputs), len(chunk)).tolist()
         return [(i, residual, partial(_take, inputs, k))
                 for k, (i, residual) in enumerate(zip(chunk, residuals))]
 
@@ -831,7 +795,7 @@ def audit_law(law: LawId | str, product: SequentialProduct, alg: AlgebraDescript
     max_residual = 0.0
     witness = None
     verdict = "pass"
-    size = _CHUNK if law in _STACKED else 1
+    size = _CHUNK if row.stacked else 1
     for i, residual, inputs in _trial_residuals(trials, size, run):
         max_residual = max(max_residual, residual)
         if not residual <= tol:  # a NaN residual fails too
@@ -856,7 +820,7 @@ def replay_witness(law: LawId | str, product_desc: str, algebra_desc: str,
     alg = parse_algebra(algebra_desc)
     product = parse_product(product_desc, alg)
     inputs = serialize.inputs_from_json(witness["inputs"])
-    return _residuals(law, product, alg, [inputs])[0]
+    return float(LAWS[law].evaluate(product, alg, inputs))
 
 
 def _row_seed(config_seed: int, index: int, row: SuiteRow) -> int:
@@ -872,9 +836,8 @@ def run_full_suite(config: SuiteConfig) -> AuditReport:
         if row.law not in LawId._value2member_map_:
             raise ConfigError(f"row {i}: unknown law {row.law!r}")
         law = LawId(row.law)
-        trials, tol = LAW_DEFAULTS[law]
-        trials = row.trials if row.trials is not None else trials
-        tol = row.tol if row.tol is not None else tol
+        trials = row.trials if row.trials is not None else LAWS[law].trials
+        tol = row.tol if row.tol is not None else LAWS[law].tol
         seed = _row_seed(config.seed, i, row)
         try:
             alg = parse_algebra(row.algebra)
@@ -890,16 +853,12 @@ def run_full_suite(config: SuiteConfig) -> AuditReport:
     return AuditReport(entries=entries, seed=config.seed)
 
 
-def characterization_rows(trials: int = 10, tol: float = 1e-3) -> list[SuiteRow]:
+def characterization_rows(trials: int = FALSIFY_TRIALS,
+                          tol: float = FALSIFY_TOL) -> list[SuiteRow]:
     """The three falsification demos on the twisted product."""
-    return [
-        SuiteRow(LawId.INVARIANCE.value, "twisted:1.0", "complex:3", trials, tol,
-                 expect="fail", params={"iso": "transpose"}),
-        SuiteRow(LawId.SYMMETRY.value, "twisted:1.0", "complex:3", trials, tol,
-                 expect="fail"),
-        SuiteRow(LawId.INVERTIBILITY_PRES.value, "twisted:1.0", "complex:3", trials, tol,
-                 expect="fail"),
-    ]
+    return [SuiteRow(law.value, "twisted:1.0", "complex:3", trials, tol, expect="fail",
+                     params={"iso": "transpose"} if law is LawId.INVARIANCE else {})
+            for law in FALSIFIED]
 
 
 def default_config(seed: int = 42) -> SuiteConfig:

@@ -17,6 +17,9 @@ from . import __version__, serialize
 from .algebra import parse_algebra, trace
 from .auditor import (
     ALL_LAWS,
+    FALSIFIED,
+    FALSIFY_TOL,
+    FALSIFY_TRIALS,
     AuditReport,
     LawId,
     SuiteConfig,
@@ -111,18 +114,15 @@ def _cmd_audit(args) -> int:
             for name in laws:
                 if name not in LawId._value2member_map_:
                     raise ConfigError(f"unknown law {name!r}")
-        # twisted products are expected to break these three laws
-        expected_fail = {LawId.INVARIANCE.value, LawId.SYMMETRY.value,
-                         LawId.INVERTIBILITY_PRES.value}
         # raises CapabilityError for a twisted product on a non-complex algebra
         twisted = bool(parse_product(args.product, alg).twist)
         rows = []
         for name in laws:
-            expect = "fail" if twisted and name in expected_fail else "pass"
-            tol = 1e-3 if expect == "fail" else args.tol
-            trials = 10 if expect == "fail" else args.trials
-            rows.append(SuiteRow(name, args.product, args.algebra,
-                                 trials=trials, tol=tol, expect=expect))
+            if twisted and name in FALSIFIED:
+                rows.append(SuiteRow(name, args.product, args.algebra, FALSIFY_TRIALS,
+                                     FALSIFY_TOL, expect="fail"))
+            else:
+                rows.append(SuiteRow(name, args.product, args.algebra, args.trials, args.tol))
         config = SuiteConfig(rows=rows, seed=seed)
     else:
         config = default_config(seed)

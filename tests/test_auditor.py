@@ -1,7 +1,11 @@
 import copy
+import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -10,7 +14,6 @@ import seqprod as sp
 from seqprod import auditor
 from seqprod.auditor import (
     ALL_LAWS,
-    LAW_DEFAULTS,
     REFERENCE_ALGEBRAS,
     AuditReport,
     LawId,
@@ -31,10 +34,57 @@ def _product(desc, short):
     return sp.parse_product(desc, sp.parse_algebra(short))
 
 
+#: (law, default trials, default tol, stacked) of each row of the law table, in LawId order;
+#: reports carry no tol, so only this catches a tolerance copied wrong
+LAW_TABLE = [
+    ("SEA1", 200, 1e-08, True),
+    ("SEA2", 200, 1e-08, True),
+    ("SEA3", 200, 1e-08, True),
+    ("SEA4", 200, 1e-08, True),
+    ("SEA5", 200, 1e-08, True),
+    ("SCALAR_LINEARITY", 200, 1e-08, True),
+    ("PRODUCT_LE_LEFT", 100, 1e-09, True),
+    ("MONOTONE_RIGHT", 100, 1e-09, True),
+    ("SHARP_PROPS", 50, 1e-08, True),
+    ("FLOOR_LIMIT", 50, 1e-09, True),
+    ("DYADIC_BOUND", 50, 1e-09, False),
+    ("SPECTRAL_RECON", 100, 1e-09, False),
+    ("FUNDAMENTAL_EQ", 100, 1e-09, False),
+    ("COMMUTE_EQUIV", 100, 1e-08, False),
+    ("SELF_DUALITY", 50, 1e-10, False),
+    ("HOMOGENEITY", 50, 1e-08, False),
+    ("PSEUDO_INVERSE", 50, 1e-08, True),
+    ("DIVIDE", 50, 1e-08, True),
+    ("INVARIANCE", 50, 1e-08, False),
+    ("SYMMETRY", 100, 1e-08, True),
+    ("INVERTIBILITY_PRES", 50, 1e-07, True),
+    ("QUADRATIC_LAW", 50, 1e-08, False),
+    ("THETA_STRUCTURE", 25, 1e-07, False),
+]
+
+
 def test_every_law_has_defaults_and_registry():
     assert len(ALL_LAWS) == 23
     for law in ALL_LAWS:
-        assert law in LAW_DEFAULTS
+        assert law in auditor.LAWS
+
+
+def test_the_law_table_keeps_every_default():
+    assert [(law.value, row.trials, row.tol, row.stacked)
+            for law, row in auditor.LAWS.items()] == LAW_TABLE
+
+
+def test_only_the_auditor_names_a_law():
+    package = Path(sp.__file__).parent
+    name = re.compile(r"\b(" + "|".join(law.value for law in LawId) + r")\b")
+    outside = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "auditor.py":
+            continue
+        for number, line in enumerate(path.read_text().splitlines(), start=1):
+            if name.search(line):
+                outside.append(f"{path.name}:{number}: {line.strip()}")
+    assert outside == []
 
 
 def test_sea1_standard_passes():
@@ -162,12 +212,19 @@ def test_config_errors_carry_row_index():
         SuiteConfig.from_json({"seed": 3})
 
 
-def test_config_json_roundtrip():
-    config = default_config(seed=7)
-    back = SuiteConfig.from_json(json.loads(json.dumps(config.to_json())))
-    assert back.seed == 7
-    assert len(back.rows) == len(config.rows)
-    assert back.rows[0].law == config.rows[0].law
+def test_config_loads_every_field_of_a_hand_written_row():
+    config = SuiteConfig.from_json({
+        "schema": 1, "seed": 17,
+        "rows": [{"law": "INVARIANCE", "product": "twisted:0.5", "algebra": "quat:2",
+                  "trials": 12, "tol": 2.5e-6, "expect": "fail", "seed": 99,
+                  "params": {"iso": "transpose"}},
+                 {"law": "SEA1"}]})
+    assert config.seed == 17
+    row = config.rows[0]
+    assert (row.law, row.product, row.algebra) == ("INVARIANCE", "twisted:0.5", "quat:2")
+    assert (row.trials, row.tol, row.expect, row.seed) == (12, 2.5e-6, "fail", 99)
+    assert row.params == {"iso": "transpose"}
+    assert config.rows[1] == SuiteRow("SEA1")
 
 
 def test_default_config_composition():
@@ -249,14 +306,33 @@ def test_verdict_fail_iff_witness_present():
 # ---------------------------------------------------------------------------
 
 def test_nan_residual_fails_and_is_reported(monkeypatch):
-    generate, _ = auditor._REGISTRY[LawId.SEA2]
-    monkeypatch.setitem(auditor._REGISTRY, LawId.SEA2,
-                        (generate, lambda p, alg, inp: float("nan")))
+    monkeypatch.setitem(auditor.LAWS, LawId.SEA2,
+                        dataclasses.replace(auditor.LAWS[LawId.SEA2],
+                                            evaluate=lambda p, alg, inp: float("nan")))
     entry = audit_law("SEA2", _product("standard", "real:3"), sp.parse_algebra("real:3"),
                       trials=5, seed=1, tol=1e-8)
     assert entry.verdict == "fail"
     assert entry.witness["trial"] == 0
     assert math.isnan(entry.max_residual)
+
+
+# a, then per approximant q: a - q once, q - the previous approximant, and q's own frame
+@pytest.mark.parametrize("short, blocks", [("real:4", 1), ("complex:4", 1), ("quat:3", 1),
+                                           ("sum(complex:2,real:3)", 2)])
+def test_a_dyadic_bound_trial_solves_each_difference_once(short, blocks, monkeypatch):
+    alg = sp.parse_algebra(short)
+    product = sp.SequentialProduct.standard(alg)
+    law = auditor.LAWS[LawId.DYADIC_BOUND]
+    inputs = law.generate(np.random.default_rng((42, 10, 0)), product, alg, 0, {})
+    calls, eigh = [], np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    law.evaluate(product, alg, inputs)
+    assert len(calls) <= 3 * 8 * blocks
 
 
 @pytest.mark.parametrize("row", [

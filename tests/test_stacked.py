@@ -5,6 +5,7 @@ residuals, witnesses and errors of drawing and evaluating the trials one by
 one.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -34,14 +35,30 @@ def _row(desc, short):
 
 
 def _rngs(law, seed, trials):
-    return [np.random.default_rng((seed, auditor._LAW_ORDINAL[law], i)) for i in trials]
+    return [np.random.default_rng((seed, auditor.ALL_LAWS.index(law), i)) for i in trials]
 
 
 def _inputs(law, product, alg, trials, seed):
     """The inputs of trials 0 .. trials - 1 of a row with ``seed``, each drawn as a chunk of one."""
-    generate = auditor._REGISTRY[law][0]
+    generate = auditor.LAWS[law].generate
     return [auditor._take(generate(_rngs(law, seed, [i]), product, alg, [i], {}), 0)
             for i in range(trials)]
+
+
+def _stacked_residuals(law, product, alg, inputs, k):
+    """The residual of each of the k trials of the stacked ``inputs``."""
+    return np.broadcast_to(auditor.LAWS[law].evaluate(product, alg, inputs), k).tolist()
+
+
+def _residuals(law, product, alg, inputs):
+    """The residual of each listed trial, evaluated as one stack."""
+    stacked = {key: alg._backend.stack(alg, [inp[key] for inp in inputs]) for key in inputs[0]}
+    return _stacked_residuals(law, product, alg, stacked, len(inputs))
+
+
+def _with(monkeypatch, law, **fields):
+    """Replace fields of ``law``'s row for the test."""
+    monkeypatch.setitem(auditor.LAWS, law, dataclasses.replace(auditor.LAWS[law], **fields))
 
 
 def _entry(law, product, alg, trials, seed, tol):
@@ -73,7 +90,7 @@ def _single_bits(x):
 # ---------------------------------------------------------------------------
 
 def test_every_stacked_law_is_checked_here():
-    assert STACKED_LAWS == list(auditor._STACKED)
+    assert STACKED_LAWS == [law for law, row in auditor.LAWS.items() if row.stacked]
 
 
 @pytest.mark.parametrize("law", STACKED_LAWS)
@@ -81,14 +98,15 @@ def test_every_stacked_law_is_checked_here():
 def test_a_stack_of_64_trials_gives_the_per_trial_residuals(law, desc, short):
     product, alg = _row(desc, short)
     inputs = _inputs(law, product, alg, 64, seed=5)
-    evaluate = auditor._REGISTRY[law][1]
-    stacked = auditor._residuals(law, product, alg, inputs)
+    evaluate = auditor.LAWS[law].evaluate
+    stacked = _residuals(law, product, alg, inputs)
+    # each trial alone, as replay_witness evaluates it
     assert stacked == [float(evaluate(product, alg, inp)) for inp in inputs]
     # the same 64 trials drawn as one chunk
-    chunk = auditor._REGISTRY[law][0](_rngs(law, 5, range(64)), product, alg, range(64), {})
-    assert auditor._stacked_residuals(law, product, alg, chunk, 64) == stacked
-    # a stack of one, as replay_witness evaluates it
-    assert stacked[::9] == [auditor._residuals(law, product, alg, [inp])[0]
+    chunk = auditor.LAWS[law].generate(_rngs(law, 5, range(64)), product, alg, range(64), {})
+    assert _stacked_residuals(law, product, alg, chunk, 64) == stacked
+    # a stack of one
+    assert stacked[::9] == [_residuals(law, product, alg, [inp])[0]
                             for inp in inputs[::9]]
 
 
@@ -108,7 +126,7 @@ def test_audit_entries_do_not_depend_on_the_chunk_size(law, desc, short, monkeyp
 def test_a_tolerance_first_broken_mid_chunk_gives_the_per_trial_verdict(law, short,
                                                                           monkeypatch):
     product, alg = _row("standard", short)
-    residuals = auditor._residuals(law, product, alg, _inputs(law, product, alg, 64, seed=8))
+    residuals = _residuals(law, product, alg, _inputs(law, product, alg, 64, seed=8))
     worst = int(np.argmax(residuals))
     assert 0 < worst < 63
     tol = max(residuals[:worst])  # every trial before the worst one passes
@@ -121,7 +139,7 @@ def test_a_tolerance_first_broken_mid_chunk_gives_the_per_trial_verdict(law, sho
 
 
 def _failing_generator(law, bad_trial, drawn):
-    generate = auditor._REGISTRY[law][0]
+    generate = auditor.LAWS[law].generate
 
     def draw(rngs, p, alg, trials, params):
         drawn.append(list(trials))
@@ -136,8 +154,7 @@ def _failing_generator(law, bad_trial, drawn):
 def test_an_error_inside_a_chunk_surfaces_at_its_own_trial(chunk, monkeypatch):
     product, alg = _row("standard", "complex:3")
     drawn = []
-    monkeypatch.setitem(auditor._REGISTRY, LawId.SEA4,
-                        (_failing_generator(LawId.SEA4, 70, drawn), auditor._REGISTRY[LawId.SEA4][1]))
+    _with(monkeypatch, LawId.SEA4, generate=_failing_generator(LawId.SEA4, 70, drawn))
     monkeypatch.setattr(auditor, "_CHUNK", chunk)
     with pytest.raises(sp.NumericalFailureError, match="no sample at trial 70"):
         audit_law(LawId.SEA4, product, alg, 100, 1, 1e-8)
@@ -150,12 +167,11 @@ def test_an_error_inside_a_chunk_surfaces_at_its_own_trial(chunk, monkeypatch):
 def test_a_failing_trial_before_the_error_wins(monkeypatch):
     product, alg = _row("standard", "real:4")
     law = LawId.SCALAR_LINEARITY
-    residuals = auditor._residuals(law, product, alg, _inputs(law, product, alg, 75, seed=3))
+    residuals = _residuals(law, product, alg, _inputs(law, product, alg, 75, seed=3))
     worst = int(np.argmax(residuals))
     assert 64 <= worst < 75  # in the second chunk, before the error
     tol = max(residuals[:worst])
-    monkeypatch.setitem(auditor._REGISTRY, law,
-                        (_failing_generator(law, 75, []), auditor._REGISTRY[law][1]))
+    _with(monkeypatch, law, generate=_failing_generator(law, 75, []))
     entries = []
     for chunk in (64, 1):
         monkeypatch.setattr(auditor, "_CHUNK", chunk)
@@ -166,7 +182,7 @@ def test_a_failing_trial_before_the_error_wins(monkeypatch):
 
 def test_a_chunk_that_raises_only_when_stacked_is_redone_trial_by_trial(monkeypatch):
     product, alg = _row("standard", "quat:3")
-    generate, evaluate = auditor._REGISTRY[LawId.SEA2]
+    evaluate = auditor.LAWS[LawId.SEA2].evaluate
 
     def fragile(p, alg, inp):
         if inp["a"].data.ndim == 3 and len(inp["a"].data) > 1:
@@ -174,14 +190,14 @@ def test_a_chunk_that_raises_only_when_stacked_is_redone_trial_by_trial(monkeypa
         return evaluate(p, alg, inp)
 
     expected = _entry(LawId.SEA2, product, alg, 70, 4, 1e-8)
-    monkeypatch.setitem(auditor._REGISTRY, LawId.SEA2, (generate, fragile))
+    _with(monkeypatch, LawId.SEA2, evaluate=fragile)
     assert _entry(LawId.SEA2, product, alg, 70, 4, 1e-8) == expected
 
 
 def test_a_witness_replays_as_a_stack_of_one():
     product, alg = _row("twisted:1.0", "complex:3")
     law = LawId.SEA4
-    residuals = auditor._residuals(law, product, alg, _inputs(law, product, alg, 64, seed=6))
+    residuals = _residuals(law, product, alg, _inputs(law, product, alg, 64, seed=6))
     worst = int(np.argmax(residuals))
     assert worst > 0
     entry = audit_law(law, product, alg, 64, 6, max(residuals[:worst]))
@@ -211,17 +227,17 @@ def test_sea5_frames_of_unequal_length_in_one_chunk(monkeypatch):
         return alg._backend.stack(alg, [bases[int(rng.integers(2))] for rng in rngs])
 
     monkeypatch.setattr(auditor, "_random_effects", planted)
-    generate = auditor._REGISTRY[LawId.SEA5][0]
+    generate = auditor.LAWS[LawId.SEA5].generate
     rngs = _rngs(LawId.SEA5, 9, range(8))
     chunk = generate(rngs, product, alg, range(8), {})
     frames = [len(sp.spectral_decompose(auditor._take(chunk, k)["c"]).pairs) for k in range(8)]
     assert set(frames) == {2, 3}
-    residuals = auditor._stacked_residuals(LawId.SEA5, product, alg, chunk, 8)
+    residuals = _stacked_residuals(LawId.SEA5, product, alg, chunk, 8)
     for k, rng in enumerate(rngs):
         alone = _rngs(LawId.SEA5, 9, [k])
         one = generate(alone, product, alg, [k], {})
         assert rng.bit_generator.state == alone[0].bit_generator.state
-        assert auditor._stacked_residuals(LawId.SEA5, product, alg, one, 1) == [residuals[k]]
+        assert _stacked_residuals(LawId.SEA5, product, alg, one, 1) == [residuals[k]]
         for key in chunk:
             assert _trial_bits(chunk[key], k) == _trial_bits(one[key], 0)
 
@@ -229,7 +245,7 @@ def test_sea5_frames_of_unequal_length_in_one_chunk(monkeypatch):
 def test_sharp_props_flags_only_the_trial_whose_a_neg_is_p(monkeypatch):
     product, alg = _row("standard", "complex:3")
     law = LawId.SHARP_PROPS
-    generate, evaluate = auditor._REGISTRY[law]
+    generate = auditor.LAWS[law].generate
 
     def planted(rngs, p, alg, trials, params):
         inputs, backend = generate(rngs, p, alg, trials, params), alg._backend
@@ -237,10 +253,10 @@ def test_sharp_props_flags_only_the_trial_whose_a_neg_is_p(monkeypatch):
         return {**inputs, "a_neg": backend.stack(alg, a_neg)}
 
     chunk = planted(_rngs(law, 2, range(3)), product, alg, range(3), {})
-    residuals = auditor._stacked_residuals(law, product, alg, chunk, 3)
+    residuals = _stacked_residuals(law, product, alg, chunk, 3)
     assert residuals[1] >= 1.0
     assert residuals[0] <= 1e-8 and residuals[2] <= 1e-8
-    monkeypatch.setitem(auditor._REGISTRY, law, (planted, evaluate))
+    _with(monkeypatch, law, generate=planted)
     entry = audit_law(law, product, alg, 3, 2, 1e-8)
     assert entry.verdict == "fail" and entry.trials == 2
     assert entry.witness["trial"] == 1
@@ -250,7 +266,7 @@ def test_sharp_props_flags_only_the_trial_whose_a_neg_is_p(monkeypatch):
 
 def test_divide_draws_each_trials_profile_in_a_chunk_that_starts_at_an_odd_trial():
     product, alg = _row("twisted:0.5", "complex:3")
-    generate = auditor._REGISTRY[LawId.DIVIDE][0]
+    generate = auditor.LAWS[LawId.DIVIDE].generate
     trials = range(5, 12)
     chunk = generate(_rngs(LawId.DIVIDE, 4, trials), product, alg, trials, {})
     for k, i in enumerate(trials):
@@ -394,7 +410,7 @@ def test_sea1_evaluation_solves_each_block_twice_per_chunk(short, blocks, monkey
             return _solver(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    generate, evaluate = auditor._REGISTRY[LawId.SEA1]
+    evaluate = auditor.LAWS[LawId.SEA1].evaluate
 
     def counted_evaluate(*args):
         counting[0] = True
@@ -403,7 +419,7 @@ def test_sea1_evaluation_solves_each_block_twice_per_chunk(short, blocks, monkey
         finally:
             counting[0] = False
 
-    monkeypatch.setitem(auditor._REGISTRY, LawId.SEA1, (generate, counted_evaluate))
+    _with(monkeypatch, LawId.SEA1, evaluate=counted_evaluate)
     assert audit_law(LawId.SEA1, product, alg, 200, 42, 1e-8).verdict == "pass"
     chunks = 4  # 64 + 64 + 64 + 8 trials
     assert 0 < len(calls) <= 2 * chunks * blocks

@@ -33,10 +33,11 @@ conjugated basis, spin factors write the matrix down, and direct sums put
 the summand matrices on the diagonal.
 
 A *stacked* element, built only by ``stack``, ``random_elements`` (one
-sample per Generator) and ``scale_trials``, holds k trials on a leading axis:
-(k, m, m) matrices, spin pairs (v (k, d), t (k,)), or a tuple of stacked
-summands.  The primitives the stacked laws reach take it, with unstacked
-operands broadcasting, and give per-trial results; ``take`` pulls a trial out.
+sample per Generator, the only Gaussian draw) and ``scale_trials``, holds k
+trials on a leading axis: (k, m, m) matrices, spin pairs (v (k, d), t (k,)),
+or a tuple of stacked summands.  The primitives the stacked laws reach take
+it, with unstacked operands broadcasting, and give per-trial results; ``take``
+pulls a trial out.
 
 Primitives whose result is an element return an Element.  Element and the
 generic operations are read from the ``algebra`` module at call time,
@@ -176,20 +177,20 @@ def _clusters(w: np.ndarray, gap: float):
     return sizes.tolist(), values
 
 
-def _matrix_function(a, f, gap: float, by_trial: bool = False) -> np.ndarray:
+def _matrix_function(a, f, gap: float) -> np.ndarray:
     """V f(w) V^H for the matrix element a = V diag(w) V^H, stacked or not.
 
-    f maps an array of points to an array of real or complex values; it is
-    called once, on the values of all clusters of eigenvalues chained by gaps
-    <= ``gap``; with ``by_trial``, on each eigenvalue's cluster value with the
-    trials last (as on spin factors), where per-trial coefficients broadcast.
+    f maps an array of points to an array of real or complex values of its
+    shape.  It is called once, on the array of w's shape transposed: each
+    eigenvalue is replaced by the value of its cluster (eigenvalues chained
+    by gaps <= ``gap``), and the trials of a stack come last, as on spin
+    factors, so per-trial coefficients of f broadcast against them.
     """
     w, vecs = _eigen(a)
     sizes, values = _clusters(w, gap)
-    coef = f(np.repeat(values, sizes).reshape(w.shape).T).T if by_trial else f(values)
-    if coef.size < w.size:
-        coef = np.repeat(coef, sizes)
-    coef = coef.reshape(w.shape)
+    if len(sizes) < w.size:
+        values = np.repeat(values, sizes)
+    coef = f(values.reshape(w.shape).T).T
     return (vecs * coef[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
@@ -304,49 +305,23 @@ def _quat_embed(a_part: np.ndarray, b_part: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _matrix_basis(alg) -> np.ndarray:
-    """Stacked orthonormal basis (dim, m, m) for a matrix-kind algebra."""
-    n = alg.size
+    """Stacked orthonormal basis (dim, m, m) for a matrix-kind algebra.
+
+    The diagonal units, then for each i < j one element per unit alpha + beta j
+    of the field among 1, i, j, k; quaternionic elements are stored embedded.
+    """
+    backend, n = alg._backend, alg.size
+    units = [(1, 0), (1j, 0), (0, 1), (0, 1j)][:backend.field_dim]  # 1, i, j, k
+    places = [(i, i, units[:1]) for i in range(n)]
+    places += [(i, j, units) for i in range(n) for j in range(i + 1, n)]
     mats = []
-    if alg.kind == KIND_REAL:
-        for i in range(n):
-            e = np.zeros((n, n))
-            e[i, i] = 1.0
-            mats.append(e)
-        for i in range(n):
-            for j in range(i + 1, n):
-                e = np.zeros((n, n))
-                e[i, j] = e[j, i] = 1.0 / np.sqrt(2.0)
-                mats.append(e)
-    elif alg.kind == KIND_COMPLEX:
-        for i in range(n):
-            e = np.zeros((n, n), complex)
-            e[i, i] = 1.0
-            mats.append(e)
-        for i in range(n):
-            for j in range(i + 1, n):
-                e = np.zeros((n, n), complex)
-                e[i, j] = e[j, i] = 1.0 / np.sqrt(2.0)
-                mats.append(e)
-                e = np.zeros((n, n), complex)
-                e[i, j] = 1j / np.sqrt(2.0)
-                e[j, i] = -1j / np.sqrt(2.0)
-                mats.append(e)
-    else:
-        units = [(1, 0), (1j, 0), (0, 1), (0, 1j)]  # 1, i, j, k
-        for i in range(n):
-            a_part = np.zeros((n, n), complex)
-            a_part[i, i] = 1.0
-            mats.append(_quat_embed(a_part, np.zeros((n, n), complex)))
-        for i in range(n):
-            for j in range(i + 1, n):
-                for alpha, beta in units:
-                    a_part = np.zeros((n, n), complex)
-                    b_part = np.zeros((n, n), complex)
-                    a_part[i, j] = alpha
-                    a_part[j, i] = np.conj(alpha)
-                    b_part[i, j] = beta
-                    b_part[j, i] = -beta  # quaternion conjugate transposes to -beta
-                    mats.append(_quat_embed(a_part, b_part) / np.sqrt(2.0))
+    for i, j, field_units in places:
+        for alpha, beta in field_units:
+            a_part, b_part = np.zeros((2, n, n), backend.dtype)
+            a_part[i, j], a_part[j, i] = alpha, np.conj(alpha)
+            b_part[i, j], b_part[j, i] = beta, -beta  # quaternion conjugate transposes to -beta
+            e = _quat_embed(a_part, b_part) if backend.unit == 2 else a_part
+            mats.append(e if i == j else e / np.sqrt(2.0))
     basis = np.stack(mats)
     basis.setflags(write=False)
     return basis
@@ -485,8 +460,8 @@ class _MatrixBackend(_Backend):
         pairs.reverse()
         return pairs
 
-    def functional(self, a, f, gap: float, by_trial: bool = False):
-        return self._element(a.algebra, _matrix_function(a, f, gap, by_trial))
+    def functional(self, a, f, gap: float):
+        return self._element(a.algebra, _matrix_function(a, f, gap))
 
     def jordan_operator(self, a) -> np.ndarray:
         basis = _matrix_basis(a.algebra)
@@ -519,9 +494,6 @@ class _MatrixBackend(_Backend):
             return parts[..., 0, :, :]
         return _quat_embed(parts[..., 0, :, :], parts[..., 1, :, :])
 
-    def random_element(self, alg, rng):
-        return self._element(alg, self.gaussian(self.normals(alg, rng)))
-
     def random_elements(self, alg, rngs):
         return self._element(alg, self.gaussian(np.array([self.normals(alg, rng)
                                                           for rng in rngs])))
@@ -529,7 +501,7 @@ class _MatrixBackend(_Backend):
     def random_projection(self, alg, rng, proper: bool):
         # eigenvector column groups; Kramers pairs stay together, so any
         # subset sum of groups is again a structured projection
-        _, vecs = _eigh(self.random_element(alg, rng).data)
+        _, vecs = _eigh(self.random_elements(alg, [rng]).data[0])
         u = self.unit
         units = [vecs[:, u * k:u * k + u] for k in range(alg.size)]
         k = len(units)
@@ -713,7 +685,7 @@ class _SpinBackend(_Backend):
         minus = _alg.Element(alg, (-0.5 * vhat, 0.5))
         return [(float(t + r), plus), (float(t - r), minus)]
 
-    def functional(self, a, f, gap: float, by_trial: bool = False):
+    def functional(self, a, f, gap: float):
         """f(t + r) and f(t - r) on the two idempotents (+-v/2r, 1/2), r = |v|.
 
         Where 2r <= gap the element is t times the identity and f(t) is taken.
@@ -726,9 +698,6 @@ class _SpinBackend(_Backend):
         # v.T puts the trials of a stack last, where the per-trial scalars broadcast
         vec = np.where(split, 0.5 * (hi - lo) * (v.T / (dist + ~split)), 0.0).T
         return _trusted(a.algebra, (_read_only(np.ascontiguousarray(vec)), 0.5 * (hi + lo)))
-
-    def random_element(self, alg, rng):
-        return _trusted(alg, (_read_only(rng.standard_normal(alg.size)), rng.standard_normal()))
 
     def random_elements(self, alg, rngs):
         vs, ts = zip(*[(rng.standard_normal(alg.size), rng.standard_normal()) for rng in rngs])
@@ -869,8 +838,8 @@ class _SumBackend(_Backend):
     def radii(self, *elems) -> list:
         return [reduce(np.maximum, norms) for norms in zip(*_blockwise("radii", elems))]
 
-    def functional(self, a, f, gap: float, by_trial: bool = False):
-        return _trusted(a.algebra, _blockwise("functional", (a,), f, gap, by_trial))
+    def functional(self, a, f, gap: float):
+        return _trusted(a.algebra, _blockwise("functional", (a,), f, gap))
 
     def conjugate(self, a, x, f, gap: float):
         return _trusted(a.algebra, _blockwise("conjugate", (a, x), f, gap))
@@ -898,9 +867,6 @@ class _SumBackend(_Backend):
             pairs.append((float(lam), _alg.Element(alg, tuple(blocks))))
         pairs.reverse()
         return pairs
-
-    def random_element(self, alg, rng):
-        return _trusted(alg, tuple(s._backend.random_element(s, rng) for s in alg.summands))
 
     def random_elements(self, alg, rngs):
         # summand by summand: each Generator draws its blocks in summand order

@@ -35,6 +35,7 @@ from ._backends import (  # kind names and descriptor constructors are re-export
     KIND_SPIN,
     KIND_SUM,
     _SHORTHAND_KINDS,
+    _Backend,
     _resolve,
     complex_hermitian,
     direct_sum,
@@ -328,15 +329,13 @@ def jordan_mult_operator(a: Element) -> LinearMap:
 
 
 def quadratic_operator(a: Element) -> LinearMap:
-    """Q_a as a linear map; built from Q_a = 2 T_a^2 - T_{a^2}.
+    """Q_a as a linear map, in the Jordan form of ``_Backend.quadratic_operator``.
 
     The Jordan form is kept on every kind (not the matrix shortcut x -> axa
     that L_a uses), so the fundamental equality checks T_a and not only
     associativity.
     """
-    t_a = jordan_mult_operator(a).matrix
-    t_sq = jordan_mult_operator(jordan_product(a, a)).matrix
-    return LinearMap(a.algebra, 2.0 * (t_a @ t_a) - t_sq, "Q_a")
+    return LinearMap(a.algebra, _Backend.quadratic_operator(a.algebra._backend, a), "Q_a")
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +349,9 @@ def _as_rng(seed) -> np.random.Generator:
 
 
 def random_element(alg: AlgebraDescriptor, rng) -> Element:
-    """Gaussian self-adjoint sample (GOE/GUE-style, unnormalized)."""
-    return alg._backend.random_element(alg, _as_rng(rng))
+    """Gaussian self-adjoint sample (GOE/GUE-style, unnormalized): a stack of one, taken."""
+    backend = alg._backend
+    return backend.take(backend.random_elements(alg, [_as_rng(rng)]), 0)
 
 
 def random_projection(alg: AlgebraDescriptor, rng, proper: bool = True) -> Element:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import partial, reduce
 from itertools import count
@@ -69,6 +69,7 @@ from .algebra import (
 )
 from .errors import CapabilityError, ConfigError, DomainError
 from .products import (
+    COMMUTE_TOL,
     SequentialProduct,
     divide,
     homogeneity_iso,
@@ -86,9 +87,6 @@ from .spectral import (
     pseudo_inverse,
     spectral_decompose,
 )
-
-#: verdict threshold shared by the four commutation tests
-COMMUTE_VERDICT_TOL = 1e-8
 
 
 class LawId(str, Enum):
@@ -147,7 +145,7 @@ def _poly_effect(rngs, a: Element) -> Element:
             raise DomainError("clipped quadratic not finite on the spectrum")
         return val
 
-    return a.algebra._backend.functional(a, clipped, DEFAULT_GAP, by_trial=True)
+    return a.algebra._backend.functional(a, clipped, DEFAULT_GAP)
 
 
 def _take(inputs: dict, k: int) -> dict:
@@ -453,15 +451,10 @@ def _ev_dyadic(p, alg, inp):
 def _ev_spectral_recon(p, alg, inp):
     a = inp["a"]
     dec = spectral_decompose(a)
-    recon = None
-    for lam, proj in dec.pairs:
-        term = proj * lam
-        recon = term if recon is None else recon + term
-    worst = rel_residual(recon, a)
-    frame_sum = None
+    worst = rel_residual(reduce(Element.__add__, (proj * lam for lam, proj in dec.pairs)), a)
     for proj in dec.idempotents:
-        frame_sum = proj if frame_sum is None else frame_sum + proj
         worst = _worst(worst, order_unit_norm(jordan_product(proj, proj) - proj))
+    frame_sum = reduce(Element.__add__, dec.idempotents)
     worst = _worst(worst, order_unit_norm(frame_sum - identity(alg)))
     idem = dec.idempotents
     for i in range(len(idem)):
@@ -488,12 +481,12 @@ def _ev_commute_equiv(p, alg, inp):
     a, b, expected = inp["a"], inp["b"], inp["expected"]
     want = expected == "commuting"
     verdicts = [
-        order_unit_norm(seq_product(p, a, b) - seq_product(p, b, a)) <= COMMUTE_VERDICT_TOL,
+        order_unit_norm(seq_product(p, a, b) - seq_product(p, b, a)) <= COMMUTE_TOL,
         map_distance(quadratic_operator(a).compose(quadratic_operator(b)),
-                     quadratic_operator(b).compose(quadratic_operator(a))) <= COMMUTE_VERDICT_TOL,
+                     quadratic_operator(b).compose(quadratic_operator(a))) <= COMMUTE_TOL,
         map_distance(jordan_mult_operator(a).compose(jordan_mult_operator(b)),
-                     jordan_mult_operator(b).compose(jordan_mult_operator(a))) <= COMMUTE_VERDICT_TOL,
-        _ambient_commutator(a, b) <= COMMUTE_VERDICT_TOL,
+                     jordan_mult_operator(b).compose(jordan_mult_operator(a))) <= COMMUTE_TOL,
+        _ambient_commutator(a, b) <= COMMUTE_TOL,
     ]
     return 0.0 if all(v == want for v in verdicts) else 1.0
 
@@ -695,8 +688,8 @@ class AuditEntry:
     verdict: str          # pass | fail | error
     expected: str
     max_residual: float
-    witness: dict | None = None
     elapsed_ms: float = 0.0
+    witness: dict | None = None
     error: str | None = None
 
     @property
@@ -704,23 +697,14 @@ class AuditEntry:
         return self.verdict == self.expected
 
     def to_json(self) -> dict:
-        out = {"law": self.law, "product": self.product, "algebra": self.algebra,
-               "trials": self.trials, "seed": self.seed, "verdict": self.verdict,
-               "expected": self.expected, "max_residual": self.max_residual,
-               "elapsed_ms": self.elapsed_ms}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.error is not None:
-            out["error"] = self.error
-        return out
+        """The fields in declaration order, leaving out a witness or error that is None."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {name: value for name, value in values if value is not None}
 
     @classmethod
     def from_json(cls, obj: dict) -> "AuditEntry":
-        return cls(law=obj["law"], product=obj["product"], algebra=obj["algebra"],
-                   trials=obj["trials"], seed=obj["seed"], verdict=obj["verdict"],
-                   expected=obj["expected"], max_residual=obj["max_residual"],
-                   witness=obj.get("witness"), elapsed_ms=obj.get("elapsed_ms", 0.0),
-                   error=obj.get("error"))
+        """The entry of ``to_json``'s object; keys that are not fields are ignored."""
+        return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})
 
 
 @dataclass

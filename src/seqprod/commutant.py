@@ -28,9 +28,6 @@ from .errors import CapabilityError, PreconditionError
 from .products import SequentialProduct, commutes
 from .spectral import DEFAULT_GAP
 
-#: commutation tolerance for preconditions
-COMMUTE_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class FunctionModel:
@@ -78,11 +75,11 @@ def commutant_basis(elems: list[Element]) -> list[Element]:
     return [from_coords(alg, row) for row in alg._backend.commutant_rows(alg, elems)]
 
 
-def _require_mutually_commuting(elems, alg, tol=COMMUTE_TOL):
+def _require_mutually_commuting(elems, alg):
     std = SequentialProduct.standard(alg)
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
-            if not commutes(std, elems[i], elems[j], tol):
+            if not commutes(std, elems[i], elems[j]):
                 raise PreconditionError(f"elements {i} and {j} do not commute")
 
 

@@ -40,6 +40,8 @@ from .spectral import DEFAULT_GAP, pseudo_inverse, sqrt_pos
 
 #: effects with min eigenvalue below this are rejected where an inverse is needed
 INVERTIBILITY_TOL = 1e-6
+#: the one commutation threshold: ``commutes``, the commutant preconditions, the auditor
+COMMUTE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -89,8 +91,9 @@ def parse_product(text: str, alg: AlgebraDescriptor) -> SequentialProduct:
 def _twisted_power(t: float, root: bool):
     """The function of m in x -> m x m^H: m = sqrt(a) a^{it} if ``root`` else a^{it}.
 
-    It maps an array of eigenvalues to complex values, each computed with
-    ``math`` and ``cmath`` (numpy's log and exp can differ in the last bit).
+    It maps an array of eigenvalues, of any shape, to complex values of that
+    shape, each computed with ``math`` and ``cmath`` (numpy's log and exp can
+    differ in the last bit).
     The phase is taken on the support of a.  Off it m is 0 with ``root``, so
     the square root annihilates the kernel (spectrum <= support threshold)
     as in sqrt_pos, and 1 without it.
@@ -101,7 +104,8 @@ def _twisted_power(t: float, root: bool):
         phase = cmath.exp(1j * t * math.log(lam))
         return math.sqrt(lam) * phase if root else phase
 
-    return lambda lams: np.array([power(lam) for lam in lams.tolist()], dtype=complex)
+    return lambda lams: np.array([power(lam) for lam in lams.ravel().tolist()],
+                                 dtype=complex).reshape(lams.shape)
 
 
 def _check_product_algebra(p: SequentialProduct, a: Element):
@@ -131,7 +135,7 @@ def multiplication_operator(p: SequentialProduct, a: Element) -> LinearMap:
     return LinearMap(p.algebra, matrix, "L_a")
 
 
-def commutes(p: SequentialProduct, a: Element, b: Element, tol: float = 1e-8) -> bool:
+def commutes(p: SequentialProduct, a: Element, b: Element, tol: float = COMMUTE_TOL) -> bool:
     """True iff ||a o b - b o a|| <= tol."""
     return bool(order_unit_norm(seq_product(p, a, b) - seq_product(p, b, a)) <= tol)
 

@@ -390,3 +390,51 @@ def test_quadratic_law_on_sum_with_close_block_eigenvalues():
     entry = audit_law("QUADRATIC_LAW", sp.SequentialProduct.standard(alg), alg,
                       trials=4, seed=102000415, tol=1e-8)
     assert entry.verdict == "pass", entry.max_residual
+
+
+def _close_across_blocks(alg, rng):
+    """An effect of sum(complex:2,real:3) whose blocks share an eigenvalue to within 4e-9."""
+    shared = rng.uniform(0.1, 0.9)
+    blocks = []
+    for sub in alg.summands:
+        n = sub.size
+        w = np.append(shared + rng.uniform(-2e-9, 2e-9), rng.uniform(0.05, 0.95, n - 1))
+        g = rng.standard_normal((n, n))
+        if sub.is_complex_kind():
+            g = g + 1j * rng.standard_normal((n, n))
+        u, _ = np.linalg.qr(g)
+        blocks.append(sp.Element(sub, (u * w) @ u.conj().T))
+    return sp.Element(alg, tuple(blocks))
+
+
+@pytest.mark.parametrize("law", [LawId.QUADRATIC_LAW, LawId.FUNDAMENTAL_EQ, LawId.DYADIC_BOUND])
+def test_laws_pass_when_the_blocks_share_an_eigenvalue(law):
+    # the shared eigenvalue sits inside the clustering gap, so the spectral frame
+    # merges it across the blocks
+    alg = sp.parse_algebra("sum(complex:2,real:3)")
+    product = sp.SequentialProduct.standard(alg)
+    row = auditor.LAWS[law]
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        inputs = {"a": _close_across_blocks(alg, rng), "b": _close_across_blocks(alg, rng)}
+        assert len(sp.spectral_decompose(inputs["a"]).pairs) == 4
+        if law is LawId.DYADIC_BOUND:
+            del inputs["b"]
+        assert row.evaluate(product, alg, inputs) <= row.tol
+
+
+def test_audit_entry_json_keeps_its_key_order():
+    entry = auditor.AuditEntry(law="SEA1", product="standard", algebra="real:4", trials=3,
+                               seed=11, verdict="fail", expected="pass", max_residual=0.5,
+                               witness={"trial": 2}, elapsed_ms=1.25, error="boom")
+    head = ('{"law": "SEA1", "product": "standard", "algebra": "real:4", "trials": 3, '
+            '"seed": 11, "verdict": "fail", "expected": "pass", "max_residual": 0.5, '
+            '"elapsed_ms": 1.25')
+    assert json.dumps(entry.to_json()) == head + ', "witness": {"trial": 2}, "error": "boom"}'
+    bare = dataclasses.replace(entry, witness=None, error=None)
+    assert json.dumps(bare.to_json()) == head + "}"
+    # keys that are not fields are ignored; a missing witness, error or time takes its default
+    assert auditor.AuditEntry.from_json({**entry.to_json(), "note": 1}) == entry
+    obj = bare.to_json()
+    del obj["elapsed_ms"]
+    assert auditor.AuditEntry.from_json(obj) == dataclasses.replace(bare, elapsed_ms=0.0)

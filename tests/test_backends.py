@@ -1,5 +1,6 @@
-"""Spin factors against their Clifford embedding, and where kind checks may live."""
+"""Spin factors against their Clifford embedding, pinned matrix bases, and where kind checks live."""
 
+import hashlib
 import inspect
 import re
 from functools import reduce
@@ -115,3 +116,32 @@ def test_kind_checks_live_in_the_backend_module():
             if KIND_CHECK.search(line) and not reexport:
                 outside.append(f"{path.name}:{number}: {line.strip()}")
     assert outside == []
+
+
+# ---------------------------------------------------------------------------
+# Matrix bases
+# ---------------------------------------------------------------------------
+
+#: SHA-256 of dtype, shape and bytes of each basis, with -0.0 folded into +0.0
+BASIS_DIGESTS = {
+    "real:1": "232e32dc4b7270b9fd4df620a0caf4bf466734befb5a4458539b9b390e889d2c",
+    "real:2": "3ab7640be67353b71c29460d53e19b2e8d995ea8151ab3b2d2562a64a771be4c",
+    "real:3": "a98431ef24bb7a4eb727c82cf17a3f4b1ce9b551f7a3eedb9df0a2484035d6c2",
+    "real:4": "91acc452431a383e4c3453ac416f1b2d99a7a38930b309d8106c145251103923",
+    "complex:1": "c72cb398008cbd6e5f1657b17bf7d82a5c94e935b97a28e06d2ad09963fba757",
+    "complex:2": "e8a2bc566a72ec29c365b01545cf52c9fbf7ede8dce16a7f6ef9eef356a7dc28",
+    "complex:3": "01706e21248d4e347f56fcb1579f8263c3b8531296ea2ccae1abaa6ae57c4bfd",
+    "complex:4": "81cda7306b9e0fe31dd5946f3354b55a529381b35bfa94b66a01538b79dd2426",
+    "quat:1": "ce62d3e99c88d02aa257f7b5f26dd9a532b9bcf2dae3809d6334f24fa85bfd45",
+    "quat:2": "39e280a1148ad29389988056021e507b8af397e99b56ff6e347c93115fcb27e1",
+    "quat:3": "5a2e0dba68f8441e1036b3ea7441d4ab52c2165bb982e2f00d468d2740a132a4",
+}
+
+
+@pytest.mark.parametrize("short", list(BASIS_DIGESTS))
+def test_matrix_basis_is_pinned(short):
+    basis = _backends._matrix_basis(sp.parse_algebra(short))
+    digest = hashlib.sha256()
+    for part in (str(basis.dtype).encode(), str(basis.shape).encode(), (basis + 0.0).tobytes()):
+        digest.update(part)
+    assert digest.hexdigest() == BASIS_DIGESTS[short]

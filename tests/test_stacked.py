@@ -16,6 +16,7 @@ from seqprod import auditor
 from seqprod._backends import _clusters
 from seqprod.algebra import eigenvalue_range, random_element, rel_residual, trace
 from seqprod.auditor import REFERENCE_ALGEBRAS, LawId, audit_law, replay_witness
+from seqprod.spectral import DEFAULT_GAP
 
 from conftest import ALGEBRA_SHORTHANDS
 
@@ -370,6 +371,28 @@ def test_stacked_twisted_products_equal_the_single_ones_bit_for_bit():
     ab = sp.seq_product(p, *(alg._backend.stack(alg, xs) for xs in (elems, others)))
     for k, (x, y) in enumerate(zip(elems, others)):
         assert _trial_bits(ab, k) == _single_bits(sp.seq_product(p, x, y))
+
+
+# Kramers pairs on quaternions, the kernels of singular effects, the 0 and 1 of sharp ones
+@pytest.mark.parametrize("short", ["quat:3", "complex:3", "real:4", "sum(spin:3,quat:2)"])
+@pytest.mark.parametrize("profile", ["generic", "singular", "sharp"])
+def test_per_trial_coefficients_on_clustered_stacks_equal_each_trials_own_result(short,
+                                                                                  profile):
+    alg = sp.parse_algebra(short)
+    elems = [sp.random_effect(alg, 180 + k, profile) for k in range(6)]
+    coefs = np.random.default_rng(5).uniform(-1.0, 1.0, (3, len(elems)))
+
+    def clipped(c0, c1, c2):
+        return lambda x: np.minimum(0.95, np.maximum(0.05, c0 + c1 * x + c2 * x * x))
+
+    stack = alg._backend.stack(alg, elems)
+    out = alg._backend.functional(stack, clipped(*coefs), DEFAULT_GAP)
+    for k, x in enumerate(elems):
+        own = alg._backend.functional(x, clipped(*coefs[:, k]), DEFAULT_GAP)
+        assert _trial_bits(out, k) == _single_bits(own)
+    if not alg.summands and (short == "quat:3" or profile != "generic"):
+        sizes, _ = _clusters(np.linalg.eigvalsh(stack.data), DEFAULT_GAP)
+        assert max(sizes) > 1  # the stack has a cluster to spread over its eigenvalues
 
 
 def test_cluster_values_are_lone_eigenvalues_or_their_numpy_mean():

@@ -36,8 +36,8 @@ A *stacked* element, built only by ``stack``, ``random_elements`` (one
 sample per Generator, the only Gaussian draw) and ``scale_trials``, holds k
 trials on a leading axis: (k, m, m) matrices, spin pairs (v (k, d), t (k,)),
 or a tuple of stacked summands.  The primitives the stacked laws reach take
-it, with unstacked operands broadcasting, and give per-trial results; ``take``
-pulls a trial out.
+it, unstacked operands broadcasting, and give per-trial results (operators as
+(k, d, d) stacks of coordinate matrices); ``take`` pulls a trial out.
 
 Primitives whose result is an element return an Element.  Element and the
 generic operations are read from the ``algebra`` module at call time,
@@ -95,14 +95,22 @@ def _blockwise(primitive, operands, *args):
 
 
 def _block_diag(mats) -> np.ndarray:
-    """The block-diagonal matrix with the square ``mats`` on its diagonal, in order."""
-    n = sum(len(m) for m in mats)
-    out = np.zeros((n, n))
+    """The block-diagonal matrix with the square ``mats`` (or stacks of k) on its diagonal."""
+    n = sum(m.shape[-1] for m in mats)
+    out = np.zeros(mats[0].shape[:-2] + (n, n))
     k = 0
     for m in mats:
-        out[k:k + len(m), k:k + len(m)] = m
-        k += len(m)
+        out[..., k:k + m.shape[-1], k:k + m.shape[-1]] = m
+        k += m.shape[-1]
     return out
+
+
+def _per_trial(f, ndim: int, *arrs):
+    """float(f(*arrs)) on operands of ``ndim`` axes, else f on each trial of their broadcast
+    stack: each trial then sums as a single call does, which a reduction over a stack need not."""
+    if all(x.ndim == ndim for x in arrs):
+        return float(f(*arrs))
+    return np.array([f(*xs) for xs in zip(*np.broadcast_arrays(*arrs))])
 
 
 def _trusted(alg, data):
@@ -342,16 +350,16 @@ def _dual_basis(alg) -> np.ndarray:
 
 
 def _operator(alg, images: np.ndarray) -> np.ndarray:
-    """Coordinate matrix whose column k holds the coordinates of ``images[k]``.
-
-    ``images`` is the stack (dim, m, m) of the map's values on the basis.
-    """
-    return np.real(_dual_basis(alg) @ images.reshape(len(images), -1).T)
+    """Coordinate matrix whose column k holds the coordinates of ``images[..., k, :, :]``, the
+    map's values on the basis: (dim, m, m), or (k, dim, m, m) for k trials' maps."""
+    flat = images.reshape(images.shape[:-2] + (-1,))
+    return np.real(_dual_basis(alg) @ flat.swapaxes(-1, -2))
 
 
 def _conjugation_operator(alg, m: np.ndarray) -> np.ndarray:
-    """Coordinate matrix of x -> m x m^H."""
-    return _operator(alg, m @ _matrix_basis(alg) @ m.conj().T)
+    """Coordinate matrix of x -> m x m^H, one per trial for a stack of m."""
+    m = m[..., None, :, :]  # broadcast against the basis
+    return _operator(alg, m @ _matrix_basis(alg) @ m.conj().swapaxes(-1, -2))
 
 
 class _MatrixBackend(_Backend):
@@ -426,13 +434,8 @@ class _MatrixBackend(_Backend):
         return self._element(a.algebra, a.data @ b.data @ a.data)
 
     def inner(self, a, b) -> float:
-        # vdot conjugates its first argument; tr(ab) = Re <a, b>_HS for Hermitian a, b;
-        # a stack makes one vdot per trial, so each trial sums as a single call does
-        if a.data.ndim == b.data.ndim == 2:
-            val = float(np.real(np.vdot(a.data, b.data)))
-        else:
-            trials = zip(*np.broadcast_arrays(a.data, b.data))
-            val = np.array([np.vdot(x, y) for x, y in trials]).real
+        # vdot conjugates its first argument; tr(ab) = Re <a, b>_HS for Hermitian a, b
+        val = _per_trial(lambda x, y: np.vdot(x, y).real, 2, a.data, b.data)
         return 0.5 * val if self.kind == KIND_QUAT else val
 
     def eigen_range(self, a):
@@ -464,8 +467,8 @@ class _MatrixBackend(_Backend):
         return self._element(a.algebra, _matrix_function(a, f, gap))
 
     def jordan_operator(self, a) -> np.ndarray:
-        basis = _matrix_basis(a.algebra)
-        return _operator(a.algebra, 0.5 * (a.data @ basis + basis @ a.data))
+        basis, mat = _matrix_basis(a.algebra), a.data[..., None, :, :]
+        return _operator(a.algebra, 0.5 * (mat @ basis + basis @ mat))
 
     def quadratic_operator(self, a) -> np.ndarray:
         # associative shortcut x -> a x a, as in ``quadratic``
@@ -516,10 +519,13 @@ class _MatrixBackend(_Backend):
         return _alg.Element(alg, cols @ cols.conj().T)
 
     def to_coords(self, x) -> np.ndarray:
-        return np.real(_dual_basis(x.algebra) @ x.data.ravel())
+        # one matrix-vector product per trial: a single product with the stack
+        # as its columns rounds differently on quaternions
+        cols = x.data.reshape(x.data.shape[:-2] + (-1, 1))
+        return np.real(_dual_basis(x.algebra) @ cols)[..., 0]
 
     def from_coords(self, alg, coords: np.ndarray):
-        return _alg.Element(alg, np.tensordot(coords, _matrix_basis(alg), 1))
+        return self._element(alg, np.tensordot(coords, _matrix_basis(alg), 1))
 
     def to_payload(self, x):
         if self.kind == KIND_REAL:
@@ -533,7 +539,7 @@ class _MatrixBackend(_Backend):
         return _alg.Element(alg, mat)
 
     def commutator_norm(self, a, b) -> float:
-        return float(np.linalg.norm(a.data @ b.data - b.data @ a.data))
+        return _per_trial(np.linalg.norm, 2, a.data @ b.data - b.data @ a.data)
 
     def order_isos(self, alg) -> tuple[str, ...]:
         if self.kind == KIND_COMPLEX:
@@ -660,16 +666,14 @@ class _SpinBackend(_Backend):
 
     def inner(self, a, b) -> float:
         (v, t), (w, s) = a.data, b.data
-        if v.ndim == w.ndim == 1:
-            dots = float(v @ w)
-        else:  # one product per trial, as for matrices
-            dots = np.array([x @ y for x, y in zip(*np.broadcast_arrays(v, w))])
-        return 2.0 * (dots + t * s)
+        return 2.0 * (_per_trial(np.matmul, 1, v, w) + t * s)
 
     def jordan_operator(self, a) -> np.ndarray:
         """T_(v,t) = [[t I, v], [v^T, t]]; coordinates are a uniform multiple of (w, s)."""
         v, t = a.data
-        return np.block([[t * np.eye(len(v)), v[:, None]], [v, t]])
+        out = np.asarray(t)[..., None, None] * np.eye(v.shape[-1] + 1)
+        out[..., :-1, -1] = out[..., -1, :-1] = v
+        return out
 
     def eigen_range(self, a):
         _, t, r = _spin_radius(a)
@@ -712,11 +716,12 @@ class _SpinBackend(_Backend):
 
     def to_coords(self, x) -> np.ndarray:
         v, t = x.data
-        return np.sqrt(2.0) * np.concatenate([v, [t]])
+        return np.sqrt(2.0) * np.concatenate([v, np.asarray(t)[..., None]], axis=-1)
 
     def from_coords(self, alg, coords: np.ndarray):
         scaled = coords / np.sqrt(2.0)
-        return _alg.Element(alg, (scaled[:-1], float(scaled[-1])))
+        v, t = np.ascontiguousarray(scaled[..., :-1]), scaled[..., -1]
+        return _trusted(alg, (_read_only(v), float(t) if t.ndim == 0 else t))
 
     def to_payload(self, x):
         v, t = x.data
@@ -726,9 +731,9 @@ class _SpinBackend(_Backend):
         return _alg.Element(alg, (np.array(payload["v"], dtype=float), float(payload["t"])))
 
     def commutator_norm(self, a, b) -> float:
-        v, _ = a.data
-        w, _ = b.data
-        return float(np.linalg.norm(np.outer(v, w) - np.outer(w, v)))
+        v, w = a.data[0][..., :, None], b.data[0][..., :, None]
+        outer = v * w.swapaxes(-1, -2)  # v w^T, per trial for a stack
+        return _per_trial(np.linalg.norm, 2, outer - outer.swapaxes(-1, -2))
 
     def order_isos(self, alg) -> tuple[str, ...]:
         return ("spin_rotation",)
@@ -885,15 +890,12 @@ class _SumBackend(_Backend):
         return _alg.Element(alg, tuple(blocks))
 
     def to_coords(self, x) -> np.ndarray:
-        return np.concatenate(_blockwise("to_coords", (x,)))
+        return np.concatenate(_blockwise("to_coords", (x,)), axis=-1)
 
     def from_coords(self, alg, coords: np.ndarray):
-        blocks, offset = [], 0
-        for sub in alg.summands:
-            d = sub.real_dimension
-            blocks.append(sub._backend.from_coords(sub, coords[offset:offset + d]))
-            offset += d
-        return _alg.Element(alg, tuple(blocks))
+        parts = np.split(coords, np.cumsum([s.real_dimension for s in alg.summands])[:-1], -1)
+        return _trusted(alg, tuple(s._backend.from_coords(s, c)
+                                   for s, c in zip(alg.summands, parts)))
 
     def to_payload(self, x):
         return list(_blockwise("to_payload", (x,)))
@@ -902,7 +904,7 @@ class _SumBackend(_Backend):
         return _alg.Element(alg, tuple(decode(s, p) for s, p in zip(alg.summands, payload)))
 
     def commutator_norm(self, a, b) -> float:
-        return max(_blockwise("commutator_norm", (a, b)))
+        return reduce(np.maximum, _blockwise("commutator_norm", (a, b)))
 
     def order_isos(self, alg) -> tuple[str, ...]:
         return tuple(k for k in ("unitary_conjugation", "transpose")

@@ -275,6 +275,8 @@ class LinearMap:
     """Real-linear operator on the algebra, as a matrix on coordinates.
 
     ``a.compose(b)`` applies b first: a.compose(b).apply(x) == a.apply(b.apply(x)).
+    A map built by the package (:func:`_linear_map`) may hold k trials' matrices (k, d, d);
+    its operations then act per trial, an unstacked operand broadcasting.
     """
 
     algebra: AlgebraDescriptor
@@ -298,25 +300,37 @@ class LinearMap:
     def apply(self, x: Element) -> Element:
         if x.algebra != self.algebra:
             raise DescriptorMismatchError(f"map on {self.algebra} applied to {x.algebra}")
-        return from_coords(self.algebra, self.matrix @ to_coords(x))
+        coords = (self.matrix @ to_coords(x)[..., None])[..., 0]  # a matrix-vector product each
+        return self.algebra._backend.from_coords(self.algebra, coords)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         if other.algebra != self.algebra:
             raise DescriptorMismatchError("cannot compose maps on different algebras")
-        return LinearMap(self.algebra, self.matrix @ other.matrix,
-                         f"{self.label}.{other.label}")
+        return _linear_map(self.algebra, self.matrix @ other.matrix,
+                           f"{self.label}.{other.label}")
 
     def invert(self) -> "LinearMap":
         try:
             inv = np.linalg.inv(self.matrix)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(f"map {self.label!r} is singular") from exc
-        return LinearMap(self.algebra, inv, f"{self.label}^-1")
+        return _linear_map(self.algebra, inv, f"{self.label}^-1")
+
+
+def _linear_map(alg: AlgebraDescriptor, matrix: np.ndarray, label) -> LinearMap:
+    """The map of a (d, d) or (k, d, d) matrix built here; a stack may carry a label per trial."""
+    m = LinearMap.__new__(LinearMap)
+    mat = np.ascontiguousarray(matrix, dtype=float)
+    mat.setflags(write=False)
+    m.__dict__.update(algebra=alg, matrix=mat, label=label)
+    return m
 
 
 def operator_norm(m: LinearMap | np.ndarray) -> float:
+    """The spectral norm; one per trial for a stack."""
     mat = m.matrix if isinstance(m, LinearMap) else m
-    return float(np.linalg.norm(mat, 2))
+    norm = np.linalg.norm(mat, 2, axis=(-2, -1))
+    return float(norm) if norm.ndim == 0 else norm
 
 
 def map_distance(f: LinearMap, g: LinearMap) -> float:
@@ -325,7 +339,7 @@ def map_distance(f: LinearMap, g: LinearMap) -> float:
 
 def jordan_mult_operator(a: Element) -> LinearMap:
     """T_a: b -> a*b, in closed form (see the backends' ``jordan_operator``)."""
-    return LinearMap(a.algebra, a.algebra._backend.jordan_operator(a), "T_a")
+    return _linear_map(a.algebra, a.algebra._backend.jordan_operator(a), "T_a")
 
 
 def quadratic_operator(a: Element) -> LinearMap:
@@ -335,7 +349,7 @@ def quadratic_operator(a: Element) -> LinearMap:
     that L_a uses), so the fundamental equality checks T_a and not only
     associativity.
     """
-    return LinearMap(a.algebra, _Backend.quadratic_operator(a.algebra._backend, a), "Q_a")
+    return _linear_map(a.algebra, _Backend.quadratic_operator(a.algebra._backend, a), "Q_a")
 
 
 # ---------------------------------------------------------------------------

@@ -8,22 +8,19 @@ its residual exceeds the row tolerance; the first failing trial's inputs are
 serialized as a witness, so any reported violation can be replayed
 standalone through the module operations.
 
-Fourteen laws run in chunks of 64 trials: SEA1-SEA5, SCALAR_LINEARITY,
-PRODUCT_LE_LEFT, MONOTONE_RIGHT, SHARP_PROPS, FLOOR_LIMIT, PSEUDO_INVERSE,
-DIVIDE, SYMMETRY and INVERTIBILITY_PRES.  Their generators draw a chunk field
-by field, each trial from its own Generator, so every trial makes exactly the
-draws it makes alone; the linear algebra of generation and one evaluator call
-then run on stacks with a leading trial axis.  The first trial of the chunk
-over the tolerance gives the verdict, so verdicts, maximal residuals and
-witnesses are those of trial-by-trial runs, bit for bit.  A chunk that raises
-is redone as chunks of one, so an error surfaces at its own trial and only if
-no earlier trial fails; a witness is its trial taken out of the stack.
-Replay evaluates the witness's plain elements with the same evaluator, which
-gives the stacked residual bit for bit.  The other nine laws run trial by
-trial: DYADIC_BOUND, SPECTRAL_RECON and SELF_DUALITY read each trial's
-spectral frame inside the evaluator, COMMUTE_EQUIV has a redraw loop, and
-INVARIANCE, HOMOGENEITY, FUNDAMENTAL_EQ, QUADRATIC_LAW and THETA_STRUCTURE
-are operator-valued.
+Twenty laws run in chunks of 64 trials; only DYADIC_BOUND, SPECTRAL_RECON and
+SELF_DUALITY, which read each trial's spectral frame in the evaluator, run trial
+by trial.  A chunk is drawn field by field, each trial from its own Generator,
+so every trial makes exactly the draws it makes alone (INVARIANCE's
+isomorphisms and COMMUTE_EQUIV's redraws are drawn per trial and stacked); the
+linear algebra of generation and one evaluator call then run on elements and
+linear maps with a leading trial axis.  The first trial of the chunk over the
+tolerance gives the verdict, so verdicts, maximal residuals and witnesses are
+those of trial-by-trial runs, bit for bit.  A chunk that raises is redone as
+chunks of one, so an error surfaces at its own trial and only if no earlier
+trial fails; a witness is its trial taken out of the stack.  Replay evaluates
+the witness's plain inputs with the same evaluator, which gives the stacked
+residual bit for bit.
 
 Expected-fail rows turn the suite into a two-sided oracle: the twisted
 products are expected to break invariance under the transpose
@@ -50,6 +47,7 @@ from .algebra import (
     AlgebraDescriptor,
     Element,
     LinearMap,
+    _linear_map,
     eigenvalue_range,
     identity,
     jordan_mult_operator,
@@ -123,6 +121,10 @@ _AXIOMS = (LawId.SEA1, LawId.SEA2, LawId.SEA3, LawId.SEA4, LawId.SEA5, LawId.SCA
 FALSIFIED = (LawId.INVARIANCE, LawId.SYMMETRY, LawId.INVERTIBILITY_PRES)
 FALSIFY_TRIALS, FALSIFY_TOL = 10, 1e-3
 _CHUNK = 64
+#: COMMUTE_EQUIV redraws a generic pair until its ambient commutator norm is at least this
+NONCOMMUTING_MIN = 1e-3
+#: SELF_DUALITY's witness of a negative eigenvalue must have tr(a p) below minus this
+SELF_DUALITY_WITNESS_TOL = 1e-10
 
 #: reference algebras covered by the default suite
 REFERENCE_ALGEBRAS = ("real:4", "complex:4", "quat:3", "spin:5", "sum(complex:2,real:3)")
@@ -148,24 +150,32 @@ def _poly_effect(rngs, a: Element) -> Element:
     return a.algebra._backend.functional(a, clipped, DEFAULT_GAP)
 
 
+def _trial(x, k: int):
+    """Trial k of one stacked input: an Element, a map stacked by ``_stack`` or a list."""
+    if isinstance(x, Element):
+        return x.algebra._backend.take(x, k)
+    if isinstance(x, LinearMap):
+        return LinearMap(x.algebra, x.matrix[k], x.label[k])
+    return x[k]
+
+
 def _take(inputs: dict, k: int) -> dict:
     """Trial k of stacked inputs."""
-    return {key: x.algebra._backend.take(x, k) for key, x in inputs.items()}
+    return {key: _trial(x, k) for key, x in inputs.items()}
+
+
+def _stack(alg: AlgebraDescriptor, values: list):
+    """One stacked input of the trials' ``values``; maps keep one label per trial."""
+    if isinstance(values[0], Element):
+        return alg._backend.stack(alg, values)
+    if isinstance(values[0], LinearMap):
+        return _linear_map(alg, np.stack([m.matrix for m in values]),
+                           tuple(m.label for m in values))
+    return list(values)
 
 
 def _pinch(frame, x: Element) -> Element:
     return reduce(Element.__add__, (quadratic_rep(p, x) for p in frame))
-
-
-def _ambient_commutator(a: Element, b: Element) -> float:
-    return a.algebra._backend.commutator_norm(a, b)
-
-
-def _iso_kinds(alg: AlgebraDescriptor) -> list[str]:
-    kinds = list(alg._backend.order_isos(alg))
-    if not kinds:
-        raise CapabilityError(f"no order isomorphism family is available on {alg}")
-    return kinds
 
 
 # the stacked laws: a chunk at once, one Generator per trial in ``rngs``
@@ -217,7 +227,7 @@ def _pinched(rngs, p, alg, trials, params):
         return _pinched_by(frames, alphas, x, y)
     parts = [_take(_pinched_by(frames[k:k + 1], alphas[k:k + 1], backend.take(x, k),
                                backend.take(y, k)), 0) for k in range(len(rngs))]
-    return {key: backend.stack(alg, [part[key] for part in parts]) for key in parts[0]}
+    return {key: _stack(alg, [part[key] for part in parts]) for key in parts[0]}
 
 
 def _pinched_by(frames, alphas, x: Element, y: Element) -> dict:
@@ -269,11 +279,68 @@ def _quotient(rngs, p, alg, trials, params):
     return {"q": q, "a": seq_product(p, q, _random_effects(alg, rngs))}
 
 
+def _commute_pairs(rngs, p, alg, trials, params):
+    """A commuting pair on even trials; on odd ones a generic pair, redrawn (the open trials
+    in one round) until its commutator norm reaches NONCOMMUTING_MIN."""
+    backend, pairs = alg._backend, {}
+    even = [k for k, i in enumerate(trials) if i % 2 == 0]
+    if even:
+        a = _random_effects(alg, [rngs[k] for k in even], "invertible")
+        b = _poly_effect([rngs[k] for k in even], a)
+        pairs.update((k, (backend.take(a, j), backend.take(b, j))) for j, k in enumerate(even))
+    for _ in range(50):
+        todo = [k for k in range(len(rngs)) if k not in pairs]
+        if not todo:
+            break
+        a = _random_effects(alg, [rngs[k] for k in todo])
+        b = _random_effects(alg, [rngs[k] for k in todo])
+        norms = backend.commutator_norm(a, b)  # one norm per trial
+        pairs.update((k, (backend.take(a, j), backend.take(b, j)))
+                     for j, k in enumerate(todo) if norms[j] >= NONCOMMUTING_MIN)
+    if len(pairs) < len(rngs):
+        raise CapabilityError(f"could not draw a non-commuting pair on {alg}")
+    a, b = zip(*(pairs[k] for k in range(len(rngs))))
+    return {"a": _stack(alg, a), "b": _stack(alg, b),
+            "expected": ["generic" if i % 2 else "commuting" for i in trials]}
+
+
+def _scaled_squares(alg: AlgebraDescriptor, rngs) -> Element:
+    """The Jordan square of a random element per trial, scaled down to order-unit norm at most 1."""
+    e = alg._backend.random_elements(alg, rngs)
+    sq = jordan_product(e, e)
+    return alg._backend.scale_trials(sq, 1.0 / np.maximum(1.0, order_unit_norm(sq)))
+
+
+def _homogeneity(rngs, p, alg, trials, params):
+    inputs = _fields(a="invertible", b="invertible")(rngs, p, alg, trials, params)
+    for k in range(3):
+        inputs[f"s{k}"] = _scaled_squares(alg, rngs)
+    inputs["s3"] = _random_effects(alg, rngs)
+    inputs["s4"] = _stack(alg, [identity(alg)] * len(rngs))
+    return inputs
+
+
+def _invariance(rngs, p, alg, trials, params):
+    """Each trial's order isomorphism, of the requested kind or else of its turn among the
+    available ones, from a seed its Generator draws first; then a and b."""
+    kinds = list(alg._backend.order_isos(alg))
+    if not kinds:
+        raise CapabilityError(f"no order isomorphism family is available on {alg}")
+    requested = params.get("iso")
+    if requested is not None and requested not in kinds:
+        raise CapabilityError(f"isomorphism kind {requested!r} is not available on {alg}")
+    phis = [make_order_iso(alg, kinds[i % len(kinds)] if requested is None else requested,
+                           seed=int(rng.integers(2 ** 31))) for rng, i in zip(rngs, trials)]
+    return {"a": _random_effects(alg, rngs), "b": _random_effects(alg, rngs),
+            "phi": _stack(alg, phis)}
+
+
+def _theta(rngs, p, alg, trials, params):
+    a = _random_effects(alg, rngs, "invertible")
+    return {"q": _random_effects(alg, rngs, "invertible"), "a": a, "b": _poly_effect(rngs, a)}
+
+
 # the other laws: one trial at a time, from its Generator ``rng``
-
-def _gen_pair(rng, p, alg, trial, params):
-    return {"a": random_effect(alg, rng), "b": random_effect(alg, rng)}
-
 
 _PROFILES = ("generic", "singular", "sharp")
 
@@ -282,59 +349,12 @@ def _gen_profiled(rng, p, alg, trial, params):
     return {"a": random_effect(alg, rng, _PROFILES[trial % 3])}
 
 
-def _gen_commute_pair(rng, p, alg, trial, params):
-    expected = "commuting" if trial % 2 == 0 else "generic"
-    if expected == "commuting":
-        a = random_effect(alg, rng, "invertible")
-        return {"a": a, "b": _poly_effect([rng], a), "expected": expected}
-    for _ in range(50):
-        a = random_effect(alg, rng)
-        b = random_effect(alg, rng)
-        if _ambient_commutator(a, b) >= 1e-3:
-            return {"a": a, "b": b, "expected": expected}
-    raise CapabilityError(f"could not draw a non-commuting pair on {alg}")
-
-
-def _scaled_square(alg: AlgebraDescriptor, rng) -> Element:
-    """The Jordan square of a random element, scaled down to order-unit norm at most 1."""
-    e = random_element(alg, rng)
-    sq = jordan_product(e, e)
-    return sq * (1.0 / max(1.0, order_unit_norm(sq)))
-
-
 def _gen_self_duality(rng, p, alg, trial, params):
     g = random_element(alg, rng)
     g = g * (1.0 / max(1.0, order_unit_norm(g)))
     a = g - identity(alg) * (min_eigenvalue(g) + 0.2)
-    return {"x": _scaled_square(alg, rng), "y": _scaled_square(alg, rng), "a": a}
-
-
-def _gen_homogeneity(rng, p, alg, trial, params):
-    inputs = {"a": random_effect(alg, rng, "invertible"),
-              "b": random_effect(alg, rng, "invertible")}
-    for k in range(3):
-        inputs[f"s{k}"] = _scaled_square(alg, rng)
-    inputs["s3"] = random_effect(alg, rng)
-    inputs["s4"] = identity(alg)
-    return inputs
-
-
-def _gen_invariance(rng, p, alg, trial, params):
-    kinds = _iso_kinds(alg)
-    requested = params.get("iso") if params else None
-    if requested is not None:
-        if requested not in kinds:
-            raise CapabilityError(f"isomorphism kind {requested!r} is not available on {alg}")
-        kind = requested
-    else:
-        kind = kinds[trial % len(kinds)]
-    phi = make_order_iso(alg, kind, seed=int(rng.integers(2 ** 31)))
-    return {"a": random_effect(alg, rng), "b": random_effect(alg, rng), "phi": phi}
-
-
-def _gen_theta(rng, p, alg, trial, params):
-    a = random_effect(alg, rng, "invertible")
-    return {"q": random_effect(alg, rng, "invertible"), "a": a, "b": _poly_effect([rng], a)}
+    squares = [alg._backend.take(_scaled_squares(alg, [rng]), 0) for _ in range(2)]
+    return {"x": squares[0], "y": squares[1], "a": a}
 
 
 # ---------------------------------------------------------------------------
@@ -478,17 +498,17 @@ def _ev_fundamental(p, alg, inp):
 
 
 def _ev_commute_equiv(p, alg, inp):
-    a, b, expected = inp["a"], inp["b"], inp["expected"]
-    want = expected == "commuting"
+    a, b = inp["a"], inp["b"]
+    want = np.equal(inp["expected"], "commuting")  # per trial for a stack
     verdicts = [
         order_unit_norm(seq_product(p, a, b) - seq_product(p, b, a)) <= COMMUTE_TOL,
         map_distance(quadratic_operator(a).compose(quadratic_operator(b)),
                      quadratic_operator(b).compose(quadratic_operator(a))) <= COMMUTE_TOL,
         map_distance(jordan_mult_operator(a).compose(jordan_mult_operator(b)),
                      jordan_mult_operator(b).compose(jordan_mult_operator(a))) <= COMMUTE_TOL,
-        _ambient_commutator(a, b) <= COMMUTE_TOL,
+        alg._backend.commutator_norm(a, b) <= COMMUTE_TOL,
     ]
-    return 0.0 if all(v == want for v in verdicts) else 1.0
+    return np.where(reduce(np.logical_and, [v == want for v in verdicts]), 0.0, 1.0)
 
 
 def _ev_self_duality(p, alg, inp):
@@ -496,17 +516,14 @@ def _ev_self_duality(p, alg, inp):
     worst = _worst(0.0, -trace_inner_product(x, y))
     dec = spectral_decompose(a)
     lam, witness = min(dec.pairs, key=lambda pair: pair[0])
-    if lam >= -SUPPORT_TOL or trace_inner_product(a, witness) >= -1e-10:
+    if lam >= -SUPPORT_TOL or trace_inner_product(a, witness) >= -SELF_DUALITY_WITNESS_TOL:
         worst = _worst(worst, 1.0)
     return worst
 
 
 def _ev_homogeneity(p, alg, inp):
     a, b = inp["a"], inp["b"]
-    phi = homogeneity_iso(a, b)
-    std = SequentialProduct.standard(alg)
-    phi_inv = multiplication_operator(std, a).compose(
-        multiplication_operator(std, pseudo_inverse(b)))
+    phi, phi_inv = homogeneity_iso(a, b), homogeneity_iso(b, a)
     worst = _worst(rel_residual(phi.apply(a), b),
                    map_distance(phi.compose(phi_inv), LinearMap.identity(alg)))
     for key in ("s0", "s1", "s2", "s3", "s4"):
@@ -608,19 +625,20 @@ LAWS: dict[LawId, Law] = {
     LawId.FLOOR_LIMIT: Law(_floor, _ev_floor, 50, 1e-9, True),
     LawId.DYADIC_BOUND: Law(_gen_profiled, _ev_dyadic, 50, 1e-9, False),
     LawId.SPECTRAL_RECON: Law(_gen_profiled, _ev_spectral_recon, 100, 1e-9, False),
-    LawId.FUNDAMENTAL_EQ: Law(_gen_pair, _ev_fundamental, 100, 1e-9, False),
-    LawId.COMMUTE_EQUIV: Law(_gen_commute_pair, _ev_commute_equiv, 100, 1e-8, False),
+    LawId.FUNDAMENTAL_EQ: Law(_fields(a="generic", b="generic"), _ev_fundamental, 100, 1e-9,
+                              True),
+    LawId.COMMUTE_EQUIV: Law(_commute_pairs, _ev_commute_equiv, 100, 1e-8, True),
     LawId.SELF_DUALITY: Law(_gen_self_duality, _ev_self_duality, 50, 1e-10, False),
-    LawId.HOMOGENEITY: Law(_gen_homogeneity, _ev_homogeneity, 50, 1e-8, False),
+    LawId.HOMOGENEITY: Law(_homogeneity, _ev_homogeneity, 50, 1e-8, True),
     LawId.PSEUDO_INVERSE: Law(_fields(b="singular"), _ev_pseudo_inverse, 50, 1e-8, True),
     LawId.DIVIDE: Law(_quotient, _ev_divide, 50, 1e-8, True),
-    LawId.INVARIANCE: Law(_gen_invariance, _ev_invariance, 50, 1e-8, False),
+    LawId.INVARIANCE: Law(_invariance, _ev_invariance, 50, 1e-8, True),
     LawId.SYMMETRY: Law(_fields(a="generic", b="generic", c="generic"), _ev_symmetry, 100, 1e-8,
                         True),
     LawId.INVERTIBILITY_PRES: Law(_fields(a="invertible", b="invertible"), _ev_invertibility,
                                   50, 1e-7, True),
-    LawId.QUADRATIC_LAW: Law(_gen_pair, _ev_quadratic, 50, 1e-8, False),
-    LawId.THETA_STRUCTURE: Law(_gen_theta, _ev_theta, 25, 1e-7, False),
+    LawId.QUADRATIC_LAW: Law(_fields(a="generic", b="generic"), _ev_quadratic, 50, 1e-8, True),
+    LawId.THETA_STRUCTURE: Law(_theta, _ev_theta, 25, 1e-7, True),
 }
 
 

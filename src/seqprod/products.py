@@ -9,7 +9,8 @@ in addition a one-parameter family of twisted products
 with a^{it} taken on the support of a and the identity on its kernel.
 Twisted products satisfy the same finite-measurement axioms as the
 standard one but differ from it for t != 0; the auditor uses them as the
-non-standard foil for the uniqueness demonstrations.
+non-standard foil for the uniqueness demonstrations.  The operators here give
+one map per trial for stacked elements, and their preconditions name the worst trial.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .algebra import (
     AlgebraDescriptor,
     Element,
     LinearMap,
+    _linear_map,
     check_same_algebra,
     min_eigenvalue,
     order_unit_norm,
@@ -132,7 +134,7 @@ def multiplication_operator(p: SequentialProduct, a: Element) -> LinearMap:
     else:
         matrix = backend.conjugation_operator(a, _twisted_power(p.twist, root=True),
                                               DEFAULT_GAP)
-    return LinearMap(p.algebra, matrix, "L_a")
+    return _linear_map(p.algebra, matrix, "L_a")
 
 
 def commutes(p: SequentialProduct, a: Element, b: Element, tol: float = COMMUTE_TOL) -> bool:
@@ -162,15 +164,15 @@ def homogeneity_iso(a: Element, b: Element) -> LinearMap:
     """
     check_same_algebra(a, b)
     for name, x in (("a", a), ("b", b)):
-        if min_eigenvalue(x) < INVERTIBILITY_TOL:
+        lo = min_eigenvalue(x)
+        if np.count_nonzero(lo < INVERTIBILITY_TOL):
             raise PreconditionError(
                 f"homogeneity_iso needs invertible inputs; {name} has min eigenvalue "
-                f"{min_eigenvalue(x):.3e}")
+                f"{np.min(lo):.3e}")
     std = SequentialProduct.standard(a.algebra)
     l_b = multiplication_operator(std, b)
     l_ainv = multiplication_operator(std, pseudo_inverse(a))
-    out = l_b.compose(l_ainv)
-    return LinearMap(out.algebra, out.matrix, "Phi")
+    return _linear_map(a.algebra, l_b.compose(l_ainv).matrix, "Phi")
 
 
 def imaginary_power_conjugation(q: Element, t: float) -> LinearMap:
@@ -179,7 +181,7 @@ def imaginary_power_conjugation(q: Element, t: float) -> LinearMap:
     if not alg.is_complex_kind():
         raise CapabilityError(f"imaginary powers need a complex algebra, not {alg}")
     matrix = alg._backend.conjugation_operator(q, _twisted_power(t, root=False), DEFAULT_GAP)
-    return LinearMap(alg, matrix, f"Ad(q^{{i{t}}})")
+    return _linear_map(alg, matrix, f"Ad(q^{{i{t}}})")
 
 
 def theta_between(p: SequentialProduct, p2: SequentialProduct, q: Element) -> LinearMap:
@@ -190,9 +192,10 @@ def theta_between(p: SequentialProduct, p2: SequentialProduct, q: Element) -> Li
     """
     if p.algebra != p2.algebra or q.algebra != p.algebra:
         raise PreconditionError("theta_between needs both products and q on one algebra")
-    if min_eigenvalue(q) <= SUPPORT_TOL:
-        raise PreconditionError("theta_between needs an invertible q")
+    lo = min_eigenvalue(q)
+    if np.count_nonzero(lo <= SUPPORT_TOL):
+        raise PreconditionError(
+            f"theta_between needs an invertible q; min eigenvalue {np.min(lo):.3e}")
     l_q = multiplication_operator(p, q)
     l2_q = multiplication_operator(p2, q)
-    out = l_q.invert().compose(l2_q)
-    return LinearMap(out.algebra, out.matrix, "Theta_q")
+    return _linear_map(q.algebra, l_q.invert().compose(l2_q).matrix, "Theta_q")

@@ -37,7 +37,10 @@ sample per Generator, the only Gaussian draw) and ``scale_trials``, holds k
 trials on a leading axis: (k, m, m) matrices, spin pairs (v (k, d), t (k,)),
 or a tuple of stacked summands.  The primitives the stacked laws reach take
 it, unstacked operands broadcasting, and give per-trial results (operators as
-(k, d, d) stacks of coordinate matrices); ``take`` pulls a trial out.
+(k, d, d) stacks of coordinate matrices); ``take`` pulls a trial out.  The frame
+primitive ``spectral_pairs`` gives (values, idempotents, counts): each trial's
+cluster values in decreasing order, its idempotents (an Element per place, a
+zero idempotent where the trial's frame is shorter), and its frame's length.
 
 Primitives whose result is an element return an Element.  Element and the
 generic operations are read from the ``algebra`` module at call time,
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 import numbers
 from functools import lru_cache, reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -407,10 +411,7 @@ class _MatrixBackend(_Backend):
         return _trusted(alg, _read_only(np.stack([x.data for x in elems])))
 
     def take(self, x, i):
-        out = _trusted(x.algebra, x.data[i])
-        if "_eigen" in x.__dict__:  # the trial's slice of the stacked solve
-            out.__dict__["_eigen"] = tuple(arr[i] for arr in x.__dict__["_eigen"])
-        return out
+        return _trusted(x.algebra, x.data[i])
 
     # a real linear combination of exactly Hermitian (and J-symmetric) data
     # is exactly so again
@@ -451,17 +452,31 @@ class _MatrixBackend(_Backend):
         w = _eigh(mats, vectors=False)
         return np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
 
-    def spectral_pairs(self, a, gap: float) -> list:
+    def spectral_pairs(self, a, gap: float):
+        # one product V_c V_c^H per (trial, cluster); a stack makes one per cluster size,
+        # since a zero column padded into V_c would change the product's rounding
         alg = a.algebra
         w, vecs = _eigen(a)
-        pairs, start = [], 0
         sizes, values = _clusters(w, gap)
-        for size, lam in zip(sizes, values.tolist()):
-            cols = vecs[:, start:start + size]
-            pairs.append((lam, _alg.Element(alg, cols @ cols.conj().T)))
-            start += size
-        pairs.reverse()
-        return pairs
+        if w.ndim == 1:  # one element
+            frame = [self._element(alg, cols @ cols.conj().T)
+                     for cols in (vecs[:, e - n:e] for n, e in zip(sizes, accumulate(sizes)))]
+            return values[::-1], frame[::-1], np.asarray(len(frame))
+        k, m = w.shape
+        sizes = np.array(sizes)
+        starts = np.cumsum(sizes) - sizes
+        trial = starts // m
+        counts = np.bincount(trial, minlength=k)
+        slot = (np.cumsum(counts) - 1)[trial] - np.arange(len(sizes))  # decreasing order
+        out = np.zeros((k, counts.max()))
+        out[trial, slot] = values
+        mats = np.zeros((counts.max(), k, m, m), vecs.dtype)
+        for size in set(sizes.tolist()):
+            sel = np.flatnonzero(sizes == size)
+            cols = vecs[trial[sel, None, None], np.arange(m)[:, None],
+                        starts[sel, None, None] % m + np.arange(size)]
+            mats[slot[sel], trial[sel]] = cols @ cols.conj().swapaxes(-1, -2)
+        return out, [_trusted(alg, p) for p in self._hermitian(alg, mats)], counts
 
     def functional(self, a, f, gap: float):
         return self._element(a.algebra, _matrix_function(a, f, gap))
@@ -679,15 +694,23 @@ class _SpinBackend(_Backend):
         _, t, r = _spin_radius(a)
         return t - r, t + r
 
-    def spectral_pairs(self, a, gap: float) -> list:
-        alg = a.algebra
+    def spectral_pairs(self, a, gap: float):
+        """t +- r on the idempotents (+-v/2r, 1/2), or t on the identity where 2r <= gap."""
         v, t, r = _spin_radius(a)
-        if 2.0 * r <= gap:
-            return [(t, self.scalar(alg, 1.0))]
-        vhat = v / r
-        plus = _alg.Element(alg, (0.5 * vhat, 0.5))
-        minus = _alg.Element(alg, (-0.5 * vhat, 0.5))
-        return [(float(t + r), plus), (float(t - r), minus)]
+        if v.ndim == 1 and 2.0 * r > gap:  # one element, which splits
+            half = 0.5 * (v / r)
+            frame = [_trusted(a.algebra, (_read_only(s * half), 0.5)) for s in (1.0, -1.0)]
+            return np.array([t + r, t - r]), frame, np.asarray(2)
+        split = 2.0 * r > gap
+        half = 0.5 * (v / _col(np.where(split, r, 1.0)))
+        cut = _col(split)
+        plus = (np.where(cut, half, 0.0), np.where(split, 0.5, 1.0))
+        minus = (np.where(cut, -half, 0.0), np.where(split, 0.5, 0.0))
+        values = np.stack([np.where(split, t + r, t), np.where(split, t - r, 0.0)], -1)
+        n = 2 if np.any(split) else 1
+        frame = [_trusted(a.algebra, (_read_only(vec), s if s.ndim else float(s)))
+                 for vec, s in (plus, minus)[:n]]
+        return values[..., :n], frame, split + 1
 
     def functional(self, a, f, gap: float):
         """f(t + r) and f(t - r) on the two idempotents (+-v/2r, 1/2), r = |v|.
@@ -852,26 +875,38 @@ class _SumBackend(_Backend):
     def conjugation_operator(self, a, f, gap: float) -> np.ndarray:
         return _block_diag(_blockwise("conjugation_operator", (a,), f, gap))
 
-    def spectral_pairs(self, a, gap: float) -> list:
-        """Blockwise pairs, with eigenvalues merged across blocks."""
+    def spectral_pairs(self, a, gap: float):
+        """Blockwise frames merged across blocks trial by trial: a cluster takes the
+        trace-weighted mean of its values, and in each block its idempotents added to zero."""
         alg = a.algebra
-        entries = []  # (eigenvalue, block index, projection, trace weight)
-        for bi, pairs in enumerate(_blockwise("spectral_pairs", (a,), gap)):
-            for lam, p in pairs:
-                entries.append((lam, bi, p, _alg.trace(p)))
-        entries.sort(key=lambda e: e[0])
-        pairs, start = [], 0
-        for size in _clusters(np.array([e[0] for e in entries]), gap)[0]:
-            chosen = entries[start:start + size]
-            start += size
-            blocks = [_alg.zero(s) for s in alg.summands]
-            for _, bi, p, _ in chosen:
-                blocks[bi] = blocks[bi] + p
-            weight = sum(e[3] for e in chosen)
-            lam = sum(e[0] * e[3] for e in chosen) / weight
-            pairs.append((float(lam), _alg.Element(alg, tuple(blocks))))
-        pairs.reverse()
-        return pairs
+        frames = _blockwise("spectral_pairs", (a,), gap)
+        shape = np.shape(frames[0][2])
+        merged = []  # per trial: (eigenvalue, idempotent) in decreasing order
+        for i in range(np.size(frames[0][2])):
+            entries = []  # (eigenvalue, block, idempotent, trace weight), ascending
+            for bi, (values, frame, counts) in enumerate(frames):
+                lams = np.atleast_2d(values)[i, :counts.flat[i]].tolist()
+                if shape:  # trial i of the block's frame
+                    frame = [alg.summands[bi]._backend.take(p, i) for p in frame[:len(lams)]]
+                entries += [(lam, bi, p, _alg.trace(p)) for lam, p in zip(lams, frame)]
+            entries.sort(key=lambda e: e[0])
+            pairs, start = [], 0
+            for size in _clusters(np.array([e[0] for e in entries]), gap)[0]:
+                chosen = entries[start:start + size]
+                start += size
+                blocks = [_alg.zero(s) for s in alg.summands]
+                for _, bi, p, _ in chosen:
+                    blocks[bi] = blocks[bi] + p
+                lam = sum(e[0] * e[3] for e in chosen) / sum(e[3] for e in chosen)
+                pairs.append((float(lam), _trusted(alg, tuple(blocks))))
+            merged.append(pairs[::-1])
+        if not shape:  # one element
+            values, frame = zip(*merged[0])
+            return np.array(values), list(frame), np.asarray(len(frame))
+        counts = np.array([len(pairs) for pairs in merged])
+        pad = [(0.0, _alg.zero(alg))] * counts.max()
+        values, frames = zip(*(zip(*(pairs + pad[len(pairs):])) for pairs in merged))
+        return np.array(values), [self.stack(alg, slot) for slot in zip(*frames)], counts
 
     def random_elements(self, alg, rngs):
         # summand by summand: each Generator draws its blocks in summand order

@@ -374,29 +374,21 @@ def random_projection(alg: AlgebraDescriptor, rng, proper: bool = True) -> Eleme
 
 
 def random_effect(alg: AlgebraDescriptor, seed, profile: str = "generic") -> Element:
-    """Deterministic random effect.
+    """Deterministic random effect: a stack of one, taken.
 
     Profiles: ``generic`` and ``invertible`` rescale a Gaussian sample
     affinely so the spectrum lies in [0.05, 0.95] (a sample with a single
     eigenvalue gives 1/2); ``singular`` compresses such a sample by a random
     proper projection; ``sharp`` returns a random projection.
     """
-    rng = _as_rng(seed)
-    return _effects(alg, profile, lambda: random_element(alg, rng),
-                    lambda: random_projection(alg, rng, proper=True))
+    return alg._backend.take(_random_effects(alg, [_as_rng(seed)], profile), 0)
 
 
 def _random_effects(alg: AlgebraDescriptor, rngs, profile: str = "generic") -> Element:
     """``random_effect`` of each Generator of ``rngs`` (the same draws, in order), stacked."""
     backend = alg._backend
-    return _effects(alg, profile, lambda: backend.random_elements(alg, rngs),
-                    lambda: backend.stack(alg, [random_projection(alg, rng) for rng in rngs]))
-
-
-def _effects(alg, profile: str, sample, projection) -> Element:
-    """Effects of ``profile`` from the draws ``sample()`` and ``projection()``, one or a stack."""
     if profile in ("generic", "invertible"):
-        g, one, backend = sample(), identity(alg), alg._backend
+        g, one = backend.random_elements(alg, rngs), identity(alg)
         lo, hi = eigenvalue_range(g)
         width = hi - lo
         flat = width < 1e-12  # every sample of a rank-one matrix algebra
@@ -404,14 +396,13 @@ def _effects(alg, profile: str, sample, projection) -> Element:
         eff = backend.scale_trials(shifted, 0.9 / np.maximum(width, 1e-12)) + one * 0.05
         if not np.count_nonzero(flat):
             return eff
-        if flat.ndim == 0:
-            return one * 0.5
         return backend.stack(alg, [one * 0.5 if f else backend.take(eff, k)
                                    for k, f in enumerate(flat.tolist())])
-    if profile == "singular":  # the projection is drawn first
-        return quadratic_rep(projection(), _effects(alg, "invertible", sample, projection))
     if profile == "sharp":
-        return projection()
+        return backend.stack(alg, [random_projection(alg, rng) for rng in rngs])
+    if profile == "singular":  # the projection is drawn first
+        return quadratic_rep(_random_effects(alg, rngs, "sharp"),
+                             _random_effects(alg, rngs, "invertible"))
     raise ConfigError(f"unknown effect profile {profile!r}")
 
 

@@ -1,26 +1,21 @@
 """Seeded property-based auditing of the kernel's structural laws.
 
-Each law is one row of ``LAWS``: a generator, an evaluator, the default
-trials and tolerance, and whether it runs stacked.  ``generate``
-manufactures inputs satisfying the law's hypotheses from per-trial RNGs,
-``evaluate`` computes a residual from the inputs alone.  A trial fails when
-its residual exceeds the row tolerance; the first failing trial's inputs are
-serialized as a witness, so any reported violation can be replayed
-standalone through the module operations.
+Each law is one row of ``LAWS``: a generator, an evaluator, and the default
+trials and tolerance.  ``generate`` manufactures inputs satisfying the law's
+hypotheses from per-trial RNGs, ``evaluate`` computes a residual from the
+inputs alone.  A trial fails when its residual exceeds the row tolerance; the
+first failing trial's inputs are serialized as a witness, so any reported
+violation can be replayed standalone through the module operations.
 
-Twenty laws run in chunks of 64 trials; only DYADIC_BOUND, SPECTRAL_RECON and
-SELF_DUALITY, which read each trial's spectral frame in the evaluator, run trial
-by trial.  A chunk is drawn field by field, each trial from its own Generator,
-so every trial makes exactly the draws it makes alone (INVARIANCE's
-isomorphisms and COMMUTE_EQUIV's redraws are drawn per trial and stacked); the
-linear algebra of generation and one evaluator call then run on elements and
-linear maps with a leading trial axis.  The first trial of the chunk over the
-tolerance gives the verdict, so verdicts, maximal residuals and witnesses are
-those of trial-by-trial runs, bit for bit.  A chunk that raises is redone as
-chunks of one, so an error surfaces at its own trial and only if no earlier
-trial fails; a witness is its trial taken out of the stack.  Replay evaluates
-the witness's plain inputs with the same evaluator, which gives the stacked
-residual bit for bit.
+Every law runs in chunks of 64 trials, drawn field by field, each trial from
+its own Generator, so each trial makes exactly the draws it makes alone; the
+linear algebra and one evaluator call then run on elements, linear maps and
+spectral frames with a leading trial axis (a shorter frame padded with zero
+idempotents).  The first trial of a chunk over the tolerance gives the
+verdict, so verdicts, maximal residuals and witnesses are those of
+trial-by-trial runs, bit for bit.  A chunk that raises is redone as chunks of
+one, so an error surfaces at its own trial; a witness is its trial taken out
+of the stack, and replay evaluates its plain inputs with the same evaluator.
 
 Expected-fail rows turn the suite into a two-sided oracle: the twisted
 products are expected to break invariance under the transpose
@@ -35,7 +30,7 @@ import time
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import partial, reduce
-from itertools import count
+from itertools import combinations, count
 from typing import Callable
 
 import numpy as np
@@ -60,8 +55,6 @@ from .algebra import (
     quadratic_operator,
     quadratic_rep,
     _random_effects,
-    random_effect,
-    random_element,
     rel_residual,
     trace_inner_product,
 )
@@ -83,7 +76,6 @@ from .spectral import (
     dyadic_approximation,
     floor_effect,
     pseudo_inverse,
-    spectral_decompose,
 )
 
 
@@ -174,12 +166,6 @@ def _stack(alg: AlgebraDescriptor, values: list):
     return list(values)
 
 
-def _pinch(frame, x: Element) -> Element:
-    return reduce(Element.__add__, (quadratic_rep(p, x) for p in frame))
-
-
-# the stacked laws: a chunk at once, one Generator per trial in ``rngs``
-
 def _sum_triple(rngs, p, alg, trials, params):
     return {"a": _random_effects(alg, rngs),
             "b": _random_effects(alg, rngs) * 0.5,
@@ -206,37 +192,30 @@ def _commuting_triple(rngs, p, alg, trials, params):
     return {"a": a, "b": _poly_effect(rngs, a), "c": _random_effects(alg, rngs)}
 
 
-def _frames(alg: AlgebraDescriptor, rngs) -> list:
-    """Each trial's spectral frame of an invertible base; the bases are solved as one stack."""
+def _weighted(frame, weights: np.ndarray) -> Element:
+    """sum_j w_j p_j per trial, with weights (..., len(frame))."""
+    scale = frame[0].algebra._backend.scale_trials
+    return reduce(Element.__add__, (scale(p, weights[..., j]) for j, p in enumerate(frame)))
+
+
+def _drawn_frame(alg: AlgebraDescriptor, rngs, draw) -> tuple:
+    """Each trial's spectral frame of an invertible base, and weights ``draw(rng, n)`` that the
+    trial's Generator draws for its frame of length n, padded with 0.0."""
     base = _random_effects(alg, rngs, "invertible")
-    min_eigenvalue(base)  # one solve of the stack; each trial's frame reads its slice
-    return [spectral_decompose(alg._backend.take(base, k)).idempotents for k in range(len(rngs))]
+    _, frame, counts = alg._backend.spectral_pairs(base, DEFAULT_GAP)
+    weights = np.zeros((len(rngs), counts.max()))
+    for row, rng, n in zip(weights, rngs, counts.tolist()):
+        row[:n] = draw(rng, n)
+    return frame, weights
 
 
 def _pinched(rngs, p, alg, trials, params):
-    """c from the spectral frame of an invertible base, a and b pinched by that frame.
-
-    Frames of different lengths in one chunk (direct sums) are pinched trial by trial.
-    """
-    backend = alg._backend
-    frames = _frames(alg, rngs)
-    alphas = [rng.uniform(0.05, 0.95, len(frame)) for rng, frame in zip(rngs, frames)]
-    x = _random_effects(alg, rngs, "invertible")
-    y = _random_effects(alg, rngs, "invertible")
-    if len({len(frame) for frame in frames}) == 1:
-        return _pinched_by(frames, alphas, x, y)
-    parts = [_take(_pinched_by(frames[k:k + 1], alphas[k:k + 1], backend.take(x, k),
-                               backend.take(y, k)), 0) for k in range(len(rngs))]
-    return {key: _stack(alg, [part[key] for part in parts]) for key in parts[0]}
-
-
-def _pinched_by(frames, alphas, x: Element, y: Element) -> dict:
-    """c = sum_j alpha_j p_j, and x and y pinched by the frames and halved; frames of one length."""
-    alg = x.algebra
-    projs = [alg._backend.stack(alg, ps) for ps in zip(*frames)]
-    terms = [alg._backend.scale_trials(proj, col) for proj, col in zip(projs, np.array(alphas).T)]
-    return {"c": reduce(Element.__add__, terms),
-            "a": _pinch(projs, x) * 0.5, "b": _pinch(projs, y) * 0.5}
+    """c from the spectral frame of an invertible base, a and b pinched by that frame."""
+    frame, alphas = _drawn_frame(alg, rngs, lambda rng, n: rng.uniform(0.05, 0.95, n))
+    x, y = (_random_effects(alg, rngs, "invertible") for _ in range(2))
+    return {"c": _weighted(frame, alphas),
+            "a": reduce(Element.__add__, (quadratic_rep(q, x) for q in frame)) * 0.5,
+            "b": reduce(Element.__add__, (quadratic_rep(q, y) for q in frame)) * 0.5}
 
 
 def _monotone(rngs, p, alg, trials, params):
@@ -257,26 +236,32 @@ def _sharp(rngs, p, alg, trials, params):
 
 
 def _floor(rngs, p, alg, trials, params):
-    """Each trial's frame of an invertible base, weighted by eigenvalues its Generator draws.
+    """Each trial's base frame weighted by eigenvalues its Generator draws, one per idempotent."""
+    frame, lams = _drawn_frame(alg, rngs, lambda rng, n: [
+        1.0 if rng.uniform() < 0.4 else float(rng.uniform(0.05, 0.7)) for _ in range(n)])
+    return {"a": _weighted(frame, lams)}
 
-    The draws depend on the frame, so they run per trial.
-    """
-    effects = []
-    for rng, frame in zip(rngs, _frames(alg, rngs)):
-        lams = [1.0 if rng.uniform() < 0.4 else float(rng.uniform(0.05, 0.7)) for _ in frame]
-        effects.append(reduce(Element.__add__, (proj * lam for proj, lam in zip(frame, lams))))
-    return {"a": alg._backend.stack(alg, effects)}
+
+def _by_turn(alg, rngs, trials, profiles) -> Element:
+    """Trial i's effect of profile ``profiles[i % len(profiles)]``, each profile drawn as one
+    stack of its trials and the stacks interleaved."""
+    backend = alg._backend
+    turns = [i % len(profiles) for i in trials]
+    stacks = [_random_effects(alg, [rng for rng, t in zip(rngs, turns) if t == turn], profile)
+              if turn in turns else None for turn, profile in enumerate(profiles)]
+    ranks = [count() for _ in profiles]  # a trial's place among the trials of its turn
+    return backend.stack(alg, [backend.take(stacks[t], next(ranks[t])) for t in turns])
 
 
 def _quotient(rngs, p, alg, trials, params):
-    """q generic on even trials and singular on odd ones, each profile drawn as one stack."""
-    backend = alg._backend
-    sides = [i % 2 for i in trials]
-    stacks = [_random_effects(alg, [rng for rng, s in zip(rngs, sides) if s == side], profile)
-              if side in sides else None for side, profile in enumerate(("generic", "singular"))]
-    ranks = (count(), count())  # a trial's place among the trials of its parity
-    q = backend.stack(alg, [backend.take(stacks[s], next(ranks[s])) for s in sides])
+    """q generic on even trials and singular on odd ones."""
+    q = _by_turn(alg, rngs, trials, ("generic", "singular"))
     return {"q": q, "a": seq_product(p, q, _random_effects(alg, rngs))}
+
+
+def _profiled(rngs, p, alg, trials, params):
+    """a generic, singular or sharp by turns, so that frames of every shape occur."""
+    return {"a": _by_turn(alg, rngs, trials, ("generic", "singular", "sharp"))}
 
 
 def _commute_pairs(rngs, p, alg, trials, params):
@@ -340,21 +325,14 @@ def _theta(rngs, p, alg, trials, params):
     return {"q": _random_effects(alg, rngs, "invertible"), "a": a, "b": _poly_effect(rngs, a)}
 
 
-# the other laws: one trial at a time, from its Generator ``rng``
-
-_PROFILES = ("generic", "singular", "sharp")
-
-
-def _gen_profiled(rng, p, alg, trial, params):
-    return {"a": random_effect(alg, rng, _PROFILES[trial % 3])}
-
-
-def _gen_self_duality(rng, p, alg, trial, params):
-    g = random_element(alg, rng)
-    g = g * (1.0 / max(1.0, order_unit_norm(g)))
-    a = g - identity(alg) * (min_eigenvalue(g) + 0.2)
-    squares = [alg._backend.take(_scaled_squares(alg, [rng]), 0) for _ in range(2)]
-    return {"x": squares[0], "y": squares[1], "a": a}
+def _self_duality(rngs, p, alg, trials, params):
+    """Two Jordan squares x and y, and a = g - (min eig g + 0.2) for g of norm at most 1, so a
+    has a negative eigenvalue."""
+    backend = alg._backend
+    g = backend.random_elements(alg, rngs)
+    g = backend.scale_trials(g, 1.0 / np.maximum(1.0, order_unit_norm(g)))
+    a = g - backend.scale_trials(identity(alg), min_eigenvalue(g) + 0.2)
+    return {"x": _scaled_squares(alg, rngs), "y": _scaled_squares(alg, rngs), "a": a}
 
 
 # ---------------------------------------------------------------------------
@@ -461,29 +439,25 @@ def _ev_dyadic(p, alg, inp):
         if prev is not None:
             worst = _worst(worst, -min_eigenvalue(q - prev))
         prev = q
-        # eigenvalues sit on the grid l/2^m
+        # eigenvalues sit on the grid l/2^m (a frame's padding 0.0 sits on it too)
         n = 2 ** m
-        for lam in spectral_decompose(q).eigenvalues:
-            worst = _worst(worst, abs(lam * n - round(lam * n)) / n)
+        values = alg._backend.spectral_pairs(q, DEFAULT_GAP)[0] * n
+        worst = _worst(worst, np.max(abs(values - np.round(values)), -1) / n)
     return _worst(worst, 0.0)
 
 
 def _ev_spectral_recon(p, alg, inp):
+    # a zero idempotent padding a shorter frame passes every check exactly
     a = inp["a"]
-    dec = spectral_decompose(a)
-    worst = rel_residual(reduce(Element.__add__, (proj * lam for lam, proj in dec.pairs)), a)
-    for proj in dec.idempotents:
-        worst = _worst(worst, order_unit_norm(jordan_product(proj, proj) - proj))
-    frame_sum = reduce(Element.__add__, dec.idempotents)
-    worst = _worst(worst, order_unit_norm(frame_sum - identity(alg)))
-    idem = dec.idempotents
-    for i in range(len(idem)):
-        for j in range(i + 1, len(idem)):
-            worst = _worst(worst, order_unit_norm(jordan_product(idem[i], idem[j])))
-    eigs = dec.eigenvalues
-    if any(eigs[i] <= eigs[i + 1] for i in range(len(eigs) - 1)):
-        worst = _worst(worst, 1.0)
-    return worst
+    values, idem, counts = alg._backend.spectral_pairs(a, DEFAULT_GAP)
+    worst = _worst(rel_residual(_weighted(idem, values), a),
+                   order_unit_norm(reduce(Element.__add__, idem) - identity(alg)),
+                   *(order_unit_norm(jordan_product(q, q) - q) for q in idem),
+                   *(order_unit_norm(jordan_product(q, r)) for q, r in combinations(idem, 2)))
+    # each trial's own values strictly decrease
+    unordered = ((values[..., 1:] >= values[..., :-1])
+                 & (np.arange(1, len(idem)) < counts[..., None]))
+    return np.where(np.any(unordered, -1), _worst(worst, 1.0), worst)
 
 
 def _ev_fundamental(p, alg, inp):
@@ -514,11 +488,13 @@ def _ev_commute_equiv(p, alg, inp):
 def _ev_self_duality(p, alg, inp):
     x, y, a = inp["x"], inp["y"], inp["a"]
     worst = _worst(0.0, -trace_inner_product(x, y))
-    dec = spectral_decompose(a)
-    lam, witness = min(dec.pairs, key=lambda pair: pair[0])
-    if lam >= -SUPPORT_TOL or trace_inner_product(a, witness) >= -SELF_DUALITY_WITNESS_TOL:
-        worst = _worst(worst, 1.0)
-    return worst
+    values, frame, counts = alg._backend.spectral_pairs(a, DEFAULT_GAP)
+    # each trial's smallest eigenvalue, last in its own frame, and tr(a p) of its idempotent
+    traces = np.stack([trace_inner_product(a, proj) for proj in frame], -1)
+    lam, tr = np.take_along_axis(np.stack([values, traces]), (counts - 1)[None, ..., None],
+                                 -1)[..., 0]
+    fails = (lam >= -SUPPORT_TOL) | (tr >= -SELF_DUALITY_WITNESS_TOL)
+    return np.where(fails, _worst(worst, 1.0), worst)
 
 
 def _ev_homogeneity(p, alg, inp):
@@ -600,45 +576,42 @@ def _ev_theta(p, alg, inp):
 class Law:
     """One law: how its inputs are drawn, how its residual is evaluated, and its defaults.
 
-    A stacked law's generator takes the Generators and indices of a chunk of trials and its
-    evaluator returns one residual per trial; otherwise both take one trial.
+    The generator takes the Generators and indices of a chunk of trials and returns their
+    inputs stacked; the evaluator returns one residual per trial of stacked inputs, and the
+    residual of plain ones.
     """
     generate: Callable
     evaluate: Callable
     trials: int
     tol: float
-    stacked: bool
 
 
 #: every law's row, in LawId order
 LAWS: dict[LawId, Law] = {
-    LawId.SEA1: Law(_sum_triple, _ev_sea1, 200, 1e-8, True),
-    LawId.SEA2: Law(_fields(a="generic"), _ev_sea2, 200, 1e-8, True),
-    LawId.SEA3: Law(_orthogonal_supports, _ev_sea3, 200, 1e-8, True),
-    LawId.SEA4: Law(_commuting_triple, _ev_sea4, 200, 1e-8, True),
-    LawId.SEA5: Law(_pinched, _ev_sea5, 200, 1e-8, True),
-    LawId.SCALAR_LINEARITY: Law(_fields(a="generic", b="generic"), _ev_scalar, 200, 1e-8, True),
-    LawId.PRODUCT_LE_LEFT: Law(_fields(a="generic", b="generic"), _ev_product_le, 100, 1e-9,
-                               True),
-    LawId.MONOTONE_RIGHT: Law(_monotone, _ev_monotone, 100, 1e-9, True),
-    LawId.SHARP_PROPS: Law(_sharp, _ev_sharp, 50, 1e-8, True),
-    LawId.FLOOR_LIMIT: Law(_floor, _ev_floor, 50, 1e-9, True),
-    LawId.DYADIC_BOUND: Law(_gen_profiled, _ev_dyadic, 50, 1e-9, False),
-    LawId.SPECTRAL_RECON: Law(_gen_profiled, _ev_spectral_recon, 100, 1e-9, False),
-    LawId.FUNDAMENTAL_EQ: Law(_fields(a="generic", b="generic"), _ev_fundamental, 100, 1e-9,
-                              True),
-    LawId.COMMUTE_EQUIV: Law(_commute_pairs, _ev_commute_equiv, 100, 1e-8, True),
-    LawId.SELF_DUALITY: Law(_gen_self_duality, _ev_self_duality, 50, 1e-10, False),
-    LawId.HOMOGENEITY: Law(_homogeneity, _ev_homogeneity, 50, 1e-8, True),
-    LawId.PSEUDO_INVERSE: Law(_fields(b="singular"), _ev_pseudo_inverse, 50, 1e-8, True),
-    LawId.DIVIDE: Law(_quotient, _ev_divide, 50, 1e-8, True),
-    LawId.INVARIANCE: Law(_invariance, _ev_invariance, 50, 1e-8, True),
-    LawId.SYMMETRY: Law(_fields(a="generic", b="generic", c="generic"), _ev_symmetry, 100, 1e-8,
-                        True),
+    LawId.SEA1: Law(_sum_triple, _ev_sea1, 200, 1e-8),
+    LawId.SEA2: Law(_fields(a="generic"), _ev_sea2, 200, 1e-8),
+    LawId.SEA3: Law(_orthogonal_supports, _ev_sea3, 200, 1e-8),
+    LawId.SEA4: Law(_commuting_triple, _ev_sea4, 200, 1e-8),
+    LawId.SEA5: Law(_pinched, _ev_sea5, 200, 1e-8),
+    LawId.SCALAR_LINEARITY: Law(_fields(a="generic", b="generic"), _ev_scalar, 200, 1e-8),
+    LawId.PRODUCT_LE_LEFT: Law(_fields(a="generic", b="generic"), _ev_product_le, 100, 1e-9),
+    LawId.MONOTONE_RIGHT: Law(_monotone, _ev_monotone, 100, 1e-9),
+    LawId.SHARP_PROPS: Law(_sharp, _ev_sharp, 50, 1e-8),
+    LawId.FLOOR_LIMIT: Law(_floor, _ev_floor, 50, 1e-9),
+    LawId.DYADIC_BOUND: Law(_profiled, _ev_dyadic, 50, 1e-9),
+    LawId.SPECTRAL_RECON: Law(_profiled, _ev_spectral_recon, 100, 1e-9),
+    LawId.FUNDAMENTAL_EQ: Law(_fields(a="generic", b="generic"), _ev_fundamental, 100, 1e-9),
+    LawId.COMMUTE_EQUIV: Law(_commute_pairs, _ev_commute_equiv, 100, 1e-8),
+    LawId.SELF_DUALITY: Law(_self_duality, _ev_self_duality, 50, 1e-10),
+    LawId.HOMOGENEITY: Law(_homogeneity, _ev_homogeneity, 50, 1e-8),
+    LawId.PSEUDO_INVERSE: Law(_fields(b="singular"), _ev_pseudo_inverse, 50, 1e-8),
+    LawId.DIVIDE: Law(_quotient, _ev_divide, 50, 1e-8),
+    LawId.INVARIANCE: Law(_invariance, _ev_invariance, 50, 1e-8),
+    LawId.SYMMETRY: Law(_fields(a="generic", b="generic", c="generic"), _ev_symmetry, 100, 1e-8),
     LawId.INVERTIBILITY_PRES: Law(_fields(a="invertible", b="invertible"), _ev_invertibility,
-                                  50, 1e-7, True),
-    LawId.QUADRATIC_LAW: Law(_fields(a="generic", b="generic"), _ev_quadratic, 50, 1e-8, True),
-    LawId.THETA_STRUCTURE: Law(_theta, _ev_theta, 25, 1e-7, True),
+                                  50, 1e-7),
+    LawId.QUADRATIC_LAW: Law(_fields(a="generic", b="generic"), _ev_quadratic, 50, 1e-8),
+    LawId.THETA_STRUCTURE: Law(_theta, _ev_theta, 25, 1e-7),
 }
 
 
@@ -785,9 +758,6 @@ def audit_law(law: LawId | str, product: SequentialProduct, alg: AlgebraDescript
 
     def run(chunk: range) -> list:
         rngs = [np.random.default_rng((seed, ordinal, i)) for i in chunk]
-        if not row.stacked:
-            inputs = row.generate(rngs[0], product, alg, chunk[0], params or {})
-            return [(chunk[0], float(row.evaluate(product, alg, inputs)), lambda: inputs)]
         inputs = row.generate(rngs, product, alg, chunk, params or {})
         residuals = np.broadcast_to(row.evaluate(product, alg, inputs), len(chunk)).tolist()
         return [(i, residual, partial(_take, inputs, k))
@@ -797,8 +767,7 @@ def audit_law(law: LawId | str, product: SequentialProduct, alg: AlgebraDescript
     max_residual = 0.0
     witness = None
     verdict = "pass"
-    size = _CHUNK if row.stacked else 1
-    for i, residual, inputs in _trial_residuals(trials, size, run):
+    for i, residual, inputs in _trial_residuals(trials, _CHUNK, run):
         max_residual = max(max_residual, residual)
         if not residual <= tol:  # a NaN residual fails too
             witness = {"trial": i, "residual": residual,

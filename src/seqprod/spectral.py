@@ -7,9 +7,9 @@ functional calculus can evaluate f(0)).  Eigenvalues closer than the
 clustering gap are merged into one idempotent, which keeps the projections
 numerically exact when a degenerate eigenvalue is split by solver noise.
 
-The square root, floor, ceiling and pseudo-inverse each apply a threshold
-function on arrays, so they also take stacked elements; the dyadic
-approximants are functional_calculus calls with a scalar function.
+The square root, floor, ceiling, pseudo-inverse and dyadic approximants
+each apply a threshold function on arrays, so they also take stacked
+elements.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .algebra import (
     SUPPORT_TOL,
     AlgebraDescriptor,
     Element,
-    is_effect,
+    eigenvalue_range,
     jordan_product,
     min_eigenvalue,
     order_unit_norm,
@@ -57,7 +57,8 @@ def spectral_decompose(a: Element, gap: float = DEFAULT_GAP) -> SpectralDecompos
     if gap <= 0:
         raise PreconditionError("clustering gap must be positive")
     alg = a.algebra
-    return SpectralDecomposition(alg, tuple(alg._backend.spectral_pairs(a, gap)))
+    values, frame, _ = alg._backend.spectral_pairs(a, gap)
+    return SpectralDecomposition(alg, tuple(zip(values.tolist(), frame)))
 
 
 def functional_calculus(a: Element, f, gap: float = DEFAULT_GAP) -> Element:
@@ -132,10 +133,13 @@ def dyadic_approximation(a: Element, n_max: int) -> list[Element]:
     onto eigenvalues strictly above k/n (with a 1e-12 guard band), so
     ||a - q_{2^m}|| <= 2^(1-m).
     """
-    if not is_effect(a):
-        raise PreconditionError("dyadic approximation expects an effect")
+    lo, hi = eigenvalue_range(a)
+    if np.count_nonzero(~((lo >= -SUPPORT_TOL) & (hi <= 1.0 + SUPPORT_TOL))):
+        worst = np.ravel(np.where(-lo >= hi - 1.0, lo, hi))[np.argmax(np.maximum(-lo, hi - 1.0))]
+        raise PreconditionError(
+            f"dyadic approximation expects an effect; eigenvalue {worst:.3e} is outside [0, 1]")
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
-    return [functional_calculus(a, lambda x, n=2 ** m:
-                                sum(1 for k in range(1, n + 1) if x > k / n + 1e-12) / n)
+    return [_threshold(a, lambda x, n=2 ** m:
+                       np.count_nonzero(x[..., None] > np.arange(1, n + 1) / n + 1e-12, -1) / n)
             for m in range(1, n_max + 1)]

@@ -27,39 +27,39 @@ from seqprod.auditor import (
     run_full_suite,
 )
 
-from conftest import ALGEBRA_SHORTHANDS
+from conftest import ALGEBRA_SHORTHANDS, close_across_blocks
 
 
 def _product(desc, short):
     return sp.parse_product(desc, sp.parse_algebra(short))
 
 
-#: (law, default trials, default tol, stacked) of each row of the law table, in LawId order;
+#: (law, default trials, default tol) of each row of the law table, in LawId order;
 #: reports carry no tol, so only this catches a tolerance copied wrong
 LAW_TABLE = [
-    ("SEA1", 200, 1e-08, True),
-    ("SEA2", 200, 1e-08, True),
-    ("SEA3", 200, 1e-08, True),
-    ("SEA4", 200, 1e-08, True),
-    ("SEA5", 200, 1e-08, True),
-    ("SCALAR_LINEARITY", 200, 1e-08, True),
-    ("PRODUCT_LE_LEFT", 100, 1e-09, True),
-    ("MONOTONE_RIGHT", 100, 1e-09, True),
-    ("SHARP_PROPS", 50, 1e-08, True),
-    ("FLOOR_LIMIT", 50, 1e-09, True),
-    ("DYADIC_BOUND", 50, 1e-09, False),
-    ("SPECTRAL_RECON", 100, 1e-09, False),
-    ("FUNDAMENTAL_EQ", 100, 1e-09, True),
-    ("COMMUTE_EQUIV", 100, 1e-08, True),
-    ("SELF_DUALITY", 50, 1e-10, False),
-    ("HOMOGENEITY", 50, 1e-08, True),
-    ("PSEUDO_INVERSE", 50, 1e-08, True),
-    ("DIVIDE", 50, 1e-08, True),
-    ("INVARIANCE", 50, 1e-08, True),
-    ("SYMMETRY", 100, 1e-08, True),
-    ("INVERTIBILITY_PRES", 50, 1e-07, True),
-    ("QUADRATIC_LAW", 50, 1e-08, True),
-    ("THETA_STRUCTURE", 25, 1e-07, True),
+    ("SEA1", 200, 1e-08),
+    ("SEA2", 200, 1e-08),
+    ("SEA3", 200, 1e-08),
+    ("SEA4", 200, 1e-08),
+    ("SEA5", 200, 1e-08),
+    ("SCALAR_LINEARITY", 200, 1e-08),
+    ("PRODUCT_LE_LEFT", 100, 1e-09),
+    ("MONOTONE_RIGHT", 100, 1e-09),
+    ("SHARP_PROPS", 50, 1e-08),
+    ("FLOOR_LIMIT", 50, 1e-09),
+    ("DYADIC_BOUND", 50, 1e-09),
+    ("SPECTRAL_RECON", 100, 1e-09),
+    ("FUNDAMENTAL_EQ", 100, 1e-09),
+    ("COMMUTE_EQUIV", 100, 1e-08),
+    ("SELF_DUALITY", 50, 1e-10),
+    ("HOMOGENEITY", 50, 1e-08),
+    ("PSEUDO_INVERSE", 50, 1e-08),
+    ("DIVIDE", 50, 1e-08),
+    ("INVARIANCE", 50, 1e-08),
+    ("SYMMETRY", 100, 1e-08),
+    ("INVERTIBILITY_PRES", 50, 1e-07),
+    ("QUADRATIC_LAW", 50, 1e-08),
+    ("THETA_STRUCTURE", 25, 1e-07),
 ]
 
 
@@ -70,7 +70,7 @@ def test_every_law_has_defaults_and_registry():
 
 
 def test_the_law_table_keeps_every_default():
-    assert [(law.value, row.trials, row.tol, row.stacked)
+    assert [(law.value, row.trials, row.tol)
             for law, row in auditor.LAWS.items()] == LAW_TABLE
 
 
@@ -323,7 +323,7 @@ def test_a_dyadic_bound_trial_solves_each_difference_once(short, blocks, monkeyp
     alg = sp.parse_algebra(short)
     product = sp.SequentialProduct.standard(alg)
     law = auditor.LAWS[LawId.DYADIC_BOUND]
-    inputs = law.generate(np.random.default_rng((42, 10, 0)), product, alg, 0, {})
+    inputs = law.generate([np.random.default_rng((42, 10, 0))], product, alg, [0], {})
     calls, eigh = [], np.linalg.eigh
 
     def counted(*args, **kwargs):
@@ -392,21 +392,6 @@ def test_quadratic_law_on_sum_with_close_block_eigenvalues():
     assert entry.verdict == "pass", entry.max_residual
 
 
-def _close_across_blocks(alg, rng):
-    """An effect of sum(complex:2,real:3) whose blocks share an eigenvalue to within 4e-9."""
-    shared = rng.uniform(0.1, 0.9)
-    blocks = []
-    for sub in alg.summands:
-        n = sub.size
-        w = np.append(shared + rng.uniform(-2e-9, 2e-9), rng.uniform(0.05, 0.95, n - 1))
-        g = rng.standard_normal((n, n))
-        if sub.is_complex_kind():
-            g = g + 1j * rng.standard_normal((n, n))
-        u, _ = np.linalg.qr(g)
-        blocks.append(sp.Element(sub, (u * w) @ u.conj().T))
-    return sp.Element(alg, tuple(blocks))
-
-
 @pytest.mark.parametrize("law", [LawId.QUADRATIC_LAW, LawId.FUNDAMENTAL_EQ, LawId.DYADIC_BOUND])
 def test_laws_pass_when_the_blocks_share_an_eigenvalue(law):
     # the shared eigenvalue sits inside the clustering gap, so the spectral frame
@@ -416,11 +401,40 @@ def test_laws_pass_when_the_blocks_share_an_eigenvalue(law):
     row = auditor.LAWS[law]
     rng = np.random.default_rng(4)
     for _ in range(20):
-        inputs = {"a": _close_across_blocks(alg, rng), "b": _close_across_blocks(alg, rng)}
+        inputs = {"a": close_across_blocks(alg, rng), "b": close_across_blocks(alg, rng)}
         assert len(sp.spectral_decompose(inputs["a"]).pairs) == 4
         if law is LawId.DYADIC_BOUND:
             del inputs["b"]
         assert row.evaluate(product, alg, inputs) <= row.tol
+
+
+#: SPECTRAL_RECON's residuals on the close-spectra effects of seed 4 in the test above,
+#: recorded when the law still ran trial by trial
+CLOSE_SPECTRA_RECON = [
+    6.834828202925196e-11, 9.433626162373457e-11, 2.1533657494632122e-10, 1.0828568329139537e-09,
+    1.6266995592669274e-10, 3.813115978808772e-10, 3.803199399899887e-10, 5.584089790156974e-10,
+    6.824352278659014e-11, 4.307123980932025e-10, 1.158735773599007e-10, 7.47079516359295e-10,
+    5.360781667136042e-10, 1.5844254178381958e-10, 1.1926098272190539e-09, 1.224392696934356e-09,
+    8.96488034690376e-10, 4.482052960062299e-10, 5.142710238785204e-10, 3.5469629579684645e-11,
+]
+
+
+def test_spectral_recon_keeps_the_cross_block_mean_of_a_shared_eigenvalue():
+    # the merged eigenvalue is the trace-weighted mean of the blocks' values, so the
+    # reconstruction is off by up to half the clustering gap, above the row's tol on three
+    # effects; clustering within blocks only would move these residuals to round-off
+    alg = sp.parse_algebra("sum(complex:2,real:3)")
+    product = sp.SequentialProduct.standard(alg)
+    row = auditor.LAWS[LawId.SPECTRAL_RECON]
+    rng = np.random.default_rng(4)
+    effects = []
+    for _ in range(20):  # a and b, as the test above draws them
+        effects.append(close_across_blocks(alg, rng))
+        close_across_blocks(alg, rng)
+    stacked = row.evaluate(product, alg, {"a": alg._backend.stack(alg, effects)}).tolist()
+    assert stacked == [float(row.evaluate(product, alg, {"a": a})) for a in effects]
+    np.testing.assert_allclose(stacked, CLOSE_SPECTRA_RECON, rtol=1e-6, atol=0)
+    assert sum(res > row.tol for res in stacked) == 3
 
 
 def test_audit_entry_json_keeps_its_key_order():

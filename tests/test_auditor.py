@@ -316,14 +316,18 @@ def test_nan_residual_fails_and_is_reported(monkeypatch):
     assert math.isnan(entry.max_residual)
 
 
-# a, then per approximant q: a - q once, q - the previous approximant, and q's own frame
+# a, then per approximant q: a - q once, q - the previous approximant, and q's own frame;
+# on a chunk of one, and on its trial taken out as plain elements, as replay_witness runs it
 @pytest.mark.parametrize("short, blocks", [("real:4", 1), ("complex:4", 1), ("quat:3", 1),
                                            ("sum(complex:2,real:3)", 2)])
-def test_a_dyadic_bound_trial_solves_each_difference_once(short, blocks, monkeypatch):
+@pytest.mark.parametrize("taken", [False, True], ids=["chunk-of-one", "single"])
+def test_a_dyadic_bound_trial_solves_each_difference_once(short, blocks, taken, monkeypatch):
     alg = sp.parse_algebra(short)
     product = sp.SequentialProduct.standard(alg)
     law = auditor.LAWS[LawId.DYADIC_BOUND]
     inputs = law.generate([np.random.default_rng((42, 10, 0))], product, alg, [0], {})
+    if taken:
+        inputs = auditor._take(inputs, 0)
     calls, eigh = [], np.linalg.eigh
 
     def counted(*args, **kwargs):

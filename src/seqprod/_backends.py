@@ -32,15 +32,16 @@ stacked basis and project the images with one product against the cached
 conjugated basis, spin factors write the matrix down, and direct sums put
 the summand matrices on the diagonal.
 
-A *stacked* element, built only by ``stack``, ``random_elements`` (one
-sample per Generator, the only Gaussian draw) and ``scale_trials``, holds k
-trials on a leading axis: (k, m, m) matrices, spin pairs (v (k, d), t (k,)),
-or a tuple of stacked summands.  The primitives the stacked laws reach take
-it, unstacked operands broadcasting, and give per-trial results (operators as
-(k, d, d) stacks of coordinate matrices); ``take`` pulls a trial out.  The frame
-primitive ``spectral_pairs`` gives (values, idempotents, counts): each trial's
-cluster values in decreasing order, its idempotents (an Element per place, a
-zero idempotent where the trial's frame is shorter), and its frame's length.
+A *stacked* element, built only by ``stack``, ``random_elements`` (one sample per
+Generator, the only Gaussian draw), ``random_projections`` (one projection per
+Generator, the only sharp draw) and ``scale_trials``, holds k trials on a leading
+axis: (k, m, m) matrices, spin pairs (v (k, d), t (k,)), or a tuple of stacked
+summands.  The primitives the stacked laws reach take it, unstacked operands
+broadcasting, and give per-trial results (operators as (k, d, d) stacks of
+coordinate matrices); ``take`` pulls a trial out.  The frame primitive
+``spectral_pairs`` gives (values, idempotents, counts): each trial's cluster
+values in decreasing order, its idempotents (an Element per place, a zero
+idempotent where the trial's frame is shorter), and its frame's length.
 
 Primitives whose result is an element return an Element.  Element and the
 generic operations are read from the ``algebra`` module at call time,
@@ -516,22 +517,22 @@ class _MatrixBackend(_Backend):
         return self._element(alg, self.gaussian(np.array([self.normals(alg, rng)
                                                           for rng in rngs])))
 
-    def random_projection(self, alg, rng, proper: bool):
-        # eigenvector column groups; Kramers pairs stay together, so any
-        # subset sum of groups is again a structured projection
-        _, vecs = _eigh(self.random_elements(alg, [rng]).data[0])
-        u = self.unit
-        units = [vecs[:, u * k:u * k + u] for k in range(alg.size)]
-        k = len(units)
-        if k == 1:
-            return self.scalar(alg, 1.0)
-        lo, hi = (1, k - 1) if proper else (0, k)
-        r = int(rng.integers(lo, hi + 1))
-        chosen = rng.permutation(k)[:r]
-        if r == 0:
-            return self.scalar(alg, 0.0)
-        cols = np.hstack([units[i] for i in chosen])
-        return _alg.Element(alg, cols @ cols.conj().T)
+    def random_projections(self, alg, rngs, proper: bool):
+        # one product per rank: a product over zero-padded columns rounds differently
+        x, n, u = self.random_elements(alg, rngs), alg.size, self.unit
+        if n == 1:  # the identity, drawing no rank
+            return self.stack(alg, [self.scalar(alg, 1.0)] * len(rngs))
+        out = np.zeros(x.data.shape, self.dtype)
+        _, vecs = _eigh(x.data)
+        lo, hi = (1, n - 1) if proper else (0, n)
+        ranks = np.array([rng.integers(lo, hi + 1) for rng in rngs])
+        perms = np.array([rng.permutation(n) for rng in rngs])  # each after its trial's rank
+        for r in set(ranks.tolist()) - {0}:
+            sel = np.flatnonzero(ranks == r)
+            cols = vecs[sel[:, None, None], np.arange(u * n)[:, None],
+                        (u * perms[sel, :r, None] + np.arange(u)).reshape(len(sel), 1, -1)]
+            out[sel] = self._hermitian(alg, cols @ cols.conj().swapaxes(-1, -2))
+        return _trusted(alg, _read_only(out))
 
     def to_coords(self, x) -> np.ndarray:
         # one matrix-vector product per trial: a single product with the stack
@@ -730,12 +731,10 @@ class _SpinBackend(_Backend):
         vs, ts = zip(*[(rng.standard_normal(alg.size), rng.standard_normal()) for rng in rngs])
         return _trusted(alg, (_read_only(np.array(vs)), _read_only(np.array(ts))))
 
-    def random_projection(self, alg, rng, proper: bool):
-        v = rng.standard_normal(alg.size)
-        v = v / np.linalg.norm(v)
-        if rng.integers(0, 2):
-            v = -v
-        return _alg.Element(alg, (0.5 * v, 0.5))
+    def random_projections(self, alg, rngs, proper: bool):
+        units = [v / np.linalg.norm(v) for v in (rng.standard_normal(alg.size) for rng in rngs)]
+        halves = _col([-0.5 if rng.integers(0, 2) else 0.5 for rng in rngs])  # each after its v
+        return _trusted(alg, (_read_only(halves * units), _read_only(np.full(len(rngs), 0.5))))
 
     def to_coords(self, x) -> np.ndarray:
         v, t = x.data
@@ -912,17 +911,22 @@ class _SumBackend(_Backend):
         # summand by summand: each Generator draws its blocks in summand order
         return _trusted(alg, tuple(s._backend.random_elements(s, rngs) for s in alg.summands))
 
-    def random_projection(self, alg, rng, proper: bool):
-        subs = alg.summands
-        blocks = [s._backend.random_projection(s, rng, False) for s in subs]
+    def random_projections(self, alg, rngs, proper: bool):
+        # block 0 is taken and restacked, as multiplying by a 0/1 mask leaves signed zeros
+        subs, first = alg.summands, alg.summands[0]._backend
+        blocks = [s._backend.random_projections(s, rngs, False) for s in subs]
         if proper:
-            ranks = [round(_alg.trace(b)) for b in blocks]
-            full = [round(_alg.trace(_alg.identity(s))) for s in subs]
-            if sum(ranks) == 0:
-                blocks[0] = subs[0]._backend.random_projection(subs[0], rng, True)
-            elif ranks == full:
-                blocks[0] = _alg.zero(subs[0])
-        return _alg.Element(alg, tuple(blocks))
+            ranks = np.rint([_alg.trace(b) for b in blocks])
+            full = np.rint([_alg.trace(_alg.identity(s)) for s in subs])[:, None]
+            fixed = dict.fromkeys(np.flatnonzero((ranks == full).all(0)).tolist(),
+                                  _alg.zero(subs[0]))
+            redo = np.flatnonzero(ranks.sum(0) == 0).tolist()
+            if redo:
+                redrawn = first.random_projections(subs[0], [rngs[i] for i in redo], True)
+                fixed.update((i, first.take(redrawn, j)) for j, i in enumerate(redo))
+            blocks[0] = first.stack(subs[0], [fixed[i] if i in fixed else first.take(blocks[0], i)
+                                              for i in range(len(rngs))])
+        return _trusted(alg, tuple(blocks))
 
     def to_coords(self, x) -> np.ndarray:
         return np.concatenate(_blockwise("to_coords", (x,)), axis=-1)

@@ -51,6 +51,8 @@ from .errors import (
 
 #: spectrum below this is treated as kernel (support threshold)
 SUPPORT_TOL = 1e-9
+#: a Gaussian sample whose spectrum is narrower than this becomes the effect 1/2
+FLAT_WIDTH = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -356,21 +358,15 @@ def quadratic_operator(a: Element) -> LinearMap:
 # Random generation
 # ---------------------------------------------------------------------------
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def random_element(alg: AlgebraDescriptor, rng) -> Element:
     """Gaussian self-adjoint sample (GOE/GUE-style, unnormalized): a stack of one, taken."""
-    backend = alg._backend
-    return backend.take(backend.random_elements(alg, [_as_rng(rng)]), 0)
+    return alg._backend.take(alg._backend.random_elements(alg, [np.random.default_rng(rng)]), 0)
 
 
 def random_projection(alg: AlgebraDescriptor, rng, proper: bool = True) -> Element:
-    """Random sharp effect.  With ``proper`` (and rank >= 2), neither 0 nor 1."""
-    return alg._backend.random_projection(alg, _as_rng(rng), proper)
+    """Random sharp effect, neither 0 nor 1 if ``proper`` (and rank >= 2): a stack of one, taken."""
+    backend = alg._backend
+    return backend.take(backend.random_projections(alg, [np.random.default_rng(rng)], proper), 0)
 
 
 def random_effect(alg: AlgebraDescriptor, seed, profile: str = "generic") -> Element:
@@ -381,7 +377,7 @@ def random_effect(alg: AlgebraDescriptor, seed, profile: str = "generic") -> Ele
     eigenvalue gives 1/2); ``singular`` compresses such a sample by a random
     proper projection; ``sharp`` returns a random projection.
     """
-    return alg._backend.take(_random_effects(alg, [_as_rng(seed)], profile), 0)
+    return alg._backend.take(_random_effects(alg, [np.random.default_rng(seed)], profile), 0)
 
 
 def _random_effects(alg: AlgebraDescriptor, rngs, profile: str = "generic") -> Element:
@@ -391,15 +387,15 @@ def _random_effects(alg: AlgebraDescriptor, rngs, profile: str = "generic") -> E
         g, one = backend.random_elements(alg, rngs), identity(alg)
         lo, hi = eigenvalue_range(g)
         width = hi - lo
-        flat = width < 1e-12  # every sample of a rank-one matrix algebra
+        flat = width < FLAT_WIDTH  # every sample of a rank-one matrix algebra
         shifted = g - backend.scale_trials(one, lo)
-        eff = backend.scale_trials(shifted, 0.9 / np.maximum(width, 1e-12)) + one * 0.05
+        eff = backend.scale_trials(shifted, 0.9 / np.maximum(width, FLAT_WIDTH)) + one * 0.05
         if not np.count_nonzero(flat):
             return eff
         return backend.stack(alg, [one * 0.5 if f else backend.take(eff, k)
                                    for k, f in enumerate(flat.tolist())])
     if profile == "sharp":
-        return backend.stack(alg, [random_projection(alg, rng) for rng in rngs])
+        return backend.random_projections(alg, rngs, True)
     if profile == "singular":  # the projection is drawn first
         return quadratic_rep(_random_effects(alg, rngs, "sharp"),
                              _random_effects(alg, rngs, "invertible"))
@@ -418,5 +414,5 @@ def make_order_iso(alg: AlgebraDescriptor, kind: str, seed=0) -> LinearMap:
     of them, blockwise.  ``transpose`` needs complex Hermitian algebras (or
     sums of them); ``spin_rotation`` needs a spin factor.
     """
-    matrix, label = alg._backend.order_iso(alg, kind, _as_rng(seed))
+    matrix, label = alg._backend.order_iso(alg, kind, np.random.default_rng(seed))
     return LinearMap(alg, matrix, label)

@@ -16,12 +16,15 @@ import seqprod as sp
 from seqprod import auditor
 from seqprod._backends import _clusters
 from seqprod.algebra import (
+    KIND_SPIN,
+    _random_effects,
     eigenvalue_range,
     jordan_mult_operator,
     map_distance,
     operator_norm,
     quadratic_operator,
     random_element,
+    random_projection,
     rel_residual,
     to_coords,
     trace,
@@ -541,6 +544,109 @@ def test_sea1_evaluation_solves_each_block_twice_per_chunk(short, blocks, monkey
     assert audit_law(LawId.SEA1, product, alg, 200, 42, 1e-8).verdict == "pass"
     chunks = 4  # 64 + 64 + 64 + 8 trials
     assert 0 < len(calls) <= 2 * chunks * blocks
+
+
+# ---------------------------------------------------------------------------
+# stacked random projections
+# ---------------------------------------------------------------------------
+
+PROJECTION_ALGEBRAS = list(REFERENCE_ALGEBRAS) + [
+    "complex:3", "complex:6", "quat:1", "spin:1", "sum(real:1,real:1)", "sum(spin:3,quat:2)",
+    "sum(sum(real:2,spin:2),complex:2)"]
+
+
+def _projection_alone(alg, rng, proper):
+    """A random projection drawn trial by trial: one eigensolve of the trial's Gaussian sample,
+    then its rank and its permutation, the chosen eigenvector column groups joined by
+    ``np.hstack`` in permutation order and multiplied once.  A direct sum draws its blocks in
+    summand order; with ``proper`` it redraws block 0 where every block came out 0 and sets it
+    to 0 where every block came out 1."""
+    if alg.summands:
+        subs = alg.summands
+        blocks = [_projection_alone(s, rng, False) for s in subs]
+        ranks = [round(trace(b)) for b in blocks]
+        if proper and sum(ranks) == 0:
+            blocks[0] = _projection_alone(subs[0], rng, True)
+        elif proper and ranks == [round(trace(sp.identity(s))) for s in subs]:
+            blocks[0] = sp.zero(subs[0])
+        return sp.Element(alg, tuple(blocks))
+    if alg.kind == KIND_SPIN:
+        v = rng.standard_normal(alg.size)
+        v = v / np.linalg.norm(v)
+        if rng.integers(0, 2):
+            v = -v
+        return sp.Element(alg, (0.5 * v, 0.5))
+    n = alg.size
+    unit = alg.matrix_order // n
+    _, vecs = np.linalg.eigh(random_element(alg, rng).data)
+    if n == 1:
+        return sp.identity(alg)
+    lo, hi = (1, n - 1) if proper else (0, n)
+    r = int(rng.integers(lo, hi + 1))
+    chosen = rng.permutation(n)[:r]
+    if r == 0:
+        return sp.zero(alg)
+    cols = np.hstack([vecs[:, unit * k:unit * k + unit] for k in chosen])
+    return sp.Element(alg, cols @ cols.conj().T)
+
+
+def _projection_rngs(trials=64):
+    return [np.random.default_rng((13, k)) for k in range(trials)]
+
+
+@pytest.mark.parametrize("proper", [True, False])
+@pytest.mark.parametrize("short", PROJECTION_ALGEBRAS)
+def test_stacked_projections_equal_the_trial_by_trial_draws_bit_for_bit(short, proper):
+    alg = sp.parse_algebra(short)
+    backend = alg._backend
+    rngs, ones, alone = _projection_rngs(), _projection_rngs(), _projection_rngs()
+    stack = backend.random_projections(alg, rngs, proper)
+    for k in range(len(rngs)):
+        one = backend.random_projections(alg, [ones[k]], proper)
+        assert _trial_bits(stack, k) == _trial_bits(one, 0) \
+            == _single_bits(_projection_alone(alg, alone[k], proper))
+        # each Generator made the same draws, and no other
+        assert rngs[k].bit_generator.state == ones[k].bit_generator.state \
+            == alone[k].bit_generator.state
+    if proper:
+        assert _single_bits(random_projection(alg, _projection_rngs(1)[0])) \
+            == _trial_bits(stack, 0)
+
+
+@pytest.mark.parametrize("short, zeroed, redrawn", [
+    # a matrix block of order 1 always draws the identity, so its sums are never all 0
+    ("sum(real:1,real:1)", True, False),
+    ("sum(complex:2,real:3)", True, True),
+])
+def test_the_checked_direct_sum_draws_include_both_proper_fixes(short, zeroed, redrawn):
+    """Both fixes of a proper projection on a direct sum occur in the trials the bit-for-bit test
+    above draws: block 0 set to 0 where every block came out 1, redrawn where all came out 0."""
+    alg = sp.parse_algebra(short)
+    drawn = alg._backend.random_projections(alg, _projection_rngs(), False)
+    ranks = np.rint([trace(block) for block in drawn.data])
+    full = np.rint([trace(sp.identity(s)) for s in alg.summands])[:, None]
+    assert np.any((ranks == full).all(0)) == zeroed
+    assert np.any(ranks.sum(0) == 0) == redrawn
+    fixed = alg._backend.random_projections(alg, _projection_rngs(), True)
+    fixed_ranks = np.rint([trace(block) for block in fixed.data])
+    assert np.all((fixed_ranks.sum(0) > 0) & ~(fixed_ranks == full).all(0))
+
+
+@pytest.mark.parametrize("short, solves", [
+    ("real:4", (1, 1)), ("quat:3", (1, 1)), ("spin:5", (0, 0)),
+    # one per matrix block, and one more if some trial redraws its block 0
+    ("sum(complex:2,real:3)", (2, 3)), ("sum(spin:3,quat:2)", (1, 1))])
+def test_a_sharp_stack_solves_each_matrix_block_once(short, solves, monkeypatch):
+    alg = sp.parse_algebra(short)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _solver=getattr(np.linalg, name), **kwargs):
+            calls.append(1)
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    _random_effects(alg, _projection_rngs(), "sharp")
+    assert solves[0] <= len(calls) <= solves[1]
 
 
 # ---------------------------------------------------------------------------

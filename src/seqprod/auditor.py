@@ -8,14 +8,15 @@ first failing trial's inputs are serialized as a witness, so any reported
 violation can be replayed standalone through the module operations.
 
 Every law runs in chunks of 64 trials, drawn field by field, each trial from
-its own Generator, so each trial makes exactly the draws it makes alone; the
-linear algebra and one evaluator call then run on elements, linear maps and
-spectral frames with a leading trial axis (a shorter frame padded with zero
-idempotents).  The first trial of a chunk over the tolerance gives the
-verdict, so verdicts, maximal residuals and witnesses are those of
+its own Generator: ``default_rng((seed, ordinal, i))`` bit for bit, seeded from
+``trial_seed_words`` derived once per row.  Each trial makes exactly the draws
+it makes alone; the linear algebra and one evaluator call then run on elements,
+linear maps and spectral frames with a leading trial axis (a shorter frame
+padded with zero idempotents).  The first trial of a chunk over the tolerance
+gives the verdict, so verdicts, maximal residuals and witnesses are those of
 trial-by-trial runs, bit for bit.  A chunk that raises is redone as chunks of
-one, so an error surfaces at its own trial; a witness is its trial taken out
-of the stack, and replay evaluates its plain inputs with the same evaluator.
+one, so an error surfaces at its own trial; a witness is its trial taken out of
+the stack, and replay evaluates its plain inputs with the same evaluator.
 
 Expected-fail rows turn the suite into a two-sided oracle: the twisted
 products are expected to break invariance under the transpose
@@ -665,6 +666,8 @@ class SuiteConfig:
                 raise ConfigError(f"row {i}: unknown law {row.law!r}")
             if row.expect not in ("pass", "fail", "error"):
                 raise ConfigError(f"row {i}: expect must be pass, fail or error")
+            if row.seed is not None and row.seed < 0:
+                raise ConfigError(f"row {i}: seed must be non-negative, got {row.seed}")
             rows.append(row)
         return cls(rows=rows, seed=seed)
 
@@ -738,32 +741,74 @@ def _trial_residuals(trials: int, size: int, run):
         yield from results
 
 
+def trial_seed_words(seed: int, ordinal: int, trials: range) -> np.ndarray:
+    """``SeedSequence((seed, ordinal, i)).generate_state(4, np.uint64)`` of each trial i of
+    ``trials`` (seed >= 0, i < 2**32), in one vectorised pass: SeedSequence hashes the 32-bit
+    words of its entropy with constants that do not depend on them, and only i varies."""
+    def hashed(values, consts):  # hash call k, with consts k and k + 1, on row k of values
+        out = (values ^ consts[:-1]) * consts[1:]  # (or every call on its one row)
+        return out ^ out >> 16
+
+    def mix(x, y):
+        out = x * 0xCA01F9DD - y * 0x4973F715
+        return out ^ out >> 16
+
+    prefix = [n >> s & 0xFFFFFFFF for n in (seed, ordinal)
+              for s in range(0, max(int(n).bit_length(), 1), 32)]
+    entropy = np.zeros((max(len(prefix) + 1, 4), len(trials)), np.uint32)  # zeros fill the pool
+    entropy[:len(prefix)] = np.array(prefix, np.uint32)[:, None]
+    entropy[len(prefix)] = np.arange(trials.start, trials.stop)
+    pool_consts, out_consts = (  # the hash constant before each call: init, times mult per call
+        np.cumprod(np.array([init] + [mult] * calls, np.uint32), dtype=np.uint32)[:, None]
+        for init, mult, calls in [(0x43B0D7E5, 0x931E8875, 4 * len(entropy)),
+                                  (0x8B51F9DD, 0x58F38DED, 8)])
+    pool = hashed(entropy[:4], pool_consts[:5])
+    for src in range(4):  # pool[src] stays fixed while it is mixed into each other word in turn
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = mix(pool[dst], hashed(pool[src], pool_consts[4 + 3 * src:8 + 3 * src]))
+    for j, word in enumerate(entropy[4:]):
+        pool = mix(pool, hashed(word, pool_consts[16 + 4 * j:21 + 4 * j]))
+    state = hashed(pool[[0, 1, 2, 3] * 2], out_consts)
+    return np.ascontiguousarray(state.T).astype("<u4").view("<u8").astype(np.uint64)
+
+
+@dataclass(eq=False)
+class _TrialSeed(np.random.bit_generator.ISeedSequence):
+    """The seed of one trial's PCG64: hands it the trial's ``trial_seed_words`` row."""
+    words: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def audit_law(law: LawId | str, product: SequentialProduct, alg: AlgebraDescriptor,
               trials: int, seed: int, tol: float, params: dict | None = None,
               expected: str = "pass") -> AuditEntry:
     """Run one law for ``trials`` seeded trials; stop at the first violation.
 
     A residual that is not at most ``tol``, NaN included, is a violation.
-    ``trials`` below 1 or a ``tol`` that is not finite and positive raise
-    ConfigError, so no row can pass vacuously.  The entry reports the trials
-    that ran: up to and including a violation.
+    ``trials`` outside 1..2**32, a negative ``seed`` or a ``tol`` that is not
+    finite and positive raise ConfigError, so no row can pass vacuously.  The
+    entry reports the trials that ran: up to and including a violation.
     """
     law = LawId(law)
-    if trials < 1:
-        raise ConfigError(f"{law.value} on {alg}: trials must be at least 1, got {trials}")
+    if not 1 <= trials <= 2 ** 32:
+        raise ConfigError(f"{law.value} on {alg}: trials must be from 1 to 2**32, got {trials}")
+    if seed < 0:
+        raise ConfigError(f"{law.value} on {alg}: seed must be non-negative, got {seed}")
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"{law.value} on {alg}: tol must be finite and positive, got {tol}")
     row = LAWS[law]
-    ordinal = ALL_LAWS.index(law)
+    start = time.perf_counter()
+    words = trial_seed_words(seed, ALL_LAWS.index(law), range(trials))  # once for the row
 
     def run(chunk: range) -> list:
-        rngs = [np.random.default_rng((seed, ordinal, i)) for i in chunk]
+        rngs = [np.random.Generator(np.random.PCG64(_TrialSeed(words[i]))) for i in chunk]
         inputs = row.generate(rngs, product, alg, chunk, params or {})
         residuals = np.broadcast_to(row.evaluate(product, alg, inputs), len(chunk)).tolist()
         return [(i, residual, partial(_take, inputs, k))
                 for k, (i, residual) in enumerate(zip(chunk, residuals))]
 
-    start = time.perf_counter()
     max_residual = 0.0
     witness = None
     verdict = "pass"

@@ -210,6 +210,9 @@ def test_config_errors_carry_row_index():
                                         {"law": "SEA2", "expect": "maybe"}]})
     with pytest.raises(sp.ConfigError):
         SuiteConfig.from_json({"seed": 3})
+    with pytest.raises(sp.ConfigError, match="row 1: seed must be non-negative"):
+        SuiteConfig.from_json({"rows": [{"law": "SEA1", "seed": 0},
+                                        {"law": "SEA2", "seed": -1}]})
 
 
 def test_config_loads_every_field_of_a_hand_written_row():
@@ -351,6 +354,12 @@ def test_vacuous_or_unbounded_rows_raise(row):
     config = SuiteConfig.from_json({"rows": [row], "seed": 1})
     with pytest.raises(sp.ConfigError):
         run_full_suite(config)
+
+
+def test_audit_law_rejects_a_negative_seed():
+    alg = sp.parse_algebra("real:4")
+    with pytest.raises(sp.ConfigError, match="seed must be non-negative, got -1"):
+        audit_law("SEA1", sp.SequentialProduct.standard(alg), alg, 3, -1, 1e-8)
 
 
 @pytest.mark.parametrize("schema", [0, 2, "1"])

@@ -154,6 +154,13 @@ def test_config_fractional_trials_exits_2(tmp_path, capsys):
     assert run_cli(["audit", "--config", cfg]) == 2
 
 
+def test_config_negative_row_seed_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path / "config.json",
+                 {"rows": [{"law": "SEA1", "algebra": "real:4", "seed": -1, "trials": 3}]})
+    assert run_cli(["audit", "--config", cfg]) == 2
+    assert "error: row 0: seed must be non-negative" in capsys.readouterr().err
+
+
 def test_env_seed_is_default(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SEQPROD_SEED", "17")
     out = tmp_path / "r.json"

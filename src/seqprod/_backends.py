@@ -38,10 +38,11 @@ Generator, the only sharp draw) and ``scale_trials``, holds k trials on a leadin
 axis: (k, m, m) matrices, spin pairs (v (k, d), t (k,)), or a tuple of stacked
 summands.  The primitives the stacked laws reach take it, unstacked operands
 broadcasting, and give per-trial results (operators as (k, d, d) stacks of
-coordinate matrices); ``take`` pulls a trial out.  The frame primitive
-``spectral_pairs`` gives (values, idempotents, counts): each trial's cluster
-values in decreasing order, its idempotents (an Element per place, a zero
-idempotent where the trial's frame is shorter), and its frame's length.
+coordinate matrices); ``take`` pulls a trial out, or gathers trials by index
+arrays.  The frame primitive ``spectral_pairs`` gives (values, idempotents,
+counts): each trial's cluster values in decreasing order, its idempotents (an
+Element per place, a zero idempotent where the trial's frame is shorter), and
+its frame's length.
 
 Primitives whose result is an element return an Element.  Element and the
 generic operations are read from the ``algebra`` module at call time,
@@ -673,7 +674,8 @@ class _SpinBackend(_Backend):
 
     def take(self, x, i):
         v, t = x.data
-        return _trusted(x.algebra, (v[i], float(t[i])))
+        t = t[i]
+        return _trusted(x.algebra, (v[i], t if t.ndim else float(t)))
 
     def jordan(self, a, b):
         (v, t), (w, s) = a.data, b.data
@@ -875,20 +877,20 @@ class _SumBackend(_Backend):
         return _block_diag(_blockwise("conjugation_operator", (a,), f, gap))
 
     def spectral_pairs(self, a, gap: float):
-        """Blockwise frames merged across blocks trial by trial: a cluster takes the
-        trace-weighted mean of its values, and in each block its idempotents added to zero."""
+        """Blockwise frames merged across blocks: every block's values in one ascending order
+        (a tie in block order) are clustered, a cluster takes the trace-weighted mean of its
+        values, and in each block its idempotents added to zero in that order.
+
+        A stack merges with whole-stack operations: one stable sort of the values, padded with
+        +inf; the sums accumulated from 0.0 in ascending order; each block's idempotents
+        gathered by slot, one gather per idempotent a cluster takes from the block.
+        """
         alg = a.algebra
         frames = _blockwise("spectral_pairs", (a,), gap)
-        shape = np.shape(frames[0][2])
-        merged = []  # per trial: (eigenvalue, idempotent) in decreasing order
-        for i in range(np.size(frames[0][2])):
-            entries = []  # (eigenvalue, block, idempotent, trace weight), ascending
-            for bi, (values, frame, counts) in enumerate(frames):
-                lams = np.atleast_2d(values)[i, :counts.flat[i]].tolist()
-                if shape:  # trial i of the block's frame
-                    frame = [alg.summands[bi]._backend.take(p, i) for p in frame[:len(lams)]]
-                entries += [(lam, bi, p, _alg.trace(p)) for lam, p in zip(lams, frame)]
-            entries.sort(key=lambda e: e[0])
+        if not np.ndim(frames[0][2]):  # one element: as a stack of one, it costs 4x
+            entries = sorted(((lam, bi, p, _alg.trace(p)) for bi, (values, frame, _)
+                              in enumerate(frames) for lam, p in zip(values.tolist(), frame)),
+                             key=lambda e: e[0])
             pairs, start = [], 0
             for size in _clusters(np.array([e[0] for e in entries]), gap)[0]:
                 chosen = entries[start:start + size]
@@ -898,14 +900,40 @@ class _SumBackend(_Backend):
                     blocks[bi] = blocks[bi] + p
                 lam = sum(e[0] * e[3] for e in chosen) / sum(e[3] for e in chosen)
                 pairs.append((float(lam), _trusted(alg, tuple(blocks))))
-            merged.append(pairs[::-1])
-        if not shape:  # one element: as a stack of one, it costs 70% more
-            values, frame = zip(*merged[0])
+            values, frame = zip(*pairs[::-1])
             return np.array(values), list(frame), np.asarray(len(frame))
-        counts = np.array([len(pairs) for pairs in merged])
-        pad = [(0.0, _alg.zero(alg))] * counts.max()
-        values, frames = zip(*(zip(*(pairs + pad[len(pairs):])) for pairs in merged))
-        return np.array(values), [self.stack(alg, slot) for slot in zip(*frames)], counts
+        k = len(frames[0][2])
+        lam = np.concatenate([np.where(np.arange(v.shape[-1]) < c[:, None], v, np.inf)
+                              for v, _, c in frames], -1)
+        tr = np.stack([_alg.trace(p) for _, frame, _ in frames for p in frame], -1)
+        order = np.argsort(lam, -1, kind="stable")
+        lam, tr = np.take_along_axis(lam, order, -1), np.take_along_axis(tr, order, -1)
+        live = np.arange(lam.shape[-1]) < sum(c for _, _, c in frames)[:, None]
+        step = np.subtract(lam[:, 1:], lam[:, :-1], where=live[:, 1:],
+                           out=np.full((k, lam.shape[-1] - 1), np.inf))
+        new = np.insert(step > gap, 0, True, -1)
+        counts = np.count_nonzero(new & live, -1)
+        slot = np.where(live, counts[:, None] - np.cumsum(new, -1), -1)  # decreasing order
+        at = (np.nonzero(live)[0], slot[live])  # the live entries, in ascending order
+        num, den = np.zeros((2, k, counts.max()))
+        np.add.at(num, at, lam[live] * tr[live])
+        np.add.at(den, at, tr[live])
+        np.put_along_axis(slot, order, slot.copy(), -1)  # back in block order
+        places = np.split(slot, np.cumsum([len(frame) for _, frame, _ in frames])[:-1], -1)
+        blocks = []
+        for (_, frame, _), sub, place in zip(frames, alg.summands, places):
+            backend, total = sub._backend, _alg.zero(sub)
+            pool = backend.stack(sub, frame + [backend.scale_trials(total, np.zeros(k))])
+            # a slot takes a run of the block's places; ascending order takes the last first
+            taken = np.count_nonzero(place[..., None] == np.arange(counts.max()), 1)
+            last = np.cumsum(taken, -1) - 1
+            for r in range(taken.max()):  # place len(frame), the zero, where a slot has no r-th
+                src = np.where(r < taken, last - r, len(frame))
+                total = total + backend.take(pool, (src.T, np.arange(k)))
+            blocks.append(total)
+        merged = _trusted(alg, tuple(blocks))
+        return (np.divide(num, den, out=np.zeros_like(num), where=den > 0),
+                [self.take(merged, j) for j in range(counts.max())], counts)
 
     def random_elements(self, alg, rngs):
         # summand by summand: each Generator draws its blocks in summand order

@@ -7,9 +7,10 @@ inputs alone.  A trial fails when its residual exceeds the row tolerance; the
 first failing trial's inputs are serialized as a witness, so any reported
 violation can be replayed standalone through the module operations.
 
-Every law runs in chunks of 64 trials, drawn field by field, each trial from
-its own Generator: ``default_rng((seed, ordinal, i))`` bit for bit, seeded from
-``trial_seed_words`` derived once per row.  Each trial makes exactly the draws
+Every law runs in chunks of up to 256 trials (a default row is one chunk), drawn
+field by field, each trial from its own Generator: ``default_rng((seed, ordinal,
+i))`` bit for bit, seeded from ``trial_seed_words`` derived as each chunk starts
+and reused when it is redone trial by trial.  Each trial makes exactly the draws
 it makes alone; the linear algebra and one evaluator call then run on elements,
 linear maps and spectral frames with a leading trial axis (a shorter frame
 padded with zero idempotents).  The first trial of a chunk over the tolerance
@@ -113,7 +114,8 @@ _AXIOMS = (LawId.SEA1, LawId.SEA2, LawId.SEA3, LawId.SEA4, LawId.SEA5, LawId.SCA
 #: the laws the twisted products break, and the trials and tol of their expected-fail rows
 FALSIFIED = (LawId.INVARIANCE, LawId.SYMMETRY, LawId.INVERTIBILITY_PRES)
 FALSIFY_TRIALS, FALSIFY_TOL = 10, 1e-3
-_CHUNK = 64
+#: trials per stack: every default row (200 trials at most) runs as one
+_CHUNK = 256
 #: COMMUTE_EQUIV redraws a generic pair until its ambient commutator norm is at least this
 NONCOMMUTING_MIN = 1e-3
 #: SELF_DUALITY's witness of a negative eigenvalue must have tr(a p) below minus this
@@ -725,19 +727,23 @@ class AuditReport:
 # Execution
 # ---------------------------------------------------------------------------
 
-def _trial_residuals(trials: int, size: int, run):
-    """(trial, residual, the trial's inputs on demand) in order, from ``run(chunk)`` of ``size``.
+def _trial_residuals(trials: int, size: int, derive, run):
+    """(trial, residual, the trial's inputs on demand) in order, from ``run(chunk, words)`` on
+    chunks of ``size``, each with the seed words ``derive(chunk)`` derived as the chunk starts.
 
-    A chunk that raises is redone as chunks of one: the error surfaces at its own trial.
+    A chunk that raises is redone as chunks of one on its words: the error surfaces at its
+    own trial.
     """
     for first in range(0, trials, size):
         chunk = range(first, min(first + size, trials))
+        words = derive(chunk)
         try:
-            results = run(chunk)
+            results = run(chunk, words)
         except Exception:  # whatever it is, the redo below raises it again in order
             if len(chunk) == 1:
                 raise
-            results = (result for i in chunk for result in run(range(i, i + 1)))
+            results = (result for k, i in enumerate(chunk)
+                       for result in run(range(i, i + 1), words[k:k + 1]))
         yield from results
 
 
@@ -800,10 +806,9 @@ def audit_law(law: LawId | str, product: SequentialProduct, alg: AlgebraDescript
         raise ConfigError(f"{law.value} on {alg}: tol must be finite and positive, got {tol}")
     row = LAWS[law]
     start = time.perf_counter()
-    words = trial_seed_words(seed, ALL_LAWS.index(law), range(trials))  # once for the row
 
-    def run(chunk: range) -> list:
-        rngs = [np.random.Generator(np.random.PCG64(_TrialSeed(words[i]))) for i in chunk]
+    def run(chunk: range, words: np.ndarray) -> list:
+        rngs = [np.random.Generator(np.random.PCG64(_TrialSeed(w))) for w in words]
         inputs = row.generate(rngs, product, alg, chunk, params or {})
         residuals = np.broadcast_to(row.evaluate(product, alg, inputs), len(chunk)).tolist()
         return [(i, residual, partial(_take, inputs, k))
@@ -812,7 +817,8 @@ def audit_law(law: LawId | str, product: SequentialProduct, alg: AlgebraDescript
     max_residual = 0.0
     witness = None
     verdict = "pass"
-    for i, residual, inputs in _trial_residuals(trials, _CHUNK, run):
+    derive = partial(trial_seed_words, seed, ALL_LAWS.index(law))
+    for i, residual, inputs in _trial_residuals(trials, _CHUNK, derive, run):
         max_residual = max(max_residual, residual)
         if not residual <= tol:  # a NaN residual fails too
             witness = {"trial": i, "residual": residual,

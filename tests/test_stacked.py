@@ -148,6 +148,32 @@ def test_audit_entries_do_not_depend_on_the_chunk_size(law, desc, short, monkeyp
     assert _entry(law, product, alg, 66, 3, 1e-8) == chunked
 
 
+def test_a_default_row_runs_as_one_chunk(monkeypatch):
+    product, alg = _row("standard", "sum(complex:2,real:3)")
+    generate, drawn = auditor.LAWS[LawId.SEA5].generate, []
+
+    def counted(rngs, p, alg, trials, params):
+        drawn.append(trials)
+        return generate(rngs, p, alg, trials, params)
+
+    _with(monkeypatch, LawId.SEA5, generate=counted)
+    assert audit_law(LawId.SEA5, product, alg, 200, 42, 1e-8).verdict == "pass"
+    assert drawn == [range(200)]
+
+
+# the direct-sum frames merged across blocks, on one stack, on stacks of 64 and one by one
+@pytest.mark.parametrize("law", [LawId.SEA5, LawId.DYADIC_BOUND, LawId.SPECTRAL_RECON,
+                                 LawId.SELF_DUALITY])
+def test_direct_sum_frame_rows_do_not_depend_on_the_chunk_size(law, monkeypatch):
+    product, alg = _row("standard", "sum(complex:2,real:3)")
+    entries = []
+    for chunk in (256, 64, 1):
+        monkeypatch.setattr(auditor, "_CHUNK", chunk)
+        entries.append(_entry(law, product, alg, 200, 42, auditor.LAWS[law].tol))
+    assert entries[0]["verdict"] == "pass"
+    assert entries[0] == entries[1] == entries[2]
+
+
 @pytest.mark.parametrize("law", [law for law in STACKED_LAWS if law not in EXACT_LAWS])
 @pytest.mark.parametrize("short", ["real:4", "sum(complex:2,real:3)"])
 def test_a_tolerance_first_broken_mid_chunk_gives_the_per_trial_verdict(law, short,
@@ -542,8 +568,7 @@ def test_sea1_evaluation_solves_each_block_twice_per_chunk(short, blocks, monkey
 
     _with(monkeypatch, LawId.SEA1, evaluate=counted_evaluate)
     assert audit_law(LawId.SEA1, product, alg, 200, 42, 1e-8).verdict == "pass"
-    chunks = 4  # 64 + 64 + 64 + 8 trials
-    assert 0 < len(calls) <= 2 * chunks * blocks
+    assert 0 < len(calls) <= 2 * blocks  # 200 trials are one chunk
 
 
 # ---------------------------------------------------------------------------

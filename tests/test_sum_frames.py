@@ -1,0 +1,142 @@
+"""Direct-sum spectral frames against the trial-by-trial merge.
+
+``merged_frames`` merges the blocks' frames the slow, obvious way: for each
+trial, take its block values and idempotents, sort them, cluster them, and
+build each cluster's idempotent as an Element sum.  The package merges a
+stack with whole-stack operations and one element entry by entry; both must
+equal this reference bit for bit: values, counts, and every idempotent's
+data, dtype and signed zeros.
+"""
+
+import numpy as np
+import pytest
+
+import seqprod as sp
+from seqprod._backends import _blockwise, _clusters, _trusted
+from seqprod.algebra import _random_effects, trace, zero
+from seqprod.spectral import DEFAULT_GAP
+
+from conftest import close_across_blocks
+
+SUMS = ["sum(complex:2,real:3)", "sum(spin:3,quat:2)", "sum(sum(real:2,complex:2),spin:2)",
+        "sum(real:1,real:1)"]
+
+
+def merged_frames(a, gap):
+    """(values, idempotents, counts) of a direct-sum element, stacked or not, trial by trial."""
+    alg = a.algebra
+    frames = _blockwise("spectral_pairs", (a,), gap)
+    shape = np.shape(frames[0][2])
+    merged = []  # per trial: (eigenvalue, idempotent) in decreasing order
+    for i in range(np.size(frames[0][2])):
+        entries = []  # (eigenvalue, block, idempotent, trace weight), ascending
+        for bi, (values, frame, counts) in enumerate(frames):
+            lams = np.atleast_2d(values)[i, :counts.flat[i]].tolist()
+            if shape:  # trial i of the block's frame
+                frame = [alg.summands[bi]._backend.take(p, i) for p in frame[:len(lams)]]
+            entries += [(lam, bi, p, trace(p)) for lam, p in zip(lams, frame)]
+        entries.sort(key=lambda e: e[0])
+        pairs, start = [], 0
+        for size in _clusters(np.array([e[0] for e in entries]), gap)[0]:
+            chosen = entries[start:start + size]
+            start += size
+            blocks = [zero(s) for s in alg.summands]
+            for _, bi, p, _ in chosen:
+                blocks[bi] = blocks[bi] + p
+            lam = sum(e[0] * e[3] for e in chosen) / sum(e[3] for e in chosen)
+            pairs.append((float(lam), _trusted(alg, tuple(blocks))))
+        merged.append(pairs[::-1])
+    if not shape:
+        values, frame = zip(*merged[0])
+        return np.array(values), list(frame), np.asarray(len(frame))
+    counts = np.array([len(pairs) for pairs in merged])
+    pad = [(0.0, zero(alg))] * counts.max()
+    values, frames = zip(*(zip(*(pairs + pad[len(pairs):])) for pairs in merged))
+    return (np.array(values), [alg._backend.stack(alg, slot) for slot in zip(*frames)],
+            counts)
+
+
+def _leaves(x):
+    """Every array or scalar an element stores, direct sums flattened in summand order."""
+    if x.algebra.summands:
+        return [leaf for blk in x.data for leaf in _leaves(blk)]
+    return list(x.data) if isinstance(x.data, tuple) else [x.data]
+
+
+def _bits(x):
+    """(type, dtype, shape, bytes) of each stored value: signed zeros show in the bytes."""
+    return [(type(v), np.asarray(v).dtype, np.shape(v), np.asarray(v).tobytes())
+            for v in _leaves(x)]
+
+
+def assert_same_frames(got, want):
+    (values, frame, counts), (ref_values, ref_frame, ref_counts) = got, want
+    assert values.dtype == ref_values.dtype and values.tobytes() == ref_values.tobytes()
+    assert values.shape == ref_values.shape
+    assert counts.shape == ref_counts.shape and counts.tolist() == ref_counts.tolist()
+    assert len(frame) == len(ref_frame)
+    for p, q in zip(frame, ref_frame):
+        assert _bits(p) == _bits(q)
+
+
+def _check(alg, stack):
+    """The stacked merge and each trial's single merge against the reference."""
+    backend, want = alg._backend, merged_frames(stack, DEFAULT_GAP)
+    assert_same_frames(backend.spectral_pairs(stack, DEFAULT_GAP), want)
+    for k in range(len(want[2])):
+        x = backend.take(stack, k)
+        assert_same_frames(backend.spectral_pairs(x, DEFAULT_GAP), merged_frames(x, DEFAULT_GAP))
+
+
+@pytest.mark.parametrize("short", SUMS)
+@pytest.mark.parametrize("profile", ["generic", "singular", "sharp"])
+def test_random_effects_merge_as_the_reference_does(short, profile):
+    alg = sp.parse_algebra(short)
+    rngs = [np.random.default_rng((17, k)) for k in range(24)]
+    _check(alg, _random_effects(alg, rngs, profile))
+
+
+@pytest.mark.parametrize("short", SUMS)
+def test_a_stack_of_frames_of_different_lengths(short):
+    alg = sp.parse_algebra(short)
+    profiles = ("generic", "singular", "sharp")
+    elems = [sp.random_effect(alg, 500 + k, profiles[k % 3]) for k in range(12)]
+    stack = alg._backend.stack(alg, elems + [sp.identity(alg)])  # the identity is one pair
+    counts = alg._backend.spectral_pairs(stack, DEFAULT_GAP)[2]
+    assert len(set(counts.tolist())) > 1
+    _check(alg, stack)
+
+
+def test_clusters_that_span_blocks():
+    alg, rng = sp.parse_algebra("sum(complex:2,real:3)"), np.random.default_rng(6)
+    stack = alg._backend.stack(alg, [close_across_blocks(alg, rng) for _ in range(10)])
+    values, frame, counts = alg._backend.spectral_pairs(stack, DEFAULT_GAP)
+    assert (counts == 4).all()  # five eigenvalues, two of them in one cluster across blocks
+    _check(alg, stack)
+
+
+def test_a_cluster_that_takes_two_idempotents_of_one_block():
+    # block 0 has two clusters 1.5e-8 apart, chained into one by block 1's eigenvalue between
+    alg = sp.parse_algebra("sum(real:2,real:1)")
+    rot = np.array([[0.6, -0.8], [0.8, 0.6]])
+    elems = []
+    for shift in (0.0, 0.25, 0.5):
+        low = 0.2 + shift
+        w = np.array([low, low + 1.5e-8])
+        blocks = (sp.Element(alg.summands[0], (rot * w) @ rot.T),
+                  sp.Element(alg.summands[1], [[low + 0.75e-8]]))
+        elems.append(sp.Element(alg, blocks))
+    elems.append(sp.random_effect(alg, 9))
+    stack = alg._backend.stack(alg, elems)
+    counts = alg._backend.spectral_pairs(stack, DEFAULT_GAP)[2]
+    assert counts.tolist()[:3] == [1, 1, 1]
+    _check(alg, stack)
+
+
+@pytest.mark.parametrize("short", SUMS)
+def test_the_identity_joins_every_block_in_one_pair(short):
+    alg = sp.parse_algebra(short)
+    stack = alg._backend.stack(alg, [sp.identity(alg)] * 5)
+    values, frame, counts = alg._backend.spectral_pairs(stack, DEFAULT_GAP)
+    assert counts.tolist() == [1] * 5 and values.tolist() == [[1.0]] * 5
+    _check(alg, stack)

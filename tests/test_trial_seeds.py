@@ -1,5 +1,5 @@
-"""The per-trial Generators of an audit row: seeded from words derived for the whole row in
-one pass, and equal bit for bit to ``np.random.default_rng((seed, ordinal, i))``."""
+"""The per-trial Generators of an audit row: seeded from words derived for each chunk in one
+pass as the chunk starts, and equal bit for bit to ``np.random.default_rng((seed, ordinal, i))``."""
 
 import dataclasses
 
@@ -56,7 +56,20 @@ def test_a_row_derives_its_words_once_and_makes_no_default_rng(monkeypatch):
     entry = audit_law(LawId.SEA1, product, alg, 200, 42, 1e-8)
     assert (entry.verdict, entry.trials) == ("pass", 200)
     assert made == []
-    assert derived == [range(200)]  # once for the row's four chunks
+    assert derived == [range(200)]  # once for the row, which runs as one chunk
+
+
+def test_each_chunk_derives_its_words_as_it_starts(monkeypatch):
+    alg = sp.parse_algebra("real:4")
+    product = sp.SequentialProduct.standard(alg)
+    made, derived = _counted(monkeypatch)
+    assert audit_law(LawId.SEA1, product, alg, 600, 42, 1e-8).verdict == "pass"
+    assert derived == [range(0, 256), range(256, 512), range(512, 600)]
+    derived.clear()
+    entry = audit_law(LawId.SEA1, product, alg, 600, 42, 1e-300)  # fails at trial 0
+    assert (entry.verdict, entry.trials) == ("fail", 1)
+    assert derived == [range(0, 256)]
+    assert made == []
 
 
 def test_chunks_redone_as_chunks_of_one_reuse_the_row_words(monkeypatch):

@@ -15,7 +15,8 @@ package reaches element storage only through the backend primitives:
 Every eigensolve of the package runs here, through :func:`_eigh`, which
 rejects an element with a NaN or infinite entry.  A matrix element is
 solved at most once: :func:`_eigen` keeps its (w, V) on the instance, and
-its eigenvalue range, spectral pairs and every f(a) read that one solve.
+its eigenvalue range, spectral pairs and every f(a) read that one solve,
+as does a joint frame that it generates first.
 f(a) is the ``functional`` primitive: one product per matrix block on the
 cached eigen-data, a closed form on spin factors.
 
@@ -568,8 +569,11 @@ class _MatrixBackend(_Backend):
             return _operator(alg, _matrix_basis(alg).swapaxes(1, 2))
         return _conjugation_operator(alg, _random_structured_unitary(alg, rng))
 
-    def commutant_rows(self, alg, elems) -> list[np.ndarray]:
-        """Null space of the stacked commutator maps X -> Xs - sX, in coordinates."""
+    def commutant_rows(self, alg, elems) -> np.ndarray:
+        """Null space of the stacked commutator maps X -> Xs - sX, one coordinate row each.
+
+        A NaN or infinite entry raises NumericalFailureError, as in ``_eigh``.
+        """
         dim = self.real_dimension(alg)
         basis = _matrix_basis(alg)
         blocks = []
@@ -578,24 +582,31 @@ class _MatrixBackend(_Backend):
             # (2 m^2, dim): one column per coordinate
             blocks.append(np.concatenate([comm.real, comm.imag], axis=1).T)
         stacked = np.vstack(blocks)
+        if not np.isfinite(stacked).all():
+            raise NumericalFailureError("the commutant needs elements with finite entries")
         _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
-        tol = 1e-8 * max(1.0, float(svals[0]) if len(svals) else 0.0)
-        return [vh[i] for i in range(dim) if svals[i] <= tol]
+        return vh[svals <= 1e-8 * max(1.0, float(svals[0]))]
 
     def joint_frame(self, alg, elems, gap: float) -> list:
-        """Refine eigenspaces one generator at a time."""
-        subspaces = [np.eye(self.matrix_order(alg), dtype=self.dtype)]
+        """Refine the whole space I by each generator in turn.
+
+        I is split by the generator's cached solve, as I^H s I is s; a
+        one-dimensional subspace is an eigenspace of every commuting generator
+        and is kept as it is; any other subspace v is split by solving v^H s v.
+        """
+        eye = np.eye(self.matrix_order(alg), dtype=self.dtype)
+        subspaces = [eye]
         for s in elems:
             refined = []
             for v in subspaces:
-                h = v.conj().T @ s.data @ v
-                w, vecs = _eigh(h)
-                start = 0
-                for size in _clusters(w, gap)[0]:
-                    refined.append(v @ vecs[:, start:start + size])
-                    start += size
+                if v.shape[1] == 1:
+                    refined.append(v)
+                    continue
+                w, vecs = _eigen(s) if v is eye else _eigh(v.conj().T @ s.data @ v)
+                sizes = _clusters(w, gap)[0]
+                refined += [v @ vecs[:, e - n:e] for n, e in zip(sizes, accumulate(sizes))]
             subspaces = refined
-        return [_alg.Element(alg, v @ v.conj().T) for v in subspaces]
+        return [self._element(alg, v @ v.conj().T) for v in subspaces]
 
 
 # ---------------------------------------------------------------------------
@@ -624,13 +635,8 @@ def _col(s) -> np.ndarray:
 
 
 def _spin_directions(elems) -> list[np.ndarray]:
-    dirs = []
-    for e in elems:
-        v, _ = e.data
-        r = np.linalg.norm(v)
-        if r > 1e-12:
-            dirs.append(v / r)
-    return dirs
+    """The unit vectors v/|v| of the elements whose |v| exceeds 1e-12, in order."""
+    return [v / r for v, _, r in map(_spin_radius, elems) if r > 1e-12]
 
 
 class _SpinBackend(_Backend):
@@ -982,13 +988,11 @@ class _SumBackend(_Backend):
         return _block_diag([s._backend.iso_operator(s, kind, rng) for s in alg.summands])
 
     def joint_frame(self, alg, elems, gap: float) -> list:
-        frame = []
-        for bi, sub in enumerate(alg.summands):
-            for p in sub._backend.joint_frame(sub, [e.data[bi] for e in elems], gap):
-                blocks = [_alg.zero(s) for s in alg.summands]
-                blocks[bi] = p
-                frame.append(_alg.Element(alg, tuple(blocks)))
-        return frame
+        """Every summand's frame in summand order, each projection's other blocks zero."""
+        zeros = tuple(_alg.zero(s) for s in alg.summands)
+        return [_trusted(alg, zeros[:bi] + (p,) + zeros[bi + 1:])
+                for bi, sub in enumerate(alg.summands)
+                for p in sub._backend.joint_frame(sub, [e.data[bi] for e in elems], gap)]
 
 
 _BACKENDS = {

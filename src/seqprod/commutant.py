@@ -72,7 +72,10 @@ def commutant_basis(elems: list[Element]) -> list[Element]:
         raise PreconditionError("commutant of an empty set is the whole algebra; pass [identity]")
     alg = check_same_algebra(*elems)
     _require_commutant(alg, "commutant_basis")
-    return [from_coords(alg, row) for row in alg._backend.commutant_rows(alg, elems)]
+    backend = alg._backend
+    rows = backend.commutant_rows(alg, elems)
+    basis = backend.from_coords(alg, rows)  # one stack, a trial per row
+    return [backend.take(basis, i) for i in range(len(rows))]
 
 
 def _require_mutually_commuting(elems, alg):

@@ -18,7 +18,11 @@ solved at most once: :func:`_eigen` keeps its (w, V) on the instance, and
 its eigenvalue range, spectral pairs and every f(a) read that one solve,
 as does a joint frame that it generates first.
 f(a) is the ``functional`` primitive: one product per matrix block on the
-cached eigen-data, a closed form on spin factors.
+cached eigen-data, a closed form on spin factors.  A norm that is only
+compared with a threshold is solved only where :func:`_norm_bounds` (the
+Frobenius norm and the largest absolute row sum) leave the comparison open
+by more than ``BOUND_MARGIN``: ``residual_terms`` and ``norm_bounds`` give
+the bounds per kind, exact on spin factors.
 
 Results that meet the representation invariants by construction (real
 linear combinations of elements, scalars, spin arithmetic, direct sums
@@ -52,6 +56,7 @@ because that module imports this one.
 
 from __future__ import annotations
 
+import math
 import numbers
 from functools import lru_cache, reduce
 from itertools import accumulate
@@ -136,6 +141,22 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+#: a norm bound settles a comparison of the norm with a threshold t, unsolved, only when it
+#: clears t by this relative margin; the errors of the eigensolver and the SVD are about 1e-14
+BOUND_MARGIN = 1e-6
+#: a polar start whose Gram matrix has an eigenvalue below this, relative to its largest, is
+#: degenerate
+POLAR_DEGENERACY = 1e-10
+#: Newton-Schulz polishing stops once u^H u is the identity to this, entry by entry
+POLAR_STOP = 1e-15
+#: singular values of the stacked commutator maps at most this, relative to the largest (and to
+#: 1), span the commutant
+COMMUTANT_TOL = 1e-8
+#: a spin element whose vector part is no longer than this has no direction
+SPIN_DIRECTION_MIN = 1e-12
+#: spin directions whose |cosine| is within this of 1 are collinear
+SPIN_COLLINEAR_TOL = 1e-9
+
 _NON_FINITE = "eigen-data needs an element with finite entries"
 
 
@@ -154,6 +175,22 @@ def _eigh(mat: np.ndarray, vectors: bool = True):
         return np.linalg.eigh(mat) if vectors else np.linalg.eigvalsh(mat)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
+
+
+def _norm_bounds(mats: np.ndarray, hermitian: bool = True):
+    """(lower, upper) bounds on the 2-norm of each matrix of ``mats`` (..., m, m).
+
+    With F the Frobenius norm, F / sqrt(m) <= ||A||_2 <= F; the 2-norm of a Hermitian A is its
+    spectral radius, which is also at most its largest absolute row sum.  A NaN or infinite
+    entry gives a NaN or infinite bound.  The squares are summed unscaled, so F holds as an
+    upper bound for entries above about 1e-154, whose squares do not underflow; the thresholds
+    compared with it (1, COMMUTE_TOL, 0.05 and a caller's tol) are far above that.
+    """
+    mag = np.abs(mats)
+    flat = mag.reshape(mag.shape[:-2] + (-1,))
+    frob = np.sqrt(np.vecdot(flat, flat))
+    upper = np.minimum(frob, mag.sum(-1).max(-1)) if hermitian else frob
+    return frob / math.sqrt(mats.shape[-1]), upper
 
 
 def _eigen(a) -> tuple[np.ndarray, np.ndarray]:
@@ -219,12 +256,12 @@ def _polar_unitary(g: np.ndarray) -> np.ndarray:
     """
     m = g.shape[0]
     w, v = _eigh(g.conj().T @ g)
-    if w[0] <= 1e-10 * max(1.0, w[-1]):
+    if w[0] <= POLAR_DEGENERACY * max(1.0, w[-1]):
         raise NumericalFailureError("degenerate sample while orthonormalizing")
     u = g @ (v * (w ** -0.5)) @ v.conj().T
     for _ in range(4):
         err = u.conj().T @ u - np.eye(m)
-        if np.abs(err).max() <= 1e-15:
+        if np.abs(err).max() <= POLAR_STOP:
             break
         u = u @ (np.eye(m) - 0.5 * err)
     return u
@@ -279,9 +316,15 @@ class _Backend:
         t_a = self.jordan_operator(a)
         return 2.0 * (t_a @ t_a) - self.jordan_operator(self.jordan(a, a))
 
-    def radii(self, *elems) -> list:
-        """The order-unit norm of each of ``elems``."""
-        return [_alg.order_unit_norm(x) for x in elems]
+    def residual_terms(self, x, y):
+        """(||x - y||, max(1, ||x||, ||y||)) in the order-unit norm, per trial for a stack."""
+        diff, nx, ny = (_alg.order_unit_norm(e) for e in (x - y, x, y))
+        return diff, np.maximum(1.0, np.maximum(nx, ny))
+
+    def norm_bounds(self, x):
+        """(lower, upper) bounds on the order-unit norm, per trial: here the norm itself."""
+        norm = _alg.order_unit_norm(x)
+        return norm, norm
 
     def order_iso(self, alg, kind: str, rng):
         """(coordinate matrix, label) of a unital order isomorphism of the requested kind."""
@@ -446,14 +489,26 @@ class _MatrixBackend(_Backend):
         w, _ = _eigen(a)
         return w[..., 0], w[..., -1]
 
-    def radii(self, *elems) -> np.ndarray:
-        # one eigenvalue-only solve, the data broadcast to the first one's shape
-        first = elems[0].data
-        mats = np.empty((len(elems),) + first.shape, first.dtype)
-        for k, x in enumerate(elems):
-            mats[k] = x.data
-        w = _eigh(mats, vectors=False)
-        return np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
+    def residual_terms(self, x, y):
+        # ||x - y|| always; ||x|| and ||y|| only on the trials whose bound exceeds 1 - margin,
+        # in the same eigenvalue-only call (a skipped norm would be solved below 1 as well)
+        diff = x.data - y.data
+        m = diff.shape[-1]
+        ends = [np.broadcast_to(e.data, diff.shape) for e in (x, y)]
+        solve = [~(_norm_bounds(e)[1] <= 1.0 - BOUND_MARGIN) for e in ends]
+        w = _eigh(np.concatenate([diff.reshape(-1, m, m)] + [e[s] for e, s in zip(ends, solve)]),
+                  vectors=False)
+        radii = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
+        start = diff.size // (m * m)
+        diff_norm, scale = radii[:start].reshape(diff.shape[:-2]), np.ones(diff.shape[:-2])
+        for s in solve:
+            solved = radii[start:start + np.count_nonzero(s)]
+            scale[s] = np.maximum(scale[s], solved)
+            start += len(solved)
+        return diff_norm, scale
+
+    def norm_bounds(self, x):
+        return _norm_bounds(x.data)
 
     def spectral_pairs(self, a, gap: float):
         # one product V_c V_c^H per (trial, cluster); a stack makes one per cluster size,
@@ -585,7 +640,7 @@ class _MatrixBackend(_Backend):
         if not np.isfinite(stacked).all():
             raise NumericalFailureError("the commutant needs elements with finite entries")
         _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
-        return vh[svals <= 1e-8 * max(1.0, float(svals[0]))]
+        return vh[svals <= COMMUTANT_TOL * max(1.0, float(svals[0]))]
 
     def joint_frame(self, alg, elems, gap: float) -> list:
         """Refine the whole space I by each generator in turn.
@@ -635,8 +690,8 @@ def _col(s) -> np.ndarray:
 
 
 def _spin_directions(elems) -> list[np.ndarray]:
-    """The unit vectors v/|v| of the elements whose |v| exceeds 1e-12, in order."""
-    return [v / r for v, _, r in map(_spin_radius, elems) if r > 1e-12]
+    """The unit vectors v/|v| of the elements whose |v| exceeds SPIN_DIRECTION_MIN, in order."""
+    return [v / r for v, _, r in map(_spin_radius, elems) if r > SPIN_DIRECTION_MIN]
 
 
 class _SpinBackend(_Backend):
@@ -778,7 +833,7 @@ class _SpinBackend(_Backend):
             return np.eye(self.real_dimension(alg))
         ref = dirs[0]
         unit = self.to_coords(self.scalar(alg, 1.0)) / np.sqrt(2.0)
-        if all(abs(abs(float(d @ ref)) - 1.0) <= 1e-9 for d in dirs):
+        if all(abs(abs(float(d @ ref)) - 1.0) <= SPIN_COLLINEAR_TOL for d in dirs):
             return np.stack([self.to_coords(_alg.Element(alg, (ref, 0.0))) / np.sqrt(2.0), unit])
         return unit[None, :]
 
@@ -870,8 +925,13 @@ class _SumBackend(_Backend):
         los, his = zip(*_blockwise("eigen_range", (a,)))
         return reduce(np.minimum, los), reduce(np.maximum, his)
 
-    def radii(self, *elems) -> list:
-        return [reduce(np.maximum, norms) for norms in zip(*_blockwise("radii", elems))]
+    def residual_terms(self, x, y):
+        diffs, scales = zip(*_blockwise("residual_terms", (x, y)))
+        return reduce(np.maximum, diffs), reduce(np.maximum, scales)
+
+    def norm_bounds(self, x):
+        lows, highs = zip(*_blockwise("norm_bounds", (x,)))
+        return reduce(np.maximum, lows), reduce(np.maximum, highs)
 
     def functional(self, a, f, gap: float):
         return _trusted(a.algebra, _blockwise("functional", (a,), f, gap))

@@ -17,14 +17,16 @@ written once and derived only from the immutable data (a race between
 threads computes the same value twice), so the operations stay pure.  A
 descriptor keeps its identity and zero the same way.  Elements *stacked* by
 the backends hold k trials on a leading axis; arithmetic, ``seq_product``,
-the eigenvalue range, ``trace_inner_product`` and ``rel_residual`` return one
-value per trial, and ``_random_effects`` draws a stack of random effects, one
-per Generator.
+the eigenvalue range, ``trace_inner_product``, ``rel_residual`` and
+``norm_at_most`` return one value per trial, and ``_random_effects`` draws a
+stack of random effects, one per Generator.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import getitem
 
 import numpy as np
 
@@ -35,7 +37,9 @@ from ._backends import (  # kind names and descriptor constructors are re-export
     KIND_SPIN,
     KIND_SUM,
     _SHORTHAND_KINDS,
+    BOUND_MARGIN,
     _Backend,
+    _norm_bounds,
     _resolve,
     complex_hermitian,
     direct_sum,
@@ -231,11 +235,12 @@ def order_unit_norm(a: Element) -> float:
 def rel_residual(x: Element, y: Element) -> float:
     """||x - y|| divided by max(1, ||x||, ||y||).
 
-    One eigenvalue-only solve per matrix block of the stacked (x - y, x, y);
-    the eigen-data of x and y is neither read nor kept.
+    On a matrix block ||x - y|| is always solved, eigenvalues only, and ||x|| and ||y|| only
+    on the trials whose norm bound exceeds 1 - BOUND_MARGIN; the eigen-data of x and y is
+    neither read nor kept.
     """
-    diff, nx, ny = x.algebra._backend.radii(x - y, x, y)
-    return diff / np.maximum(1.0, np.maximum(nx, ny))
+    diff, scale = check_same_algebra(x, y)._backend.residual_terms(x, y)
+    return diff / scale
 
 
 def is_positive(a: Element, tol: float = SUPPORT_TOL) -> bool:
@@ -337,6 +342,35 @@ def operator_norm(m: LinearMap | np.ndarray) -> float:
 
 def map_distance(f: LinearMap, g: LinearMap) -> float:
     return operator_norm(f.matrix - g.matrix)
+
+
+def norm_at_most(x: Element | np.ndarray, tol: float, strict: bool = False):
+    """||x|| <= tol (< tol if ``strict``), per trial for a stack: the order-unit norm of an
+    Element, the spectral norm of a map's (..., d, d) matrix.
+
+    The norm is solved, as ``order_unit_norm`` or ``operator_norm`` solves it, only on the
+    trials that its bounds (``norm_bounds``; F / sqrt(d) and F for a d x d map of Frobenius
+    norm F) leave open: an upper bound at most tol (1 - BOUND_MARGIN) settles True, a finite
+    lower bound at least tol (1 + BOUND_MARGIN) settles False.  A trial with a NaN or infinite
+    entry is always solved, and raises or compares as the solved norm does.
+    """
+    if isinstance(x, Element):
+        lower, upper = x.algebra._backend.norm_bounds(x)
+        norm, take = order_unit_norm, x.algebra._backend.take
+    else:
+        lower, upper = _norm_bounds(x, hermitian=False)
+        norm, take = operator_norm, getitem
+    compare = np.less if strict else np.less_equal
+    below, above = tol * (1.0 - BOUND_MARGIN), tol * (1.0 + BOUND_MARGIN)
+    if not np.ndim(upper):  # one element or map: scalar comparisons, no 0-d ufunc calls
+        if upper <= below or (lower >= above and math.isfinite(lower)):
+            return upper <= below
+        return compare(norm(x), tol)
+    settled = upper <= below
+    sel = np.flatnonzero(~settled & ~(np.isfinite(lower) & (lower >= above)))
+    if len(sel):
+        settled[sel] = compare(norm(take(x, sel)), tol)
+    return settled
 
 
 def jordan_mult_operator(a: Element) -> LinearMap:

@@ -52,6 +52,7 @@ from .algebra import (
     make_order_iso,
     map_distance,
     min_eigenvalue,
+    norm_at_most,
     order_unit_norm,
     parse_algebra,
     quadratic_operator,
@@ -64,6 +65,7 @@ from .errors import CapabilityError, ConfigError, DomainError
 from .products import (
     COMMUTE_TOL,
     SequentialProduct,
+    commutes,
     divide,
     homogeneity_iso,
     imaginary_power_conjugation,
@@ -364,11 +366,11 @@ def _ev_sea3(p, alg, inp):
 def _ev_sea4(p, alg, inp):
     a, b, c = inp["a"], inp["b"], inp["c"]
     b_perp = identity(alg) - b
+    ab = seq_product(p, a, b)
     return _worst(
-        rel_residual(seq_product(p, a, b), seq_product(p, b, a)),
+        rel_residual(ab, seq_product(p, b, a)),
         rel_residual(seq_product(p, a, b_perp), seq_product(p, b_perp, a)),
-        rel_residual(seq_product(p, a, seq_product(p, b, c)),
-                     seq_product(p, seq_product(p, a, b), c)))
+        rel_residual(seq_product(p, a, seq_product(p, b, c)), seq_product(p, ab, c)))
 
 
 def _ev_sea5(p, alg, inp):
@@ -386,9 +388,10 @@ def _ev_scalar(p, alg, inp):
     ab = seq_product(p, a, b)
     worst = 0.0
     for lam in (0.0, 0.25, 0.5, 1.0):
+        ab_lam = ab * lam
         worst = _worst(worst,
-                       rel_residual(seq_product(p, a * lam, b), ab * lam),
-                       rel_residual(seq_product(p, a, b * lam), ab * lam))
+                       rel_residual(seq_product(p, a * lam, b), ab_lam),
+                       rel_residual(seq_product(p, a, b * lam), ab_lam))
     return worst
 
 
@@ -412,8 +415,8 @@ def _ev_sharp(p, alg, inp):
         rel_residual(seq_product(p, a_dn, proj), a_dn),
         _worst(0.0, -min_eigenvalue(a_up - proj)),
         _worst(0.0, -min_eigenvalue(proj - a_dn)))
-    # two-sided: p <= a_neg fails, so p o a_neg must stay away from p (a NaN norm is not near)
-    near = order_unit_norm(seq_product(p, proj, a_neg) - proj) < 0.05
+    # two-sided: p <= a_neg fails, so p o a_neg must stay away from p
+    near = norm_at_most(seq_product(p, proj, a_neg) - proj, 0.05, strict=True)
     return np.where(near, _worst(res, 1.0), res)
 
 
@@ -477,14 +480,11 @@ def _ev_fundamental(p, alg, inp):
 def _ev_commute_equiv(p, alg, inp):
     a, b = inp["a"], inp["b"]
     want = np.equal(inp["expected"], "commuting")  # per trial for a stack
-    verdicts = [
-        order_unit_norm(seq_product(p, a, b) - seq_product(p, b, a)) <= COMMUTE_TOL,
-        map_distance(quadratic_operator(a).compose(quadratic_operator(b)),
-                     quadratic_operator(b).compose(quadratic_operator(a))) <= COMMUTE_TOL,
-        map_distance(jordan_mult_operator(a).compose(jordan_mult_operator(b)),
-                     jordan_mult_operator(b).compose(jordan_mult_operator(a))) <= COMMUTE_TOL,
-        alg._backend.commutator_norm(a, b) <= COMMUTE_TOL,
-    ]
+    verdicts = [commutes(p, a, b)]
+    for f, g in ((quadratic_operator(a), quadratic_operator(b)),
+                 (jordan_mult_operator(a), jordan_mult_operator(b))):
+        verdicts.append(norm_at_most(f.compose(g).matrix - g.compose(f).matrix, COMMUTE_TOL))
+    verdicts.append(alg._backend.commutator_norm(a, b) <= COMMUTE_TOL)
     return np.where(reduce(np.logical_and, [v == want for v in verdicts]), 0.0, 1.0)
 
 

@@ -29,7 +29,7 @@ from .algebra import (
     _linear_map,
     check_same_algebra,
     min_eigenvalue,
-    order_unit_norm,
+    norm_at_most,
     quadratic_rep,
 )
 from .errors import (
@@ -138,8 +138,12 @@ def multiplication_operator(p: SequentialProduct, a: Element) -> LinearMap:
 
 
 def commutes(p: SequentialProduct, a: Element, b: Element, tol: float = COMMUTE_TOL) -> bool:
-    """True iff ||a o b - b o a|| <= tol."""
-    return bool(order_unit_norm(seq_product(p, a, b) - seq_product(p, b, a)) <= tol)
+    """True iff ||a o b - b o a|| <= tol; one verdict per trial for stacked elements.
+
+    The norm is solved only where its bounds leave the verdict open (``norm_at_most``).
+    """
+    verdict = norm_at_most(seq_product(p, a, b) - seq_product(p, b, a), tol)
+    return bool(verdict) if np.ndim(verdict) == 0 else verdict
 
 
 def divide(p: SequentialProduct, q: Element, a: Element) -> Element:

@@ -26,7 +26,7 @@ from .algebra import (
     eigenvalue_range,
     jordan_product,
     min_eigenvalue,
-    order_unit_norm,
+    norm_at_most,
 )
 from .errors import DomainError, PreconditionError
 
@@ -34,6 +34,8 @@ from .errors import DomainError, PreconditionError
 DEFAULT_GAP = 1e-8
 #: eigenvalues within this of 1 belong to the floor projection
 FLOOR_TOL = 1e-9
+#: a dyadic approximant's projection keeps the eigenvalues above k/n by more than this guard band
+DYADIC_GUARD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -117,7 +119,7 @@ def ceiling_effect(a: Element) -> Element:
 
 def is_sharp(a: Element, tol: float = SUPPORT_TOL) -> bool:
     """True iff a*a = a within tol (order-unit norm)."""
-    return bool(order_unit_norm(jordan_product(a, a) - a) <= tol)
+    return bool(norm_at_most(jordan_product(a, a) - a, tol))
 
 
 def pseudo_inverse(b: Element) -> Element:
@@ -130,7 +132,7 @@ def dyadic_approximation(a: Element, n_max: int) -> list[Element]:
     """Increasing simple approximants q_{2^1}, ..., q_{2^n_max} below a.
 
     q_n = sum_{k=1}^{n} (1/n) p_n^k where p_n^k is the spectral projection
-    onto eigenvalues strictly above k/n (with a 1e-12 guard band), so
+    onto eigenvalues strictly above k/n (with the DYADIC_GUARD band), so
     ||a - q_{2^m}|| <= 2^(1-m).
     """
     lo, hi = eigenvalue_range(a)
@@ -140,6 +142,6 @@ def dyadic_approximation(a: Element, n_max: int) -> list[Element]:
             f"dyadic approximation expects an effect; eigenvalue {worst:.3e} is outside [0, 1]")
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
-    return [_threshold(a, lambda x, n=2 ** m:
-                       np.count_nonzero(x[..., None] > np.arange(1, n + 1) / n + 1e-12, -1) / n)
+    return [_threshold(a, lambda x, n=2 ** m: np.count_nonzero(
+                x[..., None] > np.arange(1, n + 1) / n + DYADIC_GUARD, -1) / n)
             for m in range(1, n_max + 1)]

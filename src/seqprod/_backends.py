@@ -32,10 +32,15 @@ point and are symmetrised as the public constructor does (``_element``).
 
 The operator primitives (``jordan_operator``, ``quadratic_operator``,
 ``conjugation_operator`` and ``iso_operator``) return the coordinate matrix
-of a linear map in one shot: matrix kinds apply the action to the whole
-stacked basis and project the images with one product against the cached
-conjugated basis, spin factors write the matrix down, and direct sums put
-the summand matrices on the diagonal.
+of a linear map in one shot, one per trial for a stack: spin factors write
+the matrix down, direct sums put the summand matrices on the diagonal, and
+matrix kinds project the images of the basis with one product against the
+cached conjugated basis.  A basis element E_k has at most one nonzero entry
+per row and column, so a product with it is exact, and one product per
+trial gives every E_k at once: T_a takes (E_k a + (E_k a)^H) / 2 from
+[E_1; ...; E_d] a, as ``commutant_rows`` takes E_k s - (E_k s)^H, and
+x -> m x m^H takes m E_k from m [E_1 | ... | E_d].  ``conjugator`` gives the
+m = f(a) that the conjugation primitives take, so a caller can keep it.
 
 A *stacked* element, built only by ``stack``, ``random_elements`` (one sample per
 Generator, the only Gaussian draw), ``random_projections`` (one projection per
@@ -246,34 +251,36 @@ def _matrix_function(a, f, gap: float) -> np.ndarray:
     return (vecs * coef[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def _polar_unitary(g: np.ndarray) -> np.ndarray:
-    """Unitary polar factor of g; preserves real/symplectic structure.
+def _random_structured_unitaries(alg, rngs) -> np.ndarray:
+    """One orthogonal, unitary or symplectic matrix of a matrix-kind algebra per Generator: the
+    polar factor of a Gaussian sample it draws, drawn again while degenerate (8 draws at most).
 
-    The eigh-based polar start loses accuracy when g is ill-conditioned
-    (forming g*g squares the condition number), so the factor is polished
-    with Newton-Schulz steps, which converge quadratically and stay inside
-    the structured matrix algebra.
+    The stack is solved as one.  The eigh-based start loses accuracy on an ill-conditioned
+    sample (g^H g squares the condition number), so each factor is polished with Newton-Schulz
+    steps, which keep the real or symplectic structure and stop trial by trial.
     """
-    m = g.shape[0]
-    w, v = _eigh(g.conj().T @ g)
-    if w[0] <= POLAR_DEGENERACY * max(1.0, w[-1]):
-        raise NumericalFailureError("degenerate sample while orthonormalizing")
-    u = g @ (v * (w ** -0.5)) @ v.conj().T
-    for _ in range(4):
-        err = u.conj().T @ u - np.eye(m)
-        if np.abs(err).max() <= POLAR_STOP:
-            break
-        u = u @ (np.eye(m) - 0.5 * err)
-    return u
-
-
-def _random_structured_unitary(alg, rng) -> np.ndarray:
-    """Orthogonal, unitary or symplectic matrix of a matrix-kind algebra."""
+    backend = alg._backend
+    eye = np.eye(backend.matrix_order(alg))
+    out = np.empty((len(rngs),) + eye.shape, backend.dtype)
+    todo = np.arange(len(rngs))
     for _ in range(8):  # resample the rare near-singular draw
-        try:
-            return _polar_unitary(alg._backend.gaussian(alg._backend.normals(alg, rng)))
-        except NumericalFailureError:
-            continue
+        g = backend.gaussian(backend.normals(alg, [rngs[j] for j in todo]))
+        w, v = _eigh(g.conj().swapaxes(-1, -2) @ g)
+        ok = ~(w[:, 0] <= POLAR_DEGENERACY * np.maximum(1.0, w[:, -1]))
+        g, w, v = g[ok], w[ok], v[ok]
+        u = g @ (v * (w ** -0.5)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+        live = np.arange(len(u))
+        for _ in range(4):
+            err = u[live].conj().swapaxes(-1, -2) @ u[live] - eye
+            polish = ~(np.abs(err).max((-2, -1)) <= POLAR_STOP)
+            live, err = live[polish], err[polish]
+            if not len(live):
+                break
+            u[live] = u[live] @ (eye - 0.5 * err)
+        out[todo[ok]] = u
+        todo = todo[~ok]
+        if not len(todo):
+            return out
     raise NumericalFailureError(f"could not orthonormalize a random sample on {alg}")
 
 
@@ -326,14 +333,15 @@ class _Backend:
         norm = _alg.order_unit_norm(x)
         return norm, norm
 
-    def order_iso(self, alg, kind: str, rng):
-        """(coordinate matrix, label) of a unital order isomorphism of the requested kind."""
+    def order_iso(self, alg, kind: str, rngs):
+        """(coordinate matrices (k, d, d), label) of unital order isomorphisms of the requested
+        kind, one per Generator of ``rngs``."""
         if kind not in _ORDER_ISOS:
             raise CapabilityError(f"unknown order isomorphism kind {kind!r}")
         label, unavailable = _ORDER_ISOS[kind]
         if kind not in self.order_isos(alg):
             raise CapabilityError(unavailable.format(alg))
-        return self.iso_operator(alg, kind, rng), label
+        return self.iso_operator(alg, kind, rngs), label
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +407,15 @@ def _dual_basis(alg) -> np.ndarray:
     return dual
 
 
+@lru_cache(maxsize=None)
+def _basis_columns(alg) -> np.ndarray:
+    """The basis side by side, [E_1 | ... | E_d], as one (m, dim m) matrix."""
+    basis = _matrix_basis(alg)
+    cols = np.ascontiguousarray(basis.transpose(1, 0, 2).reshape(basis.shape[1], -1))
+    cols.setflags(write=False)
+    return cols
+
+
 def _operator(alg, images: np.ndarray) -> np.ndarray:
     """Coordinate matrix whose column k holds the coordinates of ``images[..., k, :, :]``, the
     map's values on the basis: (dim, m, m), or (k, dim, m, m) for k trials' maps."""
@@ -406,10 +423,38 @@ def _operator(alg, images: np.ndarray) -> np.ndarray:
     return np.real(_dual_basis(alg) @ flat.swapaxes(-1, -2))
 
 
+def _basis_products(alg, mat: np.ndarray) -> np.ndarray:
+    """E_k mat for every basis element E_k, (..., dim, m, m), from one product per trial.
+
+    Each entry is one exact product, so for a Hermitian mat, mat E_k is the conjugate
+    transpose of E_k mat bit for bit."""
+    basis = _matrix_basis(alg)
+    dim, m = basis.shape[:2]
+    return (basis.reshape(dim * m, m) @ mat).reshape(mat.shape[:-2] + basis.shape)
+
+
+def _hermitian_sum(prods: np.ndarray, sign: float) -> np.ndarray:
+    """P + sign P^H per (m, m) block of ``prods``, in one new buffer that first takes P^H.
+
+    The transpose is copied, not read by a ufunc, which would stage it in a buffer.
+    """
+    out = np.ascontiguousarray(prods.swapaxes(-1, -2))
+    if np.iscomplexobj(out):
+        np.conjugate(out, out=out)
+    return (np.add if sign > 0 else np.subtract)(prods, out, out=out)
+
+
 def _conjugation_operator(alg, m: np.ndarray) -> np.ndarray:
-    """Coordinate matrix of x -> m x m^H, one per trial for a stack of m."""
-    m = m[..., None, :, :]  # broadcast against the basis
-    return _operator(alg, m @ _matrix_basis(alg) @ m.conj().swapaxes(-1, -2))
+    """Coordinate matrix of x -> m x m^H, one per trial for a stack of m.
+
+    m E_k comes from one product per trial, and (m E_k) m^H is taken block by block, in place:
+    as one tall (dim m, m) product it rounds differently on some real orders (32-34).
+    """
+    dim, order = _matrix_basis(alg).shape[:2]
+    left = (m @ _basis_columns(alg)).reshape(m.shape[:-2] + (order, dim, order))
+    images = left.swapaxes(-3, -2) @ m.conj().swapaxes(-1, -2)[..., None, :, :]
+    del left  # freed before the projection allocates
+    return _operator(alg, images)
 
 
 class _MatrixBackend(_Backend):
@@ -540,25 +585,34 @@ class _MatrixBackend(_Backend):
         return self._element(a.algebra, _matrix_function(a, f, gap))
 
     def jordan_operator(self, a) -> np.ndarray:
-        basis, mat = _matrix_basis(a.algebra), a.data[..., None, :, :]
-        return _operator(a.algebra, 0.5 * (mat @ basis + basis @ mat))
+        # (a E_k + E_k a) / 2, with a E_k the conjugate transpose of E_k a
+        images = _hermitian_sum(_basis_products(a.algebra, a.data), 1.0)
+        return _operator(a.algebra, np.multiply(0.5, images, out=images))
 
     def quadratic_operator(self, a) -> np.ndarray:
         # associative shortcut x -> a x a, as in ``quadratic``
         return _conjugation_operator(a.algebra, a.data)
 
-    def conjugate(self, a, x, f, gap: float):
-        """m x m^H with m = f(a); f may be complex valued."""
-        m = _matrix_function(a, f, gap)
-        return self._element(a.algebra, m @ x.data @ m.conj().swapaxes(-1, -2))
+    def conjugator(self, a, f, gap: float):
+        """m = f(a) as ``conjugate`` and ``conjugation_operator`` take it; f may be complex
+        valued."""
+        return _read_only(_matrix_function(a, f, gap))
 
-    def conjugation_operator(self, a, f, gap: float) -> np.ndarray:
-        """Coordinate matrix of x -> m x m^H with m = f(a)."""
-        return _conjugation_operator(a.algebra, _matrix_function(a, f, gap))
+    def conjugate(self, m, x):
+        """m x m^H for the conjugator m."""
+        return self._element(x.algebra, m @ x.data @ m.conj().swapaxes(-1, -2))
 
-    def normals(self, alg, rng) -> np.ndarray:
-        """The standard normals (field_dim, n, n) of one Gaussian matrix, in draw order."""
-        return rng.standard_normal((self.field_dim, alg.size, alg.size))
+    def conjugation_operator(self, alg, m) -> np.ndarray:
+        """Coordinate matrix of x -> m x m^H for the conjugator m."""
+        return _conjugation_operator(alg, m)
+
+    def normals(self, alg, rngs) -> np.ndarray:
+        """The standard normals (k, field_dim, n, n) of one Gaussian matrix per Generator, in
+        draw order, each drawn into its slot of one buffer."""
+        out = np.empty((len(rngs), self.field_dim, alg.size, alg.size))
+        for rng, slot in zip(rngs, out):
+            rng.standard_normal(out=slot)
+        return out
 
     def gaussian(self, normals: np.ndarray) -> np.ndarray:
         """Gaussian matrices of the algebra's structure (not yet Hermitian) from ``normals``
@@ -571,8 +625,7 @@ class _MatrixBackend(_Backend):
         return _quat_embed(parts[..., 0, :, :], parts[..., 1, :, :])
 
     def random_elements(self, alg, rngs):
-        return self._element(alg, self.gaussian(np.array([self.normals(alg, rng)
-                                                          for rng in rngs])))
+        return self._element(alg, self.gaussian(self.normals(alg, rngs)))
 
     def random_projections(self, alg, rngs, proper: bool):
         # one product per rank: a product over zero-padded columns rounds differently
@@ -619,10 +672,11 @@ class _MatrixBackend(_Backend):
             return ("unitary_conjugation", "transpose")
         return ("unitary_conjugation",)
 
-    def iso_operator(self, alg, kind: str, rng) -> np.ndarray:
+    def iso_operator(self, alg, kind: str, rngs) -> np.ndarray:
         if kind == "transpose":
-            return _operator(alg, _matrix_basis(alg).swapaxes(1, 2))
-        return _conjugation_operator(alg, _random_structured_unitary(alg, rng))
+            transpose = _operator(alg, _matrix_basis(alg).swapaxes(1, 2))
+            return np.broadcast_to(transpose, (len(rngs),) + transpose.shape)
+        return _conjugation_operator(alg, _random_structured_unitaries(alg, rngs))
 
     def commutant_rows(self, alg, elems) -> np.ndarray:
         """Null space of the stacked commutator maps X -> Xs - sX, one coordinate row each.
@@ -630,10 +684,10 @@ class _MatrixBackend(_Backend):
         A NaN or infinite entry raises NumericalFailureError, as in ``_eigh``.
         """
         dim = self.real_dimension(alg)
-        basis = _matrix_basis(alg)
         blocks = []
         for s in elems:
-            comm = (basis @ s.data - s.data @ basis).reshape(dim, -1)
+            # E_k s - s E_k, with s E_k the conjugate transpose of E_k s
+            comm = _hermitian_sum(_basis_products(alg, s.data), -1.0).reshape(dim, -1)
             # (2 m^2, dim): one column per coordinate
             blocks.append(np.concatenate([comm.real, comm.imag], axis=1).T)
         stacked = np.vstack(blocks)
@@ -823,9 +877,9 @@ class _SpinBackend(_Backend):
     def order_isos(self, alg) -> tuple[str, ...]:
         return ("spin_rotation",)
 
-    def iso_operator(self, alg, kind: str, rng) -> np.ndarray:
-        rot = _random_structured_unitary(real_symmetric(alg.size), rng)
-        return _block_diag([rot, np.eye(1)])
+    def iso_operator(self, alg, kind: str, rngs) -> np.ndarray:
+        return _block_diag([_random_structured_unitaries(real_symmetric(alg.size), rngs),
+                            np.eye(1)])
 
     def commutant_rows(self, alg, elems) -> np.ndarray:
         dirs = _spin_directions(elems)
@@ -936,11 +990,17 @@ class _SumBackend(_Backend):
     def functional(self, a, f, gap: float):
         return _trusted(a.algebra, _blockwise("functional", (a,), f, gap))
 
-    def conjugate(self, a, x, f, gap: float):
-        return _trusted(a.algebra, _blockwise("conjugate", (a, x), f, gap))
+    def conjugator(self, a, f, gap: float):
+        """The summands' conjugators, in summand order."""
+        return _blockwise("conjugator", (a,), f, gap)
 
-    def conjugation_operator(self, a, f, gap: float) -> np.ndarray:
-        return _block_diag(_blockwise("conjugation_operator", (a,), f, gap))
+    def conjugate(self, m, x):
+        return _trusted(x.algebra, tuple(blk.algebra._backend.conjugate(mb, blk)
+                                         for mb, blk in zip(m, x.data)))
+
+    def conjugation_operator(self, alg, m) -> np.ndarray:
+        return _block_diag([s._backend.conjugation_operator(s, mb)
+                            for s, mb in zip(alg.summands, m)])
 
     def spectral_pairs(self, a, gap: float):
         """Blockwise frames merged across blocks: every block's values in one ascending order
@@ -1043,9 +1103,9 @@ class _SumBackend(_Backend):
         return tuple(k for k in ("unitary_conjugation", "transpose")
                      if all(k in s._backend.order_isos(s) for s in alg.summands))
 
-    def iso_operator(self, alg, kind: str, rng) -> np.ndarray:
-        # summand order fixes the order of the random draws
-        return _block_diag([s._backend.iso_operator(s, kind, rng) for s in alg.summands])
+    def iso_operator(self, alg, kind: str, rngs) -> np.ndarray:
+        # summand order fixes the order of each Generator's draws
+        return _block_diag([s._backend.iso_operator(s, kind, rngs) for s in alg.summands])
 
     def joint_frame(self, alg, elems, gap: float) -> list:
         """Every summand's frame in summand order, each projection's other blocks zero."""

@@ -14,7 +14,9 @@ radius.  All values are immutable and every operation is a pure function,
 so elements and maps can be shared freely between threads.  An element's
 eigen-data is computed on first use and kept on the instance; it is
 written once and derived only from the immutable data (a race between
-threads computes the same value twice), so the operations stay pure.  A
+threads computes the same value twice), so the operations stay pure.  The
+root of a sequential product at an element is kept the same way
+(``products``), and ``x * 1.0`` is x itself, caches included.  A
 descriptor keeps its identity and zero the same way.  Elements *stacked* by
 the backends hold k trials on a leading axis; arithmetic, ``seq_product``,
 the eigenvalue range, ``trace_inner_product``, ``rel_residual`` and
@@ -159,7 +161,10 @@ class Element:
         return self._combine(other, 1.0, -1.0)
 
     def __mul__(self, scalar: float) -> "Element":
-        return self.algebra._backend.scale(self, float(scalar))
+        scalar = float(scalar)
+        if scalar == 1.0:  # 1.0 x is x bit for bit; x keeps its eigen-data and product roots
+            return self
+        return self.algebra._backend.scale(self, scalar)
 
     __rmul__ = __mul__
 
@@ -448,5 +453,5 @@ def make_order_iso(alg: AlgebraDescriptor, kind: str, seed=0) -> LinearMap:
     of them, blockwise.  ``transpose`` needs complex Hermitian algebras (or
     sums of them); ``spin_rotation`` needs a spin factor.
     """
-    matrix, label = alg._backend.order_iso(alg, kind, np.random.default_rng(seed))
-    return LinearMap(alg, matrix, label)
+    matrix, label = alg._backend.order_iso(alg, kind, [np.random.default_rng(seed)])
+    return LinearMap(alg, matrix[0], label)

@@ -49,7 +49,6 @@ from .algebra import (
     identity,
     jordan_mult_operator,
     jordan_product,
-    make_order_iso,
     map_distance,
     min_eigenvalue,
     norm_at_most,
@@ -312,17 +311,27 @@ def _homogeneity(rngs, p, alg, trials, params):
 
 def _invariance(rngs, p, alg, trials, params):
     """Each trial's order isomorphism, of the requested kind or else of its turn among the
-    available ones, from a seed its Generator draws first; then a and b."""
+    available ones, from a seed its Generator draws first; then a and b.
+
+    Each map is ``make_order_iso(alg, kind, seed)`` bit for bit, built with the other trials of
+    its kind as one stack, each from its own Generator ``default_rng(seed)``.
+    """
     kinds = list(alg._backend.order_isos(alg))
     if not kinds:
         raise CapabilityError(f"no order isomorphism family is available on {alg}")
     requested = params.get("iso")
     if requested is not None and requested not in kinds:
         raise CapabilityError(f"isomorphism kind {requested!r} is not available on {alg}")
-    phis = [make_order_iso(alg, kinds[i % len(kinds)] if requested is None else requested,
-                           seed=int(rng.integers(2 ** 31))) for rng, i in zip(rngs, trials)]
+    iso_rngs = [np.random.default_rng(int(rng.integers(2 ** 31))) for rng in rngs]
+    chosen = [kinds[i % len(kinds)] if requested is None else requested for i in trials]
+    d = alg.real_dimension
+    matrices, labels = np.empty((len(rngs), d, d)), {}
+    for kind in dict.fromkeys(chosen):  # one stack per kind
+        sel = [k for k, c in enumerate(chosen) if c == kind]
+        matrices[sel], labels[kind] = alg._backend.order_iso(alg, kind,
+                                                             [iso_rngs[k] for k in sel])
     return {"a": _random_effects(alg, rngs), "b": _random_effects(alg, rngs),
-            "phi": _stack(alg, phis)}
+            "phi": _linear_map(alg, matrices, tuple(labels[c] for c in chosen))}
 
 
 def _theta(rngs, p, alg, trials, params):

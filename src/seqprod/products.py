@@ -116,24 +116,44 @@ def _check_product_algebra(p: SequentialProduct, a: Element):
             f"product on {p.algebra} applied to elements of {a.algebra}")
 
 
+def _product_root(p: SequentialProduct, a: Element):
+    """The root of ``p`` at a: sqrt(a) (an Element, a o b = Q_sqrt(a)(b)) for the standard
+    product, the conjugator m = sqrt(a) a^{it} (a o b = m b m^H) for twisted:t.
+
+    It is built once per twist (None for the standard product) and kept on a, as ``_eigen``
+    keeps (w, V): the data is immutable, so the entry never goes stale.  A failed build keeps
+    nothing.
+    """
+    roots = a.__dict__.get("_roots")
+    root = None if roots is None else roots.get(p.twist)
+    if root is None:
+        if p.is_standard:
+            root = sqrt_pos(a)
+        else:
+            root = a.algebra._backend.conjugator(a, _twisted_power(p.twist, root=True),
+                                                 DEFAULT_GAP)
+        a.__dict__.setdefault("_roots", {})[p.twist] = root
+    return root
+
+
 def seq_product(p: SequentialProduct, a: Element, b: Element) -> Element:
     """a o b.  The first argument must be positive; b may be any element."""
     check_same_algebra(a, b)
     _check_product_algebra(p, a)
+    root = _product_root(p, a)
     if p.is_standard:
-        return quadratic_rep(sqrt_pos(a), b)
-    return a.algebra._backend.conjugate(a, b, _twisted_power(p.twist, root=True), DEFAULT_GAP)
+        return quadratic_rep(root, b)
+    return a.algebra._backend.conjugate(root, b)
 
 
 def multiplication_operator(p: SequentialProduct, a: Element) -> LinearMap:
-    """L_a: b -> a o b as a linear map, in closed form from one eigensolve per block."""
+    """L_a: b -> a o b as a linear map, in closed form from the product root at a."""
     _check_product_algebra(p, a)
-    backend = p.algebra._backend
+    backend, root = p.algebra._backend, _product_root(p, a)
     if p.is_standard:
-        matrix = backend.quadratic_operator(sqrt_pos(a))
+        matrix = backend.quadratic_operator(root)
     else:
-        matrix = backend.conjugation_operator(a, _twisted_power(p.twist, root=True),
-                                              DEFAULT_GAP)
+        matrix = backend.conjugation_operator(p.algebra, root)
     return _linear_map(p.algebra, matrix, "L_a")
 
 
@@ -184,7 +204,9 @@ def imaginary_power_conjugation(q: Element, t: float) -> LinearMap:
     alg = q.algebra
     if not alg.is_complex_kind():
         raise CapabilityError(f"imaginary powers need a complex algebra, not {alg}")
-    matrix = alg._backend.conjugation_operator(q, _twisted_power(t, root=False), DEFAULT_GAP)
+    backend = alg._backend
+    matrix = backend.conjugation_operator(
+        alg, backend.conjugator(q, _twisted_power(t, root=False), DEFAULT_GAP))
     return _linear_map(alg, matrix, f"Ad(q^{{i{t}}})")
 
 

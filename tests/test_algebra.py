@@ -123,6 +123,13 @@ def test_linear_map_keeps_its_own_copy_of_the_matrix():
     assert sp.LinearMap(alg, strided).matrix.flags.c_contiguous
 
 
+def test_scaling_by_one_returns_the_element_itself(algebra):
+    # 1.0 x is x bit for bit, so x keeps its cached eigen-data and product roots
+    a = sp.random_effect(algebra, 44)
+    assert a * 1.0 is a and 1.0 * a is a and a * 1 is a
+    assert a * 0.5 is not a and a * -1.0 is not a
+
+
 def test_mult_operator_of_unit_is_identity(algebra):
     t_one = sp.jordan_mult_operator(sp.identity(algebra))
     assert map_distance(t_one, sp.LinearMap.identity(algebra)) <= 1e-12

@@ -232,9 +232,12 @@ def test_diagonalize_rejects_non_positive_gap(gap):
 # public constructor; ``reference_basis`` builds one element per null-space row.
 # The package reads the first generator's cached solve, keeps one-dimensional
 # subspaces as they are, and builds the basis as one stack; both must equal
-# the reference bit for bit: data, dtype and signed zeros.
+# the reference bit for bit: data, dtype and signed zeros.  The package forms
+# the commutators as B - B^H from one product B = [E_1; ...; E_d] s; on
+# complex:2, complex:3 and quat:3 its rows differ from the reference's in
+# the signs of some zero entries, and the bases must still be equal.
 
-ORACLE_ALGEBRAS = ["real:4", "complex:4", "quat:3", "quat:2", "spin:5", "real:1",
+ORACLE_ALGEBRAS = ["real:4", "complex:4", "quat:3", "quat:2", "complex:2", "spin:5", "real:1",
                    "sum(complex:2,real:3)", "sum(sum(real:2,complex:2),spin:2)"]
 PROFILES = ["generic", "singular", "sharp", "invertible"]
 

@@ -4,14 +4,30 @@
 basis element at a time, through the element-level action.  The package
 builds T_a, Q_a, L_a, Ad(q^{it}) and the order isomorphisms in closed form;
 each must agree with this reference.
+
+The package forms every image from one product per trial (E_k a for all k as
+one (dim m, m) stack; m [E_1 | ... | E_d], then m^H).  The per-basis formulas
+it replaced, one product per basis element, and the trial-by-trial polar
+factor are kept here as references that the package must equal bit for bit.
 """
 
 import numpy as np
 import pytest
 
 import seqprod as sp
-from seqprod._backends import _random_structured_unitary
-from seqprod.algebra import KIND_SPIN, KIND_SUM, Element, from_coords, to_coords
+from seqprod import auditor
+from seqprod._backends import (
+    POLAR_DEGENERACY,
+    POLAR_STOP,
+    _block_diag,
+    _matrix_basis,
+    _operator,
+    _random_structured_unitaries,
+)
+from seqprod.algebra import KIND_SPIN, KIND_SUM, Element, _random_effects, from_coords, to_coords
+from seqprod.errors import NumericalFailureError
+from seqprod.products import _twisted_power
+from seqprod.spectral import DEFAULT_GAP
 
 from conftest import ALGEBRA_SHORTHANDS
 
@@ -34,6 +50,26 @@ def assemble_map(alg, fn):
     return cols
 
 
+def reference_unitary(alg, rng):
+    """The unitary polar factor of one Gaussian draw, drawn again while degenerate, trial by
+    trial: the polar path that the stacked one replaced."""
+    backend = alg._backend
+    m = backend.matrix_order(alg)
+    for _ in range(8):
+        g = backend.gaussian(rng.standard_normal((backend.field_dim, alg.size, alg.size)))
+        w, v = np.linalg.eigh(g.conj().T @ g)
+        if w[0] <= POLAR_DEGENERACY * max(1.0, w[-1]):
+            continue
+        u = g @ (v * (w ** -0.5)) @ v.conj().T
+        for _ in range(4):
+            err = u.conj().T @ u - np.eye(m)
+            if np.abs(err).max() <= POLAR_STOP:
+                break
+            u = u @ (np.eye(m) - 0.5 * err)
+        return u
+    raise NumericalFailureError("degenerate")
+
+
 def iso_action(alg, kind, rng):
     """Element action of ``make_order_iso(alg, kind, rng)``, drawn in the same order."""
     if alg.kind == KIND_SUM:
@@ -42,9 +78,9 @@ def iso_action(alg, kind, rng):
     if kind == "transpose":
         return lambda x: Element(alg, x.data.T)
     if alg.kind == KIND_SPIN:
-        rot = _random_structured_unitary(sp.real_symmetric(alg.size), rng)
+        rot = reference_unitary(sp.real_symmetric(alg.size), rng)
         return lambda x: Element(alg, (rot @ x.data[0], x.data[1]))
-    u = _random_structured_unitary(alg, rng)
+    u = reference_unitary(alg, rng)
     return lambda x: Element(alg, u @ x.data @ u.conj().T)
 
 
@@ -125,3 +161,178 @@ def test_multiplication_operator_rejects_other_algebra():
     p = sp.SequentialProduct.standard(sp.real_symmetric(3))
     with pytest.raises(sp.DescriptorMismatchError):
         sp.multiplication_operator(p, sp.random_effect(sp.complex_hermitian(3), 76))
+
+
+# ---------------------------------------------------------------------------
+# bit for bit against the per-basis formulas
+# ---------------------------------------------------------------------------
+
+BIT_SHORTHANDS = ["real:4", "complex:4", "quat:3", "spin:5", "sum(complex:2,real:3)",
+                  "complex:3", "sum(spin:3,quat:2)", "complex:16", "real:32"]
+
+
+def _bits(arr):
+    """dtype, shape and bytes: signed zeros show in the bytes."""
+    return arr.dtype, arr.shape, np.ascontiguousarray(arr).tobytes()
+
+
+def reference_jordan_operator(a):
+    """T_a from (a E_k + E_k a) / 2, two products per basis element."""
+    alg = a.algebra
+    if alg.kind == KIND_SUM:
+        return _block_diag([reference_jordan_operator(blk) for blk in a.data])
+    if alg.kind == KIND_SPIN:
+        return alg._backend.jordan_operator(a)
+    basis, mat = _matrix_basis(alg), a.data[..., None, :, :]
+    return _operator(alg, 0.5 * (mat @ basis + basis @ mat))
+
+
+def reference_conjugation_operator(alg, m):
+    """x -> m x m^H from (m E_k) m^H, two products per basis element."""
+    m = m[..., None, :, :]
+    return _operator(alg, m @ _matrix_basis(alg) @ m.conj().swapaxes(-1, -2))
+
+
+def reference_quadratic_operator(a):
+    """The shortcut x -> a x a on matrix blocks, the Jordan form on spin blocks."""
+    alg = a.algebra
+    if alg.kind == KIND_SUM:
+        return _block_diag([reference_quadratic_operator(blk) for blk in a.data])
+    if alg.kind == KIND_SPIN:
+        return alg._backend.quadratic_operator(a)
+    return reference_conjugation_operator(alg, a.data)
+
+
+def _effects(alg, stacked, seed):
+    if stacked:
+        return _random_effects(alg, [np.random.default_rng(seed + k) for k in range(3)])
+    return sp.random_effect(alg, seed)
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+@pytest.mark.parametrize("short", BIT_SHORTHANDS)
+def test_operators_equal_the_per_basis_formulas_bit_for_bit(short, stacked):
+    alg = sp.parse_algebra(short)
+    backend = alg._backend
+    a = _effects(alg, stacked, 90)
+    pairs = [(backend.jordan_operator(a), reference_jordan_operator(a)),
+             (backend.quadratic_operator(a), reference_quadratic_operator(a)),
+             (sp.multiplication_operator(sp.SequentialProduct.standard(alg), a).matrix,
+              reference_quadratic_operator(sp.sqrt_pos(a)))]
+    if alg.is_complex_kind():  # twisted L_a and Ad(q^{it}): x -> m x m^H for complex m
+        for t, root in ((0.7, True), (-0.3, False)):
+            m = backend.conjugator(a, _twisted_power(t, root), DEFAULT_GAP)
+            pairs.append((backend.conjugation_operator(alg, m),
+                          reference_conjugation_operator(alg, m)))
+        pairs.append((sp.imaginary_power_conjugation(a, -0.3).matrix, pairs[-1][1]))
+    for got, want in pairs:
+        assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("short", ["real:4", "complex:4", "quat:3", "complex:16"])
+def test_unitary_isomorphism_equals_the_per_basis_formula(short):
+    alg = sp.parse_algebra(short)
+    phi = sp.make_order_iso(alg, "unitary_conjugation", seed=91)
+    want = reference_conjugation_operator(alg, reference_unitary(alg, np.random.default_rng(91)))
+    assert _bits(phi.matrix) == _bits(want)
+
+
+# ---------------------------------------------------------------------------
+# polar factors and INVARIANCE's isomorphisms as stacks
+# ---------------------------------------------------------------------------
+
+class Planted:
+    """A Generator whose first normal draws are overwritten by ``first``, in order; each draw
+    is still made, so the stream goes on as it would."""
+
+    def __init__(self, seed, first=()):
+        self.rng, self.first = np.random.Generator(np.random.PCG64(seed)), list(first)
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        drawn = self.rng.standard_normal(size, dtype, out)
+        if self.first:
+            drawn[...] = self.first.pop(0)
+        return drawn
+
+    def __getattr__(self, name):  # every other draw as the Generator makes it
+        return getattr(self.rng, name)
+
+
+def _planted_draws(alg):
+    """Normals of a rank-deficient sample (its last rows zero), of a diagonal one (its polar
+    factor needs no polishing) and of an ill-conditioned one (it needs two polishing steps on
+    the small orders, where a plain draw needs one)."""
+    backend = alg._backend
+    n = alg.size
+    shape = (backend.field_dim, n, n)
+    rank_deficient = np.random.default_rng(92).standard_normal(shape)
+    rank_deficient[:, -1, :] = 0.0
+    diagonal, ill = np.zeros((2,) + shape)
+    diagonal[0] = np.diag(np.geomspace(1.0, 1e-4, n))
+    q, r = (np.linalg.qr(np.random.default_rng(s).standard_normal((n, n)))[0] for s in (92, 93))
+    ill[0] = q @ np.diag(np.geomspace(1.0, 1.5e-5, n)) @ r
+    return rank_deficient, diagonal, ill
+
+
+@pytest.mark.parametrize("short", ["real:4", "complex:4", "quat:3", "real:1", "complex:16"])
+def test_stacked_polar_factors_equal_the_trial_by_trial_ones(short):
+    alg = sp.parse_algebra(short)
+    bad, diagonal, ill = _planted_draws(alg)
+    plants = [[], [bad], [diagonal], [bad, bad], [bad, ill], [], [ill], [bad, diagonal]]
+    got = _random_structured_unitaries(alg, [Planted(93 + k, p) for k, p in enumerate(plants)])
+    for k, p in enumerate(plants):
+        want = reference_unitary(alg, Planted(93 + k, p))
+        assert _bits(got[k]) == _bits(want)
+    one = _random_structured_unitaries(alg, [Planted(94, [bad])])
+    assert _bits(one[0]) == _bits(reference_unitary(alg, Planted(94, [bad])))
+
+
+def test_a_sample_degenerate_eight_times_raises():
+    alg = sp.real_symmetric(3)
+    bad = _planted_draws(alg)[0]
+    with pytest.raises(NumericalFailureError):
+        _random_structured_unitaries(alg, [Planted(95), Planted(96, [bad] * 8)])
+
+
+INVARIANCE_CASES = [("complex:3", None), ("complex:3", "transpose"), ("spin:5", None),
+                    ("quat:3", None), ("sum(complex:2,complex:3)", None),
+                    ("sum(complex:2,complex:3)", "transpose"), ("sum(complex:2,real:3)", None),
+                    ("sum(spin:2,real:2)", "unitary_conjugation")]
+
+
+def _invariance_maps(alg, iso, trials):
+    """INVARIANCE's stacked maps, and each trial's ``make_order_iso`` from the same seed."""
+    p = sp.SequentialProduct.standard(alg)
+    params = {} if iso is None else {"iso": iso}
+    rngs, again = ([np.random.Generator(np.random.PCG64(97 + i)) for i in trials]
+                   for _ in range(2))
+    phi = auditor._invariance(rngs, p, alg, trials, params)["phi"]
+    kinds = alg._backend.order_isos(alg)
+    want = [sp.make_order_iso(alg, iso or kinds[i % len(kinds)], seed=int(rng.integers(2 ** 31)))
+            for rng, i in zip(again, trials)]
+    return phi, want
+
+
+@pytest.mark.parametrize("short,iso", INVARIANCE_CASES)
+def test_invariance_isomorphisms_equal_make_order_iso(short, iso):
+    alg = sp.parse_algebra(short)
+    if iso is not None and iso not in alg._backend.order_isos(alg):
+        with pytest.raises(sp.CapabilityError):
+            _invariance_maps(alg, iso, range(3))
+        return
+    phi, want = _invariance_maps(alg, iso, range(3, 10))
+    assert phi.label == tuple(m.label for m in want)
+    assert _bits(phi.matrix) == _bits(np.stack([m.matrix for m in want]))
+
+
+@pytest.mark.parametrize("short", ["quat:3", "spin:5", "sum(complex:2,real:3)"])
+def test_invariance_redraws_a_degenerate_first_draw_as_make_order_iso_does(monkeypatch, short):
+    alg = sp.parse_algebra(short)
+    block = (alg.summands or (alg,))[0]
+    # every isomorphism's Generator seeded with an odd number draws a rank-deficient first
+    # sample (in its first block)
+    first = _planted_draws(block if block.kind != KIND_SPIN else sp.real_symmetric(block.size))[0]
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: Planted(seed, [first] if seed % 2 else []))
+    phi, want = _invariance_maps(alg, None, range(6))
+    assert _bits(phi.matrix) == _bits(np.stack([m.matrix for m in want]))

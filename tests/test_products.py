@@ -370,3 +370,66 @@ def test_inverse_antitone(algebra):
     assert sp.leq(y, x, 1e-7)
     # ... and applying the same antitone map to the inverse pair returns a <= b
     assert sp.leq(sp.pseudo_inverse(x), sp.pseudo_inverse(y), 1e-7)
+
+
+# ---------------------------------------------------------------------------
+# the product root, kept on the first argument
+# ---------------------------------------------------------------------------
+
+ROOT_CASES = [("real:4", None), ("quat:3", None), ("spin:5", None),
+              ("sum(complex:2,real:3)", None), ("complex:3", None), ("complex:3", 0.7),
+              ("sum(complex:2,complex:3)", -0.4)]
+
+
+def _product(alg, twist):
+    return _std(alg) if twist is None else sp.SequentialProduct.twisted(alg, twist)
+
+
+def _data_bits(x):
+    """The bytes of every stored array of an element: signed zeros show."""
+    if isinstance(x.data, tuple) and isinstance(x.data[0], sp.Element):
+        return [b for blk in x.data for b in _data_bits(blk)]
+    return [np.asarray(part).tobytes() for part in (x.data if isinstance(x.data, tuple)
+                                                    else (x.data,))]
+
+
+@pytest.mark.parametrize("short,twist", ROOT_CASES)
+def test_a_second_product_with_the_same_first_argument_reuses_its_root(monkeypatch, short,
+                                                                       twist):
+    from seqprod import _backends
+    alg = sp.parse_algebra(short)
+    p = _product(alg, twist)
+    a, b, c = (sp.random_effect(alg, seed) for seed in (45, 46, 47))
+    first = sp.seq_product(p, a, b)
+    calls = []
+    solve = _backends._matrix_function
+    monkeypatch.setattr(_backends, "_matrix_function",
+                        lambda *args: calls.append(args) or solve(*args))
+    again, other = sp.seq_product(p, a, b), sp.seq_product(p, a, c)
+    l_a = sp.multiplication_operator(p, a)
+    assert not calls
+    assert _data_bits(again) == _data_bits(first)
+    fresh = sp.Element(alg, a.data)  # no cached root
+    assert _data_bits(other) == _data_bits(sp.seq_product(p, fresh, c))
+    assert l_a.matrix.tobytes() == sp.multiplication_operator(p, fresh).matrix.tobytes()
+
+
+def test_each_twist_keeps_its_own_root():
+    alg = sp.complex_hermitian(3)
+    a, b = sp.random_effect(alg, 48), sp.random_effect(alg, 49)
+    for text in ("standard", "twisted:0.0", "twisted:0.5", "standard", "twisted:0.0"):
+        p = sp.parse_product(text, alg)
+        want = sp.seq_product(p, sp.Element(alg, a.data), b)
+        assert _data_bits(sp.seq_product(p, a, b)) == _data_bits(want), text
+
+
+def test_a_root_that_fails_is_not_kept():
+    alg = sp.real_symmetric(3)
+    a = sp.Element(alg, np.diag([0.5, -0.2, 0.3]))
+    b = sp.random_effect(alg, 50)
+    for _ in range(2):
+        with pytest.raises(sp.PreconditionError):
+            sp.seq_product(_std(alg), a, b)
+        with pytest.raises(sp.PreconditionError):
+            sp.multiplication_operator(_std(alg), a)
+        assert "_roots" not in a.__dict__

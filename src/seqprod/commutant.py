@@ -1,8 +1,13 @@
 """Commutants, bicommutants and the finite commutative function model.
 
 For matrix kinds, product commutation of effects coincides with matrix
-commutation, so the commutant of a set S is the null space of the stacked
-commutator maps X -> Xs - sX over element coordinates.  A mutually
+commutation, and quantitatively: for positive a and b,
+
+    ||a o b - b o a|| <= ||[a, b]|| (1 + sqrt(hi_a / lo_a) / 2 + sqrt(hi_b / lo_b) / 2)
+
+with [lo, hi] the spectral ends (``_proved_commuting``).  So the commutant of
+a set S is the null space of the stacked commutator maps X -> Xs - sX over
+element coordinates.  A mutually
 commuting family is simultaneously diagonalized into a frame of joint
 eigenprojections; on that frame the sequential product becomes pointwise
 multiplication of the joint eigenvalue vectors, i.e. the algebra generated
@@ -15,17 +20,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._backends import BOUND_MARGIN
 from .algebra import (
     AlgebraDescriptor,
     Element,
     check_same_algebra,
+    eigenvalue_range,
     from_coords,
     to_coords,
     trace,
     trace_inner_product,
 )
 from .errors import CapabilityError, PreconditionError
-from .products import SequentialProduct, commutes
+from .products import (
+    COMMUTE_FLOOR,
+    COMMUTE_ROUNDING,
+    COMMUTE_TOL,
+    SequentialProduct,
+    commutes,
+)
 from .spectral import DEFAULT_GAP
 
 
@@ -78,11 +91,61 @@ def commutant_basis(elems: list[Element]) -> list[Element]:
     return [backend.take(basis, i) for i in range(len(rows))]
 
 
+def _proved_commuting(a: Element, b: Element) -> bool:
+    """True when a bound proves that ``commutes`` holds for a and b under the standard product,
+    without building either product; False leaves the pair open.
+
+    With a o b = sqrt(a) b sqrt(a), sqrt(a) b sqrt(a) = ab - sqrt(a) [sqrt(a), b], so
+
+        a o b - b o a = [a, b] - sqrt(a) [sqrt(a), b] + sqrt(b) [sqrt(b), a],
+        ||a o b - b o a|| <= ||[a, b]|| + ||sqrt(a)|| ||[sqrt(a), b]||
+                             + ||sqrt(b)|| ||[sqrt(b), a]||.
+
+    In a's eigenbasis [sqrt(a), b]_ij = [a, b]_ij / (sqrt(l_i) + sqrt(l_j)): the Schur product
+    of [a, b] with the kernel 1 / (sqrt(l_i) + sqrt(l_j)), the integral over s > 0 of
+    exp(-s sqrt(l_i)) exp(-s sqrt(l_j)), which is positive semidefinite.  A positive
+    semidefinite Schur multiplier has norm at most its largest diagonal entry,
+    1 / (2 sqrt(lo_a)), and ||sqrt(a)|| = sqrt(hi_a), so
+
+        ||a o b - b o a|| <= ||[a, b]|| (1 + sqrt(hi_a / lo_a) / 2 + sqrt(hi_b / lo_b) / 2).
+
+    The backends bound ||[a, b]|| by its Frobenius norm on a matrix block, by 2 |v ^ w| (exact,
+    in the Clifford representation) on a spin factor, and take a direct sum's largest block
+    bound (``commutation_bound``).  The pair is settled when the bound plus the allowance
+    COMMUTE_ROUNDING max(1, ||a||) max(1, ||b||) is at most COMMUTE_TOL (1 - BOUND_MARGIN).
+    The allowance must dominate three errors.  The first is the rounding of the computed
+    commutator, times the bracket, which COMMUTE_FLOOR keeps at most
+    1 + sqrt(||a|| / 4e-6) + sqrt(||b|| / 4e-6) (1001 on effects).  The second is the
+    eigensolver's error in the spectral ends, which moves the bracket by a relative
+    m eps ||a|| / lo on order m: under 1e-8 at the floor on order 32, so under 1e-16 on a
+    bound near COMMUTE_TOL.  The third is the rounding of the roots and sandwiches that
+    ``commutes`` would compute, by which its solved norm may exceed the exact one.  Each
+    scales with ||a|| ||b||.  On effects of orders 16 to 32 with an eigenvalue at the floor,
+    the first measured at most 3e-14 and the third 2e-15.  The floor is above SUPPORT_TOL, so
+    the root that ``commutes`` takes is sqrt(a) on the whole spectrum.
+
+    The ends are read (and solved, once per element) in the order ``commutes`` would solve
+    them, and an a below the floor goes to ``commutes`` before b is read, so every error is the
+    one ``commutes`` raises.
+    """
+    lo_a, hi_a = eigenvalue_range(a)
+    if not lo_a >= COMMUTE_FLOOR:
+        return False
+    lo_b, hi_b = eigenvalue_range(b)
+    if not lo_b >= COMMUTE_FLOOR:
+        return False
+    allowance = COMMUTE_ROUNDING * max(1.0, hi_a) * max(1.0, hi_b)
+    bound = a.algebra._backend.commutation_bound(a, b)
+    return bool(bound + allowance <= COMMUTE_TOL * (1.0 - BOUND_MARGIN))
+
+
 def _require_mutually_commuting(elems, alg):
+    """Every pair commutes: proved by ``_proved_commuting``, else decided by ``commutes``."""
     std = SequentialProduct.standard(alg)
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
-            if not commutes(std, elems[i], elems[j]):
+            a, b = elems[i], elems[j]
+            if not (_proved_commuting(a, b) or commutes(std, a, b)):
                 raise PreconditionError(f"elements {i} and {j} do not commute")
 
 

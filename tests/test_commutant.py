@@ -1,9 +1,15 @@
+import math
+from functools import reduce
+
 import numpy as np
 import pytest
 
 import seqprod as sp
+from seqprod import _backends
 from seqprod._backends import KIND_SPIN, _clusters, _eigh, _matrix_basis
 from seqprod.algebra import from_coords, to_coords
+from seqprod.commutant import _proved_commuting
+from seqprod.products import COMMUTE_FLOOR, COMMUTE_ROUNDING
 from seqprod.spectral import DEFAULT_GAP
 
 from test_sum_frames import _bits
@@ -397,6 +403,7 @@ def test_diagonalizing_a_pair_makes_only_the_commutation_checks_solves(solves):
     assert solves[0] - start == 2
     start = solves[0]
     assert sp.simultaneous_diagonalize([_fresh(a), _fresh(b)]).points == 4
+    # the spectral ends of a and b, which prove the pair commuting; the frame reads a's solve
     assert solves[0] - start == 2
 
 
@@ -435,3 +442,181 @@ def test_non_finite_input_fails_loudly(short, bad):
             sp.simultaneous_diagonalize(family)
         with pytest.raises(sp.CapabilityError if alg.summands else sp.NumericalFailureError):
             sp.commutant_basis(family)
+
+
+# ---------------------------------------------------------------------------
+# the commutation bound against commutes
+# ---------------------------------------------------------------------------
+#
+# ``_proved_commuting`` accepts a pair from ||[a, b]|| and the spectral ends
+# alone; every other pair goes to ``commutes``.  The battery draws commuting
+# pairs b = f(a), pairs near the threshold b = (1 - e) f(a) + e h, generic,
+# sharp, singular and non-positive pairs, and ill-conditioned pairs whose
+# perturbation couples the eigenvectors of a's two smallest eigenvalues, both
+# near COMMUTE_FLOOR (on a spin factor, of its two eigenvalues): on matrix
+# kinds the root terms of the bound are then what bounds the product
+# commutator.
+
+BOUND_ALGEBRAS = ["real:4", "complex:4", "quat:3", "spin:5", "sum(complex:2,real:3)",
+                  "complex:3", "sum(spin:3,quat:2)"]
+FUNCTIONS = {"square": lambda x: x * x, "affine": lambda x: 0.05 + 0.9 * x * x,
+             "root": lambda x: math.sqrt(max(x, 0.0)), "complement": lambda x: 1.0 - x}
+
+
+def _peirce(p, q, x):
+    """The part of x between the orthogonal idempotents p and q: p x q + q x p on matrices."""
+    return sp.quadratic_rep(p + q, x) - sp.quadratic_rep(p, x) - sp.quadratic_rep(q, x)
+
+
+def _ill_conditioned(a, lows):
+    """a with its smallest cluster values moved to ``lows``, and its frame in ascending order."""
+    values, frame = zip(*sp.spectral_decompose(a).pairs)
+    moved = dict(zip(values[::-1], lows))
+
+    def f(x):
+        return next((low for v, low in moved.items() if abs(x - v) <= 1e-9), x)
+
+    return sp.functional_calculus(a, f), frame[::-1]
+
+
+def _bound_pairs(alg, seed):
+    """(name, a, b) of the battery on ``alg``."""
+    rng = np.random.default_rng(seed)
+    one = sp.identity(alg)
+    pairs = []
+    for k, profile in enumerate(PROFILES):
+        a = sp.random_effect(alg, seed + k, profile)
+        pairs += [(f"{name}({profile})", a, sp.functional_calculus(a, f))
+                  for name, f in FUNCTIONS.items()]
+    for k in range(6):
+        a, h = sp.random_effect(alg, seed + 10 + k), sp.random_effect(alg, seed + 20 + k)
+        eps = 10.0 ** rng.uniform(-14, -5)
+        fa = sp.functional_calculus(a, list(FUNCTIONS.values())[k % 2])
+        pairs.append((f"near {eps:.1e}", a, fa * (1.0 - eps) + h * eps))
+    a, b = sp.random_effect(alg, seed + 30), sp.random_effect(alg, seed + 31)
+    narrow = [one * 0.5 + (x - one * 0.5) * 0.02 for x in (a, b)]
+    pairs += [("generic", a, b), ("narrow", *narrow),
+              ("sharp", sp.random_effect(alg, seed + 32, "sharp"),
+               sp.random_effect(alg, seed + 33, "sharp")),
+              ("singular", sp.random_effect(alg, seed + 34, "singular"), b),
+              ("non-positive", a - one * 0.2, sp.functional_calculus(a, FUNCTIONS["square"])),
+              ("positive, non-positive", b, a - one * 0.2)]
+    # spin factors have two eigenvalues, so only the smallest moves
+    lows = [1.5 * COMMUTE_FLOOR] + ([] if alg.kind == KIND_SPIN else [4.0 * COMMUTE_FLOOR])
+    a, frame = _ill_conditioned(sp.random_effect(alg, seed + 40), lows)
+    base = one * 0.5 + a * 0.5
+    h = _peirce(frame[0], frame[1], sp.random_effect(alg, seed + 41))
+    for eps in sorted(10.0 ** rng.uniform(-14, -1, 4)):
+        pairs.append((f"ill-conditioned {eps:.1e}", a, base + h * (0.4 * eps)))
+    below, _ = _ill_conditioned(sp.random_effect(alg, seed + 42), [0.9 * COMMUTE_FLOOR])
+    pairs.append(("below the floor", below, sp.functional_calculus(below, FUNCTIONS["square"])))
+    return pairs
+
+
+def _outcome(call):
+    try:
+        call()
+    except sp.SeqprodError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("short", BOUND_ALGEBRAS)
+def test_the_precondition_fails_exactly_when_commutes_does(short):
+    alg = sp.parse_algebra(short)
+    std = sp.SequentialProduct.standard(alg)
+    proved = opened = 0
+    for name, a, b in _bound_pairs(alg, 90):
+        verdict = []
+        expected = _outcome(lambda: verdict.append(sp.commutes(std, _fresh(a), _fresh(b))))
+        if expected is None and not verdict[0]:
+            expected = (sp.PreconditionError, "elements 0 and 1 do not commute")
+        got = _outcome(lambda: sp.simultaneous_diagonalize([_fresh(a), _fresh(b)]))
+        assert got == expected, name
+        if not alg.summands:
+            assert _outcome(lambda: sp.bicommutant_basis([_fresh(a), _fresh(b)])) == expected, name
+        settled = _proved_commuting(_fresh(a), _fresh(b))
+        assert not settled or verdict == [True], name
+        proved += settled
+        opened += verdict == [True] and not settled
+    assert proved >= 12 and opened >= 1  # the battery reaches both sides of the bound
+
+
+def _clifford(d):
+    """d anticommuting Hermitian unitaries (Jordan-Wigner)."""
+    pauli_x, pauli_y, pauli_z = (np.array(m, dtype=complex) for m in
+                                 ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]))
+    qubits = (d + 1) // 2
+    gens = [reduce(np.kron, [pauli_z] * j + [s] + [np.eye(2)] * (qubits - j - 1))
+            for j in range(qubits) for s in (pauli_x, pauli_y)]
+    return gens[:d]
+
+
+def _matrix_blocks(x):
+    """x as a list of Hermitian matrices, one per simple block; spin in its Clifford form."""
+    if x.algebra.summands:
+        return [m for blk in x.data for m in _matrix_blocks(blk)]
+    if x.algebra.kind == KIND_SPIN:
+        v, t = x.data
+        gens = _clifford(len(v))
+        return [t * np.eye(len(gens[0])) + sum(c * g for c, g in zip(v, gens))]
+    return [x.data]
+
+
+def _chain_middle(a, b):
+    """||[a, b]|| + ||sqrt(a)|| ||[sqrt(a), b]|| + ||sqrt(b)|| ||[sqrt(b), a]||, per block."""
+    def root(m):
+        w, v = np.linalg.eigh(m)
+        return (v * np.sqrt(w)) @ v.conj().T
+
+    def comm_norm(x, y):
+        return np.linalg.norm(x @ y - y @ x, 2)
+
+    return max(comm_norm(x, y) + np.linalg.norm(root(x), 2) * comm_norm(root(x), y)
+               + np.linalg.norm(root(y), 2) * comm_norm(root(y), x)
+               for x, y in zip(_matrix_blocks(a), _matrix_blocks(b)))
+
+
+@pytest.mark.parametrize("short", BOUND_ALGEBRAS)
+def test_the_bound_is_at_least_each_side_of_its_chain(short):
+    # the solved ||a o b - b o a|| <= the middle of the chain <= the bound, each up to the
+    # rounding allowance; the middle is formed in numpy on the blocks' matrices
+    alg = sp.parse_algebra(short)
+    std = sp.SequentialProduct.standard(alg)
+    ratios = []
+    for name, a, b in _bound_pairs(alg, 91):
+        (lo_a, hi_a), (lo_b, hi_b) = sp.algebra.eigenvalue_range(a), sp.algebra.eigenvalue_range(b)
+        if not (lo_a > 1e-12 and lo_b > 1e-12):
+            continue
+        bound = alg._backend.commutation_bound(a, b)
+        allowance = COMMUTE_ROUNDING * max(1.0, hi_a) * max(1.0, hi_b)
+        solved = sp.order_unit_norm(sp.seq_product(std, a, b) - sp.seq_product(std, b, a))
+        assert solved <= bound + allowance, name
+        assert _chain_middle(a, b) <= bound + allowance, name
+        if solved > 1e3 * allowance:
+            ratios.append(bound / solved)
+    assert ratios and min(ratios) >= 1.0
+
+
+@pytest.mark.parametrize("short", BOUND_ALGEBRAS)
+def test_a_proved_pair_builds_no_product_root(short, monkeypatch):
+    monkeypatch.setattr(_backends, "_matrix_function",
+                        lambda *args: pytest.fail("_matrix_function was called"))
+    alg = sp.parse_algebra(short)
+    a = sp.random_effect(alg, 92)
+    a, b = _fresh(a), _fresh(sp.jordan_product(a, a) * 0.9 + sp.identity(alg) * 0.05)
+    assert _proved_commuting(a, b)
+    model = sp.simultaneous_diagonalize([a, b])
+    assert "_roots" not in a.__dict__ and "_roots" not in b.__dict__
+    assert_same_elements(model.frame, reference_frame(alg, [_fresh(a), _fresh(b)]), short)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("short", ["real:4", "spin:3", "sum(complex:2,real:3)"])
+def test_a_non_positive_element_fails_as_commutes_does_before_a_non_finite_one(short):
+    # commutes takes sqrt of the first element before it reads the second
+    alg = sp.parse_algebra(short)
+    a, x = sp.random_effect(alg, 93) - sp.identity(alg) * 0.2, _non_finite(alg, np.nan)
+    expected = _outcome(lambda: sp.commutes(sp.SequentialProduct.standard(alg), a, x))
+    assert expected[0] is sp.PreconditionError
+    assert _outcome(lambda: sp.simultaneous_diagonalize([_fresh(a), _fresh(x)])) == expected

@@ -14,9 +14,13 @@ package reaches element storage only through the backend primitives:
 
 Every eigensolve of the package runs here, through :func:`_eigh`, which
 rejects an element with a NaN or infinite entry.  A matrix element is
-solved at most once: :func:`_eigen` keeps its (w, V) on the instance, and
-its eigenvalue range, spectral pairs and every f(a) read that one solve,
-as does a joint frame that it generates first.
+solved at most once each way, and the result kept on the instance: its
+eigenvalue range reads the ends of an eigenvalue-only solve
+(:func:`_spectrum`), and its spectral pairs, every f(a) and a joint frame
+that it generates first read one full solve (:func:`_eigen`), as does
+``frame_range``, the ends that a check reads when it goes on to take a root
+or frame of the same element.  The range never reads the full solve, so its
+bits do not depend on what was solved first.
 f(a) is the ``functional`` primitive: one product per matrix block on the
 cached eigen-data, a closed form on spin factors.  A norm that is only
 compared with a threshold is solved only where :func:`_norm_bounds` (the
@@ -205,7 +209,7 @@ def _commutation_bound(comm, a, b):
 
     It is NaN or infinite where an end is not positive.
     """
-    (lo_a, hi_a), (lo_b, hi_b) = (x.algebra._backend.eigen_range(x) for x in (a, b))
+    (lo_a, hi_a), (lo_b, hi_b) = (x.algebra._backend.frame_range(x) for x in (a, b))
     return comm * (1.0 + 0.5 * (np.sqrt(hi_a / lo_a) + np.sqrt(hi_b / lo_b)))
 
 
@@ -221,6 +225,19 @@ def _eigen(a) -> tuple[np.ndarray, np.ndarray]:
         w, vecs = _eigh(a.data)
         eig = a.__dict__["_eigen"] = (_read_only(w), _read_only(vecs))
     return eig
+
+
+def _spectrum(a) -> np.ndarray:
+    """The ascending eigenvalues of the matrix element ``a`` from an eigenvalue-only solve, kept
+    on the instance as :func:`_eigen` keeps (w, V).
+
+    It never reads ``_eigen``, so it is the same whichever was solved first.  A failed solve
+    keeps nothing.
+    """
+    w = a.__dict__.get("_spectrum")
+    if w is None:
+        w = a.__dict__["_spectrum"] = _read_only(_eigh(a.data, vectors=False))
+    return w
 
 
 def _clusters(w: np.ndarray, gap: float):
@@ -542,6 +559,10 @@ class _MatrixBackend(_Backend):
         return 0.5 * val if self.kind == KIND_QUAT else val
 
     def eigen_range(self, a):
+        w = _spectrum(a)
+        return w[..., 0], w[..., -1]
+
+    def frame_range(self, a):
         w, _ = _eigen(a)
         return w[..., 0], w[..., -1]
 
@@ -641,7 +662,7 @@ class _MatrixBackend(_Backend):
     def random_projections(self, alg, rngs, proper: bool):
         # one product per rank: a product over zero-padded columns rounds differently
         x, n, u = self.random_elements(alg, rngs), alg.size, self.unit
-        if n == 1:  # the identity, drawing no rank
+        if n == 1 and proper:  # the identity, drawing no rank
             return self.stack(alg, [self.scalar(alg, 1.0)] * len(rngs))
         out = np.zeros(x.data.shape, self.dtype)
         _, vecs = _eigh(x.data)
@@ -827,6 +848,8 @@ class _SpinBackend(_Backend):
         _, t, r = _spin_radius(a)
         return t - r, t + r
 
+    frame_range = eigen_range  # closed form: one solve serves both
+
     def spectral_pairs(self, a, gap: float):
         """t +- r on the idempotents (+-v/2r, 1/2), or t on the identity where 2r <= gap."""
         v, t, r = _spin_radius(a)
@@ -997,6 +1020,10 @@ class _SumBackend(_Backend):
 
     def eigen_range(self, a):
         los, his = zip(*_blockwise("eigen_range", (a,)))
+        return reduce(np.minimum, los), reduce(np.maximum, his)
+
+    def frame_range(self, a):
+        los, his = zip(*_blockwise("frame_range", (a,)))
         return reduce(np.minimum, los), reduce(np.maximum, his)
 
     def residual_terms(self, x, y):

@@ -15,8 +15,13 @@ so elements and maps can be shared freely between threads.  An element's
 eigen-data is computed on first use and kept on the instance; it is
 written once and derived only from the immutable data (a race between
 threads computes the same value twice), so the operations stay pure.  The
-root of a sequential product at an element is kept the same way
-(``products``), and ``x * 1.0`` is x itself, caches included.  A
+eigenvalue range, and with it ``min_eigenvalue``, ``order_unit_norm``,
+``is_positive``, ``is_effect`` and ``leq``, reads an eigenvalue-only solve;
+frames, roots and f(a) read the full solve, and so does ``frame_range``,
+for a check that goes on to take one of them.  Neither reads the other, so
+each gives the same bits whatever was solved first; the two may differ in
+the last bits.  The root of a sequential product at an element is kept the
+same way (``products``), and ``x * 1.0`` is x itself, caches included.  A
 descriptor keeps its identity and zero the same way.  Elements *stacked* by
 the backends hold k trials on a leading axis; arithmetic, ``seq_product``,
 the eigenvalue range, ``trace_inner_product``, ``rel_residual`` and
@@ -223,8 +228,16 @@ def trace(a: Element) -> float:
 
 
 def eigenvalue_range(a: Element) -> tuple[float, float]:
-    """(smallest, largest) eigenvalue; per trial for a stacked element."""
+    """(smallest, largest) eigenvalue, from an eigenvalue-only solve; per trial for a stacked
+    element."""
     return a.algebra._backend.eigen_range(a)
+
+
+def frame_range(a: Element) -> tuple[float, float]:
+    """(smallest, largest) eigenvalue from the full solve that a's frames, roots and f(a) read;
+    per trial for a stacked element.  A check that goes on to take one of those reads it at no
+    extra solve; it may differ from ``eigenvalue_range`` in the last bits."""
+    return a.algebra._backend.frame_range(a)
 
 
 def min_eigenvalue(a: Element) -> float:

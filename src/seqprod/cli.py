@@ -1,13 +1,16 @@
 """Command-line surface: audits, characterization demos, decompositions.
 
 Exit codes: 0 all expectations met, 1 a law failed unexpectedly (or a demo
-failed to falsify), 2 usage/config error, 3 numerical failure.
+failed to falsify), 2 usage/config error, 3 numerical failure.  ``report
+diff`` exits 1 when two reports differ beyond its limit, and 2 when their
+rows do not pair or a file is malformed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -159,6 +162,90 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
+#: the fields a schema-1 report entry must carry, and their types; bools are not numbers here
+_ENTRY_FIELDS = {"law": str, "product": str, "algebra": str, "seed": int, "verdict": str,
+                 "expected": str, "max_residual": (int, float), "elapsed_ms": (int, float)}
+#: the fields that pair the rows of two reports
+_ROW_KEY = ("law", "product", "algebra", "seed")
+
+
+def _typed(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _report_rows(path: str) -> dict:
+    """The entries of a schema-1 report file keyed by (law, product, algebra, seed);
+    ConfigError for a malformed file or two entries with one key."""
+    with open(path, encoding="utf-8") as fh:
+        obj = json.load(fh)
+    if not (isinstance(obj, dict) and obj.get("schema") == 1
+            and isinstance(obj.get("entries"), list)):
+        raise ConfigError(f"{path}: not a schema-1 audit report")
+    rows = {}
+    for i, entry in enumerate(obj["entries"]):
+        witness = entry.get("witness") if isinstance(entry, dict) else None
+        if not (isinstance(entry, dict)
+                and all(_typed(entry.get(k), kind) for k, kind in _ENTRY_FIELDS.items())
+                and (witness is None
+                     or isinstance(witness, dict) and _typed(witness.get("trial"), int))):
+            raise ConfigError(f"{path}: entry {i} is malformed")
+        key = tuple(entry[k] for k in _ROW_KEY)
+        if key in rows:
+            raise ConfigError(f"{path}: entry {i} repeats the row {' '.join(map(str, key))}")
+        rows[key] = entry
+    return rows
+
+
+def _drift(ra: float, rb: float) -> float:
+    """|rb - ra| / max(1, |ra|, |rb|), the normalisation of ``rel_residual``; 0 for equal
+    residuals (two NaNs included) and inf where one is NaN or infinite and the other is not."""
+    if ra == rb or (math.isnan(ra) and math.isnan(rb)):
+        return 0.0
+    drift = abs(rb - ra) / max(1.0, abs(ra), abs(rb))
+    return drift if drift == drift else math.inf
+
+
+def _change(a, b) -> str:
+    return f"{a}" if a == b else f"{a}->{b}"
+
+
+def _cmd_report_diff(args) -> int:
+    if not (math.isfinite(args.max_drift) and args.max_drift >= 0):
+        raise ConfigError(f"--max-drift must be finite and non-negative, got {args.max_drift}")
+    rows_a, rows_b = _report_rows(args.a), _report_rows(args.b)
+    if rows_a.keys() != rows_b.keys():
+        only = [(name, [k for k in x if k not in y])
+                for name, x, y in (("A", rows_a, rows_b), ("B", rows_b, rows_a))]
+        raise ConfigError("the reports' rows do not pair: " + "; ".join(
+            f"{len(keys)} only in {name}" + (f" (first: {' '.join(map(str, keys[0]))})"
+                                              if keys else "") for name, keys in only))
+    header = (f"{'law':<20} {'product':<12} {'algebra':<22} {'seed':>10} {'verdict':<10} "
+              f"{'expected':<10} {'witness':<9} {'drift':>9} {'time':>6}")
+    print(header)
+    print("-" * len(header))
+    changed, worst, worst_key = 0, 0.0, None
+    for key, a in rows_a.items():
+        b = rows_b[key]
+        trials = [(e.get("witness") or {}).get("trial", "-") for e in (a, b)]
+        drift = _drift(a["max_residual"], b["max_residual"])
+        if drift > worst:
+            worst, worst_key = drift, key
+        flagged = (a["verdict"] != b["verdict"] or a["expected"] != b["expected"]
+                   or trials[0] != trials[1] or drift > args.max_drift)
+        changed += flagged
+        ratio = f"{b['elapsed_ms'] / a['elapsed_ms']:6.2f}" if a["elapsed_ms"] > 0 else "     -"
+        print(f"{key[0]:<20} {key[1]:<12} {key[2]:<22} {key[3]:>10} "
+              f"{_change(a['verdict'], b['verdict']):<10} "
+              f"{_change(a['expected'], b['expected']):<10} {_change(*trials):<9} "
+              f"{drift:>9.2e} {ratio}" + ("  <-- CHANGED" if flagged else ""))
+    where = f" ({' '.join(map(str, worst_key))})" if worst_key else ""
+    total_a, total_b = (sum(e["elapsed_ms"] for e in rows.values()) for rows in (rows_a, rows_b))
+    total = f"{total_b / total_a:.3f}" if total_a > 0 else "-"
+    print(f"{len(rows_a)} rows paired, {changed} changed; largest drift {worst:.3e}{where} "
+          f"against {args.max_drift:.1e}; time B/A {total}")
+    return _EXIT_MISMATCH if changed else 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqprod",
@@ -189,6 +276,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--gap", type=float, default=DEFAULT_GAP, help="eigenvalue clustering gap")
     p_dec.add_argument("--out", help="write the decomposition JSON here")
 
+    p_report = sub.add_parser("report", help="work with JSON audit reports")
+    report_sub = p_report.add_subparsers(dest="report_command", required=True)
+    p_diff = report_sub.add_parser(
+        "diff", help="compare two schema-1 reports row by row",
+        description="Pair the rows of two reports by law, product, algebra and seed, and list "
+                    "per row the verdict, expectation and witness-trial changes, the residual "
+                    "drift |rB - rA| / max(1, |rA|, |rB|) and the time ratio B/A.  Exit 1 on "
+                    "a change or a drift above --max-drift, 2 if the rows do not pair or a "
+                    "file is malformed.")
+    p_diff.add_argument("a", metavar="A.json", help="the reference report")
+    p_diff.add_argument("b", metavar="B.json", help="the report compared with it")
+    p_diff.add_argument("--max-drift", type=float, default=1e-12,
+                        help="largest relative residual drift allowed (default 1e-12)")
+
     sub.add_parser("version", help="print the package version")
     return parser
 
@@ -207,6 +308,8 @@ def run_cli(argv: list[str] | None = None) -> int:
             return _cmd_demo(args)
         if args.command == "decompose":
             return _cmd_decompose(args)
+        if args.command == "report":
+            return _cmd_report_diff(args)
         print(f"seqprod {__version__}")
         return 0
     except (ConfigError, CapabilityError, PreconditionError, FileNotFoundError,

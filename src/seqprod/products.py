@@ -28,6 +28,7 @@ from .algebra import (
     LinearMap,
     _linear_map,
     check_same_algebra,
+    frame_range,
     min_eigenvalue,
     norm_at_most,
     quadratic_rep,
@@ -194,7 +195,7 @@ def homogeneity_iso(a: Element, b: Element) -> LinearMap:
     """
     check_same_algebra(a, b)
     for name, x in (("a", a), ("b", b)):
-        lo = min_eigenvalue(x)
+        lo = frame_range(x)[0]  # L_b and a's pseudo-inverse read the same solves
         if np.count_nonzero(lo < INVERTIBILITY_TOL):
             raise PreconditionError(
                 f"homogeneity_iso needs invertible inputs; {name} has min eigenvalue "
@@ -224,7 +225,7 @@ def theta_between(p: SequentialProduct, p2: SequentialProduct, q: Element) -> Li
     """
     if p.algebra != p2.algebra or q.algebra != p.algebra:
         raise PreconditionError("theta_between needs both products and q on one algebra")
-    lo = min_eigenvalue(q)
+    lo = frame_range(q)[0]  # L_q reads the same solve
     if np.count_nonzero(lo <= SUPPORT_TOL):
         raise PreconditionError(
             f"theta_between needs an invertible q; min eigenvalue {np.min(lo):.3e}")

@@ -23,9 +23,8 @@ from .algebra import (
     SUPPORT_TOL,
     AlgebraDescriptor,
     Element,
-    eigenvalue_range,
+    frame_range,
     jordan_product,
-    min_eigenvalue,
     norm_at_most,
 )
 from .errors import DomainError, PreconditionError
@@ -100,7 +99,7 @@ def sqrt_pos(a: Element) -> Element:
     negative round-off is clamped.  The root therefore lives exactly on
     the support projection, and ||sqrt(a)*sqrt(a) - a|| <= 1e-9.
     """
-    lo = min_eigenvalue(a)
+    lo = frame_range(a)[0]  # the root reads the same solve
     if np.count_nonzero(~(lo >= -SUPPORT_TOL)):
         raise PreconditionError(
             f"square root needs a positive element; min eigenvalue {np.min(lo):.3e}")
@@ -135,7 +134,7 @@ def dyadic_approximation(a: Element, n_max: int) -> list[Element]:
     onto eigenvalues strictly above k/n (with the DYADIC_GUARD band), so
     ||a - q_{2^m}|| <= 2^(1-m).
     """
-    lo, hi = eigenvalue_range(a)
+    lo, hi = frame_range(a)  # the approximants read the same solve
     if np.count_nonzero(~((lo >= -SUPPORT_TOL) & (hi <= 1.0 + SUPPORT_TOL))):
         worst = np.ravel(np.where(-lo >= hi - 1.0, lo, hi))[np.argmax(np.maximum(-lo, hi - 1.0))]
         raise PreconditionError(

@@ -169,3 +169,133 @@ def test_env_seed_is_default(tmp_path, capsys, monkeypatch):
     assert json.loads(out.read_text())["seed"] == 17
     monkeypatch.setenv("SEQPROD_SEED", "not-a-number")
     assert run_cli(["audit", "--algebra", "real:2", "--laws", "SEA2"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# report diff
+# ---------------------------------------------------------------------------
+
+def _entry(law="SEA1", algebra="real:4", seed=5, verdict="pass", expected="pass",
+           residual=1e-15, trial=None, ms=2.0):
+    entry = {"law": law, "product": "standard", "algebra": algebra, "trials": 200, "seed": seed,
+             "verdict": verdict, "expected": expected, "max_residual": residual,
+             "elapsed_ms": ms}
+    if trial is not None:
+        entry.update(trials=trial + 1, witness={"trial": trial, "residual": residual,
+                                                 "inputs": {}})
+    return entry
+
+
+def _report(*entries):
+    return {"schema": 1, "seed": 42, "status": "pass", "entries": list(entries)}
+
+
+def _diff(tmp_path, a, b, *flags):
+    paths = [_write(tmp_path / name, rep) for name, rep in (("a.json", a), ("b.json", b))]
+    return run_cli(["report", "diff", *paths, *flags])
+
+
+def test_report_diff_of_two_audits_of_one_seed_exits_0(tmp_path, capsys):
+    outs = [tmp_path / "r1.json", tmp_path / "r2.json"]
+    for out in outs:
+        assert run_cli(["audit", "--algebra", "complex:2", "--laws", "SEA1,SYMMETRY",
+                        "--trials", "5", "--seed", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run_cli(["report", "diff", *map(str, outs)]) == 0
+    printed = capsys.readouterr().out
+    assert "2 rows paired, 0 changed; largest drift 0.000e+00" in printed
+    assert "CHANGED" not in printed
+
+
+@pytest.mark.parametrize("field, value", [
+    ("verdict", "fail"), ("expected", "fail"), ("trial", 7)])
+def test_report_diff_exits_1_on_a_verdict_expectation_or_witness_change(tmp_path, capsys,
+                                                                          field, value):
+    before = _entry(law="SEA2", trial=3, verdict="fail", expected="pass")
+    after = dict(before, witness=dict(before["witness"]))
+    if field == "trial":
+        after["witness"]["trial"] = value
+    else:
+        after[field] = value if before[field] != value else "pass"
+    assert _diff(tmp_path, _report(_entry(), before), _report(_entry(), after)) == 1
+    printed = capsys.readouterr().out
+    lines = [line for line in printed.splitlines() if "CHANGED" in line]
+    assert len(lines) == 1 and lines[0].startswith("SEA2")
+    assert "2 rows paired, 1 changed" in printed
+
+
+def test_report_diff_lists_a_witness_that_appears(tmp_path, capsys):
+    assert _diff(tmp_path, _report(_entry()), _report(_entry(verdict="fail", trial=12))) == 1
+    assert "pass->fail" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("ra, rb, drift", [
+    (0.5, 0.5 + 1e-11, 1e-11),     # below 1 the drift is absolute
+    (1e3, 1e3 + 1e-7, 1e-10),      # above it, relative to the larger residual
+    (2.0, 1.0, 0.5),
+])
+def test_report_diff_exits_1_on_drift_above_the_limit(tmp_path, capsys, ra, rb, drift):
+    a, b = _report(_entry(residual=ra)), _report(_entry(residual=rb))
+    assert _diff(tmp_path, a, b) == 1  # default limit 1e-12
+    printed = capsys.readouterr().out
+    assert f"largest drift {drift:.3e} (SEA1 standard real:4 5)" in printed
+    assert _diff(tmp_path, a, b, "--max-drift", f"{drift * 1.01!r}") == 0
+    assert _diff(tmp_path, a, b, "--max-drift", f"{drift * 0.99!r}") == 1
+
+
+def test_report_diff_pairs_rows_by_key_not_by_order(tmp_path, capsys):
+    rows = [_entry(law="SEA1", ms=2.0), _entry(law="SEA2", ms=1.0)]
+    later = [_entry(law="SEA2", ms=3.0), _entry(law="SEA1", ms=1.0)]
+    assert _diff(tmp_path, _report(*rows), _report(*later)) == 0
+    printed = capsys.readouterr().out
+    # time ratios B/A per row, and over the report
+    assert [line.split()[-1] for line in printed.splitlines()[2:4]] == ["0.50", "3.00"]
+    assert "time B/A 1.333" in printed
+
+
+def test_report_diff_compares_non_finite_residuals(tmp_path, capsys):
+    nan, inf = float("nan"), float("inf")
+    assert _diff(tmp_path, _report(_entry(residual=nan)), _report(_entry(residual=nan))) == 0
+    assert _diff(tmp_path, _report(_entry(residual=inf)), _report(_entry(residual=inf))) == 0
+    for ra, rb in ((nan, 0.0), (0.0, nan), (inf, 1.0), (1.0, inf), (inf, -inf), (nan, inf)):
+        assert _diff(tmp_path, _report(_entry(residual=ra)), _report(_entry(residual=rb))) == 1
+
+
+@pytest.mark.parametrize("b", [
+    _report(_entry(seed=5)),                                   # a row missing
+    _report(_entry(seed=5), _entry(seed=6), _entry(seed=7)),   # a row added
+    _report(_entry(seed=5), _entry(seed=8)),                   # a row's seed moved
+    _report(_entry(seed=5), _entry(seed=6), _entry(seed=6)),   # two rows with one key
+])
+def test_report_diff_exits_2_when_rows_do_not_pair(tmp_path, capsys, b):
+    assert _diff(tmp_path, _report(_entry(seed=5), _entry(seed=6)), b) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("b", [
+    [],
+    {"schema": 2, "seed": 1, "entries": []},
+    {"seed": 1, "entries": []},
+    {"schema": 1, "seed": 1, "entries": {}},
+    _report("SEA1"),
+    _report({k: v for k, v in _entry().items() if k != "max_residual"}),
+    _report(_entry(residual="1e-15")),
+    _report(dict(_entry(), seed=True)),
+    _report(dict(_entry(), seed=5.0)),
+    _report(dict(_entry(), witness={"trial": "3"})),
+    _report(dict(_entry(), witness=[3])),
+])
+def test_report_diff_exits_2_on_a_malformed_report(tmp_path, capsys, b):
+    assert _diff(tmp_path, _report(_entry()), b) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_report_diff_exits_2_on_a_missing_or_unparsable_file(tmp_path, capsys):
+    a = _write(tmp_path / "a.json", _report(_entry()))
+    assert run_cli(["report", "diff", a, str(tmp_path / "nope.json")]) == 2
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert run_cli(["report", "diff", str(bad), a]) == 2
+    for limit in ("-1", "nan", "inf"):
+        assert run_cli(["report", "diff", a, a, "--max-drift", limit]) == 2
+    assert run_cli(["report", "diff", a]) == 2

@@ -1,12 +1,14 @@
 """The per-call fast path: results valid by construction skip ``normalise``,
-and each matrix element is solved at most once."""
+and each matrix element is solved at most once each way: eigenvalues only for its range, in
+full for its frames and roots."""
 
 import numpy as np
 import pytest
 
 import seqprod as sp
 from seqprod._backends import _quat_project
-from seqprod.algebra import Element, eigenvalue_range, trace
+from seqprod.algebra import Element, _random_effects, eigenvalue_range, frame_range, trace
+from seqprod.spectral import DEFAULT_GAP
 
 from conftest import ALGEBRA_SHORTHANDS
 
@@ -114,7 +116,7 @@ def test_the_public_constructor_still_normalises():
 
 
 # ---------------------------------------------------------------------------
-# one eigensolve per element
+# one solve of each kind per element
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
@@ -130,23 +132,60 @@ def solves(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("short, blocks", [
-    ("real:3", 1), ("complex:3", 1), ("quat:2", 1), ("spin:4", 0),
-    ("sum(complex:2,real:3)", 2), ("sum(spin:3,quat:2)", 1),
-])
-def test_one_eigensolve_per_element(short, blocks, solves):
+#: algebras with their number of matrix blocks, the blocks LAPACK solves
+SOLVED_BLOCKS = [("real:3", 1), ("complex:3", 1), ("quat:2", 1), ("spin:4", 0),
+                 ("sum(complex:2,real:3)", 2), ("sum(spin:3,quat:2)", 1)]
+
+
+@pytest.mark.parametrize("short, blocks", SOLVED_BLOCKS)
+def test_one_full_and_one_eigenvalue_solve_per_block(short, blocks, solves):
     alg = sp.parse_algebra(short)
     p = sp.SequentialProduct.standard(alg)
     a, b, c = (sp.random_effect(alg, seed) for seed in (41, 42, 43))
     solves.update(eigh=0, eigvalsh=0)
     sp.seq_product(p, a, b)
     assert solves == {"eigh": blocks, "eigvalsh": 0}
-    sp.is_positive(a)
-    eigenvalue_range(a)
-    sp.sqrt_pos(a)
-    sp.spectral_decompose(a)
-    sp.seq_product(p, a, c)
-    assert solves == {"eigh": blocks, "eigvalsh": 0}
+    # the range reads an eigenvalue-only solve of its own; the root, frames and f(a) the full one
+    for _ in range(2):
+        sp.is_positive(a)
+        eigenvalue_range(a)
+        sp.order_unit_norm(a)
+        frame_range(a)
+        sp.sqrt_pos(a)
+        sp.spectral_decompose(a)
+        sp.seq_product(p, a, c)
+        assert solves == {"eigh": blocks, "eigvalsh": blocks}
+
+
+@pytest.mark.parametrize("short, blocks", SOLVED_BLOCKS)
+def test_a_generic_effect_stack_solves_eigenvalues_only(short, blocks, solves):
+    alg = sp.parse_algebra(short)
+    rngs = [np.random.default_rng((46, k)) for k in range(16)]
+    solves.update(eigh=0, eigvalsh=0)
+    _random_effects(alg, rngs, "generic")
+    assert solves == {"eigh": 0, "eigvalsh": blocks}
+
+
+def _bits(*values):
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+@pytest.mark.parametrize("short", FAST_PATH_SHORTHANDS)
+def test_the_range_does_not_depend_on_what_was_solved_first(short):
+    alg = sp.parse_algebra(short)
+    backend, trials = alg._backend, np.arange(8)
+    stack = _random_effects(alg, [np.random.default_rng((47, k)) for k in trials])
+    first = eigenvalue_range(backend.take(stack, trials))  # a fresh copy, nothing solved
+    rooted = backend.take(stack, trials)
+    sp.sqrt_pos(rooted)
+    backend.spectral_pairs(rooted, DEFAULT_GAP)
+    assert _bits(*eigenvalue_range(rooted)) == _bits(*first)
+    for k in trials:
+        alone = backend.take(stack, k)
+        if k % 2:  # root and frame the single trial first
+            sp.seq_product(sp.SequentialProduct.standard(alg), alone, alone)
+            sp.spectral_decompose(alone)
+        assert _bits(*eigenvalue_range(alone)) == _bits(first[0][k], first[1][k])
 
 
 @pytest.mark.parametrize("short", FAST_PATH_SHORTHANDS)
@@ -159,21 +198,22 @@ def test_non_finite_element_raises_on_every_call(short):
             eigenvalue_range(bad)
 
 
-def test_failed_solve_is_not_kept(monkeypatch):
+@pytest.mark.parametrize("solver, ends", [("eigvalsh", eigenvalue_range), ("eigh", frame_range)])
+def test_failed_solve_is_not_kept(solver, ends, monkeypatch):
     a = sp.random_effect(sp.complex_hermitian(3), 45)
-    eigh = np.linalg.eigh
+    solve = getattr(np.linalg, solver)
     calls = []
 
     def fail_once(mat):
         calls.append(1)
         if len(calls) == 1:
             raise np.linalg.LinAlgError("no convergence")
-        return eigh(mat)
+        return solve(mat)
 
-    monkeypatch.setattr(np.linalg, "eigh", fail_once)
+    monkeypatch.setattr(np.linalg, solver, fail_once)
     with pytest.raises(sp.NumericalFailureError):
-        eigenvalue_range(a)
-    lo, hi = eigenvalue_range(a)
+        ends(a)
+    lo, hi = ends(a)
     assert 0.0 < lo <= hi < 1.0
-    eigenvalue_range(a)
+    ends(a)
     assert len(calls) == 2

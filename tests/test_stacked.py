@@ -180,9 +180,13 @@ def test_a_tolerance_first_broken_mid_chunk_gives_the_per_trial_verdict(law, sho
                                                                           monkeypatch):
     product, alg = _row("standard", short)
     residuals = _residuals(law, product, alg, _inputs(law, product, alg, 64, seed=8))
-    worst = int(np.argmax(residuals))
-    assert 0 < worst < 63
-    tol = max(residuals[:worst])  # every trial before the worst one passes
+    # the worst of trials 1..62, as noise-level residuals may peak at either end of the chunk;
+    # where trial 0 is worse still, every tolerance below it breaks the row at trial 0
+    worst = 1 + int(np.argmax(residuals[1:63]))
+    if residuals[worst] <= residuals[0]:
+        worst = 0
+    tol = max(residuals[:worst]) if worst else 0.5 * residuals[0]  # every earlier trial passes
+    assert residuals[worst] > tol
     chunked = _entry(law, product, alg, 100, 8, tol)
     assert chunked["verdict"] == "fail"
     assert chunked["witness"]["trial"] == worst
@@ -604,7 +608,7 @@ def _projection_alone(alg, rng, proper):
     n = alg.size
     unit = alg.matrix_order // n
     _, vecs = np.linalg.eigh(random_element(alg, rng).data)
-    if n == 1:
+    if n == 1 and proper:
         return sp.identity(alg)
     lo, hi = (1, n - 1) if proper else (0, n)
     r = int(rng.integers(lo, hi + 1))
@@ -638,20 +642,16 @@ def test_stacked_projections_equal_the_trial_by_trial_draws_bit_for_bit(short, p
             == _trial_bits(stack, 0)
 
 
-@pytest.mark.parametrize("short, zeroed, redrawn", [
-    # a matrix block of order 1 always draws the identity, so its sums are never all 0
-    ("sum(real:1,real:1)", True, False),
-    ("sum(complex:2,real:3)", True, True),
-])
-def test_the_checked_direct_sum_draws_include_both_proper_fixes(short, zeroed, redrawn):
+@pytest.mark.parametrize("short", ["sum(real:1,real:1)", "sum(complex:2,real:3)"])
+def test_the_checked_direct_sum_draws_include_both_proper_fixes(short):
     """Both fixes of a proper projection on a direct sum occur in the trials the bit-for-bit test
     above draws: block 0 set to 0 where every block came out 1, redrawn where all came out 0."""
     alg = sp.parse_algebra(short)
     drawn = alg._backend.random_projections(alg, _projection_rngs(), False)
     ranks = np.rint([trace(block) for block in drawn.data])
     full = np.rint([trace(sp.identity(s)) for s in alg.summands])[:, None]
-    assert np.any((ranks == full).all(0)) == zeroed
-    assert np.any(ranks.sum(0) == 0) == redrawn
+    assert np.any((ranks == full).all(0))
+    assert np.any(ranks.sum(0) == 0)
     fixed = alg._backend.random_projections(alg, _projection_rngs(), True)
     fixed_ranks = np.rint([trace(block) for block in fixed.data])
     assert np.all((fixed_ranks.sum(0) > 0) & ~(fixed_ranks == full).all(0))

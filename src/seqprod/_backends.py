@@ -207,9 +207,12 @@ def _commutation_bound(comm, a, b):
     ||[a, b]|| and the spectral ends [lo, hi] of a and b: a bound on ||a o b - b o a|| for the
     standard product, proved in ``commutant._proved_commuting``.
 
-    It is NaN or infinite where an end is not positive.
+    a's ends come from its full solve (``frame_range``), which a joint frame reads again, and
+    b's from an eigenvalue-only one (``eigen_range``), as ``_proved_commuting`` reads them.  It
+    is NaN or infinite where an end is not positive.
     """
-    (lo_a, hi_a), (lo_b, hi_b) = (x.algebra._backend.frame_range(x) for x in (a, b))
+    lo_a, hi_a = a.algebra._backend.frame_range(a)
+    lo_b, hi_b = b.algebra._backend.eigen_range(b)
     return comm * (1.0 + 0.5 * (np.sqrt(hi_a / lo_a) + np.sqrt(hi_b / lo_b)))
 
 
@@ -735,16 +738,19 @@ class _MatrixBackend(_Backend):
     def joint_frame(self, alg, elems, gap: float) -> list:
         """Refine the whole space I by each generator in turn.
 
-        I is split by the generator's cached solve, as I^H s I is s; a
-        one-dimensional subspace is an eigenspace of every commuting generator
-        and is kept as it is; any other subspace v is split by solving v^H s v.
+        I is split by the generator's cached solve, as I^H s I is s.  A
+        subspace of dimension ``unit`` is kept as it is: a line, or on
+        quaternions one Kramers pair, a quaternionic line, on which every
+        commuting generator acts as a real scalar, so a solve of v^H s v could
+        only split rounding noise.  Any other subspace v is split by solving
+        v^H s v.
         """
         eye = np.eye(self.matrix_order(alg), dtype=self.dtype)
         subspaces = [eye]
         for s in elems:
             refined = []
             for v in subspaces:
-                if v.shape[1] == 1:
+                if v.shape[1] == self.unit:
                     refined.append(v)
                     continue
                 w, vecs = _eigen(s) if v is eye else _eigh(v.conj().T @ s.data @ v)

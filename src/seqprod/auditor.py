@@ -17,7 +17,9 @@ padded with zero idempotents).  The first trial of a chunk over the tolerance
 gives the verdict, so verdicts, maximal residuals and witnesses are those of
 trial-by-trial runs, bit for bit.  A chunk that raises is redone as chunks of
 one, so an error surfaces at its own trial; a witness is its trial taken out of
-the stack, and replay evaluates its plain inputs with the same evaluator.
+the stack, and replay evaluates its plain inputs with the same evaluator.  A
+trial that raises one of ``TRIAL_ERRORS`` ends its row with verdict ``error``,
+and the suite goes on; any other exception aborts the suite.
 
 Expected-fail rows turn the suite into a two-sided oracle: the twisted
 products are expected to break invariance under the transpose
@@ -60,7 +62,14 @@ from .algebra import (
     rel_residual,
     trace_inner_product,
 )
-from .errors import CapabilityError, ConfigError, DomainError
+from .errors import (
+    CapabilityError,
+    ConfigError,
+    DescriptorMismatchError,
+    DomainError,
+    NumericalFailureError,
+    PreconditionError,
+)
 from .products import (
     COMMUTE_TOL,
     SequentialProduct,
@@ -121,6 +130,8 @@ _CHUNK = 256
 NONCOMMUTING_MIN = 1e-3
 #: SELF_DUALITY's witness of a negative eigenvalue must have tr(a p) below minus this
 SELF_DUALITY_WITNESS_TOL = 1e-10
+#: the errors that a trial's own inputs can raise; each ends its row with verdict error
+TRIAL_ERRORS = (PreconditionError, DomainError, NumericalFailureError, DescriptorMismatchError)
 
 #: reference algebras covered by the default suite
 REFERENCE_ALGEBRAS = ("real:4", "complex:4", "quat:3", "spin:5", "sum(complex:2,real:3)")
@@ -803,8 +814,10 @@ def audit_law(law: LawId | str, product: SequentialProduct, alg: AlgebraDescript
 
     A residual that is not at most ``tol``, NaN included, is a violation.
     ``trials`` outside 1..2**32, a negative ``seed`` or a ``tol`` that is not
-    finite and positive raise ConfigError, so no row can pass vacuously.  The
-    entry reports the trials that ran: up to and including a violation.
+    finite and positive raise ConfigError, so no row can pass vacuously.  A
+    trial that raises one of ``TRIAL_ERRORS`` gives verdict ``error``, with
+    ``trial i: <type>: <message>`` in ``error``.  The entry reports the trials
+    that ran: up to and including a violation or an error.
     """
     law = LawId(law)
     if not 1 <= trials <= 2 ** 32:
@@ -824,23 +837,29 @@ def audit_law(law: LawId | str, product: SequentialProduct, alg: AlgebraDescript
                 for k, (i, residual) in enumerate(zip(chunk, residuals))]
 
     max_residual = 0.0
-    witness = None
+    witness = error = None
     verdict = "pass"
     derive = partial(trial_seed_words, seed, ALL_LAWS.index(law))
-    for i, residual, inputs in _trial_residuals(trials, _CHUNK, derive, run):
-        max_residual = max(max_residual, residual)
-        if not residual <= tol:  # a NaN residual fails too
-            witness = {"trial": i, "residual": residual,
-                       "inputs": serialize.inputs_to_json(inputs())}
-            verdict = "fail"
-            max_residual = residual
-            trials = i + 1
-            break
+    ran = 0  # trials come in order, so a trial that raises is trial ``ran``
+    try:
+        for i, residual, inputs in _trial_residuals(trials, _CHUNK, derive, run):
+            ran = i + 1
+            max_residual = max(max_residual, residual)
+            if not residual <= tol:  # a NaN residual fails too
+                witness = {"trial": i, "residual": residual,
+                           "inputs": serialize.inputs_to_json(inputs())}
+                verdict = "fail"
+                max_residual = residual
+                trials = i + 1
+                break
+    except TRIAL_ERRORS as exc:
+        verdict, trials = "error", ran + 1
+        error = f"trial {ran}: {type(exc).__name__}: {exc}"
     elapsed = (time.perf_counter() - start) * 1000.0
     return AuditEntry(law=law.value, product=product.descriptor(),
                       algebra=alg.shorthand(), trials=trials, seed=seed,
                       verdict=verdict, expected=expected,
-                      max_residual=max_residual, witness=witness,
+                      max_residual=max_residual, witness=witness, error=error,
                       elapsed_ms=round(elapsed, 3))
 
 
@@ -861,7 +880,8 @@ def _row_seed(config_seed: int, index: int, row: SuiteRow) -> int:
 
 
 def run_full_suite(config: SuiteConfig) -> AuditReport:
-    """Run every config row; capability errors become entries, not crashes."""
+    """Run every config row; capability errors and the errors of a trial (``TRIAL_ERRORS``)
+    become entries, not crashes."""
     entries = []
     for i, row in enumerate(config.rows):
         if row.law not in LawId._value2member_map_:

@@ -1,9 +1,9 @@
 """Command-line surface: audits, characterization demos, decompositions.
 
-Exit codes: 0 all expectations met, 1 a law failed unexpectedly (or a demo
-failed to falsify), 2 usage/config error, 3 numerical failure.  ``report
-diff`` exits 1 when two reports differ beyond its limit, and 2 when their
-rows do not pair or a file is malformed.
+Exit codes: 0 all expectations met, 1 a law failed or raised unexpectedly (or
+a demo failed to falsify), 2 usage/config error, 3 numerical failure outside
+an audit row.  ``report diff`` exits 1 when two reports differ beyond its
+limit, and 2 when their rows do not pair or a file is malformed.
 """
 
 from __future__ import annotations

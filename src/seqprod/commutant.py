@@ -25,6 +25,7 @@ from .algebra import (
     AlgebraDescriptor,
     Element,
     check_same_algebra,
+    eigenvalue_range,
     frame_range,
     from_coords,
     to_coords,
@@ -124,15 +125,18 @@ def _proved_commuting(a: Element, b: Element) -> bool:
     the first measured at most 3e-14 and the third 2e-15.  The floor is above SUPPORT_TOL, so
     the root that ``commutes`` takes is sqrt(a) on the whole spectrum.
 
-    The ends are read from the full solves (``frame_range``), once per element, that the roots
-    of ``commutes`` and a's joint frame read too, in the order ``commutes`` would solve them, and
-    an a below the floor goes to ``commutes`` before b is read, so every error is the one
-    ``commutes`` raises.
+    a's ends are read from its full solve (``frame_range``), which its root in ``commutes`` and
+    the joint frame read too.  b's ends are read from an eigenvalue-only solve
+    (``eigenvalue_range``): a settled pair never reads b's eigenvectors, since the frame splits
+    by a's solve, and a pair that the bound leaves open pays one extra eigenvalue-only solve
+    of b before ``commutes`` solves it in full.  The elements are read in the order ``commutes``
+    reads them, and an a below the floor goes to ``commutes`` before b is read, so every error
+    is the one ``commutes`` raises.
     """
     lo_a, hi_a = frame_range(a)
     if not lo_a >= COMMUTE_FLOOR:
         return False
-    lo_b, hi_b = frame_range(b)
+    lo_b, hi_b = eigenvalue_range(b)
     if not lo_b >= COMMUTE_FLOOR:
         return False
     allowance = COMMUTE_ROUNDING * max(1.0, hi_a) * max(1.0, hi_b)

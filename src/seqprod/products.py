@@ -11,6 +11,9 @@ Twisted products satisfy the same finite-measurement axioms as the
 standard one but differ from it for t != 0; the auditor uses them as the
 non-standard foil for the uniqueness demonstrations.  The operators here give
 one map per trial for stacked elements, and their preconditions name the worst trial.
+
+Division and the homogeneity isomorphism read the product root at the
+pseudo-inverse q^+ from q's own solve (``_inverse_root``); neither builds q^+.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .errors import (
     DescriptorMismatchError,
     PreconditionError,
 )
-from .spectral import DEFAULT_GAP, pseudo_inverse, sqrt_pos
+from .spectral import DEFAULT_GAP, sqrt_pos
 
 #: effects with min eigenvalue below this are rejected where an inverse is needed
 INVERTIBILITY_TOL = 1e-6
@@ -97,21 +100,26 @@ def parse_product(text: str, alg: AlgebraDescriptor) -> SequentialProduct:
     raise ConfigError(f"bad product descriptor {text!r}")
 
 
-def _twisted_power(t: float, root: bool):
-    """The function of m in x -> m x m^H: m = sqrt(a) a^{it} if ``root`` else a^{it}.
+def _twisted_power(t: float, exponent: float):
+    """The function of m in x -> m x m^H: m = a^{exponent} a^{it}, for an exponent of 1/2 (the
+    product root), 0 (the phase a^{it}) or -1/2 (the product root at the pseudo-inverse, with
+    the twist -t).
 
     It maps an array of eigenvalues, of any shape, to complex values of that
     shape, each computed with ``math`` and ``cmath`` (numpy's log and exp can
     differ in the last bit).
-    The phase is taken on the support of a.  Off it m is 0 with ``root``, so
-    the square root annihilates the kernel (spectrum <= support threshold)
-    as in sqrt_pos, and 1 without it.
+    The phase is taken on the support of a.  Off it m is 1 for the phase and 0
+    for a root, so the root annihilates the kernel (spectrum <= support
+    threshold) as sqrt_pos and pseudo_inverse do.
     """
     def power(lam: float) -> complex:
         if lam <= SUPPORT_TOL:
-            return 0.0 if root else 1.0
+            return 0.0 if exponent else 1.0
         phase = cmath.exp(1j * t * math.log(lam))
-        return math.sqrt(lam) * phase if root else phase
+        if not exponent:
+            return phase
+        root = math.sqrt(lam)
+        return (root if exponent > 0 else 1.0 / root) * phase
 
     return lambda lams: np.array([power(lam) for lam in lams.ravel().tolist()],
                                  dtype=complex).reshape(lams.shape)
@@ -137,20 +145,41 @@ def _product_root(p: SequentialProduct, a: Element):
         if p.is_standard:
             root = sqrt_pos(a)
         else:
-            root = a.algebra._backend.conjugator(a, _twisted_power(p.twist, root=True),
-                                                 DEFAULT_GAP)
+            root = a.algebra._backend.conjugator(a, _twisted_power(p.twist, 0.5), DEFAULT_GAP)
         a.__dict__.setdefault("_roots", {})[p.twist] = root
     return root
+
+
+def _inverse_root(p: SequentialProduct, q: Element):
+    """The root of ``p`` at the pseudo-inverse q^+, from q's own solve: q^{-1/2} (an Element)
+    for the standard product, m = q^{-1/2} q^{-it} for twisted:t, each on the support of q and 0
+    on its kernel.
+
+    sqrt(pseudo_inverse(q)) gives the same map from a second solve, of q^+.  f is taken at the
+    mean of each cluster of q's eigenvalues; for q <= 1 these are the clusters of that route,
+    since a gap d between two eigenvalues of q becomes a gap of at least d between their
+    inverses, and the kernel's 0 stays apart from the inverses, which are at least 1.
+    """
+    backend = q.algebra._backend
+    if p.is_standard:
+        return backend.functional(
+            q, lambda x: (x > SUPPORT_TOL) / np.sqrt(np.where(x > SUPPORT_TOL, x, 1.0)),
+            DEFAULT_GAP)
+    return backend.conjugator(q, _twisted_power(-p.twist, -0.5), DEFAULT_GAP)
+
+
+def _apply_root(p: SequentialProduct, root, b: Element) -> Element:
+    """Q_root(b) for the standard product, root b root^H for a twisted one."""
+    if p.is_standard:
+        return quadratic_rep(root, b)
+    return b.algebra._backend.conjugate(root, b)
 
 
 def seq_product(p: SequentialProduct, a: Element, b: Element) -> Element:
     """a o b.  The first argument must be positive; b may be any element."""
     check_same_algebra(a, b)
     _check_product_algebra(p, a)
-    root = _product_root(p, a)
-    if p.is_standard:
-        return quadratic_rep(root, b)
-    return a.algebra._backend.conjugate(root, b)
+    return _apply_root(p, _product_root(p, a), b)
 
 
 def multiplication_operator(p: SequentialProduct, a: Element) -> LinearMap:
@@ -176,34 +205,37 @@ def commutes(p: SequentialProduct, a: Element, b: Element, tol: float = COMMUTE_
 def divide(p: SequentialProduct, q: Element, a: Element) -> Element:
     """The unique c below ceiling(q) with q o c = a, for a <= q.
 
-    Uses the pseudo-inverse: c = q^{-1} o a, which is exact on the support
-    of q and annihilates its kernel.
+    c = q^+ o a, the product at the pseudo-inverse: m a m^H for the root m at q^+
+    (``_inverse_root``), which is exact on the support of q and annihilates its kernel.  One
+    eigenvalue-only solve of q - a checks a <= q, and one solve of q gives m.
     """
     check_same_algebra(q, a)
     gap = min_eigenvalue(q - a)
     if np.count_nonzero(~(gap >= -SUPPORT_TOL)):
         raise PreconditionError(
             f"divide needs a <= q; offending eigenvalue of q - a is {np.min(gap):.3e}")
-    return seq_product(p, pseudo_inverse(q), a)
+    _check_product_algebra(p, q)
+    return _apply_root(p, _inverse_root(p, q), a)
 
 
 def homogeneity_iso(a: Element, b: Element) -> LinearMap:
     """Order isomorphism Phi = L_b L_{a^-1} mapping a to b (standard product).
 
     Both arguments must be invertible; the explicit inverse is
-    L_a L_{b^-1}.
+    L_a L_{b^-1}.  L_{a^-1} = Q_{a^{-1/2}}, with a^{-1/2} from a's own solve
+    (``_inverse_root``).
     """
     check_same_algebra(a, b)
     for name, x in (("a", a), ("b", b)):
-        lo = frame_range(x)[0]  # L_b and a's pseudo-inverse read the same solves
+        lo = frame_range(x)[0]  # L_b and a^{-1/2} read the same solves
         if np.count_nonzero(lo < INVERTIBILITY_TOL):
             raise PreconditionError(
                 f"homogeneity_iso needs invertible inputs; {name} has min eigenvalue "
                 f"{np.min(lo):.3e}")
     std = SequentialProduct.standard(a.algebra)
     l_b = multiplication_operator(std, b)
-    l_ainv = multiplication_operator(std, pseudo_inverse(a))
-    return _linear_map(a.algebra, l_b.compose(l_ainv).matrix, "Phi")
+    l_ainv = a.algebra._backend.quadratic_operator(_inverse_root(std, a))
+    return _linear_map(a.algebra, l_b.matrix @ l_ainv, "Phi")
 
 
 def imaginary_power_conjugation(q: Element, t: float) -> LinearMap:
@@ -213,7 +245,7 @@ def imaginary_power_conjugation(q: Element, t: float) -> LinearMap:
         raise CapabilityError(f"imaginary powers need a complex algebra, not {alg}")
     backend = alg._backend
     matrix = backend.conjugation_operator(
-        alg, backend.conjugator(q, _twisted_power(t, root=False), DEFAULT_GAP))
+        alg, backend.conjugator(q, _twisted_power(t, 0.0), DEFAULT_GAP))
     return _linear_map(alg, matrix, f"Ad(q^{{i{t}}})")
 
 

@@ -319,6 +319,54 @@ def test_nan_residual_fails_and_is_reported(monkeypatch):
     assert math.isnan(entry.max_residual)
 
 
+def _raising_at(law, bad_trial, exc):
+    """``law``'s row with an evaluator that raises ``exc`` on a stack holding ``bad_trial``."""
+    row, chunks = auditor.LAWS[law], []
+
+    def generate(rngs, p, alg, trials, params):
+        chunks.append(trials)
+        return row.generate(rngs, p, alg, trials, params)
+
+    def evaluate(p, alg, inp):
+        if bad_trial in chunks[-1]:
+            raise exc
+        return row.evaluate(p, alg, inp)
+
+    return dataclasses.replace(row, generate=generate, evaluate=evaluate)
+
+
+@pytest.mark.parametrize("error", list(auditor.TRIAL_ERRORS))
+def test_a_trial_that_raises_ends_its_row_with_an_error(error, monkeypatch):
+    monkeypatch.setitem(auditor.LAWS, LawId.SEA2, _raising_at(LawId.SEA2, 3, error("planted")))
+    entry = audit_law("SEA2", _product("standard", "real:3"), sp.parse_algebra("real:3"),
+                      trials=10, seed=1, tol=1e-8)
+    assert (entry.verdict, entry.trials, entry.witness) == ("error", 4, None)
+    assert entry.error == f"trial 3: {error.__name__}: planted"
+
+
+@pytest.mark.parametrize("error", [sp.ConfigError("planted"), sp.CapabilityError("planted"),
+                                   RuntimeError("planted")])
+def test_other_exceptions_of_a_trial_still_propagate(error, monkeypatch):
+    monkeypatch.setitem(auditor.LAWS, LawId.SEA2, _raising_at(LawId.SEA2, 3, error))
+    with pytest.raises(type(error), match="planted"):
+        audit_law("SEA2", _product("standard", "real:3"), sp.parse_algebra("real:3"),
+                  trials=10, seed=1, tol=1e-8)
+
+
+def test_the_cli_reports_a_row_that_raises_and_goes_on(tmp_path, capsys, monkeypatch):
+    from seqprod.cli import run_cli
+    monkeypatch.setitem(auditor.LAWS, LawId.DIVIDE, _raising_at(
+        LawId.DIVIDE, 3, sp.PreconditionError("divide needs a <= q")))
+    out = tmp_path / "r.json"
+    assert run_cli(["audit", "--algebra", "real:3", "--laws", "SEA2,DIVIDE,SEA1",
+                    "--trials", "5", "--out", str(out)]) == 1
+    entries = json.loads(out.read_text())["entries"]
+    assert [(e["law"], e["verdict"], e["trials"]) for e in entries] == [
+        ("SEA2", "pass", 5), ("DIVIDE", "error", 4), ("SEA1", "pass", 5)]
+    assert entries[1]["error"] == "trial 3: PreconditionError: divide needs a <= q"
+    assert "error: trial 3: PreconditionError" in capsys.readouterr().out
+
+
 # a, then per approximant q: a - q once, q - the previous approximant, and q's own frame;
 # on a chunk of one, and on its trial taken out as plain elements, as replay_witness runs it
 @pytest.mark.parametrize("short, blocks", [("real:4", 1), ("complex:4", 1), ("quat:3", 1),

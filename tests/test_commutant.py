@@ -6,7 +6,7 @@ import pytest
 
 import seqprod as sp
 from seqprod import _backends
-from seqprod._backends import KIND_SPIN, _clusters, _eigh, _matrix_basis
+from seqprod._backends import KIND_QUAT, KIND_SPIN, _clusters, _eigh, _matrix_basis
 from seqprod.algebra import from_coords, to_coords
 from seqprod.commutant import _proved_commuting
 from seqprod.products import COMMUTE_FLOOR, COMMUTE_ROUNDING
@@ -234,11 +234,15 @@ def test_diagonalize_rejects_non_positive_gap(gap):
 # ---------------------------------------------------------------------------
 #
 # ``reference_frame`` refines the identity's eigenspaces one generator at a
-# time, solving every compression v^H s v, and builds each projection with the
-# public constructor; ``reference_basis`` builds one element per null-space row.
-# The package reads the first generator's cached solve, keeps one-dimensional
-# subspaces as they are, and builds the basis as one stack; both must equal
-# the reference bit for bit: data, dtype and signed zeros.  The package forms
+# time, keeping a subspace of dimension one (two on quaternions: one Kramers
+# pair, a quaternionic line) as it is and solving every other compression
+# v^H s v, and builds each projection with the public constructor;
+# ``reference_basis`` builds one element per null-space row.  The package reads
+# the first generator's cached solve and builds the basis as one stack; both
+# must equal the reference bit for bit: data, dtype and signed zeros.  With
+# ``split_all`` the frame reference solves every compression, quaternionic
+# lines too: a second oracle, which the quaternionic frames match to rounding.
+# The package forms
 # the commutators as B - B^H from one product B = [E_1; ...; E_d] s; on
 # complex:2, complex:3 and quat:3 its rows differ from the reference's in
 # the signs of some zero entries, and the bases must still be equal.
@@ -258,11 +262,11 @@ def _reference_directions(elems):
     return dirs
 
 
-def reference_frame(alg, elems, gap=DEFAULT_GAP):
+def reference_frame(alg, elems, gap=DEFAULT_GAP, split_all=False):
     if alg.summands:
         frame = []
         for bi, sub in enumerate(alg.summands):
-            for p in reference_frame(sub, [e.data[bi] for e in elems], gap):
+            for p in reference_frame(sub, [e.data[bi] for e in elems], gap, split_all):
                 blocks = [sp.zero(s) for s in alg.summands]
                 blocks[bi] = p
                 frame.append(sp.Element(alg, tuple(blocks)))
@@ -272,10 +276,14 @@ def reference_frame(alg, elems, gap=DEFAULT_GAP):
         if not dirs:
             return [alg._backend.scalar(alg, 1.0)]
         return [sp.Element(alg, (0.5 * dirs[0], 0.5)), sp.Element(alg, (-0.5 * dirs[0], 0.5))]
+    line = 2 if alg.kind == KIND_QUAT else 1
     subspaces = [np.eye(alg.matrix_order, dtype=alg._backend.dtype)]
     for s in elems:
         refined = []
         for v in subspaces:
+            if v.shape[1] == line and not split_all:
+                refined.append(v)
+                continue
             w, vecs = _eigh(v.conj().T @ s.data @ v)
             start = 0
             for size in _clusters(w, gap)[0]:
@@ -324,7 +332,9 @@ def assert_same_elements(got, want, what):
 
 
 def _fresh(x):
-    """A copy of ``x`` with no cached eigen-data, as a request builds it."""
+    """A copy of ``x``, block by block, with no cached eigen-data, as a request builds it."""
+    if x.algebra.summands:
+        return sp.Element(x.algebra, tuple(_fresh(blk) for blk in x.data))
     return sp.Element(x.algebra, x.data)
 
 
@@ -343,6 +353,21 @@ def _check_frames(alg, a):
         assert_same_elements(got, want, name)
         # decomposed beforehand, the generators give the same frame again
         assert_same_elements(sp.simultaneous_diagonalize(family).frame, want, name)
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+@pytest.mark.parametrize("short", ["quat:3", "quat:2", "sum(spin:3,quat:2)"])
+def test_quaternionic_frames_match_the_reference_that_splits_every_subspace(short, profile):
+    alg = sp.parse_algebra(short)
+    for seed in (80, 81, 82):
+        a = sp.random_effect(alg, seed, profile)
+        for name, family in _families(alg, a).items():
+            got = sp.simultaneous_diagonalize([_fresh(x) for x in family]).frame
+            want = reference_frame(alg, [_fresh(x) for x in family], split_all=True)
+            assert len(got) == len(want), name
+            for p, q in zip(got, want):
+                assert sp.order_unit_norm(p - q) <= 1e-14, name
+                assert sp.is_sharp(p, 1e-14), name
 
 
 @pytest.mark.parametrize("seed", [1030, 1034])
@@ -379,17 +404,17 @@ def test_commutant_rows_are_one_array_on_every_kind():
 
 @pytest.fixture
 def solves(monkeypatch):
-    """The number of eigh and eigvalsh calls made since the fixture was set up."""
-    count = [0]
+    """The eigh and eigvalsh calls made since the fixture was set up, by solver name."""
+    count = {"eigh": 0, "eigvalsh": 0}
 
-    def counted(solver):
+    def counted(name, solver):
         def wrapper(*args, **kwargs):
-            count[0] += 1
+            count[name] += 1
             return solver(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
+    for name in count:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     return count
 
 
@@ -397,22 +422,45 @@ def test_diagonalizing_a_pair_makes_only_the_commutation_checks_solves(solves):
     alg = sp.real_symmetric(4)
     a = sp.random_effect(alg, 84)
     b = sp.jordan_product(a, a)
-    start = solves[0]
+    solves.update(eigh=0, eigvalsh=0)
     assert sp.commutes(sp.SequentialProduct.standard(alg), _fresh(a), _fresh(b))
     # sqrt(a) and sqrt(b); the difference's norm bound settles the check without a solve
-    assert solves[0] - start == 2
-    start = solves[0]
+    assert solves == {"eigh": 2, "eigvalsh": 0}
+    solves.update(eigh=0, eigvalsh=0)
     assert sp.simultaneous_diagonalize([_fresh(a), _fresh(b)]).points == 4
-    # the spectral ends of a and b, which prove the pair commuting; the frame reads a's solve
-    assert solves[0] - start == 2
+    # a's full solve and b's eigenvalues, whose ends prove the pair commuting; the frame reads
+    # a's solve
+    assert solves == {"eigh": 1, "eigvalsh": 1}
+
+
+#: (algebra, eigh calls, eigvalsh calls) of a settled pair: one full solve of a and one
+#: eigenvalue-only solve of b per matrix block, none on a spin factor
+SETTLED_SOLVES = [("real:4", 1, 1), ("complex:4", 1, 1), ("quat:3", 1, 1), ("spin:5", 0, 0),
+                  ("sum(complex:2,real:3)", 2, 2), ("sum(spin:3,quat:2)", 1, 1)]
+
+
+@pytest.mark.parametrize("short, eigh, eigvalsh", SETTLED_SOLVES)
+def test_a_settled_pair_solves_a_once_and_reads_only_the_eigenvalues_of_b(short, eigh, eigvalsh,
+                                                                          solves):
+    alg = sp.parse_algebra(short)
+    a = sp.random_effect(alg, 87)
+    a, b = _fresh(a), _fresh(sp.jordan_product(a, a) * 0.9 + sp.identity(alg) * 0.05)
+    solves.update(eigh=0, eigvalsh=0)
+    model = sp.simultaneous_diagonalize([a, b])
+    assert solves == {"eigh": eigh, "eigvalsh": eigvalsh}
+    blocks = list(b.data) if alg.summands else [b]
+    for blk in blocks:
+        if blk.algebra.kind != KIND_SPIN:
+            assert "_spectrum" in blk.__dict__ and "_eigen" not in blk.__dict__
+    assert model.points == len(reference_frame(alg, [_fresh(a), _fresh(b)]))
 
 
 def test_diagonalizing_a_decomposed_element_makes_no_solve(solves):
     a = sp.random_effect(sp.real_symmetric(4), 85)
     sp.spectral_decompose(a)
-    start = solves[0]
+    start = dict(solves)
     sp.simultaneous_diagonalize([a])
-    assert solves[0] == start
+    assert solves == start
 
 
 # ---------------------------------------------------------------------------

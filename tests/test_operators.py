@@ -220,8 +220,8 @@ def test_operators_equal_the_per_basis_formulas_bit_for_bit(short, stacked):
              (sp.multiplication_operator(sp.SequentialProduct.standard(alg), a).matrix,
               reference_quadratic_operator(sp.sqrt_pos(a)))]
     if alg.is_complex_kind():  # twisted L_a and Ad(q^{it}): x -> m x m^H for complex m
-        for t, root in ((0.7, True), (-0.3, False)):
-            m = backend.conjugator(a, _twisted_power(t, root), DEFAULT_GAP)
+        for t, exponent in ((0.7, 0.5), (-0.3, 0.0)):
+            m = backend.conjugator(a, _twisted_power(t, exponent), DEFAULT_GAP)
             pairs.append((backend.conjugation_operator(alg, m),
                           reference_conjugation_operator(alg, m)))
         pairs.append((sp.imaginary_power_conjugation(a, -0.3).matrix, pairs[-1][1]))

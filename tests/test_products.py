@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 import seqprod as sp
-from seqprod.algebra import map_distance, random_projection
+from seqprod.algebra import (KIND_SPIN, map_distance, operator_norm, random_projection,
+                             rel_residual)
+
+from test_commutant import _fresh
 
 
 def _std(alg):
@@ -433,3 +436,78 @@ def test_a_root_that_fails_is_not_kept():
         with pytest.raises(sp.PreconditionError):
             sp.multiplication_operator(_std(alg), a)
         assert "_roots" not in a.__dict__
+
+
+# ---------------------------------------------------------------------------
+# divide and homogeneity from one solve of q
+# ---------------------------------------------------------------------------
+#
+# ``divide`` takes the root at the pseudo-inverse q^+ from q's own solve; the composite
+# seq_product(p, pseudo_inverse(q), a), which solves q^+ again, stays here as the oracle.
+
+#: (algebra, twist, matrix blocks): one eigh of q and one eigvalsh of q - a per block
+DIVIDE_CASES = [("real:4", None, 1), ("complex:4", None, 1), ("quat:3", None, 1),
+                ("spin:5", None, 0), ("sum(complex:2,real:3)", None, 2),
+                ("complex:3", 0.5, 1), ("complex:3", 1.0, 1),
+                ("sum(complex:2,complex:3)", None, 2), ("sum(complex:2,complex:3)", 0.7, 2)]
+
+
+def _blocks(x):
+    """The simple blocks of x, direct sums flattened in summand order."""
+    if x.algebra.summands:
+        return [b for blk in x.data for b in _blocks(blk)]
+    return [x]
+
+
+def _quotient_pair(alg, p, seed, profile):
+    """(q, a) with a = q o x <= q, both fresh."""
+    q = sp.random_effect(alg, seed, profile)
+    return _fresh(q), _fresh(sp.seq_product(p, q, sp.random_effect(alg, seed + 1)))
+
+
+@pytest.mark.parametrize("short,twist,blocks", DIVIDE_CASES)
+def test_divide_solves_q_once_and_q_minus_a_for_its_ends(short, twist, blocks, monkeypatch):
+    from seqprod import _backends
+    alg = sp.parse_algebra(short)
+    p = _product(alg, twist)
+    q, a = _quotient_pair(alg, p, 56, "singular")
+    solved = {"eigh": [], "eigvalsh": []}
+    for name, calls in solved.items():
+        monkeypatch.setattr(np.linalg, name,
+                            lambda mat, solver=getattr(np.linalg, name), calls=calls:
+                            calls.append(mat) or solver(mat))
+    functions = []
+    function = _backends._matrix_function
+    monkeypatch.setattr(_backends, "_matrix_function",
+                        lambda x, *args: functions.append(x) or function(x, *args))
+    sp.divide(p, q, a)
+    diff = q - a
+    matrices = [blk for blk in _blocks(q) if blk.algebra.kind != KIND_SPIN]
+    assert len(matrices) == blocks
+    assert [m.tobytes() for m in solved["eigh"]] == [blk.data.tobytes() for blk in matrices]
+    assert [m.tobytes() for m in solved["eigvalsh"]] == [
+        blk.data.tobytes() for blk in _blocks(diff) if blk.algebra.kind != KIND_SPIN]
+    # one function of each block of q, and of nothing else: no pseudo-inverse is built
+    assert len(functions) == blocks and all(any(f is blk for blk in matrices) for f in functions)
+
+
+@pytest.mark.parametrize("short,twist", [(short, twist) for short, twist, _ in DIVIDE_CASES])
+def test_divide_equals_the_product_at_the_pseudo_inverse(short, twist):
+    alg = sp.parse_algebra(short)
+    p = _product(alg, twist)
+    for seed, profile in ((57, "generic"), (58, "singular"), (59, "invertible"), (60, "sharp")):
+        q, a = _quotient_pair(alg, p, seed, profile)
+        want = sp.seq_product(p, sp.pseudo_inverse(q), a)
+        assert rel_residual(sp.divide(p, q, a), want) <= 1e-12, profile
+
+
+@pytest.mark.parametrize("short", ["real:4", "complex:4", "quat:3", "spin:5",
+                                   "sum(complex:2,real:3)"])
+def test_homogeneity_iso_equals_the_composite_with_the_pseudo_inverse(short):
+    alg = sp.parse_algebra(short)
+    std = _std(alg)
+    a, b = (sp.random_effect(alg, seed, "invertible") for seed in (61, 62))
+    want = sp.multiplication_operator(std, b).compose(
+        sp.multiplication_operator(std, sp.pseudo_inverse(a)))
+    got = sp.homogeneity_iso(_fresh(a), _fresh(b))
+    assert map_distance(got, want) <= 1e-12 * max(1.0, operator_norm(want))

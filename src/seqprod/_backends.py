@@ -9,24 +9,33 @@ package reaches element storage only through the backend primitives:
   matrix; the quaternionic n x n case is its complex 2n x 2n embedding X
   with J conj(X) J^-1 = X, J = [[0, I], [-I, 0]];
 * ``_SpinBackend`` stores a pair (v, t) with v in R^d and t in R;
-* ``_SumBackend`` stores a tuple of summand elements and does its per-block
-  work through :func:`_blockwise`.
+* ``_SumBackend`` stores a tuple of summand elements.  Most of its
+  primitives are one line, ``_lifted(primitive, operands, join)``: summand
+  k's primitive on block k of each operand (:func:`_blockwise`), the results
+  joined in block order as the element of the blocks, the block diagonal,
+  the sum, the span (min lo, max hi) or the element-wise largest.
 
-Every eigensolve of the package runs here, through :func:`_eigh`, which
+Solves and caches.  Every eigensolve runs through :func:`_eigh`, which
 rejects an element with a NaN or infinite entry.  A matrix element is
-solved at most once each way, and the result kept on the instance: its
-eigenvalue range reads the ends of an eigenvalue-only solve
-(:func:`_spectrum`), and its spectral pairs, every f(a) and a joint frame
-that it generates first read one full solve (:func:`_eigen`), as does
-``frame_range``, the ends that a check reads when it goes on to take a root
-or frame of the same element.  The range never reads the full solve, so its
-bits do not depend on what was solved first.
-f(a) is the ``functional`` primitive: one product per matrix block on the
-cached eigen-data, a closed form on spin factors.  A norm that is only
-compared with a threshold is solved only where :func:`_norm_bounds` (the
-Frobenius norm and the largest absolute row sum) leave the comparison open
-by more than ``BOUND_MARGIN``: ``residual_terms`` and ``norm_bounds`` give
-the bounds per kind, exact on spin factors.
+solved at most once each way and the result kept on the instance: the data
+is immutable, so the entry never goes stale, two threads racing on a fresh
+element write the same result, and a failed solve keeps nothing.  Its
+eigenvalue range (``eigen_range``, and so the smallest eigenvalue, the
+order-unit norm and the order checks) reads an eigenvalue-only solve
+(:func:`_spectrum`).  Its spectral pairs, every f(a) and root, a joint frame
+that it generates first, and ``frame_range`` (the ends that a check reads
+when it goes on to take a root or frame of the element) read one full solve
+(:func:`_eigen`).  Neither reads the other, so each gives the same bits
+whatever was solved first; the two may differ in the last bits.  A spin
+element keeps |v| (:func:`_spin_radius`), and both its ranges are t +- |v|;
+``products`` keeps a product root per twist the same way.  A norm that is
+only compared with a threshold is solved only where :func:`_norm_bounds`
+leave the comparison open by more than ``BOUND_MARGIN`` (``norm_bounds`` and
+``residual_terms`` give the bounds per kind, exact on spin factors).  A
+residual solves ||x - y||, and ||x|| and ||y|| only where their bound
+exceeds 1 - ``BOUND_MARGIN``, eigenvalues only: it reads and keeps no
+eigen-data.  f(a) is one product per matrix block on the cached eigen-data,
+a closed form on spin factors.
 
 Results that meet the representation invariants by construction (real
 linear combinations of elements, scalars, spin arithmetic, direct sums
@@ -113,6 +122,30 @@ def _blockwise(primitive, operands, *args):
     """
     return tuple(getattr(blocks[0].algebra._backend, primitive)(*blocks, *args)
                  for blocks in zip(*(x.data for x in operands)))
+
+
+def _lifted(primitive, operands, join=None):
+    """The direct-sum method of ``primitive`` whose first ``operands`` arguments are elements:
+    :func:`_blockwise` on them and the other arguments, the results joined by ``join``, or
+    without one held as the element of the blocks, trusted as they are."""
+    def method(self, *args):
+        parts = _blockwise(primitive, args[:operands], *args[operands:])
+        return _trusted(args[0].algebra, parts) if join is None else join(parts)
+    return method
+
+
+def _span(ranges):
+    """(min lo, max hi) of the blocks' (lo, hi), each reduced in block order."""
+    los, his = zip(*ranges)
+    return reduce(np.minimum, los), reduce(np.maximum, his)
+
+
+def _largest(parts):
+    """The element-wise largest of the blocks' results, reduced in block order; of each side
+    for pairs."""
+    if isinstance(parts[0], tuple):
+        return tuple(map(_largest, zip(*parts)))
+    return reduce(np.maximum, parts)
 
 
 def _block_diag(mats) -> np.ndarray:
@@ -204,12 +237,9 @@ def _norm_bounds(mats: np.ndarray, hermitian: bool = True):
 
 def _commutation_bound(comm, a, b):
     """comm (1 + sqrt(hi_a / lo_a) / 2 + sqrt(hi_b / lo_b) / 2) for a bound ``comm`` on
-    ||[a, b]|| and the spectral ends [lo, hi] of a and b: a bound on ||a o b - b o a|| for the
-    standard product, proved in ``commutant._proved_commuting``.
-
-    a's ends come from its full solve (``frame_range``), which a joint frame reads again, and
-    b's from an eigenvalue-only one (``eigen_range``), as ``_proved_commuting`` reads them.  It
-    is NaN or infinite where an end is not positive.
+    ||[a, b]|| and the spectral ends [lo, hi] of a and b, read as ``_proved_commuting`` reads
+    them: a bound on ||a o b - b o a|| for the standard product, proved there.  It is NaN or
+    infinite where an end is not positive.
     """
     lo_a, hi_a = a.algebra._backend.frame_range(a)
     lo_b, hi_b = b.algebra._backend.eigen_range(b)
@@ -217,12 +247,7 @@ def _commutation_bound(comm, a, b):
 
 
 def _eigen(a) -> tuple[np.ndarray, np.ndarray]:
-    """(w, V) of the matrix element ``a``, solved once and kept on the instance.
-
-    The data is immutable, so the entry never goes stale; two threads racing
-    on a fresh element both write the same result.  A failed solve keeps
-    nothing and raises again on the next call.
-    """
+    """(w, V) of the matrix element ``a``, solved once and kept on the instance."""
     eig = a.__dict__.get("_eigen")
     if eig is None:
         w, vecs = _eigh(a.data)
@@ -232,11 +257,7 @@ def _eigen(a) -> tuple[np.ndarray, np.ndarray]:
 
 def _spectrum(a) -> np.ndarray:
     """The ascending eigenvalues of the matrix element ``a`` from an eigenvalue-only solve, kept
-    on the instance as :func:`_eigen` keeps (w, V).
-
-    It never reads ``_eigen``, so it is the same whichever was solved first.  A failed solve
-    keeps nothing.
-    """
+    on the instance."""
     w = a.__dict__.get("_spectrum")
     if w is None:
         w = a.__dict__["_spectrum"] = _read_only(_eigh(a.data, vectors=False))
@@ -475,19 +496,6 @@ def _hermitian_sum(prods: np.ndarray, sign: float) -> np.ndarray:
     return (np.add if sign > 0 else np.subtract)(prods, out, out=out)
 
 
-def _conjugation_operator(alg, m: np.ndarray) -> np.ndarray:
-    """Coordinate matrix of x -> m x m^H, one per trial for a stack of m.
-
-    m E_k comes from one product per trial, and (m E_k) m^H is taken block by block, in place:
-    as one tall (dim m, m) product it rounds differently on some real orders (32-34).
-    """
-    dim, order = _matrix_basis(alg).shape[:2]
-    left = (m @ _basis_columns(alg)).reshape(m.shape[:-2] + (order, dim, order))
-    images = left.swapaxes(-3, -2) @ m.conj().swapaxes(-1, -2)[..., None, :, :]
-    del left  # freed before the projection allocates
-    return _operator(alg, images)
-
-
 class _MatrixBackend(_Backend):
     """n x n Hermitian matrices over R, C or H (of real dimension ``field_dim`` 1, 2, 4).
 
@@ -626,7 +634,7 @@ class _MatrixBackend(_Backend):
 
     def quadratic_operator(self, a) -> np.ndarray:
         # associative shortcut x -> a x a, as in ``quadratic``
-        return _conjugation_operator(a.algebra, a.data)
+        return self.conjugation_operator(a.algebra, a.data)
 
     def conjugator(self, a, f, gap: float):
         """m = f(a) as ``conjugate`` and ``conjugation_operator`` take it; f may be complex
@@ -638,8 +646,16 @@ class _MatrixBackend(_Backend):
         return self._element(x.algebra, m @ x.data @ m.conj().swapaxes(-1, -2))
 
     def conjugation_operator(self, alg, m) -> np.ndarray:
-        """Coordinate matrix of x -> m x m^H for the conjugator m."""
-        return _conjugation_operator(alg, m)
+        """Coordinate matrix of x -> m x m^H for the conjugator m, one per trial for a stack.
+
+        m E_k comes from one product per trial, and (m E_k) m^H is taken block by block, in
+        place: as one tall (dim m, m) product it rounds differently on some real orders (32-34).
+        """
+        dim, order = _matrix_basis(alg).shape[:2]
+        left = (m @ _basis_columns(alg)).reshape(m.shape[:-2] + (order, dim, order))
+        images = left.swapaxes(-3, -2) @ m.conj().swapaxes(-1, -2)[..., None, :, :]
+        del left  # freed before the projection allocates
+        return _operator(alg, images)
 
     def normals(self, alg, rngs) -> np.ndarray:
         """The standard normals (k, field_dim, n, n) of one Gaussian matrix per Generator, in
@@ -715,7 +731,7 @@ class _MatrixBackend(_Backend):
         if kind == "transpose":
             transpose = _operator(alg, _matrix_basis(alg).swapaxes(1, 2))
             return np.broadcast_to(transpose, (len(rngs),) + transpose.shape)
-        return _conjugation_operator(alg, _random_structured_unitaries(alg, rngs))
+        return self.conjugation_operator(alg, _random_structured_unitaries(alg, rngs))
 
     def commutant_rows(self, alg, elems) -> np.ndarray:
         """Null space of the stacked commutator maps X -> Xs - sX, one coordinate row each.
@@ -765,11 +781,8 @@ class _MatrixBackend(_Backend):
 # ---------------------------------------------------------------------------
 
 def _spin_radius(a):
-    """(v, t, |v|) of a spin element, stacked or not; its eigenvalues are t +- |v|.
-
-    |v| is kept on the instance, as ``_eigen`` keeps (w, V).  A NaN or
-    infinite entry raises NumericalFailureError, as in ``_eigh``.
-    """
+    """(v, t, |v|) of a spin element, stacked or not, with |v| kept on the instance; its
+    eigenvalues are t +- |v|.  A NaN or infinite entry raises NumericalFailureError."""
     v, t = a.data
     r = a.__dict__.get("_radius")
     if r is None:
@@ -988,15 +1001,26 @@ class _SumBackend(_Backend):
                     f"block algebra {blk.algebra} does not match summand {sub}")
         return blocks
 
-    # results assembled from summand results need no check of their blocks
-    def combine(self, a, b, sa, sb):
-        return _trusted(a.algebra, _blockwise("combine", (a, b), sa, sb))
-
-    def scale(self, a, s):
-        return _trusted(a.algebra, _blockwise("scale", (a,), s))
-
-    def scale_trials(self, a, s):
-        return _trusted(a.algebra, _blockwise("scale_trials", (a,), s))
+    # the blockwise primitives; an element assembled from summand results needs no check
+    combine = _lifted("combine", 2)
+    scale = _lifted("scale", 1)
+    scale_trials = _lifted("scale_trials", 1)
+    take = _lifted("take", 1)
+    jordan = _lifted("jordan", 2)
+    quadratic = _lifted("quadratic", 2)  # a b a on matrix blocks, the Jordan form on spin ones
+    functional = _lifted("functional", 1)
+    conjugator = _lifted("conjugator", 1, tuple)  # the summands' conjugators, in summand order
+    jordan_operator = _lifted("jordan_operator", 1, _block_diag)
+    quadratic_operator = _lifted("quadratic_operator", 1, _block_diag)
+    inner = _lifted("inner", 2, sum)
+    eigen_range = _lifted("eigen_range", 1, _span)
+    frame_range = _lifted("frame_range", 1, _span)
+    residual_terms = _lifted("residual_terms", 2, _largest)
+    norm_bounds = _lifted("norm_bounds", 1, _largest)
+    to_coords = _lifted("to_coords", 1, lambda parts: np.concatenate(parts, axis=-1))
+    to_payload = _lifted("to_payload", 1, list)
+    commutator_norm = _lifted("commutator_norm", 2, _largest)
+    commutation_bound = _lifted("commutation_bound", 2, _largest)
 
     def scalar(self, alg, c: float):
         return _trusted(alg, tuple(s._backend.scalar(s, c) for s in alg.summands))
@@ -1004,48 +1028,6 @@ class _SumBackend(_Backend):
     def stack(self, alg, elems):
         return _trusted(alg, tuple(s._backend.stack(s, [x.data[k] for x in elems])
                                    for k, s in enumerate(alg.summands)))
-
-    def take(self, x, i):
-        return _trusted(x.algebra, _blockwise("take", (x,), i))
-
-    def jordan(self, a, b):
-        return _trusted(a.algebra, _blockwise("jordan", (a, b)))
-
-    def quadratic(self, a, b):
-        # a b a on matrix blocks, the Jordan formula on spin blocks
-        return _trusted(a.algebra, _blockwise("quadratic", (a, b)))
-
-    def jordan_operator(self, a) -> np.ndarray:
-        return _block_diag(_blockwise("jordan_operator", (a,)))
-
-    def quadratic_operator(self, a) -> np.ndarray:
-        return _block_diag(_blockwise("quadratic_operator", (a,)))
-
-    def inner(self, a, b) -> float:
-        return sum(_blockwise("inner", (a, b)))
-
-    def eigen_range(self, a):
-        los, his = zip(*_blockwise("eigen_range", (a,)))
-        return reduce(np.minimum, los), reduce(np.maximum, his)
-
-    def frame_range(self, a):
-        los, his = zip(*_blockwise("frame_range", (a,)))
-        return reduce(np.minimum, los), reduce(np.maximum, his)
-
-    def residual_terms(self, x, y):
-        diffs, scales = zip(*_blockwise("residual_terms", (x, y)))
-        return reduce(np.maximum, diffs), reduce(np.maximum, scales)
-
-    def norm_bounds(self, x):
-        lows, highs = zip(*_blockwise("norm_bounds", (x,)))
-        return reduce(np.maximum, lows), reduce(np.maximum, highs)
-
-    def functional(self, a, f, gap: float):
-        return _trusted(a.algebra, _blockwise("functional", (a,), f, gap))
-
-    def conjugator(self, a, f, gap: float):
-        """The summands' conjugators, in summand order."""
-        return _blockwise("conjugator", (a,), f, gap)
 
     def conjugate(self, m, x):
         return _trusted(x.algebra, tuple(blk.algebra._backend.conjugate(mb, blk)
@@ -1135,25 +1117,13 @@ class _SumBackend(_Backend):
                                               for i in range(len(rngs))])
         return _trusted(alg, tuple(blocks))
 
-    def to_coords(self, x) -> np.ndarray:
-        return np.concatenate(_blockwise("to_coords", (x,)), axis=-1)
-
     def from_coords(self, alg, coords: np.ndarray):
         parts = np.split(coords, np.cumsum([s.real_dimension for s in alg.summands])[:-1], -1)
         return _trusted(alg, tuple(s._backend.from_coords(s, c)
                                    for s, c in zip(alg.summands, parts)))
 
-    def to_payload(self, x):
-        return list(_blockwise("to_payload", (x,)))
-
     def from_payload(self, alg, payload, decode):
         return _alg.Element(alg, tuple(decode(s, p) for s, p in zip(alg.summands, payload)))
-
-    def commutator_norm(self, a, b) -> float:
-        return reduce(np.maximum, _blockwise("commutator_norm", (a, b)))
-
-    def commutation_bound(self, a, b):
-        return reduce(np.maximum, _blockwise("commutation_bound", (a, b)))
 
     def order_isos(self, alg) -> tuple[str, ...]:
         return tuple(k for k in ("unitary_conjugation", "transpose")

@@ -12,17 +12,10 @@ product is tr(ab) (half the embedded trace for quaternionic matrices,
 2(<v,w> + ts) for spin factors) and the order-unit norm is the spectral
 radius.  All values are immutable and every operation is a pure function,
 so elements and maps can be shared freely between threads.  An element's
-eigen-data is computed on first use and kept on the instance; it is
-written once and derived only from the immutable data (a race between
-threads computes the same value twice), so the operations stay pure.  The
-eigenvalue range, and with it ``min_eigenvalue``, ``order_unit_norm``,
-``is_positive``, ``is_effect`` and ``leq``, reads an eigenvalue-only solve;
-frames, roots and f(a) read the full solve, and so does ``frame_range``,
-for a check that goes on to take one of them.  Neither reads the other, so
-each gives the same bits whatever was solved first; the two may differ in
-the last bits.  The root of a sequential product at an element is kept the
-same way (``products``), and ``x * 1.0`` is x itself, caches included.  A
-descriptor keeps its identity and zero the same way.  Elements *stacked* by
+eigen-data and product roots are derived only from its data and kept on the
+instance, as ``_backends`` states, so the operations stay pure; ``x * 1.0``
+is x itself, caches included.  A descriptor keeps its identity and zero the
+same way.  Elements *stacked* by
 the backends hold k trials on a leading axis; arithmetic, ``seq_product``,
 the eigenvalue range, ``trace_inner_product``, ``rel_residual`` and
 ``norm_at_most`` return one value per trial, and ``_random_effects`` draws a
@@ -234,9 +227,8 @@ def eigenvalue_range(a: Element) -> tuple[float, float]:
 
 
 def frame_range(a: Element) -> tuple[float, float]:
-    """(smallest, largest) eigenvalue from the full solve that a's frames, roots and f(a) read;
-    per trial for a stacked element.  A check that goes on to take one of those reads it at no
-    extra solve; it may differ from ``eigenvalue_range`` in the last bits."""
+    """(smallest, largest) eigenvalue from the full solve, for a check that goes on to take a
+    frame, root or f(a) of a; per trial for a stacked element."""
     return a.algebra._backend.frame_range(a)
 
 
@@ -251,12 +243,7 @@ def order_unit_norm(a: Element) -> float:
 
 
 def rel_residual(x: Element, y: Element) -> float:
-    """||x - y|| divided by max(1, ||x||, ||y||).
-
-    On a matrix block ||x - y|| is always solved, eigenvalues only, and ||x|| and ||y|| only
-    on the trials whose norm bound exceeds 1 - BOUND_MARGIN; the eigen-data of x and y is
-    neither read nor kept.
-    """
+    """||x - y|| divided by max(1, ||x||, ||y||), per trial for a stack."""
     diff, scale = check_same_algebra(x, y)._backend.residual_terms(x, y)
     return diff / scale
 

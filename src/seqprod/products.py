@@ -11,9 +11,9 @@ Twisted products satisfy the same finite-measurement axioms as the
 standard one but differ from it for t != 0; the auditor uses them as the
 non-standard foil for the uniqueness demonstrations.  The operators here give
 one map per trial for stacked elements, and their preconditions name the worst trial.
-
-Division and the homogeneity isomorphism read the product root at the
-pseudo-inverse q^+ from q's own solve (``_inverse_root``); neither builds q^+.
+Every root and imaginary power is taken of a positive element: a twisted
+product, ``divide`` and ``imaginary_power_conjugation`` raise, as ``sqrt_pos``
+does, where an eigenvalue is below -SUPPORT_TOL.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .errors import (
     DescriptorMismatchError,
     PreconditionError,
 )
-from .spectral import DEFAULT_GAP, sqrt_pos
+from .spectral import DEFAULT_GAP, _require_positive, sqrt_pos
 
 #: effects with min eigenvalue below this are rejected where an inverse is needed
 INVERTIBILITY_TOL = 1e-6
@@ -132,19 +132,16 @@ def _check_product_algebra(p: SequentialProduct, a: Element):
 
 
 def _product_root(p: SequentialProduct, a: Element):
-    """The root of ``p`` at a: sqrt(a) (an Element, a o b = Q_sqrt(a)(b)) for the standard
-    product, the conjugator m = sqrt(a) a^{it} (a o b = m b m^H) for twisted:t.
-
-    It is built once per twist (None for the standard product) and kept on a, as ``_eigen``
-    keeps (w, V): the data is immutable, so the entry never goes stale.  A failed build keeps
-    nothing.
-    """
+    """The root of ``p`` at a, kept on a per twist (None for the standard product): sqrt(a)
+    (an Element, a o b = Q_sqrt(a)(b)) for the standard product, the conjugator
+    m = sqrt(a) a^{it} (a o b = m b m^H) for twisted:t."""
     roots = a.__dict__.get("_roots")
     root = None if roots is None else roots.get(p.twist)
     if root is None:
         if p.is_standard:
             root = sqrt_pos(a)
         else:
+            _require_positive(a, f"the {p.descriptor()} product")
             root = a.algebra._backend.conjugator(a, _twisted_power(p.twist, 0.5), DEFAULT_GAP)
         a.__dict__.setdefault("_roots", {})[p.twist] = root
     return root
@@ -215,6 +212,7 @@ def divide(p: SequentialProduct, q: Element, a: Element) -> Element:
         raise PreconditionError(
             f"divide needs a <= q; offending eigenvalue of q - a is {np.min(gap):.3e}")
     _check_product_algebra(p, q)
+    _require_positive(q, "divide")
     return _apply_root(p, _inverse_root(p, q), a)
 
 
@@ -243,6 +241,7 @@ def imaginary_power_conjugation(q: Element, t: float) -> LinearMap:
     alg = q.algebra
     if not alg.is_complex_kind():
         raise CapabilityError(f"imaginary powers need a complex algebra, not {alg}")
+    _require_positive(q, "imaginary_power_conjugation")
     backend = alg._backend
     matrix = backend.conjugation_operator(
         alg, backend.conjugator(q, _twisted_power(t, 0.0), DEFAULT_GAP))

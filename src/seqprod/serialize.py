@@ -6,7 +6,6 @@ import numpy as np
 
 from ._backends import _BACKENDS
 from .algebra import AlgebraDescriptor, Element, LinearMap
-from .commutant import FunctionModel
 from .errors import ConfigError
 from .spectral import SpectralDecomposition
 
@@ -77,13 +76,6 @@ def decomposition_from_json(obj: dict) -> SpectralDecomposition:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed decomposition JSON: {exc}") from exc
     return SpectralDecomposition(alg, pairs)
-
-
-def function_model_to_json(model: FunctionModel) -> dict:
-    return {"algebra": algebra_to_json(model.algebra),
-            "points": model.points,
-            "frame": [_data_to_json(p) for p in model.frame],
-            "embedding": model.embedding_matrix.tolist()}
 
 
 # -- witness payloads (elements, maps and scalars keyed by role) -------------

@@ -91,6 +91,14 @@ def _threshold(a: Element, f) -> Element:
     return a.algebra._backend.functional(a, f, DEFAULT_GAP)
 
 
+def _require_positive(a: Element, what: str) -> None:
+    """PreconditionError naming the smallest eigenvalue unless a (each trial of a stack) is
+    positive to within the support threshold; read from the solve that a root of a reads."""
+    lo = frame_range(a)[0]
+    if np.count_nonzero(~(lo >= -SUPPORT_TOL)):
+        raise PreconditionError(f"{what} needs a positive element; min eigenvalue {np.min(lo):.3e}")
+
+
 def sqrt_pos(a: Element) -> Element:
     """Square root of a positive element.
 
@@ -99,10 +107,7 @@ def sqrt_pos(a: Element) -> Element:
     negative round-off is clamped.  The root therefore lives exactly on
     the support projection, and ||sqrt(a)*sqrt(a) - a|| <= 1e-9.
     """
-    lo = frame_range(a)[0]  # the root reads the same solve
-    if np.count_nonzero(~(lo >= -SUPPORT_TOL)):
-        raise PreconditionError(
-            f"square root needs a positive element; min eigenvalue {np.min(lo):.3e}")
+    _require_positive(a, "square root")
     return _threshold(a, lambda x: np.sqrt(np.where(x > SUPPORT_TOL, x, 0.0)))
 
 

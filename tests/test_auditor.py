@@ -187,6 +187,16 @@ def test_unavailable_isomorphism_param_is_error_entry():
     assert report.status == "pass"
 
 
+@pytest.mark.parametrize("iso", ["reflection", ["transpose"], 1.5])
+def test_unknown_isomorphism_param_is_error_entry(iso):
+    config = SuiteConfig(rows=[SuiteRow("INVARIANCE", "standard", "complex:3", 5,
+                                        params={"iso": iso}, expect="error")], seed=2)
+    report = run_full_suite(config)
+    assert report.entries[0].verdict == "error"
+    assert "unknown order isomorphism kind" in report.entries[0].error
+    assert report.status == "pass"
+
+
 def test_run_full_suite_deterministic():
     # one row on each test algebra, plus a twisted falsification row
     laws = ("SEA2", "COMMUTE_EQUIV", "FUNDAMENTAL_EQ", "SPECTRAL_RECON", "INVARIANCE")

@@ -118,6 +118,20 @@ def test_kind_checks_live_in_the_backend_module():
     assert outside == []
 
 
+#: the matrix primitives that direct sums do without: no matrix of their own, no Gaussian draw
+#: of their own, no commutant rows (``has_commutant`` is False)
+SUM_DOES_WITHOUT = {"matrix_order", "normals", "gaussian", "commutant_rows"}
+
+
+def test_direct_sums_define_every_matrix_primitive():
+    # a primitive missing from the direct sum would fall back to ``_Backend``'s generic one
+    # (Q_a in Jordan form, the residual from three norms) and change bits
+    matrix = {name for name, value in vars(_backends._MatrixBackend).items()
+              if callable(value) and not name.startswith("_")}
+    assert SUM_DOES_WITHOUT <= matrix
+    assert matrix - SUM_DOES_WITHOUT - set(vars(_backends._SumBackend)) == set()
+
+
 # ---------------------------------------------------------------------------
 # Matrix bases
 # ---------------------------------------------------------------------------

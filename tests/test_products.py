@@ -228,6 +228,54 @@ def test_divide_precondition_names_eigenvalue():
         sp.divide(_std(alg), q, a)
 
 
+def _not_positive(alg):
+    """An element of alg whose smallest eigenvalue is -0.5, the others in (0, 1)."""
+    if alg.summands:
+        return sp.Element(alg, tuple(_not_positive(s) if k == 0 else sp.random_effect(s, 60)
+                                     for k, s in enumerate(alg.summands)))
+    return sp.Element(alg, np.diag([-0.5, 0.3, 0.6][:alg.size]).astype(complex))
+
+
+@pytest.mark.parametrize("short", ["complex:3", "sum(complex:2,complex:3)"])
+@pytest.mark.parametrize("twist", [None, 1.0])
+def test_roots_and_powers_need_a_positive_element(short, twist):
+    alg = sp.parse_algebra(short)
+    p = sp.SequentialProduct(alg, twist)
+    q, b = _not_positive(alg), sp.random_effect(alg, 61)
+    calls = [lambda: sp.seq_product(p, q, b), lambda: sp.multiplication_operator(p, q),
+             lambda: sp.divide(p, q, q - sp.identity(alg) * 0.1),
+             lambda: sp.imaginary_power_conjugation(q, 1.0 if twist is None else twist)]
+    for call in calls:
+        with pytest.raises(sp.PreconditionError, match="positive element; min eigenvalue -5.0"):
+            call()
+
+
+@pytest.mark.parametrize("twist", [None, 1.0])
+def test_spectrum_within_the_support_threshold_counts_as_positive(twist):
+    alg = sp.complex_hermitian(3)
+    p = sp.SequentialProduct(alg, twist)
+    q = sp.Element(alg, np.diag([-1e-12, 0.3, 0.6]))
+    sp.seq_product(p, q, sp.random_effect(alg, 61))
+    sp.multiplication_operator(p, q)
+    sp.divide(p, q, q * 0.5)
+    sp.imaginary_power_conjugation(q, 1.0)
+
+
+@pytest.mark.parametrize("short, blocks", [("complex:3", 1), ("sum(complex:2,complex:3)", 2)])
+def test_divide_checks_positivity_on_the_solve_its_root_reads(short, blocks, monkeypatch):
+    alg = sp.parse_algebra(short)
+    q = sp.random_effect(alg, 62)
+    a = sp.seq_product(sp.SequentialProduct.standard(alg), q, sp.random_effect(alg, 63))
+    q = q + sp.zero(alg)  # the same data, with no eigen-data kept
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda mat, _n=name, _s=solver: calls.append(_n) or _s(mat))
+    sp.divide(sp.SequentialProduct.twisted(alg, 1.0), q, a)
+    assert sorted(calls) == ["eigh"] * blocks + ["eigvalsh"] * blocks
+
+
 # ---------------------------------------------------------------------------
 # homogeneity
 # ---------------------------------------------------------------------------

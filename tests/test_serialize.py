@@ -59,15 +59,6 @@ def test_linear_map_roundtrip():
     assert back.label == phi.label
 
 
-def test_function_model_json():
-    alg = sp.real_symmetric(2)
-    model = sp.simultaneous_diagonalize([sp.Element(alg, np.diag([0.5, 0.2]))])
-    obj = serialize.function_model_to_json(model)
-    assert obj["points"] == 2
-    assert len(obj["frame"]) == 2
-    assert np.array(obj["embedding"]).shape == (alg.real_dimension, 2)
-
-
 def test_malformed_json_raises_config_error():
     with pytest.raises(sp.ConfigError):
         serialize.element_from_json({"data": [[1.0]]})

@@ -1,11 +1,12 @@
 """Seeded property-based auditing of the kernel's structural laws.
 
-Each law is one row of ``LAWS``: a generator, an evaluator, and the default
-trials and tolerance.  ``generate`` manufactures inputs satisfying the law's
-hypotheses from per-trial RNGs, ``evaluate`` computes a residual from the
-inputs alone.  A trial fails when its residual exceeds the row tolerance; the
-first failing trial's inputs are serialized as a witness, so any reported
-violation can be replayed standalone through the module operations.
+Each law is one row of ``LAWS``, keyed by its name: a generator, an evaluator,
+and the default trials and tolerance; ``LawId`` is built from those keys.
+``generate`` manufactures inputs satisfying the law's hypotheses from per-trial
+RNGs, ``evaluate`` computes a residual from the inputs alone.  A trial fails
+when its residual exceeds the row tolerance; the first failing trial's inputs
+are serialized as a witness, so any reported violation can be replayed
+standalone through the module operations.
 
 Every law runs in chunks of up to 256 trials (a default row is one chunk), drawn
 field by field, each trial from its own Generator: ``default_rng((seed, ordinal,
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import partial, reduce
 from itertools import combinations, count
-from typing import Callable
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -91,39 +92,6 @@ from .spectral import (
 )
 
 
-class LawId(str, Enum):
-    SEA1 = "SEA1"
-    SEA2 = "SEA2"
-    SEA3 = "SEA3"
-    SEA4 = "SEA4"
-    SEA5 = "SEA5"
-    SCALAR_LINEARITY = "SCALAR_LINEARITY"
-    PRODUCT_LE_LEFT = "PRODUCT_LE_LEFT"
-    MONOTONE_RIGHT = "MONOTONE_RIGHT"
-    SHARP_PROPS = "SHARP_PROPS"
-    FLOOR_LIMIT = "FLOOR_LIMIT"
-    DYADIC_BOUND = "DYADIC_BOUND"
-    SPECTRAL_RECON = "SPECTRAL_RECON"
-    FUNDAMENTAL_EQ = "FUNDAMENTAL_EQ"
-    COMMUTE_EQUIV = "COMMUTE_EQUIV"
-    SELF_DUALITY = "SELF_DUALITY"
-    HOMOGENEITY = "HOMOGENEITY"
-    PSEUDO_INVERSE = "PSEUDO_INVERSE"
-    DIVIDE = "DIVIDE"
-    INVARIANCE = "INVARIANCE"
-    SYMMETRY = "SYMMETRY"
-    INVERTIBILITY_PRES = "INVERTIBILITY_PRES"
-    QUADRATIC_LAW = "QUADRATIC_LAW"
-    THETA_STRUCTURE = "THETA_STRUCTURE"
-
-
-ALL_LAWS = list(LawId)
-
-#: the SEA axioms and scalar linearity, which the twisted products are audited on too
-_AXIOMS = (LawId.SEA1, LawId.SEA2, LawId.SEA3, LawId.SEA4, LawId.SEA5, LawId.SCALAR_LINEARITY)
-#: the laws the twisted products break, and the trials and tol of their expected-fail rows
-FALSIFIED = (LawId.INVARIANCE, LawId.SYMMETRY, LawId.INVERTIBILITY_PRES)
-FALSIFY_TRIALS, FALSIFY_TOL = 10, 1e-3
 #: trials per stack: every default row (200 trials at most) runs as one
 _CHUNK = 256
 #: COMMUTE_EQUIV redraws a generic pair until its ambient commutator norm is at least this
@@ -607,33 +575,42 @@ class Law:
     tol: float
 
 
-#: every law's row, in LawId order
-LAWS: dict[LawId, Law] = {
-    LawId.SEA1: Law(_sum_triple, _ev_sea1, 200, 1e-8),
-    LawId.SEA2: Law(_fields(a="generic"), _ev_sea2, 200, 1e-8),
-    LawId.SEA3: Law(_orthogonal_supports, _ev_sea3, 200, 1e-8),
-    LawId.SEA4: Law(_commuting_triple, _ev_sea4, 200, 1e-8),
-    LawId.SEA5: Law(_pinched, _ev_sea5, 200, 1e-8),
-    LawId.SCALAR_LINEARITY: Law(_fields(a="generic", b="generic"), _ev_scalar, 200, 1e-8),
-    LawId.PRODUCT_LE_LEFT: Law(_fields(a="generic", b="generic"), _ev_product_le, 100, 1e-9),
-    LawId.MONOTONE_RIGHT: Law(_monotone, _ev_monotone, 100, 1e-9),
-    LawId.SHARP_PROPS: Law(_sharp, _ev_sharp, 50, 1e-8),
-    LawId.FLOOR_LIMIT: Law(_floor, _ev_floor, 50, 1e-9),
-    LawId.DYADIC_BOUND: Law(_profiled, _ev_dyadic, 50, 1e-9),
-    LawId.SPECTRAL_RECON: Law(_profiled, _ev_spectral_recon, 100, 1e-9),
-    LawId.FUNDAMENTAL_EQ: Law(_fields(a="generic", b="generic"), _ev_fundamental, 100, 1e-9),
-    LawId.COMMUTE_EQUIV: Law(_commute_pairs, _ev_commute_equiv, 100, 1e-8),
-    LawId.SELF_DUALITY: Law(_self_duality, _ev_self_duality, 50, 1e-10),
-    LawId.HOMOGENEITY: Law(_homogeneity, _ev_homogeneity, 50, 1e-8),
-    LawId.PSEUDO_INVERSE: Law(_fields(b="singular"), _ev_pseudo_inverse, 50, 1e-8),
-    LawId.DIVIDE: Law(_quotient, _ev_divide, 50, 1e-8),
-    LawId.INVARIANCE: Law(_invariance, _ev_invariance, 50, 1e-8),
-    LawId.SYMMETRY: Law(_fields(a="generic", b="generic", c="generic"), _ev_symmetry, 100, 1e-8),
-    LawId.INVERTIBILITY_PRES: Law(_fields(a="invertible", b="invertible"), _ev_invertibility,
-                                  50, 1e-7),
-    LawId.QUADRATIC_LAW: Law(_fields(a="generic", b="generic"), _ev_quadratic, 50, 1e-8),
-    LawId.THETA_STRUCTURE: Law(_theta, _ev_theta, 25, 1e-7),
+#: every law's row; its key is the law's name, and its place the law's Generator ordinal
+LAWS = {
+    "SEA1": Law(_sum_triple, _ev_sea1, 200, 1e-8),
+    "SEA2": Law(_fields(a="generic"), _ev_sea2, 200, 1e-8),
+    "SEA3": Law(_orthogonal_supports, _ev_sea3, 200, 1e-8),
+    "SEA4": Law(_commuting_triple, _ev_sea4, 200, 1e-8),
+    "SEA5": Law(_pinched, _ev_sea5, 200, 1e-8),
+    "SCALAR_LINEARITY": Law(_fields(a="generic", b="generic"), _ev_scalar, 200, 1e-8),
+    "PRODUCT_LE_LEFT": Law(_fields(a="generic", b="generic"), _ev_product_le, 100, 1e-9),
+    "MONOTONE_RIGHT": Law(_monotone, _ev_monotone, 100, 1e-9),
+    "SHARP_PROPS": Law(_sharp, _ev_sharp, 50, 1e-8),
+    "FLOOR_LIMIT": Law(_floor, _ev_floor, 50, 1e-9),
+    "DYADIC_BOUND": Law(_profiled, _ev_dyadic, 50, 1e-9),
+    "SPECTRAL_RECON": Law(_profiled, _ev_spectral_recon, 100, 1e-9),
+    "FUNDAMENTAL_EQ": Law(_fields(a="generic", b="generic"), _ev_fundamental, 100, 1e-9),
+    "COMMUTE_EQUIV": Law(_commute_pairs, _ev_commute_equiv, 100, 1e-8),
+    "SELF_DUALITY": Law(_self_duality, _ev_self_duality, 50, 1e-10),
+    "HOMOGENEITY": Law(_homogeneity, _ev_homogeneity, 50, 1e-8),
+    "PSEUDO_INVERSE": Law(_fields(b="singular"), _ev_pseudo_inverse, 50, 1e-8),
+    "DIVIDE": Law(_quotient, _ev_divide, 50, 1e-8),
+    "INVARIANCE": Law(_invariance, _ev_invariance, 50, 1e-8),
+    "SYMMETRY": Law(_fields(a="generic", b="generic", c="generic"), _ev_symmetry, 100, 1e-8),
+    "INVERTIBILITY_PRES": Law(_fields(a="invertible", b="invertible"), _ev_invertibility, 50, 1e-7),
+    "QUADRATIC_LAW": Law(_fields(a="generic", b="generic"), _ev_quadratic, 50, 1e-8),
+    "THETA_STRUCTURE": Law(_theta, _ev_theta, 25, 1e-7),
 }
+#: the laws, named and ordered by the keys of LAWS
+LawId = Enum("LawId", [(name, name) for name in LAWS], type=str, module=__name__)
+LAWS: dict[LawId, Law] = {LawId(name): row for name, row in LAWS.items()}
+ALL_LAWS = list(LawId)
+
+#: the SEA axioms and scalar linearity, which the twisted products are audited on too
+_AXIOMS = (LawId.SEA1, LawId.SEA2, LawId.SEA3, LawId.SEA4, LawId.SEA5, LawId.SCALAR_LINEARITY)
+#: the laws the twisted products break, and the trials and tol of their expected-fail rows
+FALSIFIED = (LawId.INVARIANCE, LawId.SYMMETRY, LawId.INVERTIBILITY_PRES)
+FALSIFY_TRIALS, FALSIFY_TOL = 10, 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +619,8 @@ LAWS: dict[LawId, Law] = {
 
 @dataclass
 class SuiteRow:
+    """One suite row; ConfigError for an unknown law, an ``expect`` other than pass, fail or
+    error, or a negative seed."""
     law: str
     product: str = "standard"
     algebra: str = "complex:3"
@@ -651,11 +630,29 @@ class SuiteRow:
     seed: int | None = None
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.law not in LAWS:
+            raise ConfigError(f"unknown law {self.law!r}")
+        if self.expect not in ("pass", "fail", "error"):
+            raise ConfigError(f"expect must be pass, fail or error, got {self.expect!r}")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+
+
+#: how a config row's fields are read; an absent or null field keeps SuiteRow's default
+_ROW_FIELDS = {"law": str, "product": str, "algebra": str, "trials": _config_int, "tol": float,
+               "expect": str, "seed": _config_int, "params": dict}
+
 
 @dataclass
 class SuiteConfig:
+    """The rows of a suite and its seed; ConfigError for a suite without rows."""
     rows: list[SuiteRow]
     seed: int = 42
+
+    def __post_init__(self):
+        if not self.rows:
+            raise ConfigError("a suite needs at least one row")
 
     @classmethod
     def from_json(cls, obj: dict) -> "SuiteConfig":
@@ -670,26 +667,18 @@ class SuiteConfig:
         rows = []
         for i, raw in enumerate(obj["rows"]):
             try:
-                row = SuiteRow(
-                    law=str(raw["law"]),
-                    product=str(raw.get("product", "standard")),
-                    algebra=str(raw.get("algebra", "complex:3")),
-                    trials=None if raw.get("trials") is None else _config_int(raw["trials"]),
-                    tol=None if raw.get("tol") is None else float(raw["tol"]),
-                    expect=str(raw.get("expect", "pass")),
-                    seed=None if raw.get("seed") is None else _config_int(raw["seed"]),
-                    params=dict(raw.get("params", {})),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
+                rows.append(SuiteRow(**{name: read(raw[name]) for name, read in _ROW_FIELDS.items()
+                                        if raw.get(name) is not None}))
+            except (AttributeError, TypeError, ValueError) as exc:
                 raise ConfigError(f"row {i}: malformed ({exc})") from exc
-            if row.law not in LawId._value2member_map_:
-                raise ConfigError(f"row {i}: unknown law {row.law!r}")
-            if row.expect not in ("pass", "fail", "error"):
-                raise ConfigError(f"row {i}: expect must be pass, fail or error")
-            if row.seed is not None and row.seed < 0:
-                raise ConfigError(f"row {i}: seed must be non-negative, got {row.seed}")
-            rows.append(row)
+            except ConfigError as exc:
+                raise ConfigError(f"row {i}: {exc}") from exc
         return cls(rows=rows, seed=seed)
+
+
+def _is_json(value, kind) -> bool:
+    """Whether a JSON value is of type ``kind``: an int counts as a float, a bool as neither."""
+    return isinstance(value, int | float if kind is float else kind) and not isinstance(value, bool)
 
 
 @dataclass
@@ -717,8 +706,25 @@ class AuditEntry:
 
     @classmethod
     def from_json(cls, obj: dict) -> "AuditEntry":
-        """The entry of ``to_json``'s object; keys that are not fields are ignored."""
+        """The entry of ``to_json``'s object; keys that are not fields are ignored.
+
+        ConfigError unless every field holds a value of its annotated type (``_is_json``) and a
+        witness its int ``trial``; only the fields that ``to_json`` leaves out when None, the
+        witness and the error, may be missing.
+        """
+        if not isinstance(obj, dict):
+            raise ConfigError("not an object")
+        for f in fields(cls):
+            present = f.name in obj or f.default is None
+            if not (present and _is_json(obj.get(f.name), _ENTRY_TYPES[f.name])):
+                raise ConfigError(f"{f.name} is missing or of the wrong type")
+        if obj.get("witness") is not None and not _is_json(obj["witness"].get("trial"), int):
+            raise ConfigError("witness has no integer trial")
         return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})
+
+
+#: each AuditEntry field's annotated type, which ``AuditEntry.from_json`` checks
+_ENTRY_TYPES = get_type_hints(AuditEntry)
 
 
 @dataclass
@@ -737,8 +743,18 @@ class AuditReport:
 
     @classmethod
     def from_json(cls, obj: dict) -> "AuditReport":
-        return cls(entries=[AuditEntry.from_json(e) for e in obj["entries"]],
-                   seed=obj["seed"], schema=obj.get("schema", 1))
+        """The report of ``to_json``'s object, its status recomputed; ConfigError unless it is a
+        schema-1 report with an integer seed whose entries ``AuditEntry.from_json`` reads."""
+        if not (isinstance(obj, dict) and _is_json(obj.get("schema"), int) and obj["schema"] == 1
+                and isinstance(obj.get("entries"), list) and _is_json(obj.get("seed"), int)):
+            raise ConfigError("not a schema-1 audit report")
+        entries = []
+        for i, entry in enumerate(obj["entries"]):
+            try:
+                entries.append(AuditEntry.from_json(entry))
+            except ConfigError as exc:
+                raise ConfigError(f"entry {i}: {exc}") from None
+        return cls(entries=entries, seed=obj["seed"])
 
 
 # ---------------------------------------------------------------------------
@@ -882,8 +898,6 @@ def run_full_suite(config: SuiteConfig) -> AuditReport:
     become entries, not crashes."""
     entries = []
     for i, row in enumerate(config.rows):
-        if row.law not in LawId._value2member_map_:
-            raise ConfigError(f"row {i}: unknown law {row.law!r}")
         law = LawId(row.law)
         trials = row.trials if row.trials is not None else LAWS[law].trials
         tol = row.tol if row.tol is not None else LAWS[law].tol

@@ -1,4 +1,5 @@
-"""JSON encoding/decoding for descriptors, elements, maps and decompositions."""
+"""JSON encoding/decoding for descriptors, elements, maps and witness inputs; decompositions
+are only encoded."""
 
 from __future__ import annotations
 
@@ -66,16 +67,6 @@ def decomposition_to_json(dec: SpectralDecomposition) -> dict:
     return {"algebra": algebra_to_json(dec.algebra),
             "pairs": [{"eigenvalue": lam, "idempotent": _data_to_json(p)}
                       for lam, p in dec.pairs]}
-
-
-def decomposition_from_json(obj: dict) -> SpectralDecomposition:
-    try:
-        alg = algebra_from_json(obj["algebra"])
-        pairs = tuple((float(item["eigenvalue"]), _data_from_json(alg, item["idempotent"]))
-                      for item in obj["pairs"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed decomposition JSON: {exc}") from exc
-    return SpectralDecomposition(alg, pairs)
 
 
 # -- witness payloads (elements, maps and scalars keyed by role) -------------

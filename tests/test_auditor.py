@@ -157,10 +157,12 @@ def test_twisted_passes_axioms_small():
         assert audit_law(law, tw, alg, 20, 13, 1e-8).verdict == "pass"
 
 
-def test_run_full_suite_empty_config_passes():
-    report = run_full_suite(SuiteConfig(rows=[], seed=1))
-    assert report.status == "pass"
-    assert report.entries == []
+def test_a_suite_without_rows_is_refused():
+    # an empty suite would pass vacuously
+    with pytest.raises(sp.ConfigError, match="a suite needs at least one row"):
+        SuiteConfig(rows=[], seed=1)
+    with pytest.raises(sp.ConfigError, match="a suite needs at least one row"):
+        SuiteConfig.from_json({"rows": [], "seed": 1})
 
 
 def test_run_full_suite_capability_error_entry():
@@ -238,6 +240,9 @@ def test_config_loads_every_field_of_a_hand_written_row():
     assert (row.trials, row.tol, row.expect, row.seed) == (12, 2.5e-6, "fail", 99)
     assert row.params == {"iso": "transpose"}
     assert config.rows[1] == SuiteRow("SEA1")
+    # a null field keeps its default, as an absent one does
+    nulls = dict.fromkeys(("product", "algebra", "trials", "tol", "expect", "seed", "params"))
+    assert SuiteConfig.from_json({"rows": [{"law": "SEA1", **nulls}]}).rows == [SuiteRow("SEA1")]
 
 
 def test_default_config_composition():
@@ -518,11 +523,14 @@ def test_audit_entry_json_keeps_its_key_order():
     assert json.dumps(entry.to_json()) == head + ', "witness": {"trial": 2}, "error": "boom"}'
     bare = dataclasses.replace(entry, witness=None, error=None)
     assert json.dumps(bare.to_json()) == head + "}"
-    # keys that are not fields are ignored; a missing witness, error or time takes its default
+    # keys that are not fields are ignored; a missing witness or error is None, but a field
+    # that to_json always writes must be there, the time too
     assert auditor.AuditEntry.from_json({**entry.to_json(), "note": 1}) == entry
+    assert auditor.AuditEntry.from_json(bare.to_json()) == bare
     obj = bare.to_json()
     del obj["elapsed_ms"]
-    assert auditor.AuditEntry.from_json(obj) == dataclasses.replace(bare, elapsed_ms=0.0)
+    with pytest.raises(sp.ConfigError, match="elapsed_ms is missing"):
+        auditor.AuditEntry.from_json(obj)
 
 
 def test_the_invariance_demo_witness_is_its_trial_drawn_alone():

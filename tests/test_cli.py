@@ -3,6 +3,7 @@ import json
 import pytest
 
 import seqprod as sp
+from seqprod.auditor import AuditReport, SuiteRow
 from seqprod.cli import run_cli
 from seqprod.serialize import element_to_json
 
@@ -129,7 +130,6 @@ def test_config_audit_roundtrip_and_determinism(tmp_path, capsys):
     assert run_cli(["audit", "--config", cfg, "--out", str(out2)]) == 0
     r1, r2 = json.loads(out1.read_text()), json.loads(out2.read_text())
     # parsers round-trip the written report with zero diff
-    from seqprod.auditor import AuditReport
     assert AuditReport.from_json(r1).to_json() == r1
     for rep in (r1, r2):
         for e in rep["entries"]:
@@ -159,6 +159,41 @@ def test_config_negative_row_seed_exits_2(tmp_path, capsys):
                  {"rows": [{"law": "SEA1", "algebra": "real:4", "seed": -1, "trials": 3}]})
     assert run_cli(["audit", "--config", cfg]) == 2
     assert "error: row 0: seed must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, message", [
+    ({"law": "SEA9"}, "unknown law 'SEA9'"),
+    ({"law": "SEA1", "expect": "maybe"}, "expect must be pass, fail or error, got 'maybe'"),
+    ({"law": "SEA1", "seed": -1}, "seed must be non-negative, got -1"),
+])
+def test_a_row_is_refused_the_same_way_wherever_it_is_built(tmp_path, capsys, row, message):
+    with pytest.raises(sp.ConfigError) as refused:
+        SuiteRow(**row)
+    assert str(refused.value) == message
+    cfg = _write(tmp_path / "config.json", {"rows": [{"law": "SEA1"}, row]})
+    assert run_cli(["audit", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: row 1: {message}\n"
+    if set(row) == {"law"}:  # --laws sets only the law of a row
+        assert run_cli(["audit", "--algebra", "real:3", "--laws", f"SEA1,{row['law']}"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_suite_without_rows_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path / "config.json", {"rows": []})
+    for argv in (["--config", cfg], ["--algebra", "real:3", "--laws", ","]):
+        assert run_cli(["audit", *argv]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == "" and printed.err == "error: a suite needs at least one row\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["decompose", "--in", "{}"], ["audit", "--config", "{}"], ["report", "diff", "{}", "{}"]])
+def test_an_unreadable_input_file_exits_2(tmp_path, capsys, command):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"rows": "\u00e9"}'.encode("latin-1"))
+    for path in (tmp_path, latin1):  # a directory, and a file that is not UTF-8
+        assert run_cli([arg.format(path) for arg in command]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_env_seed_is_default(tmp_path, capsys, monkeypatch):
@@ -272,7 +307,8 @@ def test_report_diff_exits_2_when_rows_do_not_pair(tmp_path, capsys, b):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("b", [
+#: report files that both readers, AuditReport.from_json and report diff, refuse
+MALFORMED_REPORTS = [
     [],
     {"schema": 2, "seed": 1, "entries": []},
     {"seed": 1, "entries": []},
@@ -284,10 +320,24 @@ def test_report_diff_exits_2_when_rows_do_not_pair(tmp_path, capsys, b):
     _report(dict(_entry(), seed=5.0)),
     _report(dict(_entry(), witness={"trial": "3"})),
     _report(dict(_entry(), witness=[3])),
-])
+    _report({k: v for k, v in _entry().items() if k != "trials"}),
+    _report({k: v for k, v in _entry().items() if k != "elapsed_ms"}),
+    _report(dict(_entry(), verdict=None)),
+    {"schema": 1, "entries": [_entry()]},
+    dict(_report(_entry()), schema=True),
+]
+
+
+@pytest.mark.parametrize("b", MALFORMED_REPORTS)
 def test_report_diff_exits_2_on_a_malformed_report(tmp_path, capsys, b):
     assert _diff(tmp_path, _report(_entry()), b) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("b", MALFORMED_REPORTS)
+def test_audit_report_from_json_refuses_a_malformed_report(b):
+    with pytest.raises(sp.ConfigError):
+        AuditReport.from_json(b)
 
 
 def test_report_diff_exits_2_on_a_missing_or_unparsable_file(tmp_path, capsys):

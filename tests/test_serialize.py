@@ -44,11 +44,14 @@ def test_direct_sum_nests_in_order():
 def test_decomposition_roundtrip():
     a = sp.random_effect(sp.parse_algebra("quat:2"), 5, "singular")
     dec = sp.spectral_decompose(a)
-    blob = json.dumps(serialize.decomposition_to_json(dec))
-    back = serialize.decomposition_from_json(json.loads(blob))
-    assert back.eigenvalues == dec.eigenvalues
-    for p, q in zip(back.idempotents, dec.idempotents):
-        assert sp.order_unit_norm(p - q) == 0.0
+    obj = json.loads(json.dumps(serialize.decomposition_to_json(dec)))
+    assert obj["algebra"] == serialize.algebra_to_json(dec.algebra)
+    assert len(obj["pairs"]) == len(dec.pairs)
+    for pair, (lam, p) in zip(obj["pairs"], dec.pairs):
+        assert pair["eigenvalue"] == lam
+        # the idempotent is the data of an element JSON of the decomposition's algebra
+        q = serialize.element_from_json({"algebra": obj["algebra"], "data": pair["idempotent"]})
+        assert sp.order_unit_norm(q - p) == 0.0
 
 
 def test_linear_map_roundtrip():

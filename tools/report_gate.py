@@ -1,0 +1,72 @@
+"""Compare the reports of the working tree with those of a git revision, row by row.
+
+Usage: python tools/report_gate.py REV
+
+Exports ``src/`` at REV with ``git archive`` into a temporary directory (no worktree is
+registered in ``.git``), then runs on both trees, each command in its own subprocess,
+``seqprod audit --seed S --out`` for S in 42, 7, 2024 and 102 and ``seqprod demo
+characterizations --seed 42 --out``.  Each pair of reports goes through the working tree's
+``seqprod report diff --max-drift 0``, REV's report as A, whose summary line is printed.
+Exits 0 when every pair is unchanged (the same verdicts, expectations and witness trials,
+and residuals equal to the bit), 1 on any change, and 2 when REV is not a commit or a run
+writes no report.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import io
+import os
+import subprocess
+import sys
+import tempfile
+import zipfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+#: the report of each command line, by name
+RUNS = {f"audit-seed{seed}": ["audit", "--seed", str(seed)] for seed in (42, 7, 2024, 102)}
+RUNS["demo-seed42"] = ["demo", "characterizations", "--seed", "42"]
+
+
+def seqprod(src: Path, args: list[str]) -> subprocess.CompletedProcess:
+    """``seqprod args`` run on the package sources under ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-c", "from seqprod.cli import main; main()", *args],
+                          env=env, capture_output=True, text=True)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    rev = argv[0]
+    git = ["git", "-C", str(ROOT)]
+    if subprocess.run([*git, "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"],
+                      capture_output=True).returncode:
+        print(f"error: {rev!r} is not a commit", file=sys.stderr)
+        return 2
+    archive = subprocess.run([*git, "archive", "--format=zip", rev, "src"],
+                             capture_output=True, check=True).stdout
+    changed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        zipfile.ZipFile(io.BytesIO(archive)).extractall(tmp / "rev")
+        trees = {"A": tmp / "rev" / "src", "B": ROOT / "src"}
+        for name, args in RUNS.items():
+            outs = {side: tmp / f"{name}-{side}.json" for side in trees}
+            for side, src in trees.items():
+                seqprod(src, [*args, "--out", str(outs[side])])
+                if not outs[side].exists():
+                    print(f"error: {name} wrote no report on {src}", file=sys.stderr)
+                    return 2
+            diff = seqprod(trees["B"], ["report", "diff", str(outs["A"]), str(outs["B"]),
+                                        "--max-drift", "0"])
+            lines = (diff.stdout or diff.stderr).strip().splitlines()
+            print(f"{name}: {lines[-1] if lines else f'exit {diff.returncode}'}")
+            changed += diff.returncode != 0
+    print(f"{len(RUNS) - changed} of {len(RUNS)} reports unchanged against {rev}")
+    return 1 if changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -159,12 +159,16 @@ def _block_diag(mats) -> np.ndarray:
     return out
 
 
-def _per_trial(f, ndim: int, *arrs):
-    """float(f(*arrs)) on operands of ``ndim`` axes, else f on each trial of their broadcast
-    stack: each trial then sums as a single call does, which a reduction over a stack need not."""
-    if all(x.ndim == ndim for x in arrs):
-        return float(f(*arrs))
-    return np.array([f(*xs) for xs in zip(*np.broadcast_arrays(*arrs))])
+def _rows(mats: np.ndarray) -> np.ndarray:
+    """Each matrix of ``mats`` (..., m, m) flattened to a row."""
+    return mats.reshape(mats.shape[:-2] + (-1,))
+
+
+def _frobenius(mats: np.ndarray):
+    """The Frobenius norm of each matrix of ``mats`` (..., m, m), its real and imaginary parts
+    summed apart as ``np.linalg.norm`` sums one matrix."""
+    flat = _rows(mats)
+    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
 def _trusted(alg, data):
@@ -229,7 +233,7 @@ def _norm_bounds(mats: np.ndarray, hermitian: bool = True):
     compared with it (1, COMMUTE_TOL, 0.05 and a caller's tol) are far above that.
     """
     mag = np.abs(mats)
-    flat = mag.reshape(mag.shape[:-2] + (-1,))
+    flat = _rows(mag)
     frob = np.sqrt(np.vecdot(flat, flat))
     upper = np.minimum(frob, mag.sum(-1).max(-1)) if hermitian else frob
     return frob / math.sqrt(mats.shape[-1]), upper
@@ -471,8 +475,7 @@ def _basis_columns(alg) -> np.ndarray:
 def _operator(alg, images: np.ndarray) -> np.ndarray:
     """Coordinate matrix whose column k holds the coordinates of ``images[..., k, :, :]``, the
     map's values on the basis: (dim, m, m), or (k, dim, m, m) for k trials' maps."""
-    flat = images.reshape(images.shape[:-2] + (-1,))
-    return np.real(_dual_basis(alg) @ flat.swapaxes(-1, -2))
+    return np.real(_dual_basis(alg) @ _rows(images).swapaxes(-1, -2))
 
 
 def _basis_products(alg, mat: np.ndarray) -> np.ndarray:
@@ -565,8 +568,8 @@ class _MatrixBackend(_Backend):
         return self._element(a.algebra, a.data @ b.data @ a.data)
 
     def inner(self, a, b) -> float:
-        # vdot conjugates its first argument; tr(ab) = Re <a, b>_HS for Hermitian a, b
-        val = _per_trial(lambda x, y: np.vdot(x, y).real, 2, a.data, b.data)
+        # vecdot conjugates its first argument; tr(ab) = Re <a, b>_HS for Hermitian a, b
+        val = np.vecdot(_rows(a.data), _rows(b.data)).real
         return 0.5 * val if self.kind == KIND_QUAT else val
 
     def eigen_range(self, a):
@@ -716,7 +719,7 @@ class _MatrixBackend(_Backend):
         return _alg.Element(alg, mat)
 
     def commutator_norm(self, a, b) -> float:
-        return _per_trial(np.linalg.norm, 2, a.data @ b.data - b.data @ a.data)
+        return _frobenius(a.data @ b.data - b.data @ a.data)
 
     def commutation_bound(self, a, b):
         # ||[a, b]|| is at most its Frobenius norm
@@ -854,7 +857,7 @@ class _SpinBackend(_Backend):
 
     def inner(self, a, b) -> float:
         (v, t), (w, s) = a.data, b.data
-        return 2.0 * (_per_trial(np.matmul, 1, v, w) + t * s)
+        return 2.0 * (np.vecdot(v, w) + t * s)
 
     def jordan_operator(self, a) -> np.ndarray:
         """T_(v,t) = [[t I, v], [v^T, t]]; coordinates are a uniform multiple of (w, s)."""
@@ -929,7 +932,7 @@ class _SpinBackend(_Backend):
     def commutator_norm(self, a, b) -> float:
         v, w = a.data[0][..., :, None], b.data[0][..., :, None]
         outer = v * w.swapaxes(-1, -2)  # v w^T, per trial for a stack
-        return _per_trial(np.linalg.norm, 2, outer - outer.swapaxes(-1, -2))
+        return _frobenius(outer - outer.swapaxes(-1, -2))
 
     def commutation_bound(self, a, b):
         # in the Clifford representation t + sum v_i s_i, ||[a, b]|| = 2 |v ^ w|, which is

@@ -567,12 +567,13 @@ class Law:
 
     The generator takes the Generators and indices of a chunk of trials and returns their
     inputs stacked; the evaluator returns one residual per trial of stacked inputs, and the
-    residual of plain ones.
+    residual of plain ones.  ``params`` names the keys of a row's params the generator reads.
     """
     generate: Callable
     evaluate: Callable
     trials: int
     tol: float
+    params: tuple[str, ...] = ()
 
 
 #: every law's row; its key is the law's name, and its place the law's Generator ordinal
@@ -595,7 +596,7 @@ LAWS = {
     "HOMOGENEITY": Law(_homogeneity, _ev_homogeneity, 50, 1e-8),
     "PSEUDO_INVERSE": Law(_fields(b="singular"), _ev_pseudo_inverse, 50, 1e-8),
     "DIVIDE": Law(_quotient, _ev_divide, 50, 1e-8),
-    "INVARIANCE": Law(_invariance, _ev_invariance, 50, 1e-8),
+    "INVARIANCE": Law(_invariance, _ev_invariance, 50, 1e-8, params=("iso",)),
     "SYMMETRY": Law(_fields(a="generic", b="generic", c="generic"), _ev_symmetry, 100, 1e-8),
     "INVERTIBILITY_PRES": Law(_fields(a="invertible", b="invertible"), _ev_invertibility, 50, 1e-7),
     "QUADRATIC_LAW": Law(_fields(a="generic", b="generic"), _ev_quadratic, 50, 1e-8),
@@ -617,10 +618,10 @@ FALSIFY_TRIALS, FALSIFY_TOL = 10, 1e-3
 # Rows, configs, reports
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class SuiteRow:
-    """One suite row; ConfigError for an unknown law, an ``expect`` other than pass, fail or
-    error, or a negative seed."""
+    """One suite row; ConfigError for an unknown law, a param the law does not read, an
+    ``expect`` other than pass, fail or error, or a negative seed."""
     law: str
     product: str = "standard"
     algebra: str = "complex:3"
@@ -633,6 +634,9 @@ class SuiteRow:
     def __post_init__(self):
         if self.law not in LAWS:
             raise ConfigError(f"unknown law {self.law!r}")
+        unread = [key for key in self.params if key not in LAWS[self.law].params]
+        if unread:
+            raise ConfigError(f"{self.law} reads no param {unread[0]!r}")
         if self.expect not in ("pass", "fail", "error"):
             raise ConfigError(f"expect must be pass, fail or error, got {self.expect!r}")
         if self.seed is not None and self.seed < 0:
@@ -644,13 +648,15 @@ _ROW_FIELDS = {"law": str, "product": str, "algebra": str, "trials": _config_int
                "expect": str, "seed": _config_int, "params": dict}
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuiteConfig:
-    """The rows of a suite and its seed; ConfigError for a suite without rows."""
-    rows: list[SuiteRow]
+    """The rows of a suite, kept as a tuple, and its seed; ConfigError for a suite without
+    rows."""
+    rows: tuple[SuiteRow, ...]
     seed: int = 42
 
     def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(self.rows))
         if not self.rows:
             raise ConfigError("a suite needs at least one row")
 
@@ -658,8 +664,9 @@ class SuiteConfig:
     def from_json(cls, obj: dict) -> "SuiteConfig":
         if not isinstance(obj, dict) or not isinstance(obj.get("rows"), list):
             raise ConfigError("suite config must be an object with a 'rows' array")
-        if obj.get("schema", 1) != 1:
-            raise ConfigError(f"unsupported suite config schema {obj['schema']!r}; expected 1")
+        schema = obj.get("schema", 1)
+        if not (_is_json(schema, int) and schema == 1):
+            raise ConfigError(f"unsupported suite config schema {schema!r}; expected 1")
         try:
             seed = _config_int(obj.get("seed", 42))
         except (TypeError, ValueError) as exc:
@@ -667,6 +674,9 @@ class SuiteConfig:
         rows = []
         for i, raw in enumerate(obj["rows"]):
             try:
+                unknown = [key for key in raw.keys() if key not in _ROW_FIELDS]
+                if unknown:
+                    raise ConfigError(f"unknown key {unknown[0]!r}")
                 rows.append(SuiteRow(**{name: read(raw[name]) for name, read in _ROW_FIELDS.items()
                                         if raw.get(name) is not None}))
             except (AttributeError, TypeError, ValueError) as exc:
@@ -762,22 +772,22 @@ class AuditReport:
 # ---------------------------------------------------------------------------
 
 def _trial_residuals(trials: int, size: int, derive, run):
-    """(trial, residual, the trial's inputs on demand) in order, from ``run(chunk, words)`` on
-    chunks of ``size``, each with the seed words ``derive(chunk)`` derived as the chunk starts.
+    """(chunk, inputs, residuals) in order, from ``run(chunk, words)`` on chunks of ``size``,
+    each with the seed words ``derive(chunk)`` derived as the chunk starts.
 
-    A chunk that raises is redone as chunks of one on its words: the error surfaces at its
-    own trial.
+    A chunk that raises is redone as chunks of one on its words, each run as it is asked for:
+    the error surfaces at its own trial, after the failures of the trials before it.
     """
     for first in range(0, trials, size):
         chunk = range(first, min(first + size, trials))
         words = derive(chunk)
         try:
-            results = run(chunk, words)
+            results = [(chunk, *run(chunk, words))]
         except Exception:  # whatever it is, the redo below raises it again in order
             if len(chunk) == 1:
                 raise
-            results = (result for k, i in enumerate(chunk)
-                       for result in run(range(i, i + 1), words[k:k + 1]))
+            results = ((range(i, i + 1), *run(range(i, i + 1), words[k:k + 1]))
+                       for k, i in enumerate(chunk))
         yield from results
 
 
@@ -843,29 +853,28 @@ def audit_law(law: LawId | str, product: SequentialProduct, alg: AlgebraDescript
     row = LAWS[law]
     start = time.perf_counter()
 
-    def run(chunk: range, words: np.ndarray) -> list:
+    def run(chunk: range, words: np.ndarray) -> tuple:
         rngs = [np.random.Generator(np.random.PCG64(_TrialSeed(w))) for w in words]
         inputs = row.generate(rngs, product, alg, chunk, params or {})
-        residuals = np.broadcast_to(row.evaluate(product, alg, inputs), len(chunk)).tolist()
-        return [(i, residual, partial(_take, inputs, k))
-                for k, (i, residual) in enumerate(zip(chunk, residuals))]
+        return inputs, np.broadcast_to(row.evaluate(product, alg, inputs), len(chunk))
 
     max_residual = 0.0
     witness = error = None
     verdict = "pass"
     derive = partial(trial_seed_words, seed, ALL_LAWS.index(law))
-    ran = 0  # trials come in order, so a trial that raises is trial ``ran``
+    ran = 0  # chunks come in order, so a trial that raises is trial ``ran``
     try:
-        for i, residual, inputs in _trial_residuals(trials, _CHUNK, derive, run):
-            ran = i + 1
-            max_residual = max(max_residual, residual)
-            if not residual <= tol:  # a NaN residual fails too
-                witness = {"trial": i, "residual": residual,
-                           "inputs": serialize.inputs_to_json(inputs())}
+        for chunk, inputs, residuals in _trial_residuals(trials, _CHUNK, derive, run):
+            over = np.flatnonzero(~(residuals <= tol))  # a NaN residual fails too
+            if over.size:
+                k = int(over[0])
+                max_residual, trials = float(residuals[k]), chunk[k] + 1
+                witness = {"trial": chunk[k], "residual": max_residual,
+                           "inputs": serialize.inputs_to_json(_take(inputs, k))}
                 verdict = "fail"
-                max_residual = residual
-                trials = i + 1
                 break
+            max_residual = max(max_residual, float(residuals.max()))
+            ran = chunk.stop
     except TRIAL_ERRORS as exc:
         verdict, trials = "error", ran + 1
         error = f"trial {ran}: {type(exc).__name__}: {exc}"

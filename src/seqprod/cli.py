@@ -9,6 +9,7 @@ limit, and 2 when their rows do not pair or a file is malformed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -95,26 +96,31 @@ def _cmd_audit(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     if args.config and args.algebra:
         raise ConfigError("pass either --config or --algebra, not both")
+    shaping = [f"--{name}" for name in ("laws", "product", "trials", "tol")
+               if getattr(args, name) is not None]
+    if shaping and not args.algebra:
+        raise ConfigError(f"{', '.join(shaping)} shape only --algebra rows")
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             config = SuiteConfig.from_json(json.load(fh))
         if args.seed is not None:
-            config.seed = args.seed
+            config = dataclasses.replace(config, seed=args.seed)
     elif args.algebra:
         alg = parse_algebra(args.algebra)  # raises ConfigError on bad shorthand
-        if args.laws == "all":
+        product = "standard" if args.product is None else args.product
+        if args.laws in (None, "all"):
             laws = [law.value for law in ALL_LAWS]
         else:
             laws = [name.strip() for name in args.laws.split(",") if name.strip()]
         # raises CapabilityError for a twisted product on a non-complex algebra
-        twisted = bool(parse_product(args.product, alg).twist)
+        twisted = bool(parse_product(product, alg).twist)
         rows = []
         for name in laws:
             if twisted and name in FALSIFIED:
-                rows.append(SuiteRow(name, args.product, args.algebra, FALSIFY_TRIALS,
+                rows.append(SuiteRow(name, product, args.algebra, FALSIFY_TRIALS,
                                      FALSIFY_TOL, expect="fail"))
             else:
-                rows.append(SuiteRow(name, args.product, args.algebra, args.trials, args.tol))
+                rows.append(SuiteRow(name, product, args.algebra, args.trials, args.tol))
         config = SuiteConfig(rows=rows, seed=seed)
     else:
         config = default_config(seed)
@@ -232,9 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit = sub.add_parser("audit", help="run a law suite")
     p_audit.add_argument("--config", help="suite config JSON file")
     p_audit.add_argument("--algebra", help="algebra shorthand for an ad-hoc row set")
-    p_audit.add_argument("--product", default="standard",
-                         help="standard or twisted:<t> (default standard)")
-    p_audit.add_argument("--laws", default="all", help="comma-separated law names or 'all'")
+    p_audit.add_argument("--product", help="standard or twisted:<t> (default standard)")
+    p_audit.add_argument("--laws", help="comma-separated law names or 'all' (default all)")
     p_audit.add_argument("--trials", type=int, default=None,
                          help="trials per ad-hoc row (default: per-law defaults)")
     p_audit.add_argument("--seed", type=int, default=None,

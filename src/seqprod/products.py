@@ -18,7 +18,6 @@ does, where an eigenvalue is below -SUPPORT_TOL.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -105,24 +104,18 @@ def _twisted_power(t: float, exponent: float):
     product root), 0 (the phase a^{it}) or -1/2 (the product root at the pseudo-inverse, with
     the twist -t).
 
-    It maps an array of eigenvalues, of any shape, to complex values of that
-    shape, each computed with ``math`` and ``cmath`` (numpy's log and exp can
-    differ in the last bit).
+    It maps an array of eigenvalues, of any shape, to complex values of that shape.
     The phase is taken on the support of a.  Off it m is 1 for the phase and 0
     for a root, so the root annihilates the kernel (spectrum <= support
     threshold) as sqrt_pos and pseudo_inverse do.
     """
-    def power(lam: float) -> complex:
-        if lam <= SUPPORT_TOL:
-            return 0.0 if exponent else 1.0
-        phase = cmath.exp(1j * t * math.log(lam))
-        if not exponent:
-            return phase
-        root = math.sqrt(lam)
-        return (root if exponent > 0 else 1.0 / root) * phase
+    def power(lams: np.ndarray) -> np.ndarray:
+        support = lams > SUPPORT_TOL
+        x = np.where(support, lams, 1.0)
+        m = np.sqrt(x) ** (2 * exponent) * np.exp(1j * t * np.log(x))
+        return np.where(support, m, 0.0 if exponent else 1.0)
 
-    return lambda lams: np.array([power(lam) for lam in lams.ravel().tolist()],
-                                 dtype=complex).reshape(lams.shape)
+    return power
 
 
 def _check_product_algebra(p: SequentialProduct, a: Element):

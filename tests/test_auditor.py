@@ -175,8 +175,19 @@ def test_run_full_suite_capability_error_entry():
     assert "complex" in entry.error
     assert report.status == "pass"  # the error was declared expected
     # the same row expected to pass makes the suite fail
-    config.rows[0].expect = "pass"
+    config = dataclasses.replace(config, rows=[dataclasses.replace(config.rows[0], expect="pass")])
     assert run_full_suite(config).status == "fail"
+
+
+def test_a_suite_cannot_change_after_its_rows_are_checked():
+    config = SuiteConfig(rows=[SuiteRow("SEA1")])
+    assert config.rows == (SuiteRow("SEA1"),)
+    with pytest.raises(AttributeError):
+        config.rows.clear()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.rows[0].expect = "maybe"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.rows = ()
 
 
 def test_unavailable_isomorphism_param_is_error_entry():
@@ -242,7 +253,7 @@ def test_config_loads_every_field_of_a_hand_written_row():
     assert config.rows[1] == SuiteRow("SEA1")
     # a null field keeps its default, as an absent one does
     nulls = dict.fromkeys(("product", "algebra", "trials", "tol", "expect", "seed", "params"))
-    assert SuiteConfig.from_json({"rows": [{"law": "SEA1", **nulls}]}).rows == [SuiteRow("SEA1")]
+    assert SuiteConfig.from_json({"rows": [{"law": "SEA1", **nulls}]}).rows == (SuiteRow("SEA1"),)
 
 
 def test_default_config_composition():

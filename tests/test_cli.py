@@ -165,6 +165,8 @@ def test_config_negative_row_seed_exits_2(tmp_path, capsys):
     ({"law": "SEA9"}, "unknown law 'SEA9'"),
     ({"law": "SEA1", "expect": "maybe"}, "expect must be pass, fail or error, got 'maybe'"),
     ({"law": "SEA1", "seed": -1}, "seed must be non-negative, got -1"),
+    ({"law": "INVARIANCE", "params": {"isoo": "transpose"}}, "INVARIANCE reads no param 'isoo'"),
+    ({"law": "SEA1", "params": {"iso": "transpose"}}, "SEA1 reads no param 'iso'"),
 ])
 def test_a_row_is_refused_the_same_way_wherever_it_is_built(tmp_path, capsys, row, message):
     with pytest.raises(sp.ConfigError) as refused:
@@ -176,6 +178,33 @@ def test_a_row_is_refused_the_same_way_wherever_it_is_built(tmp_path, capsys, ro
     if set(row) == {"law"}:  # --laws sets only the law of a row
         assert run_cli(["audit", "--algebra", "real:3", "--laws", f"SEA1,{row['law']}"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"rows": [{"law": "SEA1", "algebra": "real:3", "trails": 1, "tolerance": 1e-30}]},
+     "row 0: unknown key 'trails'"),
+    ({"schema": True, "rows": [{"law": "SEA1"}]},
+     "unsupported suite config schema True; expected 1"),
+])
+def test_a_config_that_would_be_read_in_part_exits_2(tmp_path, capsys, config, message):
+    cfg = _write(tmp_path / "config.json", config)
+    assert run_cli(["audit", "--config", cfg]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == "" and printed.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--laws", "SEA1", "--trials", "1"], "--laws, --trials"),
+    (["--product", "standard"], "--product"),
+    (["--tol", "1e-3"], "--tol"),
+    (["--laws", "all"], "--laws"),
+])
+def test_ad_hoc_flags_without_algebra_exit_2(tmp_path, capsys, flags, named):
+    cfg = _write(tmp_path / "config.json", {"rows": [{"law": "SEA2", "algebra": "real:3"}]})
+    for argv in ([], ["--config", cfg]):
+        assert run_cli(["audit", *argv, *flags, "--seed", "42"]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == "" and printed.err == f"error: {named} shape only --algebra rows\n"
 
 
 def test_a_suite_without_rows_exits_2(tmp_path, capsys):

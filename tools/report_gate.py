@@ -6,7 +6,8 @@ Exports ``src/`` at REV with ``git archive`` into a temporary directory (no work
 registered in ``.git``), then runs on both trees, each command in its own subprocess,
 ``seqprod audit --seed S --out`` for S in 42, 7, 2024 and 102 and ``seqprod demo
 characterizations --seed 42 --out``.  Each pair of reports goes through the working tree's
-``seqprod report diff --max-drift 0``, REV's report as A, whose summary line is printed.
+``seqprod report diff --max-drift 0``, REV's report as A, whose summary line is printed with
+the rows it flags ``<-- CHANGED`` under it.
 Exits 0 when every pair is unchanged (the same verdicts, expectations and witness trials,
 and residuals equal to the bit), 1 on any change, and 2 when REV is not a commit or a run
 writes no report.  Standard library only.
@@ -33,6 +34,11 @@ def seqprod(src: Path, args: list[str]) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run([sys.executable, "-c", "from seqprod.cli import main; main()", *args],
                           env=env, capture_output=True, text=True)
+
+
+def flagged(lines: list[str]) -> list[str]:
+    """The rows of ``report diff`` output ``lines`` that it flags as changed."""
+    return [line for line in lines if line.endswith("<-- CHANGED")]
 
 
 def main(argv: list[str]) -> int:
@@ -63,6 +69,8 @@ def main(argv: list[str]) -> int:
                                         "--max-drift", "0"])
             lines = (diff.stdout or diff.stderr).strip().splitlines()
             print(f"{name}: {lines[-1] if lines else f'exit {diff.returncode}'}")
+            for line in flagged(lines):
+                print(f"  {line}")
             changed += diff.returncode != 0
     print(f"{len(RUNS) - changed} of {len(RUNS)} reports unchanged against {rev}")
     return 1 if changed else 0

@@ -57,15 +57,17 @@ m = f(a) that the conjugation primitives take, so a caller can keep it.
 
 A *stacked* element, built only by ``stack``, ``random_elements`` (one sample per
 Generator, the only Gaussian draw), ``random_projections`` (one projection per
-Generator, the only sharp draw) and ``scale_trials``, holds k trials on a leading
-axis: (k, m, m) matrices, spin pairs (v (k, d), t (k,)), or a tuple of stacked
-summands.  The primitives the stacked laws reach take it, unstacked operands
+Generator, the only sharp draw) and ``scale`` by one scalar per trial, holds k trials
+on a leading axis: (k, m, m) matrices, spin pairs (v (k, d), t (k,)), or a tuple of
+stacked summands.  The primitives the stacked laws reach take it, unstacked operands
 broadcasting, and give per-trial results (operators as (k, d, d) stacks of
-coordinate matrices); ``take`` pulls a trial out, or gathers trials by index
-arrays.  The frame primitive ``spectral_pairs`` gives (values, idempotents,
-counts): each trial's cluster values in decreasing order, its idempotents (an
-Element per place, a zero idempotent where the trial's frame is shorter), and
-its frame's length.
+coordinate matrices).  ``stack`` concatenates stacks along the trial axis, a single
+element counting as a stack of one, and ``take`` pulls a trial out, or gathers
+trials by an index array: a generator places its trials with one of each.  The
+frame primitive ``spectral_pairs`` gives (values, idempotents, counts): each
+trial's cluster values in decreasing order, its idempotents (an Element per
+place, a zero idempotent where the trial's frame is shorter), and its frame's
+length.
 
 Primitives whose result is an element return an Element.  Element and the
 generic operations are read from the ``algebra`` module at call time,
@@ -541,20 +543,18 @@ class _MatrixBackend(_Backend):
         return _trusted(alg, self._hermitian(alg, mat))
 
     def stack(self, alg, elems):
-        return _trusted(alg, _read_only(np.stack([x.data for x in elems])))
+        m = self.matrix_order(alg)
+        return _trusted(alg, _read_only(np.concatenate([x.data.reshape(-1, m, m) for x in elems])))
 
     def take(self, x, i):
-        return _trusted(x.algebra, x.data[i])
+        return _trusted(x.algebra, _read_only(x.data[i]))  # an index array gathers a copy
 
-    # a real linear combination of exactly Hermitian (and J-symmetric) data
-    # is exactly so again
-    def combine(self, a, b, sa, sb):
-        return _trusted(a.algebra, _read_only(sa * a.data + sb * b.data))
+    # a sum, difference or real multiple of exactly Hermitian (and J-symmetric) data is exactly
+    # so again
+    def combine(self, a, b, op):
+        return _trusted(a.algebra, _read_only(op(a.data, b.data)))
 
     def scale(self, a, s):
-        return _trusted(a.algebra, _read_only(s * a.data))
-
-    def scale_trials(self, a, s):
         return _trusted(a.algebra, _read_only(np.asarray(s)[..., None, None] * a.data))
 
     def scalar(self, alg, c: float):
@@ -685,7 +685,7 @@ class _MatrixBackend(_Backend):
         # one product per rank: a product over zero-padded columns rounds differently
         x, n, u = self.random_elements(alg, rngs), alg.size, self.unit
         if n == 1 and proper:  # the identity, drawing no rank
-            return self.stack(alg, [self.scalar(alg, 1.0)] * len(rngs))
+            return self.scale(self.scalar(alg, 1.0), np.ones(len(rngs)))
         out = np.zeros(x.data.shape, self.dtype)
         _, vecs = _eigh(x.data)
         lo, hi = (1, n - 1) if proper else (0, n)
@@ -826,15 +826,11 @@ class _SpinBackend(_Backend):
             raise ConfigError(f"expected length-{alg.size} vector for {alg}")
         return (_read_only(v), t)
 
-    def combine(self, a, b, sa, sb):
+    def combine(self, a, b, op):
         (v, t), (w, s) = a.data, b.data
-        return _trusted(a.algebra, (_read_only(sa * v + sb * w), sa * t + sb * s))
+        return _trusted(a.algebra, (_read_only(op(v, w)), op(t, s)))
 
     def scale(self, a, s):
-        v, t = a.data
-        return _trusted(a.algebra, (_read_only(s * v), s * t))
-
-    def scale_trials(self, a, s):
         v, t = a.data
         return _trusted(a.algebra, (_read_only(_col(s) * v), s * t))
 
@@ -842,13 +838,14 @@ class _SpinBackend(_Backend):
         return _trusted(alg, (_read_only(np.zeros(alg.size)), c))
 
     def stack(self, alg, elems):
-        return _trusted(alg, (_read_only(np.stack([x.data[0] for x in elems])),
-                              _read_only(np.array([x.data[1] for x in elems]))))
+        d = alg.size
+        return _trusted(alg, (_read_only(np.concatenate([x.data[0].reshape(-1, d) for x in elems])),
+                              _read_only(np.concatenate([np.ravel(x.data[1]) for x in elems]))))
 
     def take(self, x, i):
         v, t = x.data
         t = t[i]
-        return _trusted(x.algebra, (v[i], t if t.ndim else float(t)))
+        return _trusted(x.algebra, (_read_only(v[i]), _read_only(t) if t.ndim else float(t)))
 
     def jordan(self, a, b):
         (v, t), (w, s) = a.data, b.data
@@ -1007,7 +1004,6 @@ class _SumBackend(_Backend):
     # the blockwise primitives; an element assembled from summand results needs no check
     combine = _lifted("combine", 2)
     scale = _lifted("scale", 1)
-    scale_trials = _lifted("scale_trials", 1)
     take = _lifted("take", 1)
     jordan = _lifted("jordan", 2)
     quadratic = _lifted("quadratic", 2)  # a b a on matrix blocks, the Jordan form on spin ones
@@ -1087,13 +1083,14 @@ class _SumBackend(_Backend):
         blocks = []
         for (_, frame, _), sub, place in zip(frames, alg.summands, places):
             backend, total = sub._backend, _alg.zero(sub)
-            pool = backend.stack(sub, frame + [backend.scale_trials(total, np.zeros(k))])
+            # trial i of place p at p k + i, place len(frame) a stack of zeros
+            pool = backend.stack(sub, frame + [backend.scale(total, np.zeros(k))])
             # a slot takes a run of the block's places; ascending order takes the last first
             taken = np.count_nonzero(place[..., None] == np.arange(counts.max()), 1)
             last = np.cumsum(taken, -1) - 1
             for r in range(taken.max()):  # place len(frame), the zero, where a slot has no r-th
                 src = np.where(r < taken, last - r, len(frame))
-                total = total + backend.take(pool, (src.T, np.arange(k)))
+                total = total + backend.take(pool, src.T * k + np.arange(k))
             blocks.append(total)
         merged = _trusted(alg, tuple(blocks))
         return (np.divide(num, den, out=np.zeros_like(num), where=den > 0),
@@ -1104,20 +1101,20 @@ class _SumBackend(_Backend):
         return _trusted(alg, tuple(s._backend.random_elements(s, rngs) for s in alg.summands))
 
     def random_projections(self, alg, rngs, proper: bool):
-        # block 0 is taken and restacked, as multiplying by a 0/1 mask leaves signed zeros
-        subs, first = alg.summands, alg.summands[0]._backend
+        # block 0 of a trial drawn all 1 becomes 0, and of one drawn all 0 a proper draw:
+        # gathered, as multiplying by a 0/1 mask leaves signed zeros
+        subs, first, k = alg.summands, alg.summands[0]._backend, len(rngs)
         blocks = [s._backend.random_projections(s, rngs, False) for s in subs]
         if proper:
             ranks = np.rint([_alg.trace(b) for b in blocks])
             full = np.rint([_alg.trace(_alg.identity(s)) for s in subs])[:, None]
-            fixed = dict.fromkeys(np.flatnonzero((ranks == full).all(0)).tolist(),
-                                  _alg.zero(subs[0]))
-            redo = np.flatnonzero(ranks.sum(0) == 0).tolist()
-            if redo:
-                redrawn = first.random_projections(subs[0], [rngs[i] for i in redo], True)
-                fixed.update((i, first.take(redrawn, j)) for j, i in enumerate(redo))
-            blocks[0] = first.stack(subs[0], [fixed[i] if i in fixed else first.take(blocks[0], i)
-                                              for i in range(len(rngs))])
+            redo = np.flatnonzero(ranks.sum(0) == 0)
+            parts, index = [blocks[0], _alg.zero(subs[0])], np.arange(k)
+            index[(ranks == full).all(0)] = k
+            if len(redo):
+                parts.append(first.random_projections(subs[0], [rngs[i] for i in redo], True))
+                index[redo] = k + 1 + np.arange(len(redo))
+            blocks[0] = first.take(first.stack(subs[0], parts), index)
         return _trusted(alg, tuple(blocks))
 
     def from_coords(self, alg, coords: np.ndarray):

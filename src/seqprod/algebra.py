@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import getitem
+from operator import add, getitem, sub
 
 import numpy as np
 
@@ -149,14 +149,11 @@ class Element:
         object.__setattr__(self, "data", alg._backend.normalise(alg, self.data))
 
     # -- vector-space arithmetic -------------------------------------------
-    def _combine(self, other: "Element", sa: float, sb: float) -> "Element":
-        return check_same_algebra(self, other)._backend.combine(self, other, sa, sb)
-
     def __add__(self, other: "Element") -> "Element":
-        return self._combine(other, 1.0, 1.0)
+        return check_same_algebra(self, other)._backend.combine(self, other, add)
 
     def __sub__(self, other: "Element") -> "Element":
-        return self._combine(other, 1.0, -1.0)
+        return check_same_algebra(self, other)._backend.combine(self, other, sub)
 
     def __mul__(self, scalar: float) -> "Element":
         scalar = float(scalar)
@@ -427,12 +424,12 @@ def _random_effects(alg: AlgebraDescriptor, rngs, profile: str = "generic") -> E
         lo, hi = eigenvalue_range(g)
         width = hi - lo
         flat = width < FLAT_WIDTH  # every sample of a rank-one matrix algebra
-        shifted = g - backend.scale_trials(one, lo)
-        eff = backend.scale_trials(shifted, 0.9 / np.maximum(width, FLAT_WIDTH)) + one * 0.05
+        shifted = g - backend.scale(one, lo)
+        eff = backend.scale(shifted, 0.9 / np.maximum(width, FLAT_WIDTH)) + one * 0.05
         if not np.count_nonzero(flat):
             return eff
-        return backend.stack(alg, [one * 0.5 if f else backend.take(eff, k)
-                                   for k, f in enumerate(flat.tolist())])
+        k = len(rngs)
+        return backend.take(backend.stack(alg, [eff, one * 0.5]), np.where(flat, k, np.arange(k)))
     if profile == "sharp":
         return backend.random_projections(alg, rngs, True)
     if profile == "singular":  # the projection is drawn first

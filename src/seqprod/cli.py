@@ -202,24 +202,24 @@ def _cmd_report_diff(args) -> int:
         raise ConfigError("the reports' rows do not pair: " + "; ".join(
             f"{len(keys)} only in {name}" + (f" (first: {' '.join(map(str, keys[0]))})"
                                               if keys else "") for name, keys in only))
-    header = (f"{'law':<20} {'product':<12} {'algebra':<22} {'seed':>10} {'verdict':<10} "
-              f"{'expected':<10} {'witness':<9} {'drift':>9} {'time':>6}")
+    header = (f"{'law':<20} {'product':<12} {'algebra':<22} {'seed':>10} {'trials':<11} "
+              f"{'verdict':<10} {'expected':<10} {'witness':<9} {'drift':>9} {'time':>6}")
     print(header)
     print("-" * len(header))
     changed, worst, worst_key = 0, 0.0, None
     for key, a in rows_a.items():
         b = rows_b[key]
-        trials = [(e.witness or {}).get("trial", "-") for e in (a, b)]
+        witness = [(e.witness or {}).get("trial", "-") for e in (a, b)]
         drift = _drift(a.max_residual, b.max_residual)
         if drift > worst:
             worst, worst_key = drift, key
-        flagged = (a.verdict != b.verdict or a.expected != b.expected
-                   or trials[0] != trials[1] or drift > args.max_drift)
+        flagged = (a.trials != b.trials or a.verdict != b.verdict or a.expected != b.expected
+                   or witness[0] != witness[1] or drift > args.max_drift)
         changed += flagged
         ratio = f"{b.elapsed_ms / a.elapsed_ms:6.2f}" if a.elapsed_ms > 0 else "     -"
         print(f"{key[0]:<20} {key[1]:<12} {key[2]:<22} {key[3]:>10} "
-              f"{_change(a.verdict, b.verdict):<10} "
-              f"{_change(a.expected, b.expected):<10} {_change(*trials):<9} "
+              f"{_change(a.trials, b.trials):<11} {_change(a.verdict, b.verdict):<10} "
+              f"{_change(a.expected, b.expected):<10} {_change(*witness):<9} "
               f"{drift:>9.2e} {ratio}" + ("  <-- CHANGED" if flagged else ""))
     where = f" ({' '.join(map(str, worst_key))})" if worst_key else ""
     total_a, total_b = (sum(e.elapsed_ms for e in rows.values()) for rows in (rows_a, rows_b))
@@ -263,10 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff = report_sub.add_parser(
         "diff", help="compare two schema-1 reports row by row",
         description="Pair the rows of two reports by law, product, algebra and seed, and list "
-                    "per row the verdict, expectation and witness-trial changes, the residual "
-                    "drift |rB - rA| / max(1, |rA|, |rB|) and the time ratio B/A.  Exit 1 on "
-                    "a change or a drift above --max-drift, 2 if the rows do not pair or a "
-                    "file is malformed.")
+                    "per row the changes of trials run, verdict, expectation and witness "
+                    "trial, the residual drift |rB - rA| / max(1, |rA|, |rB|) and the time "
+                    "ratio B/A.  Exit 1 on a change or a drift above --max-drift, 2 if the "
+                    "rows do not pair or a file is malformed.")
     p_diff.add_argument("a", metavar="A.json", help="the reference report")
     p_diff.add_argument("b", metavar="B.json", help="the report compared with it")
     p_diff.add_argument("--max-drift", type=float, default=1e-12,

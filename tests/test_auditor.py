@@ -361,7 +361,8 @@ def _raising_at(law, bad_trial, exc):
     return dataclasses.replace(row, generate=generate, evaluate=evaluate)
 
 
-@pytest.mark.parametrize("error", list(auditor.TRIAL_ERRORS))
+@pytest.mark.parametrize("error", [sp.PreconditionError, sp.DomainError, sp.NumericalFailureError,
+                                   sp.DescriptorMismatchError, RuntimeError])
 def test_a_trial_that_raises_ends_its_row_with_an_error(error, monkeypatch):
     monkeypatch.setitem(auditor.LAWS, LawId.SEA2, _raising_at(LawId.SEA2, 3, error("planted")))
     entry = audit_law("SEA2", _product("standard", "real:3"), sp.parse_algebra("real:3"),
@@ -370,8 +371,7 @@ def test_a_trial_that_raises_ends_its_row_with_an_error(error, monkeypatch):
     assert entry.error == f"trial 3: {error.__name__}: planted"
 
 
-@pytest.mark.parametrize("error", [sp.ConfigError("planted"), sp.CapabilityError("planted"),
-                                   RuntimeError("planted")])
+@pytest.mark.parametrize("error", [sp.ConfigError("planted"), sp.CapabilityError("planted")])
 def test_other_exceptions_of_a_trial_still_propagate(error, monkeypatch):
     monkeypatch.setitem(auditor.LAWS, LawId.SEA2, _raising_at(LawId.SEA2, 3, error))
     with pytest.raises(type(error), match="planted"):
@@ -391,6 +391,21 @@ def test_the_cli_reports_a_row_that_raises_and_goes_on(tmp_path, capsys, monkeyp
         ("SEA2", "pass", 5), ("DIVIDE", "error", 4), ("SEA1", "pass", 5)]
     assert entries[1]["error"] == "trial 3: PreconditionError: divide needs a <= q"
     assert "error: trial 3: PreconditionError" in capsys.readouterr().out
+
+
+def test_the_cli_reports_an_exception_from_outside_the_package_and_goes_on(tmp_path, capsys,
+                                                                           monkeypatch):
+    from seqprod.cli import run_cli
+    monkeypatch.setitem(auditor.LAWS, LawId.SEA2, _raising_at(LawId.SEA2, 1,
+                                                              RuntimeError("planted")))
+    out = tmp_path / "r.json"
+    assert run_cli(["audit", "--algebra", "real:3", "--laws", "SEA1,SEA2", "--trials", "3",
+                    "--out", str(out)]) == 1
+    entries = json.loads(out.read_text())["entries"]
+    assert [(e["law"], e["verdict"], e["trials"]) for e in entries] == [
+        ("SEA1", "pass", 3), ("SEA2", "error", 2)]
+    assert entries[1]["error"] == "trial 1: RuntimeError: planted"
+    assert "error: trial 1: RuntimeError: planted" in capsys.readouterr().out
 
 
 # a, then per approximant q: a - q once, q - the previous approximant, and q's own frame;
@@ -457,6 +472,7 @@ def test_config_schema_other_than_1_is_rejected(schema):
     {"seed": 1, "rows": [{"law": "SEA1", "seed": False}]},
     {"seed": "7", "rows": [{"law": "SEA1"}]},
     {"seed": 1, "rows": [{"law": "SEA1", "trials": "3"}]},
+    {"sed": 7, "rows": [{"law": "SEA1"}]},
 ])
 def test_config_with_malformed_seed_or_rows_is_rejected(config):
     with pytest.raises(sp.ConfigError):

@@ -185,6 +185,7 @@ def test_a_row_is_refused_the_same_way_wherever_it_is_built(tmp_path, capsys, ro
      "row 0: unknown key 'trails'"),
     ({"schema": True, "rows": [{"law": "SEA1"}]},
      "unsupported suite config schema True; expected 1"),
+    ({"sed": 7, "rows": [{"law": "SEA1"}]}, "suite config has an unknown key 'sed'"),
 ])
 def test_a_config_that_would_be_read_in_part_exits_2(tmp_path, capsys, config, message):
     cfg = _write(tmp_path / "config.json", config)
@@ -286,6 +287,20 @@ def test_report_diff_exits_1_on_a_verdict_expectation_or_witness_change(tmp_path
     lines = [line for line in printed.splitlines() if "CHANGED" in line]
     assert len(lines) == 1 and lines[0].startswith("SEA2")
     assert "2 rows paired, 1 changed" in printed
+
+
+def test_report_diff_exits_1_when_fewer_trials_ran(tmp_path, capsys):
+    outs = [tmp_path / "all.json", tmp_path / "few.json"]
+    for out, trials in zip(outs, ([], ["--trials", "3"])):
+        assert run_cli(["audit", "--algebra", "real:3", "--laws", "SEA1,SEA2", "--seed", "5",
+                        *trials, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run_cli(["report", "diff", *map(str, outs)]) == 1
+    printed = capsys.readouterr().out
+    lines = [line for line in printed.splitlines() if "CHANGED" in line]
+    assert [line.split()[0] for line in lines] == ["SEA1", "SEA2"]
+    assert all("200->3" in line for line in lines)
+    assert "2 rows paired, 2 changed" in printed
 
 
 def test_report_diff_lists_a_witness_that_appears(tmp_path, capsys):

@@ -152,7 +152,7 @@ def test_rel_residual_refuses_elements_of_different_algebras():
 def _elements_near(alg, tol):
     """Elements whose norm is tol times factors inside, at and outside the margin."""
     p, x = _rank_one(alg, 5), _random_effects(alg, _rngs(6), "generic")
-    unit = alg._backend.scale_trials(x, 1.0 / sp.order_unit_norm(x))  # norm 1 up to round-off
+    unit = alg._backend.scale(x, 1.0 / sp.order_unit_norm(x))  # norm 1 up to round-off
     out = {"zero": sp.zero(alg), "identity": sp.identity(alg) * tol}
     for c in (1.0 - 1e-7, 1.0 + 1e-7, 1.0 - 1e-5, 1.0 + 1e-5, 0.5, 2.0, 1e-8, 1e8):
         out[f"rank one x {c}"] = p * (tol * c)

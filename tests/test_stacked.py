@@ -19,6 +19,9 @@ from seqprod.algebra import (
     KIND_QUAT,
     KIND_SPIN,
     KIND_SUM,
+    Element,
+    LinearMap,
+    _linear_map,
     _random_effects,
     eigenvalue_range,
     jordan_mult_operator,
@@ -70,9 +73,19 @@ def _stacked_residuals(law, product, alg, inputs, k):
     return np.broadcast_to(auditor.LAWS[law].evaluate(product, alg, inputs), k).tolist()
 
 
+def _stack(alg, values: list):
+    """One stacked input of the trials' ``values``; maps keep one label per trial."""
+    if isinstance(values[0], Element):
+        return alg._backend.stack(alg, values)
+    if isinstance(values[0], LinearMap):
+        return _linear_map(alg, np.stack([m.matrix for m in values]),
+                           tuple(m.label for m in values))
+    return list(values)
+
+
 def _residuals(law, product, alg, inputs):
     """The residual of each listed trial, evaluated as one stack."""
-    stacked = {key: auditor._stack(alg, [inp[key] for inp in inputs]) for key in inputs[0]}
+    stacked = {key: _stack(alg, [inp[key] for inp in inputs]) for key in inputs[0]}
     return _stacked_residuals(law, product, alg, stacked, len(inputs))
 
 
@@ -824,3 +837,56 @@ def test_a_commute_equiv_witness_carries_its_trials_expectation(monkeypatch):
     assert entry.verdict == "fail" and entry.witness["trial"] == 3
     assert entry.witness["inputs"]["expected"] == "commuting"
     assert replay_witness(law, entry.product, entry.algebra, entry.witness) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# the stack and take primitives
+# ---------------------------------------------------------------------------
+
+def _leaves(x) -> list:
+    """The arrays of an element's data in block order: a matrix, a spin pair's v and t."""
+    if x.algebra.kind == KIND_SUM:
+        return [leaf for blk in x.data for leaf in _leaves(blk)]
+    return [np.asarray(part) for part in (x.data if x.algebra.kind == KIND_SPIN else [x.data])]
+
+
+def _leaf_bits(leaves) -> list:
+    return [(leaf.dtype, leaf.shape, leaf.tobytes()) for leaf in leaves]
+
+
+CONTRACT_ALGEBRAS = list(REFERENCE_ALGEBRAS) + ["sum(real:1,spin:1)"]
+
+
+@pytest.mark.parametrize("short", CONTRACT_ALGEBRAS)
+def test_a_stack_of_single_elements_is_np_stack_of_their_data(short):
+    alg = sp.parse_algebra(short)
+    elems = [random_element(alg, seed) for seed in range(4)]
+    columns = zip(*(_leaves(x) for x in elems))
+    assert _leaf_bits(_leaves(alg._backend.stack(alg, elems))) == \
+        _leaf_bits(np.stack(column) for column in columns)
+
+
+@pytest.mark.parametrize("short", CONTRACT_ALGEBRAS)
+def test_a_stack_of_stacks_and_single_elements_concatenates_their_trials(short):
+    alg = sp.parse_algebra(short)
+    backend = alg._backend
+    rngs = [np.random.default_rng(seed) for seed in range(6)]
+    parts = [_random_effects(alg, rngs[:3]), random_element(alg, 7),
+             backend.random_elements(alg, rngs[3:]), sp.identity(alg)]
+    trials = [backend.take(parts[0], k) for k in range(3)] + [parts[1]] \
+        + [backend.take(parts[2], k) for k in range(3)] + [parts[3]]
+    assert _leaf_bits(_leaves(backend.stack(alg, parts))) == \
+        _leaf_bits(_leaves(backend.stack(alg, trials)))
+
+
+@pytest.mark.parametrize("short", CONTRACT_ALGEBRAS)
+def test_take_by_an_index_array_gathers_the_trials_one_by_one(short):
+    alg = sp.parse_algebra(short)
+    backend = alg._backend
+    x = _random_effects(alg, [np.random.default_rng(seed) for seed in range(5)])
+    index = np.array([4, 0, 0, 2, 3, 1])
+    gathered = backend.take(x, index)
+    assert _leaf_bits(_leaves(gathered)) == \
+        _leaf_bits(_leaves(backend.stack(alg, [backend.take(x, int(k)) for k in index])))
+    assert _leaf_bits(_leaves(backend.take(x, 2))) == _leaf_bits(_leaves(backend.take(gathered, 3)))
+    assert not any(leaf.flags.writeable for leaf in _leaves(gathered))

@@ -8,9 +8,9 @@ registered in ``.git``), then runs on both trees, each command in its own subpro
 characterizations --seed 42 --out``.  Each pair of reports goes through the working tree's
 ``seqprod report diff --max-drift 0``, REV's report as A, whose summary line is printed with
 the rows it flags ``<-- CHANGED`` under it.
-Exits 0 when every pair is unchanged (the same verdicts, expectations and witness trials,
-and residuals equal to the bit), 1 on any change, and 2 when REV is not a commit or a run
-writes no report.  Standard library only.
+Exits 0 when every pair is unchanged (the same trials run, verdicts, expectations and
+witness trials, and residuals equal to the bit), 1 on any change, and 2 when REV is not a
+commit or a run writes no report.  Standard library only.
 """
 
 from __future__ import annotations

@@ -52,8 +52,9 @@ cached conjugated basis.  A basis element E_k has at most one nonzero entry
 per row and column, so a product with it is exact, and one product per
 trial gives every E_k at once: T_a takes (E_k a + (E_k a)^H) / 2 from
 [E_1; ...; E_d] a, as ``commutant_rows`` takes E_k s - (E_k s)^H, and
-x -> m x m^H takes m E_k from m [E_1 | ... | E_d].  ``conjugator`` gives the
-m = f(a) that the conjugation primitives take, so a caller can keep it.
+x -> m x m^H takes m E_k from m [E_1 | ... | E_d].  Every kind has the conjugation
+primitives: ``conjugator`` gives the m = f(a) (on spin factors the element f(a), applied
+as Q_m) that ``conjugate`` and ``conjugation_operator`` take, so a caller can keep it.
 
 A *stacked* element, built only by ``stack``, ``random_elements`` (one sample per
 Generator, the only Gaussian draw), ``random_projections`` (one projection per
@@ -293,20 +294,24 @@ def _clusters(w: np.ndarray, gap: float):
 
 
 def _matrix_function(a, f, gap: float) -> np.ndarray:
-    """V f(w) V^H for the matrix element a = V diag(w) V^H, stacked or not.
+    """V f(w) V^H for the matrix element a = V diag(w) V^H, stacked or not, read-only.
 
     f maps an array of points to an array of real or complex values of its
     shape.  It is called once, on the array of w's shape transposed: each
     eigenvalue is replaced by the value of its cluster (eigenvalues chained
     by gaps <= ``gap``), and the trials of a stack come last, as on spin
-    factors, so per-trial coefficients of f broadcast against them.
+    factors, so per-trial coefficients of f broadcast against them.  Real values
+    give exactly Hermitian (J-symmetric) element data; complex ones are kept as computed.
     """
     w, vecs = _eigen(a)
     sizes, values = _clusters(w, gap)
     if len(sizes) < w.size:
         values = np.repeat(values, sizes)
     coef = f(values.reshape(w.shape).T).T
-    return (vecs * coef[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    mat = (vecs * coef[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    if np.iscomplexobj(coef):
+        return _read_only(mat)
+    return a.algebra._backend._hermitian(a.algebra, mat)
 
 
 def _random_structured_unitaries(alg, rngs) -> np.ndarray:
@@ -628,7 +633,7 @@ class _MatrixBackend(_Backend):
         return out, [_trusted(alg, p) for p in self._hermitian(alg, mats)], counts
 
     def functional(self, a, f, gap: float):
-        return self._element(a.algebra, _matrix_function(a, f, gap))
+        return _trusted(a.algebra, _matrix_function(a, f, gap))
 
     def jordan_operator(self, a) -> np.ndarray:
         # (a E_k + E_k a) / 2, with a E_k the conjugate transpose of E_k a
@@ -642,7 +647,7 @@ class _MatrixBackend(_Backend):
     def conjugator(self, a, f, gap: float):
         """m = f(a) as ``conjugate`` and ``conjugation_operator`` take it; f may be complex
         valued."""
-        return _read_only(_matrix_function(a, f, gap))
+        return _matrix_function(a, f, gap)
 
     def conjugate(self, m, x):
         """m x m^H for the conjugator m."""
@@ -900,6 +905,15 @@ class _SpinBackend(_Backend):
         # v.T puts the trials of a stack last, where the per-trial scalars broadcast
         vec = np.where(split, 0.5 * (hi - lo) * (v.T / (dist + ~split)), 0.0).T
         return _trusted(a.algebra, (_read_only(np.ascontiguousarray(vec)), 0.5 * (hi + lo)))
+
+    # a conjugator is the element m = f(a), and x -> m x m^H is Q_m
+    conjugator = functional
+
+    def conjugate(self, m, x):
+        return self.quadratic(m, x)
+
+    def conjugation_operator(self, alg, m) -> np.ndarray:
+        return self.quadratic_operator(m)
 
     def random_elements(self, alg, rngs):
         vs, ts = zip(*[(rng.standard_normal(alg.size), rng.standard_normal()) for rng in rngs])

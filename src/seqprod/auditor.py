@@ -37,6 +37,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import partial, reduce
 from itertools import combinations
+from types import MappingProxyType
 from typing import Callable, get_type_hints
 
 import numpy as np
@@ -605,7 +606,8 @@ FALSIFY_TRIALS, FALSIFY_TOL = 10, 1e-3
 @dataclass(frozen=True)
 class SuiteRow:
     """One suite row; ConfigError for an unknown law, a param the law does not read, an
-    ``expect`` other than pass, fail or error, or a negative seed."""
+    ``expect`` other than pass, fail or error, or a negative seed.  ``params`` is kept as a
+    read-only copy."""
     law: str
     product: str = "standard"
     algebra: str = "complex:3"
@@ -616,6 +618,7 @@ class SuiteRow:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
         if self.law not in LAWS:
             raise ConfigError(f"unknown law {self.law!r}")
         unread = [key for key in self.params if key not in LAWS[self.law].params]
@@ -625,6 +628,10 @@ class SuiteRow:
             raise ConfigError(f"expect must be pass, fail or error, got {self.expect!r}")
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+
+    def __reduce__(self):
+        # a mappingproxy neither pickles nor deep-copies: params, the last field, goes as a dict
+        return type(self), (*(getattr(self, f.name) for f in fields(self)[:-1]), dict(self.params))
 
 
 #: how a config row's fields are read; an absent or null field keeps SuiteRow's default
@@ -915,12 +922,17 @@ def run_full_suite(config: SuiteConfig) -> AuditReport:
     return AuditReport(entries=entries, seed=config.seed)
 
 
-def characterization_rows(trials: int = FALSIFY_TRIALS,
-                          tol: float = FALSIFY_TOL) -> list[SuiteRow]:
+def falsification_row(law: LawId, product: str = "twisted:1.0",
+                      algebra: str = "complex:3") -> SuiteRow:
+    """The expected-fail row of a law in FALSIFIED on a twisted product: INVARIANCE under the
+    transpose, which no twisted product preserves."""
+    return SuiteRow(law.value, product, algebra, FALSIFY_TRIALS, FALSIFY_TOL, expect="fail",
+                    params={"iso": "transpose"} if law is LawId.INVARIANCE else {})
+
+
+def characterization_rows() -> list[SuiteRow]:
     """The three falsification demos on the twisted product."""
-    return [SuiteRow(law.value, "twisted:1.0", "complex:3", trials, tol, expect="fail",
-                     params={"iso": "transpose"} if law is LawId.INVARIANCE else {})
-            for law in FALSIFIED]
+    return [falsification_row(law) for law in FALSIFIED]
 
 
 def default_config(seed: int = 42) -> SuiteConfig:

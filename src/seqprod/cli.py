@@ -22,13 +22,13 @@ from .algebra import Element, LinearMap, parse_algebra, trace
 from .auditor import (
     ALL_LAWS,
     FALSIFIED,
-    FALSIFY_TOL,
-    FALSIFY_TRIALS,
     AuditReport,
+    LawId,
     SuiteConfig,
     SuiteRow,
     default_config,
     demo_characterizations,
+    falsification_row,
     run_full_suite,
 )
 from .errors import ConfigError, NumericalFailureError, SeqprodError
@@ -114,13 +114,10 @@ def _cmd_audit(args) -> int:
             laws = [name.strip() for name in args.laws.split(",") if name.strip()]
         # raises CapabilityError for a twisted product on a non-complex algebra
         twisted = bool(parse_product(product, alg).twist)
-        rows = []
-        for name in laws:
-            if twisted and name in FALSIFIED:
-                rows.append(SuiteRow(name, product, args.algebra, FALSIFY_TRIALS,
-                                     FALSIFY_TOL, expect="fail"))
-            else:
-                rows.append(SuiteRow(name, product, args.algebra, args.trials, args.tol))
+        rows = [falsification_row(LawId(name), product, args.algebra)
+                if twisted and name in FALSIFIED
+                else SuiteRow(name, product, args.algebra, args.trials, args.tol)
+                for name in laws]
         config = SuiteConfig(rows=rows, seed=seed)
     else:
         config = default_config(seed)
@@ -307,3 +304,7 @@ def run_cli(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

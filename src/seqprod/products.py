@@ -9,11 +9,16 @@ in addition a one-parameter family of twisted products
 with a^{it} taken on the support of a and the identity on its kernel.
 Twisted products satisfy the same finite-measurement axioms as the
 standard one but differ from it for t != 0; the auditor uses them as the
-non-standard foil for the uniqueness demonstrations.  The operators here give
+non-standard foil for the uniqueness demonstrations.
+
+Both products take one path: a root m = a^{1/2} a^{it} (t = 0 for the standard
+product) from one root function of the eigenvalues (``_twisted_power``), applied
+as x -> m x m^H by the backends' ``conjugate`` and ``conjugation_operator``.  On
+spin factors m is the element sqrt(a) and the map is Q_m.  The operators here give
 one map per trial for stacked elements, and their preconditions name the worst trial.
-Every root and imaginary power is taken of a positive element: a twisted
-product, ``divide`` and ``imaginary_power_conjugation`` raise, as ``sqrt_pos``
-does, where an eigenvalue is below -SUPPORT_TOL.
+Every root and imaginary power is taken of a positive element: a product,
+``divide`` and ``imaginary_power_conjugation`` raise where an eigenvalue is below
+-SUPPORT_TOL.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .algebra import (
     frame_range,
     min_eigenvalue,
     norm_at_most,
-    quadratic_rep,
 )
 from .errors import (
     CapabilityError,
@@ -41,7 +45,7 @@ from .errors import (
     DescriptorMismatchError,
     PreconditionError,
 )
-from .spectral import DEFAULT_GAP, _require_positive, sqrt_pos
+from .spectral import DEFAULT_GAP, _require_positive
 
 #: effects with min eigenvalue below this are rejected where an inverse is needed
 INVERTIBILITY_TOL = 1e-6
@@ -99,23 +103,30 @@ def parse_product(text: str, alg: AlgebraDescriptor) -> SequentialProduct:
     raise ConfigError(f"bad product descriptor {text!r}")
 
 
-def _twisted_power(t: float, exponent: float):
-    """The function of m in x -> m x m^H: m = a^{exponent} a^{it}, for an exponent of 1/2 (the
-    product root), 0 (the phase a^{it}) or -1/2 (the product root at the pseudo-inverse, with
-    the twist -t).
+def _twisted_power(t: float | None, exponent: float):
+    """The root function of every product, m in x -> m x m^H: m = a^{exponent} a^{it}, for an
+    exponent of 1/2 (the product root), 0 (the phase a^{it}) or -1/2 (the product root at the
+    pseudo-inverse, with the twist -t); t None (the standard product) takes no phase.
 
-    It maps an array of eigenvalues, of any shape, to complex values of that shape.
-    The phase is taken on the support of a.  Off it m is 1 for the phase and 0
-    for a root, so the root annihilates the kernel (spectrum <= support
-    threshold) as sqrt_pos and pseudo_inverse do.
+    It maps an array of eigenvalues, of any shape, to values of that shape, complex where a
+    phase is taken.  The phase is taken on the support of a.  Off it m is 1 for the phase and 0
+    for a root, so the root annihilates the kernel (spectrum <= support threshold) as
+    pseudo_inverse does.
     """
     def power(lams: np.ndarray) -> np.ndarray:
         support = lams > SUPPORT_TOL
         x = np.where(support, lams, 1.0)
-        m = np.sqrt(x) ** (2 * exponent) * np.exp(1j * t * np.log(x))
+        m = np.sqrt(x) ** (2 * exponent)
+        if t is not None:
+            m = m * np.exp(1j * t * np.log(x))
         return np.where(support, m, 0.0 if exponent else 1.0)
 
     return power
+
+
+def _conjugator(a: Element, t: float | None, exponent: float):
+    """The conjugator m = a^{exponent} a^{it} (``_twisted_power``) from a's own solve."""
+    return a.algebra._backend.conjugator(a, _twisted_power(t, exponent), DEFAULT_GAP)
 
 
 def _check_product_algebra(p: SequentialProduct, a: Element):
@@ -125,61 +136,40 @@ def _check_product_algebra(p: SequentialProduct, a: Element):
 
 
 def _product_root(p: SequentialProduct, a: Element):
-    """The root of ``p`` at a, kept on a per twist (None for the standard product): sqrt(a)
-    (an Element, a o b = Q_sqrt(a)(b)) for the standard product, the conjugator
-    m = sqrt(a) a^{it} (a o b = m b m^H) for twisted:t."""
+    """The root m = sqrt(a) a^{it} of ``p`` at a, a o b = m b m^H (no phase for the standard
+    product), kept on a per twist."""
     roots = a.__dict__.get("_roots")
     root = None if roots is None else roots.get(p.twist)
     if root is None:
-        if p.is_standard:
-            root = sqrt_pos(a)
-        else:
-            _require_positive(a, f"the {p.descriptor()} product")
-            root = a.algebra._backend.conjugator(a, _twisted_power(p.twist, 0.5), DEFAULT_GAP)
+        _require_positive(a, f"the {p.descriptor()} product")
+        root = _conjugator(a, p.twist, 0.5)
         a.__dict__.setdefault("_roots", {})[p.twist] = root
     return root
 
 
 def _inverse_root(p: SequentialProduct, q: Element):
-    """The root of ``p`` at the pseudo-inverse q^+, from q's own solve: q^{-1/2} (an Element)
-    for the standard product, m = q^{-1/2} q^{-it} for twisted:t, each on the support of q and 0
-    on its kernel.
+    """The root of ``p`` at the pseudo-inverse q^+, from q's own solve: m = q^{-1/2} q^{-it},
+    on the support of q and 0 on its kernel.
 
     sqrt(pseudo_inverse(q)) gives the same map from a second solve, of q^+.  f is taken at the
     mean of each cluster of q's eigenvalues; for q <= 1 these are the clusters of that route,
     since a gap d between two eigenvalues of q becomes a gap of at least d between their
     inverses, and the kernel's 0 stays apart from the inverses, which are at least 1.
     """
-    backend = q.algebra._backend
-    if p.is_standard:
-        return backend.functional(
-            q, lambda x: (x > SUPPORT_TOL) / np.sqrt(np.where(x > SUPPORT_TOL, x, 1.0)),
-            DEFAULT_GAP)
-    return backend.conjugator(q, _twisted_power(-p.twist, -0.5), DEFAULT_GAP)
-
-
-def _apply_root(p: SequentialProduct, root, b: Element) -> Element:
-    """Q_root(b) for the standard product, root b root^H for a twisted one."""
-    if p.is_standard:
-        return quadratic_rep(root, b)
-    return b.algebra._backend.conjugate(root, b)
+    return _conjugator(q, None if p.twist is None else -p.twist, -0.5)
 
 
 def seq_product(p: SequentialProduct, a: Element, b: Element) -> Element:
     """a o b.  The first argument must be positive; b may be any element."""
     check_same_algebra(a, b)
     _check_product_algebra(p, a)
-    return _apply_root(p, _product_root(p, a), b)
+    return p.algebra._backend.conjugate(_product_root(p, a), b)
 
 
 def multiplication_operator(p: SequentialProduct, a: Element) -> LinearMap:
     """L_a: b -> a o b as a linear map, in closed form from the product root at a."""
     _check_product_algebra(p, a)
-    backend, root = p.algebra._backend, _product_root(p, a)
-    if p.is_standard:
-        matrix = backend.quadratic_operator(root)
-    else:
-        matrix = backend.conjugation_operator(p.algebra, root)
+    matrix = p.algebra._backend.conjugation_operator(p.algebra, _product_root(p, a))
     return _linear_map(p.algebra, matrix, "L_a")
 
 
@@ -206,7 +196,7 @@ def divide(p: SequentialProduct, q: Element, a: Element) -> Element:
             f"divide needs a <= q; offending eigenvalue of q - a is {np.min(gap):.3e}")
     _check_product_algebra(p, q)
     _require_positive(q, "divide")
-    return _apply_root(p, _inverse_root(p, q), a)
+    return p.algebra._backend.conjugate(_inverse_root(p, q), a)
 
 
 def homogeneity_iso(a: Element, b: Element) -> LinearMap:
@@ -225,7 +215,7 @@ def homogeneity_iso(a: Element, b: Element) -> LinearMap:
                 f"{np.min(lo):.3e}")
     std = SequentialProduct.standard(a.algebra)
     l_b = multiplication_operator(std, b)
-    l_ainv = a.algebra._backend.quadratic_operator(_inverse_root(std, a))
+    l_ainv = a.algebra._backend.conjugation_operator(a.algebra, _inverse_root(std, a))
     return _linear_map(a.algebra, l_b.matrix @ l_ainv, "Phi")
 
 
@@ -235,9 +225,7 @@ def imaginary_power_conjugation(q: Element, t: float) -> LinearMap:
     if not alg.is_complex_kind():
         raise CapabilityError(f"imaginary powers need a complex algebra, not {alg}")
     _require_positive(q, "imaginary_power_conjugation")
-    backend = alg._backend
-    matrix = backend.conjugation_operator(
-        alg, backend.conjugator(q, _twisted_power(t, 0.0), DEFAULT_GAP))
+    matrix = alg._backend.conjugation_operator(alg, _conjugator(q, t, 0.0))
     return _linear_map(alg, matrix, f"Ad(q^{{i{t}}})")
 
 

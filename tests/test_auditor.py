@@ -256,6 +256,17 @@ def test_config_loads_every_field_of_a_hand_written_row():
     assert SuiteConfig.from_json({"rows": [{"law": "SEA1", **nulls}]}).rows == (SuiteRow("SEA1"),)
 
 
+def test_a_rows_params_are_read_only():
+    params = {"iso": "transpose"}
+    row = SuiteRow("INVARIANCE", params=params)
+    params["iso"] = "unitary_conjugation"  # the row keeps its own copy
+    with pytest.raises(TypeError):
+        row.params["isoo"] = 1
+    assert row.params == {"iso": "transpose"}
+    copied = copy.deepcopy(row)
+    assert copied == row and copied.params is not row.params
+
+
 def test_default_config_composition():
     config = default_config()
     passes = [r for r in config.rows if r.expect == "pass"]

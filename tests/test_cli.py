@@ -1,9 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import seqprod as sp
-from seqprod.auditor import AuditReport, SuiteRow
+from seqprod.auditor import (
+    AuditReport,
+    LawId,
+    SuiteConfig,
+    SuiteRow,
+    falsification_row,
+    run_full_suite,
+)
 from seqprod.cli import run_cli
 from seqprod.serialize import element_to_json
 
@@ -113,6 +124,41 @@ def test_adhoc_twisted_expected_failures_give_exit_0(capsys):
     assert "overall: pass" in printed
 
 
+def _without_times(report: dict) -> dict:
+    for entry in report["entries"]:
+        entry.pop("elapsed_ms")
+    return report
+
+
+def test_adhoc_twisted_expected_failures_are_the_falsification_rows(tmp_path, capsys):
+    # INVARIANCE under the transpose, as in the demo: a unitary conjugation keeps a twisted
+    # product, so a row without the iso passes on those trials
+    out = tmp_path / "adhoc.json"
+    rc = run_cli(["audit", "--algebra", "complex:2", "--product", "twisted:0.5",
+                  "--laws", "INVARIANCE,SYMMETRY", "--seed", "8", "--out", str(out)])
+    assert rc == 0
+    rows = [falsification_row(law, "twisted:0.5", "complex:2")
+            for law in (LawId.INVARIANCE, LawId.SYMMETRY)]
+    want = run_full_suite(SuiteConfig(rows=rows, seed=8)).to_json()
+    assert _without_times(json.loads(out.read_text())) == _without_times(want)
+    assert rows[0].params == {"iso": "transpose"}
+
+
+def _module_cli(*args: str) -> subprocess.CompletedProcess:
+    """``python -m seqprod.cli args`` in a subprocess, on this checkout's sources."""
+    src = str(Path(sp.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "seqprod.cli", *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_the_module_runs_the_cli():
+    audit = _module_cli("audit", "--algebra", "real:2", "--laws", "SEA2", "--trials", "1")
+    assert audit.returncode == 0
+    assert "overall: pass" in audit.stdout
+    assert _module_cli("audit", "--bogus").returncode == 2
+
+
 def test_config_audit_roundtrip_and_determinism(tmp_path, capsys):
     config = {
         "schema": 1,
@@ -131,10 +177,7 @@ def test_config_audit_roundtrip_and_determinism(tmp_path, capsys):
     r1, r2 = json.loads(out1.read_text()), json.loads(out2.read_text())
     # parsers round-trip the written report with zero diff
     assert AuditReport.from_json(r1).to_json() == r1
-    for rep in (r1, r2):
-        for e in rep["entries"]:
-            e.pop("elapsed_ms")
-    assert r1 == r2
+    assert _without_times(r1) == _without_times(r2)
 
 
 def test_config_with_unexpected_failure_exits_1(tmp_path, capsys):

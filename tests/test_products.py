@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import seqprod as sp
+from seqprod import products
 from seqprod.algebra import (KIND_SPIN, map_distance, operator_norm, random_projection,
                              rel_residual)
 
@@ -248,6 +249,8 @@ def test_roots_and_powers_need_a_positive_element(short, twist):
     for call in calls:
         with pytest.raises(sp.PreconditionError, match="positive element; min eigenvalue -5.0"):
             call()
+    with pytest.raises(sp.PreconditionError, match=f"the {p.descriptor()} product needs"):
+        sp.seq_product(p, q, b)
 
 
 @pytest.mark.parametrize("twist", [None, 1.0])
@@ -559,3 +562,24 @@ def test_homogeneity_iso_equals_the_composite_with_the_pseudo_inverse(short):
         sp.multiplication_operator(std, sp.pseudo_inverse(a)))
     got = sp.homogeneity_iso(_fresh(a), _fresh(b))
     assert map_distance(got, want) <= 1e-12 * max(1.0, operator_norm(want))
+
+
+# ---------------------------------------------------------------------------
+# one root function for both products
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("short", ["real:4", "complex:4", "quat:3", "spin:5",
+                                   "sum(complex:2,real:3)"])
+@pytest.mark.parametrize("profile", ["invertible", "singular"])
+def test_one_patched_root_function_reaches_every_consumer(short, profile, monkeypatch):
+    # the aba mutant: the root's exponent doubled, so a o x = a x a and q^+ o a = q^+ a q^+
+    power = products._twisted_power
+    monkeypatch.setattr(products, "_twisted_power", lambda t, exponent: power(t, 2 * exponent))
+    alg = sp.parse_algebra(short)
+    p = _std(alg)
+    a, x = sp.random_effect(alg, 63, profile), sp.random_effect(alg, 64)
+    want = sp.quadratic_rep(a, x)
+    assert rel_residual(sp.seq_product(p, _fresh(a), x), want) <= 1e-12
+    assert rel_residual(sp.multiplication_operator(p, _fresh(a)).apply(x), want) <= 1e-12
+    q_plus = sp.pseudo_inverse(a)
+    assert rel_residual(sp.divide(p, _fresh(a), want), sp.quadratic_rep(q_plus, want)) <= 1e-12

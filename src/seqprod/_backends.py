@@ -43,18 +43,20 @@ assembled from summand results) are wrapped by :func:`_trusted` without
 ``normalise``; products of matrices are not exactly Hermitian in floating
 point and are symmetrised as the public constructor does (``_element``).
 
-The operator primitives (``jordan_operator``, ``quadratic_operator``,
-``conjugation_operator`` and ``iso_operator``) return the coordinate matrix
-of a linear map in one shot, one per trial for a stack: spin factors write
-the matrix down, direct sums put the summand matrices on the diagonal, and
-matrix kinds project the images of the basis with one product against the
-cached conjugated basis.  A basis element E_k has at most one nonzero entry
-per row and column, so a product with it is exact, and one product per
-trial gives every E_k at once: T_a takes (E_k a + (E_k a)^H) / 2 from
-[E_1; ...; E_d] a, as ``commutant_rows`` takes E_k s - (E_k s)^H, and
-x -> m x m^H takes m E_k from m [E_1 | ... | E_d].  Every kind has the conjugation
-primitives: ``conjugator`` gives the m = f(a) (on spin factors the element f(a), applied
-as Q_m) that ``conjugate`` and ``conjugation_operator`` take, so a caller can keep it.
+The operator primitives (``jordan_operator``, ``quadratic_operator`` and
+``iso_operator``) return the coordinate matrix of a linear map in one shot,
+one per trial for a stack: spin factors write the matrix down, direct sums
+put the summand matrices on the diagonal, and matrix kinds project the
+images of the basis with one product against the cached conjugated basis.
+A basis element E_k has at most one nonzero entry per row and column, so a
+product with it is exact, and one product per trial gives every E_k at
+once: T_a takes (E_k a + (E_k a)^H) / 2 from [E_1; ...; E_d] a, as
+``commutant_rows`` takes E_k s - (E_k s)^H, and Q_m takes m E_k from
+m [E_1 | ... | E_d].  Q_m is the one sandwich: on matrix kinds ``quadratic``
+and ``quadratic_operator`` take x -> m x m^H, which is Q_m for Hermitian m
+and serves as well an m that is not self-adjoint: a product root or phase
+from ``functional``, or ``iso_operator``'s unitary.  Spin factors keep the
+Jordan forms, and direct sums lift them.
 
 A *stacked* element, built only by ``stack``, ``random_elements`` (one sample per
 Generator, the only Gaussian draw), ``random_projections`` (one projection per
@@ -178,7 +180,8 @@ def _trusted(alg, data):
     """Element of ``alg`` holding ``data`` as it is, without ``normalise``.
 
     Only for data that already meets the representation invariants and is
-    read-only: the public ``Element(alg, data)`` normalises every input.
+    read-only: the public ``Element(alg, data)`` normalises every input.  The m of a sandwich
+    x -> m x m^H may hold any matrix: only ``quadratic`` and ``quadratic_operator`` read it.
     """
     x = _alg.Element.__new__(_alg.Element)
     x.__dict__.update(algebra=alg, data=data)
@@ -568,9 +571,10 @@ class _MatrixBackend(_Backend):
     def jordan(self, a, b):
         return self._element(a.algebra, 0.5 * (a.data @ b.data + b.data @ a.data))
 
-    def quadratic(self, a, b):
-        # associative shortcut; equals the Jordan formula exactly
-        return self._element(a.algebra, a.data @ b.data @ a.data)
+    def quadratic(self, m, x):
+        # the sandwich m x m^H: Q_m for Hermitian m (equal to the Jordan formula exactly), a
+        # product's map for its root m
+        return self._element(x.algebra, m.data @ x.data @ m.data.conj().swapaxes(-1, -2))
 
     def inner(self, a, b) -> float:
         # vecdot conjugates its first argument; tr(ab) = Re <a, b>_HS for Hermitian a, b
@@ -640,25 +644,13 @@ class _MatrixBackend(_Backend):
         images = _hermitian_sum(_basis_products(a.algebra, a.data), 1.0)
         return _operator(a.algebra, np.multiply(0.5, images, out=images))
 
-    def quadratic_operator(self, a) -> np.ndarray:
-        # associative shortcut x -> a x a, as in ``quadratic``
-        return self.conjugation_operator(a.algebra, a.data)
-
-    def conjugator(self, a, f, gap: float):
-        """m = f(a) as ``conjugate`` and ``conjugation_operator`` take it; f may be complex
-        valued."""
-        return _matrix_function(a, f, gap)
-
-    def conjugate(self, m, x):
-        """m x m^H for the conjugator m."""
-        return self._element(x.algebra, m @ x.data @ m.conj().swapaxes(-1, -2))
-
-    def conjugation_operator(self, alg, m) -> np.ndarray:
-        """Coordinate matrix of x -> m x m^H for the conjugator m, one per trial for a stack.
+    def quadratic_operator(self, m) -> np.ndarray:
+        """Coordinate matrix of x -> m x m^H, as in ``quadratic``, one per trial for a stack.
 
         m E_k comes from one product per trial, and (m E_k) m^H is taken block by block, in
         place: as one tall (dim m, m) product it rounds differently on some real orders (32-34).
         """
+        alg, m = m.algebra, m.data
         dim, order = _matrix_basis(alg).shape[:2]
         left = (m @ _basis_columns(alg)).reshape(m.shape[:-2] + (order, dim, order))
         images = left.swapaxes(-3, -2) @ m.conj().swapaxes(-1, -2)[..., None, :, :]
@@ -739,7 +731,7 @@ class _MatrixBackend(_Backend):
         if kind == "transpose":
             transpose = _operator(alg, _matrix_basis(alg).swapaxes(1, 2))
             return np.broadcast_to(transpose, (len(rngs),) + transpose.shape)
-        return self.conjugation_operator(alg, _random_structured_unitaries(alg, rngs))
+        return self.quadratic_operator(_trusted(alg, _random_structured_unitaries(alg, rngs)))
 
     def commutant_rows(self, alg, elems) -> np.ndarray:
         """Null space of the stacked commutator maps X -> Xs - sX, one coordinate row each.
@@ -906,15 +898,6 @@ class _SpinBackend(_Backend):
         vec = np.where(split, 0.5 * (hi - lo) * (v.T / (dist + ~split)), 0.0).T
         return _trusted(a.algebra, (_read_only(np.ascontiguousarray(vec)), 0.5 * (hi + lo)))
 
-    # a conjugator is the element m = f(a), and x -> m x m^H is Q_m
-    conjugator = functional
-
-    def conjugate(self, m, x):
-        return self.quadratic(m, x)
-
-    def conjugation_operator(self, alg, m) -> np.ndarray:
-        return self.quadratic_operator(m)
-
     def random_elements(self, alg, rngs):
         vs, ts = zip(*[(rng.standard_normal(alg.size), rng.standard_normal()) for rng in rngs])
         return _trusted(alg, (_read_only(np.array(vs)), _read_only(np.array(ts))))
@@ -1020,9 +1003,8 @@ class _SumBackend(_Backend):
     scale = _lifted("scale", 1)
     take = _lifted("take", 1)
     jordan = _lifted("jordan", 2)
-    quadratic = _lifted("quadratic", 2)  # a b a on matrix blocks, the Jordan form on spin ones
+    quadratic = _lifted("quadratic", 2)  # m x m^H on matrix blocks, the Jordan form on spin ones
     functional = _lifted("functional", 1)
-    conjugator = _lifted("conjugator", 1, tuple)  # the summands' conjugators, in summand order
     jordan_operator = _lifted("jordan_operator", 1, _block_diag)
     quadratic_operator = _lifted("quadratic_operator", 1, _block_diag)
     inner = _lifted("inner", 2, sum)
@@ -1041,14 +1023,6 @@ class _SumBackend(_Backend):
     def stack(self, alg, elems):
         return _trusted(alg, tuple(s._backend.stack(s, [x.data[k] for x in elems])
                                    for k, s in enumerate(alg.summands)))
-
-    def conjugate(self, m, x):
-        return _trusted(x.algebra, tuple(blk.algebra._backend.conjugate(mb, blk)
-                                         for mb, blk in zip(m, x.data)))
-
-    def conjugation_operator(self, alg, m) -> np.ndarray:
-        return _block_diag([s._backend.conjugation_operator(s, mb)
-                            for s, mb in zip(alg.summands, m)])
 
     def spectral_pairs(self, a, gap: float):
         """Blockwise frames merged across blocks: every block's values in one ascending order

@@ -40,7 +40,7 @@ from .products import (
     SequentialProduct,
     commutes,
 )
-from .spectral import DEFAULT_GAP
+from .spectral import DEFAULT_GAP, _require_gap
 
 
 @dataclass(frozen=True)
@@ -168,8 +168,7 @@ def simultaneous_diagonalize(elems: list[Element], gap: float = DEFAULT_GAP) -> 
     """Joint eigenprojection frame of a mutually commuting family."""
     if not elems:
         raise PreconditionError("cannot diagonalize an empty family; pass [identity]")
-    if gap <= 0:
-        raise PreconditionError("clustering gap must be positive")
+    _require_gap(gap)
     alg = check_same_algebra(*elems)
     _require_mutually_commuting(elems, alg)
     return FunctionModel(alg, tuple(alg._backend.joint_frame(alg, elems, gap)))

@@ -12,10 +12,10 @@ standard one but differ from it for t != 0; the auditor uses them as the
 non-standard foil for the uniqueness demonstrations.
 
 Both products take one path: a root m = a^{1/2} a^{it} (t = 0 for the standard
-product) from one root function of the eigenvalues (``_twisted_power``), applied
-as x -> m x m^H by the backends' ``conjugate`` and ``conjugation_operator``.  On
-spin factors m is the element sqrt(a) and the map is Q_m.  The operators here give
-one map per trial for stacked elements, and their preconditions name the worst trial.
+product), the element that the backends' ``functional`` makes from one root function
+of the eigenvalues (``_twisted_power``), applied as Q_m, that is x -> m x m^H, by
+their ``quadratic`` and ``quadratic_operator``.  The operators here give one map per
+trial for stacked elements, and their preconditions name the worst trial.
 Every root and imaginary power is taken of a positive element: a product,
 ``divide`` and ``imaginary_power_conjugation`` raise where an eigenvalue is below
 -SUPPORT_TOL.
@@ -126,7 +126,7 @@ def _twisted_power(t: float | None, exponent: float):
 
 def _conjugator(a: Element, t: float | None, exponent: float):
     """The conjugator m = a^{exponent} a^{it} (``_twisted_power``) from a's own solve."""
-    return a.algebra._backend.conjugator(a, _twisted_power(t, exponent), DEFAULT_GAP)
+    return a.algebra._backend.functional(a, _twisted_power(t, exponent), DEFAULT_GAP)
 
 
 def _check_product_algebra(p: SequentialProduct, a: Element):
@@ -163,13 +163,13 @@ def seq_product(p: SequentialProduct, a: Element, b: Element) -> Element:
     """a o b.  The first argument must be positive; b may be any element."""
     check_same_algebra(a, b)
     _check_product_algebra(p, a)
-    return p.algebra._backend.conjugate(_product_root(p, a), b)
+    return p.algebra._backend.quadratic(_product_root(p, a), b)
 
 
 def multiplication_operator(p: SequentialProduct, a: Element) -> LinearMap:
     """L_a: b -> a o b as a linear map, in closed form from the product root at a."""
     _check_product_algebra(p, a)
-    matrix = p.algebra._backend.conjugation_operator(p.algebra, _product_root(p, a))
+    matrix = p.algebra._backend.quadratic_operator(_product_root(p, a))
     return _linear_map(p.algebra, matrix, "L_a")
 
 
@@ -196,7 +196,7 @@ def divide(p: SequentialProduct, q: Element, a: Element) -> Element:
             f"divide needs a <= q; offending eigenvalue of q - a is {np.min(gap):.3e}")
     _check_product_algebra(p, q)
     _require_positive(q, "divide")
-    return p.algebra._backend.conjugate(_inverse_root(p, q), a)
+    return p.algebra._backend.quadratic(_inverse_root(p, q), a)
 
 
 def homogeneity_iso(a: Element, b: Element) -> LinearMap:
@@ -215,7 +215,7 @@ def homogeneity_iso(a: Element, b: Element) -> LinearMap:
                 f"{np.min(lo):.3e}")
     std = SequentialProduct.standard(a.algebra)
     l_b = multiplication_operator(std, b)
-    l_ainv = a.algebra._backend.conjugation_operator(a.algebra, _inverse_root(std, a))
+    l_ainv = a.algebra._backend.quadratic_operator(_inverse_root(std, a))
     return _linear_map(a.algebra, l_b.matrix @ l_ainv, "Phi")
 
 
@@ -225,7 +225,7 @@ def imaginary_power_conjugation(q: Element, t: float) -> LinearMap:
     if not alg.is_complex_kind():
         raise CapabilityError(f"imaginary powers need a complex algebra, not {alg}")
     _require_positive(q, "imaginary_power_conjugation")
-    matrix = alg._backend.conjugation_operator(alg, _conjugator(q, t, 0.0))
+    matrix = alg._backend.quadratic_operator(_conjugator(q, t, 0.0))
     return _linear_map(alg, matrix, f"Ad(q^{{i{t}}})")
 
 

@@ -53,10 +53,15 @@ class SpectralDecomposition:
         return tuple(p for _, p in self.pairs)
 
 
+def _require_gap(gap: float) -> None:
+    """PreconditionError unless the clustering gap is finite and positive."""
+    if not 0.0 < gap < math.inf:
+        raise PreconditionError(f"clustering gap must be finite and positive, got {gap!r}")
+
+
 def spectral_decompose(a: Element, gap: float = DEFAULT_GAP) -> SpectralDecomposition:
     """Full spectral frame of a, eigenvalues in strictly decreasing order."""
-    if gap <= 0:
-        raise PreconditionError("clustering gap must be positive")
+    _require_gap(gap)
     alg = a.algebra
     values, frame, _ = alg._backend.spectral_pairs(a, gap)
     return SpectralDecomposition(alg, tuple(zip(values.tolist(), frame)))
@@ -68,8 +73,7 @@ def functional_calculus(a: Element, f, gap: float = DEFAULT_GAP) -> Element:
     Eigenvalues of one block within ``gap`` of each other share the value of
     f at their mean.  Raises DomainError where f is undefined or not finite.
     """
-    if gap <= 0:
-        raise PreconditionError("clustering gap must be positive")
+    _require_gap(gap)
 
     def checked(lam: float) -> float:
         try:
@@ -127,7 +131,13 @@ def is_sharp(a: Element, tol: float = SUPPORT_TOL) -> bool:
 
 
 def pseudo_inverse(b: Element) -> Element:
-    """Positive c with b o c = c o b = ceiling(b); inverts the support spectrum."""
+    """Positive c with b o c = c o b = ceiling(b) for a positive b; inverts the support spectrum.
+
+    Like a root, it refuses an eigenvalue below -SUPPORT_TOL.  ``floor_effect`` and
+    ``ceiling_effect`` take any element: an eigenvalue below the threshold is simply outside
+    the projection (the ceiling of diag(-0.5, 0.3) is diag(0, 1)).
+    """
+    _require_positive(b, "pseudo_inverse")
     # True / x is 1.0 / x, False / 1.0 is 0.0
     return _threshold(b, lambda x: (x > SUPPORT_TOL) / np.where(x > SUPPORT_TOL, x, 1.0))
 

@@ -118,6 +118,17 @@ def test_kind_checks_live_in_the_backend_module():
     assert outside == []
 
 
+def test_the_products_have_one_sandwich():
+    # a product root m is an element, and x -> m x m^H is Q_m: no backend keeps a second
+    # conjugation, and the products reach the backends only through f(a), Q_m and its operator
+    backends = {type(b) for b in _backends._BACKENDS.values()} | {_backends._Backend}
+    assert [f"{cls.__name__}.{name}" for cls in backends for name in vars(cls)
+            if name.startswith("conjugat")] == []
+    source = (Path(sp.__file__).parent / "products.py").read_text()
+    assert set(re.findall(r"_backend\.(\w+)", source)) == {
+        "functional", "quadratic", "quadratic_operator"}
+
+
 #: the matrix primitives that direct sums do without: no matrix of their own, no Gaussian draw
 #: of their own, no commutant rows (``has_commutant`` is False)
 SUM_DOES_WITHOUT = {"matrix_order", "normals", "gaussian", "commutant_rows"}

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import seqprod as sp
@@ -60,6 +61,14 @@ def test_decompose_identity(tmp_path, capsys):
     dec = json.loads(out.read_text())
     assert len(dec["pairs"]) == 1
     assert dec["pairs"][0]["eigenvalue"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("gap", ["nan", "inf"])
+def test_decompose_refuses_a_gap_that_is_not_finite_and_positive(tmp_path, capsys, gap):
+    a = sp.Element(sp.real_symmetric(3), np.diag([0.5, 0.5, 0.2]))
+    infile = _write(tmp_path / "a.json", element_to_json(a))
+    assert run_cli(["decompose", "--in", infile, "--gap", gap]) == 2
+    assert "gap must be finite and positive" in capsys.readouterr().err
 
 
 def test_decompose_missing_file_exits_2(tmp_path, capsys):

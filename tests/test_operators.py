@@ -23,6 +23,7 @@ from seqprod._backends import (
     _matrix_basis,
     _operator,
     _random_structured_unitaries,
+    _trusted,
 )
 from seqprod.algebra import KIND_SPIN, KIND_SUM, Element, _random_effects, from_coords, to_coords
 from seqprod.errors import NumericalFailureError
@@ -168,7 +169,8 @@ def test_multiplication_operator_rejects_other_algebra():
 # ---------------------------------------------------------------------------
 
 BIT_SHORTHANDS = ["real:4", "complex:4", "quat:3", "spin:5", "sum(complex:2,real:3)",
-                  "complex:3", "sum(spin:3,quat:2)", "complex:16", "real:32"]
+                  "complex:3", "sum(spin:3,quat:2)", "complex:16", "real:32",
+                  "sum(complex:2,complex:3)"]
 
 
 def _bits(arr):
@@ -187,20 +189,24 @@ def reference_jordan_operator(a):
     return _operator(alg, 0.5 * (mat @ basis + basis @ mat))
 
 
-def reference_conjugation_operator(alg, m):
-    """x -> m x m^H from (m E_k) m^H, two products per basis element."""
-    m = m[..., None, :, :]
-    return _operator(alg, m @ _matrix_basis(alg) @ m.conj().swapaxes(-1, -2))
-
-
-def reference_quadratic_operator(a):
-    """The shortcut x -> a x a on matrix blocks, the Jordan form on spin blocks."""
-    alg = a.algebra
+def reference_quadratic_operator(m):
+    """x -> m x m^H from (m E_k) m^H, two products per basis element, on matrix blocks; the
+    Jordan form on spin blocks."""
+    alg = m.algebra
     if alg.kind == KIND_SUM:
-        return _block_diag([reference_quadratic_operator(blk) for blk in a.data])
+        return _block_diag([reference_quadratic_operator(blk) for blk in m.data])
     if alg.kind == KIND_SPIN:
-        return alg._backend.quadratic_operator(a)
-    return reference_conjugation_operator(alg, a.data)
+        return alg._backend.quadratic_operator(m)
+    mat = m.data[..., None, :, :]
+    return _operator(alg, mat @ _matrix_basis(alg) @ mat.conj().swapaxes(-1, -2))
+
+
+def reference_sandwich(m, x):
+    """m x m^H hermitised, one matrix per block of a complex algebra."""
+    if m.algebra.kind == KIND_SUM:
+        return [mat for mb, xb in zip(m.data, x.data) for mat in reference_sandwich(mb, xb)]
+    mat = m.data @ x.data @ m.data.conj().swapaxes(-1, -2)
+    return [0.5 * (mat + mat.conj().swapaxes(-1, -2))]
 
 
 def _effects(alg, stacked, seed):
@@ -220,11 +226,15 @@ def test_operators_equal_the_per_basis_formulas_bit_for_bit(short, stacked):
              (sp.multiplication_operator(sp.SequentialProduct.standard(alg), a).matrix,
               reference_quadratic_operator(sp.sqrt_pos(a)))]
     if alg.is_complex_kind():  # twisted L_a and Ad(q^{it}): x -> m x m^H for complex m
+        x = _effects(alg, stacked, 91)
         for t, exponent in ((0.7, 0.5), (-0.3, 0.0)):
-            m = backend.conjugator(a, _twisted_power(t, exponent), DEFAULT_GAP)
-            pairs.append((backend.conjugation_operator(alg, m),
-                          reference_conjugation_operator(alg, m)))
-        pairs.append((sp.imaginary_power_conjugation(a, -0.3).matrix, pairs[-1][1]))
+            m = backend.functional(a, _twisted_power(t, exponent), DEFAULT_GAP)
+            want = reference_quadratic_operator(m)
+            pairs.append((backend.quadratic_operator(m), want))
+            got = backend.quadratic(m, x)
+            blocks = got.data if alg.kind == KIND_SUM else (got,)
+            pairs += zip((blk.data for blk in blocks), reference_sandwich(m, x))
+        pairs.append((sp.imaginary_power_conjugation(a, -0.3).matrix, want))
     for got, want in pairs:
         assert _bits(got) == _bits(want)
 
@@ -233,7 +243,8 @@ def test_operators_equal_the_per_basis_formulas_bit_for_bit(short, stacked):
 def test_unitary_isomorphism_equals_the_per_basis_formula(short):
     alg = sp.parse_algebra(short)
     phi = sp.make_order_iso(alg, "unitary_conjugation", seed=91)
-    want = reference_conjugation_operator(alg, reference_unitary(alg, np.random.default_rng(91)))
+    want = reference_quadratic_operator(
+        _trusted(alg, reference_unitary(alg, np.random.default_rng(91))))
     assert _bits(phi.matrix) == _bits(want)
 
 

@@ -245,7 +245,8 @@ def test_roots_and_powers_need_a_positive_element(short, twist):
     q, b = _not_positive(alg), sp.random_effect(alg, 61)
     calls = [lambda: sp.seq_product(p, q, b), lambda: sp.multiplication_operator(p, q),
              lambda: sp.divide(p, q, q - sp.identity(alg) * 0.1),
-             lambda: sp.imaginary_power_conjugation(q, 1.0 if twist is None else twist)]
+             lambda: sp.imaginary_power_conjugation(q, 1.0 if twist is None else twist),
+             lambda: sp.pseudo_inverse(q)]
     for call in calls:
         with pytest.raises(sp.PreconditionError, match="positive element; min eigenvalue -5.0"):
             call()
@@ -262,6 +263,7 @@ def test_spectrum_within_the_support_threshold_counts_as_positive(twist):
     sp.multiplication_operator(p, q)
     sp.divide(p, q, q * 0.5)
     sp.imaginary_power_conjugation(q, 1.0)
+    sp.pseudo_inverse(q)
 
 
 @pytest.mark.parametrize("short, blocks", [("complex:3", 1), ("sum(complex:2,complex:3)", 2)])

@@ -59,9 +59,17 @@ def test_decompose_merges_within_gap():
     assert len(sp.spectral_decompose(a, gap=1e-14).pairs) == 2
 
 
-def test_decompose_gap_must_be_positive():
-    with pytest.raises(sp.PreconditionError):
-        sp.spectral_decompose(sp.identity(sp.real_symmetric(2)), gap=0.0)
+@pytest.mark.parametrize("gap", [0.0, math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda a, gap: sp.spectral_decompose(a, gap=gap),
+    lambda a, gap: sp.functional_calculus(a, lambda x: x, gap=gap),
+    lambda a, gap: sp.simultaneous_diagonalize([a], gap=gap),
+], ids=["spectral_decompose", "functional_calculus", "simultaneous_diagonalize"])
+def test_decompose_gap_must_be_finite_and_positive(call, gap):
+    # a NaN gap joins no cluster and an infinite one joins every eigenvalue
+    a = sp.Element(sp.real_symmetric(3), np.diag([0.5, 0.5, 0.2]))
+    with pytest.raises(sp.PreconditionError, match="gap must be finite and positive"):
+        call(a, gap)
 
 
 @settings(deadline=None, max_examples=15)

@@ -51,6 +51,7 @@ from .errors import (
     ConfigError,
     DescriptorMismatchError,
     NumericalFailureError,
+    PreconditionError,
 )
 
 #: spectrum below this is treated as kernel (support threshold)
@@ -171,6 +172,8 @@ class Element:
 
 
 def check_same_algebra(*items) -> AlgebraDescriptor:
+    """The algebra of ``items`` (elements, maps, products: anything with an ``algebra``);
+    DescriptorMismatchError unless they all share it."""
     alg = items[0].algebra
     for it in items[1:]:
         if it.algebra is not alg and it.algebra != alg:
@@ -245,17 +248,26 @@ def rel_residual(x: Element, y: Element) -> float:
     return diff / scale
 
 
+def _require_tol(tol: float) -> None:
+    """PreconditionError unless a predicate's tolerance is finite and not negative."""
+    if not 0.0 <= tol < math.inf:
+        raise PreconditionError(f"tolerance must be finite and non-negative, got {tol!r}")
+
+
 def is_positive(a: Element, tol: float = SUPPORT_TOL) -> bool:
+    _require_tol(tol)
     return bool(min_eigenvalue(a) >= -tol)
 
 
 def is_effect(a: Element, tol: float = SUPPORT_TOL) -> bool:
+    _require_tol(tol)
     lo, hi = eigenvalue_range(a)
     return bool(lo >= -tol and hi <= 1.0 + tol)
 
 
 def leq(a: Element, b: Element, tol: float = SUPPORT_TOL) -> bool:
     """a <= b in the positive order (ties at the tolerance count as <=)."""
+    _require_tol(tol)
     return bool(min_eigenvalue(b - a) >= -tol)
 
 
@@ -307,14 +319,12 @@ class LinearMap:
         return cls(alg, np.eye(alg.real_dimension), label)
 
     def apply(self, x: Element) -> Element:
-        if x.algebra != self.algebra:
-            raise DescriptorMismatchError(f"map on {self.algebra} applied to {x.algebra}")
+        check_same_algebra(self, x)
         coords = (self.matrix @ to_coords(x)[..., None])[..., 0]  # a matrix-vector product each
         return self.algebra._backend.from_coords(self.algebra, coords)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
-        if other.algebra != self.algebra:
-            raise DescriptorMismatchError("cannot compose maps on different algebras")
+        check_same_algebra(self, other)
         return _linear_map(self.algebra, self.matrix @ other.matrix,
                            f"{self.label}.{other.label}")
 
@@ -354,8 +364,10 @@ def norm_at_most(x: Element | np.ndarray, tol: float, strict: bool = False):
     trials that its bounds (``norm_bounds``; F / sqrt(d) and F for a d x d map of Frobenius
     norm F) leave open: an upper bound at most tol (1 - BOUND_MARGIN) settles True, a finite
     lower bound at least tol (1 + BOUND_MARGIN) settles False.  A trial with a NaN or infinite
-    entry is always solved, and raises or compares as the solved norm does.
+    entry is always solved, and raises or compares as the solved norm does.  The tolerance
+    must be finite and not negative (PreconditionError).
     """
+    _require_tol(tol)
     if isinstance(x, Element):
         lower, upper = x.algebra._backend.norm_bounds(x)
         norm, take = order_unit_norm, x.algebra._backend.take

@@ -634,9 +634,21 @@ class SuiteRow:
         return type(self), (*(getattr(self, f.name) for f in fields(self)[:-1]), dict(self.params))
 
 
+def _config_field(kind):
+    """The reader of a config row field of JSON type ``kind`` (``_is_json``), TypeError for any
+    other value; a float field also takes a numeric string such as "NaN", which
+    ``run_full_suite`` then refuses."""
+    def read(value):
+        if not (_is_json(value, kind) or kind is float and isinstance(value, str)):
+            raise TypeError(f"expected {kind.__name__}, got {value!r}")
+        return float(value) if kind is float else value
+    return read
+
+
 #: how a config row's fields are read; an absent or null field keeps SuiteRow's default
-_ROW_FIELDS = {"law": str, "product": str, "algebra": str, "trials": _config_int, "tol": float,
-               "expect": str, "seed": _config_int, "params": dict}
+_ROW_FIELDS = {"law": _config_field(str), "product": _config_field(str),
+               "algebra": _config_field(str), "trials": _config_int, "tol": _config_field(float),
+               "expect": _config_field(str), "seed": _config_int, "params": _config_field(dict)}
 
 
 @dataclass(frozen=True)

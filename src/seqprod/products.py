@@ -12,13 +12,14 @@ standard one but differ from it for t != 0; the auditor uses them as the
 non-standard foil for the uniqueness demonstrations.
 
 Both products take one path: a root m = a^{1/2} a^{it} (t = 0 for the standard
-product), the element that the backends' ``functional`` makes from one root function
-of the eigenvalues (``_twisted_power``), applied as Q_m, that is x -> m x m^H, by
-their ``quadratic`` and ``quadratic_operator``.  The operators here give one map per
-trial for stacked elements, and their preconditions name the worst trial.
-Every root and imaginary power is taken of a positive element: a product,
-``divide`` and ``imaginary_power_conjugation`` raise where an eigenvalue is below
--SUPPORT_TOL.
+product, where m is ``sqrt_pos(a)``), one call of ``spectral._root``, applied as Q_m,
+that is x -> m x m^H, by the backends' ``quadratic`` and ``quadratic_operator``.  The
+operators here give one map per trial for stacked elements, and their preconditions
+name the worst trial.  ``_root`` takes every root, inverse root and phase of a
+positive element only: a product, ``divide``, ``homogeneity_iso`` and
+``imaginary_power_conjugation`` raise where an eigenvalue is below -SUPPORT_TOL.  A
+product applied to another algebra's elements raises DescriptorMismatchError
+(``check_same_algebra``).
 """
 
 from __future__ import annotations
@@ -39,13 +40,8 @@ from .algebra import (
     min_eigenvalue,
     norm_at_most,
 )
-from .errors import (
-    CapabilityError,
-    ConfigError,
-    DescriptorMismatchError,
-    PreconditionError,
-)
-from .spectral import DEFAULT_GAP, _require_positive
+from .errors import CapabilityError, ConfigError, PreconditionError
+from .spectral import _root
 
 #: effects with min eigenvalue below this are rejected where an inverse is needed
 INVERTIBILITY_TOL = 1e-6
@@ -103,51 +99,18 @@ def parse_product(text: str, alg: AlgebraDescriptor) -> SequentialProduct:
     raise ConfigError(f"bad product descriptor {text!r}")
 
 
-def _twisted_power(t: float | None, exponent: float):
-    """The root function of every product, m in x -> m x m^H: m = a^{exponent} a^{it}, for an
-    exponent of 1/2 (the product root), 0 (the phase a^{it}) or -1/2 (the product root at the
-    pseudo-inverse, with the twist -t); t None (the standard product) takes no phase.
-
-    It maps an array of eigenvalues, of any shape, to values of that shape, complex where a
-    phase is taken.  The phase is taken on the support of a.  Off it m is 1 for the phase and 0
-    for a root, so the root annihilates the kernel (spectrum <= support threshold) as
-    pseudo_inverse does.
-    """
-    def power(lams: np.ndarray) -> np.ndarray:
-        support = lams > SUPPORT_TOL
-        x = np.where(support, lams, 1.0)
-        m = np.sqrt(x) ** (2 * exponent)
-        if t is not None:
-            m = m * np.exp(1j * t * np.log(x))
-        return np.where(support, m, 0.0 if exponent else 1.0)
-
-    return power
-
-
-def _conjugator(a: Element, t: float | None, exponent: float):
-    """The conjugator m = a^{exponent} a^{it} (``_twisted_power``) from a's own solve."""
-    return a.algebra._backend.functional(a, _twisted_power(t, exponent), DEFAULT_GAP)
-
-
-def _check_product_algebra(p: SequentialProduct, a: Element):
-    if a.algebra != p.algebra:
-        raise DescriptorMismatchError(
-            f"product on {p.algebra} applied to elements of {a.algebra}")
-
-
 def _product_root(p: SequentialProduct, a: Element):
     """The root m = sqrt(a) a^{it} of ``p`` at a, a o b = m b m^H (no phase for the standard
     product), kept on a per twist."""
     roots = a.__dict__.get("_roots")
     root = None if roots is None else roots.get(p.twist)
     if root is None:
-        _require_positive(a, f"the {p.descriptor()} product")
-        root = _conjugator(a, p.twist, 0.5)
+        root = _root(a, p.twist, 0.5, f"the {p.descriptor()} product")
         a.__dict__.setdefault("_roots", {})[p.twist] = root
     return root
 
 
-def _inverse_root(p: SequentialProduct, q: Element):
+def _inverse_root(p: SequentialProduct, q: Element, what: str):
     """The root of ``p`` at the pseudo-inverse q^+, from q's own solve: m = q^{-1/2} q^{-it},
     on the support of q and 0 on its kernel.
 
@@ -156,19 +119,18 @@ def _inverse_root(p: SequentialProduct, q: Element):
     since a gap d between two eigenvalues of q becomes a gap of at least d between their
     inverses, and the kernel's 0 stays apart from the inverses, which are at least 1.
     """
-    return _conjugator(q, None if p.twist is None else -p.twist, -0.5)
+    return _root(q, None if p.twist is None else -p.twist, -0.5, what)
 
 
 def seq_product(p: SequentialProduct, a: Element, b: Element) -> Element:
     """a o b.  The first argument must be positive; b may be any element."""
-    check_same_algebra(a, b)
-    _check_product_algebra(p, a)
+    check_same_algebra(p, a, b)
     return p.algebra._backend.quadratic(_product_root(p, a), b)
 
 
 def multiplication_operator(p: SequentialProduct, a: Element) -> LinearMap:
     """L_a: b -> a o b as a linear map, in closed form from the product root at a."""
-    _check_product_algebra(p, a)
+    check_same_algebra(p, a)
     matrix = p.algebra._backend.quadratic_operator(_product_root(p, a))
     return _linear_map(p.algebra, matrix, "L_a")
 
@@ -189,14 +151,12 @@ def divide(p: SequentialProduct, q: Element, a: Element) -> Element:
     (``_inverse_root``), which is exact on the support of q and annihilates its kernel.  One
     eigenvalue-only solve of q - a checks a <= q, and one solve of q gives m.
     """
-    check_same_algebra(q, a)
+    check_same_algebra(p, q, a)
     gap = min_eigenvalue(q - a)
     if np.count_nonzero(~(gap >= -SUPPORT_TOL)):
         raise PreconditionError(
             f"divide needs a <= q; offending eigenvalue of q - a is {np.min(gap):.3e}")
-    _check_product_algebra(p, q)
-    _require_positive(q, "divide")
-    return p.algebra._backend.quadratic(_inverse_root(p, q), a)
+    return p.algebra._backend.quadratic(_inverse_root(p, q, "divide"), a)
 
 
 def homogeneity_iso(a: Element, b: Element) -> LinearMap:
@@ -215,7 +175,7 @@ def homogeneity_iso(a: Element, b: Element) -> LinearMap:
                 f"{np.min(lo):.3e}")
     std = SequentialProduct.standard(a.algebra)
     l_b = multiplication_operator(std, b)
-    l_ainv = a.algebra._backend.quadratic_operator(_inverse_root(std, a))
+    l_ainv = a.algebra._backend.quadratic_operator(_inverse_root(std, a, "homogeneity_iso"))
     return _linear_map(a.algebra, l_b.matrix @ l_ainv, "Phi")
 
 
@@ -224,8 +184,7 @@ def imaginary_power_conjugation(q: Element, t: float) -> LinearMap:
     alg = q.algebra
     if not alg.is_complex_kind():
         raise CapabilityError(f"imaginary powers need a complex algebra, not {alg}")
-    _require_positive(q, "imaginary_power_conjugation")
-    matrix = alg._backend.quadratic_operator(_conjugator(q, t, 0.0))
+    matrix = alg._backend.quadratic_operator(_root(q, t, 0.0, "imaginary_power_conjugation"))
     return _linear_map(alg, matrix, f"Ad(q^{{i{t}}})")
 
 
@@ -235,8 +194,7 @@ def theta_between(p: SequentialProduct, p2: SequentialProduct, q: Element) -> Li
     For p standard and p2 twisted(t) on a complex algebra this is the
     conjugation b -> q^{it} b q^{-it}.
     """
-    if p.algebra != p2.algebra or q.algebra != p.algebra:
-        raise PreconditionError("theta_between needs both products and q on one algebra")
+    check_same_algebra(p, p2, q)
     lo = frame_range(q)[0]  # L_q reads the same solve
     if np.count_nonzero(lo <= SUPPORT_TOL):
         raise PreconditionError(

@@ -7,9 +7,12 @@ functional calculus can evaluate f(0)).  Eigenvalues closer than the
 clustering gap are merged into one idempotent, which keeps the projections
 numerically exact when a degenerate eigenvalue is split by solver noise.
 
-The square root, floor, ceiling, pseudo-inverse and dyadic approximants
-each apply a threshold function on arrays, so they also take stacked
-elements.
+Every root, inverse root and phase of the kernel (the square root here, the
+products' roots and phases in ``products``) is one call of ``_root``: the
+positivity check on the solve the root reads, then the one root function
+``_twisted_power`` of the eigenvalues.  The floor, ceiling, pseudo-inverse
+and dyadic approximants each apply a threshold function.  All of these act
+on arrays of eigenvalues, so they also take stacked elements.
 """
 
 from __future__ import annotations
@@ -103,16 +106,44 @@ def _require_positive(a: Element, what: str) -> None:
         raise PreconditionError(f"{what} needs a positive element; min eigenvalue {np.min(lo):.3e}")
 
 
+def _twisted_power(t: float | None, exponent: float):
+    """The root function of the kernel, m in x -> m x m^H: m = a^{exponent} a^{it}, for an
+    exponent of 1/2 (the square root and the product root), 0 (the phase a^{it}) or -1/2 (the
+    product root at the pseudo-inverse, with the twist -t); t None (the standard product)
+    takes no phase.
+
+    It maps an array of eigenvalues, of any shape, to values of that shape, complex where a
+    phase is taken.  The phase is taken on the support of a.  Off it m is 1 for the phase and 0
+    for a root, so the root annihilates the kernel (spectrum <= support threshold) as
+    pseudo_inverse does.
+    """
+    def power(lams: np.ndarray) -> np.ndarray:
+        support = lams > SUPPORT_TOL
+        x = np.where(support, lams, 1.0)
+        m = np.sqrt(x) ** (2 * exponent)
+        if t is not None:
+            m = m * np.exp(1j * t * np.log(x))
+        return np.where(support, m, 0.0 if exponent else 1.0)
+
+    return power
+
+
+def _root(a: Element, t: float | None, exponent: float, what: str) -> Element:
+    """a^{exponent} a^{it} (``_twisted_power``) from a's own solve, once ``what``'s positivity
+    check has read that solve: every root, inverse root and phase of the kernel."""
+    _require_positive(a, what)
+    return a.algebra._backend.functional(a, _twisted_power(t, exponent), DEFAULT_GAP)
+
+
 def sqrt_pos(a: Element) -> Element:
-    """Square root of a positive element.
+    """Square root of a positive element: the standard product's root at a (``_root``).
 
     Spectrum at or below the support threshold is treated as kernel and
     mapped to 0 (sqrt would amplify kernel noise eps to sqrt(eps));
     negative round-off is clamped.  The root therefore lives exactly on
     the support projection, and ||sqrt(a)*sqrt(a) - a|| <= 1e-9.
     """
-    _require_positive(a, "square root")
-    return _threshold(a, lambda x: np.sqrt(np.where(x > SUPPORT_TOL, x, 0.0)))
+    return _root(a, None, 0.5, "square root")
 
 
 def floor_effect(a: Element) -> Element:

@@ -8,6 +8,7 @@ from seqprod.algebra import (
     eigenvalue_range,
     from_coords,
     map_distance,
+    norm_at_most,
     to_coords,
     trace,
 )
@@ -277,6 +278,25 @@ def test_predicates_return_python_bools(algebra):
     for value in (sp.is_positive(a), sp.is_effect(a), sp.leq(a, b), sp.is_sharp(a),
                   sp.commutes(p, a, b)):
         assert type(value) is bool
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("name", ["norm_at_most", "commutes", "is_sharp", "is_positive",
+                                  "is_effect", "leq"])
+def test_predicates_refuse_a_nan_infinite_or_negative_tol(name, tol):
+    # on a non-commuting, non-sharp pair with a - 1 not positive, an infinite tol would read
+    # True and a NaN tol False
+    alg = sp.real_symmetric(3)
+    a, b = sp.random_effect(alg, 1), sp.random_effect(alg, 2)
+    call = {"norm_at_most": lambda t: norm_at_most(a, t),
+            "commutes": lambda t: sp.commutes(sp.SequentialProduct.standard(alg), a, b, t),
+            "is_sharp": lambda t: sp.is_sharp(a, t),
+            "is_positive": lambda t: sp.is_positive(a - sp.identity(alg), t),
+            "is_effect": lambda t: sp.is_effect(a * 2.0, t),
+            "leq": lambda t: sp.leq(sp.identity(alg), a, t)}[name]
+    assert not call(0.0)  # a tol of 0 stays allowed
+    with pytest.raises(sp.PreconditionError, match="tolerance must be finite and non-negative"):
+        call(tol)
 
 
 # ---------------------------------------------------------------------------

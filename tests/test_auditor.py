@@ -484,6 +484,13 @@ def test_config_schema_other_than_1_is_rejected(schema):
     {"seed": "7", "rows": [{"law": "SEA1"}]},
     {"seed": 1, "rows": [{"law": "SEA1", "trials": "3"}]},
     {"sed": 7, "rows": [{"law": "SEA1"}]},
+    {"seed": 1, "rows": [{"law": "SEA1", "tol": True}]},
+    {"seed": 1, "rows": [{"law": "SEA1", "tol": [1e-8]}]},
+    {"seed": 1, "rows": [{"law": 1, "product": "standard"}]},
+    {"seed": 1, "rows": [{"law": "SEA1", "product": 1.5}]},
+    {"seed": 1, "rows": [{"law": "SEA1", "algebra": ["real:3"]}]},
+    {"seed": 1, "rows": [{"law": "SEA1", "expect": False}]},
+    {"seed": 1, "rows": [{"law": "INVARIANCE", "params": [["iso", "transpose"]]}]},
 ])
 def test_config_with_malformed_seed_or_rows_is_rejected(config):
     with pytest.raises(sp.ConfigError):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import seqprod as sp
-from seqprod import _backends
+from seqprod import _backends, spectral
 from seqprod.algebra import eigenvalue_range
 
 # ---------------------------------------------------------------------------
@@ -120,13 +120,23 @@ def test_kind_checks_live_in_the_backend_module():
 
 def test_the_products_have_one_sandwich():
     # a product root m is an element, and x -> m x m^H is Q_m: no backend keeps a second
-    # conjugation, and the products reach the backends only through f(a), Q_m and its operator
+    # conjugation, and the products reach the backends only through Q_m and its operator;
+    # every root, inverse root and phase comes from the one root function, through the one
+    # checked call spectral._root
     backends = {type(b) for b in _backends._BACKENDS.values()} | {_backends._Backend}
     assert [f"{cls.__name__}.{name}" for cls in backends for name in vars(cls)
             if name.startswith("conjugat")] == []
-    source = (Path(sp.__file__).parent / "products.py").read_text()
-    assert set(re.findall(r"_backend\.(\w+)", source)) == {
-        "functional", "quadratic", "quadratic_operator"}
+    package = Path(sp.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert set(re.findall(r"_backend\.(\w+)", sources["products.py"])) == {
+        "quadratic", "quadratic_operator"}
+    calls = {name: len(re.findall(r"(?<!def )\b_twisted_power\(", text))
+             for name, text in sources.items()}
+    assert {name: n for name, n in calls.items() if n} == {"spectral.py": 1}
+    assert re.findall(r"\b_twisted_power\(", inspect.getsource(spectral._root)) == [
+        "_twisted_power("]
+    assert [name for name, text in sources.items()
+            if re.search(r"def (_conjugator|_check_product_algebra)\b", text)] == []
 
 
 #: the matrix primitives that direct sums do without: no matrix of their own, no Gaussian draw

@@ -27,8 +27,7 @@ from seqprod._backends import (
 )
 from seqprod.algebra import KIND_SPIN, KIND_SUM, Element, _random_effects, from_coords, to_coords
 from seqprod.errors import NumericalFailureError
-from seqprod.products import _twisted_power
-from seqprod.spectral import DEFAULT_GAP
+from seqprod.spectral import DEFAULT_GAP, _twisted_power
 
 from conftest import ALGEBRA_SHORTHANDS
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import seqprod as sp
-from seqprod import products
+from seqprod import spectral
 from seqprod.algebra import (KIND_SPIN, map_distance, operator_norm, random_projection,
                              rel_residual)
 
@@ -99,10 +99,24 @@ def test_seq_result_is_effect_below_left(algebra):
 
 def test_seq_descriptor_mismatch():
     alg, other = sp.real_symmetric(2), sp.real_symmetric(3)
+    a, b = sp.random_effect(alg, 0), sp.random_effect(alg, 1)
     with pytest.raises(sp.DescriptorMismatchError):
-        sp.seq_product(_std(alg), sp.random_effect(alg, 0), sp.random_effect(other, 0))
-    with pytest.raises(sp.DescriptorMismatchError):
-        sp.seq_product(_std(other), sp.random_effect(alg, 0), sp.random_effect(alg, 0))
+        sp.seq_product(_std(alg), a, sp.random_effect(other, 0))
+    # a product on another algebra, however its own operands agree
+    for call in (lambda: sp.seq_product(_std(other), a, b),
+                 lambda: sp.multiplication_operator(_std(other), a),
+                 lambda: sp.divide(_std(other), a, sp.seq_product(_std(alg), a, b)),
+                 lambda: sp.theta_between(_std(other), _std(other), a),
+                 lambda: sp.theta_between(_std(alg), _std(other), a)):
+        with pytest.raises(sp.DescriptorMismatchError):
+            call()
+    # a map applied to, or composed with, another algebra's element or map
+    l_a, l_other = (sp.multiplication_operator(_std(x.algebra), x)
+                    for x in (a, sp.random_effect(other, 0)))
+    for call in (lambda: l_a.apply(sp.random_effect(other, 0)), lambda: l_a.compose(l_other),
+                 lambda: l_other.compose(l_a)):
+        with pytest.raises(sp.DescriptorMismatchError):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -574,9 +588,10 @@ def test_homogeneity_iso_equals_the_composite_with_the_pseudo_inverse(short):
                                    "sum(complex:2,real:3)"])
 @pytest.mark.parametrize("profile", ["invertible", "singular"])
 def test_one_patched_root_function_reaches_every_consumer(short, profile, monkeypatch):
-    # the aba mutant: the root's exponent doubled, so a o x = a x a and q^+ o a = q^+ a q^+
-    power = products._twisted_power
-    monkeypatch.setattr(products, "_twisted_power", lambda t, exponent: power(t, 2 * exponent))
+    # the aba mutant: the root's exponent doubled, so a o x = a x a, q^+ o a = q^+ a q^+ and
+    # the square root of a is a
+    power = spectral._twisted_power
+    monkeypatch.setattr(spectral, "_twisted_power", lambda t, exponent: power(t, 2 * exponent))
     alg = sp.parse_algebra(short)
     p = _std(alg)
     a, x = sp.random_effect(alg, 63, profile), sp.random_effect(alg, 64)
@@ -585,3 +600,4 @@ def test_one_patched_root_function_reaches_every_consumer(short, profile, monkey
     assert rel_residual(sp.multiplication_operator(p, _fresh(a)).apply(x), want) <= 1e-12
     q_plus = sp.pseudo_inverse(a)
     assert rel_residual(sp.divide(p, _fresh(a), want), sp.quadratic_rep(q_plus, want)) <= 1e-12
+    assert rel_residual(sp.sqrt_pos(_fresh(a)), a) <= 1e-12

@@ -35,3 +35,10 @@ def test_docstrings_comments_and_blank_lines_are_told_apart():
     text = '"""Module\n\ndoc."""\n\n# a comment\nX = 1  # code\n\n\ndef f():\n' \
            '    """One line."""\n    s = """not a docstring"""\n    return s\n'
     assert _load().count(text) == {"total": 12, "code": 4, "doc": 4, "comment": 1, "blank": 3}
+
+
+def test_a_revision_that_is_not_a_commit_exits_2():
+    run = subprocess.run([sys.executable, str(SCRIPT), "no-such-rev"], capture_output=True,
+                         text=True)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == "error: 'no-such-rev' is not a commit\n"

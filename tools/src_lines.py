@@ -6,7 +6,8 @@ Prints one row per ``src/seqprod/*.py`` of the working tree (total, code, docstr
 and blank lines, which sum to the total) and a total row.  Given a git revision, it also reads
 the same files at REV through ``git show REV:path`` and prints each column's change against
 REV.  Docstrings are the module, class and function docstrings found by ``ast``; comments are
-the other lines that start with ``#``; code is everything else.  Standard library only.
+the other lines that start with ``#``; code is everything else.  A REV that is not a commit
+exits 2.  Standard library only.
 """
 
 from __future__ import annotations
@@ -64,6 +65,10 @@ def with_total(table: dict[str, dict[str, int]]) -> dict[str, dict[str, int]]:
 def main(argv: list[str]) -> int:
     if len(argv) > 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    if argv and subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet",
+                                f"{argv[0]}^{{commit}}"], capture_output=True).returncode:
+        print(f"error: {argv[0]!r} is not a commit", file=sys.stderr)
         return 2
     now = with_total(tree_counts())
     width = 12 if argv else 9

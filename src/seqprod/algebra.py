@@ -17,9 +17,9 @@ instance, as ``_backends`` states, so the operations stay pure; ``x * 1.0``
 is x itself, caches included.  A descriptor keeps its identity and zero the
 same way.  Elements *stacked* by
 the backends hold k trials on a leading axis; arithmetic, ``seq_product``,
-the eigenvalue range, ``trace_inner_product``, ``rel_residual`` and
-``norm_at_most`` return one value per trial, and ``_random_effects`` draws a
-stack of random effects, one per Generator.
+the eigenvalue range, ``trace_inner_product``, ``rel_residual`` and the
+predicates return one value per trial, and ``_random_effects`` draws a stack of
+random effects, one per Generator.
 """
 
 from __future__ import annotations
@@ -232,6 +232,26 @@ def frame_range(a: Element) -> tuple[float, float]:
     return a.algebra._backend.frame_range(a)
 
 
+def _in_spectrum(ends, low: float, high: float):
+    """Whether low <= lo and hi <= high for the (lo, hi) ``ends`` of an eigenvalue range, a NaN
+    end failing: a bool for one element, one per trial for a stack."""
+    lo, hi = ends
+    if np.ndim(lo) == 0:  # one element: float comparisons, no 0-d ufunc calls
+        return low <= float(lo) and float(hi) <= high
+    return (low <= lo) & (hi <= high)
+
+
+def _require_spectrum(ends, low: float, high: float, message: str, *args) -> None:
+    """PreconditionError unless ``_in_spectrum`` holds on every trial; its message is
+    ``message.format(*args, worst)`` for the eigenvalue farthest outside, across all trials."""
+    held = _in_spectrum(ends, low, high)
+    if held is True or np.all(held):
+        return
+    pairs = np.stack([np.ravel(end) for end in ends], -1)  # trial by trial, lo before hi
+    worst = pairs.flat[np.argmax(pairs * [-1.0, 1.0] + [low, -high])]  # argmax takes a NaN first
+    raise PreconditionError(message.format(*args, worst))
+
+
 def min_eigenvalue(a: Element) -> float:
     return eigenvalue_range(a)[0]
 
@@ -256,19 +276,17 @@ def _require_tol(tol: float) -> None:
 
 def is_positive(a: Element, tol: float = SUPPORT_TOL) -> bool:
     _require_tol(tol)
-    return bool(min_eigenvalue(a) >= -tol)
+    return _in_spectrum(eigenvalue_range(a), -tol, math.inf)
 
 
 def is_effect(a: Element, tol: float = SUPPORT_TOL) -> bool:
     _require_tol(tol)
-    lo, hi = eigenvalue_range(a)
-    return bool(lo >= -tol and hi <= 1.0 + tol)
+    return _in_spectrum(eigenvalue_range(a), -tol, 1.0 + tol)
 
 
 def leq(a: Element, b: Element, tol: float = SUPPORT_TOL) -> bool:
     """a <= b in the positive order (ties at the tolerance count as <=)."""
-    _require_tol(tol)
-    return bool(min_eigenvalue(b - a) >= -tol)
+    return is_positive(b - a, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +374,9 @@ def map_distance(f: LinearMap, g: LinearMap) -> float:
     return operator_norm(f.matrix - g.matrix)
 
 
-def norm_at_most(x: Element | np.ndarray, tol: float, strict: bool = False):
-    """||x|| <= tol (< tol if ``strict``), per trial for a stack: the order-unit norm of an
-    Element, the spectral norm of a map's (..., d, d) matrix.
+def norm_at_most(x: Element | np.ndarray, tol: float):
+    """||x|| <= tol for the order-unit norm of an Element or the spectral norm of a map's
+    (..., d, d) matrix: a bool for one, one per trial for a stack, as every predicate answers.
 
     The norm is solved, as ``order_unit_norm`` or ``operator_norm`` solves it, only on the
     trials that its bounds (``norm_bounds``; F / sqrt(d) and F for a d x d map of Frobenius
@@ -374,16 +392,15 @@ def norm_at_most(x: Element | np.ndarray, tol: float, strict: bool = False):
     else:
         lower, upper = _norm_bounds(x, hermitian=False)
         norm, take = operator_norm, getitem
-    compare = np.less if strict else np.less_equal
     below, above = tol * (1.0 - BOUND_MARGIN), tol * (1.0 + BOUND_MARGIN)
     if not np.ndim(upper):  # one element or map: scalar comparisons, no 0-d ufunc calls
         if upper <= below or (lower >= above and math.isfinite(lower)):
-            return upper <= below
-        return compare(norm(x), tol)
+            return bool(upper <= below)
+        return bool(norm(x) <= tol)
     settled = upper <= below
     sel = np.flatnonzero(~settled & ~(np.isfinite(lower) & (lower >= above)))
     if len(sel):
-        settled[sel] = compare(norm(take(x, sel)), tol)
+        settled[sel] = norm(take(x, sel)) <= tol
     return settled
 
 

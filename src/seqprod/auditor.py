@@ -21,7 +21,8 @@ one, so an error surfaces at its own trial; a witness is its trial taken out of
 the stack, and replay evaluates its plain inputs with the same evaluator.  A
 trial that raises ends its row with verdict ``error``, and the suite goes on,
 whatever the exception; only ``ConfigError`` and ``CapabilityError``, which
-describe the row rather than its trial, propagate.
+describe the row rather than its trial, propagate; a trial that raises once its
+inputs are drawn leaves them as a witness with no residual, and replay raises.
 
 Expected-fail rows turn the suite into a two-sided oracle: the twisted
 products are expected to break invariance under the transpose
@@ -387,7 +388,7 @@ def _ev_sharp(p, alg, inp):
         _worst(0.0, -min_eigenvalue(a_up - proj)),
         _worst(0.0, -min_eigenvalue(proj - a_dn)))
     # two-sided: p <= a_neg fails, so p o a_neg must stay away from p
-    near = norm_at_most(seq_product(p, proj, a_neg) - proj, 0.05, strict=True)
+    near = norm_at_most(seq_product(p, proj, a_neg) - proj, 0.05)
     return np.where(near, _worst(res, 1.0), res)
 
 
@@ -846,9 +847,9 @@ def audit_law(law: LawId | str, product: SequentialProduct, alg: AlgebraDescript
     ``trials`` outside 1..2**32, a negative ``seed`` or a ``tol`` that is not
     finite and positive raise ConfigError, so no row can pass vacuously.  A
     trial that raises any exception but ConfigError or CapabilityError gives
-    verdict ``error``, with ``trial i: <type>: <message>`` in ``error``.  The
-    entry reports the trials that ran: up to and including a violation or an
-    error.
+    verdict ``error``, with ``trial i: <type>: <message>`` in ``error`` (and a
+    witness with no residual, once its inputs are drawn).  The entry reports the
+    trials that ran: up to and including a violation or an error.
     """
     law = LawId(law)
     if not 1 <= trials <= 2 ** 32:
@@ -859,11 +860,14 @@ def audit_law(law: LawId | str, product: SequentialProduct, alg: AlgebraDescript
         raise ConfigError(f"{law.value} on {alg}: tol must be finite and positive, got {tol}")
     row = LAWS[law]
     start = time.perf_counter()
+    drawn = None  # the inputs of the last run, once its generator has returned them
 
     def run(chunk: range, words: np.ndarray) -> tuple:
+        nonlocal drawn
+        drawn = None
         rngs = [np.random.Generator(np.random.PCG64(_TrialSeed(w))) for w in words]
-        inputs = row.generate(rngs, product, alg, chunk, params or {})
-        return inputs, np.broadcast_to(row.evaluate(product, alg, inputs), len(chunk))
+        drawn = row.generate(rngs, product, alg, chunk, params or {})
+        return drawn, np.broadcast_to(row.evaluate(product, alg, drawn), len(chunk))
 
     max_residual = 0.0
     witness = error = None
@@ -887,6 +891,8 @@ def audit_law(law: LawId | str, product: SequentialProduct, alg: AlgebraDescript
     except Exception as exc:
         verdict, trials = "error", ran + 1
         error = f"trial {ran}: {type(exc).__name__}: {exc}"
+        if drawn is not None:  # the inputs drawn last are those of a chunk starting at ``ran``
+            witness = {"trial": ran, "inputs": serialize.inputs_to_json(_take(drawn, 0))}
     elapsed = (time.perf_counter() - start) * 1000.0
     return AuditEntry(law=law.value, product=product.descriptor(),
                       algebra=alg.shorthand(), trials=trials, seed=seed,
@@ -897,7 +903,8 @@ def audit_law(law: LawId | str, product: SequentialProduct, alg: AlgebraDescript
 
 def replay_witness(law: LawId | str, product_desc: str, algebra_desc: str,
                    witness: dict) -> float:
-    """Recompute a witness residual standalone from its serialized inputs."""
+    """Recompute a witness residual standalone from its serialized inputs; an error row's
+    witness raises as its trial did."""
     law = LawId(law)
     alg = parse_algebra(algebra_desc)
     product = parse_product(product_desc, alg)

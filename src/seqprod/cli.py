@@ -77,7 +77,8 @@ def _print_witness_block(entry, out=None):
     out = out if out is not None else sys.stdout
     print(f"witness {entry.law} on {entry.algebra} with {entry.product}:", file=out)
     w = entry.witness
-    print(f"  trial {w['trial']}, residual {w['residual']:.6e}", file=out)
+    residual = f", residual {w['residual']:.6e}" if "residual" in w else ""  # none if it raised
+    print(f"  trial {w['trial']}{residual}", file=out)
     for name, value in serialize.inputs_from_json(w["inputs"]).items():
         if isinstance(value, Element):
             data = value.data

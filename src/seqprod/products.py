@@ -27,20 +27,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .algebra import (
     SUPPORT_TOL,
     AlgebraDescriptor,
     Element,
     LinearMap,
     _linear_map,
+    _require_spectrum,
     check_same_algebra,
+    eigenvalue_range,
     frame_range,
-    min_eigenvalue,
     norm_at_most,
 )
-from .errors import CapabilityError, ConfigError, PreconditionError
+from .errors import CapabilityError, ConfigError
 from .spectral import _root
 
 #: effects with min eigenvalue below this are rejected where an inverse is needed
@@ -136,12 +135,9 @@ def multiplication_operator(p: SequentialProduct, a: Element) -> LinearMap:
 
 
 def commutes(p: SequentialProduct, a: Element, b: Element, tol: float = COMMUTE_TOL) -> bool:
-    """True iff ||a o b - b o a|| <= tol; one verdict per trial for stacked elements.
-
-    The norm is solved only where its bounds leave the verdict open (``norm_at_most``).
-    """
-    verdict = norm_at_most(seq_product(p, a, b) - seq_product(p, b, a), tol)
-    return bool(verdict) if np.ndim(verdict) == 0 else verdict
+    """||a o b - b o a|| <= tol, answered by ``norm_at_most``, which solves the norm only where
+    its bounds leave the verdict open."""
+    return norm_at_most(seq_product(p, a, b) - seq_product(p, b, a), tol)
 
 
 def divide(p: SequentialProduct, q: Element, a: Element) -> Element:
@@ -152,10 +148,8 @@ def divide(p: SequentialProduct, q: Element, a: Element) -> Element:
     eigenvalue-only solve of q - a checks a <= q, and one solve of q gives m.
     """
     check_same_algebra(p, q, a)
-    gap = min_eigenvalue(q - a)
-    if np.count_nonzero(~(gap >= -SUPPORT_TOL)):
-        raise PreconditionError(
-            f"divide needs a <= q; offending eigenvalue of q - a is {np.min(gap):.3e}")
+    _require_spectrum(eigenvalue_range(q - a), -SUPPORT_TOL, math.inf,
+                      "divide needs a <= q; offending eigenvalue of q - a is {:.3e}")
     return p.algebra._backend.quadratic(_inverse_root(p, q, "divide"), a)
 
 
@@ -167,12 +161,9 @@ def homogeneity_iso(a: Element, b: Element) -> LinearMap:
     (``_inverse_root``).
     """
     check_same_algebra(a, b)
-    for name, x in (("a", a), ("b", b)):
-        lo = frame_range(x)[0]  # L_b and a^{-1/2} read the same solves
-        if np.count_nonzero(lo < INVERTIBILITY_TOL):
-            raise PreconditionError(
-                f"homogeneity_iso needs invertible inputs; {name} has min eigenvalue "
-                f"{np.min(lo):.3e}")
+    for name, x in (("a", a), ("b", b)):  # L_b and a^{-1/2} read the same solves
+        _require_spectrum(frame_range(x), INVERTIBILITY_TOL, math.inf, "homogeneity_iso needs "
+                          "invertible inputs; {} has min eigenvalue {:.3e}", name)
     std = SequentialProduct.standard(a.algebra)
     l_b = multiplication_operator(std, b)
     l_ainv = a.algebra._backend.quadratic_operator(_inverse_root(std, a, "homogeneity_iso"))
@@ -195,10 +186,9 @@ def theta_between(p: SequentialProduct, p2: SequentialProduct, q: Element) -> Li
     conjugation b -> q^{it} b q^{-it}.
     """
     check_same_algebra(p, p2, q)
-    lo = frame_range(q)[0]  # L_q reads the same solve
-    if np.count_nonzero(lo <= SUPPORT_TOL):
-        raise PreconditionError(
-            f"theta_between needs an invertible q; min eigenvalue {np.min(lo):.3e}")
+    # above SUPPORT_TOL, which the roots take as kernel; L_q reads the same solve
+    _require_spectrum(frame_range(q), math.nextafter(SUPPORT_TOL, math.inf), math.inf,
+                      "theta_between needs an invertible q; min eigenvalue {:.3e}")
     l_q = multiplication_operator(p, q)
     l2_q = multiplication_operator(p2, q)
     return _linear_map(q.algebra, l_q.invert().compose(l2_q).matrix, "Theta_q")

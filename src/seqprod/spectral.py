@@ -26,6 +26,7 @@ from .algebra import (
     SUPPORT_TOL,
     AlgebraDescriptor,
     Element,
+    _require_spectrum,
     frame_range,
     jordan_product,
     norm_at_most,
@@ -38,6 +39,8 @@ DEFAULT_GAP = 1e-8
 FLOOR_TOL = 1e-9
 #: a dyadic approximant's projection keeps the eigenvalues above k/n by more than this guard band
 DYADIC_GUARD = 1e-12
+#: the message of a root's or pseudo-inverse's positivity check
+_POSITIVE = "{} needs a positive element; min eigenvalue {:.3e}"
 
 
 @dataclass(frozen=True)
@@ -98,14 +101,6 @@ def _threshold(a: Element, f) -> Element:
     return a.algebra._backend.functional(a, f, DEFAULT_GAP)
 
 
-def _require_positive(a: Element, what: str) -> None:
-    """PreconditionError naming the smallest eigenvalue unless a (each trial of a stack) is
-    positive to within the support threshold; read from the solve that a root of a reads."""
-    lo = frame_range(a)[0]
-    if np.count_nonzero(~(lo >= -SUPPORT_TOL)):
-        raise PreconditionError(f"{what} needs a positive element; min eigenvalue {np.min(lo):.3e}")
-
-
 def _twisted_power(t: float | None, exponent: float):
     """The root function of the kernel, m in x -> m x m^H: m = a^{exponent} a^{it}, for an
     exponent of 1/2 (the square root and the product root), 0 (the phase a^{it}) or -1/2 (the
@@ -131,7 +126,7 @@ def _twisted_power(t: float | None, exponent: float):
 def _root(a: Element, t: float | None, exponent: float, what: str) -> Element:
     """a^{exponent} a^{it} (``_twisted_power``) from a's own solve, once ``what``'s positivity
     check has read that solve: every root, inverse root and phase of the kernel."""
-    _require_positive(a, what)
+    _require_spectrum(frame_range(a), -SUPPORT_TOL, math.inf, _POSITIVE, what)
     return a.algebra._backend.functional(a, _twisted_power(t, exponent), DEFAULT_GAP)
 
 
@@ -157,8 +152,8 @@ def ceiling_effect(a: Element) -> Element:
 
 
 def is_sharp(a: Element, tol: float = SUPPORT_TOL) -> bool:
-    """True iff a*a = a within tol (order-unit norm)."""
-    return bool(norm_at_most(jordan_product(a, a) - a, tol))
+    """True iff a*a = a within tol (order-unit norm); one verdict per trial for a stack."""
+    return norm_at_most(jordan_product(a, a) - a, tol)
 
 
 def pseudo_inverse(b: Element) -> Element:
@@ -168,7 +163,7 @@ def pseudo_inverse(b: Element) -> Element:
     ``ceiling_effect`` take any element: an eigenvalue below the threshold is simply outside
     the projection (the ceiling of diag(-0.5, 0.3) is diag(0, 1)).
     """
-    _require_positive(b, "pseudo_inverse")
+    _require_spectrum(frame_range(b), -SUPPORT_TOL, math.inf, _POSITIVE, "pseudo_inverse")
     # True / x is 1.0 / x, False / 1.0 is 0.0
     return _threshold(b, lambda x: (x > SUPPORT_TOL) / np.where(x > SUPPORT_TOL, x, 1.0))
 
@@ -178,15 +173,12 @@ def dyadic_approximation(a: Element, n_max: int) -> list[Element]:
 
     q_n = sum_{k=1}^{n} (1/n) p_n^k where p_n^k is the spectral projection
     onto eigenvalues strictly above k/n (with the DYADIC_GUARD band), so
-    ||a - q_{2^m}|| <= 2^(1-m).
+    ||a - q_{2^m}|| <= 2^(1-m).  ``n_max`` must be an int of at least 1 (not a bool).
     """
-    lo, hi = frame_range(a)  # the approximants read the same solve
-    if np.count_nonzero(~((lo >= -SUPPORT_TOL) & (hi <= 1.0 + SUPPORT_TOL))):
-        worst = np.ravel(np.where(-lo >= hi - 1.0, lo, hi))[np.argmax(np.maximum(-lo, hi - 1.0))]
-        raise PreconditionError(
-            f"dyadic approximation expects an effect; eigenvalue {worst:.3e} is outside [0, 1]")
-    if n_max < 1:
-        raise PreconditionError("n_max must be >= 1")
+    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 1:
+        raise PreconditionError(f"n_max must be an integer >= 1, got {n_max!r}")
+    _require_spectrum(frame_range(a), -SUPPORT_TOL, 1.0 + SUPPORT_TOL,  # the approximants' solve
+                      "dyadic approximation expects an effect; eigenvalue {:.3e} is outside [0, 1]")
     return [_threshold(a, lambda x, n=2 ** m: np.count_nonzero(
                 x[..., None] > np.arange(1, n + 1) / n + DYADIC_GUARD, -1) / n)
             for m in range(1, n_max + 1)]

@@ -1,3 +1,7 @@
+import math
+import re
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +9,7 @@ from hypothesis import strategies as st
 
 import seqprod as sp
 from seqprod.algebra import (
+    _require_spectrum,
     eigenvalue_range,
     from_coords,
     map_distance,
@@ -12,6 +17,7 @@ from seqprod.algebra import (
     to_coords,
     trace,
 )
+from seqprod.auditor import REFERENCE_ALGEBRAS
 
 from conftest import ALGEBRA_SHORTHANDS
 
@@ -278,6 +284,39 @@ def test_predicates_return_python_bools(algebra):
     for value in (sp.is_positive(a), sp.is_effect(a), sp.leq(a, b), sp.is_sharp(a),
                   sp.commutes(p, a, b)):
         assert type(value) is bool
+
+
+@pytest.mark.parametrize("short", REFERENCE_ALGEBRAS)
+def test_predicates_answer_one_bool_per_trial_on_a_stack(short):
+    # the trials are chosen so that every predicate reads True on some and False on others
+    alg = sp.parse_algebra(short)
+    e, f, proj = (sp.random_effect(alg, 23), sp.random_effect(alg, 24),
+                  sp.random_effect(alg, 25, "sharp"))
+    xs, ys = [e, proj, e - sp.identity(alg) * 0.6], [e, f, e * 2.0]
+    effects, others = [e, proj, e * 0.5], [e, f, e]
+    p = sp.SequentialProduct.standard(alg)
+    calls = [(sp.is_positive, [xs]), (sp.is_effect, [ys]), (sp.leq, [xs, ys]),
+             (sp.is_sharp, [effects]), (partial(sp.commutes, p), [effects, others]),
+             (lambda x: norm_at_most(x, 0.6), [xs])]
+    for pred, args in calls:
+        singles = [pred(*trial) for trial in zip(*args)]
+        assert [type(v) for v in singles] == [bool] * 3 and set(singles) == {True, False}
+        got = pred(*(alg._backend.stack(alg, items) for items in args))
+        assert (type(got), got.dtype, got.tolist()) == (np.ndarray, bool, singles)
+
+
+def test_the_spectrum_check_fails_a_nan_end_and_names_the_worst_eigenvalue():
+    _require_spectrum((0.0, 1.0), 0.0, 1.0, "{:.3e}")  # the bounds themselves pass
+    _require_spectrum((np.array([0.1, 0.2]), np.array([0.5, 0.9])), 0.0, 1.0, "{:.3e}")
+    cases = [((np.nan, 0.5), "nan"), ((0.2, np.nan), "nan"), ((-0.1, 1.3), "1.300e+00"),
+             ((np.array(-0.2), np.array(1.1)), "-2.000e-01"),
+             ((np.array([0.1, -0.2, -0.3]), np.array([1.1, 0.5, 1.25])), "-3.000e-01"),
+             ((np.array([-0.5, 0.2]), np.array([0.5, np.nan])), "nan")]
+    for ends, worst in cases:
+        with pytest.raises(sp.PreconditionError, match=f"^b has {re.escape(worst)}$"):
+            _require_spectrum(ends, 0.0, 1.0, "{} has {:.3e}", "b")
+    with pytest.raises(sp.PreconditionError, match=r"^-1\.000e\+00$"):
+        _require_spectrum((-1.0, 2.0), 0.0, math.inf, "{:.3e}")  # an infinite bound: one side
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import io
 import json
 import math
 import re
@@ -12,9 +13,11 @@ from hypothesis import strategies as st
 
 import seqprod as sp
 from seqprod import auditor, serialize
+from seqprod.algebra import trace
 from seqprod.auditor import (
     ALL_LAWS,
     REFERENCE_ALGEBRAS,
+    AuditEntry,
     AuditReport,
     LawId,
     SuiteConfig,
@@ -378,8 +381,49 @@ def test_a_trial_that_raises_ends_its_row_with_an_error(error, monkeypatch):
     monkeypatch.setitem(auditor.LAWS, LawId.SEA2, _raising_at(LawId.SEA2, 3, error("planted")))
     entry = audit_law("SEA2", _product("standard", "real:3"), sp.parse_algebra("real:3"),
                       trials=10, seed=1, tol=1e-8)
-    assert (entry.verdict, entry.trials, entry.witness) == ("error", 4, None)
+    assert (entry.verdict, entry.trials) == ("error", 4)
     assert entry.error == f"trial 3: {error.__name__}: planted"
+    # the evaluator raised on trial 3's drawn inputs: they are the witness, with no residual
+    assert sorted(entry.witness) == ["inputs", "trial"] and entry.witness["trial"] == 3
+    with pytest.raises(error, match="planted"):
+        replay_witness("SEA2", "standard", "real:3", entry.witness)
+
+
+def test_an_error_while_drawing_leaves_no_witness(monkeypatch):
+    row = auditor.LAWS[LawId.SEA2]
+
+    def generate(rngs, p, alg, trials, params):
+        if 3 in trials:
+            raise sp.DomainError("planted")
+        return row.generate(rngs, p, alg, trials, params)
+
+    monkeypatch.setitem(auditor.LAWS, LawId.SEA2, dataclasses.replace(row, generate=generate))
+    entry = audit_law("SEA2", _product("standard", "real:3"), sp.parse_algebra("real:3"),
+                      trials=10, seed=1, tol=1e-8)
+    assert (entry.verdict, entry.trials, entry.witness) == ("error", 4, None)
+
+
+def test_an_error_rows_witness_replays_by_raising(monkeypatch):
+    # a planted defect: the product raises where a trial's second operand has trace above 1.8
+    def seq_product(p, a, b):
+        if np.any(trace(b) > 1.8):
+            raise sp.NumericalFailureError("planted")
+        return sp.seq_product(p, a, b)
+
+    monkeypatch.setattr(auditor, "seq_product", seq_product)
+    entry = audit_law("SEA2", _product("standard", "real:3"), sp.parse_algebra("real:3"),
+                      trials=50, seed=1, tol=1e-8)
+    assert entry.verdict == "error" and entry.witness["trial"] == entry.trials - 1
+    assert entry.error == f"trial {entry.trials - 1}: NumericalFailureError: planted"
+    a = serialize.inputs_from_json(entry.witness["inputs"])["a"]
+    assert trace(a) > 1.8
+    with pytest.raises(sp.NumericalFailureError, match="planted"):
+        replay_witness("SEA2", "standard", "real:3", entry.witness)
+    assert AuditEntry.from_json(json.loads(json.dumps(entry.to_json()))) == entry
+    from seqprod.cli import _print_witness_block
+    out = io.StringIO()
+    _print_witness_block(entry, out)
+    assert f"  trial {entry.trials - 1}\n" in out.getvalue() and "residual" not in out.getvalue()
 
 
 @pytest.mark.parametrize("error", [sp.ConfigError("planted"), sp.CapabilityError("planted")])

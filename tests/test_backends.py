@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import seqprod as sp
-from seqprod import _backends, spectral
+from seqprod import _backends, algebra, spectral
 from seqprod.algebra import eigenvalue_range
 
 # ---------------------------------------------------------------------------
@@ -137,6 +137,18 @@ def test_the_products_have_one_sandwich():
         "_twisted_power("]
     assert [name for name, text in sources.items()
             if re.search(r"def (_conjugator|_check_product_algebra)\b", text)] == []
+
+
+def test_every_eigenvalue_precondition_is_the_one_spectrum_check():
+    # no module builds a PreconditionError about an eigenvalue but through the message that
+    # algebra._require_spectrum formats; the roots' own positivity helper is gone, and
+    # norm_at_most compares one way only
+    package = Path(sp.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        calls = re.findall(r"PreconditionError\(((?:[^()]|\([^()]*\))*)\)", path.read_text())
+        assert [c for c in calls if "eigenvalue" in c] == [], path.name
+    assert not hasattr(spectral, "_require_positive")
+    assert list(inspect.signature(algebra.norm_at_most).parameters) == ["x", "tol"]
 
 
 #: the matrix primitives that direct sums do without: no matrix of their own, no Gaussian draw

@@ -257,13 +257,16 @@ def test_roots_and_powers_need_a_positive_element(short, twist):
     alg = sp.parse_algebra(short)
     p = sp.SequentialProduct(alg, twist)
     q, b = _not_positive(alg), sp.random_effect(alg, 61)
-    calls = [lambda: sp.seq_product(p, q, b), lambda: sp.multiplication_operator(p, q),
-             lambda: sp.divide(p, q, q - sp.identity(alg) * 0.1),
-             lambda: sp.imaginary_power_conjugation(q, 1.0 if twist is None else twist),
-             lambda: sp.pseudo_inverse(q)]
-    for call in calls:
-        with pytest.raises(sp.PreconditionError, match="positive element; min eigenvalue -5.0"):
-            call()
+    # a stack's first offending trial (-0.25) is not its worst (-0.5)
+    stack = alg._backend.stack(alg, [b, q * 0.5, q])
+    for x in (q, stack):
+        calls = [lambda: sp.seq_product(p, x, b), lambda: sp.multiplication_operator(p, x),
+                 lambda: sp.divide(p, x, x - sp.identity(alg) * 0.1),
+                 lambda: sp.imaginary_power_conjugation(x, 1.0 if twist is None else twist),
+                 lambda: sp.pseudo_inverse(x), lambda: sp.sqrt_pos(x)]
+        for call in calls:
+            with pytest.raises(sp.PreconditionError, match="positive element; min eigenvalue -5.0"):
+                call()
     with pytest.raises(sp.PreconditionError, match=f"the {p.descriptor()} product needs"):
         sp.seq_product(p, q, b)
 

@@ -343,3 +343,12 @@ def test_dyadic_rejects_non_effect():
         sp.dyadic_approximation(sp.Element(alg, np.diag([1.5, 0.0])), 2)
     with pytest.raises(sp.PreconditionError):
         sp.dyadic_approximation(sp.identity(alg), 0)
+
+
+@pytest.mark.parametrize("n_max", [2.5, True, "3", 0, None])
+def test_dyadic_refuses_a_malformed_n_max_before_the_solve(n_max):
+    alg = sp.real_symmetric(2)
+    not_finite = sp.Element(alg, np.diag([np.nan, 0.5]))  # its solve raises NumericalFailureError
+    with pytest.raises(sp.PreconditionError, match="n_max must be an integer >= 1"):
+        sp.dyadic_approximation(not_finite, n_max)
+    assert len(sp.dyadic_approximation(sp.identity(alg), np.int64(2))) == 2

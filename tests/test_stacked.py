@@ -794,6 +794,10 @@ def test_stacked_operator_preconditions_fail_loudly_and_name_the_worst_eigenvalu
     kernel = alg._backend.stack(alg, [good[0], diag(0.5, 0.25, 2.5e-10), diag(0.5, 0.25, 0.0)])
     with pytest.raises(sp.PreconditionError, match=r"invertible q; min eigenvalue 0\.000e\+00"):
         sp.theta_between(std, tw, kernel)
+    # the roots take an eigenvalue at the support threshold 1e-9 as kernel: it is refused too
+    with pytest.raises(sp.PreconditionError, match=r"invertible q; min eigenvalue 1\.000e-09"):
+        sp.theta_between(std, tw, diag(0.5, 0.25, 1e-9))
+    sp.theta_between(std, tw, diag(0.5, 0.25, 2e-9))
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,7 @@ from .algebra import (
     _random_effects,
     rel_residual,
     trace_inner_product,
+    zero,
 )
 from .errors import CapabilityError, ConfigError, DomainError
 from .products import (
@@ -361,8 +362,9 @@ def _ev_scalar(p, alg, inp):
     worst = 0.0
     for lam in (0.0, 0.25, 0.5, 1.0):
         ab_lam = ab * lam
+        # (0 a) o b is 0 o b, and zero(alg)'s root is solved once per descriptor
         worst = _worst(worst,
-                       rel_residual(seq_product(p, a * lam, b), ab_lam),
+                       rel_residual(seq_product(p, a * lam if lam else zero(alg), b), ab_lam),
                        rel_residual(seq_product(p, a, b * lam), ab_lam))
     return worst
 
@@ -407,20 +409,17 @@ def _ev_floor(p, alg, inp):
 
 def _ev_dyadic(p, alg, inp):
     a = inp["a"]
-    approx = dyadic_approximation(a, 8)
-    worst = 0.0
-    prev = None
-    for m, q in enumerate(approx, start=1):
+    worst, prev = 0.0, None
+    for m, q in enumerate(dyadic_approximation(a, 8), start=1):
         lo, hi = eigenvalue_range(a - q)  # one solve gives the norm and the min eigenvalue
-        worst = _worst(worst, np.maximum(abs(lo), abs(hi)) - 2.0 ** (1 - m))
-        worst = _worst(worst, -lo)
+        worst = _worst(worst, np.maximum(abs(lo), abs(hi)) - 2.0 ** (1 - m), -lo)
         if prev is not None:
             worst = _worst(worst, -min_eigenvalue(q - prev))
         prev = q
-        # eigenvalues sit on the grid l/2^m (a frame's padding 0.0 sits on it too)
+        # eigenvalues sit on the grid l/2^m: their distance to it, read from q's own solve
         n = 2 ** m
-        values = alg._backend.spectral_pairs(q, DEFAULT_GAP)[0] * n
-        worst = _worst(worst, np.max(abs(values - np.round(values)), -1) / n)
+        off_grid = alg._backend.functional(q, lambda x: x * n - np.round(x * n), DEFAULT_GAP)
+        worst = _worst(worst, order_unit_norm(off_grid) / n)
     return _worst(worst, 0.0)
 
 

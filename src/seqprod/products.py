@@ -11,15 +11,12 @@ Twisted products satisfy the same finite-measurement axioms as the
 standard one but differ from it for t != 0; the auditor uses them as the
 non-standard foil for the uniqueness demonstrations.
 
-Both products take one path: a root m = a^{1/2} a^{it} (t = 0 for the standard
-product, where m is ``sqrt_pos(a)``), one call of ``spectral._root``, applied as Q_m,
-that is x -> m x m^H, by the backends' ``quadratic`` and ``quadratic_operator``.  The
-operators here give one map per trial for stacked elements, and their preconditions
-name the worst trial.  ``_root`` takes every root, inverse root and phase of a
-positive element only: a product, ``divide``, ``homogeneity_iso`` and
-``imaginary_power_conjugation`` raise where an eigenvalue is below -SUPPORT_TOL.  A
-product applied to another algebra's elements raises DescriptorMismatchError
-(``check_same_algebra``).
+Every root and phase here is one ``spectral._root`` call, where the root path is
+described.  So a product, ``divide``, ``homogeneity_iso`` and
+``imaginary_power_conjugation`` raise where an eigenvalue is below -SUPPORT_TOL.  The
+operators give one map per trial for stacked elements, and their preconditions name the
+worst trial.  A product applied to another algebra's elements raises
+DescriptorMismatchError (``check_same_algebra``).
 """
 
 from __future__ import annotations
@@ -99,8 +96,7 @@ def parse_product(text: str, alg: AlgebraDescriptor) -> SequentialProduct:
 
 
 def _product_root(p: SequentialProduct, a: Element):
-    """The root m = sqrt(a) a^{it} of ``p`` at a, a o b = m b m^H (no phase for the standard
-    product), kept on a per twist."""
+    """The root of ``p`` at a (``spectral._root``), kept on a per twist."""
     roots = a.__dict__.get("_roots")
     root = None if roots is None else roots.get(p.twist)
     if root is None:
@@ -110,8 +106,7 @@ def _product_root(p: SequentialProduct, a: Element):
 
 
 def _inverse_root(p: SequentialProduct, q: Element, what: str):
-    """The root of ``p`` at the pseudo-inverse q^+, from q's own solve: m = q^{-1/2} q^{-it},
-    on the support of q and 0 on its kernel.
+    """The root of ``p`` at the pseudo-inverse q^+, from q's own solve (``spectral._root``).
 
     sqrt(pseudo_inverse(q)) gives the same map from a second solve, of q^+.  f is taken at the
     mean of each cluster of q's eigenvalues; for q <= 1 these are the clusters of that route,

@@ -7,12 +7,9 @@ functional calculus can evaluate f(0)).  Eigenvalues closer than the
 clustering gap are merged into one idempotent, which keeps the projections
 numerically exact when a degenerate eigenvalue is split by solver noise.
 
-Every root, inverse root and phase of the kernel (the square root here, the
-products' roots and phases in ``products``) is one call of ``_root``: the
-positivity check on the solve the root reads, then the one root function
-``_twisted_power`` of the eigenvalues.  The floor, ceiling, pseudo-inverse
-and dyadic approximants each apply a threshold function.  All of these act
-on arrays of eigenvalues, so they also take stacked elements.
+Every root, inverse root and phase of the kernel is one ``_root`` call; the floor,
+ceiling, pseudo-inverse and dyadic approximants each apply a threshold function.  All of
+these act on arrays of eigenvalues, so they also take stacked elements.
 """
 
 from __future__ import annotations
@@ -102,16 +99,9 @@ def _threshold(a: Element, f) -> Element:
 
 
 def _twisted_power(t: float | None, exponent: float):
-    """The root function of the kernel, m in x -> m x m^H: m = a^{exponent} a^{it}, for an
-    exponent of 1/2 (the square root and the product root), 0 (the phase a^{it}) or -1/2 (the
-    product root at the pseudo-inverse, with the twist -t); t None (the standard product)
-    takes no phase.
-
-    It maps an array of eigenvalues, of any shape, to values of that shape, complex where a
-    phase is taken.  The phase is taken on the support of a.  Off it m is 1 for the phase and 0
-    for a root, so the root annihilates the kernel (spectrum <= support threshold) as
-    pseudo_inverse does.
-    """
+    """The one root function: eigenvalues (any shape) x -> x^{exponent} x^{it} on the support
+    x > SUPPORT_TOL, complex with a phase (t None takes none); off it 1 for the phase (exponent
+    0) and 0 for a root, which so annihilates the kernel as pseudo_inverse does."""
     def power(lams: np.ndarray) -> np.ndarray:
         support = lams > SUPPORT_TOL
         x = np.where(support, lams, 1.0)
@@ -124,20 +114,18 @@ def _twisted_power(t: float | None, exponent: float):
 
 
 def _root(a: Element, t: float | None, exponent: float, what: str) -> Element:
-    """a^{exponent} a^{it} (``_twisted_power``) from a's own solve, once ``what``'s positivity
-    check has read that solve: every root, inverse root and phase of the kernel."""
+    """The one root path: m = a^{exponent} a^{it} (``_twisted_power``) from a's own solve, once
+    ``what``'s positivity check has read that solve.  Exponent 1/2 gives ``sqrt_pos`` and the
+    product root m, a o b = m b m^H (the backends' ``quadratic``); -1/2 with the twist -t gives
+    it at the pseudo-inverse, and 0 the phase a^{it}."""
     _require_spectrum(frame_range(a), -SUPPORT_TOL, math.inf, _POSITIVE, what)
     return a.algebra._backend.functional(a, _twisted_power(t, exponent), DEFAULT_GAP)
 
 
 def sqrt_pos(a: Element) -> Element:
-    """Square root of a positive element: the standard product's root at a (``_root``).
-
-    Spectrum at or below the support threshold is treated as kernel and
-    mapped to 0 (sqrt would amplify kernel noise eps to sqrt(eps));
-    negative round-off is clamped.  The root therefore lives exactly on
-    the support projection, and ||sqrt(a)*sqrt(a) - a|| <= 1e-9.
-    """
+    """Square root of a positive element (``_root``): 0 on the kernel, so it lives exactly on
+    the support projection, and ||sqrt(a)*sqrt(a) - a|| <= 1e-9 (sqrt would amplify kernel
+    noise eps to sqrt(eps))."""
     return _root(a, None, 0.5, "square root")
 
 
@@ -168,17 +156,27 @@ def pseudo_inverse(b: Element) -> Element:
     return _threshold(b, lambda x: (x > SUPPORT_TOL) / np.where(x > SUPPORT_TOL, x, 1.0))
 
 
+def _dyadic_count(x: np.ndarray, n: int) -> np.ndarray:
+    """(The number of k in 1..n with x > k/n + DYADIC_GUARD) / n, for n = 2^m <= 1/DYADIC_GUARD.
+
+    With j = floor(x n) clipped to 1..n, every k < j counts, as k/n + DYADIC_GUARD rounds below
+    j/n <= x (the band is far narrower than a step), and no k > j does, as (j + 1)/n > x; one
+    comparison settles k = j.  x n and j/n are exact.
+    """
+    j = np.clip(np.floor(x * n), 1, n)
+    return (j - 1 + (x > j / n + DYADIC_GUARD)) / n
+
+
 def dyadic_approximation(a: Element, n_max: int) -> list[Element]:
     """Increasing simple approximants q_{2^1}, ..., q_{2^n_max} below a.
 
-    q_n = sum_{k=1}^{n} (1/n) p_n^k where p_n^k is the spectral projection
-    onto eigenvalues strictly above k/n (with the DYADIC_GUARD band), so
-    ||a - q_{2^m}|| <= 2^(1-m).  ``n_max`` must be an int of at least 1 (not a bool).
+    q_n = sum_{k=1}^{n} (1/n) p_n^k, p_n^k the spectral projection onto eigenvalues above
+    k/n + DYADIC_GUARD (``_dyadic_count``), so ||a - q_{2^m}|| <= 2^-m + DYADIC_GUARD <= 2^(1-m)
+    while 2^-m >= DYADIC_GUARD: ``n_max`` must be an int from 1 to 39 (not a bool).
     """
-    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 1:
-        raise PreconditionError(f"n_max must be an integer >= 1, got {n_max!r}")
+    top = int(-math.log2(DYADIC_GUARD))  # the last m with 2^-m >= DYADIC_GUARD
+    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or not 0 < n_max <= top:
+        raise PreconditionError(f"n_max must be an integer >= 1 and <= {top}, got {n_max!r}")
     _require_spectrum(frame_range(a), -SUPPORT_TOL, 1.0 + SUPPORT_TOL,  # the approximants' solve
                       "dyadic approximation expects an effect; eigenvalue {:.3e} is outside [0, 1]")
-    return [_threshold(a, lambda x, n=2 ** m: np.count_nonzero(
-                x[..., None] > np.arange(1, n + 1) / n + DYADIC_GUARD, -1) / n)
-            for m in range(1, n_max + 1)]
+    return [_threshold(a, lambda x, n=2 ** m: _dyadic_count(x, n)) for m in range(1, n_max + 1)]

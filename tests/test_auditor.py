@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import seqprod as sp
-from seqprod import auditor, serialize
+from seqprod import _backends, auditor, serialize
 from seqprod.algebra import trace
 from seqprod.auditor import (
     ALL_LAWS,
@@ -463,7 +463,7 @@ def test_the_cli_reports_an_exception_from_outside_the_package_and_goes_on(tmp_p
     assert "error: trial 1: RuntimeError: planted" in capsys.readouterr().out
 
 
-# a, then per approximant q: a - q once, q - the previous approximant, and q's own frame;
+# a, then per approximant q: a - q once, q - the previous approximant, and q's own solve;
 # on a chunk of one, and on its trial taken out as plain elements, as replay_witness runs it
 @pytest.mark.parametrize("short, blocks", [("real:4", 1), ("complex:4", 1), ("quat:3", 1),
                                            ("sum(complex:2,real:3)", 2)])
@@ -484,6 +484,21 @@ def test_a_dyadic_bound_trial_solves_each_difference_once(short, blocks, taken, 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     law.evaluate(product, alg, inputs)
     assert len(calls) <= 3 * 8 * blocks
+
+
+def test_a_dyadic_bound_row_builds_no_spectral_frame(monkeypatch):
+    # the grid check reads the approximants' values through functional, at the clusters of
+    # their own solves, and builds no idempotent
+    def refused(self, a, gap):
+        raise AssertionError("spectral_pairs called")
+
+    for backend in {type(b) for b in _backends._BACKENDS.values()}:
+        monkeypatch.setattr(backend, "spectral_pairs", refused)
+    for short in REFERENCE_ALGEBRAS:
+        alg = sp.parse_algebra(short)
+        entry = audit_law(LawId.DYADIC_BOUND, sp.SequentialProduct.standard(alg), alg, 50, 7,
+                          1e-9)
+        assert (entry.verdict, entry.trials) == ("pass", 50), entry.error
 
 
 @pytest.mark.parametrize("row", [

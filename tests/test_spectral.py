@@ -1,4 +1,6 @@
+import bisect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seqprod as sp
-from seqprod.algebra import eigenvalue_range, from_coords, to_coords
+from seqprod import spectral
+from seqprod.algebra import SUPPORT_TOL, eigenvalue_range, from_coords, to_coords
 
 from conftest import ALGEBRA_SHORTHANDS
 
@@ -345,10 +348,46 @@ def test_dyadic_rejects_non_effect():
         sp.dyadic_approximation(sp.identity(alg), 0)
 
 
-@pytest.mark.parametrize("n_max", [2.5, True, "3", 0, None])
+@pytest.mark.parametrize("n_max", [2.5, True, "3", 0, None, 40, 1024])
 def test_dyadic_refuses_a_malformed_n_max_before_the_solve(n_max):
     alg = sp.real_symmetric(2)
     not_finite = sp.Element(alg, np.diag([np.nan, 0.5]))  # its solve raises NumericalFailureError
     with pytest.raises(sp.PreconditionError, match="n_max must be an integer >= 1"):
         sp.dyadic_approximation(not_finite, n_max)
     assert len(sp.dyadic_approximation(sp.identity(alg), np.int64(2))) == 2
+
+
+@pytest.mark.parametrize("m", range(1, 40))
+def test_the_dyadic_count_is_the_grid_comparison_at_every_edge(m):
+    # the oracle counts the k in 1..n with x > k/n + DYADIC_GUARD by that comparison: on the
+    # whole grid up to 2^16 (sorted, so searchsorted counts the grid points below x), and by
+    # bisection over k beyond, at the ends and the middle of the grid
+    n, guard = 2 ** m, spectral.DYADIC_GUARD
+    k = np.arange(n + 1) if m <= 16 else np.array([0, 1, 2, n // 2 - 1, n // 2, n - 1, n])
+    above = k / n + guard
+    x = np.concatenate([k / n, k / n - guard, above, np.nextafter(above, -1),
+                        np.nextafter(above, 2), [0.0, -0.0, 1.0, 1.0 + SUPPORT_TOL]])
+    if m <= 16:
+        want = np.searchsorted(np.arange(1, n + 1) / n + guard, x)
+    else:
+        want = [bisect.bisect_left(range(1, n + 1), v, key=lambda j: j / n + guard)
+                for v in x.tolist()]
+    assert np.array_equal(spectral._dyadic_count(x, n) * n, want)
+
+
+def test_the_last_dyadic_approximant_is_cheap_and_keeps_the_stated_bound():
+    a = sp.random_effect(sp.real_symmetric(4), 5)
+    tracemalloc.start()
+    try:
+        sp.dyadic_approximation(a, 39)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    # an eigenvalue just inside the guard band of 1/2 keeps ||a - q_{2^m}|| <= 2^(1-m) to m = 39
+    alg = sp.real_symmetric(2)
+    a = sp.Element(alg, np.diag([0.5 + spectral.DYADIC_GUARD, 0.25]))
+    approx = sp.dyadic_approximation(a, 39)
+    for m, q in enumerate(approx, start=1):
+        assert sp.order_unit_norm(a - q) <= 2.0 ** (1 - m)
+    assert np.array_equal(approx[-1].data, np.diag([0.5 - 2.0 ** -39, 0.25 - 2.0 ** -39]))

@@ -15,27 +15,13 @@ package reaches element storage only through the backend primitives:
   joined in block order as the element of the blocks, the block diagonal,
   the sum, the span (min lo, max hi) or the element-wise largest.
 
-Solves and caches.  Every eigensolve runs through :func:`_eigh`, which
-rejects an element with a NaN or infinite entry.  A matrix element is
-solved at most once each way and the result kept on the instance: the data
-is immutable, so the entry never goes stale, two threads racing on a fresh
-element write the same result, and a failed solve keeps nothing.  Its
-eigenvalue range (``eigen_range``, and so the smallest eigenvalue, the
-order-unit norm and the order checks) reads an eigenvalue-only solve
-(:func:`_spectrum`).  Its spectral pairs, every f(a) and root, a joint frame
-that it generates first, and ``frame_range`` (the ends that a check reads
-when it goes on to take a root or frame of the element) read one full solve
-(:func:`_eigen`).  Neither reads the other, so each gives the same bits
-whatever was solved first; the two may differ in the last bits.  A spin
-element keeps |v| (:func:`_spin_radius`), and both its ranges are t +- |v|;
-``products`` keeps a product root per twist the same way.  A norm that is
-only compared with a threshold is solved only where :func:`_norm_bounds`
-leave the comparison open by more than ``BOUND_MARGIN`` (``norm_bounds`` and
-``residual_terms`` give the bounds per kind, exact on spin factors).  A
-residual solves ||x - y||, and ||x|| and ||y|| only where their bound
-exceeds 1 - ``BOUND_MARGIN``, eigenvalues only: it reads and keeps no
-eigen-data.  f(a) is one product per matrix block on the cached eigen-data,
-a closed form on spin factors.
+Solves and caches.  Every LAPACK call goes through :func:`_lapack`, so a NaN or infinite
+entry and a solver failure raise NumericalFailureError one way.  A matrix element keeps its
+eigenvalue-only solve (:func:`_spectrum`, read by ``eigen_range``) and its full solve
+(:func:`_eigen`, read by everything else) on the instance; a spin element keeps |v|
+(:func:`_spin_radius`), and ``products`` a product root per twist.  A norm that is only
+compared with a threshold is solved only where :func:`_norm_bounds` leave the comparison open.
+f(a) is one product per matrix block on the cached eigen-data, a closed form on spin factors.
 
 Results that meet the representation invariants by construction (real
 linear combinations of elements, scalars, spin arithmetic, direct sums
@@ -117,6 +103,23 @@ def _config_int(value) -> int:
     if not integral and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _numbers(data, dtype, shape: tuple, what: str, *args) -> np.ndarray:
+    """``data`` as an array of ``dtype`` (float or complex) and ``shape``.  ConfigError, naming
+    ``what.format(*args)`` (formatted only on failure), for ragged data, entries that are not
+    numbers (objects, None or strings among them), a nonzero imaginary part where ``dtype`` is
+    float, or another shape."""
+    try:
+        arr = np.asarray(data)
+    except ValueError as exc:  # ragged
+        raise ConfigError(f"{what.format(*args)} needs numeric data: {exc}") from None
+    kind = arr.dtype.kind
+    if kind not in "biufc" or kind == "c" and dtype is float and arr.imag.any():
+        raise ConfigError(f"{what.format(*args)} needs {dtype.__name__} data, got {arr.dtype}")
+    if arr.shape != shape:
+        raise ConfigError(f"{what.format(*args)} needs shape {shape}, got {arr.shape}")
+    return np.asarray(arr.real if kind == "c" and dtype is float else arr, dtype=dtype)
 
 
 def _blockwise(primitive, operands, *args):
@@ -209,24 +212,20 @@ SPIN_DIRECTION_MIN = 1e-12
 #: spin directions whose |cosine| is within this of 1 are collinear
 SPIN_COLLINEAR_TOL = 1e-9
 
-_NON_FINITE = "eigen-data needs an element with finite entries"
+def _lapack(name: str, mat: np.ndarray, *args, **kwargs):
+    """``np.linalg``'s ``name`` on ``mat``, stacked (k, m, m) or not: the one way to LAPACK.
 
-
-def _eigh(mat: np.ndarray, vectors: bool = True):
-    """eigh, or eigvalsh without ``vectors``; a LinAlgError becomes NumericalFailureError.
-
-    ``mat`` may be a stack (k, m, m), solved in one call.  A NaN or infinite
-    entry raises NumericalFailureError before the solver runs: LAPACK can
-    return finite eigenvalues for such a matrix.  The solver is looked up on
-    ``np.linalg`` at call time, so a wrapper installed there sees every
-    eigensolve.
+    A NaN or infinite entry raises NumericalFailureError before the solver runs: LAPACK can
+    return finite eigenvalues for such a matrix, or a NaN norm or inverse.  A LinAlgError
+    becomes NumericalFailureError.  The solver is looked up on ``np.linalg`` at call time, so
+    a wrapper installed there sees every call.
     """
     if not np.isfinite(mat).all():
-        raise NumericalFailureError(_NON_FINITE)
+        raise NumericalFailureError(f"{name} needs a matrix with finite entries")
     try:
-        return np.linalg.eigh(mat) if vectors else np.linalg.eigvalsh(mat)
+        return getattr(np.linalg, name)(mat, *args, **kwargs)
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
+        raise NumericalFailureError(f"{name} failed: {exc}") from exc
 
 
 def _norm_bounds(mats: np.ndarray, hermitian: bool = True):
@@ -234,7 +233,8 @@ def _norm_bounds(mats: np.ndarray, hermitian: bool = True):
 
     With F the Frobenius norm, F / sqrt(m) <= ||A||_2 <= F; the 2-norm of a Hermitian A is its
     spectral radius, which is also at most its largest absolute row sum.  A NaN or infinite
-    entry gives a NaN or infinite bound.  The squares are summed unscaled, so F holds as an
+    entry gives a NaN or infinite bound, which settles nothing: its solve raises
+    NumericalFailureError.  The squares are summed unscaled, so F holds as an
     upper bound for entries above about 1e-154, whose squares do not underflow; the thresholds
     compared with it (1, COMMUTE_TOL, 0.05 and a caller's tol) are far above that.
     """
@@ -257,20 +257,23 @@ def _commutation_bound(comm, a, b):
 
 
 def _eigen(a) -> tuple[np.ndarray, np.ndarray]:
-    """(w, V) of the matrix element ``a``, solved once and kept on the instance."""
+    """(w, V) of the matrix element ``a``, solved once and kept on the instance: the data is
+    immutable, so the entry never goes stale, two threads racing on a fresh element write the
+    same result, and a failed solve keeps nothing."""
     eig = a.__dict__.get("_eigen")
     if eig is None:
-        w, vecs = _eigh(a.data)
+        w, vecs = _lapack("eigh", a.data)
         eig = a.__dict__["_eigen"] = (_read_only(w), _read_only(vecs))
     return eig
 
 
 def _spectrum(a) -> np.ndarray:
     """The ascending eigenvalues of the matrix element ``a`` from an eigenvalue-only solve, kept
-    on the instance."""
+    on the instance as :func:`_eigen` keeps its solve.  Neither reads the other, so each gives
+    the same bits whatever was solved first; the two may differ in the last bits."""
     w = a.__dict__.get("_spectrum")
     if w is None:
-        w = a.__dict__["_spectrum"] = _read_only(_eigh(a.data, vectors=False))
+        w = a.__dict__["_spectrum"] = _read_only(_lapack("eigvalsh", a.data))
     return w
 
 
@@ -331,7 +334,7 @@ def _random_structured_unitaries(alg, rngs) -> np.ndarray:
     todo = np.arange(len(rngs))
     for _ in range(8):  # resample the rare near-singular draw
         g = backend.gaussian(backend.normals(alg, [rngs[j] for j in todo]))
-        w, v = _eigh(g.conj().swapaxes(-1, -2) @ g)
+        w, v = _lapack("eigh", g.conj().swapaxes(-1, -2) @ g)
         ok = ~(w[:, 0] <= POLAR_DEGENERACY * np.maximum(1.0, w[:, -1]))
         g, w, v = g[ok], w[ok], v[ok]
         u = g @ (v * (w ** -0.5)[:, None, :]) @ v.conj().swapaxes(-1, -2)
@@ -533,11 +536,8 @@ class _MatrixBackend(_Backend):
         return self.kind == KIND_COMPLEX
 
     def normalise(self, alg, data):
-        mat = np.asarray(data, dtype=self.dtype)
-        m = self.unit * alg.size
-        if mat.shape != (m, m):
-            raise ConfigError(f"expected {m}x{m} matrix for {alg}, got {mat.shape}")
-        return self._hermitian(alg, mat)
+        m = self.matrix_order(alg)
+        return self._hermitian(alg, _numbers(data, self.dtype, (m, m), "an element of {}", alg))
 
     def _hermitian(self, alg, mat: np.ndarray) -> np.ndarray:
         """``mat`` (stacked or not) symmetrised, J-projected on quaternions, read-only."""
@@ -596,8 +596,8 @@ class _MatrixBackend(_Backend):
         m = diff.shape[-1]
         ends = [np.broadcast_to(e.data, diff.shape) for e in (x, y)]
         solve = [~(_norm_bounds(e)[1] <= 1.0 - BOUND_MARGIN) for e in ends]
-        w = _eigh(np.concatenate([diff.reshape(-1, m, m)] + [e[s] for e, s in zip(ends, solve)]),
-                  vectors=False)
+        w = _lapack("eigvalsh", np.concatenate([diff.reshape(-1, m, m)]
+                                               + [e[s] for e, s in zip(ends, solve)]))
         radii = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
         start = diff.size // (m * m)
         diff_norm, scale = radii[:start].reshape(diff.shape[:-2]), np.ones(diff.shape[:-2])
@@ -684,7 +684,7 @@ class _MatrixBackend(_Backend):
         if n == 1 and proper:  # the identity, drawing no rank
             return self.scale(self.scalar(alg, 1.0), np.ones(len(rngs)))
         out = np.zeros(x.data.shape, self.dtype)
-        _, vecs = _eigh(x.data)
+        _, vecs = _lapack("eigh", x.data)
         lo, hi = (1, n - 1) if proper else (0, n)
         ranks = np.array([rng.integers(lo, hi + 1) for rng in rngs])
         perms = np.array([rng.permutation(n) for rng in rngs])  # each after its trial's rank
@@ -710,10 +710,9 @@ class _MatrixBackend(_Backend):
         return {"re": x.data.real.tolist(), "im": x.data.imag.tolist()}
 
     def from_payload(self, alg, payload, decode):
-        if self.kind == KIND_REAL:
-            return _alg.Element(alg, np.array(payload, dtype=float))
-        mat = np.array(payload["re"], dtype=float) + 1j * np.array(payload["im"], dtype=float)
-        return _alg.Element(alg, mat)
+        if self.kind != KIND_REAL:
+            payload = np.add(payload["re"], np.multiply(1j, payload["im"]))
+        return _alg.Element(alg, payload)
 
     def commutator_norm(self, a, b) -> float:
         return _frobenius(a.data @ b.data - b.data @ a.data)
@@ -734,10 +733,8 @@ class _MatrixBackend(_Backend):
         return self.quadratic_operator(_trusted(alg, _random_structured_unitaries(alg, rngs)))
 
     def commutant_rows(self, alg, elems) -> np.ndarray:
-        """Null space of the stacked commutator maps X -> Xs - sX, one coordinate row each.
-
-        A NaN or infinite entry raises NumericalFailureError, as in ``_eigh``.
-        """
+        """Null space of the stacked commutator maps X -> Xs - sX, one coordinate row each, from
+        one SVD through :func:`_lapack`."""
         dim = self.real_dimension(alg)
         blocks = []
         for s in elems:
@@ -745,10 +742,7 @@ class _MatrixBackend(_Backend):
             comm = _hermitian_sum(_basis_products(alg, s.data), -1.0).reshape(dim, -1)
             # (2 m^2, dim): one column per coordinate
             blocks.append(np.concatenate([comm.real, comm.imag], axis=1).T)
-        stacked = np.vstack(blocks)
-        if not np.isfinite(stacked).all():
-            raise NumericalFailureError("the commutant needs elements with finite entries")
-        _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
+        _, svals, vh = _lapack("svd", np.vstack(blocks), full_matrices=False)
         return vh[svals <= COMMUTANT_TOL * max(1.0, float(svals[0]))]
 
     def joint_frame(self, alg, elems, gap: float) -> list:
@@ -769,7 +763,7 @@ class _MatrixBackend(_Backend):
                 if v.shape[1] == self.unit:
                     refined.append(v)
                     continue
-                w, vecs = _eigen(s) if v is eye else _eigh(v.conj().T @ s.data @ v)
+                w, vecs = _eigen(s) if v is eye else _lapack("eigh", v.conj().T @ s.data @ v)
                 sizes = _clusters(w, gap)[0]
                 refined += [v @ vecs[:, e - n:e] for n, e in zip(sizes, accumulate(sizes))]
             subspaces = refined
@@ -788,7 +782,7 @@ def _spin_radius(a):
     if r is None:
         r = np.sqrt(np.vecdot(v, v))
         if np.count_nonzero(r * 0.0 + t * 0.0):  # 0 x is NaN for x NaN or infinite
-            raise NumericalFailureError(_NON_FINITE)
+            raise NumericalFailureError("eigen-data needs an element with finite entries")
         a.__dict__["_radius"] = r
     return v, t, r
 
@@ -816,12 +810,11 @@ class _SpinBackend(_Backend):
     def normalise(self, alg, data):
         try:
             v, t = data
-            v, t = np.array(v, dtype=float), float(t)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"expected a (vector, scalar) pair for {alg}: {exc}") from None
-        if v.shape != (alg.size,):
-            raise ConfigError(f"expected length-{alg.size} vector for {alg}")
-        return (_read_only(v), t)
+        what = "a (vector, scalar) pair for {}"
+        v, t = _numbers(v, float, (alg.size,), what, alg), _numbers(t, float, (), what, alg)
+        return (_read_only(v.copy()), float(t))
 
     def combine(self, a, b, op):
         (v, t), (w, s) = a.data, b.data
@@ -921,7 +914,7 @@ class _SpinBackend(_Backend):
         return {"v": v.tolist(), "t": t}
 
     def from_payload(self, alg, payload, decode):
-        return _alg.Element(alg, (np.array(payload["v"], dtype=float), float(payload["t"])))
+        return _alg.Element(alg, (payload["v"], payload["t"]))
 
     def commutator_norm(self, a, b) -> float:
         v, w = a.data[0][..., :, None], b.data[0][..., :, None]
@@ -993,6 +986,8 @@ class _SumBackend(_Backend):
         if len(blocks) != len(alg.summands):
             raise ConfigError("direct_sum element needs one block per summand")
         for blk, sub in zip(blocks, alg.summands):
+            if not isinstance(blk, _alg.Element):
+                raise ConfigError(f"direct_sum block must be an Element of {sub}")
             if blk.algebra != sub:
                 raise DescriptorMismatchError(
                     f"block algebra {blk.algebra} does not match summand {sub}")

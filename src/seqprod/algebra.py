@@ -39,7 +39,9 @@ from ._backends import (  # kind names and descriptor constructors are re-export
     _SHORTHAND_KINDS,
     BOUND_MARGIN,
     _Backend,
+    _lapack,
     _norm_bounds,
+    _numbers,
     _resolve,
     complex_hermitian,
     direct_sum,
@@ -50,7 +52,6 @@ from ._backends import (  # kind names and descriptor constructors are re-export
 from .errors import (
     ConfigError,
     DescriptorMismatchError,
-    NumericalFailureError,
     PreconditionError,
 )
 
@@ -299,9 +300,7 @@ def to_coords(x: Element) -> np.ndarray:
 
 
 def from_coords(alg: AlgebraDescriptor, coords: np.ndarray) -> Element:
-    coords = np.asarray(coords, dtype=float)
-    if coords.shape != (alg.real_dimension,):
-        raise ConfigError(f"expected {alg.real_dimension} coordinates for {alg}")
+    coords = _numbers(coords, float, (alg.real_dimension,), "coordinates for {}", alg)
     return alg._backend.from_coords(alg, coords)
 
 
@@ -326,9 +325,7 @@ class LinearMap:
         d = self.algebra.real_dimension
         # an own C-ordered copy: a caller's array stays writable, and a map
         # read back from JSON multiplies exactly as the original does
-        mat = np.array(self.matrix, dtype=float, order="C")
-        if mat.shape != (d, d):
-            raise ConfigError(f"expected {d}x{d} map matrix for {self.algebra}")
+        mat = np.array(_numbers(self.matrix, float, (d, d), "a map of {}", self.algebra), order="C")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -347,11 +344,7 @@ class LinearMap:
                            f"{self.label}.{other.label}")
 
     def invert(self) -> "LinearMap":
-        try:
-            inv = np.linalg.inv(self.matrix)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailureError(f"map {self.label!r} is singular") from exc
-        return _linear_map(self.algebra, inv, f"{self.label}^-1")
+        return _linear_map(self.algebra, _lapack("inv", self.matrix), f"{self.label}^-1")
 
 
 def _linear_map(alg: AlgebraDescriptor, matrix: np.ndarray, label) -> LinearMap:
@@ -366,7 +359,7 @@ def _linear_map(alg: AlgebraDescriptor, matrix: np.ndarray, label) -> LinearMap:
 def operator_norm(m: LinearMap | np.ndarray) -> float:
     """The spectral norm; one per trial for a stack."""
     mat = m.matrix if isinstance(m, LinearMap) else m
-    norm = np.linalg.norm(mat, 2, axis=(-2, -1))
+    norm = _lapack("norm", mat, 2, axis=(-2, -1))
     return float(norm) if norm.ndim == 0 else norm
 
 
@@ -382,7 +375,7 @@ def norm_at_most(x: Element | np.ndarray, tol: float):
     trials that its bounds (``norm_bounds``; F / sqrt(d) and F for a d x d map of Frobenius
     norm F) leave open: an upper bound at most tol (1 - BOUND_MARGIN) settles True, a finite
     lower bound at least tol (1 + BOUND_MARGIN) settles False.  A trial with a NaN or infinite
-    entry is always solved, and raises or compares as the solved norm does.  The tolerance
+    entry is always solved, which raises NumericalFailureError.  The tolerance
     must be finite and not negative (PreconditionError).
     """
     _require_tol(tol)

@@ -58,7 +58,7 @@ def linear_map_to_json(m: LinearMap) -> dict:
 def linear_map_from_json(obj: dict) -> LinearMap:
     try:
         alg = algebra_from_json(obj["algebra"])
-        return LinearMap(alg, np.array(obj["matrix"], dtype=float), obj.get("label", ""))
+        return LinearMap(alg, obj["matrix"], obj.get("label", ""))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed linear map JSON: {exc}") from exc
 

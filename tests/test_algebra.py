@@ -111,6 +111,46 @@ def test_matrix_data_of_the_wrong_shape():
         sp.Element(sp.real_symmetric(2), [1.0, 2.0])
 
 
+_RAGGED, _TEXT = [[1.0, 2.0], [3.0]], [["x", 0.0], [0.0, 1.0]]
+_SPIN_DATA = ([0.5, 0.25], 0.5)
+#: per kind, real-valued element data, and element data that the constructor refuses
+_ELEMENT_DATA = {
+    "real:2": ([[1.0, 0.5], [0.5, 0.0]], [[[1.0, 1j], [-1j, 1.0]], _RAGGED, _TEXT]),
+    "complex:2": ([[1.0, 0.5], [0.5, 0.0]], [_RAGGED, _TEXT, [[1.0, None], [None, 1.0]]]),
+    "quat:1": ([[1.0, 0.0], [0.0, 1.0]], [_RAGGED, _TEXT]),
+    "spin:2": (_SPIN_DATA, [([0.5, 1j], 0.5), ([0.5, 0.25], 0.5 + 1j), ([0.5, [0.25]], 0.5),
+                            (["x", 0.25], 0.5)]),
+    "sum(real:1,spin:2)": (None, [([[0.5]], sp.Element(sp.spin_factor(2), _SPIN_DATA))]),
+}
+
+
+@pytest.mark.parametrize("short", list(_ELEMENT_DATA))
+def test_malformed_or_complex_data_is_refused(short):
+    # ragged or non-numeric data, and an imaginary part that real storage would drop, raise
+    # ConfigError; an imaginary part of exactly 0 is dropped, the real bits kept
+    alg = sp.parse_algebra(short)
+    good, bad = _ELEMENT_DATA[short]
+    for data in bad:
+        with pytest.raises(sp.ConfigError):
+            sp.Element(alg, data)
+    d = alg.real_dimension
+    coords, mat = np.linspace(0.1, 1.0, d), np.arange(d * d, dtype=float).reshape(d, d)
+    for data in (coords + 1j, coords.tolist() + [[1.0]], ["x"] * d):
+        with pytest.raises(sp.ConfigError):
+            from_coords(alg, data)
+    for data in (mat + 1j * np.eye(d), _RAGGED, [["x"] * d] * d):
+        with pytest.raises(sp.ConfigError):
+            sp.LinearMap(alg, data)
+    assert np.array_equal(to_coords(from_coords(alg, coords + 0j)),
+                          to_coords(from_coords(alg, coords)))
+    assert sp.LinearMap(alg, mat + 0j).matrix.tobytes() == mat.tobytes()
+    if good is not None:
+        v, t = good if isinstance(good, tuple) else (good, None)
+        zero_imag = np.asarray(v) + 0j if t is None else (np.asarray(v) + 0j, t + 0j)
+        assert np.array_equal(to_coords(sp.Element(alg, zero_imag)),
+                              to_coords(sp.Element(alg, good)))
+
+
 def test_spin_element_keeps_its_own_copy_of_the_vector():
     v = np.zeros(3)
     x = sp.Element(sp.spin_factor(3), (v, 1.0))

@@ -1,5 +1,6 @@
 """Spin factors against their Clifford embedding, pinned matrix bases, and where kind checks live."""
 
+import ast
 import hashlib
 import inspect
 import re
@@ -93,15 +94,41 @@ def test_spin_spectra_match_clifford_embedding(d):
 KIND_CHECK = re.compile(r"MATRIX_KINDS|KIND_(REAL|COMPLEX|QUAT|SPIN|SUM)|\.kind\b")
 
 
+def _linalg_lines(path: Path) -> list[tuple[str, str]]:
+    """(enclosing function, stripped source line) of each reference to ``linalg`` in the module
+    at ``path``: an attribute or name ``linalg``, or an import from a ``linalg`` module."""
+    lines = path.read_text().splitlines()
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        imported = ([a.name for a in node.names] + [getattr(node, "module", None) or ""]
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) else [])
+        if (isinstance(node, ast.Attribute) and node.attr == "linalg"
+                or isinstance(node, ast.Name) and node.id == "linalg"
+                or any("linalg" in name for name in imported)):
+            found.append((scope, lines[node.lineno - 1].strip()))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse("\n".join(lines)), "")
+    return found
+
+
 def test_eigensolves_live_in_the_backend_module():
+    # every eigh, eigvalsh, svd, inv and matrix 2-norm goes through the one gateway, which alone
+    # reaches np.linalg; a spin projection's vector norm is no LAPACK call and moves no draw
     package = Path(sp.__file__).parent
-    callers = sorted(path.name for path in package.glob("*.py")
-                     if re.search(r"linalg\.eig", path.read_text()))
-    assert callers == ["_backends.py"]
-    # the eigenvalue-only solver is called only by the one solver entry point
-    inside = inspect.getsource(_backends._eigh).count("eigvalsh")
-    assert inside >= 1
-    assert sum(path.read_text().count("eigvalsh") for path in package.glob("*.py")) == inside
+    uses = sorted((path.name, *use) for path in package.glob("*.py")
+                  for use in _linalg_lines(path))
+    assert uses == [
+        ("_backends.py", "_SpinBackend.random_projections",
+         "units = [v / np.linalg.norm(v) for v in "
+         "(rng.standard_normal(alg.size) for rng in rngs)]"),
+        ("_backends.py", "_lapack", "except np.linalg.LinAlgError as exc:"),
+        ("_backends.py", "_lapack", "return getattr(np.linalg, name)(mat, *args, **kwargs)"),
+    ]
 
 
 def test_kind_checks_live_in_the_backend_module():

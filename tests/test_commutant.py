@@ -6,7 +6,7 @@ import pytest
 
 import seqprod as sp
 from seqprod import _backends
-from seqprod._backends import KIND_QUAT, KIND_SPIN, _clusters, _eigh, _matrix_basis
+from seqprod._backends import KIND_QUAT, KIND_SPIN, _clusters, _matrix_basis
 from seqprod.algebra import from_coords, to_coords
 from seqprod.commutant import _proved_commuting
 from seqprod.products import COMMUTE_FLOOR, COMMUTE_ROUNDING
@@ -284,7 +284,7 @@ def reference_frame(alg, elems, gap=DEFAULT_GAP, split_all=False):
             if v.shape[1] == line and not split_all:
                 refined.append(v)
                 continue
-            w, vecs = _eigh(v.conj().T @ s.data @ v)
+            w, vecs = np.linalg.eigh(v.conj().T @ s.data @ v)
             start = 0
             for size in _clusters(w, gap)[0]:
                 refined.append(v @ vecs[:, start:start + size])

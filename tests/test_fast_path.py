@@ -7,7 +7,15 @@ import pytest
 
 import seqprod as sp
 from seqprod._backends import _quat_project
-from seqprod.algebra import Element, _random_effects, eigenvalue_range, frame_range, trace
+from seqprod.algebra import (
+    Element,
+    LinearMap,
+    _random_effects,
+    eigenvalue_range,
+    frame_range,
+    map_distance,
+    trace,
+)
 from seqprod.spectral import DEFAULT_GAP
 
 from conftest import ALGEBRA_SHORTHANDS
@@ -198,22 +206,33 @@ def test_non_finite_element_raises_on_every_call(short):
             eigenvalue_range(bad)
 
 
-@pytest.mark.parametrize("solver, ends", [("eigvalsh", eigenvalue_range), ("eigh", frame_range)])
-def test_failed_solve_is_not_kept(solver, ends, monkeypatch):
+@pytest.mark.parametrize("solver, call, kept", [
+    ("eigvalsh", eigenvalue_range, True),
+    ("eigh", frame_range, True),
+    ("svd", lambda a: sp.commutant_basis([a]), False),
+    ("norm", lambda a: map_distance(sp.jordan_mult_operator(a), LinearMap.identity(a.algebra)),
+     False),
+    ("inv", lambda a: sp.jordan_mult_operator(a).invert(), False),
+])
+def test_failed_solve_is_not_kept(solver, call, kept, monkeypatch):
+    # a LinAlgError from any LAPACK call surfaces as NumericalFailureError; an eigensolve that
+    # failed is solved again, and kept once it succeeds
     a = sp.random_effect(sp.complex_hermitian(3), 45)
     solve = getattr(np.linalg, solver)
     calls = []
 
-    def fail_once(mat):
+    def fail_once(mat, *args, **kwargs):
         calls.append(1)
         if len(calls) == 1:
             raise np.linalg.LinAlgError("no convergence")
-        return solve(mat)
+        return solve(mat, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, solver, fail_once)
-    with pytest.raises(sp.NumericalFailureError):
-        ends(a)
-    lo, hi = ends(a)
-    assert 0.0 < lo <= hi < 1.0
-    ends(a)
-    assert len(calls) == 2
+    with pytest.raises(sp.NumericalFailureError, match=f"{solver} failed: no convergence"):
+        call(a)
+    result = call(a)
+    if solver in ("eigvalsh", "eigh"):
+        lo, hi = result
+        assert 0.0 < lo <= hi < 1.0
+    call(a)
+    assert len(calls) == (2 if kept else 3)

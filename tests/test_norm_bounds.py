@@ -16,7 +16,10 @@ import pytest
 import seqprod as sp
 from seqprod._backends import BOUND_MARGIN, KIND_SPIN
 from seqprod.algebra import (
+    LinearMap,
+    _linear_map,
     _random_effects,
+    map_distance,
     norm_at_most,
     operator_norm,
     rel_residual,
@@ -238,19 +241,18 @@ def test_non_finite_elements_fail_loudly(short, bad):
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_maps_compare_as_the_full_solve(bad):
-    m = np.eye(4) * 1e-3
+    # the full solve refuses the map, and so do the bounded check, however small or large its
+    # bounds, every map norm and distance, and the inverse: on one map and on a stack
+    alg, eye = sp.spin_factor(3), np.eye(4)
+    m = eye * 1e-3
     m[0, 1] = bad
-    stack = np.stack([np.eye(4), m, np.zeros((4, 4))])
-    for x in (m, stack):
-        try:
-            want = ("value", _verdicts(oracle_at_most(x, COMMUTE_TOL)))
-        except np.linalg.LinAlgError as exc:
-            want = ("raises", str(exc))
-        try:
-            got = ("value", _verdicts(norm_at_most(x, COMMUTE_TOL)))
-        except np.linalg.LinAlgError as exc:
-            got = ("raises", str(exc))
-        assert got == want
+    for x in (m, np.stack([eye, m, np.zeros((4, 4))])):
+        f, g = _linear_map(alg, x, "f"), LinearMap.identity(alg)
+        for call in (lambda: oracle_at_most(x, COMMUTE_TOL), lambda: norm_at_most(x, COMMUTE_TOL),
+                     lambda: norm_at_most(x, 1e300), lambda: operator_norm(f),
+                     lambda: map_distance(f, g), lambda: map_distance(g, f), f.invert):
+            with pytest.raises(sp.NumericalFailureError, match="finite"):
+                call()
 
 
 # ---------------------------------------------------------------------------

@@ -199,11 +199,9 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 #: a norm bound settles a comparison of the norm with a threshold t, unsolved, only when it
 #: clears t by this relative margin; the errors of the eigensolver and the SVD are about 1e-14
 BOUND_MARGIN = 1e-6
-#: a polar start whose Gram matrix has an eigenvalue below this, relative to its largest, is
-#: degenerate
+#: a polar sample whose smallest squared singular value is at most this, relative to its largest
+#: (and to 1), is degenerate
 POLAR_DEGENERACY = 1e-10
-#: Newton-Schulz polishing stops once u^H u is the identity to this, entry by entry
-POLAR_STOP = 1e-15
 #: singular values of the stacked commutator maps at most this, relative to the largest (and to
 #: 1), span the commutant
 COMMUTANT_TOL = 1e-8
@@ -322,31 +320,17 @@ def _matrix_function(a, f, gap: float) -> np.ndarray:
 
 def _random_structured_unitaries(alg, rngs) -> np.ndarray:
     """One orthogonal, unitary or symplectic matrix of a matrix-kind algebra per Generator: the
-    polar factor of a Gaussian sample it draws, drawn again while degenerate (8 draws at most).
-
-    The stack is solved as one.  The eigh-based start loses accuracy on an ill-conditioned
-    sample (g^H g squares the condition number), so each factor is polished with Newton-Schulz
-    steps, which keep the real or symplectic structure and stop trial by trial.
-    """
+    polar factor U W^H of a Gaussian sample g = U S W^H it draws, drawn again while degenerate
+    (8 draws at most), from one SVD of the stack.  This factor is backward stable however
+    ill-conditioned g is, and keeps g's real or symplectic structure, so it needs no polishing."""
     backend = alg._backend
-    eye = np.eye(backend.matrix_order(alg))
-    out = np.empty((len(rngs),) + eye.shape, backend.dtype)
+    out = np.empty((len(rngs),) + (backend.matrix_order(alg),) * 2, backend.dtype)
     todo = np.arange(len(rngs))
     for _ in range(8):  # resample the rare near-singular draw
         g = backend.gaussian(backend.normals(alg, [rngs[j] for j in todo]))
-        w, v = _lapack("eigh", g.conj().swapaxes(-1, -2) @ g)
-        ok = ~(w[:, 0] <= POLAR_DEGENERACY * np.maximum(1.0, w[:, -1]))
-        g, w, v = g[ok], w[ok], v[ok]
-        u = g @ (v * (w ** -0.5)[:, None, :]) @ v.conj().swapaxes(-1, -2)
-        live = np.arange(len(u))
-        for _ in range(4):
-            err = u[live].conj().swapaxes(-1, -2) @ u[live] - eye
-            polish = ~(np.abs(err).max((-2, -1)) <= POLAR_STOP)
-            live, err = live[polish], err[polish]
-            if not len(live):
-                break
-            u[live] = u[live] @ (eye - 0.5 * err)
-        out[todo[ok]] = u
+        left, s, right = _lapack("svd", g)
+        ok = ~(s[:, -1] ** 2 <= POLAR_DEGENERACY * np.maximum(1.0, s[:, 0] ** 2))
+        out[todo[ok]] = left[ok] @ right[ok]
         todo = todo[~ok]
         if not len(todo):
             return out
@@ -787,6 +771,12 @@ def _spin_radius(a):
     return v, t, r
 
 
+def _spin(alg, v, t):
+    """The spin element (v, t) of ``alg``, trusted: v read-only, and t as well where it holds a
+    stack's trials; a single element's t is kept as it is, a scalar."""
+    return _trusted(alg, (_read_only(v), _read_only(t) if np.ndim(t) else t))
+
+
 def _col(s) -> np.ndarray:
     """Per-trial scalars ``s`` as a column that scales the rows of a stack of vectors."""
     return np.asarray(s)[..., None]
@@ -818,29 +808,29 @@ class _SpinBackend(_Backend):
 
     def combine(self, a, b, op):
         (v, t), (w, s) = a.data, b.data
-        return _trusted(a.algebra, (_read_only(op(v, w)), op(t, s)))
+        return _spin(a.algebra, op(v, w), op(t, s))
 
     def scale(self, a, s):
         v, t = a.data
-        return _trusted(a.algebra, (_read_only(_col(s) * v), s * t))
+        return _spin(a.algebra, _col(s) * v, s * t)
 
     def scalar(self, alg, c: float):
-        return _trusted(alg, (_read_only(np.zeros(alg.size)), c))
+        return _spin(alg, np.zeros(alg.size), c)
 
     def stack(self, alg, elems):
         d = alg.size
-        return _trusted(alg, (_read_only(np.concatenate([x.data[0].reshape(-1, d) for x in elems])),
-                              _read_only(np.concatenate([np.ravel(x.data[1]) for x in elems]))))
+        return _spin(alg, np.concatenate([x.data[0].reshape(-1, d) for x in elems]),
+                     np.concatenate([np.ravel(x.data[1]) for x in elems]))
 
     def take(self, x, i):
         v, t = x.data
         t = t[i]
-        return _trusted(x.algebra, (_read_only(v[i]), _read_only(t) if t.ndim else float(t)))
+        return _spin(x.algebra, v[i], t if t.ndim else float(t))
 
     def jordan(self, a, b):
         (v, t), (w, s) = a.data, b.data
         vec = _col(s) * v + _col(t) * w
-        return _trusted(a.algebra, (_read_only(vec), np.vecdot(v, w) + t * s))
+        return _spin(a.algebra, vec, np.vecdot(v, w) + t * s)
 
     def inner(self, a, b) -> float:
         (v, t), (w, s) = a.data, b.data
@@ -864,7 +854,7 @@ class _SpinBackend(_Backend):
         v, t, r = _spin_radius(a)
         if v.ndim == 1 and 2.0 * r > gap:  # one element, split: as a stack of one, it costs 3x
             half = 0.5 * (v / r)
-            frame = [_trusted(a.algebra, (_read_only(vec), 0.5)) for vec in (half, -half)]
+            frame = [_spin(a.algebra, vec, 0.5) for vec in (half, -half)]
             return np.array([t + r, t - r]), frame, np.asarray(2)
         split = 2.0 * r > gap
         half = 0.5 * (v / _col(np.where(split, r, 1.0)))
@@ -873,8 +863,7 @@ class _SpinBackend(_Backend):
         minus = (np.where(cut, -half, 0.0), np.where(split, 0.5, 0.0))
         values = np.stack([np.where(split, t + r, t), np.where(split, t - r, 0.0)], -1)
         n = 2 if np.any(split) else 1
-        frame = [_trusted(a.algebra, (_read_only(vec), s if s.ndim else float(s)))
-                 for vec, s in (plus, minus)[:n]]
+        frame = [_spin(a.algebra, vec, s if s.ndim else float(s)) for vec, s in (plus, minus)[:n]]
         return values[..., :n], frame, split + 1
 
     def functional(self, a, f, gap: float):
@@ -889,16 +878,16 @@ class _SpinBackend(_Backend):
         hi, lo = vals[0], vals[1]
         # v.T puts the trials of a stack last, where the per-trial scalars broadcast
         vec = np.where(split, 0.5 * (hi - lo) * (v.T / (dist + ~split)), 0.0).T
-        return _trusted(a.algebra, (_read_only(np.ascontiguousarray(vec)), 0.5 * (hi + lo)))
+        return _spin(a.algebra, np.ascontiguousarray(vec), 0.5 * (hi + lo))
 
     def random_elements(self, alg, rngs):
         vs, ts = zip(*[(rng.standard_normal(alg.size), rng.standard_normal()) for rng in rngs])
-        return _trusted(alg, (_read_only(np.array(vs)), _read_only(np.array(ts))))
+        return _spin(alg, np.array(vs), np.array(ts))
 
     def random_projections(self, alg, rngs, proper: bool):
         units = [v / np.linalg.norm(v) for v in (rng.standard_normal(alg.size) for rng in rngs)]
         halves = _col([-0.5 if rng.integers(0, 2) else 0.5 for rng in rngs])  # each after its v
-        return _trusted(alg, (_read_only(halves * units), _read_only(np.full(len(rngs), 0.5))))
+        return _spin(alg, halves * units, np.full(len(rngs), 0.5))
 
     def to_coords(self, x) -> np.ndarray:
         v, t = x.data
@@ -907,7 +896,7 @@ class _SpinBackend(_Backend):
     def from_coords(self, alg, coords: np.ndarray):
         scaled = coords / np.sqrt(2.0)
         v, t = np.ascontiguousarray(scaled[..., :-1]), scaled[..., -1]
-        return _trusted(alg, (_read_only(v), float(t) if t.ndim == 0 else t))
+        return _spin(alg, v, float(t) if t.ndim == 0 else t)
 
     def to_payload(self, x):
         v, t = x.data
@@ -982,7 +971,10 @@ class _SumBackend(_Backend):
         return direct_sum(*(decode(s) for s in obj["summands"]))
 
     def normalise(self, alg, data):
-        blocks = tuple(data)
+        try:
+            blocks = tuple(data)
+        except TypeError:
+            raise ConfigError(f"direct_sum element needs blocks, got {data!r}") from None
         if len(blocks) != len(alg.summands):
             raise ConfigError("direct_sum element needs one block per summand")
         for blk, sub in zip(blocks, alg.summands):

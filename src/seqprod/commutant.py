@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backends import BOUND_MARGIN
+from ._backends import BOUND_MARGIN, _numbers
 from .algebra import (
     AlgebraDescriptor,
     Element,
@@ -64,9 +64,7 @@ class FunctionModel:
         return np.array([trace_inner_product(a, p) / trace(p) for p in self.frame])
 
     def from_function(self, values) -> Element:
-        values = np.asarray(values, dtype=float)
-        if values.shape != (self.points,):
-            raise PreconditionError(f"expected {self.points} values")
+        values = _numbers(values, float, (self.points,), "function values on {}", self.algebra)
         return from_coords(self.algebra, self.embedding_matrix @ values)
 
     @property

@@ -120,14 +120,16 @@ _ELEMENT_DATA = {
     "quat:1": ([[1.0, 0.0], [0.0, 1.0]], [_RAGGED, _TEXT]),
     "spin:2": (_SPIN_DATA, [([0.5, 1j], 0.5), ([0.5, 0.25], 0.5 + 1j), ([0.5, [0.25]], 0.5),
                             (["x", 0.25], 0.5)]),
-    "sum(real:1,spin:2)": (None, [([[0.5]], sp.Element(sp.spin_factor(2), _SPIN_DATA))]),
+    "sum(real:1,spin:2)": (None, [([[0.5]], sp.Element(sp.spin_factor(2), _SPIN_DATA)),
+                                  5, None, 2.5]),
 }
 
 
 @pytest.mark.parametrize("short", list(_ELEMENT_DATA))
 def test_malformed_or_complex_data_is_refused(short):
-    # ragged or non-numeric data, and an imaginary part that real storage would drop, raise
-    # ConfigError; an imaginary part of exactly 0 is dropped, the real bits kept
+    # ragged, non-numeric or non-iterable data, an imaginary part that real storage would drop,
+    # and function values of the wrong length raise ConfigError; an imaginary part of exactly 0
+    # is dropped, the real bits kept
     alg = sp.parse_algebra(short)
     good, bad = _ELEMENT_DATA[short]
     for data in bad:
@@ -141,6 +143,11 @@ def test_malformed_or_complex_data_is_refused(short):
     for data in (mat + 1j * np.eye(d), _RAGGED, [["x"] * d] * d):
         with pytest.raises(sp.ConfigError):
             sp.LinearMap(alg, data)
+    model = sp.simultaneous_diagonalize([sp.random_effect(alg, 75)])
+    n = model.points
+    for data in (np.ones(n) + 1j, [1 + 1j] * n, ["x"] * n, ["1"] * n, np.ones(n + 1)):
+        with pytest.raises(sp.ConfigError):
+            model.from_function(data)
     assert np.array_equal(to_coords(from_coords(alg, coords + 0j)),
                           to_coords(from_coords(alg, coords)))
     assert sp.LinearMap(alg, mat + 0j).matrix.tobytes() == mat.tobytes()

@@ -18,14 +18,21 @@ import seqprod as sp
 from seqprod import auditor
 from seqprod._backends import (
     POLAR_DEGENERACY,
-    POLAR_STOP,
     _block_diag,
     _matrix_basis,
     _operator,
     _random_structured_unitaries,
     _trusted,
 )
-from seqprod.algebra import KIND_SPIN, KIND_SUM, Element, _random_effects, from_coords, to_coords
+from seqprod.algebra import (
+    KIND_QUAT,
+    KIND_SPIN,
+    KIND_SUM,
+    Element,
+    _random_effects,
+    from_coords,
+    to_coords,
+)
 from seqprod.errors import NumericalFailureError
 from seqprod.spectral import DEFAULT_GAP, _twisted_power
 
@@ -51,22 +58,15 @@ def assemble_map(alg, fn):
 
 
 def reference_unitary(alg, rng):
-    """The unitary polar factor of one Gaussian draw, drawn again while degenerate, trial by
-    trial: the polar path that the stacked one replaced."""
+    """The unitary polar factor U W^H of one Gaussian draw g = U S W^H, drawn again while
+    degenerate, trial by trial: the polar path that the stacked one replaced."""
     backend = alg._backend
-    m = backend.matrix_order(alg)
     for _ in range(8):
         g = backend.gaussian(rng.standard_normal((backend.field_dim, alg.size, alg.size)))
-        w, v = np.linalg.eigh(g.conj().T @ g)
-        if w[0] <= POLAR_DEGENERACY * max(1.0, w[-1]):
+        left, s, right = np.linalg.svd(g)
+        if s[-1] ** 2 <= POLAR_DEGENERACY * max(1.0, s[0] ** 2):
             continue
-        u = g @ (v * (w ** -0.5)) @ v.conj().T
-        for _ in range(4):
-            err = u.conj().T @ u - np.eye(m)
-            if np.abs(err).max() <= POLAR_STOP:
-                break
-            u = u @ (np.eye(m) - 0.5 * err)
-        return u
+        return left @ right
     raise NumericalFailureError("degenerate")
 
 
@@ -270,8 +270,7 @@ class Planted:
 
 def _planted_draws(alg):
     """Normals of a rank-deficient sample (its last rows zero), of a diagonal one (its polar
-    factor needs no polishing) and of an ill-conditioned one (it needs two polishing steps on
-    the small orders, where a plain draw needs one)."""
+    factor is the identity) and of an ill-conditioned one (singular values 1 down to 1.5e-5)."""
     backend = alg._backend
     n = alg.size
     shape = (backend.field_dim, n, n)
@@ -295,6 +294,26 @@ def test_stacked_polar_factors_equal_the_trial_by_trial_ones(short):
         assert _bits(got[k]) == _bits(want)
     one = _random_structured_unitaries(alg, [Planted(94, [bad])])
     assert _bits(one[0]) == _bits(reference_unitary(alg, Planted(94, [bad])))
+
+
+@pytest.mark.parametrize("short", ["real:4", "complex:4", "quat:3", "real:1", "complex:16"])
+def test_the_isomorphism_unitary_is_the_polar_factor_of_its_draw(short):
+    # the planted ill-conditioned draw and 64 plain ones, each planted so that g is known
+    alg = sp.parse_algebra(short)
+    backend = alg._backend
+    ill = _planted_draws(alg)[2]
+    draws = [ill] + [np.random.default_rng(300 + k).standard_normal(ill.shape) for k in range(64)]
+    got = _random_structured_unitaries(alg, [Planted(98 + k, [d]) for k, d in enumerate(draws)])
+    m = got.shape[-1]
+    for u, g in zip(got, backend.gaussian(np.array(draws))):
+        assert np.abs(u.conj().T @ u - np.eye(m)).max() <= 1e-14
+        h = u.conj().T @ g
+        assert np.abs(h - h.conj().T).max() <= 1e-13 * np.abs(g).max()
+        assert np.linalg.eigvalsh(0.5 * (h + h.conj().T))[0] > 0
+        if alg.kind == KIND_QUAT:
+            n = alg.size
+            j = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
+            assert np.abs(j @ u.conj() @ j.T - u).max() <= 1e-14
 
 
 def test_a_sample_degenerate_eight_times_raises():

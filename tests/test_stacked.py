@@ -894,3 +894,19 @@ def test_take_by_an_index_array_gathers_the_trials_one_by_one(short):
         _leaf_bits(_leaves(backend.stack(alg, [backend.take(x, int(k)) for k in index])))
     assert _leaf_bits(_leaves(backend.take(x, 2))) == _leaf_bits(_leaves(backend.take(gathered, 3)))
     assert not any(leaf.flags.writeable for leaf in _leaves(gathered))
+
+
+@pytest.mark.parametrize("short", ["real:4", "complex:4", "quat:3", "spin:5", "sum(real:1,spin:2)"])
+def test_every_array_of_a_stacked_result_is_read_only(short):
+    # a writable array could be changed under the solves and roots cached on its element
+    alg = sp.parse_algebra(short)
+    backend = alg._backend
+    rngs = [np.random.default_rng(seed) for seed in range(4)]
+    a, b = _random_effects(alg, rngs), backend.random_elements(alg, rngs)
+    results = [a, b, a + b, a - b, a * 0.5, backend.scale(a, np.arange(4.0)),
+               sp.jordan_product(a, b), sp.sqrt_pos(a), sp.functional_calculus(a, np.exp),
+               backend.from_coords(alg, backend.to_coords(a)), backend.take(a, np.array([2, 0])),
+               backend.stack(alg, [a, b]), backend.random_projections(alg, rngs, False),
+               *backend.spectral_pairs(a, DEFAULT_GAP)[1]]
+    for x in results:
+        assert not any(leaf.flags.writeable for leaf in _leaves(x))

@@ -44,19 +44,19 @@ and serves as well an m that is not self-adjoint: a product root or phase
 from ``functional``, or ``iso_operator``'s unitary.  Spin factors keep the
 Jordan forms, and direct sums lift them.
 
-A *stacked* element, built only by ``stack``, ``random_elements`` (one sample per
-Generator, the only Gaussian draw), ``random_projections`` (one projection per
-Generator, the only sharp draw) and ``scale`` by one scalar per trial, holds k trials
-on a leading axis: (k, m, m) matrices, spin pairs (v (k, d), t (k,)), or a tuple of
-stacked summands.  The primitives the stacked laws reach take it, unstacked operands
-broadcasting, and give per-trial results (operators as (k, d, d) stacks of
-coordinate matrices).  ``stack`` concatenates stacks along the trial axis, a single
-element counting as a stack of one, and ``take`` pulls a trial out, or gathers
-trials by an index array: a generator places its trials with one of each.  The
-frame primitive ``spectral_pairs`` gives (values, idempotents, counts): each
-trial's cluster values in decreasing order, its idempotents (an Element per
-place, a zero idempotent where the trial's frame is shorter), and its frame's
-length.
+A *stacked* element, built only by ``stack``, ``random_elements`` (F samples per
+Generator, the only Gaussian draw: one ``standard_normal`` call per Generator, which the
+ziggurat sampler, keeping no state between calls, fills with the numbers of F successive
+calls), ``random_projections`` (one projection per Generator, the only sharp draw) and
+``scale`` by one scalar per trial, holds k trials on a leading axis: (k, m, m) matrices,
+spin pairs (v (k, d), t (k,)), or a tuple of stacked summands.  The primitives the
+stacked laws reach take it, unstacked operands broadcasting, and give per-trial results
+(operators as (k, d, d) stacks of coordinate matrices).  ``stack`` concatenates stacks
+along the trial axis, a single element counting as a stack of one, and ``take`` pulls a
+trial out, or gathers trials by an index array: a generator places its trials with one
+of each.  The frame primitive ``spectral_pairs`` gives (values, idempotents, counts):
+each trial's cluster values in decreasing order, its idempotents (an Element per place,
+a zero idempotent where the trial's frame is shorter), and its frame's length.
 
 Primitives whose result is an element return an Element.  Element and the
 generic operations are read from the ``algebra`` module at call time,
@@ -318,6 +318,14 @@ def _matrix_function(a, f, gap: float) -> np.ndarray:
     return a.algebra._backend._hermitian(a.algebra, mat)
 
 
+def _standard_normals(rngs, *shape: int) -> np.ndarray:
+    """(k, *shape) standard normals, slot i drawn by Generator i with one call."""
+    out = np.empty((len(rngs),) + shape)
+    for rng, row in zip(rngs, out):
+        rng.standard_normal(out=row)
+    return out
+
+
 def _random_structured_unitaries(alg, rngs) -> np.ndarray:
     """One orthogonal, unitary or symplectic matrix of a matrix-kind algebra per Generator: the
     polar factor U W^H of a Gaussian sample g = U S W^H it draws, drawn again while degenerate
@@ -325,9 +333,9 @@ def _random_structured_unitaries(alg, rngs) -> np.ndarray:
     ill-conditioned g is, and keeps g's real or symplectic structure, so it needs no polishing."""
     backend = alg._backend
     out = np.empty((len(rngs),) + (backend.matrix_order(alg),) * 2, backend.dtype)
-    todo = np.arange(len(rngs))
+    todo, shape = np.arange(len(rngs)), (backend.field_dim, alg.size, alg.size)
     for _ in range(8):  # resample the rare near-singular draw
-        g = backend.gaussian(backend.normals(alg, [rngs[j] for j in todo]))
+        g = backend.gaussian(_standard_normals([rngs[j] for j in todo], *shape))
         left, s, right = _lapack("svd", g)
         ok = ~(s[:, -1] ** 2 <= POLAR_DEGENERACY * np.maximum(1.0, s[:, 0] ** 2))
         out[todo[ok]] = left[ok] @ right[ok]
@@ -385,6 +393,15 @@ class _Backend:
         """(lower, upper) bounds on the order-unit norm, per trial: here the norm itself."""
         norm = _alg.order_unit_norm(x)
         return norm, norm
+
+    def random_elements(self, alg, rngs, fields: int = 1):
+        """``fields`` F Gaussian samples per Generator of ``rngs`` as one stack of F k, field by
+        field (sample f of Generator i at f k + i): each Generator fills its F ``draw_size``
+        normals with one call, the numbers of F successive calls, and ``from_normals`` makes
+        the samples of the rows (sample by sample, field-major) as one stack."""
+        k, size = len(rngs), self.draw_size(alg)
+        normals = _standard_normals(rngs, fields, size)
+        return self.from_normals(alg, normals.swapaxes(0, 1).reshape(fields * k, size))
 
     def order_iso(self, alg, kind: str, rngs):
         """(coordinate matrices (k, d, d), label) of unital order isomorphisms of the requested
@@ -641,13 +658,8 @@ class _MatrixBackend(_Backend):
         del left  # freed before the projection allocates
         return _operator(alg, images)
 
-    def normals(self, alg, rngs) -> np.ndarray:
-        """The standard normals (k, field_dim, n, n) of one Gaussian matrix per Generator, in
-        draw order, each drawn into its slot of one buffer."""
-        out = np.empty((len(rngs), self.field_dim, alg.size, alg.size))
-        for rng, slot in zip(rngs, out):
-            rng.standard_normal(out=slot)
-        return out
+    def draw_size(self, alg) -> int:
+        return self.field_dim * alg.size ** 2
 
     def gaussian(self, normals: np.ndarray) -> np.ndarray:
         """Gaussian matrices of the algebra's structure (not yet Hermitian) from ``normals``
@@ -659,8 +671,9 @@ class _MatrixBackend(_Backend):
             return parts[..., 0, :, :]
         return _quat_embed(parts[..., 0, :, :], parts[..., 1, :, :])
 
-    def random_elements(self, alg, rngs):
-        return self._element(alg, self.gaussian(self.normals(alg, rngs)))
+    def from_normals(self, alg, normals: np.ndarray):
+        n = alg.size
+        return self._element(alg, self.gaussian(normals.reshape(-1, self.field_dim, n, n)))
 
     def random_projections(self, alg, rngs, proper: bool):
         # one product per rank: a product over zero-padded columns rounds differently
@@ -880,12 +893,16 @@ class _SpinBackend(_Backend):
         vec = np.where(split, 0.5 * (hi - lo) * (v.T / (dist + ~split)), 0.0).T
         return _spin(a.algebra, np.ascontiguousarray(vec), 0.5 * (hi + lo))
 
-    def random_elements(self, alg, rngs):
-        vs, ts = zip(*[(rng.standard_normal(alg.size), rng.standard_normal()) for rng in rngs])
-        return _spin(alg, np.array(vs), np.array(ts))
+    def draw_size(self, alg) -> int:
+        return alg.size + 1
+
+    def from_normals(self, alg, normals: np.ndarray):
+        # v, then t, of each row
+        return _spin(alg, np.ascontiguousarray(normals[:, :-1]), normals[:, -1].copy())
 
     def random_projections(self, alg, rngs, proper: bool):
-        units = [v / np.linalg.norm(v) for v in (rng.standard_normal(alg.size) for rng in rngs)]
+        v = _standard_normals(rngs, alg.size)
+        units = v / _col(np.sqrt(np.vecdot(v, v)))  # np.linalg.norm(v) of each row, bit for bit
         halves = _col([-0.5 if rng.integers(0, 2) else 0.5 for rng in rngs])  # each after its v
         return _spin(alg, halves * units, np.full(len(rngs), 0.5))
 
@@ -1071,9 +1088,14 @@ class _SumBackend(_Backend):
         return (np.divide(num, den, out=np.zeros_like(num), where=den > 0),
                 [self.take(merged, j) for j in range(counts.max())], counts)
 
-    def random_elements(self, alg, rngs):
-        # summand by summand: each Generator draws its blocks in summand order
-        return _trusted(alg, tuple(s._backend.random_elements(s, rngs) for s in alg.summands))
+    def draw_size(self, alg) -> int:
+        return sum(s._backend.draw_size(s) for s in alg.summands)
+
+    def from_normals(self, alg, normals: np.ndarray):
+        # each row's normals split in summand order, as each Generator draws its blocks
+        cuts = np.cumsum([s._backend.draw_size(s) for s in alg.summands])[:-1]
+        return _trusted(alg, tuple(s._backend.from_normals(s, part) for s, part
+                                   in zip(alg.summands, np.split(normals, cuts, axis=1))))
 
     def random_projections(self, alg, rngs, proper: bool):
         # block 0 of a trial drawn all 1 becomes 0, and of one drawn all 0 a proper draw:

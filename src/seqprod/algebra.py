@@ -19,7 +19,7 @@ same way.  Elements *stacked* by
 the backends hold k trials on a leading axis; arithmetic, ``seq_product``,
 the eigenvalue range, ``trace_inner_product``, ``rel_residual`` and the
 predicates return one value per trial, and ``_random_effects`` draws a stack of
-random effects, one per Generator.
+random effects, one per Generator, or F successive such stacks as one.
 """
 
 from __future__ import annotations
@@ -416,15 +416,24 @@ def quadratic_operator(a: Element) -> LinearMap:
 # Random generation
 # ---------------------------------------------------------------------------
 
+def _generator(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``: a Generator, kept as it is, or one seeded by a
+    non-negative int or a sequence of them; ConfigError for a seed that it refuses."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad seed {seed!r}: {exc}") from None
+
+
 def random_element(alg: AlgebraDescriptor, rng) -> Element:
     """Gaussian self-adjoint sample (GOE/GUE-style, unnormalized): a stack of one, taken."""
-    return alg._backend.take(alg._backend.random_elements(alg, [np.random.default_rng(rng)]), 0)
+    return alg._backend.take(alg._backend.random_elements(alg, [_generator(rng)]), 0)
 
 
 def random_projection(alg: AlgebraDescriptor, rng, proper: bool = True) -> Element:
     """Random sharp effect, neither 0 nor 1 if ``proper`` (and rank >= 2): a stack of one, taken."""
     backend = alg._backend
-    return backend.take(backend.random_projections(alg, [np.random.default_rng(rng)], proper), 0)
+    return backend.take(backend.random_projections(alg, [_generator(rng)], proper), 0)
 
 
 def random_effect(alg: AlgebraDescriptor, seed, profile: str = "generic") -> Element:
@@ -435,14 +444,18 @@ def random_effect(alg: AlgebraDescriptor, seed, profile: str = "generic") -> Ele
     eigenvalue gives 1/2); ``singular`` compresses such a sample by a random
     proper projection; ``sharp`` returns a random projection.
     """
-    return alg._backend.take(_random_effects(alg, [np.random.default_rng(seed)], profile), 0)
+    return alg._backend.take(_random_effects(alg, [_generator(seed)], profile), 0)
 
 
-def _random_effects(alg: AlgebraDescriptor, rngs, profile: str = "generic") -> Element:
-    """``random_effect`` of each Generator of ``rngs`` (the same draws, in order), stacked."""
+def _random_effects(alg: AlgebraDescriptor, rngs, profile: str = "generic",
+                    fields: int = 1) -> Element:
+    """``random_effect`` of each Generator of ``rngs`` (the same draws, in order), stacked.  The
+    Gaussian profiles take F ``fields``: the draws of F successive calls as one stack of F k,
+    field by field (effect f of Generator i at f k + i), the F samples drawn with one call per
+    Generator (``random_elements``), their ranges solved and rescaled as one stack."""
     backend = alg._backend
     if profile in ("generic", "invertible"):
-        g, one = backend.random_elements(alg, rngs), identity(alg)
+        g, one = backend.random_elements(alg, rngs, fields), identity(alg)
         lo, hi = eigenvalue_range(g)
         width = hi - lo
         flat = width < FLAT_WIDTH  # every sample of a rank-one matrix algebra
@@ -450,7 +463,7 @@ def _random_effects(alg: AlgebraDescriptor, rngs, profile: str = "generic") -> E
         eff = backend.scale(shifted, 0.9 / np.maximum(width, FLAT_WIDTH)) + one * 0.05
         if not np.count_nonzero(flat):
             return eff
-        k = len(rngs)
+        k = len(flat)
         return backend.take(backend.stack(alg, [eff, one * 0.5]), np.where(flat, k, np.arange(k)))
     if profile == "sharp":
         return backend.random_projections(alg, rngs, True)
@@ -472,5 +485,5 @@ def make_order_iso(alg: AlgebraDescriptor, kind: str, seed=0) -> LinearMap:
     of them, blockwise.  ``transpose`` needs complex Hermitian algebras (or
     sums of them); ``spin_rotation`` needs a spin factor.
     """
-    matrix, label = alg._backend.order_iso(alg, kind, [np.random.default_rng(seed)])
+    matrix, label = alg._backend.order_iso(alg, kind, [_generator(seed)])
     return LinearMap(alg, matrix[0], label)

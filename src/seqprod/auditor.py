@@ -12,7 +12,10 @@ Every law runs in chunks of up to 256 trials (a default row is one chunk), drawn
 field by field, each trial from its own Generator: ``default_rng((seed, ordinal,
 i))`` bit for bit, seeded from ``trial_seed_words`` derived as each chunk starts
 and reused when it is redone trial by trial.  Each trial makes exactly the draws
-it makes alone; the linear algebra and one evaluator call then run on elements,
+it makes alone.  A run of consecutive Gaussian fields is one draw, one
+``standard_normal`` call per Generator (``_effects``, ``_scaled_squares``): the
+ziggurat sampler keeps no state between calls, so one call gives the numbers of
+one call per field.  The linear algebra and one evaluator call then run on elements,
 linear maps and spectral frames with a leading trial axis (a shorter frame
 padded with zero idempotents).  The first trial of a chunk over the tolerance
 gives the verdict, so verdicts, maximal residuals and witnesses are those of
@@ -37,7 +40,8 @@ import time
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import partial, reduce
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, get_type_hints
 
@@ -134,23 +138,38 @@ def _take(inputs: dict, k: int) -> dict:
     return {key: _trial(x, k) for key, x in inputs.items()}
 
 
+def _split(stack: Element, fields: int, k: int) -> list[Element]:
+    """The ``fields`` stacks of k trials that one stack of ``fields`` k holds, field by field."""
+    take = stack.algebra._backend.take
+    return [take(stack, slice(f * k, f * k + k)) for f in range(fields)]
+
+
+def _effects(alg: AlgebraDescriptor, rngs, profile: str, fields: int) -> list[Element]:
+    """``fields`` successive stacks of ``profile`` effects, drawn as one (``_random_effects``)."""
+    return _split(_random_effects(alg, rngs, profile, fields), fields, len(rngs))
+
+
 def _sum_triple(rngs, p, alg, trials, params):
-    return {"a": _random_effects(alg, rngs),
-            "b": _random_effects(alg, rngs) * 0.5,
-            "c": _random_effects(alg, rngs) * 0.5}
+    a, b, c = _effects(alg, rngs, "generic", 3)
+    return {"a": a, "b": b * 0.5, "c": c * 0.5}
 
 
 def _fields(**profiles):
-    """The generator that draws one stack of effects per field, of its profile, in field order."""
+    """The generator that draws one stack of effects per field, of its profile, in field order:
+    each run of fields of one profile as one draw (``_effects``; every run of more than one
+    field in ``LAWS`` is of a Gaussian profile)."""
+    runs = [(profile, [key for key, _ in run])
+            for profile, run in groupby(profiles.items(), itemgetter(1))]
+
     def generate(rngs, p, alg, trials, params):
-        return {key: _random_effects(alg, rngs, profile) for key, profile in profiles.items()}
+        return {key: x for profile, keys in runs
+                for key, x in zip(keys, _effects(alg, rngs, profile, len(keys)))}
     return generate
 
 
 def _orthogonal_supports(rngs, p, alg, trials, params):
     proj = _random_effects(alg, rngs, "sharp")
-    x = _random_effects(alg, rngs, "invertible")
-    y = _random_effects(alg, rngs, "invertible")
+    x, y = _effects(alg, rngs, "invertible", 2)
     return {"a": quadratic_rep(proj, x),
             "b": quadratic_rep(identity(alg) - proj, y)}
 
@@ -180,23 +199,21 @@ def _drawn_frame(alg: AlgebraDescriptor, rngs, draw) -> tuple:
 def _pinched(rngs, p, alg, trials, params):
     """c from the spectral frame of an invertible base, a and b pinched by that frame."""
     frame, alphas = _drawn_frame(alg, rngs, lambda rng, n: rng.uniform(0.05, 0.95, n))
-    x, y = (_random_effects(alg, rngs, "invertible") for _ in range(2))
+    x, y = _effects(alg, rngs, "invertible", 2)
     return {"c": _weighted(frame, alphas),
             "a": reduce(Element.__add__, (quadratic_rep(q, x) for q in frame)) * 0.5,
             "b": reduce(Element.__add__, (quadratic_rep(q, y) for q in frame)) * 0.5}
 
 
 def _monotone(rngs, p, alg, trials, params):
-    b = _random_effects(alg, rngs)
-    x = _random_effects(alg, rngs)
-    return {"a": seq_product(p, b, x), "b": b, "c": _random_effects(alg, rngs)}
+    b, x, c = _effects(alg, rngs, "generic", 3)
+    return {"a": seq_product(p, b, x), "b": b, "c": c}
 
 
 def _sharp(rngs, p, alg, trials, params):
     proj = _random_effects(alg, rngs, "sharp")
     comp = identity(alg) - proj
-    x = _random_effects(alg, rngs, "invertible")
-    y = _random_effects(alg, rngs, "invertible")
+    x, y = _effects(alg, rngs, "invertible", 2)
     return {"p": proj,
             "a_up": proj + quadratic_rep(comp, x),
             "a_dn": quadratic_rep(proj, y),
@@ -247,8 +264,7 @@ def _commute_pairs(rngs, p, alg, trials, params):
     for _ in range(50):
         if not len(todo):
             break
-        a = _random_effects(alg, [rngs[k] for k in todo])
-        b = _random_effects(alg, [rngs[k] for k in todo])
+        a, b = _effects(alg, [rngs[k] for k in todo], "generic", 2)
         ok = backend.commutator_norm(a, b) >= NONCOMMUTING_MIN  # one norm per trial
         rounds.append((a, b))
         place[todo[ok]] = size + np.flatnonzero(ok)
@@ -259,17 +275,18 @@ def _commute_pairs(rngs, p, alg, trials, params):
     return {"a": a, "b": b, "expected": ["generic" if i % 2 else "commuting" for i in trials]}
 
 
-def _scaled_squares(alg: AlgebraDescriptor, rngs) -> Element:
-    """The Jordan square of a random element per trial, scaled down to order-unit norm at most 1."""
-    e = alg._backend.random_elements(alg, rngs)
+def _scaled_squares(alg: AlgebraDescriptor, rngs, fields: int) -> list[Element]:
+    """``fields`` stacks of the Jordan square of a random element per trial, scaled down to
+    order-unit norm at most 1, drawn and scaled as one stack."""
+    e = alg._backend.random_elements(alg, rngs, fields)
     sq = jordan_product(e, e)
-    return alg._backend.scale(sq, 1.0 / np.maximum(1.0, order_unit_norm(sq)))
+    return _split(alg._backend.scale(sq, 1.0 / np.maximum(1.0, order_unit_norm(sq))), fields,
+                  len(rngs))
 
 
 def _homogeneity(rngs, p, alg, trials, params):
     inputs = _fields(a="invertible", b="invertible")(rngs, p, alg, trials, params)
-    for k in range(3):
-        inputs[f"s{k}"] = _scaled_squares(alg, rngs)
+    inputs.update(zip(("s0", "s1", "s2"), _scaled_squares(alg, rngs, 3)))
     inputs["s3"] = _random_effects(alg, rngs)
     inputs["s4"] = alg._backend.scale(identity(alg), np.ones(len(rngs)))
     return inputs
@@ -294,13 +311,13 @@ def _invariance(rngs, p, alg, trials, params):
         sel = [k for k, c in enumerate(chosen) if c == kind]
         matrices[sel], labels[kind] = alg._backend.order_iso(alg, kind,
                                                              [iso_rngs[k] for k in sel])
-    return {"a": _random_effects(alg, rngs), "b": _random_effects(alg, rngs),
-            "phi": _linear_map(alg, matrices, tuple(labels[c] for c in chosen))}
+    a, b = _effects(alg, rngs, "generic", 2)
+    return {"a": a, "b": b, "phi": _linear_map(alg, matrices, tuple(labels[c] for c in chosen))}
 
 
 def _theta(rngs, p, alg, trials, params):
-    a = _random_effects(alg, rngs, "invertible")
-    return {"q": _random_effects(alg, rngs, "invertible"), "a": a, "b": _poly_effect(rngs, a)}
+    a, q = _effects(alg, rngs, "invertible", 2)
+    return {"q": q, "a": a, "b": _poly_effect(rngs, a)}
 
 
 def _self_duality(rngs, p, alg, trials, params):
@@ -310,7 +327,8 @@ def _self_duality(rngs, p, alg, trials, params):
     g = backend.random_elements(alg, rngs)
     g = backend.scale(g, 1.0 / np.maximum(1.0, order_unit_norm(g)))
     a = g - backend.scale(identity(alg), min_eigenvalue(g) + 0.2)
-    return {"x": _scaled_squares(alg, rngs), "y": _scaled_squares(alg, rngs), "a": a}
+    x, y = _scaled_squares(alg, rngs, 2)
+    return {"x": x, "y": y, "a": a}
 
 
 # ---------------------------------------------------------------------------

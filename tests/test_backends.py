@@ -118,14 +118,11 @@ def _linalg_lines(path: Path) -> list[tuple[str, str]]:
 
 def test_eigensolves_live_in_the_backend_module():
     # every eigh, eigvalsh, svd, inv and matrix 2-norm goes through the one gateway, which alone
-    # reaches np.linalg; a spin projection's vector norm is no LAPACK call and moves no draw
+    # reaches np.linalg
     package = Path(sp.__file__).parent
     uses = sorted((path.name, *use) for path in package.glob("*.py")
                   for use in _linalg_lines(path))
     assert uses == [
-        ("_backends.py", "_SpinBackend.random_projections",
-         "units = [v / np.linalg.norm(v) for v in "
-         "(rng.standard_normal(alg.size) for rng in rngs)]"),
         ("_backends.py", "_lapack", "except np.linalg.LinAlgError as exc:"),
         ("_backends.py", "_lapack", "return getattr(np.linalg, name)(mat, *args, **kwargs)"),
     ]
@@ -180,7 +177,7 @@ def test_every_eigenvalue_precondition_is_the_one_spectrum_check():
 
 #: the matrix primitives that direct sums do without: no matrix of their own, no Gaussian draw
 #: of their own, no commutant rows (``has_commutant`` is False)
-SUM_DOES_WITHOUT = {"matrix_order", "normals", "gaussian", "commutant_rows"}
+SUM_DOES_WITHOUT = {"matrix_order", "gaussian", "commutant_rows"}
 
 
 def test_direct_sums_define_every_matrix_primitive():

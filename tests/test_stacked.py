@@ -292,10 +292,10 @@ def test_sea5_frames_of_unequal_length_in_one_chunk(monkeypatch):
     bases = [base(0.3), base(0.5)]  # frames of 2 and of 3 idempotents
     draw, calls = auditor._random_effects, []
 
-    def planted(alg, rngs, profile="generic"):
-        effects = draw(alg, rngs, profile)
+    def planted(alg, rngs, profile="generic", fields=1):
+        effects = draw(alg, rngs, profile, fields)
         calls.append(profile)
-        if len(calls) % 3 != 1:  # SEA5 draws the base, then x and y, which stay random
+        if len(calls) % 2 != 1:  # SEA5 draws the base, then x and y as one, which stay random
             return effects
         return alg._backend.stack(alg, [bases[int(rng.integers(2))] for rng in rngs])
 

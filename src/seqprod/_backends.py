@@ -29,20 +29,19 @@ assembled from summand results) are wrapped by :func:`_trusted` without
 ``normalise``; products of matrices are not exactly Hermitian in floating
 point and are symmetrised as the public constructor does (``_element``).
 
-The operator primitives (``jordan_operator``, ``quadratic_operator`` and
-``iso_operator``) return the coordinate matrix of a linear map in one shot,
-one per trial for a stack: spin factors write the matrix down, direct sums
-put the summand matrices on the diagonal, and matrix kinds project the
-images of the basis with one product against the cached conjugated basis.
-A basis element E_k has at most one nonzero entry per row and column, so a
-product with it is exact, and one product per trial gives every E_k at
-once: T_a takes (E_k a + (E_k a)^H) / 2 from [E_1; ...; E_d] a, as
-``commutant_rows`` takes E_k s - (E_k s)^H, and Q_m takes m E_k from
-m [E_1 | ... | E_d].  Q_m is the one sandwich: on matrix kinds ``quadratic``
-and ``quadratic_operator`` take x -> m x m^H, which is Q_m for Hermitian m
-and serves as well an m that is not self-adjoint: a product root or phase
-from ``functional``, or ``iso_operator``'s unitary.  Spin factors keep the
-Jordan forms, and direct sums lift them.
+The operator primitives (``jordan_operator``, ``quadratic_operator`` and ``iso_operator``)
+return the coordinate matrix of a linear map in one shot, one per trial for a stack: spin
+factors write the matrix down, direct sums put the summand matrices on the diagonal, and
+matrix kinds project the images of the basis with one real product against the cached
+conjugated basis (:func:`_operator`).  A basis element E_k has at most one nonzero entry per
+row and column, so a product with it is exact, and one product per trial gives every E_k at
+once: [E_1; ...; E_d] a for T_a, and m [E_1 | ... | E_d] for Q_m.  For Hermitian E_i,
+Re tr(E_i P^H) = Re tr(E_i P), so E_k a alone has the coordinates of (E_k a + a E_k) / 2,
+column k of T_a; ``commutant_rows`` takes E_k s - (E_k s)^H from the same product.  Q_m is
+the one sandwich: on matrix kinds ``quadratic`` and ``quadratic_operator`` take
+x -> m x m^H, which is Q_m for Hermitian m and serves as well an m that is not
+self-adjoint: a product root or phase from ``functional``, or ``iso_operator``'s unitary.
+Spin factors keep the Jordan forms, and direct sums lift them.
 
 A *stacked* element, built only by ``stack``, ``random_elements`` (F samples per
 Generator, the only Gaussian draw: one ``standard_normal`` call per Generator, which the
@@ -486,10 +485,28 @@ def _basis_columns(alg) -> np.ndarray:
     return cols
 
 
+@lru_cache(maxsize=None)
+def _real_dual_basis(alg) -> np.ndarray:
+    """(dim, 2 m^2) real matrix R, ``_dual_basis`` D as [Re D, -Im D] interleaved entry by
+    entry, so that R times x viewed as (real, imaginary) pairs is Re(D vec(x))."""
+    dual = _dual_basis(alg)
+    real = np.stack([dual.real, -dual.imag], axis=-1).reshape(len(dual), -1)
+    real.setflags(write=False)
+    return real
+
+
 def _operator(alg, images: np.ndarray) -> np.ndarray:
     """Coordinate matrix whose column k holds the coordinates of ``images[..., k, :, :]``, the
-    map's values on the basis: (dim, m, m), or (k, dim, m, m) for k trials' maps."""
-    return np.real(_dual_basis(alg) @ _rows(images).swapaxes(-1, -2))
+    map's values on the basis: (dim, m, m), or (k, dim, m, m) for k trials' maps.
+
+    One real product per trial: complex images are read as (real, imaginary) pairs against
+    :func:`_real_dual_basis`, so no complex result is formed to drop its imaginary half; the
+    view needs them contiguous, so ``iso_operator``'s transposed basis is copied first.  Real
+    images meet the real dual basis as they are."""
+    dual = _dual_basis(alg)
+    if np.iscomplexobj(images):
+        dual, images = _real_dual_basis(alg), np.ascontiguousarray(images).view(float)
+    return dual @ _rows(images).swapaxes(-1, -2)
 
 
 def _basis_products(alg, mat: np.ndarray) -> np.ndarray:
@@ -502,15 +519,15 @@ def _basis_products(alg, mat: np.ndarray) -> np.ndarray:
     return (basis.reshape(dim * m, m) @ mat).reshape(mat.shape[:-2] + basis.shape)
 
 
-def _hermitian_sum(prods: np.ndarray, sign: float) -> np.ndarray:
-    """P + sign P^H per (m, m) block of ``prods``, in one new buffer that first takes P^H.
+def _skew_part(prods: np.ndarray) -> np.ndarray:
+    """P - P^H per (m, m) block of ``prods``, in one new buffer that first takes P^H.
 
     The transpose is copied, not read by a ufunc, which would stage it in a buffer.
     """
     out = np.ascontiguousarray(prods.swapaxes(-1, -2))
     if np.iscomplexobj(out):
         np.conjugate(out, out=out)
-    return (np.add if sign > 0 else np.subtract)(prods, out, out=out)
+    return np.subtract(prods, out, out=out)
 
 
 class _MatrixBackend(_Backend):
@@ -641,9 +658,7 @@ class _MatrixBackend(_Backend):
         return _trusted(a.algebra, _matrix_function(a, f, gap))
 
     def jordan_operator(self, a) -> np.ndarray:
-        # (a E_k + E_k a) / 2, with a E_k the conjugate transpose of E_k a
-        images = _hermitian_sum(_basis_products(a.algebra, a.data), 1.0)
-        return _operator(a.algebra, np.multiply(0.5, images, out=images))
+        return _operator(a.algebra, _basis_products(a.algebra, a.data))
 
     def quadratic_operator(self, m) -> np.ndarray:
         """Coordinate matrix of x -> m x m^H, as in ``quadratic``, one per trial for a stack.
@@ -736,7 +751,7 @@ class _MatrixBackend(_Backend):
         blocks = []
         for s in elems:
             # E_k s - s E_k, with s E_k the conjugate transpose of E_k s
-            comm = _hermitian_sum(_basis_products(alg, s.data), -1.0).reshape(dim, -1)
+            comm = _skew_part(_basis_products(alg, s.data)).reshape(dim, -1)
             # (2 m^2, dim): one column per coordinate
             blocks.append(np.concatenate([comm.real, comm.imag], axis=1).T)
         _, svals, vh = _lapack("svd", np.vstack(blocks), full_matrices=False)

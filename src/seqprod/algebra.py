@@ -418,7 +418,11 @@ def quadratic_operator(a: Element) -> LinearMap:
 
 def _generator(seed) -> np.random.Generator:
     """``np.random.default_rng(seed)``: a Generator, kept as it is, or one seeded by a
-    non-negative int or a sequence of them; ConfigError for a seed that it refuses."""
+    non-negative int or a sequence of them; ConfigError for a seed that it refuses, and for
+    None (entropy from the OS) and booleans, which would make a draw other than deterministic
+    or take True for the seed 1."""
+    if seed is None or isinstance(seed, (bool, np.bool_)):
+        raise ConfigError(f"bad seed {seed!r}: a draw needs an integer seed or a Generator")
     try:
         return np.random.default_rng(seed)
     except (TypeError, ValueError) as exc:

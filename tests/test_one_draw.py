@@ -97,7 +97,7 @@ def _public_draws(alg):
             lambda seed: sp.make_order_iso(alg, "unitary_conjugation", seed)]
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "a", [3, -4]])
+@pytest.mark.parametrize("seed", [-1, 1.5, "a", [3, -4], None, True, False, np.True_])
 def test_a_seed_that_default_rng_refuses_raises_config_error(seed):
     for draw in _public_draws(sp.parse_algebra("complex:3")):
         with pytest.raises(sp.ConfigError, match="seed"):

@@ -19,6 +19,7 @@ from seqprod import auditor
 from seqprod._backends import (
     POLAR_DEGENERACY,
     _block_diag,
+    _dual_basis,
     _matrix_basis,
     _operator,
     _random_structured_unitaries,
@@ -178,14 +179,14 @@ def _bits(arr):
 
 
 def reference_jordan_operator(a):
-    """T_a from (a E_k + E_k a) / 2, two products per basis element."""
+    """T_a from E_k a, one product per basis element: E_k a has the coordinates of
+    (a E_k + E_k a) / 2, as Re tr(E_i (E_k a)^H) = Re tr(E_i E_k a) for Hermitian E_i."""
     alg = a.algebra
     if alg.kind == KIND_SUM:
         return _block_diag([reference_jordan_operator(blk) for blk in a.data])
     if alg.kind == KIND_SPIN:
         return alg._backend.jordan_operator(a)
-    basis, mat = _matrix_basis(alg), a.data[..., None, :, :]
-    return _operator(alg, 0.5 * (mat @ basis + basis @ mat))
+    return _operator(alg, _matrix_basis(alg) @ a.data[..., None, :, :])
 
 
 def reference_quadratic_operator(m):
@@ -236,6 +237,52 @@ def test_operators_equal_the_per_basis_formulas_bit_for_bit(short, stacked):
         pairs.append((sp.imaginary_power_conjugation(a, -0.3).matrix, want))
     for got, want in pairs:
         assert _bits(got) == _bits(want)
+
+
+#: how far T_a and ``_operator`` may round from the forms they replaced: 4 ulps of the
+#: largest entry (2 were seen)
+ULPS = 4
+
+
+def assert_within_ulps(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= ULPS * np.spacing(np.abs(want).max())
+
+
+def old_jordan_operator(a):
+    """T_a from 0.5 (a E_k + E_k a), two products per basis element, projected by the complex
+    product with the dual basis."""
+    alg = a.algebra
+    if alg.kind == KIND_SUM:
+        return _block_diag([old_jordan_operator(blk) for blk in a.data])
+    if alg.kind == KIND_SPIN:
+        return alg._backend.jordan_operator(a)
+    basis, mat = _matrix_basis(alg), a.data[..., None, :, :]
+    return complex_projection(alg, 0.5 * (mat @ basis + basis @ mat))
+
+
+def complex_projection(alg, images):
+    return np.real(_dual_basis(alg) @ images.reshape(images.shape[:-2] + (-1,)).swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+@pytest.mark.parametrize("short", BIT_SHORTHANDS)
+def test_jordan_operator_equals_the_two_product_form_within_ulps(short, stacked):
+    a = _effects(sp.parse_algebra(short), stacked, 92)
+    assert_within_ulps(a.algebra._backend.jordan_operator(a), old_jordan_operator(a))
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+@pytest.mark.parametrize("short", ["complex:3", "complex:4", "quat:3", "complex:16"])
+def test_one_real_product_gives_the_coordinates_of_the_complex_one(short, stacked):
+    # Hermitian images: T_a's and Q_a's
+    alg = sp.parse_algebra(short)
+    a = _effects(alg, stacked, 93)
+    basis, mat = _matrix_basis(alg), a.data[..., None, :, :]
+    for images in (0.5 * (mat @ basis + basis @ mat), mat @ basis @ mat):
+        got = _operator(alg, images)
+        assert_within_ulps(got, complex_projection(alg, images))
+        assert_within_ulps(got, to_coords(_trusted(alg, images)).swapaxes(-1, -2))
 
 
 @pytest.mark.parametrize("short", ["real:4", "complex:4", "quat:3", "complex:16"])

@@ -1,10 +1,14 @@
 """Smoke test of tools/report_gate.py, the report comparison against a git revision."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
+from types import SimpleNamespace
 
 from seqprod.cli import run_cli
 
@@ -23,19 +27,65 @@ def test_an_unknown_revision_or_no_revision_exits_2():
     assert _gate().returncode == 2
 
 
-def test_the_gate_lists_the_rows_that_report_diff_flags(tmp_path, capsys):
+def _load_gate():
     spec = importlib.util.spec_from_file_location("report_gate", SCRIPT)
     gate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gate)
-    entry = {"law": "SEA1", "product": "standard", "algebra": "real:4", "trials": 200,
-             "seed": 5, "verdict": "pass", "expected": "pass", "max_residual": 1e-15,
-             "elapsed_ms": 2.0}
-    moved = dict(entry, law="SEA2", max_residual=2e-15)
-    paths = []
-    for name, entries in (("a", [entry, dict(moved, max_residual=1e-15)]), ("b", [entry, moved])):
-        paths.append(tmp_path / f"{name}.json")
-        paths[-1].write_text(json.dumps({"schema": 1, "seed": 42, "entries": entries}))
+    return gate
+
+
+ENTRY = {"law": "SEA1", "product": "standard", "algebra": "real:4", "trials": 200,
+         "seed": 5, "verdict": "pass", "expected": "pass", "max_residual": 1e-15,
+         "elapsed_ms": 2.0}
+#: report A's entries, and report B's: SEA1 equal, SEA2 drifted, SEA3 failed at trial 3
+REPORTS = {"A": [ENTRY, dict(ENTRY, law="SEA2"), dict(ENTRY, law="SEA3")],
+           "B": [ENTRY, dict(ENTRY, law="SEA2", max_residual=2e-15),
+                 dict(ENTRY, law="SEA3", trials=4, verdict="fail", max_residual=1.0,
+                      witness={"trial": 3, "residual": 1.0, "inputs": {}})]}
+
+
+def _write(path, entries):
+    path.write_text(json.dumps({"schema": 1, "seed": 42, "entries": entries}))
+
+
+def test_the_gate_lists_the_rows_that_report_diff_flags(tmp_path, capsys):
+    gate = _load_gate()
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, entries in zip(paths, REPORTS.values()):
+        _write(path, entries)
     assert run_cli(["report", "diff", *map(str, paths), "--max-drift", "0"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert gate.flagged(lines) == [line for line in lines if line.startswith("SEA2 ")]
-    assert len(gate.flagged(lines)) == 1
+    rows = gate.flagged(lines)
+    assert rows == [line for line in lines if line.startswith(("SEA2 ", "SEA3 "))]
+    assert gate.changes(rows) == (1, 1)
+    assert gate.changes([]) == (0, 0)
+
+
+def test_the_gate_counts_changed_and_drifted_rows_per_report_and_in_all(monkeypatch, capsys):
+    # git and the audits stubbed: REV's src is an empty archive, and each run writes report A
+    # on REV's tree and report B on the working tree; ``report diff`` runs in-process
+    gate = _load_gate()
+    archive = io.BytesIO()
+    zipfile.ZipFile(archive, "w").close()
+
+    def git(cmd, **kwargs):
+        return subprocess.CompletedProcess(cmd, 0, stdout=archive.getvalue())
+
+    def seqprod(src, args):
+        if args[0] != "report":
+            _write(Path(args[-1]), REPORTS["B" if src == gate.ROOT / "src" else "A"])
+            return subprocess.CompletedProcess(args, 0)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = run_cli(args)
+        return subprocess.CompletedProcess(args, code, stdout=out.getvalue(), stderr="")
+
+    monkeypatch.setattr(gate, "subprocess", SimpleNamespace(run=git))
+    monkeypatch.setattr(gate, "seqprod", seqprod)
+    assert gate.main(["REV"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    counts = "1 changed trials, verdict, expectation or witness; 1 only drifted"
+    assert lines.count(f"  flagged rows: {counts}") == len(gate.RUNS)
+    assert lines[-1] == (f"0 of {len(gate.RUNS)} reports unchanged against REV; flagged rows: "
+                         f"{len(gate.RUNS)} changed trials, verdict, expectation or witness; "
+                         f"{len(gate.RUNS)} only drifted")

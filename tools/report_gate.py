@@ -7,7 +7,9 @@ registered in ``.git``), then runs on both trees, each command in its own subpro
 ``seqprod audit --seed S --out`` for S in 42, 7, 2024 and 102 and ``seqprod demo
 characterizations --seed 42 --out``.  Each pair of reports goes through the working tree's
 ``seqprod report diff --max-drift 0``, REV's report as A, whose summary line is printed with
-the rows it flags ``<-- CHANGED`` under it.
+the rows it flags ``<-- CHANGED`` under it, then how many of them changed their trials,
+verdict, expectation or witness trial and how many only drifted; the last line adds these
+up over every report.
 Exits 0 when every pair is unchanged (the same trials run, verdicts, expectations and
 witness trials, and residuals equal to the bit), 1 on any change, and 2 when REV is not a
 commit or a run writes no report.  Standard library only.
@@ -41,6 +43,17 @@ def flagged(lines: list[str]) -> list[str]:
     return [line for line in lines if line.endswith("<-- CHANGED")]
 
 
+def changes(rows: list[str]) -> tuple[int, int]:
+    """(rows whose trials, verdict, expectation or witness trial changed, rows that only
+    drifted) among flagged ``rows``: ``report diff`` writes a changed field as ``A->B``."""
+    moved = sum("->" in row for row in rows)
+    return moved, len(rows) - moved
+
+
+def _counts(moved: int, drifted: int) -> str:
+    return f"{moved} changed trials, verdict, expectation or witness; {drifted} only drifted"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -53,7 +66,7 @@ def main(argv: list[str]) -> int:
         return 2
     archive = subprocess.run([*git, "archive", "--format=zip", rev, "src"],
                              capture_output=True, check=True).stdout
-    changed = 0
+    changed = moved = drifted = 0
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         zipfile.ZipFile(io.BytesIO(archive)).extractall(tmp / "rev")
@@ -69,10 +82,15 @@ def main(argv: list[str]) -> int:
                                         "--max-drift", "0"])
             lines = (diff.stdout or diff.stderr).strip().splitlines()
             print(f"{name}: {lines[-1] if lines else f'exit {diff.returncode}'}")
-            for line in flagged(lines):
+            rows = flagged(lines)
+            for line in rows:
                 print(f"  {line}")
+            counts = changes(rows)
+            print(f"  flagged rows: {_counts(*counts)}")
+            moved, drifted = moved + counts[0], drifted + counts[1]
             changed += diff.returncode != 0
-    print(f"{len(RUNS) - changed} of {len(RUNS)} reports unchanged against {rev}")
+    print(f"{len(RUNS) - changed} of {len(RUNS)} reports unchanged against {rev}; "
+          f"flagged rows: {_counts(moved, drifted)}")
     return 1 if changed else 0
 
 

@@ -242,17 +242,6 @@ def _norm_bounds(mats: np.ndarray, hermitian: bool = True):
     return frob / math.sqrt(mats.shape[-1]), upper
 
 
-def _commutation_bound(comm, a, b):
-    """comm (1 + sqrt(hi_a / lo_a) / 2 + sqrt(hi_b / lo_b) / 2) for a bound ``comm`` on
-    ||[a, b]|| and the spectral ends [lo, hi] of a and b, read as ``_proved_commuting`` reads
-    them: a bound on ||a o b - b o a|| for the standard product, proved there.  It is NaN or
-    infinite where an end is not positive.
-    """
-    lo_a, hi_a = a.algebra._backend.frame_range(a)
-    lo_b, hi_b = b.algebra._backend.eigen_range(b)
-    return comm * (1.0 + 0.5 * (np.sqrt(hi_a / lo_a) + np.sqrt(hi_b / lo_b)))
-
-
 def _eigen(a) -> tuple[np.ndarray, np.ndarray]:
     """(w, V) of the matrix element ``a``, solved once and kept on the instance: the data is
     immutable, so the entry never goes stale, two threads racing on a fresh element write the
@@ -727,11 +716,8 @@ class _MatrixBackend(_Backend):
         return _alg.Element(alg, payload)
 
     def commutator_norm(self, a, b) -> float:
+        """The Frobenius norm of [a, b] = ab - ba, per trial for a stack."""
         return _frobenius(a.data @ b.data - b.data @ a.data)
-
-    def commutation_bound(self, a, b):
-        # ||[a, b]|| is at most its Frobenius norm
-        return _commutation_bound(self.commutator_norm(a, b), a, b)
 
     def order_isos(self, alg) -> tuple[str, ...]:
         if self.kind == KIND_COMPLEX:
@@ -938,14 +924,11 @@ class _SpinBackend(_Backend):
         return _alg.Element(alg, (payload["v"], payload["t"]))
 
     def commutator_norm(self, a, b) -> float:
+        """The Frobenius norm of v w^T - w v^T for the vector parts v and w, which is
+        sqrt(2) |v ^ w|, per trial for a stack."""
         v, w = a.data[0][..., :, None], b.data[0][..., :, None]
         outer = v * w.swapaxes(-1, -2)  # v w^T, per trial for a stack
         return _frobenius(outer - outer.swapaxes(-1, -2))
-
-    def commutation_bound(self, a, b):
-        # in the Clifford representation t + sum v_i s_i, ||[a, b]|| = 2 |v ^ w|, which is
-        # sqrt(2) times the Frobenius norm of v w^T - w v^T
-        return _commutation_bound(math.sqrt(2.0) * self.commutator_norm(a, b), a, b)
 
     def order_isos(self, alg) -> tuple[str, ...]:
         return ("spin_rotation",)
@@ -1033,8 +1016,7 @@ class _SumBackend(_Backend):
     norm_bounds = _lifted("norm_bounds", 1, _largest)
     to_coords = _lifted("to_coords", 1, lambda parts: np.concatenate(parts, axis=-1))
     to_payload = _lifted("to_payload", 1, list)
-    commutator_norm = _lifted("commutator_norm", 2, _largest)
-    commutation_bound = _lifted("commutation_bound", 2, _largest)
+    commutator_norm = _lifted("commutator_norm", 2, _largest)  # the largest block's
 
     def scalar(self, alg, c: float):
         return _trusted(alg, tuple(s._backend.scalar(s, c) for s in alg.summands))

@@ -463,7 +463,9 @@ def _ev_fundamental(p, alg, inp):
     rhs = q_a.compose(q_b).compose(q_a)
     square_law = map_distance(q_a.compose(q_a),
                               quadratic_operator(jordan_product(a, a)))
-    return _worst(map_distance(lhs, rhs), square_law)
+    # T_a b against a * b: a Jordan automorphism keeps both operator identities, not this
+    jordan_law = rel_residual(jordan_mult_operator(a).apply(b), jordan_product(a, b))
+    return _worst(map_distance(lhs, rhs), square_law, jordan_law)
 
 
 def _ev_commute_equiv(p, alg, inp):

@@ -43,12 +43,6 @@ from .spectral import _root
 INVERTIBILITY_TOL = 1e-6
 #: the one commutation threshold: ``commutes``, the commutant preconditions, the auditor
 COMMUTE_TOL = 1e-8
-#: a commutation bound (``commutant._proved_commuting``) is taken only where both smallest
-#: eigenvalues are at least this; it keeps the bound's root terms at most sqrt(||a|| / 4e-6)
-COMMUTE_FLOOR = 1e-6
-#: the rounding allowance a commutation bound must clear COMMUTE_TOL by, per unit of
-#: max(1, ||a||) max(1, ||b||); 1% of COMMUTE_TOL on effects
-COMMUTE_ROUNDING = 1e-10
 
 
 @dataclass(frozen=True)

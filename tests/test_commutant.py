@@ -1,5 +1,4 @@
 import math
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -8,8 +7,7 @@ import seqprod as sp
 from seqprod import _backends
 from seqprod._backends import KIND_QUAT, KIND_SPIN, _clusters, _matrix_basis
 from seqprod.algebra import from_coords, to_coords
-from seqprod.commutant import _proved_commuting
-from seqprod.products import COMMUTE_FLOOR, COMMUTE_ROUNDING
+from seqprod.products import COMMUTE_TOL
 from seqprod.spectral import DEFAULT_GAP
 
 from test_sum_frames import _bits
@@ -428,31 +426,32 @@ def test_diagonalizing_a_pair_makes_only_the_commutation_checks_solves(solves):
     assert solves == {"eigh": 2, "eigvalsh": 0}
     solves.update(eigh=0, eigvalsh=0)
     assert sp.simultaneous_diagonalize([_fresh(a), _fresh(b)]).points == 4
-    # a's full solve and b's eigenvalues, whose ends prove the pair commuting; the frame reads
-    # a's solve
-    assert solves == {"eigh": 1, "eigvalsh": 1}
+    # a's full solve, which the frame reads; the commutator needs no solve
+    assert solves == {"eigh": 1, "eigvalsh": 0}
 
 
-#: (algebra, eigh calls, eigvalsh calls) of a settled pair: one full solve of a and one
-#: eigenvalue-only solve of b per matrix block, none on a spin factor
-SETTLED_SOLVES = [("real:4", 1, 1), ("complex:4", 1, 1), ("quat:3", 1, 1), ("spin:5", 0, 0),
-                  ("sum(complex:2,real:3)", 2, 2), ("sum(spin:3,quat:2)", 1, 1)]
+#: (algebra, eigh calls, eigvalsh calls) of a commuting pair: one full solve of a per matrix
+#: block, none on a spin factor, and no solve of b
+SETTLED_SOLVES = [("real:4", 1, 0), ("complex:4", 1, 0), ("quat:3", 1, 0), ("spin:5", 0, 0),
+                  ("sum(complex:2,real:3)", 2, 0), ("complex:3", 1, 0),
+                  ("sum(spin:3,quat:2)", 1, 0)]
 
 
 @pytest.mark.parametrize("short, eigh, eigvalsh", SETTLED_SOLVES)
-def test_a_settled_pair_solves_a_once_and_reads_only_the_eigenvalues_of_b(short, eigh, eigvalsh,
-                                                                          solves):
+def test_a_commuting_pair_solves_a_once_and_builds_no_product_root(short, eigh, eigvalsh,
+                                                                   solves, monkeypatch):
+    monkeypatch.setattr(_backends, "_matrix_function",
+                        lambda *args: pytest.fail("_matrix_function was called"))
     alg = sp.parse_algebra(short)
     a = sp.random_effect(alg, 87)
     a, b = _fresh(a), _fresh(sp.jordan_product(a, a) * 0.9 + sp.identity(alg) * 0.05)
     solves.update(eigh=0, eigvalsh=0)
     model = sp.simultaneous_diagonalize([a, b])
     assert solves == {"eigh": eigh, "eigvalsh": eigvalsh}
-    blocks = list(b.data) if alg.summands else [b]
-    for blk in blocks:
-        if blk.algebra.kind != KIND_SPIN:
-            assert "_spectrum" in blk.__dict__ and "_eigen" not in blk.__dict__
-    assert model.points == len(reference_frame(alg, [_fresh(a), _fresh(b)]))
+    assert "_roots" not in a.__dict__ and "_roots" not in b.__dict__
+    for blk in list(b.data) if alg.summands else [b]:
+        assert "_spectrum" not in blk.__dict__ and "_eigen" not in blk.__dict__
+    assert_same_elements(model.frame, reference_frame(alg, [_fresh(a), _fresh(b)]), short)
 
 
 def test_diagonalizing_a_decomposed_element_makes_no_solve(solves):
@@ -493,22 +492,22 @@ def test_non_finite_input_fails_loudly(short, bad):
 
 
 # ---------------------------------------------------------------------------
-# the commutation bound against commutes
+# the precondition is the commutator
 # ---------------------------------------------------------------------------
 #
-# ``_proved_commuting`` accepts a pair from ||[a, b]|| and the spectral ends
-# alone; every other pair goes to ``commutes``.  The battery draws commuting
+# A family is accepted when every pair's ``commutator_norm`` is at most
+# COMMUTE_TOL, whatever the signs of the spectra.  The battery draws commuting
 # pairs b = f(a), pairs near the threshold b = (1 - e) f(a) + e h, generic,
 # sharp, singular and non-positive pairs, and ill-conditioned pairs whose
 # perturbation couples the eigenvectors of a's two smallest eigenvalues, both
-# near COMMUTE_FLOOR (on a spin factor, of its two eigenvalues): on matrix
-# kinds the root terms of the bound are then what bounds the product
-# commutator.
+# near FLOOR (on a spin factor, of its two eigenvalues).
 
 BOUND_ALGEBRAS = ["real:4", "complex:4", "quat:3", "spin:5", "sum(complex:2,real:3)",
                   "complex:3", "sum(spin:3,quat:2)"]
 FUNCTIONS = {"square": lambda x: x * x, "affine": lambda x: 0.05 + 0.9 * x * x,
              "root": lambda x: math.sqrt(max(x, 0.0)), "complement": lambda x: 1.0 - x}
+#: the smallest eigenvalues of the ill-conditioned pairs are moved to a few times this
+FLOOR = 1e-6
 
 
 def _peirce(p, q, x):
@@ -550,13 +549,13 @@ def _bound_pairs(alg, seed):
               ("non-positive", a - one * 0.2, sp.functional_calculus(a, FUNCTIONS["square"])),
               ("positive, non-positive", b, a - one * 0.2)]
     # spin factors have two eigenvalues, so only the smallest moves
-    lows = [1.5 * COMMUTE_FLOOR] + ([] if alg.kind == KIND_SPIN else [4.0 * COMMUTE_FLOOR])
+    lows = [1.5 * FLOOR] + ([] if alg.kind == KIND_SPIN else [4.0 * FLOOR])
     a, frame = _ill_conditioned(sp.random_effect(alg, seed + 40), lows)
     base = one * 0.5 + a * 0.5
     h = _peirce(frame[0], frame[1], sp.random_effect(alg, seed + 41))
     for eps in sorted(10.0 ** rng.uniform(-14, -1, 4)):
         pairs.append((f"ill-conditioned {eps:.1e}", a, base + h * (0.4 * eps)))
-    below, _ = _ill_conditioned(sp.random_effect(alg, seed + 42), [0.9 * COMMUTE_FLOOR])
+    below, _ = _ill_conditioned(sp.random_effect(alg, seed + 42), [0.9 * FLOOR])
     pairs.append(("below the floor", below, sp.functional_calculus(below, FUNCTIONS["square"])))
     return pairs
 
@@ -570,101 +569,57 @@ def _outcome(call):
 
 
 @pytest.mark.parametrize("short", BOUND_ALGEBRAS)
-def test_the_precondition_fails_exactly_when_commutes_does(short):
+def test_the_precondition_fails_exactly_when_the_commutator_exceeds_its_tol(short):
     alg = sp.parse_algebra(short)
-    std = sp.SequentialProduct.standard(alg)
-    proved = opened = 0
+    accepted = refused = 0
     for name, a, b in _bound_pairs(alg, 90):
-        verdict = []
-        expected = _outcome(lambda: verdict.append(sp.commutes(std, _fresh(a), _fresh(b))))
-        if expected is None and not verdict[0]:
-            expected = (sp.PreconditionError, "elements 0 and 1 do not commute")
+        commuting = alg._backend.commutator_norm(a, b) <= COMMUTE_TOL
+        expected = None if commuting else (sp.PreconditionError, "elements 0 and 1 do not commute")
         got = _outcome(lambda: sp.simultaneous_diagonalize([_fresh(a), _fresh(b)]))
         assert got == expected, name
         if not alg.summands:
             assert _outcome(lambda: sp.bicommutant_basis([_fresh(a), _fresh(b)])) == expected, name
-        settled = _proved_commuting(_fresh(a), _fresh(b))
-        assert not settled or verdict == [True], name
-        proved += settled
-        opened += verdict == [True] and not settled
-    assert proved >= 12 and opened >= 1  # the battery reaches both sides of the bound
-
-
-def _clifford(d):
-    """d anticommuting Hermitian unitaries (Jordan-Wigner)."""
-    pauli_x, pauli_y, pauli_z = (np.array(m, dtype=complex) for m in
-                                 ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]))
-    qubits = (d + 1) // 2
-    gens = [reduce(np.kron, [pauli_z] * j + [s] + [np.eye(2)] * (qubits - j - 1))
-            for j in range(qubits) for s in (pauli_x, pauli_y)]
-    return gens[:d]
-
-
-def _matrix_blocks(x):
-    """x as a list of Hermitian matrices, one per simple block; spin in its Clifford form."""
-    if x.algebra.summands:
-        return [m for blk in x.data for m in _matrix_blocks(blk)]
-    if x.algebra.kind == KIND_SPIN:
-        v, t = x.data
-        gens = _clifford(len(v))
-        return [t * np.eye(len(gens[0])) + sum(c * g for c, g in zip(v, gens))]
-    return [x.data]
-
-
-def _chain_middle(a, b):
-    """||[a, b]|| + ||sqrt(a)|| ||[sqrt(a), b]|| + ||sqrt(b)|| ||[sqrt(b), a]||, per block."""
-    def root(m):
-        w, v = np.linalg.eigh(m)
-        return (v * np.sqrt(w)) @ v.conj().T
-
-    def comm_norm(x, y):
-        return np.linalg.norm(x @ y - y @ x, 2)
-
-    return max(comm_norm(x, y) + np.linalg.norm(root(x), 2) * comm_norm(root(x), y)
-               + np.linalg.norm(root(y), 2) * comm_norm(root(y), x)
-               for x, y in zip(_matrix_blocks(a), _matrix_blocks(b)))
+        accepted += commuting
+        refused += not commuting
+    assert accepted >= 20 and refused >= 3  # the battery reaches both sides of the threshold
 
 
 @pytest.mark.parametrize("short", BOUND_ALGEBRAS)
-def test_the_bound_is_at_least_each_side_of_its_chain(short):
-    # the solved ||a o b - b o a|| <= the middle of the chain <= the bound, each up to the
-    # rounding allowance; the middle is formed in numpy on the blocks' matrices
+def test_a_pair_is_accepted_just_below_the_tol_and_refused_just_above(short):
+    # [a, f(a) + t h] = t [a, h] up to rounding, so t sets the commutator norm to a multiple
+    # of COMMUTE_TOL
     alg = sp.parse_algebra(short)
-    std = sp.SequentialProduct.standard(alg)
-    ratios = []
-    for name, a, b in _bound_pairs(alg, 91):
-        (lo_a, hi_a), (lo_b, hi_b) = sp.algebra.eigenvalue_range(a), sp.algebra.eigenvalue_range(b)
-        if not (lo_a > 1e-12 and lo_b > 1e-12):
-            continue
-        bound = alg._backend.commutation_bound(a, b)
-        allowance = COMMUTE_ROUNDING * max(1.0, hi_a) * max(1.0, hi_b)
-        solved = sp.order_unit_norm(sp.seq_product(std, a, b) - sp.seq_product(std, b, a))
-        assert solved <= bound + allowance, name
-        assert _chain_middle(a, b) <= bound + allowance, name
-        if solved > 1e3 * allowance:
-            ratios.append(bound / solved)
-    assert ratios and min(ratios) >= 1.0
+    a, h = sp.random_effect(alg, 94), sp.random_effect(alg, 95)
+    fa = sp.functional_calculus(a, FUNCTIONS["affine"])
+    unit = alg._backend.commutator_norm(a, h)
+    assert unit > 1e-3
+    for scale, expected in ((0.5, None), (2.0, (sp.PreconditionError,
+                                                 "elements 0 and 1 do not commute"))):
+        b = fa + h * (scale * COMMUTE_TOL / unit)
+        assert alg._backend.commutator_norm(a, b) == pytest.approx(scale * COMMUTE_TOL, rel=1e-3)
+        assert _outcome(lambda: sp.simultaneous_diagonalize([_fresh(a), _fresh(b)])) == expected
+        if not alg.summands:
+            assert _outcome(lambda: sp.bicommutant_basis([_fresh(a), _fresh(b)])) == expected
 
 
-@pytest.mark.parametrize("short", BOUND_ALGEBRAS)
-def test_a_proved_pair_builds_no_product_root(short, monkeypatch):
-    monkeypatch.setattr(_backends, "_matrix_function",
-                        lambda *args: pytest.fail("_matrix_function was called"))
+@pytest.mark.parametrize("short", ["real:4", "spin:3", "sum(complex:2,real:3)"])
+def test_a_non_positive_commuting_family_is_diagonalized(short):
     alg = sp.parse_algebra(short)
-    a = sp.random_effect(alg, 92)
-    a, b = _fresh(a), _fresh(sp.jordan_product(a, a) * 0.9 + sp.identity(alg) * 0.05)
-    assert _proved_commuting(a, b)
-    model = sp.simultaneous_diagonalize([a, b])
-    assert "_roots" not in a.__dict__ and "_roots" not in b.__dict__
-    assert_same_elements(model.frame, reference_frame(alg, [_fresh(a), _fresh(b)]), short)
+    a = sp.random_effect(alg, 93) - sp.identity(alg) * 0.2
+    family = [a, sp.jordan_product(a, a)]
+    assert sp.min_eigenvalue(a) < 0.0
+    got = sp.simultaneous_diagonalize([_fresh(x) for x in family]).frame
+    assert_same_elements(got, reference_frame(alg, [_fresh(x) for x in family]), short)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("short", ["real:4", "spin:3", "sum(complex:2,real:3)"])
-def test_a_non_positive_element_fails_as_commutes_does_before_a_non_finite_one(short):
-    # commutes takes sqrt of the first element before it reads the second
+def test_a_family_holding_a_nan_fails_loudly_in_either_order(short):
     alg = sp.parse_algebra(short)
     a, x = sp.random_effect(alg, 93) - sp.identity(alg) * 0.2, _non_finite(alg, np.nan)
-    expected = _outcome(lambda: sp.commutes(sp.SequentialProduct.standard(alg), a, x))
-    assert expected[0] is sp.PreconditionError
-    assert _outcome(lambda: sp.simultaneous_diagonalize([_fresh(a), _fresh(x)])) == expected
+    for family in ([a, x], [x, a]):
+        with pytest.raises(sp.NumericalFailureError, match="not finite"):
+            sp.simultaneous_diagonalize([_fresh(y) for y in family])
+        if not alg.summands:
+            with pytest.raises(sp.NumericalFailureError, match="not finite"):
+                sp.bicommutant_basis([_fresh(y) for y in family])

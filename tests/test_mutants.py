@@ -1,26 +1,32 @@
-"""A planted-defect kill matrix, started at the operator layer.
+"""A planted-defect kill matrix.
 
-Each mutant patches one operator primitive of the matrix backend (real, complex and
-quaternionic kinds, and the matrix summands of a direct sum; ``spin:5`` runs unpatched code).
-Every law runs on the five reference algebras with the standard product, 5 trials, seed 1 and
-its own tol, and the rows that do not pass are compared with the matrix below, fails and
-raises recorded apart: a raise measures no residual.
+Each mutant patches one function in one place: an operator primitive or the sandwich of the
+matrix backend (real, complex and quaternionic kinds, and the matrix summands of a direct
+sum), the quaternionic projection, the spin T_a, or the root function of ``spectral``, which
+every root, inverse root and phase of the kernel goes through.  Every law runs on the five
+reference algebras with the standard product, 5 trials, seed 1 and its own tol, and the rows
+that do not pass are compared with the matrix below, fails and raises recorded apart: a raise
+measures no residual.
 
 A mutant that no row catches on an algebra where it is planted is recorded as equivalent
 there, with the reason.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 import seqprod as sp
-from seqprod import _backends
+from seqprod import _backends, spectral
 from seqprod.auditor import _AXIOMS, ALL_LAWS, LAWS, REFERENCE_ALGEBRAS, audit_law
 
 MATRIX_ALGEBRAS = ("real:4", "complex:4", "quat:3", "sum(complex:2,real:3)")
 COMPLEX_ALGEBRAS = ("complex:4", "quat:3", "sum(complex:2,real:3)")
 _jordan = _backends._MatrixBackend.jordan_operator
 _quadratic = _backends._MatrixBackend.quadratic_operator
+_spin_jordan = _backends._SpinBackend.jordan_operator
+_power = spectral._twisted_power
 
 
 def _scaled_jordan(self, a):
@@ -42,35 +48,114 @@ def _skewed_quadratic(self, m):
     return q @ (np.eye(d) + 1e-2 * np.random.default_rng(0).standard_normal((d, d)))
 
 
+def _doubled_power(t, exponent):
+    return _power(t, 2.0 * exponent)
+
+
+def _scaled_root(t, exponent):
+    power = _power(t, exponent)
+    if exponent != 0.5:
+        return power
+    return lambda lams: power(lams) * math.sqrt(1.0 + 1e-6)
+
+
+def _unconjugated_sandwich(self, m, x):
+    return self._element(x.algebra, m.data @ x.data @ m.data.swapaxes(-1, -2))
+
+
+def _flipped_quat_project(mat, n):
+    c = mat.conj()
+    twin = np.empty_like(mat)
+    twin[..., :n, :n] = c[..., n:, n:]
+    twin[..., :n, n:] = c[..., n:, :n]  # the sign of -conj(C) flipped
+    twin[..., n:, :n] = -c[..., :n, n:]
+    twin[..., n:, n:] = c[..., :n, :n]
+    return 0.5 * (mat + twin)
+
+
+def _shrunk_spin_jordan(self, a):
+    out = _spin_jordan(self, a)
+    out[..., :-1, -1] *= 0.999
+    out[..., -1, :-1] *= 0.999
+    return out
+
+
 def _each(algebras, law, verdict="fail"):
     return {(law, alg): verdict for alg in algebras}
 
 
-#: mutant -> (primitive, patched version, the rows it does not pass: (law, algebra) -> verdict)
+def _laws(algebras, laws, verdict="fail"):
+    return {(law, alg): verdict for law in laws for alg in algebras}
+
+
+MATRIX = _backends._MatrixBackend
+#: mutant -> (owner, attribute, patched version, the rows it does not pass: (law, algebra) ->
+#: verdict); "error" is a raise
 MUTANTS = {
     # Q_a = 2 T_a^2 - T_{a^2} is off by about 2e-6; a scaled T_a commutes as T_a does, so
     # COMMUTE_EQUIV is equivalent
-    "jordan_scaled": ("jordan_operator", _scaled_jordan,
+    "jordan_scaled": (MATRIX, "jordan_operator", _scaled_jordan,
                       _each(MATRIX_ALGEBRAS, "FUNDAMENTAL_EQ")),
-    # T_a of conj(a), which is a^T: transposition is a Jordan automorphism, so T_{conj(a)} is
-    # T_a conjugated by an isometry of the coordinates, and Q_{conj(x)} = conj Q_x conj^-1; the
-    # fundamental formula and commutation both hold for it.  Equivalent on every algebra
-    "jordan_of_conjugate": ("jordan_operator", _jordan_of_conjugate, {}),
+    # T_a of conj(a), which is a^T: transposition is a Jordan automorphism, so the fundamental
+    # formula and operator commutation both hold for T_{conj(a)}; FUNDAMENTAL_EQ's T_a b against
+    # the Jordan product catches it on the complex kinds.  Equivalent on real:4, where nothing
+    # is conjugated
+    "jordan_of_conjugate": (MATRIX, "jordan_operator", _jordan_of_conjugate,
+                            _each(COMPLEX_ALGEBRAS, "FUNDAMENTAL_EQ")),
     # T_a from the conjugated images conj(E_k a): caught on the complex kinds, equivalent on
     # real:4, where nothing is conjugated
-    "jordan_of_conjugate_images": ("jordan_operator", _jordan_of_conjugate_images,
+    "jordan_of_conjugate_images": (MATRIX, "jordan_operator", _jordan_of_conjugate_images,
                                    {**_each(COMPLEX_ALGEBRAS, "FUNDAMENTAL_EQ"),
                                     **_each(COMPLEX_ALGEBRAS, "COMMUTE_EQUIV")}),
     # x -> m x m^H followed by I + 1e-2 G, G a fixed Gaussian matrix: L_a, the homogeneity
     # isomorphism and the unitary order isomorphisms all move
-    "quadratic_skewed": ("quadratic_operator", _skewed_quadratic,
+    "quadratic_skewed": (MATRIX, "quadratic_operator", _skewed_quadratic,
                          {**_each(MATRIX_ALGEBRAS, "HOMOGENEITY"),
                           **_each(MATRIX_ALGEBRAS, "INVARIANCE"),
                           **_each(MATRIX_ALGEBRAS, "QUADRATIC_LAW")}),
+    # every root, inverse root and phase with its exponent doubled: the product is a b a, and
+    # the pseudo-inverse root q^-1; caught on every algebra
+    "power_doubled": (spectral, "_twisted_power", _doubled_power,
+                      _laws(REFERENCE_ALGEBRAS,
+                            ("SEA4", "SEA5", "SCALAR_LINEARITY", "SHARP_PROPS", "COMMUTE_EQUIV",
+                             "HOMOGENEITY", "PSEUDO_INVERSE", "QUADRATIC_LAW"))),
+    # the root of exponent 1/2 (sqrt_pos and every product root) times sqrt(1 + 1e-6): the
+    # product is off by 1e-6 relative; inverse roots and phases are left as they are
+    "root_scaled": (spectral, "_twisted_power", _scaled_root,
+                    _laws(REFERENCE_ALGEBRAS,
+                          ("SEA2", "SHARP_PROPS", "FLOOR_LIMIT", "PSEUDO_INVERSE", "DIVIDE",
+                           "HOMOGENEITY", "INVERTIBILITY_PRES"))),
+    # the matrix sandwich m x m^T: equivalent on real:4, where m^T = m^H; on the complex kinds a
+    # product of effects keeps the Hermitian part of m x m^T, which need not be positive, so
+    # the rows that pass a product on to a root, divide or a pseudo-inverse raise there
+    "sandwich_unconjugated": (MATRIX, "quadratic", _unconjugated_sandwich, {
+        **_laws(COMPLEX_ALGEBRAS, ("SEA4", "PRODUCT_LE_LEFT", "MONOTONE_RIGHT", "FUNDAMENTAL_EQ",
+                                   "COMMUTE_EQUIV", "INVARIANCE", "QUADRATIC_LAW")),
+        **_laws(COMPLEX_ALGEBRAS, ("SEA3", "SEA5", "SHARP_PROPS", "FLOOR_LIMIT", "DYADIC_BOUND",
+                                   "DIVIDE"), "error"),
+        **_laws(("complex:4", "quat:3"), ("PSEUDO_INVERSE", "INVERTIBILITY_PRES"), "error"),
+        **_each(("sum(complex:2,real:3)",), "PSEUDO_INVERSE"),
+        **_each(("sum(complex:2,real:3)",), "INVERTIBILITY_PRES"),
+        **_each(("complex:4", "sum(complex:2,real:3)"), "THETA_STRUCTURE", "error")}),
+    # the quaternionic projection with the sign of its -conj(C) block flipped: every element
+    # built on quat:3 leaves the algebra
+    "quat_project_flipped": (_backends, "_quat_project", _flipped_quat_project, {
+        **_laws(("quat:3",), ("SEA2", "SEA3", "SEA4", "SEA5", "PRODUCT_LE_LEFT",
+                              "MONOTONE_RIGHT", "SHARP_PROPS", "FLOOR_LIMIT", "SPECTRAL_RECON",
+                              "FUNDAMENTAL_EQ", "COMMUTE_EQUIV", "SELF_DUALITY", "HOMOGENEITY",
+                              "PSEUDO_INVERSE", "INVARIANCE", "INVERTIBILITY_PRES",
+                              "QUADRATIC_LAW")),
+        ("DIVIDE", "quat:3"): "error"}),
+    # the spin T_a with its off-diagonal v scaled by 0.999: the operator laws on spin:5 only
+    "spin_jordan_shrunk": (_backends._SpinBackend, "jordan_operator", _shrunk_spin_jordan,
+                           _laws(("spin:5",), ("FUNDAMENTAL_EQ", "HOMOGENEITY",
+                                               "QUADRATIC_LAW"))),
 }
 #: the laws that reject each caught mutant: "axioms", "characterisations" or "both"
-GROUPS = dict.fromkeys(("jordan_scaled", "jordan_of_conjugate_images", "quadratic_skewed"),
-                       "characterisations")
+GROUPS = {**dict.fromkeys(("jordan_scaled", "jordan_of_conjugate", "jordan_of_conjugate_images",
+                           "quadratic_skewed", "spin_jordan_shrunk"), "characterisations"),
+          **dict.fromkeys(("power_doubled", "root_scaled", "sandwich_unconjugated",
+                           "quat_project_flipped"), "both")}
 
 
 def _kill_rows() -> dict:
@@ -96,8 +181,8 @@ def test_correct_code_passes_every_row():
 
 @pytest.mark.parametrize("name", MUTANTS)
 def test_each_mutant_fails_the_rows_of_its_kill_matrix(monkeypatch, name):
-    primitive, mutant, want = MUTANTS[name]
-    monkeypatch.setattr(_backends._MatrixBackend, primitive, mutant)
+    owner, attribute, mutant, want = MUTANTS[name]
+    monkeypatch.setattr(owner, attribute, mutant)
     got = _kill_rows()
     assert got == want
     if want:

@@ -61,6 +61,17 @@ class FunctionModel:
         return np.column_stack([to_coords(p) for p in self.frame])
 
 
+def _family(elems: list[Element], what: str) -> AlgebraDescriptor:
+    """The algebra of a family (``check_same_algebra``): not empty, no stacked element."""
+    if not elems:
+        raise PreconditionError(f"{what} needs a non-empty family; pass [identity]")
+    alg = check_same_algebra(*elems)
+    for i, x in enumerate(elems):
+        if np.ndim(trace(x)):
+            raise PreconditionError(f"{what} takes single elements; element {i} is a stack")
+    return alg
+
+
 def _require_commutant(alg: AlgebraDescriptor, what: str):
     if not alg._backend.has_commutant:
         raise CapabilityError(f"{what} supports matrix kinds and spin factors, not {alg}")
@@ -68,9 +79,7 @@ def _require_commutant(alg: AlgebraDescriptor, what: str):
 
 def commutant_basis(elems: list[Element]) -> list[Element]:
     """Orthonormal basis of the self-adjoint elements commuting with all of S."""
-    if not elems:
-        raise PreconditionError("commutant of an empty set is the whole algebra; pass [identity]")
-    alg = check_same_algebra(*elems)
+    alg = _family(elems, "commutant_basis")
     _require_commutant(alg, "commutant_basis")
     backend = alg._backend
     rows = backend.commutant_rows(alg, elems)
@@ -94,9 +103,7 @@ def _require_mutually_commuting(elems, alg):
 
 def bicommutant_basis(elems: list[Element]) -> list[Element]:
     """Basis of (S')', for a mutually commuting S."""
-    if not elems:
-        raise PreconditionError("bicommutant of an empty set is trivial; pass [identity]")
-    alg = check_same_algebra(*elems)
+    alg = _family(elems, "bicommutant_basis")
     _require_commutant(alg, "bicommutant_basis")
     _require_mutually_commuting(elems, alg)
     return commutant_basis(commutant_basis(elems))
@@ -104,9 +111,7 @@ def bicommutant_basis(elems: list[Element]) -> list[Element]:
 
 def simultaneous_diagonalize(elems: list[Element], gap: float = DEFAULT_GAP) -> FunctionModel:
     """Joint eigenprojection frame of a mutually commuting family."""
-    if not elems:
-        raise PreconditionError("cannot diagonalize an empty family; pass [identity]")
+    alg = _family(elems, "simultaneous_diagonalize")
     _require_gap(gap)
-    alg = check_same_algebra(*elems)
     _require_mutually_commuting(elems, alg)
     return FunctionModel(alg, tuple(alg._backend.joint_frame(alg, elems, gap)))

@@ -169,15 +169,14 @@ def imaginary_power_conjugation(q: Element, t: float) -> LinearMap:
 
 
 def theta_between(p: SequentialProduct, p2: SequentialProduct, q: Element) -> LinearMap:
-    """Theta_q = (L_q)^-1 L'_q relating two products at an invertible q.
+    """Theta_q = (L_q)^-1 L'_q relating two products at an invertible q, (L_q)^-1 the sandwich
+    by p's root at q^-1 (``_inverse_root``), as ``homogeneity_iso`` forms L_{a^-1}.
 
-    For p standard and p2 twisted(t) on a complex algebra this is the
-    conjugation b -> q^{it} b q^{-it}.
+    For p standard and p2 twisted(t) on a complex algebra this is b -> q^{it} b q^{-it}.
     """
     check_same_algebra(p, p2, q)
-    # above SUPPORT_TOL, which the roots take as kernel; L_q reads the same solve
+    # above SUPPORT_TOL, which the roots take as kernel; both roots read the same solve
     _require_spectrum(frame_range(q), math.nextafter(SUPPORT_TOL, math.inf), math.inf,
                       "theta_between needs an invertible q; min eigenvalue {:.3e}")
-    l_q = multiplication_operator(p, q)
-    l2_q = multiplication_operator(p2, q)
-    return _linear_map(q.algebra, l_q.invert().compose(l2_q).matrix, "Theta_q")
+    l_qinv = q.algebra._backend.quadratic_operator(_inverse_root(p, q, "theta_between"))
+    return _linear_map(q.algebra, l_qinv @ multiplication_operator(p2, q).matrix, "Theta_q")

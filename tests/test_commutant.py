@@ -623,3 +623,29 @@ def test_a_family_holding_a_nan_fails_loudly_in_either_order(short):
         if not alg.summands:
             with pytest.raises(sp.NumericalFailureError, match="not finite"):
                 sp.bicommutant_basis([_fresh(y) for y in family])
+
+
+#: the three calls that take a family, by name
+FAMILY_CALLS = {"commutant_basis": sp.commutant_basis, "bicommutant_basis": sp.bicommutant_basis,
+                "simultaneous_diagonalize": sp.simultaneous_diagonalize}
+
+
+@pytest.mark.parametrize("name", FAMILY_CALLS)
+@pytest.mark.parametrize("short", ["real:3", "spin:3", "sum(complex:2,real:3)"])
+def test_a_family_call_refuses_a_stacked_element_by_name_and_solves_nothing(short, name,
+                                                                            solves):
+    # the refusal comes before the capability check, so the sum refuses a stack in all three
+    alg = sp.parse_algebra(short)
+    call = FAMILY_CALLS[name]
+    a, other = sp.random_effect(alg, 94), sp.random_effect(sp.parse_algebra("real:2"), 94)
+    s = alg._backend.stack(alg, [a, a])
+    solves.update(eigh=0, eigvalsh=0)
+    for family, i in (([s], 0), ([a, s], 1), ([a, a * 0.5, s, a], 2)):
+        with pytest.raises(sp.PreconditionError,
+                           match=f"^{name} takes single elements; element {i} is a stack$"):
+            call(family)
+    with pytest.raises(sp.PreconditionError, match=f"^{name} needs a non-empty family"):
+        call([])
+    with pytest.raises(sp.DescriptorMismatchError):
+        call([a, other])
+    assert solves == {"eigh": 0, "eigvalsh": 0}

@@ -2,23 +2,26 @@
 
 Each mutant patches one function in one place: an operator primitive or the sandwich of the
 matrix backend (real, complex and quaternionic kinds, and the matrix summands of a direct
-sum), the quaternionic projection, the spin T_a, or the root function of ``spectral``, which
-every root, inverse root and phase of the kernel goes through.  Every law runs on the five
-reference algebras with the standard product, 5 trials, seed 1 and its own tol, and the rows
-that do not pass are compared with the matrix below, fails and raises recorded apart: a raise
-measures no residual.
+sum), the quaternionic projection, the spin T_a, the root function of ``spectral``, which
+every root, inverse root and phase of the kernel goes through, or ``seq_product``.  The
+product is patched in both modules that bind it, ``products`` (for ``commutes``) and
+``auditor`` (for the laws): no other module of the package calls it.  Every law runs on
+the five reference algebras with the standard product, 5 trials, seed 1 and its own tol, and
+the rows that do not pass are compared with the matrix below, fails and raises recorded
+apart: a raise measures no residual.
 
 A mutant that no row catches on an algebra where it is planted is recorded as equivalent
 there, with the reason.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import seqprod as sp
-from seqprod import _backends, spectral
+from seqprod import _backends, auditor, products, spectral
 from seqprod.auditor import _AXIOMS, ALL_LAWS, LAWS, REFERENCE_ALGEBRAS, audit_law
 
 MATRIX_ALGEBRAS = ("real:4", "complex:4", "quat:3", "sum(complex:2,real:3)")
@@ -27,6 +30,7 @@ _jordan = _backends._MatrixBackend.jordan_operator
 _quadratic = _backends._MatrixBackend.quadratic_operator
 _spin_jordan = _backends._SpinBackend.jordan_operator
 _power = spectral._twisted_power
+_seq_product = products.seq_product
 
 
 def _scaled_jordan(self, a):
@@ -59,6 +63,19 @@ def _scaled_root(t, exponent):
     return lambda lams: power(lams) * math.sqrt(1.0 + 1e-6)
 
 
+def _quarter_root(t, exponent):
+    # every product root and sqrt_pos; inverse roots and phases are left as they are
+    return _power(t, 0.25 if exponent == 0.5 else exponent)
+
+
+def _swapped_product(p, a, b):
+    return _seq_product(p, b, a)
+
+
+def _jordan_as_product(p, a, b):
+    return sp.jordan_product(a, b)
+
+
 def _unconjugated_sandwich(self, m, x):
     return self._element(x.algebra, m.data @ x.data @ m.data.swapaxes(-1, -2))
 
@@ -89,8 +106,10 @@ def _laws(algebras, laws, verdict="fail"):
 
 
 MATRIX = _backends._MatrixBackend
-#: mutant -> (owner, attribute, patched version, the rows it does not pass: (law, algebra) ->
-#: verdict); "error" is a raise
+#: the modules that bind ``seq_product``
+PRODUCT = (products, auditor)
+#: mutant -> (owner or owners, attribute, patched version, the rows it does not pass: (law,
+#: algebra) -> verdict); "error" is a raise
 MUTANTS = {
     # Q_a = 2 T_a^2 - T_{a^2} is off by about 2e-6; a scaled T_a commutes as T_a does, so
     # COMMUTE_EQUIV is equivalent
@@ -108,11 +127,11 @@ MUTANTS = {
                                    {**_each(COMPLEX_ALGEBRAS, "FUNDAMENTAL_EQ"),
                                     **_each(COMPLEX_ALGEBRAS, "COMMUTE_EQUIV")}),
     # x -> m x m^H followed by I + 1e-2 G, G a fixed Gaussian matrix: L_a, the homogeneity
-    # isomorphism and the unitary order isomorphisms all move
+    # isomorphism and the unitary order isomorphisms all move, and L_q^-1 L_q, both sandwiches
+    # skewed, is no longer the identity
     "quadratic_skewed": (MATRIX, "quadratic_operator", _skewed_quadratic,
-                         {**_each(MATRIX_ALGEBRAS, "HOMOGENEITY"),
-                          **_each(MATRIX_ALGEBRAS, "INVARIANCE"),
-                          **_each(MATRIX_ALGEBRAS, "QUADRATIC_LAW")}),
+                         _laws(MATRIX_ALGEBRAS, ("HOMOGENEITY", "INVARIANCE", "QUADRATIC_LAW",
+                                                 "THETA_STRUCTURE"))),
     # every root, inverse root and phase with its exponent doubled: the product is a b a, and
     # the pseudo-inverse root q^-1; caught on every algebra
     "power_doubled": (spectral, "_twisted_power", _doubled_power,
@@ -120,11 +139,35 @@ MUTANTS = {
                             ("SEA4", "SEA5", "SCALAR_LINEARITY", "SHARP_PROPS", "COMMUTE_EQUIV",
                              "HOMOGENEITY", "PSEUDO_INVERSE", "QUADRATIC_LAW"))),
     # the root of exponent 1/2 (sqrt_pos and every product root) times sqrt(1 + 1e-6): the
-    # product is off by 1e-6 relative; inverse roots and phases are left as they are
+    # product is off by 1e-6 relative; inverse roots and phases are left as they are, so
+    # Theta_q = L_q^-1 L_q, L_q^-1 from the inverse root, is off by 1e-6 too
     "root_scaled": (spectral, "_twisted_power", _scaled_root,
                     _laws(REFERENCE_ALGEBRAS,
                           ("SEA2", "SHARP_PROPS", "FLOOR_LIMIT", "PSEUDO_INVERSE", "DIVIDE",
-                           "HOMOGENEITY", "INVERTIBILITY_PRES"))),
+                           "HOMOGENEITY", "INVERTIBILITY_PRES", "THETA_STRUCTURE"))),
+    # every product root and sqrt_pos at exponent 1/4: the product is a^{1/4} b a^{1/4}.  As
+    # for the two product mutants below, DIVIDE's drawn a = q o x need not lie below q, so
+    # divide refuses it
+    "root_quarter": (spectral, "_twisted_power", _quarter_root, {
+        **_laws(REFERENCE_ALGEBRAS, ("SEA4", "SEA5", "SCALAR_LINEARITY", "PRODUCT_LE_LEFT",
+                                     "MONOTONE_RIGHT", "SHARP_PROPS", "FLOOR_LIMIT",
+                                     "COMMUTE_EQUIV", "HOMOGENEITY", "PSEUDO_INVERSE",
+                                     "QUADRATIC_LAW", "THETA_STRUCTURE")),
+        **_each(REFERENCE_ALGEBRAS, "DIVIDE", "error")}),
+    # b o a for a o b: the product no longer lies below its first factor
+    "arguments_swapped": (PRODUCT, "seq_product", _swapped_product, {
+        **_laws(REFERENCE_ALGEBRAS, ("SEA1", "SEA4", "PRODUCT_LE_LEFT", "MONOTONE_RIGHT",
+                                     "SYMMETRY", "QUADRATIC_LAW")),
+        **_each(REFERENCE_ALGEBRAS, "DIVIDE", "error")}),
+    # the Jordan product a * b as the product: it need not be positive, so INVERTIBILITY_PRES,
+    # which takes a pseudo-inverse of a product, raises on every algebra but real:4
+    "jordan_as_product": (PRODUCT, "seq_product", _jordan_as_product, {
+        **_laws(REFERENCE_ALGEBRAS, ("SEA4", "PRODUCT_LE_LEFT", "MONOTONE_RIGHT",
+                                     "COMMUTE_EQUIV", "QUADRATIC_LAW")),
+        ("INVERTIBILITY_PRES", "real:4"): "fail",
+        **_laws(("complex:4", "quat:3", "spin:5", "sum(complex:2,real:3)"),
+                ("INVERTIBILITY_PRES",), "error"),
+        **_each(REFERENCE_ALGEBRAS, "DIVIDE", "error")}),
     # the matrix sandwich m x m^T: equivalent on real:4, where m^T = m^H; on the complex kinds a
     # product of effects keeps the Hermitian part of m x m^T, which need not be positive, so
     # the rows that pass a product on to a root, divide or a pseudo-inverse raise there
@@ -144,17 +187,18 @@ MUTANTS = {
                               "MONOTONE_RIGHT", "SHARP_PROPS", "FLOOR_LIMIT", "SPECTRAL_RECON",
                               "FUNDAMENTAL_EQ", "COMMUTE_EQUIV", "SELF_DUALITY", "HOMOGENEITY",
                               "PSEUDO_INVERSE", "INVARIANCE", "INVERTIBILITY_PRES",
-                              "QUADRATIC_LAW")),
+                              "QUADRATIC_LAW", "THETA_STRUCTURE")),
         ("DIVIDE", "quat:3"): "error"}),
     # the spin T_a with its off-diagonal v scaled by 0.999: the operator laws on spin:5 only
     "spin_jordan_shrunk": (_backends._SpinBackend, "jordan_operator", _shrunk_spin_jordan,
                            _laws(("spin:5",), ("FUNDAMENTAL_EQ", "HOMOGENEITY",
-                                               "QUADRATIC_LAW"))),
+                                               "QUADRATIC_LAW", "THETA_STRUCTURE"))),
 }
 #: the laws that reject each caught mutant: "axioms", "characterisations" or "both"
 GROUPS = {**dict.fromkeys(("jordan_scaled", "jordan_of_conjugate", "jordan_of_conjugate_images",
                            "quadratic_skewed", "spin_jordan_shrunk"), "characterisations"),
-          **dict.fromkeys(("power_doubled", "root_scaled", "sandwich_unconjugated",
+          **dict.fromkeys(("power_doubled", "root_scaled", "root_quarter",
+                           "arguments_swapped", "jordan_as_product", "sandwich_unconjugated",
                            "quat_project_flipped"), "both")}
 
 
@@ -182,8 +226,24 @@ def test_correct_code_passes_every_row():
 @pytest.mark.parametrize("name", MUTANTS)
 def test_each_mutant_fails_the_rows_of_its_kill_matrix(monkeypatch, name):
     owner, attribute, mutant, want = MUTANTS[name]
-    monkeypatch.setattr(owner, attribute, mutant)
+    for module in owner if isinstance(owner, tuple) else (owner,):
+        monkeypatch.setattr(module, attribute, mutant)
     got = _kill_rows()
     assert got == want
     if want:
         assert _group(law for law, _ in got) == GROUPS[name]
+
+
+def test_only_dyadic_bound_fails_no_mutant_by_residual():
+    # a law that only raises measures no residual; DYADIC_BOUND raises on the complex kinds
+    # under the conjugate-free sandwich, and fails nowhere
+    failing = {law for _, _, _, rows in MUTANTS.values()
+               for (law, _), verdict in rows.items() if verdict == "fail"}
+    assert {law.value for law in ALL_LAWS} - failing == {"DYADIC_BOUND"}
+
+
+def test_only_the_patched_modules_call_seq_product():
+    package = Path(sp.__file__).parent
+    callers = {path.stem for path in package.glob("*.py")
+               if "seq_product(" in path.read_text().replace("def seq_product(", "")}
+    assert callers == {module.__name__.rsplit(".", 1)[1] for module in PRODUCT}

@@ -1,8 +1,12 @@
+import ast
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import seqprod as sp
-from seqprod import spectral
+from seqprod import products, spectral
 from seqprod.algebra import (KIND_SPIN, map_distance, operator_norm, random_projection,
                              rel_residual)
 
@@ -373,6 +377,43 @@ def test_theta_group_structure():
     assert map_distance(th_a.compose(th_b), th_b.compose(th_a)) <= 1e-7
     assert map_distance(sp.theta_between(std, tw, sp.pseudo_inverse(a)),
                         th_a.invert()) <= 1e-7
+    # the theta in the other direction, which THETA_STRUCTURE takes as the inverse
+    back = sp.theta_between(tw, std, a)
+    assert map_distance(th_a.compose(back), sp.LinearMap.identity(alg)) <= 1e-12
+    assert map_distance(back, th_a.invert()) <= 1e-12
+
+
+@pytest.mark.parametrize("short", ["real:4", "complex:4", "quat:3", "spin:5",
+                                   "sum(complex:2,real:3)"])
+def test_theta_and_homogeneity_take_l_inverse_from_the_same_inverse_root(short):
+    # both are pinned bit for bit against one expression for L_{a^-1}: the sandwich by the
+    # standard product's root at a^-1
+    alg = sp.parse_algebra(short)
+    std = _std(alg)
+    a, b = (sp.random_effect(alg, seed, "invertible") for seed in (56, 57))
+    l_ainv = alg._backend.quadratic_operator(products._inverse_root(std, a, "a test"))
+    l_a, l_b = (sp.multiplication_operator(std, x).matrix for x in (a, b))
+    assert np.array_equal(sp.theta_between(std, std, a).matrix, l_ainv @ l_a)
+    assert np.array_equal(sp.homogeneity_iso(a, b).matrix, l_b @ l_ainv)
+    assert map_distance(sp.theta_between(std, std, a), sp.LinearMap.identity(alg)) <= 1e-12
+
+
+def test_no_package_path_inverts_an_operator_matrix():
+    # L^-1 is always the sandwich by an inverse root; LinearMap.invert stays as public API
+    calls = []
+    for path in Path(sp.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name == "invert" or (name == "_lapack" and node.args
+                                        and getattr(node.args[0], "value", None) == "inv"):
+                    calls.append((path.name, node.lineno))
+    assert calls == [("algebra.py", _invert_line())]
+
+
+def _invert_line():
+    lines, start = inspect.getsourcelines(sp.LinearMap.invert)
+    return start + next(i for i, line in enumerate(lines) if '_lapack("inv"' in line)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,10 @@ def test_the_gate_lists_the_rows_that_report_diff_flags(tmp_path, capsys):
     assert rows == [line for line in lines if line.startswith(("SEA2 ", "SEA3 "))]
     assert gate.changes(rows) == (1, 1)
     assert gate.changes([]) == (0, 0)
+    # SEA3 changed its verdict, so only SEA2 counts; its drift is 1e-15 against max(1, .)
+    assert gate.drifted_laws(rows) == {"SEA2": (1, 1e-15)}
+    assert gate.drifted_laws(rows + rows) == {"SEA2": (2, 1e-15)}
+    assert gate.drifted_laws([]) == {}
 
 
 def test_the_gate_counts_changed_and_drifted_rows_per_report_and_in_all(monkeypatch, capsys):
@@ -86,6 +90,7 @@ def test_the_gate_counts_changed_and_drifted_rows_per_report_and_in_all(monkeypa
     lines = capsys.readouterr().out.splitlines()
     counts = "1 changed trials, verdict, expectation or witness; 1 only drifted"
     assert lines.count(f"  flagged rows: {counts}") == len(gate.RUNS)
-    assert lines[-1] == (f"0 of {len(gate.RUNS)} reports unchanged against REV; flagged rows: "
+    assert lines[-2] == (f"0 of {len(gate.RUNS)} reports unchanged against REV; flagged rows: "
                          f"{len(gate.RUNS)} changed trials, verdict, expectation or witness; "
                          f"{len(gate.RUNS)} only drifted")
+    assert lines[-1] == f"only drifted: SEA2 {len(gate.RUNS)} rows, largest 1.0e-15"

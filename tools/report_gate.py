@@ -8,8 +8,9 @@ registered in ``.git``), then runs on both trees, each command in its own subpro
 characterizations --seed 42 --out``.  Each pair of reports goes through the working tree's
 ``seqprod report diff --max-drift 0``, REV's report as A, whose summary line is printed with
 the rows it flags ``<-- CHANGED`` under it, then how many of them changed their trials,
-verdict, expectation or witness trial and how many only drifted; the last line adds these
-up over every report.
+verdict, expectation or witness trial and how many only drifted; the next line adds these
+up over every report, and the last names each law whose rows only drifted, with its row
+count and largest drift.
 Exits 0 when every pair is unchanged (the same trials run, verdicts, expectations and
 witness trials, and residuals equal to the bit), 1 on any change, and 2 when REV is not a
 commit or a run writes no report.  Standard library only.
@@ -50,6 +51,19 @@ def changes(rows: list[str]) -> tuple[int, int]:
     return moved, len(rows) - moved
 
 
+def drifted_laws(rows: list[str]) -> dict[str, tuple[int, float]]:
+    """law -> (rows, largest drift) of the flagged ``rows`` that only drifted: a row starts
+    with its law, and its drift is the fourth field from the end (drift, time, ``<--
+    CHANGED``)."""
+    laws = {}
+    for row in rows:
+        if "->" not in row:
+            fields = row.split()
+            count, largest = laws.get(fields[0], (0, 0.0))
+            laws[fields[0]] = count + 1, max(largest, float(fields[-4]))
+    return laws
+
+
 def _counts(moved: int, drifted: int) -> str:
     return f"{moved} changed trials, verdict, expectation or witness; {drifted} only drifted"
 
@@ -66,7 +80,7 @@ def main(argv: list[str]) -> int:
         return 2
     archive = subprocess.run([*git, "archive", "--format=zip", rev, "src"],
                              capture_output=True, check=True).stdout
-    changed = moved = drifted = 0
+    changed, every_row = 0, []
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         zipfile.ZipFile(io.BytesIO(archive)).extractall(tmp / "rev")
@@ -83,14 +97,16 @@ def main(argv: list[str]) -> int:
             lines = (diff.stdout or diff.stderr).strip().splitlines()
             print(f"{name}: {lines[-1] if lines else f'exit {diff.returncode}'}")
             rows = flagged(lines)
+            every_row += rows
             for line in rows:
                 print(f"  {line}")
-            counts = changes(rows)
-            print(f"  flagged rows: {_counts(*counts)}")
-            moved, drifted = moved + counts[0], drifted + counts[1]
+            print(f"  flagged rows: {_counts(*changes(rows))}")
             changed += diff.returncode != 0
     print(f"{len(RUNS) - changed} of {len(RUNS)} reports unchanged against {rev}; "
-          f"flagged rows: {_counts(moved, drifted)}")
+          f"flagged rows: {_counts(*changes(every_row))}")
+    laws = drifted_laws(every_row)
+    print("only drifted: " + ("; ".join(f"{law} {count} rows, largest {largest:.1e}"
+                                        for law, (count, largest) in laws.items()) or "none"))
     return 1 if changed else 0
 
 

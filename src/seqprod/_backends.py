@@ -37,11 +37,10 @@ conjugated basis (:func:`_operator`).  A basis element E_k has at most one nonze
 row and column, so a product with it is exact, and one product per trial gives every E_k at
 once: [E_1; ...; E_d] a for T_a, and m [E_1 | ... | E_d] for Q_m.  For Hermitian E_i,
 Re tr(E_i P^H) = Re tr(E_i P), so E_k a alone has the coordinates of (E_k a + a E_k) / 2,
-column k of T_a; ``commutant_rows`` takes E_k s - (E_k s)^H from the same product.  Q_m is
-the one sandwich: on matrix kinds ``quadratic`` and ``quadratic_operator`` take
-x -> m x m^H, which is Q_m for Hermitian m and serves as well an m that is not
-self-adjoint: a product root or phase from ``functional``, or ``iso_operator``'s unitary.
-Spin factors keep the Jordan forms, and direct sums lift them.
+column k of T_a.  Q_m is the one sandwich: on matrix kinds ``quadratic`` and
+``quadratic_operator`` take x -> m x m^H, which is Q_m for Hermitian m and serves as well an
+m that is not self-adjoint: a product root or phase from ``functional``, or ``iso_operator``'s
+unitary.  Spin factors keep the Jordan forms, and direct sums lift them.
 
 A *stacked* element, built only by ``stack``, ``random_elements`` (F samples per
 Generator, the only Gaussian draw: one ``standard_normal`` call per Generator, which the
@@ -204,10 +203,6 @@ POLAR_DEGENERACY = 1e-10
 #: singular values of the stacked commutator maps at most this, relative to the largest (and to
 #: 1), span the commutant
 COMMUTANT_TOL = 1e-8
-#: a spin element whose vector part is no longer than this has no direction
-SPIN_DIRECTION_MIN = 1e-12
-#: spin directions whose |cosine| is within this of 1 are collinear
-SPIN_COLLINEAR_TOL = 1e-9
 
 def _lapack(name: str, mat: np.ndarray, *args, **kwargs):
     """``np.linalg``'s ``name`` on ``mat``, stacked (k, m, m) or not: the one way to LAPACK.
@@ -333,12 +328,16 @@ def _random_structured_unitaries(alg, rngs) -> np.ndarray:
     raise NumericalFailureError(f"could not orthonormalize a random sample on {alg}")
 
 
+@lru_cache(maxsize=None)
+def _coordinate_basis(alg):
+    """The orthonormal coordinate basis of ``alg`` as one stack of elements, a trial per element."""
+    return alg._backend.from_coords(alg, np.eye(alg.real_dimension))
+
+
 class _Backend:
     """Defaults shared by the backends; the simple kinds take a size and no summands."""
 
     name = ""
-    #: commutant_rows is available
-    has_commutant = True
 
     def validate(self, alg):
         if alg.size < 1:
@@ -390,6 +389,20 @@ class _Backend:
         k, size = len(rngs), self.draw_size(alg)
         normals = _standard_normals(rngs, fields, size)
         return self.from_normals(alg, normals.swapaxes(0, 1).reshape(fields * k, size))
+
+    def commutator_norm(self, a, b):
+        """The Frobenius norm of ``commutator(a, b)``, per trial for a stack."""
+        return _frobenius(self.commutator(a, b))
+
+    def commutant_rows(self, alg, elems) -> np.ndarray:
+        """Null space of the stacked maps X -> [X, s], one coordinate row each: the commutators
+        [E_k, s] of the coordinate basis, one stack per s, flattened per E_k into the columns of
+        one real matrix, whose SVD goes through :func:`_lapack`."""
+        dim, basis = self.real_dimension(alg), _coordinate_basis(alg)
+        comm = np.stack([self.commutator(basis, s).reshape(dim, -1) for s in elems], 1)
+        maps = np.concatenate([comm.real, comm.imag], -1).reshape(dim, -1).T
+        _, svals, vh = _lapack("svd", maps, full_matrices=False)
+        return vh[svals <= COMMUTANT_TOL * max(1.0, float(svals[0]))]
 
     def order_iso(self, alg, kind: str, rngs):
         """(coordinate matrices (k, d, d), label) of unital order isomorphisms of the requested
@@ -499,24 +512,10 @@ def _operator(alg, images: np.ndarray) -> np.ndarray:
 
 
 def _basis_products(alg, mat: np.ndarray) -> np.ndarray:
-    """E_k mat for every basis element E_k, (..., dim, m, m), from one product per trial.
-
-    Each entry is one exact product, so for a Hermitian mat, mat E_k is the conjugate
-    transpose of E_k mat bit for bit."""
+    """E_k mat for every basis element E_k, (..., dim, m, m), from one product per trial."""
     basis = _matrix_basis(alg)
     dim, m = basis.shape[:2]
     return (basis.reshape(dim * m, m) @ mat).reshape(mat.shape[:-2] + basis.shape)
-
-
-def _skew_part(prods: np.ndarray) -> np.ndarray:
-    """P - P^H per (m, m) block of ``prods``, in one new buffer that first takes P^H.
-
-    The transpose is copied, not read by a ufunc, which would stage it in a buffer.
-    """
-    out = np.ascontiguousarray(prods.swapaxes(-1, -2))
-    if np.iscomplexobj(out):
-        np.conjugate(out, out=out)
-    return np.subtract(prods, out, out=out)
 
 
 class _MatrixBackend(_Backend):
@@ -715,9 +714,9 @@ class _MatrixBackend(_Backend):
             payload = np.add(payload["re"], np.multiply(1j, payload["im"]))
         return _alg.Element(alg, payload)
 
-    def commutator_norm(self, a, b) -> float:
-        """The Frobenius norm of [a, b] = ab - ba, per trial for a stack."""
-        return _frobenius(a.data @ b.data - b.data @ a.data)
+    def commutator(self, a, b) -> np.ndarray:
+        """[a, b] = ab - ba, per trial for a stack."""
+        return a.data @ b.data - b.data @ a.data
 
     def order_isos(self, alg) -> tuple[str, ...]:
         if self.kind == KIND_COMPLEX:
@@ -729,19 +728,6 @@ class _MatrixBackend(_Backend):
             transpose = _operator(alg, _matrix_basis(alg).swapaxes(1, 2))
             return np.broadcast_to(transpose, (len(rngs),) + transpose.shape)
         return self.quadratic_operator(_trusted(alg, _random_structured_unitaries(alg, rngs)))
-
-    def commutant_rows(self, alg, elems) -> np.ndarray:
-        """Null space of the stacked commutator maps X -> Xs - sX, one coordinate row each, from
-        one SVD through :func:`_lapack`."""
-        dim = self.real_dimension(alg)
-        blocks = []
-        for s in elems:
-            # E_k s - s E_k, with s E_k the conjugate transpose of E_k s
-            comm = _skew_part(_basis_products(alg, s.data)).reshape(dim, -1)
-            # (2 m^2, dim): one column per coordinate
-            blocks.append(np.concatenate([comm.real, comm.imag], axis=1).T)
-        _, svals, vh = _lapack("svd", np.vstack(blocks), full_matrices=False)
-        return vh[svals <= COMMUTANT_TOL * max(1.0, float(svals[0]))]
 
     def joint_frame(self, alg, elems, gap: float) -> list:
         """Refine the whole space I by each generator in turn.
@@ -794,11 +780,6 @@ def _spin(alg, v, t):
 def _col(s) -> np.ndarray:
     """Per-trial scalars ``s`` as a column that scales the rows of a stack of vectors."""
     return np.asarray(s)[..., None]
-
-
-def _spin_directions(elems) -> list[np.ndarray]:
-    """The unit vectors v/|v| of the elements whose |v| exceeds SPIN_DIRECTION_MIN, in order."""
-    return [v / r for v, _, r in map(_spin_radius, elems) if r > SPIN_DIRECTION_MIN]
 
 
 class _SpinBackend(_Backend):
@@ -923,12 +904,12 @@ class _SpinBackend(_Backend):
     def from_payload(self, alg, payload, decode):
         return _alg.Element(alg, (payload["v"], payload["t"]))
 
-    def commutator_norm(self, a, b) -> float:
-        """The Frobenius norm of v w^T - w v^T for the vector parts v and w, which is
-        sqrt(2) |v ^ w|, per trial for a stack."""
+    def commutator(self, a, b) -> np.ndarray:
+        """v w^T - w v^T for the vector parts v and w, per trial for a stack; its Frobenius norm
+        is sqrt(2) |v ^ w|."""
         v, w = a.data[0][..., :, None], b.data[0][..., :, None]
         outer = v * w.swapaxes(-1, -2)  # v w^T, per trial for a stack
-        return _frobenius(outer - outer.swapaxes(-1, -2))
+        return outer - outer.swapaxes(-1, -2)
 
     def order_isos(self, alg) -> tuple[str, ...]:
         return ("spin_rotation",)
@@ -937,22 +918,14 @@ class _SpinBackend(_Backend):
         return _block_diag([_random_structured_unitaries(real_symmetric(alg.size), rngs),
                             np.eye(1)])
 
-    def commutant_rows(self, alg, elems) -> np.ndarray:
-        dirs = _spin_directions(elems)
-        if not dirs:
-            return np.eye(self.real_dimension(alg))
-        ref = dirs[0]
-        unit = self.to_coords(self.scalar(alg, 1.0)) / np.sqrt(2.0)
-        if all(abs(abs(float(d @ ref)) - 1.0) <= SPIN_COLLINEAR_TOL for d in dirs):
-            return np.stack([self.to_coords(_alg.Element(alg, (ref, 0.0))) / np.sqrt(2.0), unit])
-        return unit[None, :]
-
     def joint_frame(self, alg, elems, gap: float) -> list:
-        dirs = _spin_directions(elems)
-        if not dirs:
-            return [self.scalar(alg, 1.0)]
-        ref = dirs[0]
-        return [_alg.Element(alg, (0.5 * ref, 0.5)), _alg.Element(alg, (-0.5 * ref, 0.5))]
+        """The ``spectral_pairs`` frame of the first generator that ``gap`` splits, which the
+        commuting generators share, or the identity: the last generator's unsplit frame."""
+        for s in elems:
+            frame = self.spectral_pairs(s, gap)[1]
+            if len(frame) > 1:
+                break
+        return frame
 
 
 # ---------------------------------------------------------------------------
@@ -963,7 +936,6 @@ class _SumBackend(_Backend):
     """Finite direct sums; elements are tuples of summand elements."""
 
     kind = KIND_SUM
-    has_commutant = False
 
     def validate(self, alg):
         if not alg.summands:
@@ -1017,6 +989,13 @@ class _SumBackend(_Backend):
     to_coords = _lifted("to_coords", 1, lambda parts: np.concatenate(parts, axis=-1))
     to_payload = _lifted("to_payload", 1, list)
     commutator_norm = _lifted("commutator_norm", 2, _largest)  # the largest block's
+
+    def commutator(self, a, b) -> np.ndarray:
+        """The blocks' commutators, each flattened per trial (a nested sum's already is), joined
+        in block order."""
+        parts = _blockwise("commutator", (a, b))
+        return np.concatenate([p if s.summands else _rows(p)
+                               for s, p in zip(a.algebra.summands, parts)], -1)
 
     def scalar(self, alg, c: float):
         return _trusted(alg, tuple(s._backend.scalar(s, c) for s in alg.summands))

@@ -26,7 +26,7 @@ from .algebra import (
     trace,
     trace_inner_product,
 )
-from .errors import CapabilityError, NumericalFailureError, PreconditionError
+from .errors import NumericalFailureError, PreconditionError
 from .products import COMMUTE_TOL
 from .spectral import DEFAULT_GAP, _require_gap
 
@@ -49,6 +49,7 @@ class FunctionModel:
         return len(self.frame)
 
     def to_function(self, a: Element) -> np.ndarray:
+        _family([a], "to_function")
         return np.array([trace_inner_product(a, p) / trace(p) for p in self.frame])
 
     def from_function(self, values) -> Element:
@@ -72,15 +73,9 @@ def _family(elems: list[Element], what: str) -> AlgebraDescriptor:
     return alg
 
 
-def _require_commutant(alg: AlgebraDescriptor, what: str):
-    if not alg._backend.has_commutant:
-        raise CapabilityError(f"{what} supports matrix kinds and spin factors, not {alg}")
-
-
 def commutant_basis(elems: list[Element]) -> list[Element]:
     """Orthonormal basis of the self-adjoint elements commuting with all of S."""
     alg = _family(elems, "commutant_basis")
-    _require_commutant(alg, "commutant_basis")
     backend = alg._backend
     rows = backend.commutant_rows(alg, elems)
     basis = backend.from_coords(alg, rows)  # one stack, a trial per row
@@ -104,7 +99,6 @@ def _require_mutually_commuting(elems, alg):
 def bicommutant_basis(elems: list[Element]) -> list[Element]:
     """Basis of (S')', for a mutually commuting S."""
     alg = _family(elems, "bicommutant_basis")
-    _require_commutant(alg, "bicommutant_basis")
     _require_mutually_commuting(elems, alg)
     return commutant_basis(commutant_basis(elems))
 

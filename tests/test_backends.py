@@ -176,8 +176,8 @@ def test_every_eigenvalue_precondition_is_the_one_spectrum_check():
 
 
 #: the matrix primitives that direct sums do without: no matrix of their own, no Gaussian draw
-#: of their own, no commutant rows (``has_commutant`` is False)
-SUM_DOES_WITHOUT = {"matrix_order", "gaussian", "commutant_rows"}
+#: of their own
+SUM_DOES_WITHOUT = {"matrix_order", "gaussian"}
 
 
 def test_direct_sums_define_every_matrix_primitive():
@@ -187,6 +187,26 @@ def test_direct_sums_define_every_matrix_primitive():
               if callable(value) and not name.startswith("_")}
     assert SUM_DOES_WITHOUT <= matrix
     assert matrix - SUM_DOES_WITHOUT - set(vars(_backends._SumBackend)) == set()
+
+
+def test_each_kind_has_one_commutator_and_the_commutant_is_written_once():
+    # every kind defines ``commutator``; the norm and the commutant rows are read from it by
+    # the base class alone (the direct sum keeps its largest-block norm), so no kind carries a
+    # copy of its own
+    classes = [_backends._Backend, *{type(b) for b in _backends._BACKENDS.values()}]
+
+    def owners(name):
+        return {cls.__name__ for cls in classes if name in vars(cls)}
+
+    assert owners("commutator") == {"_MatrixBackend", "_SpinBackend", "_SumBackend"}
+    assert owners("commutant_rows") == {"_Backend"}
+    assert owners("commutator_norm") == {"_Backend", "_SumBackend"}
+    package = Path(sp.__file__).parent
+    defined = {path.stem: re.findall(r"def (commutator\w*|commutant_rows)\(", path.read_text())
+               for path in package.glob("*.py")}
+    assert {name: sorted(d) for name, d in defined.items() if d} == {
+        "_backends": ["commutant_rows", "commutator", "commutator", "commutator",
+                      "commutator_norm"]}
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 import seqprod as sp
 from seqprod import _backends
 from seqprod._backends import KIND_QUAT, KIND_SPIN, _clusters, _matrix_basis
-from seqprod.algebra import from_coords, to_coords
+from seqprod.algebra import from_coords, to_coords, trace
 from seqprod.products import COMMUTE_TOL
 from seqprod.spectral import DEFAULT_GAP
 
@@ -79,10 +79,19 @@ def test_commutant_spin_cases():
     assert len(sp.commutant_basis([b, c])) == 1
 
 
-def test_commutant_rejects_direct_sums():
-    alg = sp.parse_algebra("sum(complex:2,real:2)")
-    with pytest.raises(sp.CapabilityError):
-        sp.commutant_basis([sp.identity(alg)])
+@pytest.mark.parametrize("short", ["sum(complex:2,real:3)", "sum(spin:3,quat:2)"])
+def test_the_commutant_of_a_direct_sum_is_the_sum_of_the_blocks_commutants(short):
+    alg = sp.parse_algebra(short)
+    a, b = sp.random_effect(alg, 61), sp.random_effect(alg, 62, "sharp")
+    for family in ([a], [a, b], [sp.identity(alg)], [a, sp.jordan_product(a, a)]):
+        basis = sp.commutant_basis(family)
+        blocks = [sp.commutant_basis([x.data[bi] for x in family])
+                  for bi in range(len(alg.summands))]
+        assert len(basis) == sum(map(len, blocks))
+        for e in basis:
+            for bi, sub in enumerate(alg.summands):
+                for x in family:
+                    assert sub._backend.commutator_norm(e.data[bi], x.data[bi]) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -240,22 +249,23 @@ def test_diagonalize_rejects_non_positive_gap(gap):
 # must equal the reference bit for bit: data, dtype and signed zeros.  With
 # ``split_all`` the frame reference solves every compression, quaternionic
 # lines too: a second oracle, which the quaternionic frames match to rounding.
-# The package forms
-# the commutators as B - B^H from one product B = [E_1; ...; E_d] s; on
-# complex:2, complex:3 and quat:3 its rows differ from the reference's in
-# the signs of some zero entries, and the bases must still be equal.
+# A spin factor's frame is the split frame of its first generator that the gap
+# splits.  The rows are the null space of the maps X -> [X, s] on every kind;
+# on spin factors the closed form (the family's direction, if every direction
+# is collinear, and the unit) is a second oracle, compared by span.
 
 ORACLE_ALGEBRAS = ["real:4", "complex:4", "quat:3", "quat:2", "complex:2", "spin:5", "real:1",
                    "sum(complex:2,real:3)", "sum(sum(real:2,complex:2),spin:2)"]
 PROFILES = ["generic", "singular", "sharp", "invertible"]
 
 
-def _reference_directions(elems):
+def _reference_directions(elems, least):
+    """v / |v| of each spin element whose |v| exceeds ``least``, in order."""
     dirs = []
     for e in elems:
         v, _ = e.data
         r = np.linalg.norm(v)
-        if r > 1e-12:
+        if r > least:
             dirs.append(v / r)
     return dirs
 
@@ -270,7 +280,7 @@ def reference_frame(alg, elems, gap=DEFAULT_GAP, split_all=False):
                 frame.append(sp.Element(alg, tuple(blocks)))
         return frame
     if alg.kind == KIND_SPIN:
-        dirs = _reference_directions(elems)
+        dirs = _reference_directions(elems, gap / 2.0)
         if not dirs:
             return [alg._backend.scalar(alg, 1.0)]
         return [sp.Element(alg, (0.5 * dirs[0], 0.5)), sp.Element(alg, (-0.5 * dirs[0], 0.5))]
@@ -291,24 +301,48 @@ def reference_frame(alg, elems, gap=DEFAULT_GAP, split_all=False):
     return [sp.Element(alg, v @ v.conj().T) for v in subspaces]
 
 
-def reference_rows(alg, elems):
+def reference_commutators(alg, s):
+    """[E_k, s] flattened, a row per coordinate basis element E_k: on a spin factor E_k is
+    (e_k / sqrt(2), 0), or (0, 1 / sqrt(2)), whose commutator is 0; on a direct sum each
+    summand's rows fill its block, zero elsewhere."""
+    if alg.summands:
+        parts = [reference_commutators(sub, blk) for sub, blk in zip(alg.summands, s.data)]
+        out = np.zeros((alg.real_dimension, sum(p.shape[1] for p in parts)),
+                       np.result_type(*parts))
+        row = col = 0
+        for p in parts:
+            out[row:row + p.shape[0], col:col + p.shape[1]] = p
+            row, col = row + p.shape[0], col + p.shape[1]
+        return out
     if alg.kind == KIND_SPIN:
-        dirs = _reference_directions(elems)
-        dim = alg.real_dimension
-        if not dirs:
-            return list(np.eye(dim))
-        unit = to_coords(sp.identity(alg)) / np.sqrt(2.0)
-        if all(abs(abs(float(d @ dirs[0])) - 1.0) <= 1e-9 for d in dirs):
-            return [to_coords(sp.Element(alg, (dirs[0], 0.0))) / np.sqrt(2.0), unit]
-        return [unit]
-    dim, basis = alg.real_dimension, _matrix_basis(alg)
-    blocks = []
+        w, d = s.data[0], alg.size
+        units = np.eye(d + 1)[:, :d] / np.sqrt(2.0)
+        return np.stack([(np.outer(v, w) - np.outer(w, v)).ravel() for v in units])
+    basis = _matrix_basis(alg)
+    return (basis @ s.data - s.data @ basis).reshape(alg.real_dimension, -1)
+
+
+def reference_rows(alg, elems):
+    dim, blocks = alg.real_dimension, []
     for s in elems:
-        comm = (basis @ s.data - s.data @ basis).reshape(dim, -1)
+        comm = reference_commutators(alg, s)
         blocks.append(np.concatenate([comm.real, comm.imag], axis=1).T)
     _, svals, vh = np.linalg.svd(np.vstack(blocks), full_matrices=False)
     tol = 1e-8 * max(1.0, float(svals[0]))
     return [vh[i] for i in range(dim) if svals[i] <= tol]
+
+
+def closed_form_spin_rows(alg, elems):
+    """The spin commutant in closed form: everything when no element has a direction (|v| above
+    1e-12), else the unit, and the first direction when every direction is collinear with it
+    (|cosine| within 1e-9 of 1)."""
+    dirs = _reference_directions(elems, 1e-12)
+    if not dirs:
+        return list(np.eye(alg.real_dimension))
+    unit = to_coords(sp.identity(alg)) / np.sqrt(2.0)
+    if all(abs(abs(float(d @ dirs[0])) - 1.0) <= 1e-9 for d in dirs):
+        return [to_coords(sp.Element(alg, (dirs[0], 0.0))) / np.sqrt(2.0), unit]
+    return [unit]
 
 
 def reference_basis(elems):
@@ -377,7 +411,7 @@ def test_frames_keep_the_signs_of_zero_entries(seed):
 
 
 @pytest.mark.parametrize("profile", PROFILES)
-@pytest.mark.parametrize("short", [s for s in ORACLE_ALGEBRAS if not s.startswith("sum")])
+@pytest.mark.parametrize("short", ORACLE_ALGEBRAS)
 def test_commutant_bases_equal_the_reference(short, profile):
     alg = sp.parse_algebra(short)
     a, b = sp.random_effect(alg, 81, profile), sp.random_effect(alg, 82)
@@ -388,8 +422,80 @@ def test_commutant_bases_equal_the_reference(short, profile):
                                  reference_basis(reference_basis(family)), name)
 
 
+@pytest.mark.parametrize("profile", PROFILES)
+@pytest.mark.parametrize("short", ["spin:5", "spin:2", "spin:1"])
+def test_spin_commutants_span_the_closed_form(short, profile):
+    alg = sp.parse_algebra(short)
+    a, b = sp.random_effect(alg, 81, profile), sp.random_effect(alg, 82)
+    for name, family in {**_families(alg, a), "a,b": [a, b]}.items():
+        rows = np.array(closed_form_spin_rows(alg, family))
+        got = _span_projector(sp.commutant_basis(family))
+        assert np.abs(got - rows.T @ rows).max() <= 1e-14, name
+
+
+def _frame_projector(frame):
+    """The projector onto the span of an orthogonal frame, each p normalised by sqrt(tr p)."""
+    return _span_projector([p * (1.0 / math.sqrt(trace(p))) for p in frame])
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+@pytest.mark.parametrize("short", ORACLE_ALGEBRAS)
+def test_the_bicommutant_of_a_commuting_family_is_the_span_of_its_joint_frame(short, profile):
+    # the double-commutant theorem: S'' is the algebra of functions on the joint frame of S
+    alg = sp.parse_algebra(short)
+    a = sp.random_effect(alg, 80, profile)
+    for name, family in _families(alg, a).items():
+        frame = sp.simultaneous_diagonalize(family).frame
+        bicommutant = sp.bicommutant_basis(family)
+        assert len(bicommutant) == len(frame), name
+        assert np.abs(_span_projector(bicommutant) - _frame_projector(frame)).max() <= 1e-12, name
+
+
+def _unsplit(short):
+    """An element whose two eigenvalues lie 2e-10 apart: |v| = 1e-10 on a spin factor."""
+    alg = sp.parse_algebra(short)
+    if alg.kind == KIND_SPIN:
+        return sp.Element(alg, (np.r_[1e-10, np.zeros(alg.size - 1)], 0.5))
+    return sp.Element(alg, np.diag([0.5 + 1e-10, 0.5 - 1e-10]).astype(complex))
+
+
+@pytest.mark.parametrize("short", ["spin:3", "complex:2"])
+def test_an_element_the_gap_does_not_split_is_one_point_everywhere(short):
+    x = _unsplit(short)
+    alg = x.algebra
+    for gap in (DEFAULT_GAP, 1e-3):
+        assert len(sp.spectral_decompose(x, gap).pairs) == 1
+        assert sp.simultaneous_diagonalize([x], gap).points == 1
+    assert len(sp.commutant_basis([x])) == alg.real_dimension
+    a = sp.random_effect(alg, 88)
+    for gap in (DEFAULT_GAP, 1e-3, 10.0):
+        # the gap applies to a split element as well
+        assert (sp.simultaneous_diagonalize([a], gap).points
+                == len(sp.spectral_decompose(a, gap).pairs)), gap
+
+
+@pytest.mark.parametrize("gap", [DEFAULT_GAP, 1e-3])
+def test_a_spin_frame_comes_from_the_first_generator_the_gap_splits(gap):
+    alg = sp.spin_factor(3)
+    x, a = _unsplit("spin:3"), sp.random_effect(alg, 89)
+    frame = sp.simultaneous_diagonalize([x, sp.identity(alg), a, sp.jordan_product(a, a)], gap)
+    assert_same_elements(frame.frame, sp.spectral_decompose(a, gap).idempotents, "x,1,a,a*a")
+    assert_same_elements(frame.frame, reference_frame(alg, [x, a], gap), "x,a")
+
+
+@pytest.mark.parametrize("short", ["real:3", "spin:3", "sum(complex:2,real:3)"])
+def test_to_function_refuses_a_stacked_element(short):
+    alg = sp.parse_algebra(short)
+    a = sp.random_effect(alg, 94)
+    model = sp.simultaneous_diagonalize([a])
+    with pytest.raises(sp.PreconditionError,
+                       match="^to_function takes single elements; element 0 is a stack$"):
+        model.to_function(alg._backend.stack(alg, [a, a]))
+    assert model.to_function(a).shape == (model.points,)
+
+
 def test_commutant_rows_are_one_array_on_every_kind():
-    for short in ("real:3", "complex:3", "quat:2", "spin:4"):
+    for short in ("real:3", "complex:3", "quat:2", "spin:4", "sum(spin:3,quat:2)"):
         alg = sp.parse_algebra(short)
         rows = alg._backend.commutant_rows(alg, [sp.random_effect(alg, 83)])
         assert isinstance(rows, np.ndarray) and rows.ndim == 2
@@ -487,7 +593,7 @@ def test_non_finite_input_fails_loudly(short, bad):
     for family in ([x], [a, x], [x, a]):
         with pytest.raises(sp.NumericalFailureError):
             sp.simultaneous_diagonalize(family)
-        with pytest.raises(sp.CapabilityError if alg.summands else sp.NumericalFailureError):
+        with pytest.raises(sp.NumericalFailureError):
             sp.commutant_basis(family)
 
 
@@ -577,8 +683,7 @@ def test_the_precondition_fails_exactly_when_the_commutator_exceeds_its_tol(shor
         expected = None if commuting else (sp.PreconditionError, "elements 0 and 1 do not commute")
         got = _outcome(lambda: sp.simultaneous_diagonalize([_fresh(a), _fresh(b)]))
         assert got == expected, name
-        if not alg.summands:
-            assert _outcome(lambda: sp.bicommutant_basis([_fresh(a), _fresh(b)])) == expected, name
+        assert _outcome(lambda: sp.bicommutant_basis([_fresh(a), _fresh(b)])) == expected, name
         accepted += commuting
         refused += not commuting
     assert accepted >= 20 and refused >= 3  # the battery reaches both sides of the threshold
@@ -598,8 +703,7 @@ def test_a_pair_is_accepted_just_below_the_tol_and_refused_just_above(short):
         b = fa + h * (scale * COMMUTE_TOL / unit)
         assert alg._backend.commutator_norm(a, b) == pytest.approx(scale * COMMUTE_TOL, rel=1e-3)
         assert _outcome(lambda: sp.simultaneous_diagonalize([_fresh(a), _fresh(b)])) == expected
-        if not alg.summands:
-            assert _outcome(lambda: sp.bicommutant_basis([_fresh(a), _fresh(b)])) == expected
+        assert _outcome(lambda: sp.bicommutant_basis([_fresh(a), _fresh(b)])) == expected
 
 
 @pytest.mark.parametrize("short", ["real:4", "spin:3", "sum(complex:2,real:3)"])
@@ -620,9 +724,8 @@ def test_a_family_holding_a_nan_fails_loudly_in_either_order(short):
     for family in ([a, x], [x, a]):
         with pytest.raises(sp.NumericalFailureError, match="not finite"):
             sp.simultaneous_diagonalize([_fresh(y) for y in family])
-        if not alg.summands:
-            with pytest.raises(sp.NumericalFailureError, match="not finite"):
-                sp.bicommutant_basis([_fresh(y) for y in family])
+        with pytest.raises(sp.NumericalFailureError, match="not finite"):
+            sp.bicommutant_basis([_fresh(y) for y in family])
 
 
 #: the three calls that take a family, by name
@@ -634,7 +737,7 @@ FAMILY_CALLS = {"commutant_basis": sp.commutant_basis, "bicommutant_basis": sp.b
 @pytest.mark.parametrize("short", ["real:3", "spin:3", "sum(complex:2,real:3)"])
 def test_a_family_call_refuses_a_stacked_element_by_name_and_solves_nothing(short, name,
                                                                             solves):
-    # the refusal comes before the capability check, so the sum refuses a stack in all three
+    # the refusal comes before any solve, on every kind
     alg = sp.parse_algebra(short)
     call = FAMILY_CALLS[name]
     a, other = sp.random_effect(alg, 94), sp.random_effect(sp.parse_algebra("real:2"), 94)

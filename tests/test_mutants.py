@@ -1,9 +1,10 @@
 """A planted-defect kill matrix.
 
-Each mutant patches one function in one place: an operator primitive or the sandwich of the
-matrix backend (real, complex and quaternionic kinds, and the matrix summands of a direct
-sum), the quaternionic projection, the spin T_a, the root function of ``spectral``, which
-every root, inverse root and phase of the kernel goes through, or ``seq_product``.  The
+Each mutant patches one function in one place: an operator primitive, the sandwich or the
+commutator of the matrix backend (real, complex and quaternionic kinds, and the matrix
+summands of a direct sum), the quaternionic projection, the spin T_a, the root function of
+``spectral``, which every root, inverse root and phase of the kernel goes through, or
+``seq_product``.  The
 product is patched in both modules that bind it, ``products`` (for ``commutes``) and
 ``auditor`` (for the laws): no other module of the package calls it.  Every law runs on
 the five reference algebras with the standard product, 5 trials, seed 1 and its own tol, and
@@ -78,6 +79,11 @@ def _jordan_as_product(p, a, b):
 
 def _unconjugated_sandwich(self, m, x):
     return self._element(x.algebra, m.data @ x.data @ m.data.swapaxes(-1, -2))
+
+
+def _unconjugated_commutator(self, a, b):
+    ab = a.data @ b.data
+    return ab - ab.swapaxes(-1, -2)
 
 
 def _flipped_quat_project(mat, n):
@@ -180,6 +186,12 @@ MUTANTS = {
         **_each(("sum(complex:2,real:3)",), "PSEUDO_INVERSE"),
         **_each(("sum(complex:2,real:3)",), "INVERTIBILITY_PRES"),
         **_each(("complex:4", "sum(complex:2,real:3)"), "THETA_STRUCTURE", "error")}),
+    # the matrix commutator as ab - (ab)^T: equal to ab - ba on real:4, where (ab)^T = ba; on the
+    # complex kinds a commuting pair's ab is Hermitian, not symmetric, so the ambient verdict of
+    # COMMUTE_EQUIV disagrees with the product's.  The commutant reads the same primitive.  Not
+    # planted on spin:5
+    "commutator_unconjugated": (MATRIX, "commutator", _unconjugated_commutator,
+                                _each(COMPLEX_ALGEBRAS, "COMMUTE_EQUIV")),
     # the quaternionic projection with the sign of its -conj(C) block flipped: every element
     # built on quat:3 leaves the algebra
     "quat_project_flipped": (_backends, "_quat_project", _flipped_quat_project, {
@@ -196,7 +208,8 @@ MUTANTS = {
 }
 #: the laws that reject each caught mutant: "axioms", "characterisations" or "both"
 GROUPS = {**dict.fromkeys(("jordan_scaled", "jordan_of_conjugate", "jordan_of_conjugate_images",
-                           "quadratic_skewed", "spin_jordan_shrunk"), "characterisations"),
+                           "quadratic_skewed", "commutator_unconjugated", "spin_jordan_shrunk"),
+                          "characterisations"),
           **dict.fromkeys(("power_doubled", "root_scaled", "root_quarter",
                            "arguments_swapped", "jordan_as_product", "sandwich_unconjugated",
                            "quat_project_flipped"), "both")}
@@ -247,3 +260,17 @@ def test_only_the_patched_modules_call_seq_product():
     callers = {path.stem for path in package.glob("*.py")
                if "seq_product(" in path.read_text().replace("def seq_product(", "")}
     assert callers == {module.__name__.rsplit(".", 1)[1] for module in PRODUCT}
+
+
+def test_the_commutant_reads_the_commutator_that_commute_equiv_audits(monkeypatch):
+    # under commutator_unconjugated, which COMMUTE_EQUIV catches, the commutant basis of a
+    # complex element no longer commutes with it: the two read one primitive
+    a = sp.random_effect(sp.complex_hermitian(3), 1)
+
+    def worst():
+        return max(np.linalg.norm(e.data @ a.data - a.data @ e.data)
+                   for e in sp.commutant_basis([a]))
+
+    assert worst() <= 1e-12
+    monkeypatch.setattr(MATRIX, "commutator", _unconjugated_commutator)
+    assert worst() > 0.1

@@ -40,7 +40,8 @@ Re tr(E_i P^H) = Re tr(E_i P), so E_k a alone has the coordinates of (E_k a + a 
 column k of T_a.  Q_m is the one sandwich: on matrix kinds ``quadratic`` and
 ``quadratic_operator`` take x -> m x m^H, which is Q_m for Hermitian m and serves as well an
 m that is not self-adjoint: a product root or phase from ``functional``, or ``iso_operator``'s
-unitary.  Spin factors keep the Jordan forms, and direct sums lift them.
+unitary.  Spin factors take Q_m(x) in closed form and keep the Jordan form 2 T_m^2 - T_{m^2} for
+the operator; direct sums lift both.
 
 A *stacked* element, built only by ``stack``, ``random_elements`` (F samples per
 Generator, the only Gaussian draw: one ``standard_normal`` call per Generator, which the
@@ -270,6 +271,16 @@ def _clusters(w: np.ndarray, gap: float):
     joined = w[..., 1:] - w[..., :-1] <= gap
     if not np.count_nonzero(joined):  # every eigenvalue is a cluster of its own
         return [1] * flat.size, flat
+    if w.ndim == 1:  # one element: the same sums in floats, at half the cost
+        sizes, sums = [1], w[:1].tolist()
+        for x, join in zip(w[1:].tolist(), joined.tolist()):
+            if join:  # summed from 0.0, as bincount sums; a lone value (-0.0) is kept as it is
+                sums[-1] = (sums[-1] if sizes[-1] > 1 else 0.0 + sums[-1]) + x
+                sizes[-1] += 1
+            else:
+                sizes.append(1)
+                sums.append(x)
+        return sizes, np.array([x / n for n, x in zip(sizes, sums)])
     new = np.ones(w.shape, dtype=bool)
     new[..., 1:] = ~joined
     new = new.ravel()
@@ -278,6 +289,13 @@ def _clusters(w: np.ndarray, gap: float):
     values = np.bincount(labels, weights=flat) / sizes
     np.copyto(values, flat[new], where=sizes == 1)  # keeps a lone -0.0
     return sizes.tolist(), values
+
+
+def _ends(w: np.ndarray):
+    """The first and last of ascending eigenvalues ``w``: floats for one element."""
+    if w.ndim == 1:
+        return w.item(0), w.item(-1)
+    return w[..., 0], w[..., -1]
 
 
 def _matrix_function(a, f, gap: float) -> np.ndarray:
@@ -360,12 +378,6 @@ class _Backend:
     def from_json(self, obj: dict, decode):
         return _alg.AlgebraDescriptor(self.kind, _config_int(obj[self.json_key]))
 
-    def quadratic(self, a, b):
-        """Q_a(b) = 2a*(a*b) - a^2*b."""
-        jordan = _alg.jordan_product
-        asq = jordan(a, a)
-        return jordan(a, jordan(a, b)) * 2.0 - jordan(asq, b)
-
     def quadratic_operator(self, a) -> np.ndarray:
         """Q_a = 2 T_a^2 - T_{a^2} on coordinates."""
         t_a = self.jordan_operator(a)
@@ -419,18 +431,20 @@ class _Backend:
 # Real, complex and quaternionic Hermitian matrices
 # ---------------------------------------------------------------------------
 
-def _quat_project(mat: np.ndarray, n: int) -> np.ndarray:
-    """Project onto the subspace satisfying J conj(X) J^-1 = X.
+@lru_cache(maxsize=None)
+def _j_places(n: int):
+    """(n..2n-1 as -n..-1 then 0..n-1, the off-diagonal blocks) of :func:`_j_twin` at order 2n."""
+    index = _read_only(np.arange(-n, n))
+    return index, _read_only((index < 0) != (index[:, None] < 0))
 
-    For X = [[A, B], [C, D]], J conj(X) J^H = [[conj D, -conj C], [-conj B, conj A]].
-    """
-    c = mat.conj()
-    twin = np.empty_like(mat)
-    twin[..., :n, :n] = c[..., n:, n:]
-    twin[..., :n, n:] = -c[..., n:, :n]
-    twin[..., n:, :n] = -c[..., :n, n:]
-    twin[..., n:, n:] = c[..., :n, :n]
-    return 0.5 * (mat + twin)
+
+def _j_twin(s: np.ndarray, n: int) -> np.ndarray:
+    """J conj(S) J^H = [[D^T, -B^T], [-C^T, A^T]] of the exactly Hermitian S = [[A, B], [C, D]]
+    (stacked or not), as conj(S) = S^T: entry (i, j) is S[index[j], index[i]], negated off the
+    diagonal blocks."""
+    index, off = _j_places(n)
+    twin = s[..., index, index[:, None]]
+    return np.negative(twin, out=twin, where=off)
 
 
 def _quat_embed(a_part: np.ndarray, b_part: np.ndarray) -> np.ndarray:
@@ -546,11 +560,11 @@ class _MatrixBackend(_Backend):
         return self._hermitian(alg, _numbers(data, self.dtype, (m, m), "an element of {}", alg))
 
     def _hermitian(self, alg, mat: np.ndarray) -> np.ndarray:
-        """``mat`` (stacked or not) symmetrised, J-projected on quaternions, read-only."""
-        mat = 0.5 * (mat + mat.conj().swapaxes(-1, -2))
-        if self.kind == KIND_QUAT:
-            mat = _quat_project(mat, alg.size)
-        return _read_only(mat)
+        """``mat`` (stacked or not) symmetrised, J-projected on quaternions, read-only: S / 2, or
+        (S + J conj(S) J^H) / 4, for the exactly Hermitian S = X + X^H; the latter is
+        0.5 (Y + J conj(Y) J^H) for Y = S / 2 to the bit."""
+        s = mat + mat.conj().swapaxes(-1, -2)
+        return _read_only(0.25 * (s + _j_twin(s, alg.size)) if self.kind == KIND_QUAT else 0.5 * s)
 
     def _element(self, alg, mat: np.ndarray):
         """Element of a matrix product, which is Hermitian only up to round-off."""
@@ -588,12 +602,10 @@ class _MatrixBackend(_Backend):
         return 0.5 * val if self.kind == KIND_QUAT else val
 
     def eigen_range(self, a):
-        w = _spectrum(a)
-        return w[..., 0], w[..., -1]
+        return _ends(_spectrum(a))
 
     def frame_range(self, a):
-        w, _ = _eigen(a)
-        return w[..., 0], w[..., -1]
+        return _ends(_eigen(a)[0])
 
     def residual_terms(self, x, y):
         # ||x - y|| always; ||x|| and ||y|| only on the trials whose bound exceeds 1 - margin,
@@ -774,7 +786,7 @@ def _spin_radius(a):
 def _spin(alg, v, t):
     """The spin element (v, t) of ``alg``, trusted: v read-only, and t as well where it holds a
     stack's trials; a single element's t is kept as it is, a scalar."""
-    return _trusted(alg, (_read_only(v), _read_only(t) if np.ndim(t) else t))
+    return _trusted(alg, (_read_only(v), _read_only(t) if isinstance(t, np.ndarray) else t))
 
 
 def _col(s) -> np.ndarray:
@@ -826,6 +838,14 @@ class _SpinBackend(_Backend):
         (v, t), (w, s) = a.data, b.data
         vec = _col(s) * v + _col(t) * w
         return _spin(a.algebra, vec, np.vecdot(v, w) + t * s)
+
+    def quadratic(self, m, x):
+        """Q_(v,t)(w,s) = (2(<v,w> + ts) v + (t^2 - |v|^2) w, (t^2 + |v|^2) s + 2t <v,w>): the
+        Jordan formula 2m*(m*x) - m^2*x in closed form."""
+        (v, t), (w, s) = m.data, x.data
+        vw, vv, tt = np.vecdot(v, w), np.vecdot(v, v), t * t
+        vec = _col(2.0 * (vw + t * s)) * v + _col(tt - vv) * w
+        return _spin(x.algebra, vec, (tt + vv) * s + 2.0 * t * vw)
 
     def inner(self, a, b) -> float:
         (v, t), (w, s) = a.data, b.data
@@ -977,7 +997,7 @@ class _SumBackend(_Backend):
     scale = _lifted("scale", 1)
     take = _lifted("take", 1)
     jordan = _lifted("jordan", 2)
-    quadratic = _lifted("quadratic", 2)  # m x m^H on matrix blocks, the Jordan form on spin ones
+    quadratic = _lifted("quadratic", 2)  # m x m^H on matrix blocks, the closed form on spin ones
     functional = _lifted("functional", 1)
     jordan_operator = _lifted("jordan_operator", 1, _block_diag)
     quadratic_operator = _lifted("quadratic_operator", 1, _block_diag)

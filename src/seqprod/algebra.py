@@ -208,7 +208,8 @@ def jordan_product(a: Element, b: Element) -> Element:
 
 
 def quadratic_rep(a: Element, b: Element) -> Element:
-    """Quadratic representation Q_a(b) = 2a*(a*b) - a^2*b (= aba on matrices)."""
+    """Quadratic representation Q_a(b) = 2a*(a*b) - a^2*b: aba on matrices, a closed form on
+    spin factors."""
     return check_same_algebra(a, b)._backend.quadratic(a, b)
 
 
@@ -237,7 +238,7 @@ def _in_spectrum(ends, low: float, high: float):
     """Whether low <= lo and hi <= high for the (lo, hi) ``ends`` of an eigenvalue range, a NaN
     end failing: a bool for one element, one per trial for a stack."""
     lo, hi = ends
-    if np.ndim(lo) == 0:  # one element: float comparisons, no 0-d ufunc calls
+    if isinstance(lo, float):  # one element; float() turns numpy-float ends into a bool answer
         return low <= float(lo) and float(hi) <= high
     return (low <= lo) & (hi <= high)
 
@@ -260,6 +261,8 @@ def min_eigenvalue(a: Element) -> float:
 def order_unit_norm(a: Element) -> float:
     """Spectral radius: max |eigenvalue|."""
     lo, hi = eigenvalue_range(a)
+    if isinstance(lo, float):  # one element: no ufunc call on scalars; the ends are finite
+        return max(abs(lo), abs(hi))
     return np.maximum(abs(lo), abs(hi))
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import seqprod as sp
 from seqprod import _backends, algebra, spectral
-from seqprod.algebra import eigenvalue_range
+from seqprod.algebra import _random_effects, eigenvalue_range, to_coords
 
 # ---------------------------------------------------------------------------
 # Clifford-embedding oracle for spin factors
@@ -67,6 +67,27 @@ def test_spin_products_match_clifford_embedding(d):
         assert np.abs(embed(sp.quadratic_rep(a, b)) - ma @ mb @ ma).max() <= 1e-12
         want = (2.0 / m) * np.trace(ma @ mb).real
         assert abs(sp.trace_inner_product(a, b) - want) <= 1e-12
+
+
+def _jordan_sandwich(a, b):
+    """Q_a(b) by the Jordan formula 2a*(a*b) - a^2*b, the reference for the closed-form spin
+    sandwich."""
+    jordan = sp.jordan_product
+    return jordan(a, jordan(a, b)) * 2.0 - jordan(jordan(a, a), b)
+
+
+@pytest.mark.parametrize("short", ["spin:1", "spin:5", "sum(spin:3,quat:2)",
+                                   "sum(real:2,spin:4)"])
+def test_the_spin_sandwich_equals_the_jordan_formula(short):
+    # single and stacked operands, and a single root with a stacked operand and the converse
+    alg = sp.parse_algebra(short)
+    single = [sp.random_effect(alg, seed) for seed in (61, 62)]
+    stacked = [_random_effects(alg, [np.random.default_rng((seed, k)) for k in range(4)])
+               for seed in (63, 64)]
+    for m, x in (single, stacked, (single[0], stacked[1]), (stacked[0], single[1])):
+        got, want = to_coords(sp.quadratic_rep(m, x)), to_coords(_jordan_sandwich(m, x))
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14
 
 
 @pytest.mark.parametrize("d", SPIN_SIZES)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import seqprod as sp
-from seqprod._backends import _quat_project
+from seqprod._backends import _clusters, _eigen
 from seqprod.algebra import (
     Element,
     LinearMap,
@@ -16,6 +16,7 @@ from seqprod.algebra import (
     map_distance,
     trace,
 )
+from seqprod.auditor import REFERENCE_ALGEBRAS
 from seqprod.spectral import DEFAULT_GAP
 
 from conftest import ALGEBRA_SHORTHANDS
@@ -86,11 +87,16 @@ def _symplectic_form(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_quat_project_by_blocks_equals_the_formula(n):
+    # one pass, (S + J conj(S) J^H) / 4 for S = X + X^H, is the two-pass 0.5 (Y + J conj(Y) J^H)
+    # for Y = 0.5 (X + X^H) to the bit, on a stack and on each of its matrices
     rng = np.random.default_rng(n)
-    j = _symplectic_form(n)
-    for _ in range(5):
-        m = rng.standard_normal((2 * n, 2 * n)) + 1j * rng.standard_normal((2 * n, 2 * n))
-        assert np.array_equal(_quat_project(m, n), 0.5 * (m + j @ m.conj() @ j.conj().T))
+    j, alg = _symplectic_form(n), sp.quaternionic_hermitian(n)
+    x = rng.standard_normal((5, 2 * n, 2 * n)) + 1j * rng.standard_normal((5, 2 * n, 2 * n))
+    y = 0.5 * (x + x.conj().swapaxes(-1, -2))
+    want = 0.5 * (y + j @ y.conj() @ j.conj().T)
+    assert np.array_equal(alg._backend._hermitian(alg, x), want)
+    for one, expected in zip(x, want):
+        assert np.array_equal(alg._backend._hermitian(alg, one), expected)
 
 
 def test_additions_do_not_go_through_the_constructor(monkeypatch):
@@ -194,6 +200,63 @@ def test_the_range_does_not_depend_on_what_was_solved_first(short):
             sp.seq_product(sp.SequentialProduct.standard(alg), alone, alone)
             sp.spectral_decompose(alone)
         assert _bits(*eigenvalue_range(alone)) == _bits(first[0][k], first[1][k])
+
+
+@pytest.mark.parametrize("short", REFERENCE_ALGEBRAS)
+def test_one_element_has_scalar_ends_and_a_stack_arrays(short):
+    # the ranges and what reads them give one element floats, never 0-d arrays
+    alg = sp.parse_algebra(short)
+    a = sp.random_effect(alg, 48)
+    stack = _random_effects(alg, [np.random.default_rng((48, k)) for k in range(3)])
+    def ends(call, x):
+        got = call(x)
+        return got if isinstance(got, tuple) else (got,)
+
+    for call in (eigenvalue_range, frame_range, sp.min_eigenvalue, sp.order_unit_norm):
+        for end in ends(call, a):
+            assert isinstance(end, float) and not isinstance(end, np.ndarray), call.__name__
+        for end in ends(call, stack):
+            assert isinstance(end, np.ndarray) and end.shape == (3,), call.__name__
+
+
+def _next(x: float, steps: int) -> float:
+    """The float ``steps`` places above (below, for a negative count) x."""
+    for _ in range(abs(steps)):
+        x = np.nextafter(x, np.copysign(np.inf, steps))
+    return float(x)
+
+
+def _cluster_spectra():
+    """Ascending spectra with joins: quat:3 Kramers spectra, pairs split by a float near
+    1e-16, a lone -0.0, clusters of -0.0s and of three or more, and random spectra drawn from
+    a few values and the floats next to them."""
+    kramers = [_eigen(sp.random_effect(sp.quaternionic_hermitian(3), s))[0] for s in range(5)]
+    fixed = [[0.2, _next(0.2, 1), 0.5, _next(0.5, 2), 0.9, 0.9],
+             [-0.0, 0.3, 0.3, 0.7], [-0.0, -0.0, 0.5], [-0.0, -0.0, -0.0], [-0.0, 0.0, 0.5],
+             [0.0, -0.0], [-0.4, -0.0, 0.0, _next(0.0, 1)],
+             [0.1, 0.1, 0.1, _next(0.1, 1), 0.5, 0.5, 0.5, 0.5]]
+    rng = np.random.default_rng(49)
+    points = [-0.7, -0.0, 0.0, 0.25, 1.0 / 3.0]
+    drawn = [np.sort([_next(points[i], j) for i, j in zip(rng.integers(0, 5, n),
+                                                         rng.integers(-2, 3, n))])
+             for n in rng.integers(1, 9, 2000)]
+    return kramers + [np.array(w) for w in fixed] + drawn
+
+
+def test_one_element_clusters_equal_the_stack_path_bit_for_bit():
+    for w in _cluster_spectra():
+        for gap in (DEFAULT_GAP, 0.3):
+            sizes, values = _clusters(w, gap)
+            stacked_sizes, stacked_values = _clusters(w[None], gap)
+            assert sizes == stacked_sizes
+            assert values.dtype == stacked_values.dtype and values.shape == (len(sizes),)
+            assert values.tobytes() == stacked_values.tobytes(), (w, gap)
+
+
+def test_a_distinct_spectrum_is_its_own_cluster_values():
+    w = np.array([-0.0, 0.1, 0.5, 0.9])
+    sizes, values = _clusters(w, DEFAULT_GAP)
+    assert sizes == [1, 1, 1, 1] and values.base is w
 
 
 @pytest.mark.parametrize("short", FAST_PATH_SHORTHANDS)

@@ -2,7 +2,7 @@
 
 Each mutant patches one function in one place: an operator primitive, the sandwich or the
 commutator of the matrix backend (real, complex and quaternionic kinds, and the matrix
-summands of a direct sum), the quaternionic projection, the spin T_a, the root function of
+summands of a direct sum), the quaternionic J-twin, the spin T_a or sandwich, the root function of
 ``spectral``, which every root, inverse root and phase of the kernel goes through, or
 ``seq_product``.  The
 product is patched in both modules that bind it, ``products`` (for ``commutes``) and
@@ -30,6 +30,8 @@ COMPLEX_ALGEBRAS = ("complex:4", "quat:3", "sum(complex:2,real:3)")
 _jordan = _backends._MatrixBackend.jordan_operator
 _quadratic = _backends._MatrixBackend.quadratic_operator
 _spin_jordan = _backends._SpinBackend.jordan_operator
+_j_twin = _backends._j_twin
+_col = _backends._col
 _power = spectral._twisted_power
 _seq_product = products.seq_product
 
@@ -86,14 +88,17 @@ def _unconjugated_commutator(self, a, b):
     return ab - ab.swapaxes(-1, -2)
 
 
-def _flipped_quat_project(mat, n):
-    c = mat.conj()
-    twin = np.empty_like(mat)
-    twin[..., :n, :n] = c[..., n:, n:]
-    twin[..., :n, n:] = c[..., n:, :n]  # the sign of -conj(C) flipped
-    twin[..., n:, :n] = -c[..., :n, n:]
-    twin[..., n:, n:] = c[..., :n, :n]
-    return 0.5 * (mat + twin)
+def _flipped_j_twin(s, n):
+    twin = _j_twin(s, n)
+    twin[..., :n, n:] *= -1.0  # the sign of -B^T flipped
+    return twin
+
+
+def _skewed_spin_sandwich(self, m, x):
+    (v, t), (w, s) = m.data, x.data
+    vw, vv, tt = np.vecdot(v, w), np.vecdot(v, v), t * t
+    vec = _col(2.0 * (vw + t * s)) * v + _col((tt - vv) * (1.0 + 1e-6)) * w
+    return _backends._spin(x.algebra, vec, (tt + vv) * s + 2.0 * t * vw)
 
 
 def _shrunk_spin_jordan(self, a):
@@ -192,9 +197,9 @@ MUTANTS = {
     # planted on spin:5
     "commutator_unconjugated": (MATRIX, "commutator", _unconjugated_commutator,
                                 _each(COMPLEX_ALGEBRAS, "COMMUTE_EQUIV")),
-    # the quaternionic projection with the sign of its -conj(C) block flipped: every element
-    # built on quat:3 leaves the algebra
-    "quat_project_flipped": (_backends, "_quat_project", _flipped_quat_project, {
+    # the quaternionic J-twin with the sign of its -B^T block flipped: every element built on
+    # quat:3 leaves the algebra
+    "quat_project_flipped": (_backends, "_j_twin", _flipped_j_twin, {
         **_laws(("quat:3",), ("SEA2", "SEA3", "SEA4", "SEA5", "PRODUCT_LE_LEFT",
                               "MONOTONE_RIGHT", "SHARP_PROPS", "FLOOR_LIMIT", "SPECTRAL_RECON",
                               "FUNDAMENTAL_EQ", "COMMUTE_EQUIV", "SELF_DUALITY", "HOMOGENEITY",
@@ -205,6 +210,16 @@ MUTANTS = {
     "spin_jordan_shrunk": (_backends._SpinBackend, "jordan_operator", _shrunk_spin_jordan,
                            _laws(("spin:5",), ("FUNDAMENTAL_EQ", "HOMOGENEITY",
                                                "QUADRATIC_LAW", "THETA_STRUCTURE"))),
+    # the closed-form spin sandwich with the coefficient t^2 - |v|^2 of w scaled by 1 + 1e-6:
+    # every product and divide on spin:5 moves, and FUNDAMENTAL_EQ, whose Q_a keeps the Jordan
+    # form 2 T_a^2 - T_{a^2}, checks the sandwich against T_a.  SEA1 and SCALAR_LINEARITY are
+    # linear in the second factor, SEA3's roots have rank one (t^2 = |v|^2), and the
+    # inequalities of PRODUCT_LE_LEFT and MONOTONE_RIGHT keep their slack on these trials
+    "spin_sandwich_skewed": (_backends._SpinBackend, "quadratic", _skewed_spin_sandwich,
+                             _laws(("spin:5",), ("SEA2", "SEA4", "SEA5", "SHARP_PROPS",
+                                                 "FLOOR_LIMIT", "FUNDAMENTAL_EQ", "COMMUTE_EQUIV",
+                                                 "DIVIDE", "INVERTIBILITY_PRES",
+                                                 "QUADRATIC_LAW"))),
 }
 #: the laws that reject each caught mutant: "axioms", "characterisations" or "both"
 GROUPS = {**dict.fromkeys(("jordan_scaled", "jordan_of_conjugate", "jordan_of_conjugate_images",
@@ -212,7 +227,7 @@ GROUPS = {**dict.fromkeys(("jordan_scaled", "jordan_of_conjugate", "jordan_of_co
                           "characterisations"),
           **dict.fromkeys(("power_doubled", "root_scaled", "root_quarter",
                            "arguments_swapped", "jordan_as_product", "sandwich_unconjugated",
-                           "quat_project_flipped"), "both")}
+                           "quat_project_flipped", "spin_sandwich_skewed"), "both")}
 
 
 def _kill_rows() -> dict:

@@ -68,7 +68,7 @@ def _family(elems: list[Element], what: str) -> AlgebraDescriptor:
         raise PreconditionError(f"{what} needs a non-empty family; pass [identity]")
     alg = check_same_algebra(*elems)
     for i, x in enumerate(elems):
-        if np.ndim(trace(x)):
+        if alg._backend.is_stack(x):
             raise PreconditionError(f"{what} takes single elements; element {i} is a stack")
     return alg
 

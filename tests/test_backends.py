@@ -250,6 +250,22 @@ BASIS_DIGESTS = {
 }
 
 
+@pytest.mark.parametrize("short", ["real:1", "real:4", "complex:1", "complex:4", "quat:1",
+                                   "quat:3"])
+def test_from_coords_is_the_tensordot_of_the_basis_bit_for_bit(short):
+    # one product against the flattened basis gives the bits of np.tensordot, signed zeros
+    # included (the coordinates of the identity)
+    alg = sp.parse_algebra(short)
+    backend, dim = alg._backend, alg.real_dimension
+    rng = np.random.default_rng(40)
+    for coords in (rng.standard_normal(dim), rng.standard_normal((7, dim)), np.eye(dim),
+                   -np.eye(dim), np.zeros(dim), -np.zeros((2, dim))):
+        want = backend._hermitian(alg, np.tensordot(coords, _backends._matrix_basis(alg), 1))
+        got = backend.from_coords(alg, coords).data
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("short", list(BASIS_DIGESTS))
 def test_matrix_basis_is_pinned(short):
     basis = _backends._matrix_basis(sp.parse_algebra(short))

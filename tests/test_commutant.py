@@ -733,15 +733,26 @@ FAMILY_CALLS = {"commutant_basis": sp.commutant_basis, "bicommutant_basis": sp.b
                 "simultaneous_diagonalize": sp.simultaneous_diagonalize}
 
 
+#: a direct sum whose second block alone is a stack, as ``Element(alg, blocks)`` accepts
+SECOND_BLOCK_STACKED = "sum(real:2,spin:2), its spin block stacked"
+
+
 @pytest.mark.parametrize("name", FAMILY_CALLS)
-@pytest.mark.parametrize("short", ["real:3", "spin:3", "sum(complex:2,real:3)"])
+@pytest.mark.parametrize("short", ["real:3", "spin:3", "quat:2", "sum(complex:2,real:3)",
+                                   "sum(spin:2,quat:2)", "sum(sum(real:2,complex:2),spin:2)",
+                                   SECOND_BLOCK_STACKED])
 def test_a_family_call_refuses_a_stacked_element_by_name_and_solves_nothing(short, name,
                                                                             solves):
-    # the refusal comes before any solve, on every kind
-    alg = sp.parse_algebra(short)
+    # the refusal comes before any solve, on every kind, whichever block holds the stack
+    block_stacked = short == SECOND_BLOCK_STACKED
+    alg = sp.parse_algebra("sum(real:2,spin:2)" if block_stacked else short)
     call = FAMILY_CALLS[name]
     a, other = sp.random_effect(alg, 94), sp.random_effect(sp.parse_algebra("real:2"), 94)
-    s = alg._backend.stack(alg, [a, a])
+    if block_stacked:
+        spin = alg.summands[1]
+        s = sp.Element(alg, (a.data[0], spin._backend.stack(spin, [a.data[1]] * 2)))
+    else:
+        s = alg._backend.stack(alg, [a, a])
     solves.update(eigh=0, eigvalsh=0)
     for family, i in (([s], 0), ([a, s], 1), ([a, a * 0.5, s, a], 2)):
         with pytest.raises(sp.PreconditionError,

@@ -2,6 +2,8 @@
 and each matrix element is solved at most once each way: eigenvalues only for its range, in
 full for its frames and roots."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,24 @@ def test_one_element_has_scalar_ends_and_a_stack_arrays(short):
             assert isinstance(end, float) and not isinstance(end, np.ndarray), call.__name__
         for end in ends(call, stack):
             assert isinstance(end, np.ndarray) and end.shape == (3,), call.__name__
+
+
+@pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)])
+def test_a_direct_sum_keeps_the_sign_of_a_tied_zero_end_as_the_ufuncs_do(zeros):
+    # one element's ends are reduced by the builtins over the blocks reversed, a stack's by
+    # np.minimum and np.maximum in block order: both keep the last of tied values
+    alg = sp.parse_algebra("sum(real:1,real:1)")
+    blocks = [Element(s, [[z]]) for s, z in zip(alg.summands, zeros)]
+    x = Element(alg, blocks)
+    for call in (eigenvalue_range, frame_range):
+        lo, hi = call(x)
+        ends = [call(b) for b in blocks]
+        los, his = zip(*ends)
+        want = [reduce(np.minimum, los), reduce(np.maximum, his)]
+        assert [lo, hi] == want == [0.0, 0.0]
+        last_sign = bool(np.signbit(zeros[1]))
+        assert np.signbit([lo, hi]).tolist() == np.signbit(want).tolist() == [last_sign] * 2
+        assert isinstance(lo, float) and isinstance(hi, float)
 
 
 def _next(x: float, steps: int) -> float:

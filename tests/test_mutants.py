@@ -1,10 +1,10 @@
 """A planted-defect kill matrix.
 
-Each mutant patches one function in one place: an operator primitive, the sandwich or the
-commutator of the matrix backend (real, complex and quaternionic kinds, and the matrix
-summands of a direct sum), the quaternionic J-twin, the spin T_a or sandwich, the root function of
-``spectral``, which every root, inverse root and phase of the kernel goes through, or
-``seq_product``.  The
+Each mutant patches one function in one place: an operator primitive, the sandwich, the
+commutator or the single-element projection builder of the matrix backend (real, complex and
+quaternionic kinds, and the matrix summands of a direct sum), the quaternionic J-twin, the
+spin T_a or sandwich, the root function of ``spectral``, which every root, inverse root and
+phase of the kernel goes through, or ``seq_product``.  The
 product is patched in both modules that bind it, ``products`` (for ``commutes``) and
 ``auditor`` (for the laws): no other module of the package calls it.  Every law runs on
 the five reference algebras with the standard product, 5 trials, seed 1 and its own tol, and
@@ -32,6 +32,7 @@ _quadratic = _backends._MatrixBackend.quadratic_operator
 _spin_jordan = _backends._SpinBackend.jordan_operator
 _j_twin = _backends._j_twin
 _col = _backends._col
+_projections = _backends._MatrixBackend._projections
 _power = spectral._twisted_power
 _seq_product = products.seq_product
 
@@ -99,6 +100,11 @@ def _skewed_spin_sandwich(self, m, x):
     vw, vv, tt = np.vecdot(v, w), np.vecdot(v, v), t * t
     vec = _col(2.0 * (vw + t * s)) * v + _col((tt - vv) * (1.0 + 1e-6)) * w
     return _backends._spin(x.algebra, vec, (tt + vv) * s + 2.0 * t * vw)
+
+
+def _shifted_projections(self, alg, vecs, widths):
+    # each cluster or subspace takes the columns one place right of its own, cyclically
+    return _projections(self, alg, np.roll(vecs, -1, axis=1), widths)
 
 
 def _shrunk_spin_jordan(self, a):
@@ -206,6 +212,11 @@ MUTANTS = {
                               "PSEUDO_INVERSE", "INVARIANCE", "INVERTIBILITY_PRES",
                               "QUADRATIC_LAW", "THETA_STRUCTURE")),
         ("DIVIDE", "quat:3"): "error"}),
+    # the projection builder of one element's frame and of the joint frame, each cluster's
+    # columns shifted by one: equivalent on every row, since the laws run stacked frames,
+    # which do not read it.  Tier-1 catches it: the single frames against the stacked ones bit
+    # for bit, the frames against the commutant tests' reference and witness replay
+    "projection_columns_shifted": (MATRIX, "_projections", _shifted_projections, {}),
     # the spin T_a with its off-diagonal v scaled by 0.999: the operator laws on spin:5 only
     "spin_jordan_shrunk": (_backends._SpinBackend, "jordan_operator", _shrunk_spin_jordan,
                            _laws(("spin:5",), ("FUNDAMENTAL_EQ", "HOMOGENEITY",
@@ -288,4 +299,24 @@ def test_the_commutant_reads_the_commutator_that_commute_equiv_audits(monkeypatc
 
     assert worst() <= 1e-12
     monkeypatch.setattr(MATRIX, "commutator", _unconjugated_commutator)
+    assert worst() > 0.1
+
+
+@pytest.mark.parametrize("short", MATRIX_ALGEBRAS)
+def test_the_single_frames_are_caught_against_the_stacked_ones(monkeypatch, short):
+    # under projection_columns_shifted, which no row catches, one element's spectral frame
+    # no longer equals its stack's, and its joint frame no longer rebuilds it
+    alg = sp.parse_algebra(short)
+    a = sp.random_effect(alg, 2)
+
+    def worst():
+        backend = alg._backend
+        stacked = backend.spectral_pairs(backend.stack(alg, [a]), 1e-8)[1]
+        single = sp.spectral_decompose(a).idempotents
+        model = sp.simultaneous_diagonalize([a])
+        gaps = [sp.order_unit_norm(backend.take(p, 0) - q) for p, q in zip(stacked, single)]
+        return max(gaps + [sp.order_unit_norm(model.from_function(model.to_function(a)) - a)])
+
+    assert worst() <= 1e-12
+    monkeypatch.setattr(MATRIX, "_projections", _shifted_projections)
     assert worst() > 0.1

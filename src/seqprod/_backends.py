@@ -55,7 +55,9 @@ along the trial axis, a single element counting as a stack of one, and ``take`` 
 trial out, or gathers trials by an index array: a generator places its trials with one
 of each.  The frame primitive ``spectral_pairs`` gives (values, idempotents, counts):
 each trial's cluster values in decreasing order, its idempotents (an Element per place,
-a zero idempotent where the trial's frame is shorter), and its frame's length.
+a zero idempotent where the trial's frame is shorter), and its frame's length.  On matrix
+kinds ``_MatrixBackend._projections`` forms every V_c V_c^H, of one element's frame, a stack's,
+a joint frame or a sharp draw: the rows that audit stacked frames audit what single calls run.
 
 Primitives whose result is an element return an Element.  Element and the
 generic operations are read from the ``algebra`` module at call time,
@@ -108,14 +110,14 @@ def _config_int(value) -> int:
 def _numbers(data, dtype, shape: tuple, what: str, *args) -> np.ndarray:
     """``data`` as an array of ``dtype`` (float or complex) and ``shape``.  ConfigError, naming
     ``what.format(*args)`` (formatted only on failure), for ragged data, entries that are not
-    numbers (objects, None or strings among them), a nonzero imaginary part where ``dtype`` is
-    float, or another shape."""
+    numbers (booleans, objects, None or strings among them), a nonzero imaginary part where
+    ``dtype`` is float, or another shape."""
     try:
         arr = np.asarray(data)
     except ValueError as exc:  # ragged
         raise ConfigError(f"{what.format(*args)} needs numeric data: {exc}") from None
     kind = arr.dtype.kind
-    if kind not in "biufc" or kind == "c" and dtype is float and arr.imag.any():
+    if kind not in "iufc" or kind == "c" and dtype is float and arr.imag.any():
         raise ConfigError(f"{what.format(*args)} needs {dtype.__name__} data, got {arr.dtype}")
     if arr.shape != shape:
         raise ConfigError(f"{what.format(*args)} needs shape {shape}, got {arr.shape}")
@@ -637,48 +639,43 @@ class _MatrixBackend(_Backend):
     def norm_bounds(self, x):
         return _norm_bounds(x.data)
 
-    def _projections(self, alg, vecs: np.ndarray, widths: list) -> list:
-        """The projections V_c V_c^H onto the consecutive column blocks V_c of ``vecs`` (m, m)
-        of ``widths``, as views of one read-only stack: one product per width, the blocks a
-        reshape of ``vecs`` when the widths are equal and one gather per width otherwise, never
-        a product over padded columns (a zero column changes its rounding), one ``_hermitian``."""
-        m = len(vecs)
+    def _projections(self, alg, vecs: np.ndarray, widths: list) -> np.ndarray:
+        """The projections V_c V_c^H onto the consecutive column blocks V_c of ``widths`` of one
+        matrix ``vecs`` (m, c), or of a stack (k, m, c) whose blocks run on from trial to trial,
+        as one read-only stack: one product per width, the blocks a reshape of ``vecs`` when the
+        widths are equal and one gather per width otherwise, never a product over padded columns
+        (a zero column changes its rounding), one ``_hermitian``."""
+        m, c = vecs.shape[-2:]
         if len(set(widths)) == 1:
-            cols = vecs.reshape(m, -1, widths[0]).swapaxes(0, 1)
+            n = widths[0]
+            cols = vecs.reshape(vecs.shape[:-1] + (-1, n)).swapaxes(-3, -2).reshape(-1, m, n)
             mats = cols @ cols.conj().swapaxes(-1, -2)
         else:
             widths = np.array(widths)
             starts, mats = np.cumsum(widths) - widths, np.empty((len(widths), m, m), vecs.dtype)
+            rows = (starts // c * m)[:, None, None] + np.arange(m)[:, None]  # of its trial
             for n in set(widths.tolist()):
                 sel = np.flatnonzero(widths == n)
-                cols = vecs[np.arange(m)[:, None], starts[sel, None, None] + np.arange(n)]
+                cols = vecs.reshape(-1, c)[rows[sel], starts[sel, None, None] % c + np.arange(n)]
                 mats[sel] = cols @ cols.conj().swapaxes(-1, -2)
-        return [_trusted(alg, p) for p in self._hermitian(alg, mats)]
+        return self._hermitian(alg, mats)
 
     def spectral_pairs(self, a, gap: float):
-        # one product V_c V_c^H per (trial, cluster); a stack makes one per cluster size,
-        # since a zero column padded into V_c would change the product's rounding
         alg = a.algebra
         w, vecs = _eigen(a)
         sizes, values = _clusters(w, gap)
+        mats = self._projections(alg, vecs, sizes)
         if w.ndim == 1:  # one element: as a stack of one taken apart, 2.5-3.5x the time
-            frame = self._projections(alg, vecs, sizes)[::-1]
-            return values[::-1], frame, np.asarray(len(frame))
+            return values[::-1], [_trusted(alg, p) for p in mats[::-1]], np.asarray(len(mats))
         k, m = w.shape
-        sizes = np.array(sizes)
-        starts = np.cumsum(sizes) - sizes
-        trial = starts // m
+        trial = (np.cumsum(sizes) - sizes) // m
         counts = np.bincount(trial, minlength=k)
         slot = (np.cumsum(counts) - 1)[trial] - np.arange(len(sizes))  # decreasing order
         out = np.zeros((k, counts.max()))
         out[trial, slot] = values
-        mats = np.zeros((counts.max(), k, m, m), vecs.dtype)
-        for size in set(sizes.tolist()):
-            sel = np.flatnonzero(sizes == size)
-            cols = vecs[trial[sel, None, None], np.arange(m)[:, None],
-                        starts[sel, None, None] % m + np.arange(size)]
-            mats[slot[sel], trial[sel]] = cols @ cols.conj().swapaxes(-1, -2)
-        return out, [_trusted(alg, p) for p in self._hermitian(alg, mats)], counts
+        frame = np.zeros((counts.max(), k, m, m), vecs.dtype)  # zero past a trial's frame
+        frame[slot, trial] = mats
+        return out, [_trusted(alg, p) for p in _read_only(frame)], counts
 
     def functional(self, a, f, gap: float):
         return _trusted(a.algebra, _matrix_function(a, f, gap))
@@ -730,7 +727,7 @@ class _MatrixBackend(_Backend):
             sel = np.flatnonzero(ranks == r)
             cols = vecs[sel[:, None, None], np.arange(u * n)[:, None],
                         (u * perms[sel, :r, None] + np.arange(u)).reshape(len(sel), 1, -1)]
-            out[sel] = self._hermitian(alg, cols @ cols.conj().swapaxes(-1, -2))
+            out[sel] = self._projections(alg, cols, [u * r] * len(sel))
         return _trusted(alg, _read_only(out))
 
     def to_coords(self, x) -> np.ndarray:
@@ -750,8 +747,11 @@ class _MatrixBackend(_Backend):
         return {"re": x.data.real.tolist(), "im": x.data.imag.tolist()}
 
     def from_payload(self, alg, payload, decode):
-        if self.kind != KIND_REAL:
-            payload = np.add(payload["re"], np.multiply(1j, payload["im"]))
+        if self.kind != KIND_REAL:  # each part checked: re + i im would take booleans as numbers
+            re, im = (_numbers(payload[part], float, (self.matrix_order(alg),) * 2,
+                               "the {} part of an element of {}", part, alg)
+                      for part in ("re", "im"))
+            payload = re + 1j * im
         return _alg.Element(alg, payload)
 
     def commutator(self, a, b) -> np.ndarray:
@@ -770,29 +770,26 @@ class _MatrixBackend(_Backend):
         return self.quadratic_operator(_trusted(alg, _random_structured_unitaries(alg, rngs)))
 
     def joint_frame(self, alg, elems, gap: float) -> list:
-        """Refine the whole space I by each generator in turn.
+        """The first generator's eigenspaces, column blocks of its cached solve, refined by each
+        other generator in turn.  A subspace of dimension ``unit`` is kept as it is: a line, or on
+        quaternions one Kramers pair, a quaternionic line, on which every commuting generator
+        acts as a real scalar, so a solve of v^H s v could only split rounding noise.  Any other
+        subspace v is split by solving v^H s v."""
+        def blocks(w, vecs):
+            sizes = _clusters(w, gap)[0]
+            return [vecs[:, e - n:e] for n, e in zip(sizes, accumulate(sizes))]
 
-        I is split by the generator's cached solve, as I^H s I is s.  A
-        subspace of dimension ``unit`` is kept as it is: a line, or on
-        quaternions one Kramers pair, a quaternionic line, on which every
-        commuting generator acts as a real scalar, so a solve of v^H s v could
-        only split rounding noise.  Any other subspace v is split by solving
-        v^H s v.
-        """
-        eye = np.eye(self.matrix_order(alg), dtype=self.dtype)
-        subspaces = [eye]
-        for s in elems:
+        subspaces = blocks(*_eigen(elems[0]))
+        for s in elems[1:]:
             refined = []
             for v in subspaces:
                 if v.shape[1] == self.unit:
                     refined.append(v)
                     continue
-                w, vecs = _eigen(s) if v is eye else _lapack("eigh", v.conj().T @ s.data @ v)
-                sizes = _clusters(w, gap)[0]
-                refined += [v @ vecs[:, e - n:e] for n, e in zip(sizes, accumulate(sizes))]
+                refined += [v @ c for c in blocks(*_lapack("eigh", v.conj().T @ s.data @ v))]
             subspaces = refined
-        widths = [v.shape[1] for v in subspaces]
-        return self._projections(alg, np.hstack(subspaces), widths)
+        mats = self._projections(alg, np.hstack(subspaces), [v.shape[1] for v in subspaces])
+        return [_trusted(alg, p) for p in mats]
 
 
 # ---------------------------------------------------------------------------

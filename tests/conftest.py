@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import seqprod as sp
 from seqprod import parse_algebra
+
+# Tier-1 draws the same hypothesis examples on every run and every checkout: each test's
+# examples come from a hash of the test, and no example database is read or written.
+# ``pytest --hypothesis-profile explore`` draws fresh examples and keeps failures in the local
+# database (.hypothesis/); the strategies and example counts are the same under both.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile("deterministic")
 
 ALGEBRA_SHORTHANDS = ["real:3", "complex:3", "quat:2", "spin:4", "sum(complex:2,real:3)"]
 MATRIX_SHORTHANDS = ["real:3", "complex:3", "quat:2"]

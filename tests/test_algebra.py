@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seqprod as sp
+from seqprod import serialize
 from seqprod.algebra import (
     _require_spectrum,
     eigenvalue_range,
@@ -156,6 +157,46 @@ def test_malformed_or_complex_data_is_refused(short):
         zero_imag = np.asarray(v) + 0j if t is None else (np.asarray(v) + 0j, t + 0j)
         assert np.array_equal(to_coords(sp.Element(alg, zero_imag)),
                               to_coords(sp.Element(alg, good)))
+
+
+def _boolean_payloads(alg, payload):
+    """Copies of an element payload, each with the numbers of one part (a matrix payload,
+    its re or im, a spin v or t, or one block's part) replaced by booleans."""
+    if alg.summands:
+        return [payload[:i] + [part] + payload[i + 1:]
+                for i, (sub, block) in enumerate(zip(alg.summands, payload))
+                for part in _boolean_payloads(sub, block)]
+    if isinstance(payload, dict):
+        return [{**payload, key: (np.asarray(value) > 0.5).tolist()}
+                for key, value in payload.items()]
+    return [(np.asarray(payload) > 0.5).tolist()]
+
+
+@pytest.mark.parametrize("short", ["real:2", "complex:2", "quat:1", "spin:2",
+                                   "sum(complex:2,spin:2)"])
+def test_boolean_entries_are_refused(short):
+    # numpy counts True and False as numbers; as element data, an element payload,
+    # coordinates, a map's matrix or function values they raise ConfigError, not 1.0 and 0.0
+    alg = sp.parse_algebra(short)
+    a = sp.random_effect(alg, 76)
+    payload = serialize.element_to_json(a)
+    for data in _boolean_payloads(alg, payload["data"]):
+        with pytest.raises(sp.ConfigError):
+            serialize.element_from_json({**payload, "data": data})
+    if alg.kind == "spin_factor":
+        bad = [(np.ones(alg.size, bool), 0.5), (np.ones(alg.size), True)]
+    else:
+        bad = [] if alg.summands else [np.eye(alg.matrix_order, dtype=bool)]
+    for data in bad:
+        with pytest.raises(sp.ConfigError):
+            sp.Element(alg, data)
+    d, n = alg.real_dimension, sp.simultaneous_diagonalize([a]).points
+    for call, data in [(partial(from_coords, alg), np.ones(d, bool)),
+                       (partial(sp.LinearMap, alg), np.eye(d, dtype=bool)),
+                       (sp.simultaneous_diagonalize([a]).from_function, np.ones(n, bool))]:
+        with pytest.raises(sp.ConfigError):
+            call(data)
+        call(data.astype(float))  # the same numbers as floats are taken
 
 
 def test_spin_element_keeps_its_own_copy_of_the_vector():

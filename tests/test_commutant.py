@@ -240,12 +240,13 @@ def test_diagonalize_rejects_non_positive_gap(gap):
 # the frame and the basis against the generator-by-generator reference
 # ---------------------------------------------------------------------------
 #
-# ``reference_frame`` refines the identity's eigenspaces one generator at a
-# time, keeping a subspace of dimension one (two on quaternions: one Kramers
-# pair, a quaternionic line) as it is and solving every other compression
-# v^H s v, and builds each projection with the public constructor;
-# ``reference_basis`` builds one element per null-space row.  The package reads
-# the first generator's cached solve and builds the basis as one stack; both
+# ``reference_frame`` splits the space into the column blocks V_c of the first
+# generator's own solve, then refines them one generator at a time, keeping a
+# subspace of dimension one (two on quaternions: one Kramers pair, a
+# quaternionic line) as it is and solving every other compression v^H s v, and
+# builds each projection with the public constructor; ``reference_basis``
+# builds one element per null-space row.  The package reads the first
+# generator's cached solve and builds the basis as one stack; both
 # must equal the reference bit for bit: data, dtype and signed zeros.  With
 # ``split_all`` the frame reference solves every compression, quaternionic
 # lines too: a second oracle, which the quaternionic frames match to rounding.
@@ -285,8 +286,12 @@ def reference_frame(alg, elems, gap=DEFAULT_GAP, split_all=False):
             return [alg._backend.scalar(alg, 1.0)]
         return [sp.Element(alg, (0.5 * dirs[0], 0.5)), sp.Element(alg, (-0.5 * dirs[0], 0.5))]
     line = 2 if alg.kind == KIND_QUAT else 1
-    subspaces = [np.eye(alg.matrix_order, dtype=alg._backend.dtype)]
-    for s in elems:
+    w, vecs = np.linalg.eigh(elems[0].data)
+    subspaces, start = [], 0
+    for size in _clusters(w, gap)[0]:
+        subspaces.append(vecs[:, start:start + size])
+        start += size
+    for s in elems[1:]:
         refined = []
         for v in subspaces:
             if v.shape[1] == line and not split_all:
@@ -405,9 +410,54 @@ def test_quaternionic_frames_match_the_reference_that_splits_every_subspace(shor
 @pytest.mark.parametrize("seed", [1030, 1034])
 def test_frames_keep_the_signs_of_zero_entries(seed):
     # a complex:2 block equal to the identity up to 4e-17 off the diagonal: its eigenvectors
-    # have zero entries, and each subspace is I V_c, whose zeros may differ in sign from V_c's
+    # have zero entries, whose signs each frame keeps from the first generator's V_c
     alg = sp.parse_algebra("sum(sum(real:2,complex:2),spin:2)")
     _check_frames(alg, sp.random_effect(alg, seed, "sharp"))
+
+
+#: (algebra, profile) of the one-generator cases; "zero signs" takes the complex:2 blocks of the
+#: elements whose zero entries ``test_frames_keep_the_signs_of_zero_entries`` reads
+ONE_GENERATOR_CASES = [(short, profile) for short in ("real:1", "real:4", "complex:4", "quat:3")
+                       for profile in PROFILES] + [("complex:2", "zero signs")]
+
+
+@pytest.mark.parametrize("short,profile", ONE_GENERATOR_CASES)
+def test_a_one_generator_joint_frame_is_its_spectral_frame(short, profile):
+    # both are the one projection builder on the generator's own column blocks: bit for bit,
+    # signed zeros included, the joint frame in ascending order
+    if profile == "zero signs":
+        nested = sp.parse_algebra("sum(sum(real:2,complex:2),spin:2)")
+        elems = [sp.random_effect(nested, seed, "sharp").data[0].data[1] for seed in (1030, 1034)]
+    else:
+        elems = [sp.random_effect(sp.parse_algebra(short), 83, profile)]
+    for a in elems:
+        for x, y in ((a, a), (_fresh(a), _fresh(a))):
+            want = sp.spectral_decompose(x).idempotents[::-1]
+            assert_same_elements(sp.simultaneous_diagonalize([y]).frame, want, short)
+
+
+def test_every_matrix_frame_goes_through_the_one_projection_builder(monkeypatch):
+    calls = []
+    builder = _backends._MatrixBackend._projections
+
+    def counted(self, alg, vecs, widths):
+        calls.append(vecs.ndim)
+        return builder(self, alg, vecs, widths)
+
+    monkeypatch.setattr(_backends._MatrixBackend, "_projections", counted)
+    alg = sp.complex_hermitian(3)
+    backend, a = alg._backend, sp.random_effect(alg, 84)
+    stack, a2 = backend.stack(alg, [a, a]), sp.jordan_product(a, a)
+    rngs = [np.random.default_rng(seed) for seed in (1, 2, 3)]
+    # one matrix of eigenvectors for a single frame or a joint frame, a stack for a stacked frame
+    # and for the rank columns of a sharp draw
+    for call, ndim in [(lambda: sp.spectral_decompose(_fresh(a)), 2),
+                       (lambda: backend.spectral_pairs(stack, DEFAULT_GAP), 3),
+                       (lambda: sp.simultaneous_diagonalize([_fresh(a), a2]), 2),
+                       (lambda: backend.random_projections(alg, rngs, True), 3)]:
+        calls.clear()
+        call()
+        assert calls and set(calls) == {ndim}, ndim
 
 
 @pytest.mark.parametrize("profile", PROFILES)

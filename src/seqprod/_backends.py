@@ -69,7 +69,7 @@ from __future__ import annotations
 import math
 import numbers
 from functools import lru_cache, reduce
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import add
 
 import numpy as np
@@ -111,7 +111,8 @@ def _numbers(data, dtype, shape: tuple, what: str, *args) -> np.ndarray:
     """``data`` as an array of ``dtype`` (float or complex) and ``shape``.  ConfigError, naming
     ``what.format(*args)`` (formatted only on failure), for ragged data, entries that are not
     numbers (booleans, objects, None or strings among them), a nonzero imaginary part where
-    ``dtype`` is float, or another shape."""
+    ``dtype`` is float, or another shape.  numpy reads a boolean among numbers as a number, so
+    the entries of nested lists are looked at one by one; an ndarray's dtype settles it."""
     try:
         arr = np.asarray(data)
     except ValueError as exc:  # ragged
@@ -119,6 +120,12 @@ def _numbers(data, dtype, shape: tuple, what: str, *args) -> np.ndarray:
     kind = arr.dtype.kind
     if kind not in "iufc" or kind == "c" and dtype is float and arr.imag.any():
         raise ConfigError(f"{what.format(*args)} needs {dtype.__name__} data, got {arr.dtype}")
+    if arr.ndim and not isinstance(data, np.ndarray):
+        entries = data
+        for _ in range(arr.ndim - 1):
+            entries = chain.from_iterable(entries)
+        if not {bool, np.bool_}.isdisjoint(map(type, entries)):
+            raise ConfigError(f"{what.format(*args)} needs {dtype.__name__} data, got a boolean")
     if arr.shape != shape:
         raise ConfigError(f"{what.format(*args)} needs shape {shape}, got {arr.shape}")
     return np.asarray(arr.real if kind == "c" and dtype is float else arr, dtype=dtype)
@@ -272,22 +279,26 @@ def _clusters(w: np.ndarray, gap: float):
     A cluster chains neighbours at most ``gap`` apart; the clusters of all
     rows come in order, their sizes as a list.  A cluster's value is its
     only eigenvalue, or its mean, summed in order as ``np.mean`` sums fewer
-    than 8 values.
+    than 8 values.  One element (1-D ``w``) takes the same differences and
+    sums in Python floats, at half the cost of a stack's array operations.
     """
-    flat = w.ravel()
-    joined = w[..., 1:] - w[..., :-1] <= gap
-    if not np.count_nonzero(joined):  # every eigenvalue is a cluster of its own
-        return [1] * flat.size, flat
-    if w.ndim == 1:  # one element: the same sums in floats, at half the cost
-        sizes, sums = [1], w[:1].tolist()
-        for x, join in zip(w[1:].tolist(), joined.tolist()):
-            if join:  # summed from 0.0, as bincount sums; a lone value (-0.0) is kept as it is
+    if w.ndim == 1:
+        lams = w.tolist()
+        sizes, sums = [1], lams[:1]
+        for prev, x in zip(lams, lams[1:]):
+            if x - prev <= gap:  # summed from 0.0, as bincount sums; a lone -0.0 is kept
                 sums[-1] = (sums[-1] if sizes[-1] > 1 else 0.0 + sums[-1]) + x
                 sizes[-1] += 1
             else:
                 sizes.append(1)
                 sums.append(x)
+        if len(sizes) == len(lams):  # every eigenvalue is a cluster of its own
+            return sizes, w.ravel()
         return sizes, np.array([x / n for n, x in zip(sizes, sums)])
+    flat = w.ravel()
+    joined = w[..., 1:] - w[..., :-1] <= gap
+    if not np.count_nonzero(joined):
+        return [1] * flat.size, flat
     new = np.ones(w.shape, dtype=bool)
     new[..., 1:] = ~joined
     new = new.ravel()
@@ -319,9 +330,9 @@ def _matrix_function(a, f, gap: float) -> np.ndarray:
     sizes, values = _clusters(w, gap)
     if len(sizes) < w.size:
         values = np.repeat(values, sizes)
-    coef = f(values.reshape(w.shape).T).T
-    mat = (vecs * coef[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    if np.iscomplexobj(coef):
+    coef = f(values) if w.ndim == 1 else f(values.reshape(w.shape).T).T[..., None, :]
+    mat = (vecs * coef) @ vecs.conj().swapaxes(-1, -2)
+    if coef.dtype.kind == "c":
         return _read_only(mat)
     return a.algebra._backend._hermitian(a.algebra, mat)
 
@@ -573,9 +584,12 @@ class _MatrixBackend(_Backend):
     def _hermitian(self, alg, mat: np.ndarray) -> np.ndarray:
         """``mat`` (stacked or not) symmetrised, J-projected on quaternions, read-only: S / 2, or
         (S + J conj(S) J^H) / 4, for the exactly Hermitian S = X + X^H; the latter is
-        0.5 (Y + J conj(Y) J^H) for Y = S / 2 to the bit."""
+        0.5 (Y + J conj(Y) J^H) for Y = S / 2 to the bit.  S is summed and scaled in place."""
         s = mat + mat.conj().swapaxes(-1, -2)
-        return _read_only(0.25 * (s + _j_twin(s, alg.size)) if self.kind == KIND_QUAT else 0.5 * s)
+        if self.kind == KIND_QUAT:
+            s += _j_twin(s, alg.size)
+        s *= 0.25 if self.kind == KIND_QUAT else 0.5
+        return _read_only(s)
 
     def _element(self, alg, mat: np.ndarray):
         """Element of a matrix product, which is Hermitian only up to round-off."""
@@ -747,12 +761,12 @@ class _MatrixBackend(_Backend):
         return {"re": x.data.real.tolist(), "im": x.data.imag.tolist()}
 
     def from_payload(self, alg, payload, decode):
-        if self.kind != KIND_REAL:  # each part checked: re + i im would take booleans as numbers
-            re, im = (_numbers(payload[part], float, (self.matrix_order(alg),) * 2,
-                               "the {} part of an element of {}", part, alg)
-                      for part in ("re", "im"))
-            payload = re + 1j * im
-        return _alg.Element(alg, payload)
+        if self.kind == KIND_REAL:
+            return _alg.Element(alg, payload)
+        # each part checked, as re + i im would take booleans as numbers, and then symmetrised
+        re, im = (_numbers(payload[part], float, (self.matrix_order(alg),) * 2,
+                           "the {} part of an element of {}", part, alg) for part in ("re", "im"))
+        return self._element(alg, re + 1j * im)
 
     def commutator(self, a, b) -> np.ndarray:
         """[a, b] = ab - ba, per trial for a stack."""
@@ -774,12 +788,14 @@ class _MatrixBackend(_Backend):
         other generator in turn.  A subspace of dimension ``unit`` is kept as it is: a line, or on
         quaternions one Kramers pair, a quaternionic line, on which every commuting generator
         acts as a real scalar, so a solve of v^H s v could only split rounding noise.  Any other
-        subspace v is split by solving v^H s v."""
+        subspace v is split by solving v^H s v.  Where none is, the blocks are the columns of the
+        first generator's solve, which go to the projections as they are."""
         def blocks(w, vecs):
             sizes = _clusters(w, gap)[0]
             return [vecs[:, e - n:e] for n, e in zip(sizes, accumulate(sizes))]
 
-        subspaces = blocks(*_eigen(elems[0]))
+        w, vecs = _eigen(elems[0])
+        subspaces, solved = blocks(w, vecs), False
         for s in elems[1:]:
             refined = []
             for v in subspaces:
@@ -787,8 +803,10 @@ class _MatrixBackend(_Backend):
                     refined.append(v)
                     continue
                 refined += [v @ c for c in blocks(*_lapack("eigh", v.conj().T @ s.data @ v))]
+                solved = True
             subspaces = refined
-        mats = self._projections(alg, np.hstack(subspaces), [v.shape[1] for v in subspaces])
+        mats = self._projections(alg, np.hstack(subspaces) if solved else vecs,
+                                 [v.shape[1] for v in subspaces])
         return [_trusted(alg, p) for p in mats]
 
 

@@ -101,7 +101,17 @@ def _threshold(a: Element, f) -> Element:
 def _twisted_power(t: float | None, exponent: float):
     """The one root function: eigenvalues (any shape) x -> x^{exponent} x^{it} on the support
     x > SUPPORT_TOL, complex with a phase (t None takes none); off it 1 for the phase (exponent
-    0) and 0 for a root, which so annihilates the kernel as pseudo_inverse does."""
+    0) and 0 for a root, which so annihilates the kernel as pseudo_inverse does.  The untwisted
+    root and inverse root are sqrt(x) and 1 / sqrt(x), with no power: numpy's ``**`` with
+    exponent 1.0 and -1.0 returns y and 1 / y, so their bits are the general form's."""
+    if t is None and exponent == 0.5:
+        return lambda lams: np.sqrt(np.where(lams > SUPPORT_TOL, lams, 0.0))
+    if t is None and exponent == -0.5:
+        def inverse_root(lams: np.ndarray) -> np.ndarray:
+            support = lams > SUPPORT_TOL
+            return np.where(support, 1.0 / np.sqrt(np.where(support, lams, 1.0)), 0.0)
+        return inverse_root
+
     def power(lams: np.ndarray) -> np.ndarray:
         support = lams > SUPPORT_TOL
         x = np.where(support, lams, 1.0)
@@ -153,7 +163,7 @@ def pseudo_inverse(b: Element) -> Element:
     """
     _require_spectrum(frame_range(b), -SUPPORT_TOL, math.inf, _POSITIVE, "pseudo_inverse")
     # True / x is 1.0 / x, False / 1.0 is 0.0
-    return _threshold(b, lambda x: (x > SUPPORT_TOL) / np.where(x > SUPPORT_TOL, x, 1.0))
+    return _threshold(b, lambda x: (support := x > SUPPORT_TOL) / np.where(support, x, 1.0))
 
 
 def _dyadic_count(x: np.ndarray, n: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from functools import partial
@@ -197,6 +198,29 @@ def test_boolean_entries_are_refused(short):
         with pytest.raises(sp.ConfigError):
             call(data)
         call(data.astype(float))  # the same numbers as floats are taken
+
+
+def test_a_boolean_among_numbers_is_refused():
+    # numpy converts [[True, 0.5], [0.5, False]] to floats before any dtype check, so list
+    # data is refused by its entries' types; the element JSON true is a Python True
+    real = sp.real_symmetric(2)
+    for data in ([[True, 0.5], [0.5, False]], [[1.0, np.True_], [1.0, 0.5]], [[True, 2], [2, 1]]):
+        with pytest.raises(sp.ConfigError, match="got a boolean"):
+            sp.Element(real, data)
+    text = '{"algebra": {"kind": "real_symmetric", "n": 2}, "data": [[true, 0.5], [0.5, 1.0]]}'
+    with pytest.raises(sp.ConfigError, match="got a boolean"):
+        serialize.element_from_json(json.loads(text))
+    cplx, spin = sp.complex_hermitian(2), sp.spin_factor(3)
+    with pytest.raises(sp.ConfigError, match="the im part .* got a boolean"):
+        serialize.element_from_json({"algebra": {"kind": "complex_hermitian", "n": 2}, "data": {
+            "re": [[1.0, 0.5], [0.5, 1.0]], "im": [[0.0, False], [0.0, 0.0]]}})
+    with pytest.raises(sp.ConfigError, match="got a boolean"):
+        sp.Element(spin, ([0.5, True, 0.0], 1.0))
+    # the same numbers as floats, and an ndarray, whose dtype settles it, are taken
+    want = sp.Element(real, np.array([[1.0, 0.5], [0.5, 0.0]]))
+    assert np.array_equal(sp.Element(real, [[1.0, 0.5], [0.5, 0.0]]).data, want.data)
+    assert np.array_equal(sp.Element(cplx, [[1, 0.5j], [-0.5j, 0]]).data[0, 1], 0.5j)
+    assert sp.Element(spin, ([0.5, 1.0, 0.0], 1.0)).data[1] == 1.0
 
 
 def test_spin_element_keeps_its_own_copy_of_the_vector():

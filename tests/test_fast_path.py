@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import seqprod as sp
+from seqprod import spectral
 from seqprod._backends import _clusters, _eigen
 from seqprod.algebra import (
+    SUPPORT_TOL,
     Element,
     LinearMap,
     _random_effects,
@@ -277,6 +279,35 @@ def test_a_distinct_spectrum_is_its_own_cluster_values():
     w = np.array([-0.0, 0.1, 0.5, 0.9])
     sizes, values = _clusters(w, DEFAULT_GAP)
     assert sizes == [1, 1, 1, 1] and values.base is w
+
+
+def _general_power(t, exponent):
+    """x^{exponent} x^{it} on the support x > SUPPORT_TOL, 1 (a phase) or 0 (a root) off it:
+    one formula for every root function, as the kernel took it for each."""
+    def power(lams):
+        support = lams > SUPPORT_TOL
+        x = np.where(support, lams, 1.0)
+        m = np.sqrt(x) ** (2 * exponent)
+        if t is not None:
+            m = m * np.exp(1j * t * np.log(x))
+        return np.where(support, m, 0.0 if exponent else 1.0)
+    return power
+
+
+@pytest.mark.parametrize("t, exponent", [(None, 0.5), (None, -0.5), (0.7, 0.5), (-0.7, -0.5),
+                                         (0.7, 0.0)])
+def test_each_root_function_equals_the_general_formula_bit_for_bit(t, exponent):
+    # the kernel's roots, inverse roots and phases on the edges of the support, a value
+    # below it, a subnormal and a huge value, as one element's spectrum and a stack's
+    # (trials last, as _matrix_function hands them over)
+    lams = np.array([0.0, -0.0, SUPPORT_TOL, _next(SUPPORT_TOL, -1), _next(SUPPORT_TOL, 1),
+                     -1e-12, 1.0, 1e300, 5e-324])
+    stack = np.stack([lams, lams[::-1], np.roll(lams, 3)]).T
+    power, want = spectral._twisted_power(t, exponent), _general_power(t, exponent)
+    for x in (lams, stack):
+        got, ref = power(x), want(x)
+        assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+        assert got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("short", FAST_PATH_SHORTHANDS)

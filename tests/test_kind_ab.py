@@ -1,6 +1,7 @@
 """Smoke test of tools/kind_ab.py, the in-process timing of kernel-api kinds against a git
 revision."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -29,7 +30,7 @@ def test_one_round_of_two_kinds_times_both_trees(tmp_path):
                       capture_output=True).returncode:
         pytest.skip("not a git checkout")
     out = tmp_path / "ab.json"
-    done = _run("HEAD", "--rounds", "1", "--requests", "4", "--json", str(out),
+    done = _run("HEAD", "--rounds", "3", "--requests", "4", "--json", str(out),
                 "--kinds", ",".join(f"{op}:{alias}" for op, alias in KINDS))
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
@@ -38,7 +39,42 @@ def test_one_round_of_two_kinds_times_both_trees(tmp_path):
         ["pooled", "p50"], ["pooled", "mean"]]
     assert lines[-1] == "failed requests: rev 0, tree 0"
     record = json.loads(out.read_text())
-    assert record["failed"] == {"rev": 0, "tree": 0} and record["rounds"] == 1
-    for row in record["us"].values():
+    assert record["failed"] == {"rev": 0, "tree": 0} and record["rounds"] == 3
+    for line, row in zip(lines[1:-1], record["us"].values()):
         assert row["rev_us"] > 0 and row["tree_us"] > 0
         assert row["ratio"] == pytest.approx(row["tree_us"] / row["rev_us"], rel=1e-2)
+        assert 0 <= row["wins"] <= 3 and f" {row['wins']}/3 " in line
+        for side in ("rev", "tree"):
+            q1, q3 = row[f"{side}_quartiles_us"]
+            assert 0 < q1 <= q3 and f"{q1:6.2f}-{q3:.2f}" in line
+
+
+def _load(monkeypatch):
+    """tools/kind_ab.py as a module; the BLAS thread count it sets is restored afterwards."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    spec = importlib.util.spec_from_file_location("kind_ab", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_rounds_won_and_quartiles_of_the_round_medians(monkeypatch):
+    # two kinds, three rounds of two requests each.  Round medians of kind a: rev 5, 5, 8, and
+    # tree 3, 5, 2, which wins rounds 0 and 2 and ties round 1.  The pooled rows take each
+    # round's requests of both kinds together
+    us = 1e-6
+    times = {"rev": {("a", "x"): [v * us for v in (4, 6, 5, 5, 8, 8)],
+                     ("b", "y"): [v * us for v in (1, 1, 1, 1, 1, 1)]},
+             "tree": {("a", "x"): [v * us for v in (3, 3, 5, 5, 2, 2)],
+                      ("b", "y"): [v * us for v in (2, 2, 1, 1, 2, 2)]}}
+    rows = _load(monkeypatch).table(times, 3)
+    assert list(rows) == ["a x", "b y", "pooled p50", "pooled mean"]
+    a = rows["a x"]
+    assert (a["rev_us"], a["tree_us"], a["wins"]) == (5.5, 3.0, 2)
+    assert a["rev_quartiles_us"] == [5.0, 6.5] and a["tree_quartiles_us"] == [2.5, 4.0]
+    assert rows["b y"]["wins"] == 0
+    # round medians of the pooled requests: rev 2.5, 3, 4.5; tree 2.5, 3, 2
+    assert rows["pooled p50"]["wins"] == 1
+    assert rows["pooled p50"]["rev_quartiles_us"] == [2.75, 3.75]
+    # round means: rev 3, 3, 4.5; tree 2.5, 3, 2
+    assert rows["pooled mean"]["wins"] == 2 and rows["pooled mean"]["tree_us"] == 2.5

@@ -407,10 +407,16 @@ def test_stacked_operations_equal_the_single_ones_bit_for_bit(short):
     ab = sp.seq_product(p, a, b)
     res = rel_residual(sp.seq_product(p, b, a), ab)
     lo, hi = eigenvalue_range(a)
+    quotient = sp.divide(p, a, ab)  # ab = a o b lies below a
+    values, frame, counts = alg._backend.spectral_pairs(a, DEFAULT_GAP)
     for k, (x, y) in enumerate(zip(elems, others)):
         assert _trial_bits(ab, k) == _single_bits(sp.seq_product(p, x, y))
         assert res[k] == rel_residual(sp.seq_product(p, y, x), sp.seq_product(p, x, y))
         assert (lo[k], hi[k]) == eigenvalue_range(x)
+        assert _trial_bits(quotient, k) == _single_bits(sp.divide(p, x, sp.seq_product(p, x, y)))
+        dec, n = sp.spectral_decompose(x), counts[k]
+        assert values[k, :n].tobytes() == np.array(dec.eigenvalues).tobytes()
+        assert [_trial_bits(e, k) for e in frame[:n]] == list(map(_single_bits, dec.idempotents))
     # an unstacked operand broadcasts against the stack
     one = sp.identity(alg)
     for k, y in enumerate(others):

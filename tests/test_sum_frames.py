@@ -140,3 +140,30 @@ def test_the_identity_joins_every_block_in_one_pair(short):
     values, frame, counts = alg._backend.spectral_pairs(stack, DEFAULT_GAP)
     assert counts.tolist() == [1] * 5 and values.tolist() == [[1.0]] * 5
     _check(alg, stack)
+
+
+def test_one_element_with_values_apart_pads_each_block_idempotent():
+    # every sorted value more than the gap from its neighbours: each block idempotent is a
+    # cluster of one, padded with zero blocks.  The spin block's idempotent (-v/2r, 1/2) holds
+    # a -0.0, which zero + p turns to 0.0, and the real block's value 0.95 has a trace of
+    # 1 - 1.1e-15, so the cluster's (0.95 tr) / tr is not 0.95
+    alg = sp.parse_algebra("sum(spin:3,real:3)")
+    a = sp.Element(alg, (sp.Element(alg.summands[0], ([0.3, 0.0, 0.1], 0.5)),
+                         sp.random_effect(alg.summands[1], 1067)))
+    frames = [x.algebra._backend.spectral_pairs(x, DEFAULT_GAP) for x in a.data]
+    values = np.sort(np.concatenate([values for values, _, _ in frames]))
+    assert np.diff(values).min() > DEFAULT_GAP
+    assert np.signbit(frames[0][1][1].data[0][1])
+    lam, p = frames[1][0][0], frames[1][1][0]
+    assert lam * trace(p) / trace(p) != lam
+    got = alg._backend.spectral_pairs(a, DEFAULT_GAP)
+    assert got[2] == len(values) == 5
+    assert_same_frames(got, merged_frames(a, DEFAULT_GAP))
+
+
+def test_one_element_whose_blocks_share_a_value_takes_the_merge():
+    alg = sp.parse_algebra("sum(complex:2,real:3)")
+    a = close_across_blocks(alg, np.random.default_rng(8))
+    got = alg._backend.spectral_pairs(a, DEFAULT_GAP)
+    assert got[2] == 4  # five eigenvalues, two of them in one cluster across the blocks
+    assert_same_frames(got, merged_frames(a, DEFAULT_GAP))

@@ -15,9 +15,11 @@ Each round draws ``--requests`` fresh requests of each kind (``KINDS`` of kernel
 ``--kinds``) per tree and times them kind by kind, the trees taking turns to go first.  Every
 result is then checked by kernelapi's oracle, off the clock.  Prints, per kind, the median
 microseconds per request on REV and on the working tree and their ratio, then the p50 and
-the mean pooled over every timed request, and the failed requests of each tree.  One BLAS
-thread, as bench/run.py sets.  Exits 0, 1 when a request failed, and 2 when REV is not a
-commit.
+the mean pooled over every timed request, and the failed requests of each tree.  Each row also
+gives the rounds in which the tree's round median (round mean, on the pooled mean row) beat
+REV's, and the quartiles of each tree's round medians, so a per-kind claim can be held to
+winning nine rounds in ten by more than REV's spread.  One BLAS thread, as bench/run.py sets.
+Exits 0, 1 when a request failed, and 2 when REV is not a commit.
 """
 
 from __future__ import annotations
@@ -100,16 +102,31 @@ def time_kinds(apis: dict, kinds: list, rounds: int, requests: int, seed: int):
     return times, failed
 
 
-def table(times: dict) -> dict:
-    """Per kind and pooled: the microseconds of each tree and their ratio."""
-    rev, tree = times.values()
-    rows = {f"{op} {alias}": (median(rev[op, alias]) * 1e6, median(tree[op, alias]) * 1e6)
-            for op, alias in rev}
-    pooled_rev, pooled_tree = (sum(by_kind.values(), []) for by_kind in (rev, tree))
-    rows["pooled p50"] = (median(pooled_rev) * 1e6, median(pooled_tree) * 1e6)
-    rows["pooled mean"] = (fmean(pooled_rev) * 1e6, fmean(pooled_tree) * 1e6)
-    return {name: {"rev_us": round(a, 2), "tree_us": round(b, 2), "ratio": round(b / a, 4)}
-            for name, (a, b) in rows.items()}
+def table(times: dict, rounds: int) -> dict:
+    """Per kind and pooled: each tree's microseconds over every request and their ratio, the
+    rounds in which the tree's round statistic beat REV's (ties count for neither), and the
+    quartiles of each tree's round statistics.  The statistic is the median, and the mean on
+    the pooled mean row."""
+    def split(samples):  # every round timed the same number of requests of a kind
+        size = len(samples) // rounds
+        return [samples[r * size:(r + 1) * size] for r in range(rounds)]
+
+    by_round = {}
+    for tree, by_kind in times.items():
+        rows = by_round[tree] = {f"{op} {alias}": split(s) for (op, alias), s in by_kind.items()}
+        pooled = [sum(parts, []) for parts in zip(*rows.values())]
+        rows["pooled p50"] = rows["pooled mean"] = pooled
+    out = {}
+    for name in by_round["rev"]:
+        stat = fmean if name == "pooled mean" else median
+        (a, a_rounds), (b, b_rounds) = ((stat(sum(rows[name], [])) * 1e6,
+                                         [stat(r) * 1e6 for r in rows[name]])
+                                        for rows in by_round.values())
+        out[name] = {"rev_us": round(a, 2), "tree_us": round(b, 2), "ratio": round(b / a, 4),
+                     "wins": sum(y < x for x, y in zip(a_rounds, b_rounds)),
+                     "rev_quartiles_us": np.percentile(a_rounds, [25, 75]).round(2).tolist(),
+                     "tree_quartiles_us": np.percentile(b_rounds, [25, 75]).round(2).tolist()}
+    return out
 
 
 def main(argv: list[str]) -> int:
@@ -131,10 +148,14 @@ def main(argv: list[str]) -> int:
         if args.kinds:
             kinds = [tuple(k.split(":")) for k in args.kinds.split(",")]
         times, failed = time_kinds(apis, kinds, args.rounds, args.requests, args.seed)
-    rows = table(times)
-    print(f"{'kind':34} {args.rev[:12]:>12} {'tree':>10} {'tree/rev':>9}  (us per request)")
+    rows = table(times, args.rounds)
+    print(f"{'kind':34} {args.rev[:12]:>12} {'tree':>10} {'tree/rev':>9} {'wins':>6}  "
+          f"{'rev q1-q3':>13}  {'tree q1-q3':>13}  (us per request; rounds won by the tree, "
+          "quartiles of the round medians)")
     for name, row in rows.items():
-        print(f"{name:34} {row['rev_us']:12.2f} {row['tree_us']:10.2f} {row['ratio']:9.3f}")
+        (r1, r3), (t1, t3) = row["rev_quartiles_us"], row["tree_quartiles_us"]
+        print(f"{name:34} {row['rev_us']:12.2f} {row['tree_us']:10.2f} {row['ratio']:9.3f} "
+              f"{row['wins']:>3}/{args.rounds:<2}  {r1:6.2f}-{r3:<6.2f}  {t1:6.2f}-{t3:.2f}")
     print(f"failed requests: rev {failed['rev']}, tree {failed['tree']}")
     if args.json:
         args.json.write_text(json.dumps({"rev": args.rev, "rounds": args.rounds,

@@ -18,10 +18,10 @@ package reaches element storage only through the backend primitives:
 Solves and caches.  Every LAPACK call goes through :func:`_lapack`, so a NaN or infinite
 entry and a solver failure raise NumericalFailureError one way.  A matrix element keeps its
 eigenvalue-only solve (:func:`_spectrum`, read by ``eigen_range``) and its full solve
-(:func:`_eigen`, read by everything else) on the instance; a spin element keeps |v|
-(:func:`_spin_radius`), and ``products`` a product root per twist.  A norm that is only
-compared with a threshold is solved only where :func:`_norm_bounds` leave the comparison open.
-f(a) is one product per matrix block on the cached eigen-data, a closed form on spin factors.
+(:func:`_eigen`, read by everything else) on the instance, its only solves; a spin element
+keeps |v| (:func:`_spin_radius`), and ``products`` a product root per twist.  A norm compared
+with a threshold (1 in a residual's max(1, .)) is solved where :func:`_norm_bounds` leave it
+open.  f(a) is one product per matrix block on the cached eigen-data, a closed form on spins.
 
 Results that meet the representation invariants by construction (real
 linear combinations of elements, scalars, spin arithmetic, direct sums
@@ -402,9 +402,19 @@ class _Backend:
         return 2.0 * (t_a @ t_a) - self.jordan_operator(self.jordan(a, a))
 
     def residual_terms(self, x, y):
-        """(||x - y||, max(1, ||x||, ||y||)) in the order-unit norm, per trial for a stack."""
-        diff, nx, ny = (_alg.order_unit_norm(e) for e in (x - y, x, y))
-        return diff, np.maximum(1.0, np.maximum(nx, ny))
+        """(||x - y||, max(1, ||x||, ||y||)) in the order-unit norm, per trial for a stack; ||x||
+        and ||y|| solved, as in ``norm_at_most``, where ``norm_bounds`` exceed 1 - BOUND_MARGIN."""
+        diff = _alg.order_unit_norm(x - y)
+        scale = np.ones(np.shape(diff))
+        for e in (x, y):
+            upper = self.norm_bounds(e)[1]
+            if np.ndim(upper):
+                sel = np.flatnonzero(~(upper <= 1.0 - BOUND_MARGIN))
+                if len(sel):
+                    scale[sel] = np.maximum(scale[sel], _alg.order_unit_norm(self.take(e, sel)))
+            elif not upper <= 1.0 - BOUND_MARGIN:
+                scale = np.maximum(scale, _alg.order_unit_norm(e))
+        return diff, scale
 
     def norm_bounds(self, x):
         """(lower, upper) bounds on the order-unit norm, per trial: here the norm itself."""
@@ -632,24 +642,6 @@ class _MatrixBackend(_Backend):
     def frame_range(self, a):
         return _ends(_eigen(a)[0])
 
-    def residual_terms(self, x, y):
-        # ||x - y|| always; ||x|| and ||y|| only on the trials whose bound exceeds 1 - margin,
-        # in the same eigenvalue-only call (a skipped norm would be solved below 1 as well)
-        diff = x.data - y.data
-        m = diff.shape[-1]
-        ends = [np.broadcast_to(e.data, diff.shape) for e in (x, y)]
-        solve = [~(_norm_bounds(e)[1] <= 1.0 - BOUND_MARGIN) for e in ends]
-        w = _lapack("eigvalsh", np.concatenate([diff.reshape(-1, m, m)]
-                                               + [e[s] for e, s in zip(ends, solve)]))
-        radii = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
-        start = diff.size // (m * m)
-        diff_norm, scale = radii[:start].reshape(diff.shape[:-2]), np.ones(diff.shape[:-2])
-        for s in solve:
-            solved = radii[start:start + np.count_nonzero(s)]
-            scale[s] = np.maximum(scale[s], solved)
-            start += len(solved)
-        return diff_norm, scale
-
     def norm_bounds(self, x):
         return _norm_bounds(x.data)
 
@@ -733,7 +725,7 @@ class _MatrixBackend(_Backend):
         if n == 1 and proper:  # the identity, drawing no rank
             return self.scale(self.scalar(alg, 1.0), np.ones(len(rngs)))
         out = np.zeros(x.data.shape, self.dtype)
-        _, vecs = _lapack("eigh", x.data)
+        _, vecs = _eigen(x)
         lo, hi = (1, n - 1) if proper else (0, n)
         ranks = np.array([rng.integers(lo, hi + 1) for rng in rngs])
         perms = np.array([rng.permutation(n) for rng in rngs])  # each after its trial's rank

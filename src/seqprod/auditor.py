@@ -857,21 +857,25 @@ def audit_law(law: LawId | str, product: SequentialProduct, alg: AlgebraDescript
               expected: str = "pass") -> AuditEntry:
     """Run one law for ``trials`` seeded trials; stop at the first violation.
 
-    A residual that is not at most ``tol``, NaN included, is a violation.
-    ``trials`` outside 1..2**32, a negative ``seed`` or a ``tol`` that is not
-    finite and positive raise ConfigError, so no row can pass vacuously.  A
-    trial that raises any exception but ConfigError or CapabilityError gives
-    verdict ``error``, with ``trial i: <type>: <message>`` in ``error`` (and a
-    witness with no residual, once its inputs are drawn).  The entry reports the
-    trials that ran: up to and including a violation or an error.
+    A residual that is not at most ``tol``, NaN included, is a violation.  ``trials`` or
+    ``seed`` that a config would refuse (``_config_int``), ``trials`` outside 1..2**32, a
+    negative ``seed`` or a ``tol`` that is not a finite positive number raise ConfigError, so
+    no row can pass vacuously.  A trial that raises any exception but ConfigError or
+    CapabilityError gives verdict ``error``, with ``trial i: <type>: <message>`` in ``error``
+    (and a witness with no residual, once its inputs are drawn).  The entry reports the trials
+    that ran: up to and including a violation or an error.
     """
     law = LawId(law)
+    try:
+        trials, seed = _config_int(trials), _config_int(seed)
+    except ValueError as exc:
+        raise ConfigError(f"{law.value} on {alg}: trials and seed must be integers, {exc}") from exc
     if not 1 <= trials <= 2 ** 32:
         raise ConfigError(f"{law.value} on {alg}: trials must be from 1 to 2**32, got {trials}")
     if seed < 0:
         raise ConfigError(f"{law.value} on {alg}: seed must be non-negative, got {seed}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ConfigError(f"{law.value} on {alg}: tol must be finite and positive, got {tol}")
+    if not (_is_json(tol, float) and math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"{law.value} on {alg}: tol must be finite and positive, got {tol!r}")
     row = LAWS[law]
     start = time.perf_counter()
     drawn = None  # the inputs of the last run, once its generator has returned them

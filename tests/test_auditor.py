@@ -521,6 +521,36 @@ def test_audit_law_rejects_a_negative_seed():
         audit_law("SEA1", sp.SequentialProduct.standard(alg), alg, 3, -1, 1e-8)
 
 
+@pytest.mark.parametrize("trials, seed, tol, refused", [
+    (True, 0, 1e-8, "trials and seed must be integers"),
+    (2.5, 0, 1e-8, "trials and seed must be integers"),
+    ("3", 0, 1e-8, "trials and seed must be integers"),
+    (3, 1.5, 1e-8, "trials and seed must be integers"),
+    (3, False, 1e-8, "trials and seed must be integers"),
+    (3, 0, True, "tol must be finite and positive"),
+    (3, 0, np.True_, "tol must be finite and positive"),
+    (3, 0, "1e-8", "tol must be finite and positive"),
+    (3, 0, None, "tol must be finite and positive"),
+    (np.True_, 0, 1e-8, "trials and seed must be integers"),
+    (3.0, 0, 1e-8, None),
+    (3, 7.0, 1e-8, None),
+])
+def test_audit_law_reads_trials_and_seed_as_config_integers(trials, seed, tol, refused):
+    # the Python API refuses what a config row refuses: a boolean, a fraction or a string
+    # where an integer belongs, and a tol that is not a number; an integral float is its integer
+    alg = sp.parse_algebra("real:2")
+    run = lambda: audit_law("SEA2", sp.SequentialProduct.standard(alg), alg, trials, seed, tol)
+    if refused:
+        with pytest.raises(sp.ConfigError, match=refused):
+            run()
+        return
+    entry = run()
+    assert (entry.verdict, entry.trials, entry.seed) == ("pass", 3, int(seed))
+    assert type(entry.trials) is int and type(entry.seed) is int
+    report = AuditReport(entries=[entry], seed=int(seed))
+    assert AuditReport.from_json(json.loads(json.dumps(report.to_json()))) == report
+
+
 @pytest.mark.parametrize("schema", [0, 2, "1"])
 def test_config_schema_other_than_1_is_rejected(schema):
     with pytest.raises(sp.ConfigError, match="schema"):

@@ -115,26 +115,35 @@ def test_spin_spectra_match_clifford_embedding(d):
 KIND_CHECK = re.compile(r"MATRIX_KINDS|KIND_(REAL|COMPLEX|QUAT|SPIN|SUM)|\.kind\b")
 
 
-def _linalg_lines(path: Path) -> list[tuple[str, str]]:
-    """(enclosing function, stripped source line) of each reference to ``linalg`` in the module
-    at ``path``: an attribute or name ``linalg``, or an import from a ``linalg`` module."""
-    lines = path.read_text().splitlines()
+def _scoped_nodes(path: Path, match) -> list[tuple[str, ast.AST]]:
+    """(enclosing function, node) of each node of the module at ``path`` that ``match`` takes."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
-        imported = ([a.name for a in node.names] + [getattr(node, "module", None) or ""]
-                    if isinstance(node, (ast.Import, ast.ImportFrom)) else [])
-        if (isinstance(node, ast.Attribute) and node.attr == "linalg"
-                or isinstance(node, ast.Name) and node.id == "linalg"
-                or any("linalg" in name for name in imported)):
-            found.append((scope, lines[node.lineno - 1].strip()))
+        if match(node):
+            found.append((scope, node))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
-    visit(ast.parse("\n".join(lines)), "")
+    visit(ast.parse(path.read_text()), "")
     return found
+
+
+def _linalg_lines(path: Path) -> list[tuple[str, str]]:
+    """(enclosing function, stripped source line) of each reference to ``linalg`` in the module
+    at ``path``: an attribute or name ``linalg``, or an import from a ``linalg`` module."""
+    lines = path.read_text().splitlines()
+
+    def match(node):
+        imported = ([a.name for a in node.names] + [getattr(node, "module", None) or ""]
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) else [])
+        return (isinstance(node, ast.Attribute) and node.attr == "linalg"
+                or isinstance(node, ast.Name) and node.id == "linalg"
+                or any("linalg" in name for name in imported))
+
+    return [(scope, lines[node.lineno - 1].strip()) for scope, node in _scoped_nodes(path, match)]
 
 
 def test_eigensolves_live_in_the_backend_module():
@@ -146,6 +155,23 @@ def test_eigensolves_live_in_the_backend_module():
     assert uses == [
         ("_backends.py", "_lapack", "except np.linalg.LinAlgError as exc:"),
         ("_backends.py", "_lapack", "return getattr(np.linalg, name)(mat, *args, **kwargs)"),
+    ]
+
+
+def test_an_element_is_solved_only_by_its_cached_solves():
+    # every eigvalsh is an element's ``_spectrum`` and every eigh of an element's data its
+    # ``_eigen``; the one other eigh is the joint frame's split of v^H s v
+    def match(node):
+        return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_lapack"
+                and getattr(node.args[0], "value", None) in ("eigh", "eigvalsh"))
+
+    calls = sorted((path.name, scope, node.args[0].value, ast.unparse(node.args[1]))
+                   for path in Path(sp.__file__).parent.glob("*.py")
+                   for scope, node in _scoped_nodes(path, match))
+    assert calls == [
+        ("_backends.py", "_MatrixBackend.joint_frame", "eigh", "v.conj().T @ s.data @ v"),
+        ("_backends.py", "_eigen", "eigh", "a.data"),
+        ("_backends.py", "_spectrum", "eigvalsh", "a.data"),
     ]
 
 
@@ -202,8 +228,9 @@ SUM_DOES_WITHOUT = {"matrix_order", "gaussian"}
 
 
 def test_direct_sums_define_every_matrix_primitive():
-    # a primitive missing from the direct sum would fall back to ``_Backend``'s generic one
-    # (Q_a in Jordan form, the residual from three norms) and change bits
+    # a primitive missing from the direct sum would fall back to ``_Backend``'s generic one:
+    # Q_a in Jordan form changes bits, and the residual would solve every block of a trial
+    # that one block's norm bound leaves open
     matrix = {name for name, value in vars(_backends._MatrixBackend).items()
               if callable(value) and not name.startswith("_")}
     assert SUM_DOES_WITHOUT <= matrix
@@ -222,6 +249,8 @@ def test_each_kind_has_one_commutator_and_the_commutant_is_written_once():
     assert owners("commutator") == {"_MatrixBackend", "_SpinBackend", "_SumBackend"}
     assert owners("commutant_rows") == {"_Backend"}
     assert owners("commutator_norm") == {"_Backend", "_SumBackend"}
+    # one residual: the bounded one of the base class, lifted block by block on direct sums
+    assert owners("residual_terms") == {"_Backend", "_SumBackend"}
     package = Path(sp.__file__).parent
     defined = {path.stem: re.findall(r"def (commutator\w*|commutant_rows)\(", path.read_text())
                for path in package.glob("*.py")}

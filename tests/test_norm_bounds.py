@@ -298,6 +298,15 @@ def test_rel_residual_solves_each_norm_the_bound_leaves_open(solved):
     assert solved["eigvalsh"] - start == K + 4  # the difference, and the 4 identities
 
 
+def test_rel_residual_solves_an_unstacked_operand_once(solved):
+    alg = sp.complex_hermitian(4)
+    x = _random_effects(alg, _rngs(17, 16), "generic") * 0.2
+    y = sp.random_effect(alg, 18) * 3.0
+    start = solved["eigvalsh"]
+    rel_residual(x, y)
+    assert solved["eigvalsh"] - start == 16 + 1  # the differences, and y once (not 16 times)
+
+
 @pytest.mark.parametrize("short", ["real:4", "complex:4", "quat:3", "spin:5",
                                    "sum(complex:2,real:3)"])
 def test_commute_equiv_settles_every_check_without_a_solve(short, solved):

@@ -70,7 +70,7 @@ import math
 import numbers
 from functools import lru_cache, reduce
 from itertools import accumulate, chain
-from operator import add
+from operator import add, itemgetter
 
 import numpy as np
 
@@ -137,8 +137,10 @@ def _blockwise(primitive, operands, *args):
     Block k of every operand, followed by ``args``, goes to the primitive of
     summand k; the results come back as a tuple in summand order.
     """
-    return tuple(getattr(blocks[0].algebra._backend, primitive)(*blocks, *args)
-                 for blocks in zip(*(x.data for x in operands)))
+    parts = []  # a loop: a generator and its join cost a lifted call about 1 us
+    for blocks in zip(*[x.data for x in operands]):
+        parts.append(getattr(blocks[0].algebra._backend, primitive)(*blocks, *args))
+    return tuple(parts)
 
 
 def _lifted(primitive, operands, join=None):
@@ -156,7 +158,7 @@ def _span(ranges):
     (float ends) by the builtins over the blocks reversed, which keep the last of tied values
     as the ufuncs do, and so the sign of a zero end."""
     los, his = zip(*ranges)
-    if all(isinstance(lo, float) for lo in los):
+    if isinstance(los[0], float):  # every block of one element gives floats
         return min(reversed(los)), max(reversed(his))
     return reduce(np.minimum, los), reduce(np.maximum, his)
 
@@ -403,17 +405,22 @@ class _Backend:
 
     def residual_terms(self, x, y):
         """(||x - y||, max(1, ||x||, ||y||)) in the order-unit norm, per trial for a stack; ||x||
-        and ||y|| solved, as in ``norm_at_most``, where ``norm_bounds`` exceed 1 - BOUND_MARGIN."""
+        and ||y|| taken, as in ``norm_at_most``, where ``norm_bounds`` exceed 1 - BOUND_MARGIN:
+        the bound itself where it is exact (lower == upper: a spin factor's is its norm), else
+        solved."""
         diff = _alg.order_unit_norm(x - y)
         scale = np.ones(np.shape(diff))
         for e in (x, y):
-            upper = self.norm_bounds(e)[1]
+            lower, upper = self.norm_bounds(e)
             if np.ndim(upper):
-                sel = np.flatnonzero(~(upper <= 1.0 - BOUND_MARGIN))
+                opened = ~(upper <= 1.0 - BOUND_MARGIN)
+                exact = opened & (lower == upper)
+                scale[exact] = np.maximum(scale[exact], upper[exact])
+                sel = np.flatnonzero(opened & ~exact)
                 if len(sel):
                     scale[sel] = np.maximum(scale[sel], _alg.order_unit_norm(self.take(e, sel)))
             elif not upper <= 1.0 - BOUND_MARGIN:
-                scale = np.maximum(scale, _alg.order_unit_norm(e))
+                scale = np.maximum(scale, upper if lower == upper else _alg.order_unit_norm(e))
         return diff, scale
 
     def norm_bounds(self, x):
@@ -440,13 +447,15 @@ class _Backend:
 
     def commutant_rows(self, alg, elems) -> np.ndarray:
         """Null space of the stacked maps X -> [X, s], one coordinate row each: the commutators
-        [E_k, s] of the coordinate basis, one stack per s, flattened per E_k into the columns of
-        one real matrix, whose SVD goes through :func:`_lapack`."""
+        [E_k, s] of the coordinate basis, one stack per s, the real then the imaginary parts of
+        each flattened per E_k into column k of one real matrix, whose SVD goes through
+        :func:`_lapack`."""
         dim, basis = self.real_dimension(alg), _coordinate_basis(alg)
-        comm = np.stack([self.commutator(basis, s).reshape(dim, -1) for s in elems], 1)
-        maps = np.concatenate([comm.real, comm.imag], -1).reshape(dim, -1).T
-        _, svals, vh = _lapack("svd", maps, full_matrices=False)
-        return vh[svals <= COMMUTANT_TOL * max(1.0, float(svals[0]))]
+        comm = [self.commutator(basis, s).reshape(dim, -1) for s in elems]
+        maps = np.concatenate([part for c in comm for part in (c.real, c.imag)], -1)
+        _, svals, vh = _lapack("svd", maps.T, full_matrices=False)
+        # the singular values descend, so the rows of those at most the tolerance come last
+        return vh[np.count_nonzero(svals > COMMUTANT_TOL * max(1.0, float(svals[0]))):]
 
     def order_iso(self, alg, kind: str, rngs):
         """(coordinate matrices (k, d, d), label) of unital order isomorphisms of the requested
@@ -761,8 +770,14 @@ class _MatrixBackend(_Backend):
         return self._element(alg, re + 1j * im)
 
     def commutator(self, a, b) -> np.ndarray:
-        """[a, b] = ab - ba, per trial for a stack."""
-        return a.data @ b.data - b.data @ a.data
+        """[a, b] = ab - ba, per trial for a stack.  A stack a against one element b (the
+        commutant's maps on the coordinate basis) takes one product: ab with a's matrices
+        stacked in rows, and ba = (ab)^H, a and b being Hermitian."""
+        x, y = a.data, b.data
+        if x.ndim == 2 or y.ndim > 2:
+            return x @ y - y @ x
+        ab = (x.reshape(-1, y.shape[-1]) @ y).reshape(x.shape)
+        return ab - ab.conj().swapaxes(-1, -2)
 
     def order_isos(self, alg) -> tuple[str, ...]:
         if self.kind == KIND_COMPLEX:
@@ -1080,20 +1095,23 @@ class _SumBackend(_Backend):
         alg = a.algebra
         frames = _blockwise("spectral_pairs", (a,), gap)
         if not np.ndim(frames[0][2]):  # one element: 5.5x as a stack of one taken apart
-            entries = sorted(((lam, bi, p, p.algebra._backend.inner(p, _alg.identity(p.algebra)))
-                              for bi, (values, frame, _) in enumerate(frames)
-                              for lam, p in zip(values.tolist(), frame)), key=lambda e: e[0])
-            pairs, start = [], 0
+            entries, zeros, combines = [], [_alg.zero(s) for s in alg.summands], []
+            for bi, (sub, (values, frame, _)) in enumerate(zip(alg.summands, frames)):
+                backend, one = sub._backend, _alg.identity(sub)
+                combines.append(backend.combine)
+                entries += [(lam, bi, p, backend.inner(p, one))
+                            for lam, p in zip(values.tolist(), frame)]
+            entries.sort(key=itemgetter(0))
+            values, frame, start = [], [], 0
             for size in _clusters(np.array([e[0] for e in entries]), gap)[0]:
-                chosen = entries[start:start + size]
+                blocks, num, den = zeros.copy(), 0, 0
+                for lam, bi, p, tr in entries[start:start + size]:
+                    blocks[bi] = combines[bi](blocks[bi], p, add)
+                    num, den = num + lam * tr, den + tr
                 start += size
-                blocks = [_alg.zero(s) for s in alg.summands]
-                for _, bi, p, _ in chosen:
-                    blocks[bi] = p.algebra._backend.combine(blocks[bi], p, add)
-                lam = sum(e[0] * e[3] for e in chosen) / sum(e[3] for e in chosen)
-                pairs.append((float(lam), _trusted(alg, tuple(blocks))))
-            values, frame = zip(*pairs[::-1])
-            return np.array(values), list(frame), np.asarray(len(frame))
+                values.append(float(num / den))
+                frame.append(_trusted(alg, tuple(blocks)))
+            return np.array(values[::-1]), frame[::-1], np.asarray(len(frame))
         k = len(frames[0][2])
         lam = np.concatenate([np.where(np.arange(v.shape[-1]) < c[:, None], v, np.inf)
                               for v, _, c in frames], -1)

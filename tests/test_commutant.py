@@ -460,16 +460,66 @@ def test_every_matrix_frame_goes_through_the_one_projection_builder(monkeypatch)
         assert calls and set(calls) == {ndim}, ndim
 
 
+#: cases whose commutator maps differ from the reference's in the signs of zeros only
+SIGNED_ZERO_ALGEBRAS = ["complex:3", "quat:3"]
+COMMUTANT_CASES = ([pytest.param(short, 81, id=short) for short in ORACLE_ALGEBRAS]
+                   + [pytest.param(short, 5, id=f"{short}-seed5")
+                      for short in SIGNED_ZERO_ALGEBRAS])
+
+
 @pytest.mark.parametrize("profile", PROFILES)
-@pytest.mark.parametrize("short", ORACLE_ALGEBRAS)
-def test_commutant_bases_equal_the_reference(short, profile):
+@pytest.mark.parametrize("short,seed", COMMUTANT_CASES)
+def test_commutant_bases_equal_the_reference(short, seed, profile):
     alg = sp.parse_algebra(short)
-    a, b = sp.random_effect(alg, 81, profile), sp.random_effect(alg, 82)
+    a, b = sp.random_effect(alg, seed, profile), sp.random_effect(alg, 82)
     for name, family in {**_families(alg, a), "a,b": [a, b]}.items():
         assert_same_elements(sp.commutant_basis(family), reference_basis(family), name)
         if name != "a,b":
             assert_same_elements(sp.bicommutant_basis(family),
                                  reference_basis(reference_basis(family)), name)
+
+
+def _maps_differ_in_signed_zeros_only(family):
+    alg, basis = family[0].algebra, _backends._coordinate_basis(family[0].algebra)
+    got = [alg._backend.commutator(basis, s).reshape(alg.real_dimension, -1) for s in family]
+    want = [reference_commutators(alg, s) for s in family]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    return any(g.tobytes() != w.tobytes() for g, w in zip(got, want))
+
+
+def test_the_signed_zero_cases_reach_maps_that_differ_in_signed_zeros():
+    # the null-space rows must not depend on the sign of a zero in the maps
+    seen = {short: sum(_maps_differ_in_signed_zeros_only(family)
+                       for profile in PROFILES
+                       for family in _families(sp.parse_algebra(short), sp.random_effect(
+                           sp.parse_algebra(short), 5, profile)).values())
+            for short in SIGNED_ZERO_ALGEBRAS}
+    assert all(seen.values()), seen
+
+
+class _CountedProducts(np.ndarray):
+    """Element data that records the operand shapes of every matrix product it enters."""
+
+    shapes = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [np.asarray(x) if isinstance(x, _CountedProducts) else x for x in inputs]
+        if ufunc is np.matmul:
+            _CountedProducts.shapes.append(tuple(np.shape(x) for x in plain))
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+@pytest.mark.parametrize("short", ["real:4", "complex:4", "quat:3"])
+def test_the_commutant_maps_take_one_product_per_generator(short):
+    # E_k s for every E_k from the basis stacked in rows, and s E_k = (E_k s)^H: one matrix
+    # product per generator, not a stack of small ones per side
+    alg = sp.parse_algebra(short)
+    family = [sp.random_effect(alg, 61), sp.random_effect(alg, 62)]
+    counted = [_backends._trusted(alg, x.data.view(_CountedProducts)) for x in family]
+    _CountedProducts.shapes = []
+    assert_same_elements(sp.commutant_basis(counted), sp.commutant_basis(family), short)
+    dim, m = alg.real_dimension, alg.matrix_order
+    assert _CountedProducts.shapes == [((dim * m, m), (m, m))] * 2
 
 
 @pytest.mark.parametrize("profile", PROFILES)

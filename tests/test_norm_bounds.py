@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import seqprod as sp
+from seqprod import algebra
 from seqprod._backends import BOUND_MARGIN, KIND_SPIN
 from seqprod.algebra import (
     LinearMap,
@@ -290,12 +291,35 @@ def test_rel_residual_of_small_effects_solves_only_the_difference(short, solved)
 
 
 def test_rel_residual_solves_each_norm_the_bound_leaves_open(solved):
+    # the identity's bounds are exact (lower == upper == 1), so its norm is its bound; the
+    # projection's (sqrt(2) / 2, 1) leave its norm open
     alg = sp.complex_hermitian(4)
     x = _random_effects(alg, _rngs(15), "generic") * 0.2
-    y = alg._backend.stack(alg, [sp.identity(alg)] * 4 + [sp.zero(alg)] * (K - 4))
+    projection = sp.Element(alg, np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex))
+    y = alg._backend.stack(alg, [sp.identity(alg)] * 4 + [projection] * 4
+                           + [sp.zero(alg)] * (K - 8))
     start = solved["eigvalsh"]
-    rel_residual(x, y)
-    assert solved["eigvalsh"] - start == K + 4  # the difference, and the 4 identities
+    got = rel_residual(x, y)
+    assert solved["eigvalsh"] - start == K + 4  # the difference, and the 4 projections
+    assert _bits(got) == _bits(oracle_rel_residual(x, y))
+
+
+def test_an_exact_bound_is_the_norm_it_bounds(monkeypatch):
+    # a spin factor's bounds are its norm: a residual takes the norm of x - y, and of x and y
+    # once each, as their bounds, never again (nor of a gathered copy), and is the oracle's bit
+    # for bit
+    calls = []
+    norm = algebra.order_unit_norm
+    monkeypatch.setattr(algebra, "order_unit_norm", lambda e: calls.append(e) or norm(e))
+    for short in ("spin:5", "spin:3"):
+        alg = sp.parse_algebra(short)
+        for x, y in ((_random_effects(alg, _rngs(19), "generic") * 3.0,
+                      _random_effects(alg, _rngs(20), "generic") * 0.5),
+                     (sp.random_effect(alg, 21) * 3.0, sp.random_effect(alg, 22) * 2.0)):
+            calls.clear()
+            got = rel_residual(x, y)
+            assert len(calls) == 3 and calls[1:] == [x, y]
+            assert _bits(got) == _bits(oracle_rel_residual(x, y))
 
 
 def test_rel_residual_solves_an_unstacked_operand_once(solved):

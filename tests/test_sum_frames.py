@@ -167,3 +167,101 @@ def test_one_element_whose_blocks_share_a_value_takes_the_merge():
     got = alg._backend.spectral_pairs(a, DEFAULT_GAP)
     assert got[2] == 4  # five eigenvalues, two of them in one cluster across the blocks
     assert_same_frames(got, merged_frames(a, DEFAULT_GAP))
+
+
+# ---------------------------------------------------------------------------
+# one-element merges against the stacked merge taken apart
+# ---------------------------------------------------------------------------
+
+def _stacked_apart(x, other):
+    """The frame of x from the stacked merge of x and ``other``, taken apart at x's trial."""
+    alg = x.algebra
+    backend = alg._backend
+    values, frame, counts = backend.spectral_pairs(backend.stack(alg, [x, other]), DEFAULT_GAP)
+    n = int(counts[0])
+    return values[0, :n], [backend.take(p, 0) for p in frame[:n]], counts[0]
+
+
+def _check_one(x, other):
+    got = x.algebra._backend.spectral_pairs(x, DEFAULT_GAP)
+    assert_same_frames(got, merged_frames(x, DEFAULT_GAP))
+    assert_same_frames(got, _stacked_apart(x, other))
+    return got
+
+
+def _tied(alg, value, seed):
+    """An element of ``alg`` whose every block has ``value`` as an eigenvalue: block by block,
+    the element is value times a random sharp effect plus a random effect supported on its
+    complement (spin blocks: (value / 2) (1 + u) + (w / 2) (1 - u) for a unit u)."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for sub in alg.summands:
+        if sub.summands:
+            blocks.append(_tied(sub, value, seed + 1))
+        elif sub.kind == "spin_factor":
+            u = rng.standard_normal(sub.size)
+            u /= np.linalg.norm(u)
+            w = rng.uniform(0.05, 0.95)
+            blocks.append(sp.Element(sub, (0.5 * (value - w) * u, 0.5 * (value + w))))
+        else:
+            p = sp.random_effect(sub, int(rng.integers(1 << 30)), "sharp")
+            rest = sp.quadratic_rep(sp.identity(sub) - p, sp.random_effect(sub, seed))
+            blocks.append(p * value + rest)
+    return sp.Element(alg, tuple(blocks))
+
+
+@pytest.mark.parametrize("short", SUMS + ["sum(real:1,complex:2)", "sum(real:1,spin:2,real:1)"])
+def test_one_element_merges_equal_the_stacked_merge_taken_apart(short):
+    alg = sp.parse_algebra(short)
+    other = sp.random_effect(alg, 71)
+    for seed, profile in enumerate(("generic", "singular", "sharp", "invertible")):
+        _check_one(sp.random_effect(alg, 70 + seed, profile), other)
+    _check_one(sp.identity(alg), other)
+    _check_one(sp.zero(alg), other)
+
+
+@pytest.mark.parametrize("short", SUMS + ["sum(real:1,complex:2)"])
+def test_one_element_merges_of_values_tied_across_blocks(short):
+    # a value shared exactly by every block, and one within the gap of it in one block
+    alg = sp.parse_algebra(short)
+    other = sp.random_effect(alg, 72)
+    tied = _tied(alg, 0.5, 73)
+    values, frame, _ = _check_one(tied, other)
+    assert np.abs(values - 0.5).min() <= 1e-12  # the blocks' 0.5, in one idempotent
+    assert len(frame) < sum(len(sp.spectral_decompose(b).pairs) for b in tied.data)
+    near = sp.Element(alg, (tied.data[0] + sp.identity(alg.summands[0]) * 0.5e-8,)
+                      + tied.data[1:])
+    _check_one(near, other)
+
+
+def test_one_element_merges_of_real_one_blocks():
+    # every block a number: the frame's values are the distinct numbers, ties within the gap
+    # joined, each idempotent a 0/1 vector of blocks
+    alg = sp.parse_algebra("sum(real:1,real:1,real:1,real:1)")
+    other = sp.random_effect(alg, 74)
+    for numbers in ([0.3, 0.3, 0.7, 0.3], [0.2, 0.2 + 5e-9, 0.2 + 1e-8, 0.9], [0.0, -0.0, 1.0, 0.5]):
+        x = sp.Element(alg, tuple(sp.Element(s, [[v]]) for s, v in zip(alg.summands, numbers)))
+        _check_one(x, other)
+
+
+def test_a_zero_trace_idempotent_in_a_cluster_of_one_element_adds_nothing(monkeypatch):
+    # a real block's frame given one more idempotent, zero, with a value within the gap of its
+    # top value: the cluster's trace-weighted value and its idempotent are the reference's
+    backend = sp.real_symmetric(3)._backend
+    frame_of = type(backend).spectral_pairs
+
+    def with_zero(self, a, gap):
+        values, frame, count = frame_of(self, a, gap)
+        if a.algebra != sp.real_symmetric(3):
+            return values, frame, count
+        zero = self.scale(sp.identity(a.algebra), 0.0)
+        return np.append(values, values[0] + 0.5e-8), frame + [zero], count + 1
+
+    monkeypatch.setattr(type(backend), "spectral_pairs", with_zero)
+    alg = sp.parse_algebra("sum(complex:2,real:3)")
+    x = sp.random_effect(alg, 75)
+    values, frame, count = alg._backend.spectral_pairs(x, DEFAULT_GAP)
+    assert_same_frames((values, frame, count), merged_frames(x, DEFAULT_GAP))
+    assert count == 5
+    top = frame_of(backend, x.data[1], DEFAULT_GAP)
+    assert top[0][0] in values.tolist()

@@ -14,12 +14,13 @@ own fresh Elements from the same seeded numbers.
 Each round draws ``--requests`` fresh requests of each kind (``KINDS`` of kernelapi, or
 ``--kinds``) per tree and times them kind by kind, the trees taking turns to go first.  Every
 result is then checked by kernelapi's oracle, off the clock.  Prints, per kind, the median
-microseconds per request on REV and on the working tree and their ratio, then the p50 and
-the mean pooled over every timed request, and the failed requests of each tree.  Each row also
-gives the rounds in which the tree's round median (round mean, on the pooled mean row) beat
-REV's, and the quartiles of each tree's round medians, so a per-kind claim can be held to
-winning nine rounds in ten by more than REV's spread.  One BLAS thread, as bench/run.py sets.
-Exits 0, 1 when a request failed, and 2 when REV is not a commit.
+microseconds per request on REV and on the working tree and their ratio, then the p50, the
+mean and the p99 pooled over every timed request, and the failed requests of each tree.  Each
+row also gives the rounds in which the tree's round statistic (median, or the pooled row's
+mean or p99) beat REV's, and the quartiles of each tree's round statistics, so a per-kind claim
+can be held to winning nine rounds in ten by more than REV's spread; a second column reports
+each row's p90 the same way, so that tail claims are checked in the same process.  One BLAS
+thread, as bench/run.py sets.  Exits 0, 1 when a request failed, and 2 when REV is not a commit.
 """
 
 from __future__ import annotations
@@ -102,11 +103,30 @@ def time_kinds(apis: dict, kinds: list, rounds: int, requests: int, seed: int):
     return times, failed
 
 
+def _percentile(q):
+    return lambda samples: float(np.percentile(samples, q))
+
+
+#: the statistic of each pooled row (the kind rows take the median), and of the tail column
+STATS = {"pooled p50": median, "pooled mean": fmean, "pooled p99": _percentile(99)}
+TAIL = _percentile(90)
+
+
+def _compare(stat, a_rounds: list, b_rounds: list) -> dict:
+    """``stat`` of REV's and of the tree's requests, in microseconds, and their ratio; the
+    rounds in which the tree's beat REV's (ties count for neither); the quartiles of each
+    tree's round statistics."""
+    (a, a_stats), (b, b_stats) = ((stat(sum(rounds, [])) * 1e6, [stat(r) * 1e6 for r in rounds])
+                                  for rounds in (a_rounds, b_rounds))
+    return {"rev_us": round(a, 2), "tree_us": round(b, 2), "ratio": round(b / a, 4),
+            "wins": sum(y < x for x, y in zip(a_stats, b_stats)),
+            "rev_quartiles_us": np.percentile(a_stats, [25, 75]).round(2).tolist(),
+            "tree_quartiles_us": np.percentile(b_stats, [25, 75]).round(2).tolist()}
+
+
 def table(times: dict, rounds: int) -> dict:
-    """Per kind and pooled: each tree's microseconds over every request and their ratio, the
-    rounds in which the tree's round statistic beat REV's (ties count for neither), and the
-    quartiles of each tree's round statistics.  The statistic is the median, and the mean on
-    the pooled mean row."""
+    """Per kind and pooled: ``_compare`` of the rounds' medians (pooled rows: ``STATS``), with
+    the same comparison of their p90 under ``"p90"``."""
     def split(samples):  # every round timed the same number of requests of a kind
         size = len(samples) // rounds
         return [samples[r * size:(r + 1) * size] for r in range(rounds)]
@@ -115,18 +135,19 @@ def table(times: dict, rounds: int) -> dict:
     for tree, by_kind in times.items():
         rows = by_round[tree] = {f"{op} {alias}": split(s) for (op, alias), s in by_kind.items()}
         pooled = [sum(parts, []) for parts in zip(*rows.values())]
-        rows["pooled p50"] = rows["pooled mean"] = pooled
+        rows.update(dict.fromkeys(STATS, pooled))
     out = {}
-    for name in by_round["rev"]:
-        stat = fmean if name == "pooled mean" else median
-        (a, a_rounds), (b, b_rounds) = ((stat(sum(rows[name], [])) * 1e6,
-                                         [stat(r) * 1e6 for r in rows[name]])
-                                        for rows in by_round.values())
-        out[name] = {"rev_us": round(a, 2), "tree_us": round(b, 2), "ratio": round(b / a, 4),
-                     "wins": sum(y < x for x, y in zip(a_rounds, b_rounds)),
-                     "rev_quartiles_us": np.percentile(a_rounds, [25, 75]).round(2).tolist(),
-                     "tree_quartiles_us": np.percentile(b_rounds, [25, 75]).round(2).tolist()}
+    for name, a_rounds in by_round["rev"].items():
+        b_rounds = by_round["tree"][name]
+        out[name] = _compare(STATS.get(name, median), a_rounds, b_rounds)
+        out[name]["p90"] = _compare(TAIL, a_rounds, b_rounds)
     return out
+
+
+def _cells(row: dict, rounds: int) -> str:
+    (r1, r3), (t1, t3) = row["rev_quartiles_us"], row["tree_quartiles_us"]
+    return (f"{row['rev_us']:12.2f} {row['tree_us']:10.2f} {row['ratio']:9.3f} "
+            f"{row['wins']:>3}/{rounds:<2}  {r1:6.2f}-{r3:<6.2f}  {t1:6.2f}-{t3:<6.2f}")
 
 
 def main(argv: list[str]) -> int:
@@ -149,13 +170,13 @@ def main(argv: list[str]) -> int:
             kinds = [tuple(k.split(":")) for k in args.kinds.split(",")]
         times, failed = time_kinds(apis, kinds, args.rounds, args.requests, args.seed)
     rows = table(times, args.rounds)
-    print(f"{'kind':34} {args.rev[:12]:>12} {'tree':>10} {'tree/rev':>9} {'wins':>6}  "
-          f"{'rev q1-q3':>13}  {'tree q1-q3':>13}  (us per request; rounds won by the tree, "
-          "quartiles of the round medians)")
+    columns = (f"{args.rev[:12]:>12} {'tree':>10} {'tree/rev':>9} {'wins':>6}  "
+               f"{'rev q1-q3':>13}  {'tree q1-q3':>13}")
+    print(f"{'kind':34} {columns}  | p90 {columns}  (us per request; rounds won by the tree, "
+          "quartiles of the round statistics)")
     for name, row in rows.items():
-        (r1, r3), (t1, t3) = row["rev_quartiles_us"], row["tree_quartiles_us"]
-        print(f"{name:34} {row['rev_us']:12.2f} {row['tree_us']:10.2f} {row['ratio']:9.3f} "
-              f"{row['wins']:>3}/{args.rounds:<2}  {r1:6.2f}-{r3:<6.2f}  {t1:6.2f}-{t3:.2f}")
+        print(f"{name:34} {_cells(row, args.rounds)}  | p90 {_cells(row['p90'], args.rounds)}"
+              .rstrip())
     print(f"failed requests: rev {failed['rev']}, tree {failed['tree']}")
     if args.json:
         args.json.write_text(json.dumps({"rev": args.rev, "rounds": args.rounds,

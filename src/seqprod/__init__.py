@@ -7,6 +7,9 @@ and their direct sums, together with the standard sequential product
 a o b = Q_sqrt(a)(b), its twisted complex variants, and a seeded auditor
 that checks the structural laws and demonstrates which extra conditions
 single out the standard product.
+
+``import seqprod`` loads the kernel only: each lookup of an auditor name
+here reads ``seqprod.auditor``, importing it on first use.
 """
 
 __version__ = "0.1.0"
@@ -35,18 +38,6 @@ from .algebra import (
     spin_factor,
     trace_inner_product,
     zero,
-)
-from .auditor import (
-    AuditEntry,
-    AuditReport,
-    LawId,
-    SuiteConfig,
-    SuiteRow,
-    audit_law,
-    default_config,
-    demo_characterizations,
-    replay_witness,
-    run_full_suite,
 )
 from .commutant import (
     FunctionModel,
@@ -85,3 +76,19 @@ from .spectral import (
     spectral_decompose,
     sqrt_pos,
 )
+
+#: the auditor's public names, which ``__getattr__`` loads on first use (PEP 562)
+_AUDITOR_NAMES = frozenset((
+    "AuditEntry", "AuditReport", "LawId", "SuiteConfig", "SuiteRow", "audit_law",
+    "default_config", "demo_characterizations", "replay_witness", "run_full_suite"))
+
+
+def __getattr__(name):
+    if name in _AUDITOR_NAMES:
+        from . import auditor
+        return getattr(auditor, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(globals().keys() | _AUDITOR_NAMES)

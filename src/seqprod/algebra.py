@@ -325,6 +325,8 @@ class LinearMap:
     label: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise ConfigError(f"a map's label must be a str, not {type(self.label).__name__}")
         d = self.algebra.real_dimension
         # an own C-ordered copy: a caller's array stays writable, and a map
         # read back from JSON multiplies exactly as the original does

@@ -926,7 +926,9 @@ def replay_witness(law: LawId | str, product_desc: str, algebra_desc: str,
     law = LawId(law)
     alg = parse_algebra(algebra_desc)
     product = parse_product(product_desc, alg)
-    inputs = serialize.inputs_from_json(witness["inputs"])
+    if not isinstance(witness, dict):
+        raise ConfigError(f"a witness must be an object, not {type(witness).__name__}")
+    inputs = serialize.inputs_from_json(witness.get("inputs"))
     return float(LAWS[law].evaluate(product, alg, inputs))
 
 

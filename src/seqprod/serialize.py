@@ -94,4 +94,6 @@ def inputs_to_json(inputs: dict) -> dict:
 
 
 def inputs_from_json(obj: dict) -> dict:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"witness inputs must be an object, not {type(obj).__name__}")
     return {k: witness_value_from_json(v) for k, v in obj.items()}

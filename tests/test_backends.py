@@ -175,6 +175,21 @@ def test_an_element_is_solved_only_by_its_cached_solves():
     ]
 
 
+def test_only_the_cli_and_the_package_getattr_import_the_auditor():
+    # ``import seqprod`` loads the kernel only: the package imports the auditor inside its
+    # module ``__getattr__``, on first use of an auditor name, and the CLI at load
+    def match(node):
+        return (isinstance(node, ast.ImportFrom) and node.module == "auditor"
+                or isinstance(node, ast.ImportFrom) and node.module is None
+                and any(alias.name == "auditor" for alias in node.names)
+                or isinstance(node, ast.Import)
+                and any(alias.name.endswith("auditor") for alias in node.names))
+
+    imports = sorted((path.name, scope) for path in Path(sp.__file__).parent.glob("*.py")
+                     for scope, _ in _scoped_nodes(path, match))
+    assert imports == [("__init__.py", "__getattr__"), ("cli.py", "")]
+
+
 def test_kind_checks_live_in_the_backend_module():
     package = Path(sp.__file__).parent
     outside = []

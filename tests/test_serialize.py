@@ -72,6 +72,29 @@ def test_malformed_json_raises_config_error():
                                      "data": {"re": [[1.0]]}})
 
 
+@pytest.mark.parametrize("label", [5, None, ["id"], b"id"])
+def test_a_maps_label_must_be_a_str(label):
+    alg = sp.real_symmetric(1)
+    with pytest.raises(sp.ConfigError, match="label must be a str"):
+        sp.LinearMap(alg, [[1.0]], label)
+    with pytest.raises(sp.ConfigError, match="label must be a str"):
+        serialize.linear_map_from_json({"algebra": {"kind": "real_symmetric", "n": 1},
+                                        "matrix": [[1.0]], "label": label})
+    assert serialize.linear_map_from_json({"algebra": {"kind": "real_symmetric", "n": 1},
+                                           "matrix": [[1.0]]}).label == ""
+
+
+@pytest.mark.parametrize("witness", [{"trial": 0, "inputs": [1]}, {"trial": 0},
+                                     {"trial": 0, "inputs": None}, {"trial": 0, "inputs": "a"}])
+def test_witness_inputs_that_are_missing_or_not_an_object_raise_config_error(witness):
+    with pytest.raises(sp.ConfigError, match="witness inputs must be an object"):
+        serialize.inputs_from_json(witness.get("inputs"))
+    with pytest.raises(sp.ConfigError, match="witness inputs must be an object"):
+        sp.replay_witness("SEA2", "standard", "real:1", witness)
+    with pytest.raises(sp.ConfigError, match="a witness must be an object"):
+        sp.replay_witness("SEA2", "standard", "real:1", [witness])
+
+
 @pytest.mark.parametrize("obj", [
     {"kind": "real_symmetric", "n": 2.5},
     {"kind": "real_symmetric", "n": True},

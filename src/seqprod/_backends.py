@@ -16,8 +16,10 @@ package reaches element storage only through the backend primitives:
   the sum, the span (min lo, max hi) or the element-wise largest.
 
 Solves and caches.  Every LAPACK call goes through :func:`_lapack`, so a NaN or infinite
-entry and a solver failure raise NumericalFailureError one way.  A matrix element keeps its
-eigenvalue-only solve (:func:`_spectrum`, read by ``eigen_range``) and its full solve
+entry and a solver failure raise NumericalFailureError one way.  It calls numpy's LAPACK gufunc
+for eigh, eigvalsh and svd directly, as np.linalg would, without numpy's Python wrapper, unless
+a substitute is installed on ``np.linalg`` (a tracer or a test's counter).  A matrix element
+keeps its eigenvalue-only solve (:func:`_spectrum`, read by ``eigen_range``) and its full solve
 (:func:`_eigen`, read by everything else) on the instance, its only solves; a spin element
 keeps |v| (:func:`_spin_radius`), and ``products`` a product root per twist.  A norm compared
 with a threshold (1 in a residual's max(1, .)) is solved where :func:`_norm_bounds` leave it
@@ -73,6 +75,7 @@ from itertools import accumulate, chain
 from operator import add, itemgetter
 
 import numpy as np
+from numpy.linalg import _linalg, _umath_linalg
 
 from . import algebra as _alg
 from .errors import (
@@ -221,18 +224,47 @@ POLAR_DEGENERACY = 1e-10
 #: 1), span the commutant
 COMMUTANT_TOL = 1e-8
 
+#: numpy's own eigh, eigvalsh and svd, captured at import, keyed by each call form of
+#: :func:`_lapack` (solver, *args, *kwargs.items()) that runs one LAPACK gufunc: the gufunc
+#: np.linalg calls, its float64 and complex128 signatures, and np.linalg's errstate callback,
+#: which raises LinAlgError with numpy's message on a non-convergence
+_GUFUNCS = {
+    (np.linalg.eigh,): (_umath_linalg.eigh_lo, ("d->dd", "D->dD"),
+                        _linalg._raise_linalgerror_eigenvalues_nonconvergence),
+    (np.linalg.eigvalsh,): (_umath_linalg.eigvalsh_lo, ("d->d", "D->d"),
+                            _linalg._raise_linalgerror_eigenvalues_nonconvergence),
+    (np.linalg.svd,): (_umath_linalg.svd_f, ("d->ddd", "D->DdD"),
+                       _linalg._raise_linalgerror_svd_nonconvergence),
+    (np.linalg.svd, ("full_matrices", False)): (_umath_linalg.svd_s, ("d->ddd", "D->DdD"),
+                                                _linalg._raise_linalgerror_svd_nonconvergence),
+}
+
+
 def _lapack(name: str, mat: np.ndarray, *args, **kwargs):
     """``np.linalg``'s ``name`` on ``mat``, stacked (k, m, m) or not: the one way to LAPACK.
 
     A NaN or infinite entry raises NumericalFailureError before the solver runs: LAPACK can
-    return finite eigenvalues for such a matrix, or a NaN norm or inverse.  A LinAlgError
-    becomes NumericalFailureError.  The solver is looked up on ``np.linalg`` at call time, so
-    a wrapper installed there sees every call.
+    return finite eigenvalues for such a matrix, or a NaN norm or inverse.  While ``np.linalg``
+    holds numpy's own eigh, eigvalsh or svd, the call skips that function's Python wrapper and
+    runs the LAPACK gufunc it would run (:data:`_GUFUNCS`), on the same float64 or complex128
+    data, under the same floating-point state: the same bits, and a LAPACK non-convergence,
+    raised as an invalid flag, calls numpy's callback.  The ``np.errstate`` is fresh per call:
+    numpy refuses to enter one instance twice, and threads may race here.  ``inv``, the 2-norm
+    and any other solver installed on ``np.linalg`` are called as they are, looked up at call
+    time: that is how a tracer records its spans and a test counts or fails solves.  A
+    LinAlgError becomes NumericalFailureError.
     """
     if not np.isfinite(mat).all():
         raise NumericalFailureError(f"{name} needs a matrix with finite entries")
+    solver = getattr(np.linalg, name)
+    call = _GUFUNCS.get((solver, *args, *kwargs.items()))
     try:
-        return getattr(np.linalg, name)(mat, *args, **kwargs)
+        if call is None:
+            return solver(mat, *args, **kwargs)
+        gufunc, signatures, fail = call
+        with np.errstate(call=fail, invalid="call", over="ignore", divide="ignore",
+                         under="ignore"):
+            return gufunc(mat, signature=signatures[mat.dtype.kind == "c"])
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"{name} failed: {exc}") from exc
 

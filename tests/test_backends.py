@@ -131,31 +131,45 @@ def _scoped_nodes(path: Path, match) -> list[tuple[str, ast.AST]]:
     return found
 
 
-def _linalg_lines(path: Path) -> list[tuple[str, str]]:
-    """(enclosing function, stripped source line) of each reference to ``linalg`` in the module
-    at ``path``: an attribute or name ``linalg``, or an import from a ``linalg`` module."""
-    lines = path.read_text().splitlines()
+def _linalg_lines(path: Path) -> set[tuple[str, str]]:
+    """(enclosing function, stripped source line) of each reference to a ``linalg`` module in the
+    module at ``path``: an attribute or name with ``linalg`` in it (``np.linalg``, ``_linalg``,
+    ``_umath_linalg``), or an import from such a module.  At module level the line is the first
+    of the enclosing statement."""
+    text = path.read_text()
+    tree, lines = ast.parse(text), text.splitlines()
 
     def match(node):
         imported = ([a.name for a in node.names] + [getattr(node, "module", None) or ""]
                     if isinstance(node, (ast.Import, ast.ImportFrom)) else [])
-        return (isinstance(node, ast.Attribute) and node.attr == "linalg"
-                or isinstance(node, ast.Name) and node.id == "linalg"
+        return (isinstance(node, ast.Attribute) and "linalg" in node.attr
+                or isinstance(node, ast.Name) and "linalg" in node.id
                 or any("linalg" in name for name in imported))
 
-    return [(scope, lines[node.lineno - 1].strip()) for scope, node in _scoped_nodes(path, match)]
+    def line(scope, node):
+        if not scope:
+            node = next(s for s in tree.body if s.lineno <= node.lineno <= s.end_lineno)
+        return lines[node.lineno - 1].strip()
+
+    return {(scope, line(scope, node)) for scope, node in _scoped_nodes(path, match)}
 
 
 def test_eigensolves_live_in_the_backend_module():
     # every eigh, eigvalsh, svd, inv and matrix 2-norm goes through the one gateway, which alone
-    # reaches np.linalg
+    # reaches np.linalg; numpy's LAPACK gufuncs and their errstate callbacks are read once, at
+    # import, into the table only the gateway reads
     package = Path(sp.__file__).parent
     uses = sorted((path.name, *use) for path in package.glob("*.py")
                   for use in _linalg_lines(path))
     assert uses == [
+        ("_backends.py", "", "_GUFUNCS = {"),
+        ("_backends.py", "", "from numpy.linalg import _linalg, _umath_linalg"),
         ("_backends.py", "_lapack", "except np.linalg.LinAlgError as exc:"),
-        ("_backends.py", "_lapack", "return getattr(np.linalg, name)(mat, *args, **kwargs)"),
+        ("_backends.py", "_lapack", "solver = getattr(np.linalg, name)"),
     ]
+    readers = _scoped_nodes(package / "_backends.py", lambda node: isinstance(node, ast.Name)
+                            and node.id == "_GUFUNCS" and isinstance(node.ctx, ast.Load))
+    assert [scope for scope, _ in readers] == ["_lapack"]
 
 
 def test_an_element_is_solved_only_by_its_cached_solves():
